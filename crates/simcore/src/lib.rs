@@ -9,8 +9,8 @@
 //!   cooperative scheduling) — so `MPI_Wait` can be written as an ordinary
 //!   blocking call;
 //! - **scheduled callbacks** for fine-grained hardware events (DMA
-//!   completions, flag writes) that run on the scheduler thread without
-//!   thread-switch cost;
+//!   completions, flag writes) that run inline on whichever thread drives
+//!   the event loop, without thread-switch cost;
 //! - wake-up primitives: [`Event`], [`CountEvent`], [`SimChannel`],
 //!   [`Semaphore`], [`SimBarrier`];
 //! - deterministic seeded randomness ([`SimRng`]) for timing jitter;

@@ -4,35 +4,31 @@
 //! (`advance`, `wait`, channel receives) go through it; the mutable borrow
 //! statically prevents a process from blocking re-entrantly.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use std::sync::mpsc::Receiver;
-
-use crate::event::Event;
+use crate::event::{CountEvent, Event};
 use crate::rng::SimRng;
-use crate::sched::{self, ProcessId, SchedCore, SimHandle, SpawnHandle, YieldMsg};
+use crate::sched::{self, ProcessId, SchedCore, SimHandle, SpawnHandle};
 use crate::time::{SimDuration, SimTime};
-
-/// Sentinel panic message used to unwind process threads when the simulation
-/// is torn down before they run again (only possible after `run` returned).
-pub(crate) const TEARDOWN_MSG: &str = "__parcomm_sim_teardown__";
 
 /// Per-process execution context.
 ///
-/// Not `Clone` and not `Send`-shareable: it owns the process's resume channel.
+/// Not `Clone` and not `Send`-shareable: it owns the process's resume flag.
 /// To give long-lived model objects access to the simulation, use
 /// [`Ctx::handle`].
 pub struct Ctx {
     pid: ProcessId,
     core: Arc<SchedCore>,
-    resume_rx: Receiver<()>,
+    /// Set by the thread that passes this process the baton.
+    resume: Arc<AtomicBool>,
     handle: SimHandle,
 }
 
 impl Ctx {
-    pub(crate) fn new(pid: ProcessId, core: Arc<SchedCore>, resume_rx: Receiver<()>) -> Self {
+    pub(crate) fn new(pid: ProcessId, core: Arc<SchedCore>, resume: Arc<AtomicBool>) -> Self {
         let handle = SimHandle { core: core.clone() };
-        Ctx { pid, core, resume_rx, handle }
+        Ctx { pid, core, resume, handle }
     }
 
     /// This process's id.
@@ -62,13 +58,8 @@ impl Ctx {
     /// `advance(SimDuration::ZERO)` yields to other same-instant work
     /// (FIFO order among equal timestamps).
     pub fn advance(&mut self, dt: SimDuration) {
-        let epoch = sched::park_and_bump(&self.core, self.pid);
-        let at = self.now() + dt;
-        self.core
-            .yield_tx
-            .send(YieldMsg::AdvanceTo { pid: self.pid, at, epoch })
-            .expect("scheduler gone");
-        self.park();
+        sched::park_for(&self.core, self.pid, dt);
+        self.yield_baton();
     }
 
     /// Yield to other processes/callbacks scheduled at the current instant.
@@ -82,26 +73,19 @@ impl Ctx {
     pub fn wait(&mut self, event: &Event) -> bool {
         loop {
             if event.is_set() {
-                self.clear_wait_note();
                 return true;
             }
             if self.is_shutdown() {
-                self.clear_wait_note();
                 return false;
             }
-            self.note_wait(describe_event(event));
-            let epoch = sched::park_and_bump(&self.core, self.pid);
+            let epoch = sched::park_on(&self.core, self.pid, WaitTarget::Event(event.clone()));
             // Register *after* bumping so the event wakes the right epoch.
             if !event.register_waiter(self.pid, epoch) {
                 // Event fired between the check and registration: un-park by
                 // scheduling an immediate resume for our epoch.
-                sched::schedule_resume(&self.core, self.now(), self.pid, epoch);
+                self.handle.wake(self.pid, epoch);
             }
-            self.core
-                .yield_tx
-                .send(YieldMsg::Blocked { pid: self.pid })
-                .expect("scheduler gone");
-            self.park();
+            self.yield_baton();
         }
     }
 
@@ -111,26 +95,19 @@ impl Ctx {
         let deadline = self.now() + dt;
         loop {
             if event.is_set() {
-                self.clear_wait_note();
                 return true;
             }
             if self.is_shutdown() || self.now() >= deadline {
-                self.clear_wait_note();
                 return event.is_set();
             }
-            self.note_wait(describe_event(event));
-            let epoch = sched::park_and_bump(&self.core, self.pid);
+            let epoch = sched::park_on(&self.core, self.pid, WaitTarget::Event(event.clone()));
             if !event.register_waiter(self.pid, epoch) {
-                sched::schedule_resume(&self.core, self.now(), self.pid, epoch);
+                self.handle.wake(self.pid, epoch);
             }
             // Timed backstop at the deadline; cancelled below if the event
             // wins, so it can never stretch the simulation's end time.
             let backstop = sched::schedule_resume(&self.core, deadline, self.pid, epoch);
-            self.core
-                .yield_tx
-                .send(YieldMsg::Blocked { pid: self.pid })
-                .expect("scheduler gone");
-            self.park();
+            self.yield_baton();
             sched::cancel_queued(&self.core, backstop);
         }
     }
@@ -143,22 +120,17 @@ impl Ctx {
     }
 
     /// Block until `counter` reaches at least `threshold` (or shutdown).
-    pub fn wait_count(&mut self, counter: &crate::event::CountEvent, threshold: u64) {
+    pub fn wait_count(&mut self, counter: &CountEvent, threshold: u64) {
         loop {
             if counter.count() >= threshold || self.is_shutdown() {
-                self.clear_wait_note();
                 return;
             }
-            self.note_wait(describe_count(counter, threshold));
-            let epoch = sched::park_and_bump(&self.core, self.pid);
+            let target = WaitTarget::Count(counter.clone(), threshold);
+            let epoch = sched::park_on(&self.core, self.pid, target);
             if !counter.register_waiter(threshold, self.pid, epoch) {
-                sched::schedule_resume(&self.core, self.now(), self.pid, epoch);
+                self.handle.wake(self.pid, epoch);
             }
-            self.core
-                .yield_tx
-                .send(YieldMsg::Blocked { pid: self.pid })
-                .expect("scheduler gone");
-            self.park();
+            self.yield_baton();
         }
     }
 
@@ -168,33 +140,27 @@ impl Ctx {
     /// called, so code paths that never arm a timeout cost no extra events.
     pub fn wait_count_timeout(
         &mut self,
-        counter: &crate::event::CountEvent,
+        counter: &CountEvent,
         threshold: u64,
         dt: SimDuration,
     ) -> bool {
         let deadline = self.now() + dt;
         loop {
             if counter.count() >= threshold {
-                self.clear_wait_note();
                 return true;
             }
             if self.is_shutdown() || self.now() >= deadline {
-                self.clear_wait_note();
                 return counter.count() >= threshold;
             }
-            self.note_wait(describe_count(counter, threshold));
-            let epoch = sched::park_and_bump(&self.core, self.pid);
+            let target = WaitTarget::Count(counter.clone(), threshold);
+            let epoch = sched::park_on(&self.core, self.pid, target);
             if !counter.register_waiter(threshold, self.pid, epoch) {
-                sched::schedule_resume(&self.core, self.now(), self.pid, epoch);
+                self.handle.wake(self.pid, epoch);
             }
             // Timed backstop at the deadline; cancelled below if the counter
             // wins, so it can never stretch the simulation's end time.
             let backstop = sched::schedule_resume(&self.core, deadline, self.pid, epoch);
-            self.core
-                .yield_tx
-                .send(YieldMsg::Blocked { pid: self.pid })
-                .expect("scheduler gone");
-            self.park();
+            self.yield_baton();
             sched::cancel_queued(&self.core, backstop);
         }
     }
@@ -233,40 +199,49 @@ impl Ctx {
         self.handle.jitter_us(mean, sd)
     }
 
-    /// Park the calling thread until the scheduler resumes us.
-    fn park(&mut self) {
-        if self.resume_rx.recv().is_err() {
-            // Simulation dropped while we were parked (only after run()
-            // returned, e.g. a leaked daemon). Unwind quietly.
-            std::panic::panic_any(TEARDOWN_MSG.to_string());
+    /// Hand the baton to the event loop after parking; returns once this
+    /// process is resumed.
+    fn yield_baton(&mut self) {
+        if !sched::dispatch(&self.handle, Some(self.pid), true) {
+            self.park();
         }
     }
 
-    /// Record what this process is about to block on (deadlock diagnosis).
-    fn note_wait(&self, what: String) {
-        sched::set_waiting_on(&self.core, self.pid, Some(what));
-    }
-
-    /// Clear the wait-for note once unblocked.
-    fn clear_wait_note(&self) {
-        sched::set_waiting_on(&self.core, self.pid, None);
-    }
-}
-
-/// Wait-for description of an [`Event`] for deadlock diagnostics.
-fn describe_event(event: &Event) -> String {
-    match event.label() {
-        Some(l) => format!("event '{l}'"),
-        None => "event <unnamed>".to_string(),
+    /// Block the calling thread until another thread passes us the baton.
+    /// A process left parked when its run ends (deadlock, panic) stays
+    /// parked: no thread passes it the baton again.
+    pub(crate) fn park(&mut self) {
+        while !self.resume.swap(false, Ordering::Acquire) {
+            std::thread::park();
+        }
     }
 }
 
-/// Wait-for description of a [`crate::event::CountEvent`], including how far
-/// along the counter was when the process last parked.
-fn describe_count(counter: &crate::event::CountEvent, threshold: u64) -> String {
-    let cur = counter.count();
-    match counter.label() {
-        Some(l) => format!("count '{l}' ({cur}/{threshold})"),
-        None => format!("count <unnamed> ({cur}/{threshold})"),
+/// What a parked process waits on. Kept as the primitive itself and
+/// formatted only when a deadlock is reported.
+#[derive(Clone)]
+pub(crate) enum WaitTarget {
+    Event(Event),
+    /// A counter and the threshold the process waits for.
+    Count(CountEvent, u64),
+}
+
+impl WaitTarget {
+    /// Wait-for description for deadlock diagnostics; a counter reports how
+    /// far along it was when the deadlock was detected.
+    pub(crate) fn describe(&self) -> String {
+        match self {
+            WaitTarget::Event(event) => match event.label() {
+                Some(l) => format!("event '{l}'"),
+                None => "event <unnamed>".to_string(),
+            },
+            WaitTarget::Count(counter, threshold) => {
+                let cur = counter.count();
+                match counter.label() {
+                    Some(l) => format!("count '{l}' ({cur}/{threshold})"),
+                    None => format!("count <unnamed> ({cur}/{threshold})"),
+                }
+            }
+        }
     }
 }

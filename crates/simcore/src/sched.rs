@@ -5,28 +5,46 @@
 //! The simulation is *process-oriented* (SimGrid / SimPy style): user code is
 //! written as ordinary blocking Rust running in **simulation processes**, each
 //! backed by its own OS thread, while fine-grained hardware actions (DMA
-//! completions, flag writes) are **scheduled callbacks** that run directly on
-//! the scheduler thread.
+//! completions, flag writes) are **scheduled callbacks** that run inline on
+//! whichever thread is currently driving the event loop.
 //!
-//! At any wall-clock instant, *at most one* simulation process is executing;
-//! the scheduler thread and that process hand control back and forth through
-//! rendezvous channels. Virtual time only advances inside the scheduler loop,
-//! between process steps, which makes the simulation deterministic: a given
-//! program + seed always produces the identical event trace.
+//! There is no dedicated scheduler thread. Exactly one thread holds the
+//! *baton* at any wall-clock instant, and the holder is the only thread that
+//! runs simulation code. When a process yields (`advance`, a `wait*` that
+//! parks, or its body returning), its own thread runs [`dispatch`]: it pops
+//! the event queue in `(time, seq)` order, runs callbacks inline, and stops
+//! at the first resume of a still-parked process.
+//!
+//! - If that resume is for the yielding process itself, the process simply
+//!   keeps running — no OS thread switch at all.
+//! - Otherwise the holder sets the target's resume flag, unparks its thread
+//!   and parks itself: one thread handoff per switch.
+//!
+//! [`Simulation::run`] starts the first dispatch on the caller's thread and
+//! then blocks on a one-shot outcome channel. Whichever holder sees the run
+//! end (completion, deadlock, a process panic, or a panicking callback)
+//! reports it there. Virtual time only advances inside `dispatch`, between
+//! process steps, which makes the simulation deterministic: a given program
+//! and seed always produce the identical event trace, whichever thread
+//! happens to run each step.
 //!
 //! ## Shutdown semantics
 //!
 //! Processes are either *regular* or *daemon*. The simulation completes when
-//! every regular process has finished. Daemons (progression engines, pollers)
-//! are then woken one final time with the global shutdown flag set so that
-//! their `while !ctx.is_shutdown()` loops can exit cleanly.
+//! every regular process has finished. As soon as the last regular process
+//! finishes (or the queue runs dry with only daemons left), the baton holder
+//! sets the global shutdown flag and queues one resume per parked daemon, in
+//! process-id order, so their `while !ctx.is_shutdown()` loops can exit
+//! cleanly. The run ends when the last daemon has returned and the queue is
+//! empty.
 //!
 //! ## Deadlock detection
 //!
 //! If no timed work remains but regular processes are still blocked, the
-//! scheduler aborts with a diagnostic listing every blocked process by name —
-//! turning would-be hangs into test failures.
+//! run aborts with a diagnostic listing every blocked process by name and
+//! the primitive it waits on — turning would-be hangs into test failures.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
@@ -34,12 +52,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 
 use crate::lock::Mutex;
 
 use crate::error::{BlockedProcess, SimError};
 use crate::event::Event;
+use crate::process::WaitTarget;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
@@ -48,7 +67,8 @@ use crate::trace::Trace;
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ProcessId(pub(crate) u64);
 
-/// A callback scheduled to run on the scheduler thread at a virtual instant.
+/// A callback scheduled to run at a virtual instant, on whichever thread
+/// holds the baton (see module docs).
 pub type Callback = Box<dyn FnOnce(&SimHandle) + Send + 'static>;
 
 /// What an entry in the event queue does when its time arrives.
@@ -56,46 +76,39 @@ enum QueueItem {
     /// Resume process `pid` if it is still parked with the given epoch.
     /// Stale epochs (the process was woken earlier by an event) are ignored.
     Resume { pid: ProcessId, epoch: u64 },
-    /// Run a closure on the scheduler thread.
+    /// Run a closure on the baton holder's thread.
     Callback(Callback),
 }
 
-/// Message a process sends back to the scheduler when it yields.
-pub(crate) enum YieldMsg {
-    /// Park me; resume at `at` (advance) — epoch already bumped.
-    AdvanceTo { pid: ProcessId, at: SimTime, epoch: u64 },
-    /// Park me; something else (an event) will wake me. The pid is carried
-    /// for trace debugging only.
-    Blocked {
-        #[allow(dead_code)]
-        pid: ProcessId,
-    },
-    /// The process body returned (`Ok`) or panicked (`Err(message)`).
-    Finished { pid: ProcessId, result: Result<(), String> },
+/// How a run ended; sent once to the thread blocked in [`Simulation::run`].
+enum Outcome {
+    Done,
+    Failed(SimError),
+    /// A scheduled callback panicked; `run` re-raises the payload.
+    CallbackPanic(Box<dyn Any + Send>),
 }
 
 struct ProcRecord {
     name: String,
     daemon: bool,
-    resume_tx: Sender<()>,
+    /// Set (then the thread unparked) to pass this process the baton.
+    resume: Arc<AtomicBool>,
     /// Bumped every time the process parks; used to discard stale timed wakes.
     park_epoch: u64,
     parked: bool,
     finished: bool,
     done: Event,
+    /// The process's OS thread; set right after it is spawned and taken
+    /// only once the run is over.
     join: Option<JoinHandle<()>>,
-    /// Description of the primitive the process is currently blocked on
-    /// (set by `Ctx` wait methods); surfaced in deadlock diagnostics.
-    waiting_on: Option<String>,
+    /// The primitive the process is parked on (set by `Ctx` wait methods),
+    /// formatted into deadlock diagnostics only when one is reported.
+    waiting_on: Option<WaitTarget>,
 }
 
 /// Shared scheduler state. Lives behind `Arc` in [`SimHandle`] and `Ctx`.
 pub(crate) struct SchedCore {
     pub(crate) state: Mutex<SchedState>,
-    /// Processes report yields here; the scheduler blocks on the matching
-    /// receiver (held by [`Simulation`] — `std` receivers are not `Sync`,
-    /// and only the scheduler loop ever receives).
-    pub(crate) yield_tx: Sender<YieldMsg>,
     /// Global shutdown flag: set once all regular processes have finished.
     shutdown: AtomicBool,
     /// Span tracing (disabled by default).
@@ -107,12 +120,15 @@ pub(crate) struct SchedState {
     seq: u64,
     queue: BinaryHeap<Reverse<(SimTime, u64, QueueSlot)>>,
     items: HashMap<u64, QueueItem>,
-    procs: HashMap<ProcessId, ProcRecord>,
-    next_pid: u64,
+    /// Indexed by the dense [`ProcessId`].
+    procs: Vec<ProcRecord>,
     live_regular: usize,
     live_daemons: usize,
     pub(crate) rng: SimRng,
     events_processed: u64,
+    handoffs: u64,
+    /// Where the holder that sees the run end reports it; taken once.
+    outcome_tx: Option<Sender<Outcome>>,
 }
 
 /// Heap key helper: items with identical timestamps pop in insertion order.
@@ -142,7 +158,8 @@ impl SimHandle {
         self.core.shutdown.load(Ordering::Acquire)
     }
 
-    /// Schedule `f` to run on the scheduler thread after `delay`.
+    /// Schedule `f` to run after `delay` (on the event loop, see module
+    /// docs).
     pub fn schedule_in(&self, delay: SimDuration, f: impl FnOnce(&SimHandle) + Send + 'static) {
         let mut st = self.core.state.lock();
         let at = st.now + delay;
@@ -178,7 +195,6 @@ impl SimHandle {
         let at = st.now;
         st.push(at, QueueItem::Resume { pid, epoch });
     }
-
 }
 
 impl SchedState {
@@ -191,6 +207,61 @@ impl SchedState {
         self.queue.push(Reverse((at, id, QueueSlot(id))));
         id
     }
+
+    /// Pop the earliest live queue item, advancing the clock to it.
+    /// Cancelled items (e.g. timeout backstops whose wait completed early)
+    /// left a tombstone in the heap: skip them without advancing the clock
+    /// or the event count, so an armed-but-unused watchdog never stretches
+    /// the run's end time.
+    fn pop_live(&mut self) -> Option<QueueItem> {
+        while let Some(Reverse((at, id, _))) = self.queue.pop() {
+            if let Some(item) = self.items.remove(&id) {
+                self.now = at;
+                self.events_processed += 1;
+                return Some(item);
+            }
+        }
+        None
+    }
+
+    fn proc_mut(&mut self, pid: ProcessId) -> &mut ProcRecord {
+        &mut self.procs[pid.0 as usize]
+    }
+
+    /// Park `pid`: bump its epoch and record what it waits on.
+    fn park(&mut self, pid: ProcessId, waiting_on: Option<WaitTarget>) -> u64 {
+        let p = self.proc_mut(pid);
+        p.park_epoch += 1;
+        p.parked = true;
+        p.waiting_on = waiting_on;
+        p.park_epoch
+    }
+
+    /// Set the shutdown flag and wake every parked process (in pid order) so
+    /// daemon poll loops can observe the flag and exit.
+    fn begin_shutdown(&mut self, shutdown: &AtomicBool) {
+        shutdown.store(true, Ordering::Release);
+        let now = self.now;
+        let parked: Vec<(ProcessId, u64)> = self
+            .procs
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.parked && !p.finished)
+            .map(|(i, p)| (ProcessId(i as u64), p.park_epoch))
+            .collect();
+        for (pid, epoch) in parked {
+            self.push(now, QueueItem::Resume { pid, epoch });
+        }
+    }
+
+    /// Parked, unfinished processes with their wait targets, in pid order.
+    fn blocked(&self) -> Vec<(String, Option<WaitTarget>)> {
+        self.procs
+            .iter()
+            .filter(|p| p.parked && !p.finished)
+            .map(|p| (p.name.clone(), p.waiting_on.clone()))
+            .collect()
+    }
 }
 
 /// Statistics returned by [`Simulation::run`].
@@ -202,6 +273,10 @@ pub struct SimReport {
     pub events_processed: u64,
     /// Number of processes that ran (regular + daemon).
     pub processes: u64,
+    /// OS thread handoffs: resumes that passed control to another thread
+    /// (including each process's start). A host-cost statistic, kept out of
+    /// the behaviour digests.
+    pub handoffs: u64,
 }
 
 /// Configuration for a [`Simulation`].
@@ -221,32 +296,29 @@ impl Default for SimConfig {
 /// A configured simulation: spawn processes, then [`run`](Simulation::run).
 pub struct Simulation {
     core: Arc<SchedCore>,
-    yield_rx: Receiver<YieldMsg>,
-    started: bool,
 }
 
 impl Simulation {
     /// Create a simulation with the given configuration.
     pub fn new(cfg: SimConfig) -> Self {
-        let (yield_tx, yield_rx) = channel();
         let core = Arc::new(SchedCore {
             state: Mutex::new(SchedState {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: BinaryHeap::new(),
                 items: HashMap::new(),
-                procs: HashMap::new(),
-                next_pid: 0,
+                procs: Vec::new(),
                 live_regular: 0,
                 live_daemons: 0,
                 rng: SimRng::seeded(cfg.seed),
                 events_processed: 0,
+                handoffs: 0,
+                outcome_tx: None,
             }),
-            yield_tx,
             shutdown: AtomicBool::new(false),
             trace: Trace::for_sim(cfg.seed),
         });
-        Simulation { core, yield_rx, started: false }
+        Simulation { core }
     }
 
     /// Create a simulation with the default configuration (fixed seed).
@@ -283,105 +355,23 @@ impl Simulation {
     /// Returns once every regular process has finished and the queue has
     /// drained. Fails with [`SimError::Deadlock`] if regular processes remain
     /// blocked with no timed work pending, or [`SimError::ProcessPanic`] if
-    /// any process body panicked.
-    pub fn run(mut self) -> Result<SimReport, SimError> {
-        assert!(!self.started, "Simulation::run called twice");
-        self.started = true;
-        let handle = SimHandle { core: self.core.clone() };
-        let mut total_procs = 0u64;
-
-        loop {
-            // Pop the earliest live queue item, if any. Cancelled items
-            // (e.g. timeout backstops whose wait completed early) left a
-            // tombstone in the heap: skip them without advancing the clock
-            // or the event count, so an armed-but-unused watchdog never
-            // stretches the run's end time.
-            let popped = {
-                let mut st = self.core.state.lock();
-                loop {
-                    match st.queue.pop() {
-                        Some(Reverse((at, id, _))) => {
-                            if let Some(item) = st.items.remove(&id) {
-                                st.now = at;
-                                st.events_processed += 1;
-                                break Some(item);
-                            }
-                        }
-                        None => break None,
-                    }
-                }
-            };
-
-            match popped {
-                Some(QueueItem::Callback(f)) => {
-                    f(&handle);
-                }
-                Some(QueueItem::Resume { pid, epoch }) => {
-                    let resume_tx = {
-                        let mut st = self.core.state.lock();
-                        match st.procs.get_mut(&pid) {
-                            Some(p) if p.parked && !p.finished && p.park_epoch == epoch => {
-                                p.parked = false;
-                                Some(p.resume_tx.clone())
-                            }
-                            _ => None, // stale wake
-                        }
-                    };
-                    let Some(tx) = resume_tx else { continue };
-                    tx.send(()).expect("process resume channel closed");
-                    // Let the process run until it yields again.
-                    self.handle_yield(self.yield_rx.recv().expect("yield channel closed"))?;
-                    total_procs = total_procs.max(self.core.state.lock().next_pid);
-                }
-                None => {
-                    // Queue empty: either done, shutdown phase, or deadlock.
-                    let (live_regular, live_daemons, mut blocked): (
-                        usize,
-                        usize,
-                        Vec<BlockedProcess>,
-                    ) = {
-                        let st = self.core.state.lock();
-                        let blocked = st
-                            .procs
-                            .values()
-                            .filter(|p| p.parked && !p.finished)
-                            .map(|p| BlockedProcess {
-                                process: p.name.clone(),
-                                waiting_on: p.waiting_on.clone(),
-                            })
-                            .collect();
-                        (st.live_regular, st.live_daemons, blocked)
-                    };
-
-                    if live_regular == 0 && live_daemons == 0 {
-                        break; // all done
-                    }
-                    if live_regular == 0 {
-                        // Only daemons remain: initiate shutdown, wake them all.
-                        self.begin_shutdown(&handle);
-                        continue;
-                    }
-                    // HashMap iteration order is arbitrary; sort so the
-                    // diagnostic is deterministic.
-                    blocked.sort_by(|a, b| a.process.cmp(&b.process));
-                    return Err(SimError::Deadlock { blocked });
-                }
-            }
-
-            // If the last regular process just finished, wind daemons down.
-            let need_shutdown = {
-                let st = self.core.state.lock();
-                st.live_regular == 0 && st.live_daemons > 0
-            };
-            if need_shutdown && !self.core.shutdown.load(Ordering::Acquire) {
-                self.begin_shutdown(&handle);
-            }
+    /// any process body panicked. A panicking scheduled callback is re-raised
+    /// on the caller's thread with its original payload.
+    pub fn run(self) -> Result<SimReport, SimError> {
+        let (outcome_tx, outcome_rx) = channel();
+        self.core.state.lock().outcome_tx = Some(outcome_tx);
+        dispatch(&self.handle(), None, false);
+        let outcome = outcome_rx.recv().expect("simulation ended without an outcome");
+        match outcome {
+            Outcome::Done => {}
+            Outcome::Failed(err) => return Err(err),
+            Outcome::CallbackPanic(payload) => panic::resume_unwind(payload),
         }
 
         // Join all process threads (all have finished by now).
         let joins: Vec<JoinHandle<()>> = {
             let mut st = self.core.state.lock();
-            st.procs.values_mut().filter_map(|p| p.join.take()).collect()
+            st.procs.iter_mut().filter_map(|p| p.join.take()).collect()
         };
         for j in joins {
             let _ = j.join();
@@ -391,58 +381,123 @@ impl Simulation {
         Ok(SimReport {
             end_time: st.now,
             events_processed: st.events_processed,
-            processes: st.next_pid,
+            processes: st.procs.len() as u64,
+            handoffs: st.handoffs,
         })
     }
+}
 
-    /// Set the shutdown flag and wake every parked daemon so its poll loop
-    /// can observe the flag and exit.
-    fn begin_shutdown(&self, _handle: &SimHandle) {
-        self.core.shutdown.store(true, Ordering::Release);
-        let mut st = self.core.state.lock();
-        let now = st.now;
-        let parked: Vec<(ProcessId, u64)> = st
-            .procs
-            .iter()
-            .filter(|(_, p)| p.parked && !p.finished)
-            .map(|(pid, p)| (*pid, p.park_epoch))
-            .collect();
-        for (pid, epoch) in parked {
-            st.push(now, QueueItem::Resume { pid, epoch });
+/// Run the event loop on the calling thread, which holds the baton, until
+/// the next valid resume or the end of the run.
+///
+/// `me` is the yielding process (`None` for `run`'s thread and for a process
+/// whose body has returned). `after_yield` applies the check that starts
+/// shutdown once the last regular process is gone; the initial dispatch
+/// from `run` skips it. Returns `true` if the next resume is for `me`, which
+/// then simply keeps running. Otherwise the baton has been passed to another
+/// process (or the run has ended) and the caller must park or exit.
+pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) -> bool {
+    let core = &h.core;
+    let mut check_shutdown = after_yield;
+    loop {
+        let mut st = core.state.lock();
+        if check_shutdown
+            && st.live_regular == 0
+            && st.live_daemons > 0
+            && !core.shutdown.load(Ordering::Acquire)
+        {
+            st.begin_shutdown(&core.shutdown);
+        }
+        check_shutdown = false;
+
+        match st.pop_live() {
+            Some(QueueItem::Callback(f)) => {
+                drop(st);
+                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(h))) {
+                    end_run(core, Outcome::CallbackPanic(payload));
+                    return false;
+                }
+                check_shutdown = true;
+            }
+            Some(QueueItem::Resume { pid, epoch }) => {
+                let p = st.proc_mut(pid);
+                if !p.parked || p.finished || p.park_epoch != epoch {
+                    continue; // stale wake
+                }
+                p.parked = false;
+                p.waiting_on = None;
+                if me == Some(pid) {
+                    return true;
+                }
+                p.resume.store(true, Ordering::Release);
+                let thread = p.join.as_ref().expect("process thread not spawned").thread().clone();
+                st.handoffs += 1;
+                drop(st);
+                thread.unpark();
+                return false;
+            }
+            None => {
+                // Queue empty: either done, shutdown phase, or deadlock.
+                if st.live_regular == 0 && st.live_daemons == 0 {
+                    drop(st);
+                    end_run(core, Outcome::Done);
+                    return false;
+                }
+                if st.live_regular == 0 {
+                    // Only daemons remain: initiate shutdown, wake them all.
+                    st.begin_shutdown(&core.shutdown);
+                    continue;
+                }
+                let blocked = st.blocked();
+                drop(st);
+                // Format outside the scheduler lock: describing a wait
+                // target locks the primitive itself.
+                let mut blocked: Vec<BlockedProcess> = blocked
+                    .into_iter()
+                    .map(|(process, target)| BlockedProcess {
+                        process,
+                        waiting_on: target.map(|t| t.describe()),
+                    })
+                    .collect();
+                blocked.sort_by(|a, b| a.process.cmp(&b.process));
+                end_run(core, Outcome::Failed(SimError::Deadlock { blocked }));
+                return false;
+            }
         }
     }
+}
 
-    fn handle_yield(&self, msg: YieldMsg) -> Result<(), SimError> {
-        match msg {
-            YieldMsg::AdvanceTo { pid, at, epoch } => {
-                let mut st = self.core.state.lock();
-                debug_assert!(at >= st.now);
-                st.push(at, QueueItem::Resume { pid, epoch });
-                Ok(())
-            }
-            YieldMsg::Blocked { .. } => Ok(()),
-            YieldMsg::Finished { pid, result } => {
-                let (name, done) = {
-                    let mut st = self.core.state.lock();
-                    let p = st.procs.get_mut(&pid).expect("unknown process finished");
-                    p.finished = true;
-                    p.parked = false;
-                    let name = p.name.clone();
-                    let done = p.done.clone();
-                    if p.daemon {
-                        st.live_daemons -= 1;
-                    } else {
-                        st.live_regular -= 1;
-                    }
-                    (name, done)
-                };
-                let handle = SimHandle { core: self.core.clone() };
-                done.set(&handle);
-                match result {
-                    Ok(()) => Ok(()),
-                    Err(msg) => Err(SimError::ProcessPanic { name, message: msg }),
-                }
-            }
+/// Report the run's outcome to `Simulation::run`.
+fn end_run(core: &SchedCore, outcome: Outcome) {
+    if let Some(tx) = core.state.lock().outcome_tx.take() {
+        let _ = tx.send(outcome);
+    }
+}
+
+/// Retire a process whose body returned (`Ok`) or panicked (`Err`), then
+/// pass the baton on.
+fn finish(h: &SimHandle, pid: ProcessId, result: Result<(), String>) {
+    let (name, done) = {
+        let mut st = h.core.state.lock();
+        let p = st.proc_mut(pid);
+        p.finished = true;
+        p.parked = false;
+        p.waiting_on = None;
+        let out = (p.name.clone(), p.done.clone());
+        if p.daemon {
+            st.live_daemons -= 1;
+        } else {
+            st.live_regular -= 1;
+        }
+        out
+    };
+    done.set(h);
+    match result {
+        Ok(()) => {
+            dispatch(h, None, true);
+        }
+        Err(message) => {
+            end_run(&h.core, Outcome::Failed(SimError::ProcessPanic { name, message }));
         }
     }
 }
@@ -463,7 +518,7 @@ impl SpawnHandle {
 }
 
 /// Internal: register and start a process thread. The thread immediately
-/// parks; the scheduler releases it via a `Resume` queue item at the current
+/// parks; the event loop releases it via a `Resume` queue item at the current
 /// virtual time.
 pub(crate) fn spawn_process(
     core: &Arc<SchedCore>,
@@ -471,32 +526,28 @@ pub(crate) fn spawn_process(
     daemon: bool,
     body: impl FnOnce(&mut crate::process::Ctx) + Send + 'static,
 ) -> SpawnHandle {
-    let (resume_tx, resume_rx) = channel::<()>();
+    let resume = Arc::new(AtomicBool::new(false));
     let done = Event::named(format!("join '{name}'"));
 
     let pid = {
         let mut st = core.state.lock();
-        let pid = ProcessId(st.next_pid);
-        st.next_pid += 1;
+        let pid = ProcessId(st.procs.len() as u64);
         if daemon {
             st.live_daemons += 1;
         } else {
             st.live_regular += 1;
         }
-        st.procs.insert(
-            pid,
-            ProcRecord {
-                name: name.clone(),
-                daemon,
-                resume_tx,
-                park_epoch: 0,
-                parked: true,
-                finished: false,
-                done: done.clone(),
-                join: None,
-                waiting_on: None,
-            },
-        );
+        st.procs.push(ProcRecord {
+            name: name.clone(),
+            daemon,
+            resume: resume.clone(),
+            park_epoch: 0,
+            parked: true,
+            finished: false,
+            done: done.clone(),
+            join: None,
+            waiting_on: None,
+        });
         let now = st.now;
         st.push(now, QueueItem::Resume { pid, epoch: 0 });
         pid
@@ -507,24 +558,15 @@ pub(crate) fn spawn_process(
     let join = std::thread::Builder::new()
         .name(thread_name)
         .spawn(move || {
-            // Wait for the scheduler to start us.
-            if resume_rx.recv().is_err() {
-                return; // simulation torn down before we ran
-            }
-            let mut ctx = crate::process::Ctx::new(pid, core2.clone(), resume_rx);
+            let mut ctx = crate::process::Ctx::new(pid, core2, resume);
+            ctx.park(); // wait for the baton
             let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
                 .map_err(|payload| payload_to_string(payload.as_ref()));
-            // Teardown unwinds (scheduler dropped our channel) must not be
-            // reported as user panics; they only occur after run() returned.
-            let result = match result {
-                Err(m) if m == crate::process::TEARDOWN_MSG => Ok(()),
-                other => other,
-            };
-            let _ = core2.yield_tx.send(YieldMsg::Finished { pid, result });
+            finish(&ctx.handle(), pid, result);
         })
         .expect("failed to spawn simulation process thread");
 
-    core.state.lock().procs.get_mut(&pid).expect("proc vanished").join = Some(join);
+    core.state.lock().proc_mut(pid).join = Some(join);
     SpawnHandle { pid, done }
 }
 
@@ -538,21 +580,19 @@ fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Internal: record what `pid` is blocked on (None clears it). Read only by
-/// the deadlock diagnostic; has no effect on scheduling.
-pub(crate) fn set_waiting_on(core: &Arc<SchedCore>, pid: ProcessId, what: Option<String>) {
-    if let Some(p) = core.state.lock().procs.get_mut(&pid) {
-        p.waiting_on = what;
-    }
+/// Internal API used by `Ctx`: park `pid` on `target` and return the new
+/// epoch its wakers must carry.
+pub(crate) fn park_on(core: &Arc<SchedCore>, pid: ProcessId, target: WaitTarget) -> u64 {
+    core.state.lock().park(pid, Some(target))
 }
 
-/// Internal API used by `Ctx` and `Event`.
-pub(crate) fn park_and_bump(core: &Arc<SchedCore>, pid: ProcessId) -> u64 {
+/// Internal API used by `Ctx::advance`: park `pid` and queue its resume
+/// `dt` from now.
+pub(crate) fn park_for(core: &Arc<SchedCore>, pid: ProcessId, dt: SimDuration) {
     let mut st = core.state.lock();
-    let p = st.procs.get_mut(&pid).expect("unknown process parking");
-    p.park_epoch += 1;
-    p.parked = true;
-    p.park_epoch
+    let epoch = st.park(pid, None);
+    let at = st.now + dt;
+    st.push(at, QueueItem::Resume { pid, epoch });
 }
 
 pub(crate) fn now_of(core: &Arc<SchedCore>) -> SimTime {

@@ -466,3 +466,98 @@ fn many_processes_scale() {
     sim.run().unwrap();
     assert_eq!(sum.load(Ordering::Relaxed), 64);
 }
+
+#[test]
+fn lone_process_costs_only_its_start_handoff() {
+    let mut sim = Simulation::with_seed(1);
+    sim.spawn("solo", |ctx| {
+        for _ in 0..1_000 {
+            ctx.advance(us(1));
+        }
+    });
+    let report = sim.run().unwrap();
+    // 1 initial resume + 1,000 advances, as before the baton scheduler.
+    assert_eq!(report.events_processed, 1_001);
+    // Each advance pops the process's own resume: it keeps the baton.
+    assert_eq!(report.handoffs, 1);
+}
+
+#[test]
+fn strict_alternation_costs_one_handoff_per_resume() {
+    let mut sim = Simulation::with_seed(1);
+    for name in ["ping", "pong"] {
+        sim.spawn(name, |ctx| {
+            for _ in 0..500 {
+                ctx.advance(us(1));
+            }
+        });
+    }
+    let report = sim.run().unwrap();
+    // 2 initial resumes + 2 × 500 advances, as before the baton scheduler.
+    assert_eq!(report.events_processed, 1_002);
+    // Every queue item resumes the other process: one handoff each.
+    assert_eq!(report.handoffs, report.events_processed);
+}
+
+#[test]
+fn daemons_see_shutdown_in_pid_order() {
+    fn run_once() -> Vec<&'static str> {
+        let mut sim = Simulation::with_seed(1);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let never = Event::new();
+        // Spawn order (pid order) differs from name order on purpose.
+        for name in ["charlie", "alpha", "bravo"] {
+            let (log, never) = (log.clone(), never.clone());
+            sim.spawn_daemon(name, move |ctx| {
+                assert!(!ctx.wait(&never), "released by shutdown, not by event");
+                log.lock().push(name);
+            });
+        }
+        sim.spawn("worker", |ctx| ctx.advance(us(1)));
+        sim.run().unwrap();
+        let log = log.lock().clone();
+        log
+    }
+    let first = run_once();
+    assert_eq!(first, vec!["charlie", "alpha", "bravo"]);
+    assert_eq!(first, run_once());
+}
+
+#[test]
+#[should_panic(expected = "callback exploded: 7")]
+fn callback_panic_is_reraised_by_run() {
+    let mut sim = Simulation::with_seed(1);
+    sim.spawn("scheduler-of-doom", |ctx| {
+        ctx.handle().schedule_in(us(1), |_| panic!("callback exploded: {}", 7));
+        ctx.advance(us(5));
+    });
+    let _ = sim.run();
+}
+
+#[test]
+fn process_panic_while_others_are_parked_names_that_process() {
+    let mut sim = Simulation::with_seed(1);
+    let never = Event::named("never-fires");
+    for i in 0..3 {
+        let never = never.clone();
+        sim.spawn(format!("parked{i}"), move |ctx| {
+            ctx.wait(&never);
+        });
+    }
+    sim.spawn_daemon("poller", |ctx| {
+        while !ctx.is_shutdown() {
+            ctx.advance(us(1));
+        }
+    });
+    sim.spawn("faulty", |ctx| {
+        ctx.advance(us(3));
+        panic!("faulty step {}", 2);
+    });
+    match sim.run() {
+        Err(SimError::ProcessPanic { name, message }) => {
+            assert_eq!(name, "faulty");
+            assert!(message.contains("faulty step 2"), "message: {message}");
+        }
+        other => panic!("expected process panic, got {other:?}"),
+    }
+}
