@@ -18,6 +18,17 @@
 //! a device reduction kernel plus the mandatory `cudaStreamSynchronize` —
 //! the cost the paper identifies as the NCCL gap) and issuing the next
 //! step's `MPI_Pready` calls.
+//!
+//! Algorithm 2 is written once, as async code over a [`Proc`] handle:
+//! `sweep`, `stage_and_send`, `issue_step_sends`, `reduce_chunk`,
+//! `wait_any_arrival` and the stall watchdog / recovery ladder of
+//! `run_schedule`. The three entry points — `MPI_Wait`, host `MPI_Pready`
+//! and the progression-engine hook that drains device readiness — each run
+//! it with `Ctx::block_on`. Every await parks the rank exactly as the
+//! blocking call would, so the event stream is that of blocking code; but
+//! while the rank is parked the scheduler polls the future in place, and
+//! the rank's OS thread wakes once per entry point instead of once per
+//! copy, `MPI_Pready`, kernel launch, stream synchronize and poll tick.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -29,7 +40,7 @@ use parcomm_sim::Mutex;
 use parcomm_core::{precv_init, psend_init, PrecvRequest, PsendRequest};
 use parcomm_gpu::{Buffer, CostModel, DeviceCtx, KernelSpec, Stream};
 use parcomm_mpi::{HookOutcome, MpiError, MpiInstruments, ProgressionEngine, Rank, RecoverConfig};
-use parcomm_sim::{Ctx, SimDuration, SimTime, SpanId};
+use parcomm_sim::{Ctx, Proc, SimDuration, SimTime, SpanId};
 
 use crate::schedule::{Schedule, StepOp};
 
@@ -318,13 +329,9 @@ impl CollectiveEngine {
             }
             st.active = true;
         }
-        self.issue_step_sends(ctx, u, 0)?;
-        for s in 0..self.inner.schedule.len() {
-            if s != 0 && self.inner.schedule.steps[s].early_stage {
-                self.stage_and_send(ctx, u, s)?;
-            }
-        }
-        Ok(())
+        let this = self.clone();
+        let p = ctx.proc();
+        ctx.block_on(async move { this.issue_activation_sends(&p, u).await })
     }
 
     /// Device binding: called from a kernel body. Extends the kernel with
@@ -359,7 +366,19 @@ impl CollectiveEngine {
         });
     }
 
+    /// Progression-engine hook: drain the device readiness queue.
     fn drain_device(&self, ctx: &mut Ctx) -> HookOutcome {
+        let this = self.clone();
+        let p = ctx.proc();
+        ctx.block_on(async move { this.drain_pending_device(&p).await });
+        HookOutcome::Remove
+    }
+
+    /// Activate every partition in the device readiness queue and issue its
+    /// activation sends. Runs as the progression-engine hook, or from
+    /// `MPI_Wait` as the recovery ladder's host-drain takeover; the queue pop
+    /// is the exactly-once point.
+    async fn drain_pending_device(&self, p: &Proc) {
         loop {
             let u = { self.inner.pending_device.lock().pop_front() };
             let Some(u) = u else { break };
@@ -371,16 +390,21 @@ impl CollectiveEngine {
             }
             // Hook context cannot surface Results; channel state was
             // validated when the collective epoch opened.
-            self.issue_step_sends(ctx, u, 0).expect("validated at start");
-            for s in 0..self.inner.schedule.len() {
-                if s != 0 && self.inner.schedule.steps[s].early_stage {
-                    self.stage_and_send(ctx, u, s).expect("validated at start");
-                }
+            self.issue_activation_sends(p, u).await.expect("validated at start");
+        }
+        *self.inner.hook_active.lock() = false;
+    }
+
+    /// The sends a partition issues when it becomes ready: step 0, plus
+    /// the staged chunk of every `early_stage` step.
+    async fn issue_activation_sends(&self, p: &Proc, u: usize) -> Result<(), MpiError> {
+        self.issue_step_sends(p, u, 0).await?;
+        for s in 1..self.inner.schedule.len() {
+            if self.inner.schedule.steps[s].early_stage {
+                self.stage_and_send(p, u, s).await?;
             }
         }
-        let mut active = self.inner.hook_active.lock();
-        *active = false;
-        HookOutcome::Remove
+        Ok(())
     }
 
     /// `MPI_Parrived` for the collective: has partition `u` completed the
@@ -405,13 +429,13 @@ impl CollectiveEngine {
     /// Issue the sends of step `s` for partition `u` (Algorithm 2 lines
     /// 21–27; step 0 is triggered by the application's `MPI_Pready`).
     /// `early_stage` steps were already staged and sent at activation.
-    fn issue_step_sends(&self, ctx: &mut Ctx, u: usize, s: usize) -> Result<(), MpiError> {
+    async fn issue_step_sends(&self, p: &Proc, u: usize, s: usize) -> Result<(), MpiError> {
         if s >= self.inner.schedule.len() {
             return Ok(());
         }
         let step = &self.inner.schedule.steps[s];
         if !(s != 0 && step.early_stage) {
-            self.stage_and_send(ctx, u, s)?;
+            self.stage_and_send(p, u, s).await?;
         }
         let mut states = self.inner.states.lock();
         states[u].pready_complete = step.outgoing.len();
@@ -420,7 +444,7 @@ impl CollectiveEngine {
 
     /// Copy the outgoing chunk of step `s` into each serving channel's
     /// staging slot and mark it ready.
-    fn stage_and_send(&self, ctx: &mut Ctx, u: usize, s: usize) -> Result<(), MpiError> {
+    async fn stage_and_send(&self, p: &Proc, u: usize, s: usize) -> Result<(), MpiError> {
         let step = &self.inner.schedule.steps[s];
         for &o in &step.outgoing {
             self.inner.completion_lookups.fetch_add(1, Ordering::Relaxed);
@@ -437,15 +461,15 @@ impl CollectiveEngine {
                 src_off,
                 self.inner.chunk_bytes,
             );
-            ctx.advance(self.copy_cost());
-            ch.sreq.pready(ctx, slot)?;
+            p.advance(self.copy_cost()).await;
+            ch.sreq.pready_async(p, slot).await?;
         }
         Ok(())
     }
 
     /// One sweep of Algorithm 2 over all partition states. Returns `true`
     /// if any partition progressed.
-    fn sweep(&self, ctx: &mut Ctx) -> Result<bool, MpiError> {
+    async fn sweep(&self, p: &Proc) -> Result<bool, MpiError> {
         let mut progressed = false;
         let total_steps = self.inner.schedule.len();
         for u in 0..self.inner.user_partitions {
@@ -458,7 +482,7 @@ impl CollectiveEngine {
                     break; // line 4: continue past finished partitions
                 }
                 let step = self.inner.schedule.steps[s].clone();
-                let step_t0 = ctx.now();
+                let step_t0 = p.now();
                 // Lines 5–13: check/ingest arrivals for this step.
                 let mut arrived_now: Vec<(usize, usize)> = Vec::new();
                 {
@@ -492,7 +516,7 @@ impl CollectiveEngine {
                     let dst_off = self.chunk_off(u, step.arrived_offset);
                     let stage_off = slot * self.inner.chunk_bytes;
                     match step.op {
-                        StepOp::Sum => self.reduce_chunk(ctx, &ch.stage, stage_off, dst_off),
+                        StepOp::Sum => self.reduce_chunk(p, &ch.stage, stage_off, dst_off).await,
                         StepOp::Nop => {
                             self.inner.buffer.copy_from_buffer(
                                 dst_off,
@@ -500,7 +524,7 @@ impl CollectiveEngine {
                                 stage_off,
                                 self.inner.chunk_bytes,
                             );
-                            ctx.advance(self.copy_cost());
+                            p.advance(self.copy_cost()).await;
                         }
                     }
                 }
@@ -526,10 +550,10 @@ impl CollectiveEngine {
                 progressed = true;
                 // Causal trace: the window this sweep spent completing step
                 // `s` of partition `u` (arrival ingestion + reductions).
-                ctx.handle().trace().record_causal(
+                p.handle().trace().record_causal(
                     "coll_step",
                     step_t0,
-                    ctx.now(),
+                    p.now(),
                     Some(self.inner.rank as u32),
                     Some(u as u32),
                     SpanId::NONE,
@@ -537,7 +561,7 @@ impl CollectiveEngine {
                 // Lines 21–27: issue the next step's sends.
                 let next = s + 1;
                 if next < total_steps {
-                    self.issue_step_sends(ctx, u, next)?;
+                    self.issue_step_sends(p, u, next).await?;
                 } // else: final step reached — no extra data transfer.
             }
         }
@@ -548,7 +572,7 @@ impl CollectiveEngine {
     /// launch followed by `cudaStreamSynchronize` — numerically required
     /// before the chunk can be forwarded (paper §VI-B: the source of the
     /// remaining gap to NCCL).
-    fn reduce_chunk(&self, ctx: &mut Ctx, stage: &Buffer, stage_off: usize, dst_off: usize) {
+    async fn reduce_chunk(&self, p: &Proc, stage: &Buffer, stage_off: usize, dst_off: usize) {
         let elems = self.inner.chunk_bytes / 8;
         let grid = (elems as u32).div_ceil(1024).max(1);
         let buf = self.inner.buffer.clone();
@@ -556,10 +580,13 @@ impl CollectiveEngine {
         let spec = KernelSpec::new("pcoll_reduce", grid, 1024)
             .with_memory_traffic(16, 8)
             .with_flops(1.0);
-        self.inner.stream.launch(ctx, spec, move |_d| {
-            buf.accumulate_f64(dst_off, &stage, stage_off, elems);
-        });
-        self.inner.stream.synchronize(ctx);
+        self.inner
+            .stream
+            .launch_async(p, spec, move |_d| {
+                buf.accumulate_f64(dst_off, &stage, stage_off, elems);
+            })
+            .await;
+        self.inner.stream.synchronize_async(p).await;
     }
 
     /// `MPI_Wait`: run Algorithm 2 until every partition finishes the
@@ -578,6 +605,22 @@ impl CollectiveEngine {
     /// generation. Only after `max_replays` fruitless rounds does the typed
     /// [`MpiError::Unrecoverable`] surface.
     pub(crate) fn wait(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
+        let this = self.clone();
+        let p = ctx.proc();
+        ctx.block_on(async move { this.run_schedule(&p).await })?;
+        for ch in &self.inner.send {
+            ch.sreq.wait(ctx)?;
+        }
+        for ch in &self.inner.recv {
+            ch.rreq.wait(ctx)?;
+        }
+        Ok(())
+    }
+
+    /// The body of `MPI_Wait`: sweep until every partition has finished the
+    /// schedule, blocking on arrivals in between, with the watchdog and
+    /// recovery ladder watching for stalls.
+    async fn run_schedule(&self, p: &Proc) -> Result<(), MpiError> {
         let total = self.inner.schedule.len();
         let mut stall_started: Option<SimTime> = None;
         let mut attempts = 0u32;
@@ -588,20 +631,20 @@ impl CollectiveEngine {
             }
         }
         loop {
-            let progressed = self.sweep(ctx)?;
+            let progressed = self.sweep(p).await?;
             let all_done = {
                 let states = self.inner.states.lock();
                 states.iter().all(|st| st.step >= total)
             };
             if all_done {
-                break;
+                return Ok(());
             }
             if progressed {
                 stall_started = None;
             } else {
                 if let Some(timeout_us) = detect_us {
-                    let t0 = *stall_started.get_or_insert(ctx.now());
-                    if ctx.now().since(t0).as_micros_f64() >= timeout_us {
+                    let t0 = *stall_started.get_or_insert(p.now());
+                    if p.now().since(t0).as_micros_f64() >= timeout_us {
                         match &self.inner.recover {
                             None => {
                                 if let Some(ins) = &self.inner.instruments {
@@ -622,23 +665,18 @@ impl CollectiveEngine {
                                     });
                                 }
                                 attempts += 1;
-                                if self
-                                    .inner
-                                    .progression
-                                    .lease_expired(ctx.now(), rc.lease_us)
-                                {
+                                if self.inner.progression.lease_expired(p.now(), rc.lease_us) {
                                     if let Some(ins) = &self.inner.instruments {
                                         ins.recover_lease_expired.inc();
                                         ins.recover_host_drains.inc();
                                     }
                                     // Host takeover of the dead PE's queue:
                                     // activates any partitions whose device
-                                    // readiness was never drained. The queue
-                                    // pop is the exactly-once point.
-                                    self.drain_device(ctx);
+                                    // readiness was never drained.
+                                    self.drain_pending_device(p).await;
                                 }
                                 for ch in &self.inner.send {
-                                    ch.sreq.recover_epoch(ctx);
+                                    ch.sreq.recover_epoch_async(p).await;
                                 }
                                 stall_started = None;
                             }
@@ -647,16 +685,9 @@ impl CollectiveEngine {
                 }
                 // Block until any new arrival on any receive channel (or a
                 // short poll if a device-side pready is still in flight).
-                self.wait_any_arrival(ctx);
+                self.wait_any_arrival(p).await;
             }
         }
-        for ch in &self.inner.send {
-            ch.sreq.wait(ctx)?;
-        }
-        for ch in &self.inner.recv {
-            ch.rreq.wait(ctx)?;
-        }
-        Ok(())
     }
 
     /// The stall-detection bound for the wait loop: the recovery policy's
@@ -718,7 +749,7 @@ impl CollectiveEngine {
     /// nothing — blocking on its sole receive channel (the final unfold
     /// step) would park the rank for a full watchdog period while its
     /// outgoing work sits unissued. Such schedules poll instead.
-    fn wait_any_arrival(&self, ctx: &mut Ctx) {
+    async fn wait_any_arrival(&self, p: &Proc) {
         let arrival_driven =
             self.inner.schedule.steps.iter().all(|st| !st.incoming.is_empty());
         if arrival_driven && self.inner.recv.len() == 1 {
@@ -730,21 +761,18 @@ impl CollectiveEngine {
             let target = (current + 1).min(ch.rreq.user_partitions() as u64);
             if current < target {
                 match self.stall_bound_us() {
-                    None => ctx.wait_count(&ev, target),
+                    None => p.wait_count(&ev, target).await,
                     Some(timeout_us) => {
-                        let _ = ctx.wait_count_timeout(
-                            &ev,
-                            target,
-                            SimDuration::from_micros_f64(timeout_us),
-                        );
+                        let dt = SimDuration::from_micros_f64(timeout_us);
+                        let _ = p.wait_count_timeout(&ev, target, dt).await;
                     }
                 }
             } else {
-                ctx.advance(SimDuration::from_micros_f64(self.inner.cost.progress_poll_us));
+                p.advance(SimDuration::from_micros_f64(self.inner.cost.progress_poll_us)).await;
             }
         } else {
             // Multiple channels: poll at the progression interval.
-            ctx.advance(SimDuration::from_micros_f64(self.inner.cost.progress_poll_us));
+            p.advance(SimDuration::from_micros_f64(self.inner.cost.progress_poll_us)).await;
         }
     }
 }

@@ -28,7 +28,7 @@ use parcomm_sim::Mutex;
 use parcomm_gpu::{Buffer, CostModel, MemSpace};
 use parcomm_mpi::{chunk_range, CopyMechanism, MpiError, MpiWorld, ProgressionEngine, Rank};
 use parcomm_shmem::ShmemError;
-use parcomm_sim::{CountEvent, Ctx, SimDuration, SimHandle, SimTime, SpanId};
+use parcomm_sim::{CountEvent, Ctx, Proc, SimDuration, SimHandle, SimTime, SpanId};
 use parcomm_ucx::{AmMessage, Endpoint, PutAttr, PutHandle, RKey, Worker, MAX_STRIPES};
 
 use crate::channel::{
@@ -494,36 +494,42 @@ impl PsendRequest {
     /// completes a transport partition, its data put is issued from the
     /// calling process (charging the put-post cost).
     pub fn pready(&self, ctx: &mut Ctx, user_partition: usize) -> Result<(), MpiError> {
-        let completed = self.inner.mark_ready(user_partition..user_partition + 1)?;
-        self.post_completed_puts(ctx, completed);
-        Ok(())
+        self.pready_range(ctx, user_partition..user_partition + 1)
     }
 
     /// Host bulk `MPI_Pready` over a contiguous user partition range.
     pub fn pready_range(&self, ctx: &mut Ctx, users: Range<usize>) -> Result<(), MpiError> {
-        let completed = self.inner.mark_ready(users)?;
-        self.post_completed_puts(ctx, completed);
-        Ok(())
+        let this = self.clone();
+        let p = ctx.proc();
+        ctx.block_on(async move { this.pready_range_async(&p, users).await })
     }
 
-    /// Post the data puts for freshly completed transport partitions,
-    /// charging the host put-post cost and recording a `pready_host` span
-    /// per put as the causal root of its put → wire → completion chain.
-    fn post_completed_puts(&self, ctx: &mut Ctx, completed: Vec<usize>) {
+    /// Async [`PsendRequest::pready`], for code run under `Ctx::block_on`.
+    pub async fn pready_async(&self, p: &Proc, user_partition: usize) -> Result<(), MpiError> {
+        self.pready_range_async(p, user_partition..user_partition + 1).await
+    }
+
+    /// Async [`PsendRequest::pready_range`]. Posts the data puts for the
+    /// transport partitions the range completes, charging the host put-post
+    /// cost and recording a `pready_host` span per put as the causal root
+    /// of its put → wire → completion chain.
+    pub async fn pready_range_async(&self, p: &Proc, users: Range<usize>) -> Result<(), MpiError> {
+        let completed = self.inner.mark_ready(users)?;
         for k in completed {
-            let t0 = ctx.now();
-            ctx.advance(SimDuration::from_micros_f64(self.inner.cost.data_put_post_us));
-            let h = ctx.handle();
+            let t0 = p.now();
+            p.advance(SimDuration::from_micros_f64(self.inner.cost.data_put_post_us)).await;
+            let h = p.handle();
             let host_span = h.trace().record_causal(
                 "pready_host",
                 t0,
-                ctx.now(),
+                p.now(),
                 Some(self.inner.my_rank as u32),
                 Some(k as u32),
                 SpanId::NONE,
             );
             self.inner.issue_data_put(&h, k, host_span, t0);
         }
+        Ok(())
     }
 
     /// `MPI_Wait` (sender side): block until every transport partition of
@@ -601,7 +607,7 @@ impl PsendRequest {
                         }
                         self.inner.host_drain_device(ctx);
                     }
-                    self.inner.recover_epoch(ctx);
+                    self.recover_epoch(ctx);
                 }
             }
         }
@@ -616,7 +622,15 @@ impl PsendRequest {
     /// discarded, so a replay of an epoch that was quietly completing merely
     /// wastes bandwidth. Returns the number of transports re-posted.
     pub fn recover_epoch(&self, ctx: &mut Ctx) -> usize {
-        self.inner.recover_epoch(ctx)
+        let inner = self.inner.clone();
+        let p = ctx.proc();
+        ctx.block_on(async move { inner.recover_epoch(&p).await })
+    }
+
+    /// Async [`PsendRequest::recover_epoch`], for code run under
+    /// `Ctx::block_on`.
+    pub async fn recover_epoch_async(&self, p: &Proc) -> usize {
+        self.inner.recover_epoch(p).await
     }
 
     /// `MPI_Test` (sender side): true when the epoch is fully delivered.
@@ -723,7 +737,7 @@ impl PsendShared {
 
     /// Replay the epoch's undelivered transports under a fresh generation;
     /// see [`PsendRequest::recover_epoch`].
-    pub(crate) fn recover_epoch(&self, ctx: &mut Ctx) -> usize {
+    pub(crate) async fn recover_epoch(&self, p: &Proc) -> usize {
         let todo: Vec<usize> = {
             let st = self.state.lock();
             if !st.started || !st.prepared {
@@ -751,13 +765,13 @@ impl PsendShared {
             ins.recover_replays.inc();
         }
         for &k in &todo {
-            let t0 = ctx.now();
-            ctx.advance(SimDuration::from_micros_f64(self.cost.data_put_post_us));
-            let h = ctx.handle();
+            let t0 = p.now();
+            p.advance(SimDuration::from_micros_f64(self.cost.data_put_post_us)).await;
+            let h = p.handle();
             let span = h.trace().record_causal(
                 "recover_replay",
                 t0,
-                ctx.now(),
+                p.now(),
                 Some(self.my_rank as u32),
                 Some(k as u32),
                 SpanId::NONE,

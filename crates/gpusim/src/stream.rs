@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use parcomm_sim::Mutex;
 
-use parcomm_sim::{Ctx, Event, SimDuration, SimHandle, SimTime, SpanId};
+use parcomm_sim::{Ctx, Event, Proc, SimDuration, SimHandle, SimTime, SpanId};
 
 use crate::cost::CostModel;
 use crate::faults::{EmissionFate, EmissionFaults};
@@ -89,6 +89,19 @@ impl Stream {
         // Host-side enqueue cost (cudaLaunchKernel).
         ctx.advance(SimDuration::from_micros_f64(self.inner.cost.kernel_launch_host_us));
         self.enqueue_kernel(&ctx.handle(), spec, body)
+    }
+
+    /// Async [`Stream::launch`], for code run under `Ctx::block_on` (the
+    /// body is held across the host-charge await, so it must be `Send`
+    /// there).
+    pub async fn launch_async(
+        &self,
+        p: &Proc,
+        spec: KernelSpec,
+        body: impl FnOnce(&mut DeviceCtx<'_>),
+    ) -> LaunchHandle {
+        p.advance(SimDuration::from_micros_f64(self.inner.cost.kernel_launch_host_us)).await;
+        self.enqueue_kernel(&p.handle(), spec, body)
     }
 
     /// Launch from a non-process context (e.g. a progression-engine
@@ -190,9 +203,16 @@ impl Stream {
     /// `cudaStreamSynchronize`: block the calling host process until all
     /// enqueued work completes, then pay the fixed synchronization cost.
     pub fn synchronize(&self, ctx: &mut Ctx) {
+        let stream = self.clone();
+        let p = ctx.proc();
+        ctx.block_on(async move { stream.synchronize_async(&p).await });
+    }
+
+    /// Async [`Stream::synchronize`], for code run under `Ctx::block_on`.
+    pub async fn synchronize_async(&self, p: &Proc) {
         loop {
             let tail = self.inner.state.lock().tail_done.clone();
-            ctx.wait(&tail);
+            p.wait(&tail).await;
             // New work may have been enqueued while we waited (by another
             // host thread); re-check until the tail is stable and done.
             let stable = {
@@ -203,16 +223,16 @@ impl Stream {
                 break;
             }
         }
-        let sync = ctx.jitter_us(
+        let sync = p.jitter_us(
             self.inner.cost.stream_sync_us,
             self.inner.cost.stream_sync_jitter_us,
         );
-        let t0 = ctx.now();
-        ctx.advance(sync);
-        ctx.handle().trace().record_attr(
+        let t0 = p.now();
+        p.advance(sync).await;
+        p.handle().trace().record_attr(
             "stream_sync",
             t0,
-            ctx.now(),
+            p.now(),
             self.inner.obs.rank(),
             None,
             SpanId::NONE,

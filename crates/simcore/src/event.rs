@@ -169,12 +169,18 @@ impl CountEvent {
             let mut st = self.inner.lock();
             st.count += n;
             let count = st.count;
-            let (ready, rest): (Vec<_>, Vec<_>) =
-                std::mem::take(&mut st.waiters).into_iter().partition(|(t, _, _)| *t <= count);
-            st.waiters = rest;
+            // `Vec::new` allocates only once a waiter is actually woken.
+            let mut ready = Vec::new();
+            st.waiters.retain(|&(t, pid, epoch)| {
+                let met = t <= count;
+                if met {
+                    ready.push((pid, epoch));
+                }
+                !met
+            });
             ready
         };
-        for (_, pid, epoch) in woken {
+        for (pid, epoch) in woken {
             h.wake(pid, epoch);
         }
     }

@@ -52,7 +52,7 @@ mod trace;
 pub use error::{BlockedProcess, SimError};
 pub use event::{CountEvent, Event};
 pub use lock::Mutex;
-pub use process::Ctx;
+pub use process::{Ctx, Proc};
 pub use rng::SimRng;
 pub use sched::{ProcessId, SimConfig, SimHandle, SimReport, Simulation, SpawnHandle};
 pub use sync::{Semaphore, SimBarrier, SimChannel};

@@ -3,54 +3,72 @@
 //! Every simulation process receives a `&mut Ctx`. All blocking operations
 //! (`advance`, `wait`, channel receives) go through it; the mutable borrow
 //! statically prevents a process from blocking re-entrantly.
+//!
+//! A process can also run async code with [`Ctx::block_on`]. The future
+//! suspends through a [`Proc`] handle, whose `advance` / `wait*` methods park
+//! the process exactly like their `Ctx` namesakes; while it is parked, the
+//! scheduler polls the future in place instead of switching to the
+//! process's thread (see the `sched` module docs).
 
+use std::future::Future;
+use std::panic;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 use crate::event::{CountEvent, Event};
+use crate::lock::Mutex;
 use crate::rng::SimRng;
-use crate::sched::{self, ProcessId, SchedCore, SimHandle, SpawnHandle};
+use crate::sched::{self, ParkedFuture, ProcessId, SchedCore, SimHandle, SpawnHandle};
 use crate::time::{SimDuration, SimTime};
 
 /// Per-process execution context.
 ///
-/// Not `Clone` and not `Send`-shareable: it owns the process's resume flag.
-/// To give long-lived model objects access to the simulation, use
-/// [`Ctx::handle`].
+/// Not `Clone`: it owns the process's resume flag. To give long-lived model
+/// objects access to the simulation, use [`Ctx::handle`]; to give async code
+/// run under [`Ctx::block_on`] a way to suspend, use [`Ctx::proc`].
 pub struct Ctx {
-    pid: ProcessId,
-    core: Arc<SchedCore>,
+    proc: Proc,
     /// Set by the thread that passes this process the baton.
     resume: Arc<AtomicBool>,
-    handle: SimHandle,
 }
 
 impl Ctx {
     pub(crate) fn new(pid: ProcessId, core: Arc<SchedCore>, resume: Arc<AtomicBool>) -> Self {
-        let handle = SimHandle { core: core.clone() };
-        Ctx { pid, core, resume, handle }
+        Ctx { proc: Proc { pid, handle: SimHandle { core } }, resume }
+    }
+
+    fn core(&self) -> &Arc<SchedCore> {
+        &self.proc.handle.core
     }
 
     /// This process's id.
     pub fn pid(&self) -> ProcessId {
-        self.pid
+        self.proc.pid
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        sched::now_of(&self.core)
+        self.proc.now()
     }
 
     /// A cloneable, non-blocking capability handle (for model objects and
     /// scheduled callbacks).
     pub fn handle(&self) -> SimHandle {
-        self.handle.clone()
+        self.proc.handle.clone()
+    }
+
+    /// A cloneable handle through which async code run by
+    /// [`Ctx::block_on`] suspends this process.
+    pub fn proc(&self) -> Proc {
+        self.proc.clone()
     }
 
     /// True once the simulation is winding down daemons (all regular
     /// processes finished). Daemon poll loops should check this.
     pub fn is_shutdown(&self) -> bool {
-        sched::is_shutdown(&self.core)
+        self.proc.is_shutdown()
     }
 
     /// Let virtual time pass: park this process and resume it `dt` later.
@@ -58,7 +76,7 @@ impl Ctx {
     /// `advance(SimDuration::ZERO)` yields to other same-instant work
     /// (FIFO order among equal timestamps).
     pub fn advance(&mut self, dt: SimDuration) {
-        sched::park_for(&self.core, self.pid, dt);
+        sched::park_for(self.core(), self.proc.pid, dt);
         self.yield_baton();
     }
 
@@ -72,18 +90,8 @@ impl Ctx {
     /// (only happens to daemons).
     pub fn wait(&mut self, event: &Event) -> bool {
         loop {
-            if event.is_set() {
-                return true;
-            }
-            if self.is_shutdown() {
-                return false;
-            }
-            let epoch = sched::park_on(&self.core, self.pid, WaitTarget::Event(event.clone()));
-            // Register *after* bumping so the event wakes the right epoch.
-            if !event.register_waiter(self.pid, epoch) {
-                // Event fired between the check and registration: un-park by
-                // scheduling an immediate resume for our epoch.
-                self.handle.wake(self.pid, epoch);
+            if let Some(set) = self.proc.park_on_event(event) {
+                return set;
             }
             self.yield_baton();
         }
@@ -94,21 +102,13 @@ impl Ctx {
     pub fn wait_timeout(&mut self, event: &Event, dt: SimDuration) -> bool {
         let deadline = self.now() + dt;
         loop {
-            if event.is_set() {
-                return true;
+            match self.proc.park_on_event_until(event, deadline) {
+                Ok(set) => return set,
+                Err(backstop) => {
+                    self.yield_baton();
+                    sched::cancel_backstop(self.core(), backstop);
+                }
             }
-            if self.is_shutdown() || self.now() >= deadline {
-                return event.is_set();
-            }
-            let epoch = sched::park_on(&self.core, self.pid, WaitTarget::Event(event.clone()));
-            if !event.register_waiter(self.pid, epoch) {
-                self.handle.wake(self.pid, epoch);
-            }
-            // Timed backstop at the deadline; cancelled below if the event
-            // wins, so it can never stretch the simulation's end time.
-            let backstop = sched::schedule_resume(&self.core, deadline, self.pid, epoch);
-            self.yield_baton();
-            sched::cancel_queued(&self.core, backstop);
         }
     }
 
@@ -121,15 +121,7 @@ impl Ctx {
 
     /// Block until `counter` reaches at least `threshold` (or shutdown).
     pub fn wait_count(&mut self, counter: &CountEvent, threshold: u64) {
-        loop {
-            if counter.count() >= threshold || self.is_shutdown() {
-                return;
-            }
-            let target = WaitTarget::Count(counter.clone(), threshold);
-            let epoch = sched::park_on(&self.core, self.pid, target);
-            if !counter.register_waiter(threshold, self.pid, epoch) {
-                self.handle.wake(self.pid, epoch);
-            }
+        while !self.proc.park_on_count(counter, threshold) {
             self.yield_baton();
         }
     }
@@ -146,23 +138,51 @@ impl Ctx {
     ) -> bool {
         let deadline = self.now() + dt;
         loop {
-            if counter.count() >= threshold {
-                return true;
+            match self.proc.park_on_count_until(counter, threshold, deadline) {
+                Ok(met) => return met,
+                Err(backstop) => {
+                    self.yield_baton();
+                    sched::cancel_backstop(self.core(), backstop);
+                }
             }
-            if self.is_shutdown() || self.now() >= deadline {
-                return counter.count() >= threshold;
-            }
-            let target = WaitTarget::Count(counter.clone(), threshold);
-            let epoch = sched::park_on(&self.core, self.pid, target);
-            if !counter.register_waiter(threshold, self.pid, epoch) {
-                self.handle.wake(self.pid, epoch);
-            }
-            // Timed backstop at the deadline; cancelled below if the counter
-            // wins, so it can never stretch the simulation's end time.
-            let backstop = sched::schedule_resume(&self.core, deadline, self.pid, epoch);
-            self.yield_baton();
-            sched::cancel_queued(&self.core, backstop);
         }
+    }
+
+    /// Run `fut` to completion on this process and return its output.
+    ///
+    /// The future suspends only by awaiting this process's [`Proc`] methods
+    /// (any other `Pending` is a bug and panics the process). Each such
+    /// await parks the process exactly like the blocking `Ctx` method of the
+    /// same name, so queue order, RNG draws and event counts are those of
+    /// the equivalent blocking code. The difference is host cost: while the
+    /// process is parked inside `fut`, whichever thread pops its resume
+    /// polls `fut` in place, and the process's own thread gets the baton
+    /// back only once, when `fut` completes. A panic inside `fut` is
+    /// re-raised on this process's thread.
+    ///
+    /// `fut` must not hold a lock guard across an `.await`: the `Send`
+    /// bound rejects `std` guards, which are `!Send`.
+    pub fn block_on<F>(&mut self, fut: F) -> F::Output
+    where
+        F: Future + Send + 'static,
+        F::Output: Send + 'static,
+    {
+        let out = Arc::new(Mutex::new(None));
+        let slot = out.clone();
+        let mut fut: ParkedFuture = Box::pin(async move {
+            let value = fut.await;
+            *slot.lock() = Some(value);
+        });
+        let first = fut.as_mut().poll(&mut Context::from_waker(Waker::noop()));
+        if first.is_pending() {
+            sched::park_future(self.core(), self.proc.pid, fut);
+            self.yield_baton();
+            if let Some(payload) = sched::take_future_panic(self.core(), self.proc.pid) {
+                panic::resume_unwind(payload);
+            }
+        }
+        let value = out.lock().take();
+        value.expect("block_on: future completed without an output")
     }
 
     /// Spawn a regular child process starting at the current virtual time.
@@ -171,7 +191,7 @@ impl Ctx {
         name: impl Into<String>,
         body: impl FnOnce(&mut Ctx) + Send + 'static,
     ) -> SpawnHandle {
-        sched::spawn_process(&self.core, name.into(), false, body)
+        sched::spawn_process(self.core(), name.into(), false, body)
     }
 
     /// Spawn a daemon child process (released at shutdown; see crate docs).
@@ -180,7 +200,7 @@ impl Ctx {
         name: impl Into<String>,
         body: impl FnOnce(&mut Ctx) + Send + 'static,
     ) -> SpawnHandle {
-        sched::spawn_process(&self.core, name.into(), true, body)
+        sched::spawn_process(self.core(), name.into(), true, body)
     }
 
     /// Block until the given spawned process finishes.
@@ -190,19 +210,19 @@ impl Ctx {
 
     /// Draw from the simulation's deterministic RNG.
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut SimRng) -> T) -> T {
-        self.handle.with_rng(f)
+        self.proc.handle.with_rng(f)
     }
 
     /// Sample a normally distributed duration (clamped at zero), in
     /// microseconds.
     pub fn jitter_us(&self, mean: f64, sd: f64) -> SimDuration {
-        self.handle.jitter_us(mean, sd)
+        self.proc.jitter_us(mean, sd)
     }
 
     /// Hand the baton to the event loop after parking; returns once this
     /// process is resumed.
     fn yield_baton(&mut self) {
-        if !sched::dispatch(&self.handle, Some(self.pid), true) {
+        if !sched::dispatch(&self.proc.handle, Some(self.proc.pid), true) {
             self.park();
         }
     }
@@ -213,6 +233,174 @@ impl Ctx {
     pub(crate) fn park(&mut self) {
         while !self.resume.swap(false, Ordering::Acquire) {
             std::thread::park();
+        }
+    }
+}
+
+/// A cloneable, `Send + 'static` handle onto one process, through which
+/// async code run by that process's [`Ctx::block_on`] suspends it.
+///
+/// Its async `advance` / `wait*` methods park the process exactly like the
+/// `Ctx` methods of the same name (same wait-target bookkeeping, waiter
+/// registration and timed backstops), then return `Pending` once. Await
+/// them only inside a `block_on` of the process the handle came from.
+#[derive(Clone)]
+pub struct Proc {
+    pid: ProcessId,
+    handle: SimHandle,
+}
+
+impl Proc {
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        sched::now_of(&self.handle.core)
+    }
+
+    /// A cloneable, non-blocking capability handle onto the simulation.
+    pub fn handle(&self) -> SimHandle {
+        self.handle.clone()
+    }
+
+    fn is_shutdown(&self) -> bool {
+        sched::is_shutdown(&self.handle.core)
+    }
+
+    /// Sample a normally distributed duration (clamped at zero), in
+    /// microseconds.
+    pub fn jitter_us(&self, mean: f64, sd: f64) -> SimDuration {
+        self.handle.jitter_us(mean, sd)
+    }
+
+    /// Async [`Ctx::advance`].
+    pub async fn advance(&self, dt: SimDuration) {
+        sched::park_for(&self.handle.core, self.pid, dt);
+        Suspend(false).await;
+    }
+
+    /// Async [`Ctx::wait`].
+    pub async fn wait(&self, event: &Event) -> bool {
+        loop {
+            if let Some(set) = self.park_on_event(event) {
+                return set;
+            }
+            Suspend(false).await;
+        }
+    }
+
+    /// Async [`Ctx::wait_count`].
+    pub async fn wait_count(&self, counter: &CountEvent, threshold: u64) {
+        while !self.park_on_count(counter, threshold) {
+            Suspend(false).await;
+        }
+    }
+
+    /// Async [`Ctx::wait_count_timeout`].
+    pub async fn wait_count_timeout(
+        &self,
+        counter: &CountEvent,
+        threshold: u64,
+        dt: SimDuration,
+    ) -> bool {
+        let deadline = self.now() + dt;
+        loop {
+            match self.park_on_count_until(counter, threshold, deadline) {
+                Ok(met) => return met,
+                Err(backstop) => {
+                    Suspend(false).await;
+                    sched::cancel_backstop(&self.handle.core, backstop);
+                }
+            }
+        }
+    }
+
+    /// One round of `wait`: the result if the wait is over, else `None`
+    /// with the process parked on `event`.
+    fn park_on_event(&self, event: &Event) -> Option<bool> {
+        if event.is_set() {
+            return Some(true);
+        }
+        if self.is_shutdown() {
+            return Some(false);
+        }
+        let epoch = sched::park_on(&self.handle.core, self.pid, WaitTarget::Event(event.clone()));
+        // Register *after* bumping so the event wakes the right epoch.
+        if !event.register_waiter(self.pid, epoch) {
+            // Event fired between the check and registration: un-park by
+            // scheduling an immediate resume for our epoch.
+            self.handle.wake(self.pid, epoch);
+        }
+        None
+    }
+
+    /// One round of `wait_timeout`: `Ok(result)` if the wait is over, else
+    /// the process is parked on `event` with a timed backstop at `deadline`,
+    /// whose id the caller cancels once resumed.
+    fn park_on_event_until(&self, event: &Event, deadline: SimTime) -> Result<bool, u64> {
+        if event.is_set() {
+            return Ok(true);
+        }
+        if self.is_shutdown() || self.now() >= deadline {
+            return Ok(event.is_set());
+        }
+        let epoch = sched::park_on(&self.handle.core, self.pid, WaitTarget::Event(event.clone()));
+        if !event.register_waiter(self.pid, epoch) {
+            self.handle.wake(self.pid, epoch);
+        }
+        // Timed backstop at the deadline; cancelled if the event wins, so it
+        // can never stretch the simulation's end time.
+        Err(sched::schedule_backstop(&self.handle.core, deadline, self.pid, epoch))
+    }
+
+    /// One round of `wait_count`: `true` if the wait is over, else the
+    /// process is parked on `counter`.
+    fn park_on_count(&self, counter: &CountEvent, threshold: u64) -> bool {
+        if counter.count() >= threshold || self.is_shutdown() {
+            return true;
+        }
+        let target = WaitTarget::Count(counter.clone(), threshold);
+        let epoch = sched::park_on(&self.handle.core, self.pid, target);
+        if !counter.register_waiter(threshold, self.pid, epoch) {
+            self.handle.wake(self.pid, epoch);
+        }
+        false
+    }
+
+    /// One round of `wait_count_timeout`; see [`Proc::park_on_event_until`].
+    fn park_on_count_until(
+        &self,
+        counter: &CountEvent,
+        threshold: u64,
+        deadline: SimTime,
+    ) -> Result<bool, u64> {
+        if counter.count() >= threshold {
+            return Ok(true);
+        }
+        if self.is_shutdown() || self.now() >= deadline {
+            return Ok(counter.count() >= threshold);
+        }
+        let target = WaitTarget::Count(counter.clone(), threshold);
+        let epoch = sched::park_on(&self.handle.core, self.pid, target);
+        if !counter.register_waiter(threshold, self.pid, epoch) {
+            self.handle.wake(self.pid, epoch);
+        }
+        Err(sched::schedule_backstop(&self.handle.core, deadline, self.pid, epoch))
+    }
+}
+
+/// The one suspension point of a parked future: `Pending` on the first poll
+/// (the process has just parked), `Ready` on the next, which the scheduler
+/// makes only after the process's matching resume.
+struct Suspend(bool);
+
+impl Future for Suspend {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        if self.0 {
+            Poll::Ready(())
+        } else {
+            self.0 = true;
+            Poll::Pending
         }
     }
 }

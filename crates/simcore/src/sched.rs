@@ -20,6 +20,30 @@
 //! - Otherwise the holder sets the target's resume flag, unparks its thread
 //!   and parks itself: one thread handoff per switch.
 //!
+//! ## Parked futures are polled in place
+//!
+//! A process that runs async code with [`crate::Ctx::block_on`] parks inside
+//! the future through its [`crate::Proc`] handle, exactly as the blocking
+//! `Ctx` call of the same name would park it. The future is then stored in
+//! the process's record. When `dispatch` pops a valid resume of such a
+//! process, it does not pass the baton: it polls the future right there,
+//! on the holder's thread, with a no-op waker.
+//!
+//! - `Pending`: the future has parked the process again; the loop goes on.
+//! - `Ready`: the baton passes to the process's thread (or the holder keeps
+//!   running, if that is the process itself), at the same pop where blocking
+//!   code would have been resumed.
+//! - A panic: the payload is stored and re-raised on the process's thread
+//!   once it has the baton, so it ends the run as that process's
+//!   [`SimError::ProcessPanic`].
+//!
+//! The queue sees the same items in the same order either way, so event
+//! counts, RNG draws and spans are those of the blocking code; only the
+//! number of thread handoffs drops, to one per `block_on` completion. A
+//! future runs on whichever thread holds the baton, so it must be `Send`,
+//! and it must not hold a lock guard across an `.await` (the compiler
+//! enforces this: a `std` `MutexGuard` is `!Send`).
+//!
 //! [`Simulation::run`] starts the first dispatch on the caller's thread and
 //! then blocks on a one-shot outcome channel. Whichever holder sees the run
 //! end (completion, deadlock, a process panic, or a panicking callback)
@@ -45,11 +69,14 @@
 //! the primitive it waits on — turning would-be hangs into test failures.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Ordering as CmpOrdering;
+use std::collections::{BinaryHeap, HashSet};
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 
 use std::sync::mpsc::{channel, Sender};
@@ -76,9 +103,44 @@ enum QueueItem {
     /// Resume process `pid` if it is still parked with the given epoch.
     /// Stale epochs (the process was woken earlier by an event) are ignored.
     Resume { pid: ProcessId, epoch: u64 },
+    /// A `Resume` that can be cancelled before it fires: the deadline of a
+    /// timed wait (see [`cancel_backstop`]).
+    Backstop { pid: ProcessId, epoch: u64 },
     /// Run a closure on the baton holder's thread.
     Callback(Callback),
 }
+
+/// One event-queue entry. The heap pops the earliest `(at, seq)` first;
+/// `seq` is unique, so items at the same instant pop in insertion order.
+struct Entry {
+    at: SimTime,
+    seq: u64,
+    item: QueueItem,
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    /// Reversed, so the max-heap `BinaryHeap` pops the earliest entry.
+    fn cmp(&self, other: &Self) -> CmpOrdering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// The future a process is parked inside (see [`crate::Ctx::block_on`]).
+pub(crate) type ParkedFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
 /// How a run ended; sent once to the thread blocked in [`Simulation::run`].
 enum Outcome {
@@ -104,6 +166,12 @@ struct ProcRecord {
     /// The primitive the process is parked on (set by `Ctx` wait methods),
     /// formatted into deadlock diagnostics only when one is reported.
     waiting_on: Option<WaitTarget>,
+    /// Set while the process is parked inside `Ctx::block_on`: its resumes
+    /// poll this future in place until it completes.
+    future: Option<ParkedFuture>,
+    /// A panic raised while polling `future` in place; re-raised on the
+    /// process's own thread when it gets the baton back.
+    future_panic: Option<Box<dyn Any + Send>>,
 }
 
 /// Shared scheduler state. Lives behind `Arc` in [`SimHandle`] and `Ctx`.
@@ -118,8 +186,10 @@ pub(crate) struct SchedCore {
 pub(crate) struct SchedState {
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<(SimTime, u64, QueueSlot)>>,
-    items: HashMap<u64, QueueItem>,
+    queue: BinaryHeap<Entry>,
+    /// Sequence numbers of queued, not yet cancelled backstops. A cancelled
+    /// one stays in the heap as a tombstone until popped.
+    live_backstops: HashSet<u64>,
     /// Indexed by the dense [`ProcessId`].
     procs: Vec<ProcRecord>,
     live_regular: usize,
@@ -130,10 +200,6 @@ pub(crate) struct SchedState {
     /// Where the holder that sees the run end reports it; taken once.
     outcome_tx: Option<Sender<Outcome>>,
 }
-
-/// Heap key helper: items with identical timestamps pop in insertion order.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct QueueSlot(u64);
 
 /// A cloneable capability handle onto the running simulation.
 ///
@@ -198,28 +264,27 @@ impl SimHandle {
 }
 
 impl SchedState {
-    /// Enqueue `item` at `at`; the returned id can cancel it via
-    /// [`cancel_queued`] before it fires.
+    /// Enqueue `item` at `at`; returns its sequence number.
     fn push(&mut self, at: SimTime, item: QueueItem) -> u64 {
-        let id = self.seq;
+        let seq = self.seq;
         self.seq += 1;
-        self.items.insert(id, item);
-        self.queue.push(Reverse((at, id, QueueSlot(id))));
-        id
+        self.queue.push(Entry { at, seq, item });
+        seq
     }
 
     /// Pop the earliest live queue item, advancing the clock to it.
-    /// Cancelled items (e.g. timeout backstops whose wait completed early)
-    /// left a tombstone in the heap: skip them without advancing the clock
-    /// or the event count, so an armed-but-unused watchdog never stretches
-    /// the run's end time.
+    /// Cancelled backstops (timeouts whose wait completed early) are
+    /// tombstones: skip them without advancing the clock or the event
+    /// count, so an armed-but-unused watchdog never stretches the run's end
+    /// time.
     fn pop_live(&mut self) -> Option<QueueItem> {
-        while let Some(Reverse((at, id, _))) = self.queue.pop() {
-            if let Some(item) = self.items.remove(&id) {
-                self.now = at;
-                self.events_processed += 1;
-                return Some(item);
+        while let Some(Entry { at, seq, item }) = self.queue.pop() {
+            if matches!(item, QueueItem::Backstop { .. }) && !self.live_backstops.remove(&seq) {
+                continue;
             }
+            self.now = at;
+            self.events_processed += 1;
+            return Some(item);
         }
         None
     }
@@ -306,7 +371,7 @@ impl Simulation {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: BinaryHeap::new(),
-                items: HashMap::new(),
+                live_backstops: HashSet::new(),
                 procs: Vec::new(),
                 live_regular: 0,
                 live_daemons: 0,
@@ -419,13 +484,35 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                 }
                 check_shutdown = true;
             }
-            Some(QueueItem::Resume { pid, epoch }) => {
+            Some(QueueItem::Resume { pid, epoch } | QueueItem::Backstop { pid, epoch }) => {
                 let p = st.proc_mut(pid);
                 if !p.parked || p.finished || p.park_epoch != epoch {
                     continue; // stale wake
                 }
                 p.parked = false;
                 p.waiting_on = None;
+                if let Some(mut fut) = p.future.take() {
+                    // Parked inside `block_on`: poll in place. The process
+                    // thread gets the baton only once the future completes.
+                    drop(st);
+                    let polled = poll_in_place(&mut fut);
+                    st = core.state.lock();
+                    let p = st.proc_mut(pid);
+                    match polled {
+                        Poll::Pending if p.parked => {
+                            // The future re-parked the process.
+                            p.future = Some(fut);
+                            check_shutdown = true;
+                            continue;
+                        }
+                        Poll::Pending => {
+                            p.future_panic = Some(Box::new(UNPARKED_PENDING.to_string()));
+                        }
+                        Poll::Ready(Err(payload)) => p.future_panic = Some(payload),
+                        Poll::Ready(Ok(())) => {}
+                    }
+                }
+                let p = st.proc_mut(pid);
                 if me == Some(pid) {
                     return true;
                 }
@@ -464,6 +551,21 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                 return false;
             }
         }
+    }
+}
+
+/// Why a future that returned `Pending` without parking its process fails.
+const UNPARKED_PENDING: &str = "block_on: future returned Pending without awaiting a Proc method";
+
+/// Poll a parked process's future once, with a no-op waker (the scheduler
+/// knows when to poll: at the process's next valid resume). A panic is
+/// returned as `Err` with its payload.
+fn poll_in_place(fut: &mut ParkedFuture) -> Poll<Result<(), Box<dyn Any + Send>>> {
+    let mut cx = Context::from_waker(Waker::noop());
+    match panic::catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+        Ok(Poll::Pending) => Poll::Pending,
+        Ok(Poll::Ready(())) => Poll::Ready(Ok(())),
+        Err(payload) => Poll::Ready(Err(payload)),
     }
 }
 
@@ -547,6 +649,8 @@ pub(crate) fn spawn_process(
             done: done.clone(),
             join: None,
             waiting_on: None,
+            future: None,
+            future_panic: None,
         });
         let now = st.now;
         st.push(now, QueueItem::Resume { pid, epoch: 0 });
@@ -599,16 +703,43 @@ pub(crate) fn now_of(core: &Arc<SchedCore>) -> SimTime {
     core.state.lock().now
 }
 
-pub(crate) fn schedule_resume(core: &Arc<SchedCore>, at: SimTime, pid: ProcessId, epoch: u64) -> u64 {
+/// Queue a cancellable resume of `pid` at `at` (a timed wait's deadline);
+/// returns the id [`cancel_backstop`] takes.
+pub(crate) fn schedule_backstop(
+    core: &Arc<SchedCore>,
+    at: SimTime,
+    pid: ProcessId,
+    epoch: u64,
+) -> u64 {
     let mut st = core.state.lock();
-    st.push(at, QueueItem::Resume { pid, epoch })
+    let seq = st.push(at, QueueItem::Backstop { pid, epoch });
+    st.live_backstops.insert(seq);
+    seq
 }
 
-/// Cancel a queued item by id before it fires (no-op if it already fired).
-/// The heap entry stays behind as a tombstone that the run loop discards
-/// without advancing virtual time.
-pub(crate) fn cancel_queued(core: &Arc<SchedCore>, id: u64) {
-    core.state.lock().items.remove(&id);
+/// Cancel a backstop before it fires (no-op if it already fired). The heap
+/// entry stays behind as a tombstone that the run loop discards without
+/// advancing virtual time.
+pub(crate) fn cancel_backstop(core: &Arc<SchedCore>, id: u64) {
+    core.state.lock().live_backstops.remove(&id);
+}
+
+/// Internal API used by `Ctx::block_on`: store the future `pid` has just
+/// parked inside, for the scheduler to poll at its next resume.
+pub(crate) fn park_future(core: &Arc<SchedCore>, pid: ProcessId, fut: ParkedFuture) {
+    let mut st = core.state.lock();
+    let p = st.proc_mut(pid);
+    assert!(p.parked, "{UNPARKED_PENDING}");
+    p.future = Some(fut);
+}
+
+/// Internal API used by `Ctx::block_on`: the panic its future raised while
+/// polled in place, if any.
+pub(crate) fn take_future_panic(
+    core: &Arc<SchedCore>,
+    pid: ProcessId,
+) -> Option<Box<dyn Any + Send>> {
+    core.state.lock().proc_mut(pid).future_panic.take()
 }
 
 pub(crate) fn is_shutdown(core: &Arc<SchedCore>) -> bool {

@@ -8,7 +8,7 @@ use parcomm_sim::Mutex;
 
 use parcomm_sim::{
     CountEvent, Event, SimBarrier, SimChannel, SimConfig, SimDuration, SimError, SimTime,
-    Simulation,
+    Simulation, SpanId,
 };
 
 fn us(n: u64) -> SimDuration {
@@ -560,4 +560,258 @@ fn process_panic_while_others_are_parked_names_that_process() {
         }
         other => panic!("expected process panic, got {other:?}"),
     }
+}
+
+/// `(category, start ns, end ns, rank, partition)` of a recorded span.
+type SpanRow = (&'static str, u64, u64, Option<u32>, Option<u32>);
+
+/// What one run of a [`two_process_program`] variant leaves behind.
+#[derive(Debug, PartialEq)]
+struct ProgramRun {
+    end_time: SimTime,
+    events_processed: u64,
+    spans: Vec<SpanRow>,
+}
+
+const ROUNDS: u64 = 20;
+
+/// A producer/consumer program exercising every `Proc` wait: the producer
+/// bumps a counter after jittered work and fires one event every five
+/// rounds; the consumer waits on counter thresholds (one of them timed,
+/// so some backstops fire and some are cancelled) and on the events. With
+/// `async_rounds`, both processes run each round as one `block_on` future
+/// instead of blocking `Ctx` calls. Returns the run and its handoffs.
+fn two_process_program(async_rounds: bool) -> (ProgramRun, u64) {
+    let mut sim = Simulation::with_seed(7);
+    let trace = sim.trace();
+    trace.enable();
+    let counter = CountEvent::named("produced");
+    let marks: Vec<Event> = (0..ROUNDS / 5).map(|_| Event::new()).collect();
+
+    let (c, m) = (counter.clone(), marks.clone());
+    sim.spawn("producer", move |ctx| {
+        for round in 0..ROUNDS {
+            let (c, m) = (c.clone(), m.clone());
+            if async_rounds {
+                let p = ctx.proc();
+                ctx.block_on(async move {
+                    let t0 = p.now();
+                    for _ in 0..5 {
+                        let d = p.jitter_us(2.0, 0.5);
+                        p.advance(d).await;
+                        c.add(&p.handle(), 1);
+                    }
+                    p.handle().trace().record_attr(
+                        "produce",
+                        t0,
+                        p.now(),
+                        None,
+                        Some(round as u32),
+                        SpanId::NONE,
+                    );
+                    if round % 5 == 4 {
+                        m[(round / 5) as usize].set(&p.handle());
+                    }
+                });
+            } else {
+                let t0 = ctx.now();
+                for _ in 0..5 {
+                    let d = ctx.jitter_us(2.0, 0.5);
+                    ctx.advance(d);
+                    c.add(&ctx.handle(), 1);
+                }
+                ctx.handle().trace().record_attr(
+                    "produce",
+                    t0,
+                    ctx.now(),
+                    None,
+                    Some(round as u32),
+                    SpanId::NONE,
+                );
+                if round % 5 == 4 {
+                    m[(round / 5) as usize].set(&ctx.handle());
+                }
+            }
+        }
+    });
+    sim.spawn("consumer", move |ctx| {
+        for round in 0..ROUNDS {
+            let (c, m) = (counter.clone(), marks.clone());
+            if async_rounds {
+                let p = ctx.proc();
+                ctx.block_on(async move {
+                    let t0 = p.now();
+                    p.wait_count(&c, 5 * round + 3).await;
+                    let met = p.wait_count_timeout(&c, 5 * round + 5, us(3)).await;
+                    let d = p.jitter_us(1.0, 0.3);
+                    p.advance(d).await;
+                    if round % 5 == 4 {
+                        assert!(p.wait(&m[(round / 5) as usize]).await);
+                    }
+                    p.handle().trace().record_attr(
+                        "consume",
+                        t0,
+                        p.now(),
+                        Some(met as u32),
+                        Some(round as u32),
+                        SpanId::NONE,
+                    );
+                });
+            } else {
+                let t0 = ctx.now();
+                ctx.wait_count(&c, 5 * round + 3);
+                let met = ctx.wait_count_timeout(&c, 5 * round + 5, us(3));
+                let d = ctx.jitter_us(1.0, 0.3);
+                ctx.advance(d);
+                if round % 5 == 4 {
+                    assert!(ctx.wait(&m[(round / 5) as usize]));
+                }
+                ctx.handle().trace().record_attr(
+                    "consume",
+                    t0,
+                    ctx.now(),
+                    Some(met as u32),
+                    Some(round as u32),
+                    SpanId::NONE,
+                );
+            }
+        }
+    });
+    let report = sim.run().unwrap();
+    let spans = trace
+        .spans()
+        .iter()
+        .map(|s| (s.category, s.start.as_nanos(), s.end.as_nanos(), s.rank, s.partition))
+        .collect();
+    let run =
+        ProgramRun { end_time: report.end_time, events_processed: report.events_processed, spans };
+    (run, report.handoffs)
+}
+
+#[test]
+fn block_on_reproduces_the_blocking_program() {
+    let (blocking, blocking_handoffs) = two_process_program(false);
+    let (polled, polled_handoffs) = two_process_program(true);
+    assert_eq!(polled, blocking, "same end time, event count and span stream");
+    // Both outcomes of the timed wait occur, so backstops both fire and
+    // get cancelled.
+    let met: Vec<u32> =
+        blocking.spans.iter().filter(|s| s.0 == "consume").filter_map(|s| s.3).collect();
+    assert!(met.contains(&0) && met.contains(&1), "timed-wait outcomes: {met:?}");
+    // At most one handoff per `block_on` completion (2 × ROUNDS), plus the
+    // two process starts; the blocking program pays one per cross resume.
+    assert!(polled_handoffs <= 2 * ROUNDS + 2, "{polled_handoffs} handoffs");
+    assert!(blocking_handoffs > 2 * polled_handoffs, "{blocking_handoffs} vs {polled_handoffs}");
+}
+
+#[test]
+fn block_on_costs_one_handoff_per_completion() {
+    let mut sim = Simulation::with_seed(1);
+    for name in ["ping", "pong"] {
+        sim.spawn(name, |ctx| {
+            for _ in 0..50 {
+                let p = ctx.proc();
+                ctx.block_on(async move {
+                    for _ in 0..10 {
+                        p.advance(us(1)).await;
+                    }
+                });
+            }
+        });
+    }
+    let report = sim.run().unwrap();
+    // The blocking form of this program (`strict_alternation_costs_one_
+    // handoff_per_resume`) makes the same 1,002 queue items, each a handoff.
+    assert_eq!(report.events_processed, 1_002);
+    assert!(report.handoffs <= 100 + 2, "{} handoffs", report.handoffs);
+}
+
+#[test]
+fn panic_in_a_polled_future_names_the_process() {
+    let mut sim = Simulation::with_seed(1);
+    sim.spawn("ticker", |ctx| {
+        for _ in 0..10 {
+            ctx.advance(us(1));
+        }
+    });
+    sim.spawn("faulty", |ctx| {
+        let p = ctx.proc();
+        ctx.block_on(async move {
+            p.advance(us(3)).await;
+            panic!("future step {}", 2);
+        });
+    });
+    match sim.run() {
+        Err(SimError::ProcessPanic { name, message }) => {
+            assert_eq!(name, "faulty");
+            assert!(message.contains("future step 2"), "message: {message}");
+        }
+        other => panic!("expected process panic, got {other:?}"),
+    }
+}
+
+#[test]
+fn foreign_pending_future_is_a_process_panic() {
+    let mut sim = Simulation::with_seed(1);
+    sim.spawn("stuck", |ctx| ctx.block_on(std::future::pending::<()>()));
+    match sim.run() {
+        Err(SimError::ProcessPanic { name, message }) => {
+            assert_eq!(name, "stuck");
+            assert!(message.contains("without awaiting a Proc method"), "message: {message}");
+        }
+        other => panic!("expected process panic, got {other:?}"),
+    }
+}
+
+#[test]
+fn deadlock_inside_block_on_reports_the_blocking_wait_target() {
+    fn blocked(async_wait: bool) -> Vec<parcomm_sim::BlockedProcess> {
+        let mut sim = Simulation::with_seed(1);
+        let never = Event::named("never-fires");
+        let count = CountEvent::named("stalled");
+        sim.spawn("on-event", move |ctx| {
+            if async_wait {
+                let p = ctx.proc();
+                ctx.block_on(async move { p.wait(&never).await });
+            } else {
+                ctx.wait(&never);
+            }
+        });
+        sim.spawn("on-count", move |ctx| {
+            count.add(&ctx.handle(), 1);
+            if async_wait {
+                let p = ctx.proc();
+                ctx.block_on(async move { p.wait_count(&count, 3).await });
+            } else {
+                ctx.wait_count(&count, 3);
+            }
+        });
+        match sim.run() {
+            Err(SimError::Deadlock { blocked }) => blocked,
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+    let polled = blocked(true);
+    assert_eq!(polled, blocked(false));
+    let waits: Vec<Option<String>> = polled.into_iter().map(|b| b.waiting_on).collect();
+    assert_eq!(
+        waits,
+        vec![Some("count 'stalled' (1/3)".to_string()), Some("event 'never-fires'".to_string())]
+    );
+}
+
+#[test]
+fn daemon_parked_in_block_on_is_released_at_shutdown() {
+    let mut sim = Simulation::with_seed(1);
+    let released = Arc::new(Mutex::new(None));
+    let r2 = released.clone();
+    sim.spawn_daemon("watcher", move |ctx| {
+        let p = ctx.proc();
+        let never = Event::new();
+        let set = ctx.block_on(async move { p.wait(&never).await });
+        *r2.lock() = Some((set, ctx.is_shutdown()));
+    });
+    sim.spawn("worker", |ctx| ctx.advance(us(1)));
+    sim.run().unwrap();
+    assert_eq!(*released.lock(), Some((false, true)), "released by shutdown, wait returns false");
 }
