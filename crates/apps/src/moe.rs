@@ -34,11 +34,13 @@
 //! unpacking really run, and [`moe_reference`] computes the identical
 //! result serially for bit-for-bit comparison.
 
-use parcomm_core::{prequest_create, CopyMechanism, PrequestConfig};
-use parcomm_gpu::{AggLevel, Buffer, KernelSpec};
+use parcomm_core::{
+    prequest_create_async, CopyMechanism, DevicePrequest, PrequestConfig, PsendRequest,
+};
+use parcomm_gpu::{AggLevel, Buffer, KernelSpec, Stream};
 use parcomm_mpi::{MpiError, Rank};
 use parcomm_mux::{ChannelSpec, Direction, MuxChannelId, MuxConfig, MuxService};
-use parcomm_sim::{Ctx, SimDuration};
+use parcomm_sim::{Ctx, Proc, SimDuration};
 
 /// MoE cell configuration. All ranks must use identical values.
 #[derive(Clone, Debug)]
@@ -151,9 +153,9 @@ struct PeerChannels {
     dispatch_buf_recv: Buffer,
     combine_buf_send: Buffer,
     combine_buf_recv: Buffer,
-    /// Device prequests (KernelCopy mechanism only).
-    dispatch_preq: Option<parcomm_core::DevicePrequest>,
-    combine_preq: Option<parcomm_core::DevicePrequest>,
+    /// Device prequests of the two send channels.
+    dispatch_preq: Option<DevicePrequest>,
+    combine_preq: Option<DevicePrequest>,
 }
 
 /// Run the MoE cell on this rank. All ranks must call it with identical
@@ -214,10 +216,16 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
         }
         submitted.push(per_peer);
     }
-    let mut admitted: Vec<MuxChannelId> = Vec::new();
-    while mux.pending() > 0 {
-        admitted.extend(mux.tick(ctx, rank)?);
-    }
+    // The whole admission loop runs as one future: the rank's thread
+    // wakes once for it, not once per init, handshake and prepare charge.
+    let (p, r) = (ctx.proc(), rank.clone());
+    let (mut mux, admitted) = ctx.block_on(async move {
+        let mut admitted: Vec<MuxChannelId> = Vec::new();
+        while mux.pending() > 0 {
+            admitted.extend(mux.tick_async(&p, &r).await?);
+        }
+        Ok::<_, MpiError>((mux, admitted))
+    })?;
     let channels = admitted.len();
 
     // Recover the per-(tenant, peer) bundle from the admitted table.
@@ -237,7 +245,7 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
                     })
                     .expect("every submitted channel was admitted")
             };
-            let mut pc = PeerChannels {
+            row.push(PeerChannels {
                 peer,
                 dispatch_send: find(tag_of(t, KIND_DISPATCH), Direction::Send),
                 dispatch_recv: find(tag_of(t, KIND_DISPATCH), Direction::Recv),
@@ -249,38 +257,48 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
                 combine_buf_recv: bufs[3].clone(),
                 dispatch_preq: None,
                 combine_preq: None,
-            };
-            let want = PrequestConfig {
-                copy: cfg.mechanism,
-                agg: AggLevel::Block,
-                transport_partitions: 1,
-                multi_block_counters: true,
-            };
-            for (slot, id) in [(0usize, pc.dispatch_send), (1usize, pc.combine_send)] {
-                let sreq = mux
-                    .channel(id)
-                    .and_then(|c| c.chan.send().cloned())
-                    .expect("send channel");
-                let preq = match prequest_create(ctx, rank, &sreq, want) {
-                    Ok(p) => p,
-                    // Ineligible route (kernel copy across nodes, shmem on
-                    // a classic-negotiated channel): progression-engine
-                    // fallback, same as the Jacobi app.
-                    Err(_) => prequest_create(ctx, rank, &sreq, PrequestConfig {
-                        copy: CopyMechanism::ProgressionEngine,
-                        ..want
-                    })
-                    .expect("PE prequest always available"),
-                };
-                if slot == 0 {
-                    pc.dispatch_preq = Some(preq);
-                } else {
-                    pc.combine_preq = Some(preq);
-                }
-            }
-            row.push(pc);
+            });
         }
         bundles.push(row);
+    }
+
+    // One device prequest per send channel (dispatch, then combine, per
+    // (tenant, peer)), all created in one future.
+    let sreqs: Vec<PsendRequest> = bundles
+        .iter()
+        .flatten()
+        .flat_map(|pc| [pc.dispatch_send, pc.combine_send])
+        .map(|id| mux.channel(id).and_then(|c| c.chan.send().cloned()).expect("send channel"))
+        .collect();
+    let want = PrequestConfig {
+        copy: cfg.mechanism,
+        agg: AggLevel::Block,
+        transport_partitions: 1,
+        multi_block_counters: true,
+    };
+    let (p, r) = (ctx.proc(), rank.clone());
+    let preqs = ctx.block_on(async move {
+        let mut preqs = Vec::with_capacity(sreqs.len());
+        for sreq in &sreqs {
+            preqs.push(match prequest_create_async(&p, &r, sreq, want).await {
+                Ok(preq) => preq,
+                // Ineligible route (kernel copy across nodes, shmem on a
+                // classic-negotiated channel): progression-engine
+                // fallback, same as the Jacobi app.
+                Err(_) => prequest_create_async(&p, &r, sreq, PrequestConfig {
+                    copy: CopyMechanism::ProgressionEngine,
+                    ..want
+                })
+                .await
+                .expect("PE prequest always available"),
+            });
+        }
+        preqs
+    });
+    let mut preqs = preqs.into_iter();
+    for pc in bundles.iter_mut().flatten() {
+        pc.dispatch_preq = preqs.next();
+        pc.combine_preq = preqs.next();
     }
 
     // ---- Token state (functional runs): per tenant, this rank's tokens.
@@ -340,7 +358,7 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
                 }
             }
         }
-        run_phase(ctx, &mut mux, &bundles, Phase::Dispatch, &stream)?;
+        mux = run_phase(ctx, mux, &bundles, Phase::Dispatch, &stream)?;
 
         // Expert compute: transform every received token (and this rank's
         // locally-routed tokens), filling the combine send buffers.
@@ -375,7 +393,7 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
                 + (expert_tokens * cfg.hidden * 8) as f64 * 4.0 / (800.0 * 1e3),
         ));
 
-        run_phase(ctx, &mut mux, &bundles, Phase::Combine, &stream)?;
+        mux = run_phase(ctx, mux, &bundles, Phase::Combine, &stream)?;
 
         // Combine unpack: results land back in their home token slots.
         // Dropped tokens keep their residual value. Must complete before
@@ -412,45 +430,67 @@ enum Phase {
 /// from the GPU, then wait sends, then wait receives. Receives are begun
 /// first so no rank's send can stall on a peer that is itself stalled
 /// sending — the same reply-before-block order the mux tick uses.
+///
+/// The epoch runs as one future, which owns the mux for its duration and
+/// hands it back with the result.
 fn run_phase(
     ctx: &mut Ctx,
-    mux: &mut MuxService,
+    mux: MuxService,
     bundles: &[Vec<PeerChannels>],
     phase: Phase,
-    stream: &parcomm_gpu::Stream,
-) -> Result<(), MpiError> {
-    let pick = |pc: &PeerChannels| match phase {
-        Phase::Dispatch => (pc.dispatch_recv, pc.dispatch_send, pc.dispatch_preq.clone()),
-        Phase::Combine => (pc.combine_recv, pc.combine_send, pc.combine_preq.clone()),
-    };
-    let mut recvs = Vec::new();
-    for row in bundles {
-        for pc in row {
-            let (rid, _, _) = pick(pc);
-            let chan = mux.begin_epoch(ctx, rid)?;
-            recvs.push(chan.recv().expect("recv channel").clone());
-        }
-    }
-    let mut preqs = Vec::new();
-    let mut waits = Vec::new();
-    for row in bundles {
-        for pc in row {
-            let (_, sid, preq) = pick(pc);
-            let chan = mux.begin_epoch(ctx, sid)?;
-            waits.push((sid, chan.send().expect("send channel").clone()));
-            preqs.push(preq.expect("device prequest"));
-        }
-    }
-    let t0 = ctx.now().as_micros_f64();
-    let spec = KernelSpec::new("moe-pready", preqs.len().max(1) as u32, 256);
-    let _ = stream.launch(ctx, spec, move |d| {
-        for preq in &preqs {
-            preq.pready_all(d);
-        }
+    stream: &Stream,
+) -> Result<MuxService, MpiError> {
+    let chans: Vec<(MuxChannelId, MuxChannelId, DevicePrequest)> = bundles
+        .iter()
+        .flatten()
+        .map(|pc| {
+            let (rid, sid, preq) = match phase {
+                Phase::Dispatch => (pc.dispatch_recv, pc.dispatch_send, &pc.dispatch_preq),
+                Phase::Combine => (pc.combine_recv, pc.combine_send, &pc.combine_preq),
+            };
+            (rid, sid, preq.clone().expect("device prequest"))
+        })
+        .collect();
+    let (p, stream) = (ctx.proc(), stream.clone());
+    let (mux, outcome) = ctx.block_on(async move {
+        let mut mux = mux;
+        let outcome = phase_epoch(&p, &mut mux, chans, &stream).await;
+        (mux, outcome)
     });
+    outcome.map(|()| mux)
+}
+
+/// The body of [`run_phase`].
+async fn phase_epoch(
+    p: &Proc,
+    mux: &mut MuxService,
+    chans: Vec<(MuxChannelId, MuxChannelId, DevicePrequest)>,
+    stream: &Stream,
+) -> Result<(), MpiError> {
+    let mut recvs = Vec::with_capacity(chans.len());
+    for (rid, _, _) in &chans {
+        let chan = mux.begin_epoch_async(p, *rid).await?;
+        recvs.push(chan.recv().expect("recv channel").clone());
+    }
+    let mut preqs = Vec::with_capacity(chans.len());
+    let mut waits = Vec::with_capacity(chans.len());
+    for (_, sid, preq) in chans {
+        let chan = mux.begin_epoch_async(p, sid).await?;
+        waits.push((sid, chan.send().expect("send channel").clone()));
+        preqs.push(preq);
+    }
+    let t0 = p.now().as_micros_f64();
+    let spec = KernelSpec::new("moe-pready", preqs.len().max(1) as u32, 256);
+    let _ = stream
+        .launch_async(p, spec, move |d| {
+            for preq in &preqs {
+                preq.pready_all(d);
+            }
+        })
+        .await;
     for (sid, s) in waits {
-        s.wait(ctx)?;
-        let dt = ctx.now().as_micros_f64() - t0;
+        s.wait_async(p).await?;
+        let dt = p.now().as_micros_f64() - t0;
         let (tenant, bytes) = {
             let ch = mux.channel(sid).expect("live channel");
             (ch.spec.tenant, ch.spec.bytes())
@@ -458,7 +498,7 @@ fn run_phase(
         mux.record_epoch(tenant, bytes, dt);
     }
     for r in recvs {
-        r.wait(ctx)?;
+        r.wait_async(p).await?;
     }
     Ok(())
 }

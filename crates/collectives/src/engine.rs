@@ -22,9 +22,10 @@
 //! Algorithm 2 is written once, as async code over a [`Proc`] handle:
 //! `sweep`, `stage_and_send`, `issue_step_sends`, `reduce_chunk`,
 //! `wait_any_arrival` and the stall watchdog / recovery ladder of
-//! `run_schedule`. The three entry points — `MPI_Wait`, host `MPI_Pready`
-//! and the progression-engine hook that drains device readiness — each run
-//! it with `Ctx::block_on`. Every await parks the rank exactly as the
+//! `run_schedule`. `MPI_Wait` and host `MPI_Pready` run it with
+//! `Ctx::block_on`; the progression-engine hook that drains device readiness
+//! returns it as a future that the engine's own future awaits. Every await
+//! parks the rank (or its engine) exactly as the
 //! blocking call would, so the event stream is that of blocking code; but
 //! while the rank is parked the scheduler polls the future in place, and
 //! the rank's OS thread wakes once per entry point instead of once per
@@ -39,7 +40,7 @@ use parcomm_sim::Mutex;
 
 use parcomm_core::{precv_init, psend_init, PrecvRequest, PsendRequest};
 use parcomm_gpu::{Buffer, CostModel, DeviceCtx, KernelSpec, Stream};
-use parcomm_mpi::{HookOutcome, MpiError, MpiInstruments, ProgressionEngine, Rank, RecoverConfig};
+use parcomm_mpi::{HookFuture, HookOutcome, MpiError, MpiInstruments, ProgressionEngine, Rank, RecoverConfig};
 use parcomm_sim::{Ctx, Proc, SimDuration, SimTime, SpanId};
 
 use crate::schedule::{Schedule, StepOp};
@@ -361,17 +362,18 @@ impl CollectiveEngine {
             if !*active {
                 *active = true;
                 let engine = this.clone();
-                engine.clone().inner.progression.register(h, move |ctx| engine.drain_device(ctx));
+                this.inner.progression.register(h, move |p| engine.drain_device(p));
             }
         });
     }
 
     /// Progression-engine hook: drain the device readiness queue.
-    fn drain_device(&self, ctx: &mut Ctx) -> HookOutcome {
-        let this = self.clone();
-        let p = ctx.proc();
-        ctx.block_on(async move { this.drain_pending_device(&p).await });
-        HookOutcome::Remove
+    fn drain_device(&self, p: &Proc) -> HookFuture {
+        let (this, p) = (self.clone(), p.clone());
+        Box::pin(async move {
+            this.drain_pending_device(&p).await;
+            HookOutcome::Remove
+        })
     }
 
     /// Activate every partition in the device readiness queue and issue its

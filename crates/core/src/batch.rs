@@ -19,7 +19,7 @@
 //! validation, epoch sync) byte-for-byte the same.
 
 use parcomm_mpi::MpiError;
-use parcomm_sim::Ctx;
+use parcomm_sim::{Ctx, Proc};
 
 use crate::recv::PrecvRequest;
 use crate::send::PsendRequest;
@@ -41,13 +41,23 @@ pub fn pbuf_prepare_batch(
     recvs: &[PrecvRequest],
     sends: &[PsendRequest],
 ) -> Result<(), MpiError> {
+    let (p, recvs, sends) = (ctx.proc(), recvs.to_vec(), sends.to_vec());
+    ctx.block_on(async move { pbuf_prepare_batch_async(&p, &recvs, &sends).await })
+}
+
+/// Async [`pbuf_prepare_batch`], for code run under `Ctx::block_on`.
+pub async fn pbuf_prepare_batch_async(
+    p: &Proc,
+    recvs: &[PrecvRequest],
+    sends: &[PsendRequest],
+) -> Result<(), MpiError> {
     let mut charged = false;
     for r in recvs {
-        r.pbuf_prepare_charged(ctx, !charged)?;
+        r.pbuf_prepare_charged(p, !charged).await?;
         charged = true;
     }
     for s in sends {
-        s.pbuf_prepare_charged(ctx, !charged)?;
+        s.pbuf_prepare_charged(p, !charged).await?;
         charged = true;
     }
     Ok(())

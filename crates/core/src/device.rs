@@ -27,7 +27,7 @@ use parcomm_sim::Mutex;
 
 use parcomm_gpu::{AggLevel, Buffer, DeviceCtx};
 use parcomm_mpi::{chunk_range, CopyMechanism, HookOutcome, MpiError, Rank};
-use parcomm_sim::{Ctx, SimDuration, SpanId};
+use parcomm_sim::{Ctx, Proc, SimDuration, SpanId};
 use parcomm_ucx::IpcMapping;
 
 use crate::overheads::ApiOverheads;
@@ -105,6 +105,17 @@ pub fn prequest_create(
     sreq: &PsendRequest,
     config: PrequestConfig,
 ) -> Result<DevicePrequest, MpiError> {
+    let (p, rank, sreq) = (ctx.proc(), rank.clone(), sreq.clone());
+    ctx.block_on(async move { prequest_create_async(&p, &rank, &sreq, config).await })
+}
+
+/// Async [`prequest_create`], for code run under `Ctx::block_on`.
+pub async fn prequest_create_async(
+    p: &Proc,
+    rank: &Rank,
+    sreq: &PsendRequest,
+    config: PrequestConfig,
+) -> Result<DevicePrequest, MpiError> {
     let send = sreq.shared().clone();
     let (prepared, data_rkey, shmem_active, shmem_denied) = {
         let st = send.state.lock();
@@ -147,7 +158,7 @@ pub fn prequest_create(
         }
     };
 
-    ctx.advance(ApiOverheads::sample(ctx, send.overheads.prequest_create));
+    p.advance(ApiOverheads::sample(&p.handle(), send.overheads.prequest_create)).await;
 
     let pinned_flags = rank.gpu().alloc_pinned_host(config.transport_partitions * 8);
     let dp = DevicePrequest {
@@ -170,10 +181,12 @@ pub fn prequest_create(
     // exactly-once point, so a false-positive takeover (stalled-not-dead PE)
     // is harmless.
     let drain = dp.clone();
-    *dp.inner.send.device_drain.lock() =
-        Some(Box::new(move |ctx: &mut Ctx| {
-            let _ = drain.drain_notifications(ctx);
-        }));
+    *dp.inner.send.device_drain.lock() = Some(Box::new(move |p: &Proc| {
+        let (drain, p) = (drain.clone(), p.clone());
+        Box::pin(async move {
+            drain.drain_notifications(&p).await;
+        })
+    }));
     Ok(dp)
 }
 
@@ -545,35 +558,38 @@ impl DevicePrequest {
         };
         if register {
             let this = self.clone();
-            inner.send.progression.register(h, move |ctx| this.drain_notifications(ctx));
+            inner.send.progression.register(h, move |p| {
+                let (this, p) = (this.clone(), p.clone());
+                Box::pin(async move { this.drain_notifications(&p).await })
+            });
         }
     }
 
     /// Progression-engine hook: for each pending notification, post the
     /// data put (Progression Engine path) or the completion-flag put
     /// (Kernel Copy path).
-    fn drain_notifications(&self, ctx: &mut Ctx) -> HookOutcome {
+    async fn drain_notifications(&self, p: &Proc) -> HookOutcome {
         let inner = &self.inner;
         let data_post = SimDuration::from_micros_f64(inner.send.cost.data_put_post_us);
         let control_post = SimDuration::from_micros_f64(inner.send.cost.control_put_post_us);
         loop {
             let entry = { inner.pending.lock().queue.pop_front() };
             let Some((k, data_put, flag_span)) = entry else { break };
-            let t0 = ctx.now();
+            let t0 = p.now();
             let rank = Some(inner.send.my_rank as u32);
             if data_put {
-                ctx.advance(data_post);
-                let h = ctx.handle();
+                p.advance(data_post).await;
+                let h = p.handle();
                 let pe_span = h
                     .trace()
-                    .record_causal("pe_post", t0, ctx.now(), rank, Some(k as u32), flag_span);
+                    .record_causal("pe_post", t0, p.now(), rank, Some(k as u32), flag_span);
                 inner.send.issue_data_put(&h, k, pe_span, t0);
             } else {
-                ctx.advance(control_post);
-                let h = ctx.handle();
+                p.advance(control_post).await;
+                let h = p.handle();
                 let pe_span = h
                     .trace()
-                    .record_causal("pe_post", t0, ctx.now(), rank, Some(k as u32), flag_span);
+                    .record_causal("pe_post", t0, p.now(), rank, Some(k as u32), flag_span);
                 inner.send.issue_completion_flag_put(&h, k, pe_span, t0);
             }
             inner.pending.lock().processed += 1;

@@ -26,10 +26,10 @@ mod overheads;
 mod recv;
 mod send;
 
-pub use batch::pbuf_prepare_batch;
-pub use device::{prequest_create, DevicePrequest, PrequestConfig};
+pub use batch::{pbuf_prepare_batch, pbuf_prepare_batch_async};
+pub use device::{prequest_create, prequest_create_async, DevicePrequest, PrequestConfig};
 pub use overheads::{ApiOverheads, Overhead};
 pub use parcomm_mpi::{CopyMechanism, MpiError};
 pub use parcomm_shmem::ShmemError;
-pub use recv::{precv_init, PrecvRequest};
-pub use send::{psend_init, transport_of_user, PsendRequest};
+pub use recv::{precv_init, precv_init_async, PrecvRequest};
+pub use send::{psend_init, psend_init_async, transport_of_user, PsendRequest};

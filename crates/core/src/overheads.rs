@@ -58,8 +58,10 @@ impl Default for ApiOverheads {
 }
 
 impl ApiOverheads {
-    /// Sample one charge for `o` from the simulation's RNG.
-    pub fn sample(ctx: &parcomm_sim::Ctx, o: Overhead) -> parcomm_sim::SimDuration {
-        ctx.jitter_us(o.mean_us, o.sd_us)
+    /// Sample one charge for `o` from the simulation's RNG. Takes a
+    /// [`parcomm_sim::SimHandle`] so blocking code (`ctx.handle()`) and
+    /// async code (`proc.handle()`) draw it the same way.
+    pub fn sample(h: &parcomm_sim::SimHandle, o: Overhead) -> parcomm_sim::SimDuration {
+        h.jitter_us(o.mean_us, o.sd_us)
     }
 }

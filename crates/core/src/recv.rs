@@ -16,7 +16,7 @@ use parcomm_gpu::{Buffer, CostModel, MemSpace};
 use parcomm_mpi::{CopyMechanism, MpiError, MpiWorld, Rank};
 use parcomm_net::RouteClass;
 use parcomm_shmem::ShmemError;
-use parcomm_sim::{CountEvent, Ctx, SimDuration};
+use parcomm_sim::{CountEvent, Ctx, Proc, SimDuration};
 use parcomm_ucx::{AmMessage, Endpoint, Worker};
 
 use crate::channel::{
@@ -78,6 +78,19 @@ pub fn precv_init(
     buffer: &Buffer,
     partitions: usize,
 ) -> Result<PrecvRequest, MpiError> {
+    let (p, rank, buffer) = (ctx.proc(), rank.clone(), buffer.clone());
+    ctx.block_on(async move { precv_init_async(&p, &rank, src, tag, &buffer, partitions).await })
+}
+
+/// Async [`precv_init`], for code run under `Ctx::block_on`.
+pub async fn precv_init_async(
+    p: &Proc,
+    rank: &Rank,
+    src: usize,
+    tag: u64,
+    buffer: &Buffer,
+    partitions: usize,
+) -> Result<PrecvRequest, MpiError> {
     if partitions == 0 {
         return Err(MpiError::InvalidArgument {
             context: "precv_init: need at least one partition".into(),
@@ -98,7 +111,7 @@ pub fn precv_init(
         });
     }
     let overheads = ApiOverheads::default();
-    ctx.advance(ApiOverheads::sample(ctx, overheads.p2p_init));
+    p.advance(ApiOverheads::sample(&p.handle(), overheads.p2p_init)).await;
     let flags = Buffer::alloc(MemSpace::Host { node: rank.gpu().id().node }, partitions * 8);
     Ok(PrecvRequest {
         inner: Arc::new(PrecvShared {
@@ -175,6 +188,12 @@ impl PrecvRequest {
 
     /// `MPI_Start`: open a new receive epoch.
     pub fn start(&self, _ctx: &mut Ctx) -> Result<(), MpiError> {
+        self.start_epoch()
+    }
+
+    /// [`PrecvRequest::start`] without a `Ctx`: `MPI_Start` never parks,
+    /// so async code calls this directly.
+    pub fn start_epoch(&self) -> Result<(), MpiError> {
         let mut st = self.inner.state.lock();
         if st.started {
             return Err(MpiError::InvalidArgument {
@@ -193,14 +212,21 @@ impl PrecvRequest {
     /// deferred registration and rkey reply; later calls send the
     /// ready-to-receive signal.
     pub fn pbuf_prepare(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
-        self.pbuf_prepare_charged(ctx, true)
+        let (this, p) = (self.clone(), ctx.proc());
+        ctx.block_on(async move { this.pbuf_prepare_async(&p).await })
     }
 
-    /// [`PrecvRequest::pbuf_prepare`] with the overhead charge gated: a
-    /// batched tick ([`crate::pbuf_prepare_batch`]) charges the deferred
+    /// Async [`PrecvRequest::pbuf_prepare`], for code run under
+    /// `Ctx::block_on`.
+    pub async fn pbuf_prepare_async(&self, p: &Proc) -> Result<(), MpiError> {
+        self.pbuf_prepare_charged(p, true).await
+    }
+
+    /// [`PrecvRequest::pbuf_prepare_async`] with the overhead charge gated:
+    /// a batched tick ([`crate::pbuf_prepare_batch`]) charges the deferred
     /// MCA-init portion of the first-call cost once for the whole batch and
     /// bills every further channel only its own registration increment.
-    pub(crate) fn pbuf_prepare_charged(&self, ctx: &mut Ctx, charge: bool) -> Result<(), MpiError> {
+    pub(crate) async fn pbuf_prepare_charged(&self, p: &Proc, charge: bool) -> Result<(), MpiError> {
         let (first, epoch) = {
             let st = self.inner.state.lock();
             if !st.started {
@@ -219,9 +245,9 @@ impl PrecvRequest {
             } else {
                 inner.overheads.pbuf_prepare_batch_extra
             };
-            ctx.advance(ApiOverheads::sample(ctx, o));
+            p.advance(ApiOverheads::sample(&p.handle(), o)).await;
             let setup_tag = am_tag(Channel::Setup, inner.tag, inner.src, inner.my_rank);
-            let msg = inner.recv_handshake(ctx, setup_tag, "sender setup")?;
+            let msg = inner.recv_handshake(p, setup_tag, "sender setup").await?;
             let ss = msg.payload.downcast::<SenderSetup>().expect("setup payload type mismatch");
             if ss.user_partitions != inner.user_partitions {
                 return Err(MpiError::InvalidArgument {
@@ -304,7 +330,7 @@ impl PrecvRequest {
                 }
             }
         } else {
-            ctx.advance(ApiOverheads::sample(ctx, inner.overheads.pbuf_prepare_steady));
+            p.advance(ApiOverheads::sample(&p.handle(), inner.overheads.pbuf_prepare_steady)).await;
             let ep = inner.state.lock().ep_to_sender.clone().expect("prepared state lost");
             ep.am_send(
                 am_tag(Channel::ReadyToReceive, inner.tag, inner.src, inner.my_rank),
@@ -339,7 +365,10 @@ impl PrecvRequest {
     /// flight). Honors the wait watchdog like [`PrecvRequest::wait`].
     pub fn wait_arrivals(&self, ctx: &mut Ctx, n: u64) -> Result<(), MpiError> {
         let target = n.min(self.inner.user_partitions as u64);
-        self.inner.wait_arrived(ctx, target, "partial partition arrival")
+        let (inner, p) = (self.inner.clone(), ctx.proc());
+        ctx.block_on(async move {
+            inner.wait_arrived(&p, target, "partial partition arrival").await
+        })
     }
 
     /// `MPI_Wait` (receiver side): block until every user partition of the
@@ -353,6 +382,12 @@ impl PrecvRequest {
     /// engine, dropped control message — returns
     /// [`MpiError::WaitTimeout`] instead of hanging the simulation.
     pub fn wait(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
+        let (this, p) = (self.clone(), ctx.proc());
+        ctx.block_on(async move { this.wait_async(&p).await })
+    }
+
+    /// Async [`PrecvRequest::wait`], for code run under `Ctx::block_on`.
+    pub async fn wait_async(&self, p: &Proc) -> Result<(), MpiError> {
         {
             let st = self.inner.state.lock();
             if !st.started {
@@ -361,15 +396,16 @@ impl PrecvRequest {
                 });
             }
         }
-        self.inner.wait_arrived(ctx, self.inner.user_partitions as u64, "partition arrival")?;
+        self.inner.wait_arrived(p, self.inner.user_partitions as u64, "partition arrival").await?;
         let mirror = self.inner.state.lock().device_mirror.clone();
         if let Some(m) = mirror {
             // Host→device copy of the flag words over C2C.
             m.copy_from_buffer(0, &self.inner.flags, 0, self.inner.user_partitions * 8);
-            ctx.advance(SimDuration::from_micros_f64(
+            p.advance(SimDuration::from_micros_f64(
                 self.inner.user_partitions as f64 * 8.0 / (self.inner.cost.hbm_bw_gbps * 1e3)
                     + 0.6,
-            ));
+            ))
+            .await;
         }
         self.inner.state.lock().started = false;
         Ok(())
@@ -433,12 +469,13 @@ impl PrecvShared {
     /// Handshake receive honoring the wait watchdog: without one armed this
     /// is exactly the seed's unbounded `am_recv`; with one armed, a dead
     /// peer surfaces a typed timeout instead of parking this rank forever.
-    fn recv_handshake(&self, ctx: &mut Ctx, tag: u64, what: &str) -> Result<AmMessage, MpiError> {
+    async fn recv_handshake(&self, p: &Proc, tag: u64, what: &str) -> Result<AmMessage, MpiError> {
         match self.world.config().wait_watchdog_us {
-            None => Ok(self.worker.am_recv(ctx, tag)),
+            None => Ok(self.worker.am_recv_async(p, tag).await),
             Some(t) => self
                 .worker
-                .am_recv_timeout(ctx, tag, SimDuration::from_micros_f64(t))
+                .am_recv_timeout_async(p, tag, SimDuration::from_micros_f64(t))
+                .await
                 .ok_or_else(|| MpiError::WaitTimeout {
                     rank: self.my_rank,
                     context: format!("precv {what} (src {})", self.src),
@@ -450,12 +487,12 @@ impl PrecvShared {
     }
 
     /// Wait for `target` arrivals, honoring the world's wait watchdog.
-    fn wait_arrived(&self, ctx: &mut Ctx, target: u64, what: &str) -> Result<(), MpiError> {
+    async fn wait_arrived(&self, p: &Proc, target: u64, what: &str) -> Result<(), MpiError> {
         match self.world.config().wait_watchdog_us {
-            None => ctx.wait_count(&self.arrived, target),
+            None => p.wait_count(&self.arrived, target).await,
             Some(timeout_us) => {
                 let dt = SimDuration::from_micros_f64(timeout_us);
-                if !ctx.wait_count_timeout(&self.arrived, target, dt) {
+                if !p.wait_count_timeout(&self.arrived, target, dt).await {
                     return Err(MpiError::WaitTimeout {
                         rank: self.my_rank,
                         context: format!("precv {what} (src {})", self.src),

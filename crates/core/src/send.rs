@@ -18,8 +18,15 @@
 //! Device bindings (`MPIX_Pready` from inside a kernel) live in
 //! `crate::device` and drive the same state machine through the crate-
 //! internal `mark_ready` / `issue_*` entry points.
+//!
+//! Every call that can park is implemented once, as an `async fn` over a
+//! [`Proc`] (`psend_init_async`, `pbuf_prepare_async`, `wait_async`, ...);
+//! the blocking form runs it under `Ctx::block_on`. `MPI_Start` never
+//! parks, so [`PsendRequest::start_epoch`] serves async code directly.
 
+use std::future::Future;
 use std::ops::Range;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -146,8 +153,10 @@ pub(crate) struct PsendShared {
     pub shmem_failure: Arc<Mutex<Option<ShmemError>>>,
 }
 
-/// Boxed host-drain callback; see [`PsendShared::device_drain`].
-pub type DrainHook = Box<dyn FnMut(&mut Ctx) + Send>;
+/// Boxed host-drain callback; see [`PsendShared::device_drain`]. It returns
+/// the drain as a future, which the recovery ladder awaits inside
+/// [`PsendRequest::wait_async`].
+pub type DrainHook = Box<dyn FnMut(&Proc) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send>;
 
 /// A persistent partitioned send channel (`MPI_Psend_init` result).
 #[derive(Clone)]
@@ -162,6 +171,19 @@ pub struct PsendRequest {
 /// first [`PsendRequest::pbuf_prepare`].
 pub fn psend_init(
     ctx: &mut Ctx,
+    rank: &Rank,
+    dest: usize,
+    tag: u64,
+    buffer: &Buffer,
+    partitions: usize,
+) -> Result<PsendRequest, MpiError> {
+    let (p, rank, buffer) = (ctx.proc(), rank.clone(), buffer.clone());
+    ctx.block_on(async move { psend_init_async(&p, &rank, dest, tag, &buffer, partitions).await })
+}
+
+/// Async [`psend_init`], for code run under `Ctx::block_on`.
+pub async fn psend_init_async(
+    p: &Proc,
     rank: &Rank,
     dest: usize,
     tag: u64,
@@ -193,7 +215,7 @@ pub fn psend_init(
         });
     }
     let overheads = ApiOverheads::default();
-    ctx.advance(ApiOverheads::sample(ctx, overheads.p2p_init));
+    p.advance(ApiOverheads::sample(&p.handle(), overheads.p2p_init)).await;
 
     let endpoint = rank.worker().create_endpoint(rank.peer_address(dest))?;
     let setup = SenderSetup {
@@ -356,6 +378,12 @@ impl PsendRequest {
 
     /// `MPI_Start`: open a new communication epoch.
     pub fn start(&self, _ctx: &mut Ctx) -> Result<(), MpiError> {
+        self.start_epoch()
+    }
+
+    /// [`PsendRequest::start`] without a `Ctx`: `MPI_Start` never parks,
+    /// so async code calls this directly.
+    pub fn start_epoch(&self) -> Result<(), MpiError> {
         let mut st = self.inner.state.lock();
         if st.started {
             return Err(MpiError::InvalidArgument {
@@ -392,15 +420,22 @@ impl PsendRequest {
     /// `MPIX_Pbuf_prepare` (sender side): block until the receiver's buffer
     /// is guaranteed ready for this epoch.
     pub fn pbuf_prepare(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
-        self.pbuf_prepare_charged(ctx, true)
+        let (this, p) = (self.clone(), ctx.proc());
+        ctx.block_on(async move { this.pbuf_prepare_async(&p).await })
     }
 
-    /// [`PsendRequest::pbuf_prepare`] with the overhead charge gated: a
-    /// batched tick ([`crate::pbuf_prepare_batch`]) charges the full
+    /// Async [`PsendRequest::pbuf_prepare`], for code run under
+    /// `Ctx::block_on`.
+    pub async fn pbuf_prepare_async(&self, p: &Proc) -> Result<(), MpiError> {
+        self.pbuf_prepare_charged(p, true).await
+    }
+
+    /// [`PsendRequest::pbuf_prepare_async`] with the overhead charge gated:
+    /// a batched tick ([`crate::pbuf_prepare_batch`]) charges the full
     /// first-call overhead once and bills every further channel the
     /// per-channel batch increment instead. The handshake protocol itself
     /// (reply / RTR consumption) is identical either way.
-    pub(crate) fn pbuf_prepare_charged(&self, ctx: &mut Ctx, charge: bool) -> Result<(), MpiError> {
+    pub(crate) async fn pbuf_prepare_charged(&self, p: &Proc, charge: bool) -> Result<(), MpiError> {
         let (first, epoch) = {
             let st = self.inner.state.lock();
             if !st.started {
@@ -416,9 +451,9 @@ impl PsendRequest {
             } else {
                 self.inner.overheads.pbuf_prepare_batch_extra
             };
-            ctx.advance(ApiOverheads::sample(ctx, o));
+            p.advance(ApiOverheads::sample(&p.handle(), o)).await;
             let reply_tag = am_tag(Channel::SetupReply, self.inner.tag, self.inner.my_rank, self.inner.dest);
-            let msg = self.recv_handshake(ctx, reply_tag, "setup reply")?;
+            let msg = self.recv_handshake(p, reply_tag, "setup reply").await?;
             // The receiver decides the mechanism and its reply *type* is the
             // verdict: a shmem reply carries two symmetric offsets instead
             // of packed rkeys. Try the shmem shape first; a mismatch hands
@@ -474,9 +509,10 @@ impl PsendRequest {
                 }
             }
         } else {
-            ctx.advance(ApiOverheads::sample(ctx, self.inner.overheads.pbuf_prepare_steady));
+            p.advance(ApiOverheads::sample(&p.handle(), self.inner.overheads.pbuf_prepare_steady))
+                .await;
             let rtr_tag = am_tag(Channel::ReadyToReceive, self.inner.tag, self.inner.my_rank, self.inner.dest);
-            let msg = self.recv_handshake(ctx, rtr_tag, "ready-to-receive")?;
+            let msg = self.recv_handshake(p, rtr_tag, "ready-to-receive").await?;
             let rtr = msg.payload.downcast::<ReadyToReceive>().expect("RTR payload type mismatch");
             if rtr.epoch != epoch {
                 return Err(MpiError::InvalidArgument {
@@ -549,6 +585,12 @@ impl PsendRequest {
     /// after `max_replays` fruitless rounds does the typed
     /// [`MpiError::Unrecoverable`] surface.
     pub fn wait(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
+        let (this, p) = (self.clone(), ctx.proc());
+        ctx.block_on(async move { this.wait_async(&p).await })
+    }
+
+    /// Async [`PsendRequest::wait`], for code run under `Ctx::block_on`.
+    pub async fn wait_async(&self, p: &Proc) -> Result<(), MpiError> {
         let t = {
             let st = self.inner.state.lock();
             if !st.started {
@@ -560,14 +602,14 @@ impl PsendRequest {
         };
         let recover = self.inner.world.config().recover.clone();
         match (recover, self.inner.world.config().wait_watchdog_us) {
-            (None, None) => ctx.wait_count(&self.inner.transport_complete, t),
+            (None, None) => p.wait_count(&self.inner.transport_complete, t).await,
             (None, Some(timeout_us)) => {
                 let instruments = self.inner.world.instruments();
                 if let Some(ins) = &instruments {
                     ins.watchdog_arms.inc();
                 }
                 let dt = SimDuration::from_micros_f64(timeout_us);
-                if !ctx.wait_count_timeout(&self.inner.transport_complete, t, dt) {
+                if !p.wait_count_timeout(&self.inner.transport_complete, t, dt).await {
                     if let Some(ins) = &instruments {
                         ins.watchdog_fires.inc();
                     }
@@ -583,7 +625,7 @@ impl PsendRequest {
                     if let Some(ins) = &instruments {
                         ins.watchdog_arms.inc();
                     }
-                    if ctx.wait_count_timeout(&self.inner.transport_complete, t, dt) {
+                    if p.wait_count_timeout(&self.inner.transport_complete, t, dt).await {
                         break;
                     }
                     if let Some(ins) = &instruments {
@@ -601,13 +643,13 @@ impl PsendRequest {
                         });
                     }
                     attempts += 1;
-                    if self.inner.progression.lease_expired(ctx.now(), rc.lease_us) {
+                    if self.inner.progression.lease_expired(p.now(), rc.lease_us) {
                         if let Some(ins) = &instruments {
                             ins.recover_lease_expired.inc();
                         }
-                        self.inner.host_drain_device(ctx);
+                        self.inner.host_drain_device(p).await;
                     }
-                    self.recover_epoch(ctx);
+                    self.inner.recover_epoch(p).await;
                 }
             }
         }
@@ -667,9 +709,9 @@ impl PsendRequest {
     /// is exactly the seed's unbounded `am_recv` (zero extra events); with
     /// one armed, a dead peer surfaces a typed timeout instead of parking
     /// this rank forever.
-    fn recv_handshake(&self, ctx: &mut Ctx, tag: u64, what: &str) -> Result<AmMessage, MpiError> {
+    async fn recv_handshake(&self, p: &Proc, tag: u64, what: &str) -> Result<AmMessage, MpiError> {
         match self.inner.world.config().wait_watchdog_us {
-            None => Ok(self.inner.worker.am_recv(ctx, tag)),
+            None => Ok(self.inner.worker.am_recv_async(p, tag).await),
             Some(t) => {
                 let instruments = self.inner.world.instruments();
                 if let Some(ins) = &instruments {
@@ -677,7 +719,8 @@ impl PsendRequest {
                 }
                 self.inner
                     .worker
-                    .am_recv_timeout(ctx, tag, SimDuration::from_micros_f64(t))
+                    .am_recv_timeout_async(p, tag, SimDuration::from_micros_f64(t))
+                    .await
                     .ok_or_else(|| {
                         if let Some(ins) = &instruments {
                             ins.watchdog_fires.inc();
@@ -724,14 +767,17 @@ impl PsendShared {
 
     /// Host-drain takeover: run the registered device-notification drain (if
     /// the device path is in use) from the calling context. Exactly-once is
-    /// guaranteed by the shared queue the drain pops from.
-    pub(crate) fn host_drain_device(&self, ctx: &mut Ctx) {
-        let mut slot = self.device_drain.lock();
-        if let Some(drain) = slot.as_mut() {
+    /// guaranteed by the shared queue the drain pops from. The drain's
+    /// future is taken out under the slot's lock and awaited after the
+    /// guard is gone, so no other process can block on the slot while the
+    /// drain is parked.
+    pub(crate) async fn host_drain_device(&self, p: &Proc) {
+        let drain = self.device_drain.lock().as_mut().map(|drain| drain(p));
+        if let Some(drain) = drain {
             if let Some(ins) = self.world.instruments() {
                 ins.recover_host_drains.inc();
             }
-            drain(ctx);
+            drain.await;
         }
     }
 

@@ -22,5 +22,5 @@ pub use error::MpiError;
 pub use mechanism::CopyMechanism;
 pub use p2p::P2pOp;
 pub use persistent::PersistentRequest;
-pub use progress::{HookOutcome, PeFaultConfig, ProgressionEngine};
+pub use progress::{HookFuture, HookOutcome, PeFaultConfig, ProgressionEngine};
 pub use world::{MpiInstruments, MpiWorld, Rank, RecoverConfig, WorldConfig};

@@ -344,6 +344,10 @@ impl std::fmt::Debug for MpiWorld {
 
 /// The per-rank MPI handle: identity, device, worker, and the progression
 /// engine. The MPI surface (send/recv, allreduce, barrier) hangs off this.
+///
+/// Every field is a shared handle, so a clone is the same rank: async code
+/// run under `Ctx::block_on` takes one into its `'static` future.
+#[derive(Clone)]
 pub struct Rank {
     world: MpiWorld,
     rank: usize,

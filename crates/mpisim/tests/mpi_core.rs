@@ -203,13 +203,13 @@ fn progression_engine_runs_hooks_until_removed() {
     world.run_ranks(&mut sim, move |ctx, rank| {
         if rank.rank() == 0 {
             let c3 = c2.clone();
-            rank.progression().register(&ctx.handle(), move |_ctx| {
+            rank.progression().register(&ctx.handle(), move |_p| {
                 let n = c3.fetch_add(1, Ordering::Relaxed) + 1;
-                if n >= 5 {
+                Box::pin(std::future::ready(if n >= 5 {
                     HookOutcome::Remove
                 } else {
                     HookOutcome::Keep
-                }
+                }))
             });
             // Give the engine time to run the hook to completion.
             ctx.advance(SimDuration::from_micros(100));

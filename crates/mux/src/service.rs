@@ -56,14 +56,15 @@
 //! prepare batches, each paying one first-call registration charge.
 
 use parcomm_core::{
-    pbuf_prepare_batch, precv_init, psend_init, MpiError, PrecvRequest, PsendRequest,
+    pbuf_prepare_batch_async, precv_init_async, psend_init_async, MpiError, PrecvRequest,
+    PsendRequest,
 };
 use parcomm_gpu::Buffer;
 use parcomm_mpi::{CopyMechanism, MpiWorld, Rank};
 use parcomm_net::MultiPathPlan;
 use parcomm_obs::{Counter, Histogram};
 use parcomm_shmem::SHMEM_ALIGN;
-use parcomm_sim::Ctx;
+use parcomm_sim::{Ctx, Proc};
 
 use crate::admission::{AdmissionError, ChannelSpec, Direction};
 use crate::fairness::WeightedFair;
@@ -144,6 +145,111 @@ struct Pending {
     /// (request created, `MPI_Start`-ed, stripes assigned). The grant
     /// tick then only pays the prepare.
     inited: Option<(MuxChannel, usize)>,
+}
+
+/// The admission state a tick works on. A tick moves it out of the
+/// service so that its parking part runs over owned data: the blocking
+/// [`MuxService::tick`] polls it as a `'static` future, and
+/// [`MuxService::tick_async`] awaits the same code.
+struct Backlog {
+    world: MpiWorld,
+    tick_batch: usize,
+    arbiter: WeightedFair,
+    pending: Vec<Vec<Pending>>,
+}
+
+impl Backlog {
+    /// Phases 0–2 of a tick (module docs); returns the backlog and the
+    /// granted channels, prepared, in admission order.
+    async fn tick(mut self, p: &Proc, rank: &Rank) -> (Backlog, Result<Vec<Pending>, MpiError>) {
+        let granted = self.grant(p, rank).await;
+        (self, granted)
+    }
+
+    async fn grant(&mut self, p: &Proc, rank: &Rank) -> Result<Vec<Pending>, MpiError> {
+        // Canonical within-tenant order first (receives before sends;
+        // descending so pop() drains the smallest key): both the init
+        // pass below and the grant selection walk this order, keeping
+        // the whole tick — inits included — invariant under any
+        // submission shuffle.
+        for q in &mut self.pending {
+            q.sort_by_key(|e| std::cmp::Reverse(e.spec.canonical_key()));
+        }
+
+        // Phase 0 — init + start the *entire* backlog, granted this tick
+        // or not. Inits only send setup messages, so nothing here blocks;
+        // after the first tick every handshake any peer's receive could
+        // wait on is already in flight. The expensive coalesced work
+        // (first-call prepare registration) stays per-grant below.
+        let topo = self.world.topology();
+        let my_loc = self.world.gpu_of(rank.rank()).location();
+        for q in &mut self.pending {
+            for e in q.iter_mut().rev().filter(|e| e.inited.is_none()) {
+                let (chan, stripes) = match e.spec.direction {
+                    Direction::Recv => {
+                        let r = precv_init_async(
+                            p, rank, e.spec.peer, e.spec.tag, &e.buffer, e.spec.partitions,
+                        )
+                        .await?;
+                        r.start_epoch()?;
+                        (MuxChannel::Recv(r), 1)
+                    }
+                    Direction::Send => {
+                        let s = psend_init_async(
+                            p, rank, e.spec.peer, e.spec.tag, &e.buffer, e.spec.partitions,
+                        )
+                        .await?;
+                        s.start_epoch()?;
+                        let peer_loc = self.world.gpu_of(e.spec.peer).location();
+                        let budget = MultiPathPlan::path_budget(&topo, my_loc, peer_loc);
+                        let stripes = if budget > 1 {
+                            let share = self.arbiter.share(budget as u64)[e.spec.tenant];
+                            let stripes = (share.max(1) as usize).min(budget);
+                            s.set_stripes(stripes)?;
+                            stripes
+                        } else {
+                            1
+                        };
+                        (MuxChannel::Send(s), stripes)
+                    }
+                };
+                e.inited = Some((chan, stripes));
+            }
+        }
+
+        // Phase 1 — weighted-fair grant selection over the sorted queues.
+        // The recv-first canonical order keeps multi-tick admission
+        // deadlock-free (module docs).
+        let mut grants: Vec<Pending> = Vec::new();
+        while grants.len() < self.tick_batch {
+            let eligible: Vec<bool> = self.pending.iter().map(|q| !q.is_empty()).collect();
+            let Some(t) = self.arbiter.pick(&eligible) else { break };
+            grants.push(self.pending[t].pop().expect("eligible tenant has pending"));
+        }
+
+        // Phase 2 — one batched prepare for the whole tick, receives
+        // before sends: the first channel pays the full first-call
+        // charge, every other channel only the batch increment.
+        let chans = grants.iter().map(|g| &g.inited.as_ref().expect("inited in phase 0").0);
+        let recvs: Vec<PrecvRequest> = chans.clone().filter_map(|c| c.recv().cloned()).collect();
+        let sends: Vec<PsendRequest> = chans.filter_map(|c| c.send().cloned()).collect();
+        pbuf_prepare_batch_async(p, &recvs, &sends).await?;
+        Ok(grants)
+    }
+}
+
+/// `MPI_Start` plus the steady `MPIX_Pbuf_prepare` on an admitted channel.
+async fn restart_epoch(p: &Proc, chan: &MuxChannel) -> Result<(), MpiError> {
+    match chan {
+        MuxChannel::Send(s) => {
+            s.start_epoch()?;
+            s.pbuf_prepare_async(p).await
+        }
+        MuxChannel::Recv(r) => {
+            r.start_epoch()?;
+            r.pbuf_prepare_async(p).await
+        }
+    }
 }
 
 struct TenantMetrics {
@@ -313,95 +419,52 @@ impl MuxService {
     /// return their ids in admission order. See the module docs for the
     /// ordering and pairing contract.
     pub fn tick(&mut self, ctx: &mut Ctx, rank: &Rank) -> Result<Vec<MuxChannelId>, MpiError> {
-        // Canonical within-tenant order first (receives before sends;
-        // descending so pop() drains the smallest key): both the init
-        // pass below and the grant selection walk this order, keeping
-        // the whole tick — inits included — invariant under any
-        // submission shuffle.
-        for q in &mut self.pending {
-            q.sort_by_key(|e| std::cmp::Reverse(e.spec.canonical_key()));
-        }
+        let backlog = self.take_backlog();
+        let (p, rank) = (ctx.proc(), rank.clone());
+        let ticked = ctx.block_on(async move { backlog.tick(&p, &rank).await });
+        self.commit_tick(ticked)
+    }
 
-        // Phase 0 — init + start the *entire* backlog, granted this tick
-        // or not. Inits only send setup messages, so nothing here blocks;
-        // after the first tick every handshake any peer's receive could
-        // wait on is already in flight. The expensive coalesced work
-        // (first-call prepare registration) stays per-grant below.
-        let topo = self.world.topology();
-        let my_loc = self.world.gpu_of(rank.rank()).location();
-        for q in &mut self.pending {
-            for p in q.iter_mut().rev().filter(|p| p.inited.is_none()) {
-                let (chan, stripes) = match p.spec.direction {
-                    Direction::Recv => {
-                        let r = precv_init(
-                            ctx, rank, p.spec.peer, p.spec.tag, &p.buffer, p.spec.partitions,
-                        )?;
-                        r.start(ctx)?;
-                        (MuxChannel::Recv(r), 1)
-                    }
-                    Direction::Send => {
-                        let s = psend_init(
-                            ctx, rank, p.spec.peer, p.spec.tag, &p.buffer, p.spec.partitions,
-                        )?;
-                        s.start(ctx)?;
-                        let peer_loc = self.world.gpu_of(p.spec.peer).location();
-                        let budget = MultiPathPlan::path_budget(&topo, my_loc, peer_loc);
-                        let stripes = if budget > 1 {
-                            let share = self.arbiter.share(budget as u64)[p.spec.tenant];
-                            let stripes = (share.max(1) as usize).min(budget);
-                            s.set_stripes(stripes)?;
-                            stripes
-                        } else {
-                            1
-                        };
-                        (MuxChannel::Send(s), stripes)
-                    }
-                };
-                p.inited = Some((chan, stripes));
-            }
-        }
+    /// Async [`MuxService::tick`], for code run under `Ctx::block_on`.
+    pub async fn tick_async(
+        &mut self,
+        p: &Proc,
+        rank: &Rank,
+    ) -> Result<Vec<MuxChannelId>, MpiError> {
+        let ticked = self.take_backlog().tick(p, rank).await;
+        self.commit_tick(ticked)
+    }
 
-        // Phase 1 — weighted-fair grant selection over the sorted queues.
-        // The recv-first canonical order keeps multi-tick admission
-        // deadlock-free (module docs).
-        let mut grants: Vec<Pending> = Vec::new();
-        while grants.len() < self.tick_batch {
-            let eligible: Vec<bool> = self.pending.iter().map(|q| !q.is_empty()).collect();
-            let Some(t) = self.arbiter.pick(&eligible) else { break };
-            grants.push(self.pending[t].pop().expect("eligible tenant has pending"));
-            self.pending_total -= 1;
+    /// Move the admission queues and the arbiter out for a tick's future.
+    fn take_backlog(&mut self) -> Backlog {
+        Backlog {
+            world: self.world.clone(),
+            tick_batch: self.tick_batch,
+            arbiter: self.arbiter.clone(),
+            pending: std::mem::take(&mut self.pending),
         }
-        if grants.is_empty() {
-            return Ok(Vec::new());
-        }
-        let opened: Vec<(ChannelSpec, MuxChannel, usize, u64)> = grants
+    }
+
+    /// Put a tick's backlog back and insert its admitted channels into the
+    /// table in admission order: id assignment is deterministic, epoch 1
+    /// is live on every admitted channel.
+    fn commit_tick(
+        &mut self,
+        (backlog, admitted): (Backlog, Result<Vec<Pending>, MpiError>),
+    ) -> Result<Vec<MuxChannelId>, MpiError> {
+        self.arbiter = backlog.arbiter;
+        self.pending = backlog.pending;
+        self.pending_total = self.pending.iter().map(Vec::len).sum();
+        let ids = admitted?
             .into_iter()
             .map(|p| {
                 let (chan, stripes) = p.inited.expect("phase 0 inited the whole backlog");
-                (p.spec, chan, stripes, p.shmem_bytes)
-            })
-            .collect();
-
-        // Phase 2 — one batched prepare for the whole tick, receives
-        // before sends: the first channel pays the full first-call
-        // charge, every other channel only the batch increment.
-        let recvs: Vec<PrecvRequest> =
-            opened.iter().filter_map(|(_, c, _, _)| c.recv().cloned()).collect();
-        let sends: Vec<PsendRequest> =
-            opened.iter().filter_map(|(_, c, _, _)| c.send().cloned()).collect();
-        pbuf_prepare_batch(ctx, &recvs, &sends)?;
-
-        // Phase 3 — table insertion in admission order: id assignment is
-        // deterministic, epoch 1 is live on every admitted channel.
-        let ids = opened
-            .into_iter()
-            .map(|(spec, chan, stripes, shmem_bytes)| {
                 self.table.insert(AdmittedChannel {
-                    spec,
+                    spec: p.spec,
                     chan,
                     stripes,
                     epochs_run: 0,
-                    shmem_bytes,
+                    shmem_bytes: p.shmem_bytes,
                 })
             })
             .collect();
@@ -453,25 +516,37 @@ impl MuxService {
     /// tick left epoch 1 started and prepared; later calls run
     /// `MPI_Start` plus the steady (cheap) `MPIX_Pbuf_prepare`.
     pub fn begin_epoch(&mut self, ctx: &mut Ctx, id: MuxChannelId) -> Result<MuxChannel, MpiError> {
+        let (chan, first) = self.next_epoch(id)?;
+        if !first {
+            let (c, p) = (chan.clone(), ctx.proc());
+            ctx.block_on(async move { restart_epoch(&p, &c).await })?;
+        }
+        Ok(chan)
+    }
+
+    /// Async [`MuxService::begin_epoch`], for code run under
+    /// `Ctx::block_on`.
+    pub async fn begin_epoch_async(
+        &mut self,
+        p: &Proc,
+        id: MuxChannelId,
+    ) -> Result<MuxChannel, MpiError> {
+        let (chan, first) = self.next_epoch(id)?;
+        if !first {
+            restart_epoch(p, &chan).await?;
+        }
+        Ok(chan)
+    }
+
+    /// Epoch bookkeeping of [`MuxService::begin_epoch`]: the channel, and
+    /// whether this is its first epoch (already opened by the tick).
+    fn next_epoch(&mut self, id: MuxChannelId) -> Result<(MuxChannel, bool), MpiError> {
         let ch = self.table.get_mut(id).ok_or_else(|| MpiError::InvalidArgument {
             context: format!("begin_epoch: stale or unknown channel id {id}"),
         })?;
         let first = ch.epochs_run == 0;
         ch.epochs_run += 1;
-        let chan = ch.chan.clone();
-        if !first {
-            match &chan {
-                MuxChannel::Send(s) => {
-                    s.start(ctx)?;
-                    s.pbuf_prepare(ctx)?;
-                }
-                MuxChannel::Recv(r) => {
-                    r.start(ctx)?;
-                    r.pbuf_prepare(ctx)?;
-                }
-            }
-        }
-        Ok(chan)
+        Ok((ch.chan.clone(), first))
     }
 
     /// Run one full host-driven epoch on a sender-side channel: begin,

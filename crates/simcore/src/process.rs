@@ -261,8 +261,15 @@ impl Proc {
         self.handle.clone()
     }
 
-    fn is_shutdown(&self) -> bool {
+    /// True once the simulation is winding down daemons; see
+    /// [`Ctx::is_shutdown`].
+    pub fn is_shutdown(&self) -> bool {
         sched::is_shutdown(&self.handle.core)
+    }
+
+    /// Draw from the simulation's deterministic RNG.
+    pub fn with_rng<T>(&self, f: impl FnOnce(&mut SimRng) -> T) -> T {
+        self.handle.with_rng(f)
     }
 
     /// Sample a normally distributed duration (clamped at zero), in
@@ -284,6 +291,20 @@ impl Proc {
                 return set;
             }
             Suspend(false).await;
+        }
+    }
+
+    /// Async [`Ctx::wait_timeout`].
+    pub async fn wait_timeout(&self, event: &Event, dt: SimDuration) -> bool {
+        let deadline = self.now() + dt;
+        loop {
+            match self.park_on_event_until(event, deadline) {
+                Ok(set) => return set,
+                Err(backstop) => {
+                    Suspend(false).await;
+                    sched::cancel_backstop(&self.handle.core, backstop);
+                }
+            }
         }
     }
 

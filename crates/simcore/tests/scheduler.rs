@@ -815,3 +815,91 @@ fn daemon_parked_in_block_on_is_released_at_shutdown() {
     sim.run().unwrap();
     assert_eq!(*released.lock(), Some((false, true)), "released by shutdown, wait returns false");
 }
+
+/// One timed wait on an event that a second process sets `fire_at` µs in;
+/// the waiter gives up after `timeout` µs. With `async_wait` the wait is
+/// `Proc::wait_timeout` under `block_on`, else `Ctx::wait_timeout`.
+/// Returns the wait's result and the run.
+fn timed_event_wait(async_wait: bool, fire_at: u64, timeout: u64) -> (bool, ProgramRun) {
+    let mut sim = Simulation::with_seed(3);
+    let trace = sim.trace();
+    trace.enable();
+    let ev = Event::named("fired");
+    let result = Arc::new(Mutex::new(None));
+    let e2 = ev.clone();
+    sim.spawn("setter", move |ctx| {
+        ctx.advance(us(fire_at));
+        e2.set(&ctx.handle());
+    });
+    let r2 = result.clone();
+    sim.spawn("waiter", move |ctx| {
+        let t0 = ctx.now();
+        let set = if async_wait {
+            let p = ctx.proc();
+            ctx.block_on(async move { p.wait_timeout(&ev, us(timeout)).await })
+        } else {
+            ctx.wait_timeout(&ev, us(timeout))
+        };
+        ctx.handle().trace().record_attr("wait", t0, ctx.now(), Some(set as u32), None, SpanId::NONE);
+        *r2.lock() = Some(set);
+    });
+    let report = sim.run().unwrap();
+    let spans = trace
+        .spans()
+        .iter()
+        .map(|s| (s.category, s.start.as_nanos(), s.end.as_nanos(), s.rank, s.partition))
+        .collect();
+    let set = result.lock().expect("waiter finished");
+    (set, ProgramRun { end_time: report.end_time, events_processed: report.events_processed, spans })
+}
+
+#[test]
+fn proc_wait_timeout_matches_ctx_wait_timeout() {
+    // (fire_at, timeout, expected result): the event wins, the deadline
+    // wins, and the event is set exactly at the deadline (counts as set).
+    for (fire_at, timeout, want) in [(3, 10, true), (10, 3, false), (5, 5, true)] {
+        let blocking = timed_event_wait(false, fire_at, timeout);
+        let polled = timed_event_wait(true, fire_at, timeout);
+        assert_eq!(polled, blocking, "fire_at {fire_at} timeout {timeout}");
+        assert_eq!(polled.0, want, "fire_at {fire_at} timeout {timeout}");
+    }
+    // The event won, so the backstop at 10 µs was cancelled and never
+    // stretches the run past the event.
+    let (_, run) = timed_event_wait(true, 3, 10);
+    assert_eq!(run.end_time, SimTime::ZERO + us(3));
+}
+
+#[test]
+fn daemon_whose_body_is_one_future_exits_at_shutdown() {
+    let mut sim = Simulation::with_seed(1);
+    let work = Event::named("work");
+    let served = Arc::new(Mutex::new(None));
+    let (w2, s2) = (work.clone(), served.clone());
+    sim.spawn_daemon("engine", move |ctx| {
+        let p = ctx.proc();
+        let n = ctx.block_on(async move {
+            let mut n = 0u32;
+            while !p.is_shutdown() {
+                if !p.wait(&w2).await {
+                    break; // released by shutdown
+                }
+                w2.reset();
+                n += 1;
+                p.advance(us(1)).await;
+            }
+            n
+        });
+        *s2.lock() = Some((n, ctx.is_shutdown()));
+    });
+    sim.spawn("client", move |ctx| {
+        for _ in 0..3 {
+            work.set(&ctx.handle());
+            ctx.advance(us(5));
+        }
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(*served.lock(), Some((3, true)), "served every request, then saw shutdown");
+    // The engine's thread runs only at its start and once at the end; the
+    // client's thread wakes once per advance.
+    assert!(report.handoffs <= 2 + 3 + 1, "{} handoffs", report.handoffs);
+}

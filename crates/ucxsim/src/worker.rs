@@ -19,7 +19,7 @@ use parcomm_sim::Mutex;
 use parcomm_gpu::Location;
 use parcomm_net::Fabric;
 use parcomm_obs::{Counter, Histogram, MetricsRegistry};
-use parcomm_sim::{Ctx, Event, SimDuration, SimHandle};
+use parcomm_sim::{Ctx, Event, Proc, SimDuration, SimHandle};
 
 /// Address of a worker, obtainable via [`Worker::address`] and exchangeable
 /// out of band (the simulation's universe registry plays that role).
@@ -235,12 +235,18 @@ impl Worker {
 
     /// Blocking tagged receive (virtual time).
     pub fn am_recv(&self, ctx: &mut Ctx, tag: u64) -> AmMessage {
+        let (worker, p) = (self.clone(), ctx.proc());
+        ctx.block_on(async move { worker.am_recv_async(&p, tag).await })
+    }
+
+    /// Async [`Worker::am_recv`], for code run under `Ctx::block_on`.
+    pub async fn am_recv_async(&self, p: &Proc, tag: u64) -> AmMessage {
         loop {
             if let Some(m) = self.try_am_recv(tag) {
                 return m;
             }
             let ev = self.arrival_event(tag);
-            ctx.wait(&ev);
+            p.wait(&ev).await;
         }
     }
 
@@ -254,16 +260,28 @@ impl Worker {
         tag: u64,
         timeout: SimDuration,
     ) -> Option<AmMessage> {
-        let deadline = ctx.now() + timeout;
+        let (worker, p) = (self.clone(), ctx.proc());
+        ctx.block_on(async move { worker.am_recv_timeout_async(&p, tag, timeout).await })
+    }
+
+    /// Async [`Worker::am_recv_timeout`], for code run under
+    /// `Ctx::block_on`.
+    pub async fn am_recv_timeout_async(
+        &self,
+        p: &Proc,
+        tag: u64,
+        timeout: SimDuration,
+    ) -> Option<AmMessage> {
+        let deadline = p.now() + timeout;
         loop {
             if let Some(m) = self.try_am_recv(tag) {
                 return Some(m);
             }
-            if ctx.now() >= deadline {
+            if p.now() >= deadline {
                 return None;
             }
             let ev = self.arrival_event(tag);
-            ctx.wait_timeout(&ev, deadline.since(ctx.now()));
+            p.wait_timeout(&ev, deadline.since(p.now())).await;
         }
     }
 

@@ -1,14 +1,18 @@
-//! Host-cost regression tests for the partitioned allreduce.
+//! Host-cost regression tests for code that runs as futures.
 //!
 //! `MPI_Wait`, host `MPI_Pready` and the progression-engine drain run
-//! Algorithm 2 as a future under `Ctx::block_on`: while a rank is parked
-//! inside it, the scheduler polls the future in place instead of switching
-//! to the rank's OS thread. These tests pin what that must not change — the
-//! event count, recorded from the blocking implementation it replaced — and
-//! what it must: thread handoffs are a small fraction of events.
+//! Algorithm 2 as a future under `Ctx::block_on`, and so do the MoE app's
+//! admission loop and dispatch/combine phases, the partitioned p2p calls
+//! they use, and each rank's progression-engine daemon: while a process is
+//! parked inside one, the scheduler polls the future in place instead of
+//! switching to the process's OS thread. These tests pin what that must not
+//! change — the event count, recorded from the blocking implementation it
+//! replaced — and what it must: thread handoffs are a small fraction of
+//! events.
 
 use std::sync::Arc;
 
+use parcomm::apps::{moe_reference, run_moe, MoeConfig};
 use parcomm::coll::pallreduce_init_hierarchical;
 use parcomm::mpi::PeFaultConfig;
 use parcomm::prelude::*;
@@ -131,5 +135,118 @@ fn recover_armed_allreduce_survives_pe_crash_under_block_on() {
         "{} handoffs over {} events",
         report.handoffs,
         report.events_processed
+    );
+}
+
+/// `events_processed` and process count of [`moe_cell`] at seed 501, as
+/// measured on the blocking implementation of admission, prequest creation
+/// and the dispatch/combine phases (5,101 thread handoffs there).
+const MOE_EVENTS: u64 = 13_415;
+const MOE_PROCESSES: u64 = 16;
+
+/// The benchmark's `moe` cell at seed 501: 2 GH200 nodes (8 ranks),
+/// 3 tenants with the weights that seed draws, Progression Engine copies,
+/// functional router and experts.
+fn moe_cell() -> MoeConfig {
+    MoeConfig {
+        tenants: 3,
+        tenant_weights: vec![4, 4, 3],
+        tokens_per_rank: 64,
+        hidden: 8,
+        layers: 3,
+        capacity_factor_pct: 150,
+        mechanism: CopyMechanism::ProgressionEngine,
+        functional: true,
+        seed: 501,
+    }
+}
+
+#[test]
+fn moe_cell_keeps_event_count_with_few_handoffs() {
+    let cfg = moe_cell();
+    let checksums = Arc::new(Mutex::new(vec![None; 8]));
+    let (sums, cell) = (checksums.clone(), cfg.clone());
+    let (report, _) = run_world(501, WorldConfig::gh200(2), move |ctx, rank| {
+        let r = run_moe(ctx, rank, &cell).expect("moe cell runs");
+        sums.lock()[rank.rank()] = Some(r.checksum.to_bits());
+    });
+    let want: Vec<Option<u64>> =
+        moe_reference(&cfg, 8).into_iter().map(|c| Some(c.to_bits())).collect();
+    assert_eq!(*checksums.lock(), want, "per-rank checksums must match the serial reference");
+    assert_eq!(report.events_processed, MOE_EVENTS, "event count drifted");
+    assert_eq!(report.processes, MOE_PROCESSES, "process count drifted");
+    assert!(
+        report.handoffs <= 300,
+        "{} handoffs over {} events: admission, epochs and the PE daemons must be polled in place",
+        report.handoffs,
+        report.events_processed
+    );
+}
+
+/// Rank 0 streams three host-driven epochs to rank 4 (the other node) with
+/// the wait watchdog armed, so every handshake receive goes through
+/// `am_recv_timeout_async` and every `MPI_Wait` through the watchdog. When
+/// `receiver_prepares` is false, rank 4 never calls `MPIX_Pbuf_prepare`.
+/// Returns the report and the sender's errors.
+fn watchdog_p2p(receiver_prepares: bool) -> (SimReport, Vec<MpiError>) {
+    const PARTS: usize = 8;
+    let mut cfg = WorldConfig::gh200(2);
+    cfg.wait_watchdog_us = Some(2_000.0);
+    let errors = Arc::new(Mutex::new(Vec::new()));
+    let e2 = errors.clone();
+    let (report, _) = run_world(0xD06, cfg, move |ctx, rank| {
+        let buf = rank.gpu().alloc_global(PARTS * 4096);
+        match rank.rank() {
+            0 => {
+                let s = psend_init(ctx, rank, 4, 7, &buf, PARTS).expect("psend_init");
+                for epoch in 0..3 {
+                    buf.write_f64_slice(0, &vec![(epoch + 1) as f64; PARTS * 512]);
+                    s.start(ctx).expect("start");
+                    if let Err(e) = s.pbuf_prepare(ctx) {
+                        e2.lock().push(e);
+                        return;
+                    }
+                    s.pready_range(ctx, 0..PARTS).expect("pready");
+                    s.wait(ctx).expect("send wait");
+                }
+            }
+            4 => {
+                let r = precv_init(ctx, rank, 0, 7, &buf, PARTS).expect("precv_init");
+                if !receiver_prepares {
+                    return;
+                }
+                for epoch in 0..3 {
+                    r.start(ctx).expect("start");
+                    r.pbuf_prepare(ctx).expect("recv prepare");
+                    r.wait(ctx).expect("recv wait");
+                    let got = buf.read_f64_slice(0, PARTS * 512);
+                    assert!(got.iter().all(|&v| v == (epoch + 1) as f64), "epoch {epoch} payload");
+                }
+            }
+            _ => {}
+        }
+    });
+    let errors = errors.lock().clone();
+    (report, errors)
+}
+
+#[test]
+fn watchdog_armed_p2p_keeps_event_count_and_typed_timeout() {
+    // Event counts as measured on the blocking handshake receive and wait.
+    let (report, errors) = watchdog_p2p(true);
+    assert!(errors.is_empty(), "{errors:?}");
+    assert_eq!(report.events_processed, 71, "event count drifted");
+
+    let (report, errors) = watchdog_p2p(false);
+    assert_eq!(report.events_processed, 37, "event count drifted");
+    assert_eq!(
+        errors,
+        vec![MpiError::WaitTimeout {
+            rank: 0,
+            context: "psend setup reply (dst 4)".into(),
+            completed: 0,
+            expected: 1,
+            timeout_us: 2_000.0,
+        }]
     );
 }
