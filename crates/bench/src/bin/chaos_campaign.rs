@@ -1,83 +1,97 @@
 //! Deterministic parallel chaos campaign over the `parcomm-sweep` engine.
 //!
-//! Runs the CI chaos grid — eight fault seeds × two rates of the two-node
-//! partitioned allreduce, each cell replayed twice — and prints one report
-//! line per cell in grid order. The report is **byte-identical at any
-//! worker count**: diff the stdout of a `--threads 1` run against a
-//! `--threads 4` run to prove it.
+//! One engine with two plan sources. By default it runs the CI grid —
+//! eight fault seeds × two rates × stripe counts {1, 4} of the two-node
+//! partitioned allreduce; `--coverage` switches to the coverage-guided
+//! search. Every cell runs twice and is judged by the same contract. The
+//! report — one line per cell, a summary, and the `covered=[…]` point set
+//! — is **byte-identical at any worker count**: diff the stdout of a
+//! `--threads 1` run against a `--threads 4` run to prove it.
 //!
 //! Flags:
-//! - `--quick` — trim to two seeds (smoke runs);
-//! - `--seeds N` — override the fault-seed count (CI uses a widened grid
-//!   for the wall-clock speedup check);
+//! - `--coverage` — plans come from the search instead of the grid: each
+//!   round synthesizes plans toward fault-class × layer points, and a
+//!   contract failure is bisected to a minimal failing plan written as
+//!   JSON under `--min-out`;
+//! - `--quick` — trim the grid to two seeds, cap the search budget at 12;
+//! - `--seeds N` — the grid's fault-seed count (CI widens it for the
+//!   wall-clock speedup check);
+//! - `--budget N` — the search's cell budget (default 36);
+//! - `--recover` / `--no-recover` — arm or disarm the recovery escalation
+//!   ladder (default: armed for the search and `--fault-plan`, off for the
+//!   grid); the contract adapts (e.g. a PE crash is *expected* to be a
+//!   typed failure when recovery is off);
+//! - `--mechanism pe|kc|shmem` (or `PARCOMM_MECHANISM`) — the copy
+//!   mechanism every cell's world negotiates; under `shmem` the search
+//!   additionally targets the shmem-signal fault classes (default `pe`);
+//! - `--channels N` — the multiplexed-load axis (canonical values 1, 64,
+//!   1024): above 1 every cell observes the mux-admitted MoE
+//!   dispatch/combine workload instead of the single collective, and
+//!   covered points gain a `cN:` qualifier (default 1);
+//! - `--shape uniform|ragged|oversub` — the topology-shape axis: the
+//!   classic uniform testbed, a ragged 4/2-GPU 2/1-NIC world, or the same
+//!   ragged world at 2:1 rank oversubscription; non-uniform points gain a
+//!   `ragged:`/`oversub:` qualifier and minimized failures carry the
+//!   `--topology` spec (default `uniform`);
 //! - `--threads N` / `PARCOMM_THREADS=N` — sweep worker count (default:
 //!   available parallelism);
 //! - `--out <path>` — stream completed cells to a resumable JSON-lines
 //!   sink; a re-run against the same file skips the cells already on disk;
-//! - `--fault-plan <file>` — skip the campaign: load one `FaultPlan` from
-//!   JSON (e.g. a minimized plan from `results/`), run the two-node
-//!   allreduce under it, and report survival — the reproduce-one-cell
-//!   workflow;
-//! - `--coverage` — run the coverage-guided search instead of the fixed
-//!   grid: each round synthesizes plans toward unexplored fault-class ×
-//!   layer points, and the first contract failure per cell is bisected to
-//!   a minimal failing plan written as JSON under `--min-out`;
-//! - `--budget N` — coverage-mode cell budget (default 36);
-//! - `--recover` / `--no-recover` — arm (default) or disarm the recovery
-//!   escalation ladder; the contract adapts (e.g. a PE crash is *expected*
-//!   to be a typed failure when recovery is off);
 //! - `--min-out <dir>` — where minimized failing plans land (default
 //!   `results`);
-//! - `--mechanism pe|kc|shmem` (or `PARCOMM_MECHANISM`) — the copy
-//!   mechanism every cell's world negotiates, the mechanism axis of the
-//!   point space; under `shmem` the coverage search additionally targets
-//!   the shmem-signal fault classes (default `pe`);
-//! - `--channels N` — the multiplexed-load axis (canonical values 1, 64,
-//!   1024): above 1 every cell (grid or coverage) observes the
-//!   mux-admitted MoE dispatch/combine workload instead of the single
-//!   collective, so fault classes land on N-channel multiplexed traffic
-//!   and coverage points gain a `cN:` qualifier (default 1);
-//! - `--shape uniform|ragged|oversub` — the topology-shape axis of the
-//!   coverage search: cells run on the classic uniform testbed, a ragged
-//!   4/2-GPU 2/1-NIC world, or the same ragged world at 2:1 rank
-//!   oversubscription; non-uniform points gain a `ragged:`/`oversub:`
-//!   qualifier and minimized failures carry the `--topology` spec
-//!   (default `uniform`);
-//! - `PARCOMM_CHAOS_SEED` — shift the fault-seed block.
+//! - `--fault-plan <file>` — skip the campaign: load one `FaultPlan` from
+//!   JSON (e.g. a minimized plan from `results/`), run it on the one cell
+//!   the campaign's axes give it, and report survival — the
+//!   reproduce-one-cell workflow;
+//! - `PARCOMM_CHAOS_SEED` — shift the grid's fault-seed block.
 //!
-//! Exits non-zero if any cell violates the fault-injection contract
-//! (replay divergence, rank errors, or corrupted numerics).
+//! Exits non-zero if any cell violates the fault-injection contract.
 
-use parcomm_fault::coverage::{self, CoverageCampaignConfig};
-use parcomm_fault::campaign::{self, CampaignConfig};
-use parcomm_fault::{chaos, FaultPlan};
-use parcomm_recover::{RecoveryReport, run_allreduce_recovering, RecoverPolicy};
+use parcomm_bench::{arg_flag, arg_value};
+use parcomm_fault::coverage::TopologyShape;
+use parcomm_fault::{run_campaign, run_campaign_with_sink, CampaignConfig, FaultPlan, PlanSource};
+use parcomm_recover::RecoveryReport;
 use parcomm_sweep::JsonlSink;
 
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
+/// The campaign the command line describes.
+fn config() -> CampaignConfig {
+    let quick = parcomm_bench::quick_mode();
+    let mut cfg = if arg_flag("--coverage") || arg_value("--fault-plan").is_some() {
+        let budget = arg_value("--budget").and_then(|s| s.parse().ok()).unwrap_or(36);
+        CampaignConfig::search(if quick { budget.min(12) } else { budget })
+    } else {
+        CampaignConfig::grid(quick)
+    };
+    if let PlanSource::Grid { fault_seeds, .. } = &mut cfg.source {
+        if let Some(n) = arg_value("--seeds").and_then(|s| s.parse::<u64>().ok()) {
+            fault_seeds.end = fault_seeds.start + n;
         }
     }
-    None
-}
-
-fn arg_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-/// `--channels N`: the multiplexed-load axis (1 = classic workloads).
-fn channels_arg() -> usize {
-    let n: usize = arg_value("--channels").and_then(|s| s.parse().ok()).unwrap_or(1);
-    assert!(n >= 1, "--channels must be at least 1");
-    n
+    if arg_flag("--recover") {
+        cfg.recover = true;
+    }
+    if arg_flag("--no-recover") {
+        cfg.recover = false;
+    }
+    if let Some(m) = parcomm_bench::mechanism() {
+        cfg.mechanism = m;
+    }
+    if let Some(n) = arg_value("--channels").and_then(|s| s.parse().ok()) {
+        assert!(n >= 1, "--channels must be at least 1");
+        cfg.channels = n;
+    }
+    if let Some(s) = arg_value("--shape") {
+        cfg.shape = TopologyShape::ALL.into_iter().find(|t| t.key() == s).unwrap_or_else(|| {
+            eprintln!("--shape {s}: expected uniform|ragged|oversub");
+            std::process::exit(2);
+        });
+    }
+    cfg
 }
 
 /// `--fault-plan <file>`: reproduce one plan (minimized or hand-written)
-/// against the canonical two-node allreduce and report what happened.
-fn run_one_plan(path: &str, recover: bool) -> ! {
+/// on the cell the campaign would run it on and report what happened.
+fn run_one_plan(cfg: &CampaignConfig, path: &str) -> ! {
     let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("--fault-plan {path}: {e}");
         std::process::exit(2);
@@ -86,17 +100,14 @@ fn run_one_plan(path: &str, recover: bool) -> ! {
         eprintln!("--fault-plan {path}: invalid plan: {e}");
         std::process::exit(2);
     });
-    let run = if recover {
-        run_allreduce_recovering(0xFA017, &plan, 2, &RecoverPolicy::new())
-    } else {
-        chaos::run_allreduce(0xFA017, &plan, 2)
-    };
+    let run = cfg.cell(&plan, 1).run(cfg.sim_seed, &plan);
     let report = RecoveryReport::from_metrics(&run.metrics);
     println!(
-        "plan {path}: survived={} digest={:#018x} end={:.1}us recover={recover} {report:?}",
+        "plan {path}: survived={} digest={:#018x} end={:.1}us recover={} {report:?}",
         run.survived(),
         run.digest,
-        run.end_time_us
+        run.end_time_us,
+        cfg.recover
     );
     for (rank, err) in &run.errors {
         println!("  rank {rank}: {err}");
@@ -104,40 +115,39 @@ fn run_one_plan(path: &str, recover: bool) -> ! {
     std::process::exit(if run.survived() { 0 } else { 1 });
 }
 
-/// `--coverage`: the guided campaign, plus minimized-failure emission.
-fn run_coverage(threads: usize, recover: bool) -> ! {
-    let mut cfg = CoverageCampaignConfig { recover, ..CoverageCampaignConfig::default() };
-    if let Some(budget) = arg_value("--budget").and_then(|s| s.parse().ok()) {
-        cfg.budget = budget;
+fn main() {
+    let cfg = config();
+    if let Some(path) = arg_value("--fault-plan") {
+        run_one_plan(&cfg, &path);
     }
-    if let Some(m) = parcomm_bench::mechanism() {
-        cfg.mechanism = m;
-    }
-    cfg.channels = channels_arg();
-    if let Some(s) = arg_value("--shape") {
-        cfg.shape = match s.as_str() {
-            "uniform" => coverage::TopologyShape::Uniform,
-            "ragged" => coverage::TopologyShape::Ragged,
-            "oversub" => coverage::TopologyShape::Oversubscribed,
-            other => {
-                eprintln!("--shape {other}: expected uniform|ragged|oversub");
-                std::process::exit(2);
-            }
-        };
-    }
-    if parcomm_bench::quick_mode() {
-        cfg.budget = cfg.budget.min(12);
-    }
+    let threads = parcomm_bench::threads();
+    let plans = match &cfg.source {
+        PlanSource::Grid { fault_seeds, rates, stripes } => format!(
+            "{} seeds x {} rates x {} stripe counts",
+            fault_seeds.end - fault_seeds.start,
+            rates.len(),
+            stripes.len()
+        ),
+        PlanSource::Search { budget, .. } => format!("coverage search, budget {budget}"),
+    };
     eprintln!(
-        "coverage campaign: budget {} on {} worker(s), recovery {}, mechanism {}, channels {}, shape {}",
-        cfg.budget,
-        threads,
-        if recover { "armed" } else { "off" },
+        "chaos campaign: {plans} on {threads} worker(s), recovery {}, mechanism {}, channels {}, shape {}",
+        if cfg.recover { "armed" } else { "off" },
         cfg.mechanism.short_name(),
         cfg.channels,
         cfg.shape.key()
     );
-    let report = coverage::run_coverage_campaign(&cfg, threads);
+    let report = match arg_value("--out") {
+        Some(path) => {
+            let mut sink = JsonlSink::open(&path).expect("open --out sink");
+            let restored = sink.len();
+            if restored > 0 {
+                eprintln!("resuming: {restored} cell(s) restored from {path}");
+            }
+            run_campaign_with_sink(&cfg, threads, &mut sink).expect("campaign sink")
+        }
+        None => run_campaign(&cfg, threads),
+    };
     print!("{}", report.render());
     if !report.failures.is_empty() {
         let dir = arg_value("--min-out").unwrap_or_else(|| "results".to_string());
@@ -153,64 +163,15 @@ fn run_coverage(threads: usize, recover: bool) -> ! {
             eprintln!("minimized failing plan ({} shrink steps) -> {path}", f.shrink_steps);
         }
         eprintln!(
-            "coverage campaign: {} of {} cells FAILED the contract",
+            "chaos campaign: {} of {} cells FAILED the contract",
             report.failures.len(),
             report.outcomes.len()
         );
         std::process::exit(1);
     }
     println!(
-        "coverage campaign: {} cells ok, {} coverage points",
+        "chaos campaign: {} cells ok, {} coverage points",
         report.outcomes.len(),
         report.covered.len()
     );
-    std::process::exit(0);
-}
-
-fn main() {
-    let recover = !arg_flag("--no-recover");
-    if let Some(path) = arg_value("--fault-plan") {
-        run_one_plan(&path, recover);
-    }
-    if arg_flag("--coverage") {
-        run_coverage(parcomm_bench::threads(), recover);
-    }
-    let mut cfg = CampaignConfig::ci(parcomm_bench::quick_mode());
-    if let Some(seeds) = arg_value("--seeds").and_then(|s| s.parse().ok()) {
-        cfg.seeds = seeds;
-    }
-    if let Some(m) = parcomm_bench::mechanism() {
-        cfg.mechanism = m;
-    }
-    cfg.channels = channels_arg();
-    let threads = parcomm_bench::threads();
-    eprintln!(
-        "chaos campaign: {} seeds x {} rates x {} stripe counts on {} worker(s), mechanism {}, channels {}",
-        cfg.seeds,
-        cfg.rates.len(),
-        cfg.stripes.len(),
-        threads,
-        cfg.mechanism.short_name(),
-        cfg.channels
-    );
-    let outcomes = match arg_value("--out") {
-        Some(path) => {
-            let mut sink = JsonlSink::open(&path).expect("open --out sink");
-            let restored = sink.len();
-            if restored > 0 {
-                eprintln!("resuming: {restored} cell(s) restored from {path}");
-            }
-            campaign::run_campaign_with_sink(&cfg, threads, &mut sink).expect("campaign sink")
-        }
-        None => campaign::run_campaign(&cfg, threads),
-    };
-    for o in &outcomes {
-        println!("{}", o.render());
-    }
-    let bad: Vec<_> = outcomes.iter().filter(|o| !o.ok()).collect();
-    if !bad.is_empty() {
-        eprintln!("chaos campaign: {} of {} cells FAILED the contract", bad.len(), outcomes.len());
-        std::process::exit(1);
-    }
-    println!("chaos campaign: {} cells ok", outcomes.len());
 }

@@ -27,5 +27,6 @@ pub mod striping;
 pub mod table1;
 
 pub use report::{
-    fault_seed, mechanism, metrics_out, quick_mode, threads, trace_out, Experiment,
+    arg_flag, arg_or_env, arg_value, fault_seed, mechanism, metrics_out, quick_mode, threads,
+    trace_out, Experiment,
 };

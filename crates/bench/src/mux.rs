@@ -103,31 +103,12 @@ pub fn channels_arg() -> Option<Vec<usize>> {
         (!channels.is_empty() && channels.iter().all(|&c| c >= 2 && c % 2 == 0))
             .then_some(channels)
     }
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--channels" {
-            return args.next().as_deref().and_then(parse);
-        }
-        if let Some(v) = a.strip_prefix("--channels=") {
-            return parse(v);
-        }
-    }
-    std::env::var("PARCOMM_CHANNELS").ok().as_deref().and_then(parse)
+    crate::arg_or_env("--channels", "PARCOMM_CHANNELS").as_deref().and_then(parse)
 }
 
 /// Tenant count from `--tenants N` or `PARCOMM_TENANTS` (default 8).
 pub fn tenants_arg() -> usize {
-    let mut from_cli = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--tenants" {
-            from_cli = args.next();
-        } else if let Some(v) = a.strip_prefix("--tenants=") {
-            from_cli = Some(v.to_string());
-        }
-    }
-    from_cli
-        .or_else(|| std::env::var("PARCOMM_TENANTS").ok())
+    crate::arg_or_env("--tenants", "PARCOMM_TENANTS")
         .and_then(|s| s.trim().parse().ok())
         .filter(|&t: &usize| t >= 1)
         .unwrap_or(8)

@@ -1,5 +1,8 @@
 //! Experiment result container and rendering: aligned text tables for the
-//! terminal plus JSON for EXPERIMENTS.md bookkeeping.
+//! terminal plus JSON for EXPERIMENTS.md bookkeeping, and the command-line
+//! helpers every harness binary reads its flags with.
+
+use parcomm_obs::json::{number, quote};
 
 /// One reproduced table or figure.
 #[derive(Clone, Debug)]
@@ -73,24 +76,24 @@ impl Experiment {
     /// matches what `serde_json` used to emit for this struct.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", json_str(&self.title)));
+        out.push_str(&format!("  \"id\": {},\n", quote(&self.id)));
+        out.push_str(&format!("  \"title\": {},\n", quote(&self.title)));
         out.push_str(&format!(
             "  \"columns\": [{}],\n",
-            self.columns.iter().map(|c| json_str(c)).collect::<Vec<_>>().join(", ")
+            self.columns.iter().map(|c| quote(c)).collect::<Vec<_>>().join(", ")
         ));
         out.push_str("  \"rows\": [");
         for (i, row) in self.rows.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str(&format!(
                 "    [{}]",
-                row.iter().map(|v| json_f64(*v)).collect::<Vec<_>>().join(", ")
+                row.iter().map(|v| number(*v)).collect::<Vec<_>>().join(", ")
             ));
         }
         out.push_str(if self.rows.is_empty() { "],\n" } else { "\n  ],\n" });
         out.push_str(&format!(
             "  \"notes\": [{}]\n",
-            self.notes.iter().map(|n| json_str(n)).collect::<Vec<_>>().join(", ")
+            self.notes.iter().map(|n| quote(n)).collect::<Vec<_>>().join(", ")
         ));
         out.push('}');
         out
@@ -111,58 +114,35 @@ impl Experiment {
     }
 }
 
-/// JSON-escape and quote a string.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render an `f64` as a JSON number. JSON has no NaN/Infinity; experiment
-/// data should never contain them, so encode as null if they ever appear
-/// (visible in the output rather than a silent panic).
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    // Match serde_json's convention: integral floats keep a ".0" suffix so
-    // they read back as floats.
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        let s = format!("{v}");
-        s
-    }
-}
-
 /// True when the harness should run a reduced sweep (CI / smoke runs):
 /// either `--quick` on the command line or `PARCOMM_QUICK=1`.
 pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-        || std::env::var("PARCOMM_QUICK").map(|v| v == "1").unwrap_or(false)
+    arg_flag("--quick") || std::env::var("PARCOMM_QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
-/// Value following `flag` on the command line, if present.
-fn arg_value(flag: &str) -> Option<String> {
+/// True when `flag` appears on the command line.
+pub fn arg_flag(flag: &str) -> bool {
+    std::env::args().any(|a| a == flag)
+}
+
+/// Value of `flag` on the command line — `flag value` or `flag=value`,
+/// first occurrence wins — if present.
+pub fn arg_value(flag: &str) -> Option<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == flag {
             return args.next();
         }
+        if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+            return Some(v.to_string());
+        }
     }
     None
+}
+
+/// [`arg_value`], falling back to the environment variable `var`.
+pub fn arg_or_env(flag: &str, var: &str) -> Option<String> {
+    arg_value(flag).or_else(|| std::env::var(var).ok())
 }
 
 /// Output path for the Chrome `trace_event` export: `--trace-out <path>`
@@ -171,13 +151,13 @@ fn arg_value(flag: &str) -> Option<String> {
 /// Perfetto-loadable JSON trace there (plus folded flamegraph stacks at
 /// `<path>.folded`).
 pub fn trace_out() -> Option<String> {
-    arg_value("--trace-out").or_else(|| std::env::var("PARCOMM_TRACE_OUT").ok())
+    arg_or_env("--trace-out", "PARCOMM_TRACE_OUT")
 }
 
 /// Output path for the end-of-run metrics snapshot JSON:
 /// `--metrics-out <path>` or `PARCOMM_METRICS_OUT=<path>`.
 pub fn metrics_out() -> Option<String> {
-    arg_value("--metrics-out").or_else(|| std::env::var("PARCOMM_METRICS_OUT").ok())
+    arg_or_env("--metrics-out", "PARCOMM_METRICS_OUT")
 }
 
 /// Worker-thread count for the sweep engine: `--threads N` (or
@@ -193,8 +173,7 @@ pub fn threads() -> usize {
 /// (or `PARCOMM_MECHANISM=<short name>`). `None` when unset or
 /// unparseable — callers fall back to their own default.
 pub fn mechanism() -> Option<parcomm_core::CopyMechanism> {
-    arg_value("--mechanism")
-        .or_else(|| std::env::var("PARCOMM_MECHANISM").ok())
+    arg_or_env("--mechanism", "PARCOMM_MECHANISM")
         .and_then(|s| parcomm_core::CopyMechanism::from_short_name(&s))
 }
 
@@ -210,13 +189,7 @@ pub fn fault_seed() -> Option<u64> {
             s.parse().ok()
         }
     }
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--faults" {
-            return args.next().as_deref().and_then(parse);
-        }
-    }
-    std::env::var("PARCOMM_FAULTS").ok().as_deref().and_then(parse)
+    arg_or_env("--faults", "PARCOMM_FAULTS").as_deref().and_then(parse)
 }
 
 #[cfg(test)]

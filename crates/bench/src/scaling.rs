@@ -60,16 +60,7 @@ pub fn nodes_arg() -> Option<Vec<u16>> {
             list.split(',').map(|s| s.trim().parse().ok()).collect::<Option<_>>()?;
         (!nodes.is_empty()).then_some(nodes)
     }
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--nodes" {
-            return args.next().as_deref().and_then(parse);
-        }
-        if let Some(v) = a.strip_prefix("--nodes=") {
-            return parse(v);
-        }
-    }
-    std::env::var("PARCOMM_NODES").ok().as_deref().and_then(parse)
+    crate::arg_or_env("--nodes", "PARCOMM_NODES").as_deref().and_then(parse)
 }
 
 /// Cluster shapes from `--topology` or `PARCOMM_TOPOLOGY`, if given:
@@ -93,16 +84,7 @@ pub fn topology_arg() -> Option<Vec<ClusterSpec>> {
             .collect();
         (!specs.is_empty()).then_some(specs)
     }
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--topology" {
-            return args.next().as_deref().and_then(parse);
-        }
-        if let Some(v) = a.strip_prefix("--topology=") {
-            return parse(v);
-        }
-    }
-    std::env::var("PARCOMM_TOPOLOGY").ok().as_deref().and_then(parse)
+    crate::arg_or_env("--topology", "PARCOMM_TOPOLOGY").as_deref().and_then(parse)
 }
 
 /// One timed + digested run: a warm-up epoch, then one measured epoch of

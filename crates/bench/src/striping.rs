@@ -46,16 +46,7 @@ pub fn stripes_arg() -> Option<Vec<usize>> {
             list.split(',').map(|s| s.trim().parse().ok()).collect::<Option<_>>()?;
         (!stripes.is_empty()).then_some(stripes)
     }
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--stripes" {
-            return args.next().as_deref().and_then(parse);
-        }
-        if let Some(v) = a.strip_prefix("--stripes=") {
-            return parse(v);
-        }
-    }
-    std::env::var("PARCOMM_STRIPES").ok().as_deref().and_then(parse)
+    crate::arg_or_env("--stripes", "PARCOMM_STRIPES").as_deref().and_then(parse)
 }
 
 /// One timed + digested run: a warm-up epoch, then one measured epoch of

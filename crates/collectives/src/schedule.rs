@@ -17,7 +17,6 @@
 //! (Algorithm 1), binomial-tree broadcast, and ring reduce-scatter — all on
 //! the same executor.
 
-use parcomm_mpi::MpiError;
 use parcomm_net::Topology;
 
 /// The reduction op for a step.
@@ -279,72 +278,6 @@ impl Schedule {
             }
         }
         Schedule { steps, chunks }
-    }
-
-    /// Quarantine repair: the hierarchical ring allreduce recomputed over
-    /// the surviving nodes of `topo`, routing around every node in
-    /// `quarantined` (the recovery ladder's final rung — a node whose ranks
-    /// crashed unrecoverably is excised and the collective re-formed for
-    /// the next epoch over the survivors).
-    ///
-    /// The repaired schedule is the hierarchical schedule of the *virtual*
-    /// sub-topology formed by the surviving nodes in ascending order, with
-    /// neighbor indices mapped back to real ranks — so the rail rings skip
-    /// quarantined nodes and the intra-node phases are untouched. Its
-    /// `chunks` equals the surviving communicator size: the repaired
-    /// collective reduces over survivors only (crashed contributions are
-    /// lost by definition).
-    ///
-    /// Typed failure when repair is impossible: `rank`'s own node is
-    /// quarantined (it cannot route around itself) surfaces
-    /// [`MpiError::Unrecoverable`].
-    pub fn repair_hierarchical_ring(
-        rank: usize,
-        topo: &Topology,
-        quarantined: &[u16],
-    ) -> Result<Schedule, MpiError> {
-        let node = topo.node_of(rank);
-        if quarantined.contains(&node) {
-            return Err(MpiError::Unrecoverable {
-                rank,
-                context: format!(
-                    "schedule repair: own node {node} is quarantined — no route around self"
-                ),
-                attempts: 0,
-            });
-        }
-        let survivors: Vec<u16> =
-            (0..topo.nodes()).filter(|nd| !quarantined.contains(nd)).collect();
-        // Own node survives, so survivors is non-empty. The virtual
-        // sub-topology keeps each survivor's own GPU/NIC width, so ragged
-        // shapes repair into (possibly still ragged) smaller shapes.
-        let vtopo = Topology::ragged(
-            survivors.iter().map(|&nd| topo.gpus_on(nd)).collect(),
-            survivors.iter().map(|&nd| topo.nics_on(nd)).collect(),
-            topo.ranks_per_gpu(),
-        )
-        .map_err(MpiError::InvalidTopology)?;
-        let vnode = survivors
-            .iter()
-            .position(|&nd| nd == node)
-            .expect("own node is a survivor");
-        let vrank = vtopo.node_leader(vnode as u16) + topo.local_rank(rank);
-        let vsched = Schedule::hierarchical_ring_allreduce(vrank, &vtopo);
-        let chunks = vsched.chunks;
-        let map = |v: usize| {
-            let vn = vtopo.node_of(v);
-            topo.node_leader(survivors[vn as usize]) + vtopo.local_rank(v)
-        };
-        let steps = vsched
-            .steps
-            .into_iter()
-            .map(|mut s| {
-                s.incoming = s.incoming.into_iter().map(map).collect();
-                s.outgoing = s.outgoing.into_iter().map(map).collect();
-                s
-            })
-            .collect();
-        Ok(Schedule { steps, chunks })
     }
 
     /// Binomial-tree broadcast schedule rooted at `root`: all NOP steps.

@@ -1,5 +1,5 @@
-//! Chaos-run helpers: execute a canonical workload under a [`FaultPlan`]
-//! and classify the outcome.
+//! Chaos cells: run a canonical workload under a [`FaultPlan`] and
+//! classify the outcome.
 //!
 //! A [`ChaosRun`] captures the three observables the fault-injection
 //! contract is stated in:
@@ -12,8 +12,12 @@
 //! - **errors** — the typed [`MpiError`]s ranks returned (unsurvivable
 //!   faults must land here instead of hanging the run).
 //!
-//! With [`FaultPlan::none`] the digest recipe reproduces the frozen
-//! pre-fault-PR baselines exactly (see `tests/chaos.rs`).
+//! A [`Cell`] is one workload plus the world axes it runs under; every
+//! campaign cell and every single-plan replay goes through [`Cell::run`].
+//! [`run_world`] runs a custom rank program on the default axes, and
+//! [`run_allreduce`] is the canonical cell the frozen digests anchor on:
+//! with [`FaultPlan::none`] its digest reproduces the pre-fault-PR
+//! baselines exactly (see `tests/chaos.rs`).
 
 use std::sync::Arc;
 
@@ -21,7 +25,7 @@ use parcomm_apps::{run_jacobi, run_moe, JacobiConfig, JacobiModel, MoeConfig};
 use parcomm_coll::pallreduce_init;
 use parcomm_core::{precv_init, prequest_create, psend_init, CopyMechanism, PrequestConfig};
 use parcomm_gpu::KernelSpec;
-use parcomm_mpi::{MpiError, MpiWorld, Rank, WorldConfig};
+use parcomm_mpi::{MpiError, MpiWorld, Rank, RecoverConfig, WorldConfig};
 use parcomm_net::ClusterSpec;
 use parcomm_obs::MetricsSnapshot;
 use parcomm_sim::{Ctx, Mutex, Simulation};
@@ -53,224 +57,181 @@ impl ChaosRun {
     }
 }
 
+/// The rank program a [`Cell`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Workload {
+    /// The canonical partitioned allreduce: 4 user partitions, 64 f64 per
+    /// partition-chunk, device-side `MPIX_Pready`. Rank 0 keeps the
+    /// reduced buffer.
+    Allreduce,
+    /// Device-initiated p2p: rank 1 launches a kernel whose threads mark
+    /// partitions ready on a 4-partition psend to rank 0, so the device
+    /// emission path — flag writes under the classic protocols, symmetric
+    /// puts + signals under [`CopyMechanism::Shmem`] — is exactly what the
+    /// fault schedule meets. The collective cannot exercise shmem-signal
+    /// faults (its engine hands partitions to the host in one aggregated
+    /// flag write and then issues the symmetric puts host-side), so
+    /// campaigns route shmem-signal plans here. On an oversubscribed shape
+    /// ranks 0 and 1 share GPU 0, which drives the `SameGpu` route regime.
+    /// Rank 0 keeps the delivered payload.
+    DeviceP2p,
+    /// The mux-admitted MoE dispatch/combine: every rank admits its share
+    /// of a ~[`Cell::channels`]-channel grid through a `MuxService` and
+    /// runs one layer, so faults meet *multiplexed* load. Under
+    /// `KernelCopy` and `Shmem` the sends are device-initiated. Rank 0
+    /// keeps `(checksum, tokens_routed, tokens_dropped, channels)`.
+    Moe,
+    /// The functional-test Jacobi solver with GPU-initiated partitioned
+    /// halo exchange. Rank 0 keeps the solver checksum, which the digest
+    /// folds in as one bare `f64` (the frozen Jacobi recipe).
+    Jacobi,
+}
+
+/// One chaos cell: a workload and the world axes it runs under. The axes
+/// land in [`WorldConfig`] beside the fault plan, so at [`Cell::new`]'s
+/// defaults the world is exactly `WorldConfig::gh200(nodes)`.
+#[derive(Clone, Debug)]
+pub struct Cell {
+    /// The rank program.
+    pub workload: Workload,
+    /// Cluster shape (uniform, ragged or oversubscribed).
+    pub cluster: ClusterSpec,
+    /// Cross-node stripe count.
+    pub stripes: usize,
+    /// Copy mechanism the world negotiates. Under `Shmem` intra-node
+    /// channels ride the symmetric heap while route-forbidden cross-node
+    /// channels demote to the Progression Engine, so the axis is safe at
+    /// any node count.
+    pub mechanism: CopyMechanism,
+    /// Per-rank mux channel budget of the [`Workload::Moe`] program.
+    pub channels: usize,
+    /// The recovery escalation ladder, armed when `Some`.
+    pub recover: Option<RecoverConfig>,
+}
+
+impl Cell {
+    /// `workload` on a uniform `nodes`-node GH200 world: one stripe, the
+    /// Progression Engine, one channel, recovery off.
+    pub fn new(workload: Workload, nodes: u16) -> Cell {
+        Cell {
+            workload,
+            cluster: ClusterSpec::gh200(nodes),
+            stripes: 1,
+            mechanism: CopyMechanism::ProgressionEngine,
+            channels: 1,
+            recover: None,
+        }
+    }
+
+    /// Run the cell's workload under `plan` with simulation seed `seed`.
+    pub fn run(&self, seed: u64, plan: &FaultPlan) -> ChaosRun {
+        let mechanism = self.mechanism;
+        match self.workload {
+            Workload::Allreduce => self.execute(seed, plan, allreduce_body),
+            Workload::DeviceP2p => {
+                self.execute(seed, plan, move |ctx, rank| device_p2p_body(ctx, rank, mechanism))
+            }
+            Workload::Moe => {
+                let topo = self.cluster.topology().expect("chaos cell cluster validates");
+                let cfg = moe_config(topo.num_ranks(), self.channels, mechanism);
+                self.execute(seed, plan, move |ctx, rank| {
+                    let res = run_moe(ctx, rank, &cfg)?;
+                    Ok(vec![
+                        res.checksum,
+                        res.tokens_routed as f64,
+                        res.tokens_dropped as f64,
+                        res.channels as f64,
+                    ])
+                })
+            }
+            Workload::Jacobi => self.execute(seed, plan, move |ctx, rank| {
+                let cfg = JacobiConfig::functional_test(JacobiModel::Partitioned(mechanism));
+                Ok(vec![run_jacobi(ctx, rank, &cfg)?.checksum])
+            }),
+        }
+    }
+
+    /// Build the cell's world under `plan`, run `body` on every rank and
+    /// classify the outcome. The body returns this rank's numeric
+    /// observable (rank 0's is kept) or a typed error (recorded; the run
+    /// itself still completes).
+    fn execute<F>(&self, seed: u64, plan: &FaultPlan, body: F) -> ChaosRun
+    where
+        F: Fn(&mut Ctx, &mut Rank) -> Result<Vec<f64>, MpiError> + Send + Sync + 'static,
+    {
+        let mut sim = Simulation::with_seed(seed);
+        let trace = sim.trace();
+        trace.enable();
+        let mut cfg = WorldConfig {
+            cluster: self.cluster.clone(),
+            stripes: self.stripes,
+            mechanism: self.mechanism,
+            recover: self.recover.clone(),
+            ..WorldConfig::gh200(1)
+        };
+        plan.apply(&mut cfg);
+        let world = MpiWorld::new(&sim, cfg);
+        let registry = world.enable_metrics();
+        let numeric = Arc::new(Mutex::new(Vec::new()));
+        let errors = Arc::new(Mutex::new(Vec::new()));
+        let (n2, e2) = (numeric.clone(), errors.clone());
+        world.run_ranks(&mut sim, move |ctx, rank| match body(ctx, rank) {
+            Ok(vals) => {
+                if rank.rank() == 0 {
+                    *n2.lock() = vals;
+                }
+            }
+            Err(e) => e2.lock().push((rank.rank(), e)),
+        });
+        let report = sim.run().expect("chaos sim completes (watchdogs bound every wait)");
+        let mut errors = Arc::try_unwrap(errors).expect("ranks done").into_inner();
+        errors.sort_by_key(|(r, _)| *r);
+        let mut numeric = Arc::try_unwrap(numeric).expect("ranks done").into_inner();
+        let mut d = digest::Digest::new();
+        d.write_u64(digest::run_digest(&report, &trace));
+        if self.workload == Workload::Jacobi {
+            let checksum = numeric.first().copied().unwrap_or(0.0);
+            numeric = vec![checksum];
+            d.write_f64(checksum);
+        } else {
+            d.write_f64_slice(&numeric);
+        }
+        ChaosRun {
+            digest: d.finish(),
+            end_time_us: report.end_time.as_micros_f64(),
+            numeric,
+            errors,
+            metrics: registry.snapshot(),
+        }
+    }
+}
+
 /// Run an arbitrary rank program under `plan` on a `nodes`-node GH200
-/// world. The body returns this rank's numeric observable (rank 0's is
-/// kept) or a typed error (recorded; the run itself still completes).
+/// world with the default cell axes. The body returns this rank's numeric
+/// observable (rank 0's is kept) or a typed error (recorded; the run
+/// itself still completes).
 pub fn run_world<F>(seed: u64, plan: &FaultPlan, nodes: u16, body: F) -> ChaosRun
 where
     F: Fn(&mut Ctx, &mut Rank) -> Result<Vec<f64>, MpiError> + Send + Sync + 'static,
 {
-    run_world_with(seed, plan, nodes, |_| {}, body)
+    Cell::new(Workload::Allreduce, nodes).execute(seed, plan, body)
 }
 
-/// [`run_world`] with an extra hook mutating the [`WorldConfig`] after the
-/// fault plan is applied — the entry point for world-level knobs (stripe
-/// count above all) that are not part of the fault plan itself.
-pub fn run_world_with<C, F>(
-    seed: u64,
-    plan: &FaultPlan,
-    nodes: u16,
-    configure: C,
-    body: F,
-) -> ChaosRun
-where
-    C: FnOnce(&mut WorldConfig),
-    F: Fn(&mut Ctx, &mut Rank) -> Result<Vec<f64>, MpiError> + Send + Sync + 'static,
-{
-    let mut sim = Simulation::with_seed(seed);
-    let trace = sim.trace();
-    trace.enable();
-    let mut cfg = WorldConfig::gh200(nodes);
-    plan.apply(&mut cfg);
-    configure(&mut cfg);
-    let world = MpiWorld::new(&sim, cfg);
-    let registry = world.enable_metrics();
-    let numeric = Arc::new(Mutex::new(Vec::new()));
-    let errors = Arc::new(Mutex::new(Vec::new()));
-    let (n2, e2) = (numeric.clone(), errors.clone());
-    world.run_ranks(&mut sim, move |ctx, rank| match body(ctx, rank) {
-        Ok(vals) => {
-            if rank.rank() == 0 {
-                *n2.lock() = vals;
-            }
-        }
-        Err(e) => e2.lock().push((rank.rank(), e)),
-    });
-    let report = sim.run().expect("chaos sim completes (watchdogs bound every wait)");
-    let mut errors = Arc::try_unwrap(errors).expect("ranks done").into_inner();
-    errors.sort_by_key(|(r, _)| *r);
-    let numeric = Arc::try_unwrap(numeric).expect("ranks done").into_inner();
-    let mut d = digest::Digest::new();
-    d.write_u64(digest::run_digest(&report, &trace));
-    d.write_f64_slice(&numeric);
-    ChaosRun {
-        digest: d.finish(),
-        end_time_us: report.end_time.as_micros_f64(),
-        numeric,
-        errors,
-        metrics: registry.snapshot(),
-    }
-}
-
-/// The canonical partitioned-allreduce chaos workload (4 user partitions,
-/// 64 f64 per partition-chunk, device-side `MPIX_Pready`), identical to
-/// the frozen-baseline recipe: with [`FaultPlan::none`] its digest is
+/// The canonical partitioned-allreduce chaos cell, identical to the
+/// frozen-baseline recipe: with [`FaultPlan::none`] its digest is
 /// byte-identical to the pre-fault-injection build.
 pub fn run_allreduce(seed: u64, plan: &FaultPlan, nodes: u16) -> ChaosRun {
-    run_allreduce_striped(seed, plan, nodes, 1)
+    Cell::new(Workload::Allreduce, nodes).run(seed, plan)
 }
 
-/// [`run_allreduce`] with the recovery escalation ladder armed (or not):
-/// `recover` lands in [`WorldConfig::recover`] before the world is built.
-/// With `None` this is exactly [`run_allreduce`] — same config, same
-/// digest; with `Some` and a fault-free plan the digest is *still*
-/// identical (recovery only arms cancellable timers; see
-/// `tests/recovery.rs`).
-pub fn run_allreduce_recovering(
-    seed: u64,
-    plan: &FaultPlan,
-    nodes: u16,
-    recover: Option<parcomm_mpi::RecoverConfig>,
-) -> ChaosRun {
-    run_world_with(seed, plan, nodes, move |cfg| cfg.recover = recover, |ctx, rank| {
-        allreduce_body(ctx, rank)
-    })
-}
-
-/// [`run_allreduce`] with the world's cross-node stripe count set: the
-/// chaos-campaign striping axis. `stripes == 1` is exactly
-/// [`run_allreduce`] — same config, same digest.
-pub fn run_allreduce_striped(seed: u64, plan: &FaultPlan, nodes: u16, stripes: usize) -> ChaosRun {
-    run_world_with(seed, plan, nodes, |cfg| cfg.stripes = stripes, |ctx, rank| {
-        allreduce_body(ctx, rank)
-    })
-}
-
-/// The full-knob campaign cell: stripe count, world copy mechanism, and
-/// the recovery ladder, all set before the world is built. With defaults
-/// (`stripes == 1`, `CopyMechanism::ProgressionEngine`, `recover: None`)
-/// this is exactly [`run_allreduce`] — same config, same digest. Under
-/// `CopyMechanism::Shmem` the engine's intra-node channels negotiate the
-/// symmetric heap while route-forbidden cross-node channels demote to the
-/// Progression Engine, so the mechanism axis is safe at any node count.
-pub fn run_allreduce_cell(
-    seed: u64,
-    plan: &FaultPlan,
-    nodes: u16,
-    stripes: usize,
-    mechanism: CopyMechanism,
-    recover: Option<parcomm_mpi::RecoverConfig>,
-) -> ChaosRun {
-    run_world_with(
-        seed,
-        plan,
-        nodes,
-        move |cfg| {
-            cfg.stripes = stripes;
-            cfg.mechanism = mechanism;
-            cfg.recover = recover;
-        },
-        allreduce_body,
-    )
-}
-
-/// [`run_allreduce_cell`] over an arbitrary cluster shape — the chaos
-/// campaign's topology-shape axis. With the uniform
-/// `ClusterSpec::gh200(nodes)` this is exactly [`run_allreduce_cell`]:
-/// same config, same digest.
-pub fn run_allreduce_cell_on(
-    seed: u64,
-    plan: &FaultPlan,
-    cluster: ClusterSpec,
-    stripes: usize,
-    mechanism: CopyMechanism,
-    recover: Option<parcomm_mpi::RecoverConfig>,
-) -> ChaosRun {
-    let nodes = if cluster.node_gpus.is_empty() {
-        cluster.nodes
-    } else {
-        cluster.node_gpus.len() as u16
-    };
-    run_world_with(
-        seed,
-        plan,
-        nodes,
-        move |cfg| {
-            cfg.cluster = cluster;
-            cfg.stripes = stripes;
-            cfg.mechanism = mechanism;
-            cfg.recover = recover;
-        },
-        allreduce_body,
-    )
-}
-
-/// The canonical *device-initiated* p2p chaos workload: rank 1 launches a
-/// kernel whose threads mark partitions ready on a 4-partition psend to
-/// rank 0, so the device emission path — flag writes under the classic
-/// protocols, symmetric puts + signals under [`CopyMechanism::Shmem`] —
-/// is exactly what the fault schedule meets. The collective workload
-/// cannot exercise shmem-signal faults (its engine hands partitions to
-/// the host in one aggregated flag write and the symmetric puts are then
-/// issued host-side), so the coverage campaign routes shmem-signal
-/// targets here. Rank 0 is the receiver, so the kept numeric observable
-/// is the delivered payload itself.
-pub fn run_device_p2p_cell(
-    seed: u64,
-    plan: &FaultPlan,
-    nodes: u16,
-    mechanism: CopyMechanism,
-    recover: Option<parcomm_mpi::RecoverConfig>,
-) -> ChaosRun {
-    run_world_with(
-        seed,
-        plan,
-        nodes,
-        move |cfg| {
-            cfg.mechanism = mechanism;
-            cfg.recover = recover;
-        },
-        move |ctx, rank| device_p2p_body(ctx, rank, mechanism),
-    )
-}
-
-/// [`run_device_p2p_cell`] over an arbitrary cluster shape. Note that on
-/// an oversubscribed shape ranks 0 and 1 co-reside on GPU 0 of node 0, so
-/// the cell drives the `SameGpu` route regime — device HBM, no NVLink, no
-/// NIC — which no uniform shape can reach.
-pub fn run_device_p2p_cell_on(
-    seed: u64,
-    plan: &FaultPlan,
-    cluster: ClusterSpec,
-    mechanism: CopyMechanism,
-    recover: Option<parcomm_mpi::RecoverConfig>,
-) -> ChaosRun {
-    let nodes = if cluster.node_gpus.is_empty() {
-        cluster.nodes
-    } else {
-        cluster.node_gpus.len() as u16
-    };
-    run_world_with(
-        seed,
-        plan,
-        nodes,
-        move |cfg| {
-            cfg.cluster = cluster;
-            cfg.mechanism = mechanism;
-            cfg.recover = recover;
-        },
-        move |ctx, rank| device_p2p_body(ctx, rank, mechanism),
-    )
-}
-
-/// The MoE cell configuration for a `channels`-per-rank budget on a
-/// `nodes`-node world: tenants are scaled so every rank admits roughly
-/// `channels` mux channels (each tenant opens 4 channels per peer —
-/// dispatch/combine × send/recv), with an 8:1 hot tenant up front whenever
-/// there is more than one. Tiny tokens keep the per-channel payload cheap
-/// so the axis scales channel *count*, not bytes.
-pub fn moe_chaos_config(nodes: u16, channels: usize, mechanism: CopyMechanism) -> MoeConfig {
-    let peers = nodes as usize * 4 - 1;
+/// The MoE configuration for a `channels`-per-rank budget on a `ranks`-rank
+/// world: tenants are scaled so every rank admits roughly `channels` mux
+/// channels (each tenant opens 4 channels per peer — dispatch/combine ×
+/// send/recv), with an 8:1 hot tenant up front whenever there is more than
+/// one. Tiny tokens keep the per-channel payload cheap so the axis scales
+/// channel *count*, not bytes.
+fn moe_config(ranks: usize, channels: usize, mechanism: CopyMechanism) -> MoeConfig {
+    let peers = ranks - 1;
     let tenants = (channels / (4 * peers)).max(1);
     let mut tenant_weights = vec![1u64; tenants];
     tenant_weights[0] = if tenants > 1 { 8 } else { 1 };
@@ -287,47 +248,7 @@ pub fn moe_chaos_config(nodes: u16, channels: usize, mechanism: CopyMechanism) -
     }
 }
 
-/// The mux-enabled MoE chaos workload: every rank admits its share of a
-/// ~`channels`-channel grid through a `MuxService` (batched ticks,
-/// weighted-fair admission, indexed channel table) and runs one
-/// dispatch/combine layer, so fault classes meet *multiplexed* load — many
-/// concurrent partitioned channels — instead of the single collective the
-/// classic cells drive. Under `KernelCopy` and `Shmem` the sends are
-/// device-initiated, so flag-write and shmem-signal fault schedules land
-/// on real MoE emissions. The kept numeric observable is rank 0's
-/// `(checksum, tokens_routed, tokens_dropped, channels)`.
-pub fn run_moe_cell(
-    seed: u64,
-    plan: &FaultPlan,
-    nodes: u16,
-    channels: usize,
-    stripes: usize,
-    mechanism: CopyMechanism,
-    recover: Option<parcomm_mpi::RecoverConfig>,
-) -> ChaosRun {
-    let cfg = moe_chaos_config(nodes, channels, mechanism);
-    run_world_with(
-        seed,
-        plan,
-        nodes,
-        move |w| {
-            w.stripes = stripes;
-            w.mechanism = mechanism;
-            w.recover = recover;
-        },
-        move |ctx, rank| {
-            let res = run_moe(ctx, rank, &cfg)?;
-            Ok(vec![
-                res.checksum,
-                res.tokens_routed as f64,
-                res.tokens_dropped as f64,
-                res.channels as f64,
-            ])
-        },
-    )
-}
-
-/// Rank program for [`run_device_p2p_cell`]: intra-node 1 -> 0, 4 user
+/// Rank program of [`Workload::DeviceP2p`]: intra-node 1 -> 0, 4 user
 /// partitions x 1 KiB, 2 transport partitions, progressive device pready
 /// with `copy` matching the world mechanism.
 fn device_p2p_body(
@@ -385,48 +306,4 @@ fn allreduce_body(ctx: &mut Ctx, rank: &mut Rank) -> Result<Vec<f64>, MpiError> 
     stream.launch(ctx, KernelSpec::vector_add(4, 256), move |d| c2.pready_device_all(d));
     coll.wait(ctx)?;
     Ok(buf.read_f64_slice(0, n))
-}
-
-/// The canonical Jacobi chaos workload: the functional-test solver with
-/// GPU-initiated partitioned halo exchange over the Progression Engine.
-/// Digest recipe matches the frozen jacobi baselines under
-/// [`FaultPlan::none`].
-pub fn run_jacobi_chaos(seed: u64, plan: &FaultPlan, nodes: u16) -> ChaosRun {
-    let mut sim = Simulation::with_seed(seed);
-    let trace = sim.trace();
-    trace.enable();
-    let mut cfg = WorldConfig::gh200(nodes);
-    plan.apply(&mut cfg);
-    let world = MpiWorld::new(&sim, cfg);
-    let registry = world.enable_metrics();
-    let out = Arc::new(Mutex::new(0.0f64));
-    let errors = Arc::new(Mutex::new(Vec::new()));
-    let (o2, e2) = (out.clone(), errors.clone());
-    world.run_ranks(&mut sim, move |ctx, rank| {
-        let jcfg = JacobiConfig::functional_test(JacobiModel::Partitioned(
-            CopyMechanism::ProgressionEngine,
-        ));
-        match run_jacobi(ctx, rank, &jcfg) {
-            Ok(res) => {
-                if rank.rank() == 0 {
-                    *o2.lock() = res.checksum;
-                }
-            }
-            Err(e) => e2.lock().push((rank.rank(), e)),
-        }
-    });
-    let report = sim.run().expect("chaos sim completes (watchdogs bound every wait)");
-    let mut errors = Arc::try_unwrap(errors).expect("ranks done").into_inner();
-    errors.sort_by_key(|(r, _)| *r);
-    let checksum = *out.lock();
-    let mut d = digest::Digest::new();
-    d.write_u64(digest::run_digest(&report, &trace));
-    d.write_f64(checksum);
-    ChaosRun {
-        digest: d.finish(),
-        end_time_us: report.end_time.as_micros_f64(),
-        numeric: vec![checksum],
-        errors,
-        metrics: registry.snapshot(),
-    }
 }

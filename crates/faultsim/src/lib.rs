@@ -28,7 +28,24 @@
 //!
 //! Unsurvivable classes require an armed watchdog
 //! ([`FaultPlan::with_watchdog`]) to convert the would-be hang into a typed
-//! [`MpiError`]; the [`chaos`] helpers arm one by default.
+//! [`MpiError`]; [`FaultPlan::chaos`] and every campaign plan arm one.
+//!
+//! ## Cells and campaigns
+//!
+//! A [`chaos::Cell`] is one workload (allreduce, device-initiated p2p,
+//! MoE, Jacobi) plus the world axes it runs under (cluster shape, stripes,
+//! copy mechanism, channels, recovery); [`chaos::Cell::run`] executes it
+//! under a plan. [`chaos::run_world`] runs a custom rank program, and
+//! [`chaos::run_allreduce`] is the canonical cell the frozen digests
+//! anchor on.
+//!
+//! A campaign ([`coverage`]) is one engine with two plan sources
+//! ([`PlanSource`]): a fixed `chaos(seed, rate)` grid, or a
+//! coverage-guided search over fault-class × layer points. Either way the
+//! whole plan list is generated serially, run on the `parcomm-sweep` pool
+//! (each cell twice, against one fault-free baseline per workload), judged
+//! by one contract, and any violation is shrunk to a minimal replayable
+//! plan. The `chaos_campaign` binary drives it.
 //!
 //! ## Quickstart
 //!
@@ -49,12 +66,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod campaign;
 pub mod chaos;
 pub mod coverage;
 mod plan;
 
-pub use campaign::{CampaignConfig, CellOutcome};
-pub use coverage::{CoverageCampaignConfig, CoverageOutcome, CoverageReport, FaultClass, FaultLayer};
+pub use coverage::{
+    run_campaign, run_campaign_with_sink, CampaignConfig, CampaignReport, CellOutcome, FaultClass,
+    FaultLayer, PlanSource,
+};
 pub use parcomm_mpi::MpiError;
 pub use plan::{FaultPlan, PlanError};

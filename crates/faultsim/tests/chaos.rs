@@ -13,7 +13,10 @@
 //! 4. **Zero-cost when disabled** — `FaultPlan::none()` reproduces the
 //!    frozen digests captured before the fault machinery existed.
 
-use parcomm_fault::{campaign, chaos, FaultPlan, MpiError};
+use parcomm_core::CopyMechanism;
+use parcomm_fault::chaos::{self, Cell, Workload};
+use parcomm_fault::coverage::TopologyShape;
+use parcomm_fault::{run_campaign, CampaignConfig, FaultPlan, MpiError, PlanSource};
 use parcomm_testkit::sweep;
 
 // Digests of the canonical workloads captured on the build *before* the
@@ -27,6 +30,11 @@ const FROZEN_ALLREDUCE: &[(u64, u64)] = &[
 ];
 const FROZEN_JACOBI: &[(u64, u64)] = &[(0xA11CE, 0x175f6c88c6d7b78d), (0xFA017, 0xc1d5b040c16acd0d)];
 
+/// The canonical one-node Jacobi cell.
+fn jacobi(seed: u64, plan: &FaultPlan) -> chaos::ChaosRun {
+    Cell::new(Workload::Jacobi, 1).run(seed, plan)
+}
+
 #[test]
 fn fault_plan_none_reproduces_frozen_baselines() {
     for &(seed, want) in FROZEN_ALLREDUCE {
@@ -38,7 +46,7 @@ fn fault_plan_none_reproduces_frozen_baselines() {
         );
     }
     for &(seed, want) in FROZEN_JACOBI {
-        let run = chaos::run_jacobi_chaos(seed, &FaultPlan::none(), 1);
+        let run = jacobi(seed, &FaultPlan::none());
         assert!(run.survived());
         assert_eq!(
             run.digest, want,
@@ -133,10 +141,10 @@ fn nic_outage_restripes_and_survives() {
 fn pe_stall_is_absorbed() {
     // Window chosen to overlap rank 1's actual PE activity (the solver's
     // halo exchanges start after ~450 µs of setup/handshake traffic).
-    let clean = chaos::run_jacobi_chaos(0xA11CE, &FaultPlan::none(), 1);
+    let clean = jacobi(0xA11CE, &FaultPlan::none());
     let plan = FaultPlan::none().with_pe_stall(1, 500.0, 400.0).with_watchdog(5e6);
-    let a = chaos::run_jacobi_chaos(0xA11CE, &plan, 1);
-    let b = chaos::run_jacobi_chaos(0xA11CE, &plan, 1);
+    let a = jacobi(0xA11CE, &plan);
+    let b = jacobi(0xA11CE, &plan);
     assert_eq!(a.digest, b.digest);
     assert!(a.survived(), "a bounded PE stall only defers puts: {:?}", a.errors);
     assert_eq!(a.numeric, clean.numeric, "stall must not corrupt the solve");
@@ -146,8 +154,8 @@ fn pe_stall_is_absorbed() {
 #[test]
 fn pe_crash_surfaces_progression_halted() {
     let plan = FaultPlan::none().with_pe_crash(1, 40.0).with_watchdog(30_000.0);
-    let a = chaos::run_jacobi_chaos(0xA11CE, &plan, 1);
-    let b = chaos::run_jacobi_chaos(0xA11CE, &plan, 1);
+    let a = jacobi(0xA11CE, &plan);
+    let b = jacobi(0xA11CE, &plan);
     assert_eq!(a.digest, b.digest, "even failing runs replay identically");
     assert!(!a.survived(), "a crashed engine cannot complete PE channels");
     assert!(
@@ -225,23 +233,18 @@ fn chaos_mix_is_deterministic_and_seed_sensitive() {
 }
 
 /// The CI chaos sweep, now cheap enough to run by default: the eight-seed
-/// × two-rate campaign grid (each cell replayed twice) fans out over the
-/// `parcomm-sweep` work-stealing pool. `PARCOMM_CHAOS_SEED` shifts the
-/// whole seed block to explore fresh schedules without editing the test;
-/// `--threads N` / `PARCOMM_THREADS` bounds the workers.
+/// × two-rate × two-stripe-count grid (each cell replayed twice) fans out
+/// over the `parcomm-sweep` work-stealing pool. `PARCOMM_CHAOS_SEED`
+/// shifts the whole seed block to explore fresh schedules without editing
+/// the test; `--threads N` / `PARCOMM_THREADS` bounds the workers.
 #[test]
 fn chaos_sweep_eight_seeds() {
-    let cfg = campaign::CampaignConfig::ci(false);
-    let outcomes = campaign::run_campaign(&cfg, parcomm_sweep::threads());
-    assert_eq!(outcomes.len(), 32, "8 seeds x 2 rates x 2 stripe counts");
-    for o in &outcomes {
-        assert!(o.replayed, "seed {:#x} rate {}: replay diverged", o.fault_seed, o.rate);
-        assert!(o.survived, "seed {:#x} rate {}: rank errors", o.fault_seed, o.rate);
-        assert!(
-            o.numeric_ok,
-            "seed {:#x} rate {}: chaos corrupted the reduction",
-            o.fault_seed, o.rate
-        );
+    let report = run_campaign(&CampaignConfig::grid(false), parcomm_sweep::threads());
+    assert_eq!(report.outcomes.len(), 32, "8 seeds x 2 rates x 2 stripe counts");
+    for o in &report.outcomes {
+        assert!(o.replayed, "{}: replay diverged", o.key);
+        assert!(o.survived, "{}: rank errors", o.key);
+        assert!(o.numeric_ok, "{}: chaos corrupted the reduction", o.key);
     }
 }
 
@@ -255,25 +258,18 @@ fn chaos_sweep_eight_seeds() {
 /// touching the numerics, all replayable.
 #[test]
 fn shmem_fault_classes_uphold_the_chaos_contract() {
-    use parcomm_core::CopyMechanism;
     use parcomm_mpi::RecoverConfig;
 
+    let p2p_on = |mechanism| Cell { mechanism, ..Cell::new(Workload::DeviceP2p, 1) };
     let p2p = |plan: &FaultPlan, recover: Option<RecoverConfig>| {
-        chaos::run_device_p2p_cell(0xFA017, plan, 1, CopyMechanism::Shmem, recover)
+        Cell { recover, ..p2p_on(CopyMechanism::Shmem) }.run(0xFA017, plan)
     };
     let clean = p2p(&FaultPlan::none(), None);
     assert!(clean.survived());
     assert_eq!(clean.numeric, vec![1.0, 4.0, 7.0, 10.0], "rank 0 keeps the received payload");
     assert_ne!(
         clean.digest,
-        chaos::run_device_p2p_cell(
-            0xFA017,
-            &FaultPlan::none(),
-            1,
-            CopyMechanism::ProgressionEngine,
-            None,
-        )
-        .digest,
+        p2p_on(CopyMechanism::ProgressionEngine).run(0xFA017, &FaultPlan::none()).digest,
         "the shmem cell must actually negotiate a different mechanism"
     );
 
@@ -299,7 +295,8 @@ fn shmem_fault_classes_uphold_the_chaos_contract() {
     // Heap registration failure on the collective workload: typed
     // demotion to the PE, never an error.
     let coll = |plan: &FaultPlan| {
-        chaos::run_allreduce_cell(0xFA017, plan, 1, 1, CopyMechanism::Shmem, None)
+        Cell { mechanism: CopyMechanism::Shmem, ..Cell::new(Workload::Allreduce, 1) }
+            .run(0xFA017, plan)
     };
     let coll_clean = coll(&FaultPlan::none());
     assert!(coll_clean.survived());
@@ -316,17 +313,81 @@ fn shmem_fault_classes_uphold_the_chaos_contract() {
 
 /// The campaign's aggregated report is byte-identical at any worker count
 /// (trimmed quick grid; the full grid's invariance is exercised by the CI
-/// `sweep` job diffing `chaos_campaign --threads 4` against serial).
+/// `chaos` job diffing `chaos_campaign --threads 4` against serial).
 #[test]
 fn chaos_campaign_report_is_thread_count_invariant() {
-    let cfg = campaign::CampaignConfig::ci(true);
-    let render = |threads| {
-        campaign::run_campaign(&cfg, threads)
+    let cfg = CampaignConfig::grid(true);
+    let serial = run_campaign(&cfg, 1).render();
+    assert_eq!(run_campaign(&cfg, 2).render(), serial);
+    assert_eq!(run_campaign(&cfg, 8).render(), serial);
+}
+
+/// Per-cell `(key, digest, survived, replayed, numeric_ok)` of both plan
+/// sources, captured from the two separate grid and search engines this
+/// one replaced: a 1-seed × 1-rate × stripes {1, 4} grid, and a budget-6
+/// search on each of the mechanism, channel and shape axes.
+type Pinned = &'static [(&'static str, u64, bool, bool, bool)];
+
+const PINNED_GRID: Pinned = &[
+    ("seed=0x5eed,rate=0.4,stripes=1,mech=pe,channels=1", 0x2c4676abf162fa9b, true, true, true),
+    ("seed=0x5eed,rate=0.4,stripes=4,mech=pe,channels=1", 0x99cb1191c45613fd, true, true, true),
+];
+const PINNED_SEARCH_PE: Pinned = &[
+    ("r0:link_drop@net", 0x670c49625baf9544, true, true, true),
+    ("r0:latency_spike@net", 0x7241c2e52098507f, true, true, true),
+    ("r0:nic_outage@net", 0xbc7f423b1c6c8662, true, true, true),
+    ("r0:multi_nic_outage@net", 0xb0d091f319bf45cd, true, true, true),
+    ("r0:pe_stall@mpi", 0xaa39b666e286f420, true, true, true),
+    ("r0:pe_crash@mpi", 0x092750537a854da7, true, true, true),
+];
+const PINNED_SEARCH_SHMEM: Pinned = &[
+    ("r0:link_drop@net", 0x2eec2cb1885d8d90, true, true, true),
+    ("r0:latency_spike@net", 0x8809fc613895bfbb, true, true, true),
+    ("r0:nic_outage@net", 0xc98613c3d0740980, true, true, true),
+    ("r0:multi_nic_outage@net", 0x5b5dc86fe529b32a, true, true, true),
+    ("r0:pe_stall@mpi", 0x935c7d2885191751, true, true, true),
+    ("r0:pe_crash@mpi", 0x8d068d18bad035c8, true, true, true),
+];
+const PINNED_SEARCH_C64: Pinned = &[
+    ("r0:link_drop@net", 0xe7e8ae415a37fd7f, true, true, true),
+    ("r0:latency_spike@net", 0x327b26089ef80f93, true, true, true),
+    ("r0:nic_outage@net", 0x982662874e56ee59, true, true, true),
+    ("r0:pe_stall@mpi", 0x5e0111512f4d8df7, true, true, true),
+    ("r0:pe_crash@mpi", 0x1250e0d6a86107cd, true, true, true),
+    ("r0:flag_delay@gpu", 0x4fd034a9f91a45fd, true, true, true),
+];
+const PINNED_SEARCH_OVERSUB: Pinned = &[
+    ("r0:link_drop@net", 0xf1b684b7885b847d, true, true, true),
+    ("r0:latency_spike@net", 0x71743817368377c5, true, true, true),
+    ("r0:nic_outage@net", 0x49fe3c677eed8c8a, true, true, true),
+    ("r0:multi_nic_outage@net", 0x545a152ce705deea, true, true, true),
+    ("r0:pe_stall@mpi", 0xbd03b50e57b86f91, true, true, true),
+    ("r0:pe_crash@mpi", 0x25026155672eb9d7, true, true, true),
+];
+
+#[test]
+fn campaign_cells_reproduce_pinned_digests() {
+    let grid = CampaignConfig::new(PlanSource::Grid {
+        fault_seeds: 0x5EED..0x5EEE,
+        rates: vec![0.4],
+        stripes: vec![1, 4],
+    });
+    let search = CampaignConfig::search(6);
+    let campaigns = [
+        (grid, PINNED_GRID),
+        (search.clone(), PINNED_SEARCH_PE),
+        (CampaignConfig { mechanism: CopyMechanism::Shmem, ..search.clone() }, PINNED_SEARCH_SHMEM),
+        (CampaignConfig { channels: 64, ..search.clone() }, PINNED_SEARCH_C64),
+        (CampaignConfig { shape: TopologyShape::Oversubscribed, ..search }, PINNED_SEARCH_OVERSUB),
+    ];
+    for (cfg, pinned) in campaigns {
+        let report = run_campaign(&cfg, parcomm_sweep::threads());
+        let got: Vec<(&str, u64, bool, bool, bool)> = report
+            .outcomes
             .iter()
-            .map(|o| format!("{}\n", o.render()))
-            .collect::<String>()
-    };
-    let serial = render(1);
-    assert_eq!(render(2), serial);
-    assert_eq!(render(8), serial);
+            .map(|o| (o.key.as_str(), o.digest, o.survived, o.replayed, o.numeric_ok))
+            .collect();
+        assert_eq!(got, pinned, "campaign cells drifted:\n{}", report.render());
+        assert!(report.failures.is_empty(), "{}", report.render());
+    }
 }

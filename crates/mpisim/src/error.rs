@@ -66,9 +66,9 @@ pub enum MpiError {
     /// exhausted its retry budget.
     Shmem(ShmemError),
     /// The recovery escalation ladder was exhausted: every rung (put retry,
-    /// re-striping, fallback, lease-gated replay, host drain, quarantine
-    /// repair) ran out or does not apply. Surfaced only when recovery is
-    /// enabled and repair is impossible.
+    /// re-striping, fallback, lease-gated replay, host drain) ran out or
+    /// does not apply. Surfaced only when recovery is enabled and the
+    /// epoch's replays made no progress.
     Unrecoverable {
         /// The rank that gave up.
         rank: usize,

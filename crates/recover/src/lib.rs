@@ -16,17 +16,15 @@
 //! 5. **Epoch replay** (`core`) — undelivered partitions are re-put under
 //!    a bumped generation tag; stale duplicates from the pre-recovery
 //!    generation are discarded idempotently on completion;
-//! 6. **Quarantine + schedule repair** (`collectives`) — a channel whose
-//!    peer node is gone is quarantined and the hierarchical schedule is
-//!    recomputed over the surviving [`Topology`] members;
-//! 7. **Typed surrender** — only when repair is impossible does
-//!    [`MpiError::Unrecoverable`] surface; recovery never hangs and never
+//! 6. **Typed surrender** — once `max_replays` replays make no progress,
+//!    [`parcomm_mpi::MpiError::Unrecoverable`] surfaces; recovery never hangs and never
 //!    panics.
 //!
 //! Rungs 1–3 shipped with earlier layers; this crate names the whole
-//! ladder, carries the policy knobs ([`RecoverPolicy`]), the node
-//! quarantine ([`Quarantine`]), and the post-run survivability report
-//! ([`RecoveryReport`]) assembled from the `mpi.recover.*` counters.
+//! ladder, carries the policy knobs ([`RecoverPolicy`]) and the post-run
+//! survivability report ([`RecoveryReport`]) assembled from the
+//! `mpi.recover.*` counters. Chaos runs arm it through
+//! `parcomm_fault::chaos::Cell::recover`.
 //!
 //! **Digest neutrality.** With recovery enabled and zero faults firing,
 //! runs are bit-for-bit identical to the pre-recovery stack: the ladder
@@ -37,13 +35,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use parcomm_fault::{chaos, FaultPlan};
-use parcomm_mpi::{MpiError, RecoverConfig, WorldConfig};
-use parcomm_net::Topology;
+use parcomm_mpi::{RecoverConfig, WorldConfig};
 use parcomm_obs::MetricsSnapshot;
-
-pub use parcomm_coll::Schedule;
-pub use parcomm_fault::chaos::ChaosRun;
 
 /// The rungs of the recovery escalation ladder, mildest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -60,9 +53,7 @@ pub enum EscalationLevel {
     LeaseTakeover,
     /// Undelivered partitions were replayed under a new generation.
     EpochReplay,
-    /// A node was quarantined and the schedule recomputed around it.
-    QuarantineRepair,
-    /// The ladder was exhausted: [`MpiError::Unrecoverable`] surfaced.
+    /// The ladder was exhausted: [`parcomm_mpi::MpiError::Unrecoverable`] surfaced.
     Unrecoverable,
 }
 
@@ -105,64 +96,6 @@ impl RecoverPolicy {
     /// Arm this policy on a [`WorldConfig`].
     pub fn apply(&self, cfg: &mut WorldConfig) {
         cfg.recover = Some(self.config.clone());
-    }
-}
-
-/// A set of quarantined nodes and the schedule-repair entry point.
-///
-/// Quarantine is *node*-granular: when a rank's progression engine is
-/// unrecoverable, its whole node is routed around (the hierarchical
-/// schedule's cross-node phase is node-to-node, so a single surviving
-/// leader cannot be assumed).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Quarantine {
-    nodes: Vec<u16>,
-}
-
-impl Quarantine {
-    /// An empty quarantine: every node healthy.
-    pub fn new() -> Self {
-        Quarantine::default()
-    }
-
-    /// Quarantine `node` (idempotent).
-    pub fn add(&mut self, node: u16) {
-        if !self.nodes.contains(&node) {
-            self.nodes.push(node);
-            self.nodes.sort_unstable();
-        }
-    }
-
-    /// True if `node` is quarantined.
-    pub fn contains(&self, node: u16) -> bool {
-        self.nodes.contains(&node)
-    }
-
-    /// The quarantined nodes, ascending.
-    pub fn nodes(&self) -> &[u16] {
-        &self.nodes
-    }
-
-    /// Number of quarantined nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no node is quarantined.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Recompute `rank`'s hierarchical allreduce schedule over the
-    /// surviving nodes. Typed [`MpiError::Unrecoverable`] when repair is
-    /// impossible — `rank`'s own node is quarantined, or fewer than two
-    /// nodes survive.
-    pub fn repair_allreduce(
-        &self,
-        rank: usize,
-        topo: &Topology,
-    ) -> Result<Schedule, MpiError> {
-        Schedule::repair_hierarchical_ring(rank, topo, &self.nodes)
     }
 }
 
@@ -214,18 +147,6 @@ impl RecoveryReport {
     }
 }
 
-/// Run the canonical partitioned allreduce under `plan` with `policy`
-/// armed: the recovering chaos harness `tests/recovery.rs` and the CI
-/// `recover` job drive.
-pub fn run_allreduce_recovering(
-    sim_seed: u64,
-    plan: &FaultPlan,
-    nodes: u16,
-    policy: &RecoverPolicy,
-) -> ChaosRun {
-    chaos::run_allreduce_recovering(sim_seed, plan, nodes, Some(policy.config()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,8 +154,7 @@ mod tests {
     #[test]
     fn ladder_levels_are_ordered() {
         assert!(EscalationLevel::PutRetry < EscalationLevel::EpochReplay);
-        assert!(EscalationLevel::EpochReplay < EscalationLevel::QuarantineRepair);
-        assert!(EscalationLevel::QuarantineRepair < EscalationLevel::Unrecoverable);
+        assert!(EscalationLevel::EpochReplay < EscalationLevel::Unrecoverable);
     }
 
     #[test]
@@ -246,17 +166,6 @@ mod tests {
         assert_eq!(rc.max_replays, 2);
         assert_eq!(rc.detect_us, 1e4);
         assert_eq!(rc.lease_us, 500.0);
-    }
-
-    #[test]
-    fn quarantine_is_idempotent_and_sorted() {
-        let mut q = Quarantine::new();
-        q.add(3);
-        q.add(1);
-        q.add(3);
-        assert_eq!(q.nodes(), &[1, 3]);
-        assert!(q.contains(1) && !q.contains(0));
-        assert_eq!(q.len(), 2);
     }
 
     #[test]

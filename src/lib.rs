@@ -77,7 +77,7 @@ pub mod prelude {
     pub use parcomm_mux::{ChannelSpec, Direction, MuxConfig, MuxService};
     pub use parcomm_nccl::{NcclComm, NcclConfig};
     pub use parcomm_net::ClusterSpec;
-    pub use parcomm_recover::{Quarantine, RecoverPolicy, RecoveryReport};
+    pub use parcomm_recover::{RecoverPolicy, RecoveryReport};
     pub use parcomm_shmem::{ShmemError, SymmetricHeap};
     pub use parcomm_sim::{Ctx, Event, SimConfig, SimDuration, SimTime, Simulation};
 }

@@ -10,24 +10,20 @@
 //! 4. **Idempotent replay** — spurious `recover_epoch` calls on a live
 //!    epoch are harmless: duplicate puts land under a stale generation and
 //!    are discarded (a seeded property test with shrinking);
-//! 5. **Quarantine + schedule repair** — the hierarchical allreduce
-//!    schedule recomputed around a quarantined node still reduces
-//!    correctly over the survivors, and an unroutable repair is a typed
-//!    [`MpiError::Unrecoverable`], never a hang;
-//! 6. **Coverage-guided search beats the grid** — at equal cell budget the
+//! 5. **Coverage-guided search beats the grid** — at equal cell budget the
 //!    guided campaign reaches strictly more fault-class × layer coverage
 //!    points than the fixed seed×rate grid, with zero contract failures.
+//!
+//! Past replay the ladder's last rung is typed surrender: once
+//! `max_replays` replays make no progress, `MpiError::Unrecoverable`
+//! surfaces instead of a hang.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parcomm::coll::{Schedule, StepOp};
-use parcomm::fault::coverage::{self, CoverageCampaignConfig};
-use parcomm::fault::{campaign::CampaignConfig, chaos, FaultPlan};
-use parcomm::mpi::MpiError;
-use parcomm::net::Topology;
+use parcomm::fault::chaos::{self, Cell, ChaosRun, Workload};
+use parcomm::fault::{run_campaign, CampaignConfig, FaultPlan};
 use parcomm::prelude::*;
-use parcomm::recover::{run_allreduce_recovering, EscalationLevel};
+use parcomm::recover::EscalationLevel;
 use parcomm::sim::Mutex;
 use parcomm_testkit::prop::{check, PropConfig, TestResult};
 
@@ -41,11 +37,19 @@ const FROZEN_ALLREDUCE: &[(u64, u64)] = &[
     (0xFA017, 0x3e5fdd5171c85ddd),
 ];
 
+/// The canonical allreduce cell with the default recovery policy armed.
+fn recovering(seed: u64, plan: &FaultPlan, nodes: u16) -> ChaosRun {
+    let cell = Cell {
+        recover: Some(RecoverPolicy::new().config()),
+        ..Cell::new(Workload::Allreduce, nodes)
+    };
+    cell.run(seed, plan)
+}
+
 #[test]
 fn recovery_armed_zero_fault_reproduces_frozen_digests() {
-    let policy = RecoverPolicy::new();
     for &(seed, want) in FROZEN_ALLREDUCE {
-        let run = run_allreduce_recovering(seed, &FaultPlan::none(), 1, &policy);
+        let run = recovering(seed, &FaultPlan::none(), 1);
         assert!(run.survived());
         assert_eq!(
             run.digest, want,
@@ -56,7 +60,7 @@ fn recovery_armed_zero_fault_reproduces_frozen_digests() {
     // Cross-node worlds have no frozen baseline of their own; equality with
     // the recovery-off run proves neutrality there too.
     for seed in [0xA11CE, 0xFA017] {
-        let on = run_allreduce_recovering(seed, &FaultPlan::none(), 2, &policy);
+        let on = recovering(seed, &FaultPlan::none(), 2);
         let off = chaos::run_allreduce(seed, &FaultPlan::none(), 2);
         assert_eq!(on.digest, off.digest, "seed {seed:#x}: 2-node digest drift");
     }
@@ -75,7 +79,7 @@ fn pe_crash_mid_epoch_recovers_bit_identical() {
 
     // Recovery on: lease expiry, host drain, epoch replay — and the
     // reduction is bit-identical to the fault-free run.
-    let run = run_allreduce_recovering(0xA11CE, &plan, 1, &RecoverPolicy::new());
+    let run = recovering(0xA11CE, &plan, 1);
     assert!(run.survived(), "PE crash must recover: {:?}", run.errors);
     assert_eq!(run.numeric, clean.numeric, "recovered numerics must match fault-free");
     let report = RecoveryReport::from_metrics(&run.metrics);
@@ -84,7 +88,7 @@ fn pe_crash_mid_epoch_recovers_bit_identical() {
     assert!(report.highest_level() >= EscalationLevel::LeaseTakeover);
 
     // Replayable: the same (seed, plan, policy) reproduces the digest.
-    let again = run_allreduce_recovering(0xA11CE, &plan, 1, &RecoverPolicy::new());
+    let again = recovering(0xA11CE, &plan, 1);
     assert_eq!(run.digest, again.digest, "recovery must stay deterministic");
 }
 
@@ -99,13 +103,13 @@ fn all_rails_down_recovers_by_epoch_replay() {
         plan = plan.with_nic_outage(0, nic, 600.0, 8_000.0).expect("valid window");
     }
     let clean = chaos::run_allreduce(0xA11CE, &FaultPlan::none(), 2);
-    let run = run_allreduce_recovering(0xA11CE, &plan, 2, &RecoverPolicy::new());
+    let run = recovering(0xA11CE, &plan, 2);
     assert!(run.survived(), "finite all-rails outage must recover: {:?}", run.errors);
     assert_eq!(run.numeric, clean.numeric, "replayed numerics must match fault-free");
     let report = RecoveryReport::from_metrics(&run.metrics);
     assert!(report.replays > 0, "epoch replay must have fired: {report:?}");
     assert_eq!(report.highest_level(), EscalationLevel::EpochReplay);
-    let again = run_allreduce_recovering(0xA11CE, &plan, 2, &RecoverPolicy::new());
+    let again = recovering(0xA11CE, &plan, 2);
     assert_eq!(run.digest, again.digest, "recovery must stay deterministic");
 }
 
@@ -210,103 +214,6 @@ fn spurious_epoch_replay_is_idempotent() {
     assert!(stale > 0, "old-generation completions must be discarded as stale");
 }
 
-/// Value-level schedule interpreter: executes the per-rank schedules in
-/// lockstep over one f64 per chunk, staging sends before applying arrivals
-/// (so a step may send and receive the same buffer slot safely).
-fn interpret(scheds: &BTreeMap<usize, Schedule>, init: &BTreeMap<usize, Vec<f64>>) -> BTreeMap<usize, Vec<f64>> {
-    let orig = init.clone();
-    let mut bufs = init.clone();
-    let steps = scheds.values().map(|s| s.len()).max().unwrap_or(0);
-    for i in 0..steps {
-        let mut staged: BTreeMap<usize, f64> = BTreeMap::new();
-        for (&r, sched) in scheds {
-            if let Some(step) = sched.steps.get(i) {
-                if !step.outgoing.is_empty() {
-                    let src = if step.early_stage { &orig[&r] } else { &bufs[&r] };
-                    staged.insert(r, src[step.ready_offset]);
-                }
-            }
-        }
-        for (&r, sched) in scheds {
-            if let Some(step) = sched.steps.get(i) {
-                for src in &step.incoming {
-                    let v = *staged
-                        .get(src)
-                        .unwrap_or_else(|| panic!("step {i}: rank {r} expects a send from {src}"));
-                    let buf = bufs.get_mut(&r).expect("rank buffer");
-                    match step.op {
-                        StepOp::Sum => buf[step.arrived_offset] += v,
-                        StepOp::Nop => buf[step.arrived_offset] = v,
-                    }
-                }
-            }
-        }
-    }
-    bufs
-}
-
-fn chunk_value(rank: usize, c: usize) -> f64 {
-    (rank * 13 + c * 7 + 1) as f64
-}
-
-#[test]
-fn quarantine_repair_reroutes_4node_hierarchical_allreduce() {
-    let topo = Topology::new(4, 4, 4).expect("4-node GH200 topology");
-    let ranks = 16usize;
-
-    // Sanity: the unrepaired hierarchical schedule is a correct allreduce
-    // under the interpreter (validates the interpreter itself).
-    let scheds: BTreeMap<usize, Schedule> =
-        (0..ranks).map(|r| (r, Schedule::hierarchical_ring_allreduce(r, &topo))).collect();
-    let chunks = scheds[&0].chunks;
-    let init: BTreeMap<usize, Vec<f64>> = (0..ranks)
-        .map(|r| (r, (0..chunks).map(|c| chunk_value(r, c)).collect()))
-        .collect();
-    let done = interpret(&scheds, &init);
-    for r in 0..ranks {
-        for (c, got) in done[&r].iter().enumerate() {
-            let want: f64 = (0..ranks).map(|s| chunk_value(s, c)).sum();
-            assert_eq!(*got, want, "unrepaired rank {r} chunk {c}");
-        }
-    }
-
-    // Quarantine node 2 (ranks 8..12): every survivor repairs its schedule
-    // and the repaired collective reduces over exactly the survivors.
-    let mut q = Quarantine::new();
-    q.add(2);
-    let survivors: Vec<usize> = (0..ranks).filter(|r| topo.node_of(*r) != 2).collect();
-    let repaired: BTreeMap<usize, Schedule> = survivors
-        .iter()
-        .map(|&r| (r, q.repair_allreduce(r, &topo).expect("repair must succeed")))
-        .collect();
-    let rchunks = repaired[&0].chunks;
-    assert_eq!(rchunks, survivors.len(), "repaired chunk space is the surviving world");
-    let rinit: BTreeMap<usize, Vec<f64>> = survivors
-        .iter()
-        .map(|&r| (r, (0..rchunks).map(|c| chunk_value(r, c)).collect()))
-        .collect();
-    let rdone = interpret(&repaired, &rinit);
-    for &r in &survivors {
-        for (c, got) in rdone[&r].iter().enumerate() {
-            let want: f64 = survivors.iter().map(|&s| chunk_value(s, c)).sum();
-            assert_eq!(*got, want, "repaired rank {r} chunk {c}");
-        }
-        // The repaired schedule never routes through the quarantined node.
-        for step in &repaired[&r].steps {
-            for peer in step.incoming.iter().chain(&step.outgoing) {
-                assert_ne!(topo.node_of(*peer), 2, "rank {r} still routed via node 2");
-            }
-        }
-    }
-
-    // A rank on the quarantined node cannot route around itself: typed
-    // surrender, not a panic or a hang.
-    match q.repair_allreduce(9, &topo) {
-        Err(MpiError::Unrecoverable { rank, .. }) => assert_eq!(rank, 9),
-        other => panic!("expected Unrecoverable for a quarantined rank, got {other:?}"),
-    }
-}
-
 /// Satellite 1 — property: `FaultPlan` JSON round-trips exactly, for
 /// chaos-derived plans decorated with every fault class (including
 /// unbounded outage windows, which encode as `"inf"`).
@@ -349,15 +256,15 @@ fn fault_plan_json_round_trip_property() {
 
 /// Acceptance: at equal cell budget the coverage-guided campaign reaches
 /// strictly more distinct fault-class × layer points than the fixed
-/// seed×rate grid, with every cell honoring the recovery contract.
+/// seed×rate grid, with every cell honoring the recovery contract. Both
+/// plan sources run through the one campaign engine.
 #[test]
 fn coverage_campaign_beats_grid_at_equal_budget() {
-    let grid = CampaignConfig::ci(false);
-    let grid_cells = grid.seeds as usize * grid.rates.len() * grid.stripes.len();
-    let grid_points = coverage::grid_coverage_points(&grid);
+    let grid = run_campaign(&CampaignConfig::grid(false), 4);
+    let grid_cells = grid.outcomes.len();
+    assert!(grid.failures.is_empty(), "contract failures on the grid:\n{}", grid.render());
 
-    let cfg = CoverageCampaignConfig { budget: grid_cells as u32, ..CoverageCampaignConfig::default() };
-    let report = coverage::run_coverage_campaign(&cfg, 4);
+    let report = run_campaign(&CampaignConfig::search(grid_cells as u32), 4);
     assert_eq!(report.outcomes.len(), grid_cells, "campaign must spend exactly the budget");
     assert!(
         report.failures.is_empty(),
@@ -365,10 +272,10 @@ fn coverage_campaign_beats_grid_at_equal_budget() {
         report.render()
     );
     assert!(
-        report.covered.len() > grid_points.len(),
+        report.covered.len() > grid.covered.len(),
         "guided coverage ({}) must beat the grid ({}) at {} cells",
         report.covered.len(),
-        grid_points.len(),
+        grid.covered.len(),
         grid_cells
     );
 }
@@ -383,19 +290,21 @@ fn coverage_campaign_beats_grid_at_equal_budget() {
 /// the axis genuinely grows the point space.
 #[test]
 fn chaos_contract_holds_under_multiplexed_channel_load() {
-    use parcomm::core::CopyMechanism;
     use parcomm::mpi::RecoverConfig;
 
-    let mech = CopyMechanism::ProgressionEngine;
-    let recover = || Some(RecoverConfig::default());
-    let clean = chaos::run_moe_cell(0xFA017, &FaultPlan::none(), 2, 64, 1, mech, recover());
+    let moe = Cell {
+        channels: 64,
+        recover: Some(RecoverConfig::default()),
+        ..Cell::new(Workload::Moe, 2)
+    };
+    let clean = moe.run(0xFA017, &FaultPlan::none());
     assert!(clean.survived(), "fault-free MoE cell must complete");
 
     // The canonical chaos mix against the 64-channel cell: perturbed,
     // survived, replayed, numerics intact.
     let plan = FaultPlan::chaos(0x5EED, 0.4).expect("rate in range");
-    let a = chaos::run_moe_cell(0xFA017, &plan, 2, 64, 1, mech, recover());
-    let b = chaos::run_moe_cell(0xFA017, &plan, 2, 64, 1, mech, recover());
+    let a = moe.run(0xFA017, &plan);
+    let b = moe.run(0xFA017, &plan);
     assert_ne!(a.digest, clean.digest, "chaos mix must perturb the multiplexed trace");
     assert!(a.survived(), "chaos mix must recover: {:?}", a.errors);
     assert_eq!(a.digest, b.digest, "multiplexed chaos replay must be deterministic");
@@ -405,16 +314,15 @@ fn chaos_contract_holds_under_multiplexed_channel_load() {
     // replay re-issues the partitions host-side) — and is a typed
     // failure, never a hang, once the ladder is disarmed.
     let loss = FaultPlan::none().with_lost_flag_writes(4, 1).with_watchdog(200_000.0);
-    let lost = chaos::run_moe_cell(0xFA017, &loss, 2, 64, 1, mech, recover());
+    let lost = moe.run(0xFA017, &loss);
     assert!(lost.survived(), "armed ladder must replay the lost flag write");
     assert_eq!(lost.numeric, clean.numeric);
-    let unrec = chaos::run_moe_cell(0xFA017, &loss, 2, 64, 1, mech, None);
+    let unrec = Cell { recover: None, ..moe }.run(0xFA017, &loss);
     assert!(!unrec.survived(), "disarmed: a lost flag write must surface typed");
 
     // The guided campaign on the channel axis: zero contract failures and
     // every covered point qualified with the channel count.
-    let cfg = CoverageCampaignConfig { budget: 6, channels: 64, ..CoverageCampaignConfig::default() };
-    let report = coverage::run_coverage_campaign(&cfg, 2);
+    let report = run_campaign(&CampaignConfig { channels: 64, ..CampaignConfig::search(6) }, 2);
     assert!(
         report.failures.is_empty(),
         "contract failures on the channel axis:\n{}",
@@ -439,12 +347,8 @@ fn chaos_contract_holds_under_multiplexed_channel_load() {
 fn chaos_contract_holds_on_oversubscribed_shape() {
     use parcomm::fault::coverage::TopologyShape;
 
-    let cfg = CoverageCampaignConfig {
-        budget: 6,
-        shape: TopologyShape::Oversubscribed,
-        ..CoverageCampaignConfig::default()
-    };
-    let report = coverage::run_coverage_campaign(&cfg, 2);
+    let cfg = CampaignConfig { shape: TopologyShape::Oversubscribed, ..CampaignConfig::search(6) };
+    let report = run_campaign(&cfg, 2);
     assert!(
         report.failures.is_empty(),
         "contract failures on the shape axis:\n{}",
@@ -457,6 +361,6 @@ fn chaos_contract_holds_on_oversubscribed_shape() {
         report.covered
     );
     // The shaped campaign is worker-count invariant like the classic one.
-    let again = coverage::run_coverage_campaign(&cfg, 1);
+    let again = run_campaign(&cfg, 1);
     assert_eq!(report.render(), again.render(), "shape axis must stay deterministic");
 }
