@@ -18,10 +18,36 @@ use parcomm_testkit::digest;
 const PE_DIGEST: u64 = 0x45acaeb376724ea7;
 const KC_DIGEST: u64 = 0x20c1bddca5782f10;
 
+/// How the sender of [`device_p2p_digest_cfg`] marks its partitions ready.
+#[derive(Copy, Clone, Debug)]
+enum Emission {
+    /// One `pready_all_progressive` call: wave-timed device emissions.
+    Progressive,
+    /// Two in-kernel `pready_users` calls (one per transport partition) at
+    /// this aggregation level.
+    Users(AggLevel),
+    /// Host `pready_range` over every partition; no kernel is launched.
+    Host,
+    /// `pready_all_progressive` after the receiver's data-buffer IPC
+    /// mapping was revoked, so Kernel Copy falls back to the PE path.
+    RevokedIpc,
+}
+
 /// Canonical device-prequest p2p run: intra-node 0 -> 1, 4 user partitions
 /// x 1 KiB, 2 transport partitions, progressive device pready. Digest over
 /// the event stream + received payload.
-fn device_p2p_digest_cfg(config: WorldConfig, copy: CopyMechanism, seed: u64) -> u64 {
+fn device_p2p_digest(copy: CopyMechanism, seed: u64) -> u64 {
+    device_p2p_digest_cfg(WorldConfig::gh200(1), copy, Emission::Progressive, seed)
+}
+
+/// [`device_p2p_digest`] with the world config and emission shape chosen
+/// by the caller.
+fn device_p2p_digest_cfg(
+    config: WorldConfig,
+    copy: CopyMechanism,
+    emission: Emission,
+    seed: u64,
+) -> u64 {
     let mut sim = Simulation::with_seed(seed);
     let trace = sim.trace();
     trace.enable();
@@ -40,16 +66,35 @@ fn device_p2p_digest_cfg(config: WorldConfig, copy: CopyMechanism, seed: u64) ->
                 let sreq = psend_init(ctx, rank, 1, 11, &buf, parts).expect("init");
                 sreq.start(ctx).expect("start");
                 sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
+                let agg = match emission {
+                    Emission::Users(agg) => agg,
+                    _ => AggLevel::Block,
+                };
                 let preq = prequest_create(ctx, rank, &sreq, PrequestConfig {
                     copy,
+                    agg,
                     transport_partitions: 2,
                     ..PrequestConfig::default()
                 })
                 .expect("prequest");
+                if let Emission::RevokedIpc = emission {
+                    sreq.data_rkey().expect("prepared").revoke_ipc();
+                }
                 let stream = rank.gpu().create_stream();
-                stream.launch(ctx, KernelSpec::vector_add(2, 256), move |d| {
-                    preq.pready_all_progressive(d)
-                });
+                match emission {
+                    Emission::Progressive | Emission::RevokedIpc => {
+                        stream.launch(ctx, KernelSpec::vector_add(2, 256), move |d| {
+                            preq.pready_all_progressive(d)
+                        });
+                    }
+                    Emission::Users(_) => {
+                        stream.launch(ctx, KernelSpec::vector_add(2, 256), move |d| {
+                            preq.pready_users(d, 0..2);
+                            preq.pready_users(d, 2..4);
+                        });
+                    }
+                    Emission::Host => sreq.pready_range(ctx, 0..parts).expect("pready_range"),
+                }
                 sreq.wait(ctx).expect("wait");
             }
             1 => {
@@ -71,10 +116,6 @@ fn device_p2p_digest_cfg(config: WorldConfig, copy: CopyMechanism, seed: u64) ->
     d.write_u64(digest::run_digest(&report, &trace));
     d.write_f64_slice(&out.lock());
     d.finish()
-}
-
-fn device_p2p_digest(copy: CopyMechanism, seed: u64) -> u64 {
-    device_p2p_digest_cfg(WorldConfig::gh200(1), copy, seed)
 }
 
 fn shmem_config() -> WorldConfig {
@@ -103,11 +144,97 @@ fn pe_and_kernel_copy_digests_frozen_with_shmem_linked() {
 /// from both baselines (it really is a third wire protocol, not an alias).
 #[test]
 fn shmem_device_p2p_is_deterministic() {
-    let a = device_p2p_digest_cfg(shmem_config(), CopyMechanism::Shmem, 0x5E11);
-    let b = device_p2p_digest_cfg(shmem_config(), CopyMechanism::Shmem, 0x5E11);
+    let progressive = Emission::Progressive;
+    let a = device_p2p_digest_cfg(shmem_config(), CopyMechanism::Shmem, progressive, 0x5E11);
+    let b = device_p2p_digest_cfg(shmem_config(), CopyMechanism::Shmem, progressive, 0x5E11);
     assert_eq!(a, b, "shmem run is not deterministic");
     assert_ne!(a, PE_DIGEST);
     assert_ne!(a, KC_DIGEST);
+}
+
+/// One frozen digest per (mechanism, emission shape) cell of
+/// [`device_p2p_digest_cfg`], plus the Kernel Copy fallback after IPC
+/// revocation and a shmem epoch replayed after a lost signal. Each
+/// mechanism's emit, post, land and replay paths are pinned separately, so
+/// a refactor of the copy-mechanism dispatch cannot move any one of them
+/// unnoticed.
+const MATRIX: &[(&str, u64)] = &[
+    ("pe/progressive", 0x45acaeb376724ea7),
+    ("pe/users_thread", 0x7b3c8a661e97094c),
+    ("pe/users_warp", 0x65e1c6a3c6c57c7f),
+    ("pe/users_block", 0xcec1bc7fa9d1b6db),
+    ("pe/host", 0xb83935ad60d54b8a),
+    ("kc/progressive", 0x20c1bddca5782f10),
+    ("kc/users_thread", 0xab08a5e34e941e79),
+    ("kc/users_warp", 0xab08a5e34e941e79),
+    ("kc/users_block", 0xab08a5e34e941e79),
+    ("kc/host", 0xb83935ad60d54b8a),
+    ("shmem/progressive", 0x63b53ca95fe2e8df),
+    ("shmem/users_thread", 0xcda36cf253088443),
+    ("shmem/users_warp", 0xcda36cf253088443),
+    ("shmem/users_block", 0xcda36cf253088443),
+    ("shmem/host", 0xa45f4a3b68284b54),
+    ("kc/revoked_ipc", 0x45acaeb376724ea7),
+    ("shmem/lost_signal_replay", 0x2b97ee7914cc48ab),
+];
+
+/// The cells of [`MATRIX`], in order: name, world config, copy mechanism
+/// and emission shape.
+fn matrix_cells() -> Vec<(String, WorldConfig, CopyMechanism, Emission)> {
+    let mechanisms = [
+        ("pe", WorldConfig::gh200(1), CopyMechanism::ProgressionEngine),
+        ("kc", WorldConfig::gh200(1), CopyMechanism::KernelCopy),
+        ("shmem", shmem_config(), CopyMechanism::Shmem),
+    ];
+    let emissions = [
+        ("progressive", Emission::Progressive),
+        ("users_thread", Emission::Users(AggLevel::Thread)),
+        ("users_warp", Emission::Users(AggLevel::Warp)),
+        ("users_block", Emission::Users(AggLevel::Block)),
+        ("host", Emission::Host),
+    ];
+    let mut cells = Vec::new();
+    for (m, config, copy) in &mechanisms {
+        for (e, emission) in emissions {
+            cells.push((format!("{m}/{e}"), config.clone(), *copy, emission));
+        }
+    }
+    cells.push((
+        "kc/revoked_ipc".into(),
+        WorldConfig::gh200(1),
+        CopyMechanism::KernelCopy,
+        Emission::RevokedIpc,
+    ));
+    let lost_signal = WorldConfig {
+        shmem_faults: vec![(
+            0,
+            EmissionFaultConfig { delay_every: 0, delay_us: 0.0, lose_every: 1 },
+        )],
+        recover: Some(RecoverConfig { max_replays: 4, detect_us: 5_000.0, lease_us: 2_000.0 }),
+        ..shmem_config()
+    };
+    cells.push((
+        "shmem/lost_signal_replay".into(),
+        lost_signal,
+        CopyMechanism::Shmem,
+        Emission::Progressive,
+    ));
+    cells
+}
+
+#[test]
+fn mechanism_emission_digest_matrix_is_frozen() {
+    let got: Vec<(String, u64)> = matrix_cells()
+        .into_iter()
+        .map(|(name, config, copy, emission)| {
+            (name, device_p2p_digest_cfg(config, copy, emission, 0x5E11))
+        })
+        .collect();
+    assert_eq!(got.len(), MATRIX.len(), "matrix cell count");
+    for ((name, d), &(want_name, want)) in got.iter().zip(MATRIX) {
+        assert_eq!(name, want_name, "matrix cell order");
+        assert_eq!(*d, want, "{name}: device p2p digest moved to {d:#018x}");
+    }
 }
 
 /// The tentpole invariant: a shmem channel performs ZERO rkey exchanges —
