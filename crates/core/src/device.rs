@@ -1,37 +1,47 @@
 //! GPU-initiated `MPIX_Pready`: the device-side request object and the
-//! thread/warp/block bindings with both copy mechanisms (paper §IV-A3/4).
+//! thread/warp/block bindings for all three copy mechanisms (paper
+//! §IV-A3/4, plus the symmetric heap).
 //!
 //! [`prequest_create`] builds an [`DevicePrequest`] — the paper's
 //! `MPIX_Prequest`: a device-resident slice of the full `MPI_Request`
-//! holding only what a kernel needs (copy mechanism, aggregation threshold,
-//! GPU-global counters, the pinned-host notification flags, and — for the
-//! Kernel Copy path — the `ucp_rkey_ptr` mapping of the remote buffer).
+//! holding only what a kernel needs (aggregation threshold, the pinned-host
+//! notification flags, and its emission mode). The mode, [`Emit`], is
+//! resolved once from the channel's negotiated `Route` and the requested
+//! [`CopyMechanism`]:
 //!
-//! Inside a kernel body, `pready_*` calls:
+//! - **Progression Engine** — each completed transport partition raises a
+//!   pinned-host flag; the progression engine drains it and posts the
+//!   `ucp_put_nbx` data put;
+//! - **Kernel Copy** — the kernel stores the payload straight into the peer
+//!   GPU's memory (mapped via `ucp_rkey_ptr`, charging NVLink occupancy
+//!   inside the kernel window), then raises the pinned flag; the engine
+//!   posts only the completion-flag put. A revoked mapping runs the
+//!   `pready` as Progression Engine;
+//! - **shmem** — the kernel's leader thread issues the one-sided symmetric
+//!   put itself, with no flag write and no engine hop.
 //!
-//! 1. account the device time of the chosen aggregation level (per-thread
-//!    host-memory stores, `__syncwarp`, `__syncthreads`, or global-memory
-//!    counters) using the `a + n·b` flag-write model calibrated on Fig. 3;
-//! 2. for **Kernel Copy**, store the payload straight into the peer GPU's
-//!    mapped memory, charging NVLink occupancy inside the kernel window;
-//! 3. schedule the pinned-host notification writes at their in-kernel
-//!    offsets; when the progression engine observes them it issues the
-//!    `ucp_put_nbx` (Progression Engine path) or just the completion-flag
-//!    put (Kernel Copy path).
+//! Both `pready` forms ([`DevicePrequest::pready_all_progressive`] and
+//! [`DevicePrequest::pready_users`]) account the device time of their
+//! aggregation level with the `a + n·b` flag-write model calibrated on
+//! Fig. 3, compute one in-kernel offset per completed transport, and hand
+//! them to one shared tail that schedules the emissions. Every delivery
+//! then goes through `PsendShared::issue_data_put` (or, for Kernel Copy,
+//! the flag put alone) and lands in `PsendShared::land`.
 
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parcomm_sim::Mutex;
 
 use parcomm_gpu::{AggLevel, Buffer, DeviceCtx};
-use parcomm_mpi::{chunk_range, CopyMechanism, HookOutcome, MpiError, Rank};
-use parcomm_sim::{Ctx, Proc, SimDuration, SpanId};
+use parcomm_mpi::{CopyMechanism, HookOutcome, MpiError, Rank};
+use parcomm_sim::{Ctx, Proc, SimDuration, SimTime, SpanId};
 use parcomm_ucx::IpcMapping;
 
 use crate::overheads::ApiOverheads;
-use crate::send::{PsendRequest, PsendShared};
+use crate::send::{PsendRequest, PsendShared, Route};
 
 /// Configuration for [`prequest_create`].
 #[derive(Copy, Clone, Debug)]
@@ -71,19 +81,31 @@ struct PendingNotifications {
     epoch: u64,
 }
 
+/// How a device `pready` hands a completed transport partition on,
+/// resolved once by [`prequest_create`] from the channel's negotiated route
+/// and the requested copy mechanism.
+#[derive(Clone)]
+enum Emit {
+    /// A pinned-host flag write per transport; the progression engine posts
+    /// the data put.
+    ProgressionEngine,
+    /// In-kernel stores into the peer buffer, mapped via `ucp_rkey_ptr`,
+    /// then a pinned-host flag write; the progression engine posts only the
+    /// flag put. The mapping is revocable: every `pready` checks it and
+    /// runs as [`Emit::ProgressionEngine`] once it died mid-epoch.
+    KernelCopy(IpcMapping),
+    /// The kernel's leader thread issues the one-sided symmetric put
+    /// itself: no pinned-flag write, no progression-engine hop.
+    Shmem,
+}
+
 struct DpInner {
     send: Arc<PsendShared>,
     config: PrequestConfig,
+    emit: Emit,
     /// Pinned host memory the device notification writes land in
     /// (one word per transport partition).
     pinned_flags: Buffer,
-    /// Kernel Copy: the peer receive buffer mapped via `ucp_rkey_ptr`.
-    /// Revocable — every `pready` checks validity and falls back to the
-    /// Progression Engine path once the mapping dies mid-epoch.
-    mapped_peer: Option<IpcMapping>,
-    /// GPU-global aggregation counters (`MPIX_Prequest_create` allocates
-    /// them; multi-block aggregation increments them atomically).
-    counters: Mutex<Vec<u64>>,
     pending: Mutex<PendingNotifications>,
 }
 
@@ -117,44 +139,36 @@ pub async fn prequest_create_async(
     config: PrequestConfig,
 ) -> Result<DevicePrequest, MpiError> {
     let send = sreq.shared().clone();
-    let (prepared, data_rkey, shmem_active, shmem_denied) = {
-        let st = send.state.lock();
-        (st.prepared, st.data_rkey.clone(), st.shmem.is_some(), st.shmem_denied.clone())
-    };
-    if !prepared {
+    let Some(route) = send.state.lock().route.clone() else {
         return Err(MpiError::InvalidArgument {
             context: "MPIX_Prequest_create before MPIX_Pbuf_prepare completed".into(),
         });
-    }
+    };
     sreq.set_transport_partitions(config.transport_partitions)?;
 
-    let mapped_peer = if shmem_active {
+    let emit = match (route, config.copy) {
         // A negotiated shmem channel is one-sided by construction: every
         // device pready issues symmetric-heap puts regardless of
         // `config.copy` — there is no rkey to map and no PE hop to take.
-        None
-    } else {
-        match config.copy {
-            CopyMechanism::KernelCopy => {
-                let rkey = data_rkey.expect("prepared implies rkey");
-                Some(rkey.rkey_ptr(rank.gpu().id().location())?)
-            }
-            CopyMechanism::Shmem => {
-                // The channel negotiated the classic rkey protocol, so the
-                // shmem mechanism cannot be honored; surface the receiver's
-                // typed demotion reason when there is one. Callers fall back
-                // by retrying with the Progression Engine.
-                return Err(match shmem_denied {
-                    Some(e) => MpiError::Shmem(e),
-                    None => MpiError::InvalidArgument {
-                        context: "MPIX_Prequest_create: copy mechanism Shmem but the channel \
-                                  negotiated the classic rkey protocol (request Shmem on both \
-                                  endpoints or via WorldConfig::mechanism)"
-                            .into(),
-                    },
-                });
-            }
-            CopyMechanism::ProgressionEngine => None,
+        (Route::Shmem { .. }, _) => Emit::Shmem,
+        (Route::Rma { .. }, CopyMechanism::ProgressionEngine) => Emit::ProgressionEngine,
+        (Route::Rma { data_rkey, .. }, CopyMechanism::KernelCopy) => {
+            Emit::KernelCopy(data_rkey.rkey_ptr(rank.gpu().id().location())?)
+        }
+        // The channel negotiated the classic rkey protocol, so the shmem
+        // mechanism cannot be honored; surface the receiver's typed
+        // demotion reason when there is one. Callers fall back by retrying
+        // with the Progression Engine.
+        (Route::Rma { shmem_denied, .. }, CopyMechanism::Shmem) => {
+            return Err(match shmem_denied {
+                Some(e) => MpiError::Shmem(e),
+                None => MpiError::InvalidArgument {
+                    context: "MPIX_Prequest_create: copy mechanism Shmem but the channel \
+                              negotiated the classic rkey protocol (request Shmem on both \
+                              endpoints or via WorldConfig::mechanism)"
+                        .into(),
+                },
+            });
         }
     };
 
@@ -165,9 +179,8 @@ pub async fn prequest_create_async(
         inner: Arc::new(DpInner {
             send,
             config,
+            emit,
             pinned_flags,
-            mapped_peer,
-            counters: Mutex::new(vec![0; config.transport_partitions]),
             pending: Mutex::new(PendingNotifications {
                 queue: VecDeque::new(),
                 processed: 0,
@@ -231,8 +244,7 @@ impl DevicePrequest {
     /// Must be the kernel's only partitioned call (it assumes the compute
     /// phase spans the kernel body up to this point).
     pub fn pready_all_progressive(&self, d: &mut DeviceCtx<'_>) {
-        let inner = &self.inner;
-        let send = &inner.send;
+        let send = &self.inner.send;
         let cost = d.cost().clone();
         assert_eq!(
             d.current_end_offset(),
@@ -243,235 +255,149 @@ impl DevicePrequest {
         let completed = send
             .mark_ready(0..users)
             .expect("device MPIX_Pready misuse traps the kernel");
-        let t = send.state.lock().transport_partitions;
         let compute = d.compute_duration();
         let train_us = d.flag_write_train_us(completed.len() as u32);
         let per_write_us = train_us / completed.len().max(1) as f64;
-        let mut last_off = SimDuration::ZERO;
-
-        if send.state.lock().shmem.is_some() {
-            // Device-initiated one-sided path: as each transport's covering
-            // blocks finish, the leader thread issues the symmetric put
-            // itself — no pinned-flag train, no PE drain. The issue cost is
-            // serialized per put, and one closing fence covers the batch.
-            for (i, &k) in completed.iter().enumerate() {
-                let (u0, ulen) = chunk_range(users, t, k);
-                let frac = (u0 + ulen) as f64 / users as f64;
-                let ready = SimDuration::from_micros_f64(
-                    compute.as_micros_f64() * frac
-                        + cost.syncthreads_us
-                        + (i + 1) as f64 * cost.shmem_put_issue_us,
-                );
-                last_off = last_off
-                    .max(ready + SimDuration::from_micros_f64(cost.kernel_store_fence_us));
-                let send2 = send.clone();
-                d.at_offset_shmem_traced(ready, move |h, kernel_span| {
-                    send2.issue_shmem_put(h, k, kernel_span, h.now());
-                });
-            }
-            let end = d.current_end_offset();
-            if last_off > end {
-                d.extend(last_off - end);
-            }
-            let epoch = send.state.lock().epoch;
-            let mut p = inner.pending.lock();
-            if p.epoch != epoch {
-                p.epoch = epoch;
-                p.processed = 0;
-            }
-            return;
-        }
-
-        match self.kernel_copy_mapping() {
-            None => {
-                for (i, &k) in completed.iter().enumerate() {
-                    let (u0, ulen) = chunk_range(users, t, k);
-                    let frac = (u0 + ulen) as f64 / users as f64;
-                    let ready = SimDuration::from_micros_f64(
-                        compute.as_micros_f64() * frac
-                            + cost.syncthreads_us
-                            + (i + 1) as f64 * per_write_us,
-                    );
-                    last_off = last_off.max(ready);
-                    let this = self.clone();
-                    d.at_offset_traced(ready, move |h, kernel_span| {
-                        this.on_device_notification(h, k, true, kernel_span)
-                    });
+        let emit = self.emit();
+        // Transport `k` is ready once its covering blocks finish, at the
+        // `(u0 + ulen) / users` point of the compute phase plus the block
+        // sync; the `i`-th emission then queues behind `i` earlier flag
+        // writes (or shmem put issues) of this call.
+        let mut at = Vec::with_capacity(completed.len());
+        let mut end = SimDuration::ZERO;
+        for (i, &k) in completed.iter().enumerate() {
+            let (u0, ulen) = send.transport_users(k);
+            let frac = (u0 + ulen) as f64 / users as f64;
+            let wave_us = compute.as_micros_f64() * frac + cost.syncthreads_us;
+            let ready = match &emit {
+                Emit::ProgressionEngine => {
+                    SimDuration::from_micros_f64(wave_us + (i + 1) as f64 * per_write_us)
                 }
-            }
-            Some(mapped) => {
-                let fabric = send.world.fabric();
-                let src_loc = send.buffer.space().location();
-                let dst_loc = mapped.buffer().space().location();
-                let lat = fabric.path_latency(src_loc, dst_loc);
-                for (i, &k) in completed.iter().enumerate() {
-                    let (u0, ulen) = chunk_range(users, t, k);
-                    let off = u0 * send.partition_bytes;
-                    let len = ulen * send.partition_bytes;
-                    mapped.buffer().copy_from_buffer(off, &send.buffer, off, len);
-                    let frac = (u0 + ulen) as f64 / users as f64;
-                    let copy_start = d.start_time()
-                        + SimDuration::from_micros_f64(
-                            compute.as_micros_f64() * frac + cost.syncthreads_us,
-                        );
-                    let transfer = fabric.transfer_at(copy_start, src_loc, dst_loc, len as u64);
-                    // Offset (from kernel start) at which the stores have
-                    // been pushed onto the link (arrival minus propagation).
-                    let occupancy_end =
-                        transfer.arrival.saturating_since(d.start_time()).saturating_sub(lat);
-                    let ready = occupancy_end
+                Emit::KernelCopy(peer) => {
+                    let copy_start = d.start_time() + SimDuration::from_micros_f64(wave_us);
+                    let stored = self.kernel_copy(peer, &[k], copy_start, d.start_time());
+                    stored
                         + SimDuration::from_micros_f64(
                             cost.kernel_store_fence_us + (i + 1) as f64 * per_write_us,
-                        );
-                    last_off = last_off.max(ready);
-                    let this = self.clone();
-                    d.at_offset_traced(ready, move |h, kernel_span| {
-                        this.on_device_notification(h, k, false, kernel_span)
-                    });
+                        )
                 }
-            }
+                Emit::Shmem => {
+                    let issued = wave_us + (i + 1) as f64 * cost.shmem_put_issue_us;
+                    let ready = SimDuration::from_micros_f64(issued);
+                    // One closing fence covers the batch of puts.
+                    end = end.max(ready + SimDuration::from_micros_f64(cost.kernel_store_fence_us));
+                    ready
+                }
+            };
+            end = end.max(ready);
+            at.push(ready);
         }
-        // The kernel window must cover the last emission.
-        let end = d.current_end_offset();
-        if last_off > end {
-            d.extend(last_off - end);
-        }
-        // Epoch bookkeeping reset, mirroring pready_users.
-        let epoch = send.state.lock().epoch;
-        let mut p = inner.pending.lock();
-        if p.epoch != epoch {
-            p.epoch = epoch;
-            p.processed = 0;
+        self.emit_completed(d, &emit, &completed, at, end);
+    }
+
+    /// This request's [`Emit`] mode for the `pready` being made: Kernel
+    /// Copy whose IPC mapping was revoked mid-epoch (chaos injection) runs
+    /// as the Progression Engine — the fallback that keeps the channel
+    /// functional at Progression-Engine timing.
+    fn emit(&self) -> Emit {
+        match &self.inner.emit {
+            Emit::KernelCopy(peer) if !peer.is_valid() => Emit::ProgressionEngine,
+            emit => emit.clone(),
         }
     }
 
-    /// The live Kernel Copy mapping, or `None` when configured for the
-    /// Progression Engine *or* when the IPC mapping has been revoked
-    /// mid-epoch (chaos injection) — the fallback that keeps the channel
-    /// functional at Progression-Engine timing.
-    fn kernel_copy_mapping(&self) -> Option<IpcMapping> {
-        match self.inner.config.copy {
-            CopyMechanism::KernelCopy => {
-                let m = self.inner.mapped_peer.as_ref()?;
-                if m.is_valid() {
-                    Some(m.clone())
-                } else {
-                    None
-                }
-            }
-            _ => None,
+    /// Kernel Copy: store transports `ks`' payload straight into the peer
+    /// GPU's mapped memory now (visibility is gated on the flag put, never
+    /// earlier than the modelled NVLink time), and reserve link occupancy
+    /// from `copy_start` so concurrent copies contend. In-kernel copies are
+    /// fire-and-forget load/store traffic: the kernel pays serialization,
+    /// not the link round-trip latency — exactly the software path Kernel
+    /// Copy removes relative to posting a `ucp_put_nbx`. Returns the offset
+    /// from `origin` at which the stores have been pushed onto the link
+    /// (arrival minus propagation).
+    fn kernel_copy(
+        &self,
+        peer: &IpcMapping,
+        ks: &[usize],
+        copy_start: SimTime,
+        origin: SimTime,
+    ) -> SimDuration {
+        let send = &self.inner.send;
+        let mut bytes = 0usize;
+        for &k in ks {
+            let (u0, ulen) = send.transport_users(k);
+            let (off, len) = (u0 * send.partition_bytes, ulen * send.partition_bytes);
+            peer.buffer().copy_from_buffer(off, &send.buffer, off, len);
+            bytes += len;
         }
+        let fabric = send.world.fabric();
+        let src_loc = send.buffer.space().location();
+        let dst_loc = peer.buffer().space().location();
+        let transfer = fabric.transfer_at(copy_start, src_loc, dst_loc, bytes as u64);
+        let latency = fabric.path_latency(src_loc, dst_loc);
+        transfer.arrival.saturating_since(origin).saturating_sub(latency)
     }
 
     /// Mark a contiguous user partition range ready from inside a kernel.
     pub fn pready_users(&self, d: &mut DeviceCtx<'_>, users: Range<usize>) {
         assert!(!users.is_empty(), "pready_users: empty range");
-        let inner = &self.inner;
-        let send = &inner.send;
         let cost = d.cost().clone();
-        let completed = send
+        let completed = self
+            .inner
+            .send
             .mark_ready(users.clone())
             .expect("device MPIX_Pready misuse traps the kernel");
         let n = users.len() as u32;
         let block_dim = d.spec().block_dim;
-        let blocks_covered = n.div_ceil(block_dim).max(1);
-
-        // Reset the per-epoch pending bookkeeping on first use in an epoch.
-        let epoch = send.state.lock().epoch;
-        {
-            let mut p = inner.pending.lock();
-            if p.epoch != epoch {
-                p.epoch = epoch;
-                p.processed = 0;
-                p.queue.clear();
-                let mut c = inner.counters.lock();
-                c.iter_mut().for_each(|v| *v = 0);
-            }
-        }
-
-        if send.state.lock().shmem.is_some() {
-            // Device-initiated one-sided path: block consensus, then the
-            // leader thread issues one symmetric put per completed
-            // transport (serialized), closed by a system fence. Payload and
-            // receive-side flags travel in the put itself — no pinned-flag
-            // notification and no progression-engine involvement.
-            let sync_us = cost.aggregation_sync_us(AggLevel::Block, block_dim.min(n))
-                + blocks_covered as f64 * cost.device_atomic_us;
-            let base = d.extend(SimDuration::from_micros_f64(sync_us));
-            let mut last = base;
-            for (i, &k) in completed.iter().enumerate() {
-                let at =
-                    base + SimDuration::from_micros_f64((i + 1) as f64 * cost.shmem_put_issue_us);
-                last = last.max(at);
-                let send2 = send.clone();
-                d.at_offset_shmem_traced(at, move |h, kernel_span| {
-                    send2.issue_shmem_put(h, k, kernel_span, h.now());
-                });
-            }
-            let end_target = last + SimDuration::from_micros_f64(cost.kernel_store_fence_us);
-            let end = d.current_end_offset();
-            if end_target > end {
-                d.extend(end_target - end);
-            }
-            return;
-        }
-
-        match self.kernel_copy_mapping() {
-            None => {
-                let sync_us = cost.aggregation_sync_us(inner.config.agg, block_dim.min(n));
+        let m = completed.len();
+        // The device-direct paths (Kernel Copy, shmem) reach block
+        // consensus and bump one GPU-global counter per covered block, then
+        // the leader thread moves the data.
+        let leader_sync = || {
+            SimDuration::from_micros_f64(
+                cost.aggregation_sync_us(AggLevel::Block, block_dim.min(n))
+                    + n.div_ceil(block_dim).max(1) as f64 * cost.device_atomic_us,
+            )
+        };
+        // The `i`-th notification lands with the `(i+1)/m`-th share of the
+        // call's serialized flag-write train.
+        let train = |base: SimDuration, lead_us: f64, train_us: f64| -> Vec<SimDuration> {
+            let share = |i: usize| (i + 1) as f64 / m as f64;
+            (0..m).map(|i| base + SimDuration::from_micros_f64(lead_us + share(i) * train_us)).collect()
+        };
+        let emit = self.emit();
+        let (at, end) = match &emit {
+            Emit::ProgressionEngine => {
+                let sync_us = cost.aggregation_sync_us(self.inner.config.agg, block_dim.min(n));
                 let (writes, atomics_us) = self.notification_writes(n, block_dim, &completed);
                 let base = d.current_end_offset();
                 let train_us = d.flag_write_train_us(writes);
-                d.extend(SimDuration::from_micros_f64(sync_us + atomics_us + train_us));
-                self.schedule_notifications(
-                    d,
-                    base,
-                    sync_us + atomics_us,
-                    train_us,
-                    &completed,
-                    true,
-                );
+                let end = d.extend(SimDuration::from_micros_f64(sync_us + atomics_us + train_us));
+                (train(base, sync_us + atomics_us, train_us), end)
             }
-            Some(mapped) => {
-                // Functional stores into the peer GPU now; visibility is
-                // gated on the completion-flag put (never earlier than the
-                // modeled NVLink time below).
-                let t = send.state.lock().transport_partitions;
-                let mut copy_bytes = 0usize;
-                for &k in &completed {
-                    let (u0, ulen) = chunk_range(send.user_partitions, t, k);
-                    let off = u0 * send.partition_bytes;
-                    let len = ulen * send.partition_bytes;
-                    mapped.buffer().copy_from_buffer(off, &send.buffer, off, len);
-                    copy_bytes += len;
-                }
-                // Device time: block sync + counters, then the NVLink
-                // stores. In-kernel copies are fire-and-forget load/store
-                // traffic: the kernel pays serialization (plus a closing
-                // `__threadfence_system`), not the link round-trip latency
-                // — this is exactly the software path the paper's Kernel
-                // Copy removes relative to posting a ucp_put_nbx. Link
-                // occupancy is still reserved so concurrent copies contend.
-                let sync_us = cost.aggregation_sync_us(AggLevel::Block, block_dim.min(n))
-                    + blocks_covered as f64 * cost.device_atomic_us;
-                let base = d.extend(SimDuration::from_micros_f64(sync_us));
-                let copy_start = d.start_time() + base;
-                let fabric = send.world.fabric();
-                let src_loc = send.buffer.space().location();
-                let dst_loc = mapped.buffer().space().location();
-                let transfer = fabric.transfer_at(copy_start, src_loc, dst_loc, copy_bytes as u64);
-                let occupancy = transfer
-                    .arrival
-                    .saturating_since(copy_start)
-                    .saturating_sub(fabric.path_latency(src_loc, dst_loc));
+            Emit::KernelCopy(peer) => {
+                // Block sync + counters, then the NVLink stores, a closing
+                // `__threadfence_system`, and the flag-write train.
+                let copy_start = d.start_time() + d.extend(leader_sync());
+                let stored = self.kernel_copy(peer, &completed, copy_start, copy_start);
                 let fence = SimDuration::from_micros_f64(cost.kernel_store_fence_us);
-                let after_copy = d.extend(occupancy + fence);
-                let writes = completed.len() as u32;
-                let train_us = d.flag_write_train_us(writes);
-                d.extend(SimDuration::from_micros_f64(train_us));
-                self.schedule_notifications(d, after_copy, 0.0, train_us, &completed, false);
+                let after_copy = d.extend(stored + fence);
+                let train_us = d.flag_write_train_us(m as u32);
+                let end = d.extend(SimDuration::from_micros_f64(train_us));
+                (train(after_copy, 0.0, train_us), end)
             }
-        }
+            Emit::Shmem => {
+                // Block sync + counters, then one serialized put issue per
+                // completed transport, closed by a system fence.
+                let base = d.extend(leader_sync());
+                let issue = |i: usize| i as f64 * cost.shmem_put_issue_us;
+                let at: Vec<_> =
+                    (1..=m).map(|i| base + SimDuration::from_micros_f64(issue(i))).collect();
+                let last = at.iter().fold(base, |a, &b| a.max(b));
+                (at, last + SimDuration::from_micros_f64(cost.kernel_store_fence_us))
+            }
+        };
+        self.emit_completed(d, &emit, &completed, at, end);
     }
 
     /// Number of pinned-host notification writes this call performs, plus
@@ -494,31 +420,42 @@ impl DevicePrequest {
         }
     }
 
-    /// Schedule the pinned-flag writes for the completed transport
-    /// partitions, spread across the serialized write train, and hand them
-    /// to the progression engine as they land.
-    fn schedule_notifications(
+    /// The shared tail of both `pready` forms: emit completed transport
+    /// `completed[i]` at kernel offset `at[i]` along `emit`, stretch the
+    /// kernel window to cover `end`, and reset the per-epoch notification
+    /// bookkeeping on this epoch's first `pready`.
+    fn emit_completed(
         &self,
         d: &mut DeviceCtx<'_>,
-        base: SimDuration,
-        lead_us: f64,
-        train_us: f64,
+        emit: &Emit,
         completed: &[usize],
-        data_put: bool,
+        at: Vec<SimDuration>,
+        end: SimDuration,
     ) {
-        if completed.is_empty() {
-            return;
+        for (&k, at) in completed.iter().zip(at) {
+            if let Emit::Shmem = emit {
+                let send = self.inner.send.clone();
+                d.at_offset_shmem_traced(at, move |h, kernel_span| {
+                    send.issue_data_put(h, k, kernel_span, h.now())
+                });
+            } else {
+                let this = self.clone();
+                let data_put = matches!(emit, Emit::ProgressionEngine);
+                d.at_offset_traced(at, move |h, kernel_span| {
+                    this.on_device_notification(h, k, data_put, kernel_span)
+                });
+            }
         }
-        let m = completed.len();
-        for (i, &k) in completed.iter().enumerate() {
-            // Transport k's notification lands with the ((i+1)/m)-th share
-            // of this call's write train.
-            let off_us = lead_us + ((i + 1) as f64 / m as f64) * train_us;
-            let at = base + SimDuration::from_micros_f64(off_us);
-            let this = self.clone();
-            d.at_offset_traced(at, move |h, kernel_span| {
-                this.on_device_notification(h, k, data_put, kernel_span)
-            });
+        let cur = d.current_end_offset();
+        if end > cur {
+            d.extend(end - cur);
+        }
+        let epoch = self.inner.send.state.lock().epoch;
+        let mut p = self.inner.pending.lock();
+        if p.epoch != epoch {
+            p.epoch = epoch;
+            p.processed = 0;
+            p.queue.clear();
         }
     }
 
@@ -590,7 +527,9 @@ impl DevicePrequest {
                 let pe_span = h
                     .trace()
                     .record_causal("pe_post", t0, p.now(), rank, Some(k as u32), flag_span);
-                inner.send.issue_completion_flag_put(&h, k, pe_span, t0);
+                let send = &inner.send;
+                let gen = send.gen.load(Ordering::Acquire);
+                send.issue_flag_put(k, send.transport_users(k), pe_span, gen, t0);
             }
             inner.pending.lock().processed += 1;
         }

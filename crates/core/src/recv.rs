@@ -27,20 +27,20 @@ use crate::overheads::ApiOverheads;
 pub(crate) struct RecvState {
     pub epoch: u64,
     pub started: bool,
-    pub prepared: bool,
+    /// Reply endpoint; set by the first `MPIX_Pbuf_prepare`, which
+    /// negotiates the channel.
     pub ep_to_sender: Option<Endpoint>,
     /// Device-memory mirror of the arrival flags for the `MPIX_Parrived`
     /// device binding, refreshed during `MPI_Wait` (paper §IV-A4).
     pub device_mirror: Option<Buffer>,
     /// Per-request copy-mechanism override (else the world default).
     pub requested: Option<CopyMechanism>,
-    /// True when this channel negotiated the symmetric-heap mechanism (the
-    /// receive buffer and flags are bound into the heap and the sender puts
-    /// into them directly).
-    pub shmem: bool,
-    /// Set when shmem was requested but demoted: the typed reason that went
-    /// back to the sender in the classic setup reply.
-    pub shmem_denied: Option<ShmemError>,
+    /// The shmem verdict of the negotiation: `None` unless shmem was
+    /// requested; then `Ok` when the receive buffer and flags are bound
+    /// into the heap (the sender puts into them directly), or the typed
+    /// demotion reason that went back to the sender in the classic setup
+    /// reply.
+    pub shmem: Option<Result<(), ShmemError>>,
 }
 
 pub(crate) struct PrecvShared {
@@ -130,12 +130,10 @@ pub async fn precv_init_async(
             state: Mutex::new(RecvState {
                 epoch: 0,
                 started: false,
-                prepared: false,
                 ep_to_sender: None,
                 device_mirror: None,
                 requested: None,
-                shmem: false,
-                shmem_denied: None,
+                shmem: None,
             }),
         }),
     })
@@ -166,7 +164,7 @@ impl PrecvRequest {
     /// negotiated.
     pub fn set_mechanism(&self, m: CopyMechanism) -> Result<(), MpiError> {
         let mut st = self.inner.state.lock();
-        if st.prepared {
+        if st.ep_to_sender.is_some() {
             return Err(MpiError::InvalidArgument {
                 context: "set_mechanism after the channel negotiated at MPIX_Pbuf_prepare".into(),
             });
@@ -177,13 +175,13 @@ impl PrecvRequest {
 
     /// True when the channel negotiated the symmetric-heap mechanism.
     pub fn shmem_active(&self) -> bool {
-        self.inner.state.lock().shmem
+        matches!(self.inner.state.lock().shmem, Some(Ok(())))
     }
 
     /// The typed reason a requested shmem channel was demoted to the
     /// Progression Engine, if it was.
     pub fn shmem_denial(&self) -> Option<ShmemError> {
-        self.inner.state.lock().shmem_denied.clone()
+        self.inner.state.lock().shmem.clone()?.err()
     }
 
     /// `MPI_Start`: open a new receive epoch.
@@ -234,7 +232,7 @@ impl PrecvRequest {
                     context: "MPIX_Pbuf_prepare before MPI_Start".into(),
                 });
             }
-            (!st.prepared, st.epoch)
+            (st.ep_to_sender.is_none(), st.epoch)
         };
         let inner = &self.inner;
         if first {
@@ -277,58 +275,27 @@ impl PrecvRequest {
                 let st = inner.state.lock();
                 st.requested.unwrap_or(inner.world.config().mechanism)
             };
-            let shmem_offsets = if requested == CopyMechanism::Shmem {
-                Some(inner.try_shmem_bind())
-            } else {
-                None
-            };
+            let verdict = (requested == CopyMechanism::Shmem).then(|| inner.try_shmem_bind());
             let ep = inner.worker.create_endpoint(ss.sender_addr)?;
-            match shmem_offsets {
-                Some(Ok((data_off, flag_off))) => {
-                    ep.am_send(
-                        am_tag(Channel::SetupReply, inner.tag, inner.src, inner.my_rank),
-                        ShmemReceiverSetup {
-                            data_off,
-                            flag_off,
-                            notifier: inner.arrived.clone(),
-                            user_partitions: inner.user_partitions,
-                        },
-                        ShmemReceiverSetup::WIRE_BYTES,
-                    );
-                    let mut st = inner.state.lock();
-                    st.ep_to_sender = Some(ep);
-                    st.shmem = true;
-                    st.prepared = true;
+            let reply_tag = am_tag(Channel::SetupReply, inner.tag, inner.src, inner.my_rank);
+            let (notifier, user_partitions) = (inner.arrived.clone(), inner.user_partitions);
+            if let Some(Ok((data_off, flag_off))) = verdict {
+                let reply = ShmemReceiverSetup { data_off, flag_off, notifier, user_partitions };
+                ep.am_send(reply_tag, reply, ShmemReceiverSetup::WIRE_BYTES);
+            } else {
+                let shmem_denied = verdict.clone().and_then(Result::err);
+                if let (Some(_), Some(i)) = (&shmem_denied, inner.world.shmem_heap().obs()) {
+                    i.fallbacks.inc();
                 }
-                other => {
-                    let denied = match other {
-                        Some(Err(e)) => {
-                            if let Some(i) = inner.world.shmem_heap().obs() {
-                                i.fallbacks.inc();
-                            }
-                            Some(e)
-                        }
-                        _ => None,
-                    };
-                    let data_rkey = inner.worker.mem_map(&inner.buffer).pack_rkey();
-                    let flag_rkey = inner.worker.mem_map(&inner.flags).pack_rkey();
-                    ep.am_send(
-                        am_tag(Channel::SetupReply, inner.tag, inner.src, inner.my_rank),
-                        ReceiverSetup {
-                            data_rkey,
-                            flag_rkey,
-                            notifier: inner.arrived.clone(),
-                            user_partitions: inner.user_partitions,
-                            shmem_denied: denied.clone(),
-                        },
-                        ReceiverSetup::WIRE_BYTES,
-                    );
-                    let mut st = inner.state.lock();
-                    st.ep_to_sender = Some(ep);
-                    st.shmem_denied = denied;
-                    st.prepared = true;
-                }
+                let data_rkey = inner.worker.mem_map(&inner.buffer).pack_rkey();
+                let flag_rkey = inner.worker.mem_map(&inner.flags).pack_rkey();
+                let reply =
+                    ReceiverSetup { data_rkey, flag_rkey, notifier, user_partitions, shmem_denied };
+                ep.am_send(reply_tag, reply, ReceiverSetup::WIRE_BYTES);
             }
+            let mut st = inner.state.lock();
+            st.ep_to_sender = Some(ep);
+            st.shmem = verdict.map(|v| v.map(|_| ()));
         } else {
             p.advance(ApiOverheads::sample(&p.handle(), inner.overheads.pbuf_prepare_steady)).await;
             let ep = inner.state.lock().ep_to_sender.clone().expect("prepared state lost");

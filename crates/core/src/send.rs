@@ -15,6 +15,15 @@
 //! 5. [`PsendRequest::wait`] — block until every transport partition of the
 //!    epoch is delivered (`MPI_Wait`), closing the epoch.
 //!
+//! The first `pbuf_prepare` fixes the channel's [`Route`]: classic RMA
+//! with the receiver's two rkeys, or the symmetric heap with its
+//! translated buffers. Every delivery of a transport partition — host
+//! `pready`, a progression-engine post, a device shmem emission, or a
+//! recovery replay — goes through [`PsendShared::issue_data_put`], which
+//! dispatches on the route once, and takes effect in one landing function,
+//! [`PsendShared::land`]: the generation/delivered latch, the
+//! `mpi.pready_arrival_us` sample and the arrival counters.
+//!
 //! Device bindings (`MPIX_Pready` from inside a kernel) live in
 //! `crate::device` and drive the same state machine through the crate-
 //! internal `mark_ready` / `issue_*` entry points.
@@ -65,34 +74,36 @@ pub fn transport_of_user(users: usize, transports: usize, u: usize) -> usize {
     }
 }
 
-/// A negotiated symmetric-heap channel: the receiver's data and flag
-/// buffers, resolved *locally* by the sender from the symmetric offsets in
-/// the setup reply — no rkey was exchanged and none is needed again.
+/// How a channel's transport partitions reach the receiver, decided once
+/// by the receiver's setup reply at the first `MPIX_Pbuf_prepare`.
 #[derive(Clone)]
-pub(crate) struct ShmemChannel {
-    /// The receiver's data buffer (heap-translated).
-    pub data: Buffer,
-    /// The receiver's partition status flags (heap-translated).
-    pub flags: Buffer,
+pub(crate) enum Route {
+    /// Classic RMA: a data put against the receiver's data rkey, chaining
+    /// a flag put against its flag rkey. Used by the Progression Engine and
+    /// Kernel Copy mechanisms alike (Kernel Copy maps `data_rkey` for its
+    /// in-kernel stores and posts only the flag put).
+    Rma {
+        data_rkey: RKey,
+        flag_rkey: RKey,
+        /// Set when this side wanted shmem but the receiver demoted the
+        /// channel: the typed reason, kept for diagnostics and surfaced by
+        /// `prequest_create(copy: Shmem)`.
+        shmem_denied: Option<ShmemError>,
+    },
+    /// Symmetric heap: one-sided puts into the receiver's data and flag
+    /// buffers, resolved *locally* from the symmetric offsets in the setup
+    /// reply — no rkey was exchanged and none is needed again.
+    Shmem { data: Buffer, flags: Buffer },
 }
 
 pub(crate) struct SendState {
     pub epoch: u64,
     pub started: bool,
-    pub prepared: bool,
     pub transport_partitions: usize,
-    pub data_rkey: Option<RKey>,
-    pub flag_rkey: Option<RKey>,
-    /// Per-request copy-mechanism override (else the world default).
-    pub requested: Option<CopyMechanism>,
-    /// Set when the receiver accepted the shmem mechanism for this channel.
-    pub shmem: Option<ShmemChannel>,
-    /// Set when this side wanted shmem but the receiver demoted the channel
-    /// to the Progression Engine: the typed reason, kept for diagnostics
-    /// and surfaced by `prequest_create(copy: Shmem)`.
-    pub shmem_denied: Option<ShmemError>,
+    /// The negotiated route; `None` until the first `MPIX_Pbuf_prepare`.
+    pub route: Option<Route>,
     /// Receiver's arrival counter (the sim stand-in for the receiver
-    /// polling its flag memory); bumped by the chained flag put.
+    /// polling its flag memory); set with `route`, bumped by each landing.
     pub notifier: Option<CountEvent>,
     /// Per-transport count of user partitions marked ready this epoch.
     pub ready: Vec<u64>,
@@ -100,9 +111,6 @@ pub(crate) struct SendState {
     pub user_ready: Vec<bool>,
     /// Per-transport "put issued" latch.
     pub sent: Vec<bool>,
-    /// Host staging for the chained flag puts: one u64 per user partition,
-    /// holding the current epoch number.
-    pub flag_stage: Buffer,
     /// Stripe count for the data puts: each transport partition's payload
     /// splits into up to this many stripes routed concurrently over the
     /// eligible fabric paths. `1` (the default) is the classic single-path
@@ -123,6 +131,9 @@ pub(crate) struct PsendShared {
     pub user_partitions: usize,
     pub partition_bytes: usize,
     pub endpoint: Endpoint,
+    /// Host staging for the flag puts: one u64 per user partition, holding
+    /// the current epoch number.
+    pub flag_stage: Buffer,
     pub state: Mutex<SendState>,
     /// Bumped once per transport partition delivered this epoch.
     pub transport_complete: CountEvent,
@@ -130,17 +141,17 @@ pub(crate) struct PsendShared {
     /// scanned by the `MPI_Wait` watchdog to surface transport failures.
     /// Cleared at `MPI_Start` and by epoch replay (a replay supersedes the
     /// old attempt's handles — their failures are no longer diagnostic).
-    pub puts: Arc<Mutex<Vec<PutHandle>>>,
+    pub puts: Mutex<Vec<PutHandle>>,
     /// Replay generation: bumped by [`PsendShared::recover_epoch`]. Every
-    /// put-completion closure captures the generation it was issued under
-    /// and discards its side effects if a replay has superseded it — stale
-    /// duplicates from a half-completed attempt cannot double-count.
-    pub gen: Arc<AtomicU64>,
+    /// delivery carries the generation it was issued under, and
+    /// [`PsendShared::land`] discards it if a replay has superseded it —
+    /// stale duplicates from a half-completed attempt cannot double-count.
+    pub gen: AtomicU64,
     /// Per-transport delivered latch for the current epoch: set exactly
-    /// once, by the first (current-generation) flag put to land. Replay
-    /// re-issues only undelivered transports; a racing duplicate that lands
-    /// after the latch is discarded.
-    pub delivered: Arc<Mutex<Vec<bool>>>,
+    /// once, by the first current-generation landing. Replay re-issues only
+    /// undelivered transports; a racing duplicate that lands after the
+    /// latch is discarded.
+    pub delivered: Mutex<Vec<bool>>,
     /// Host-drain takeover hook for the device (`MPIX_Pready`-from-kernel)
     /// path: registered by `prequest_create`, it drains the device
     /// notification queue from the waiter's context when the progression
@@ -150,7 +161,7 @@ pub(crate) struct PsendShared {
     /// Settled failure of a device-initiated shmem put (retry budget
     /// exhausted). Checked first by the stall diagnosis; cleared at
     /// `MPI_Start` and by epoch replay.
-    pub shmem_failure: Arc<Mutex<Option<ShmemError>>>,
+    pub shmem_failure: Mutex<Option<ShmemError>>,
 }
 
 /// Boxed host-drain callback; see [`PsendShared::device_drain`]. It returns
@@ -232,7 +243,7 @@ pub async fn psend_init_async(
         SenderSetup::WIRE_BYTES,
     );
 
-    let flag_stage = Buffer::alloc(MemSpace::Host { node: rank.gpu().id().node }, partitions * 8);
+    let node = rank.gpu().id().node;
     Ok(PsendRequest {
         inner: Arc::new(PsendShared {
             world: rank.world().clone(),
@@ -247,29 +258,24 @@ pub async fn psend_init_async(
             user_partitions: partitions,
             partition_bytes: buffer.len() / partitions,
             endpoint,
+            flag_stage: Buffer::alloc(MemSpace::Host { node }, partitions * 8),
             state: Mutex::new(SendState {
                 epoch: 0,
                 started: false,
-                prepared: false,
                 transport_partitions: 1,
-                data_rkey: None,
-                flag_rkey: None,
-                requested: None,
-                shmem: None,
-                shmem_denied: None,
+                route: None,
                 notifier: None,
                 ready: vec![0; 1],
                 user_ready: vec![false; partitions],
                 sent: vec![false; 1],
-                flag_stage,
                 stripes: 1,
             }),
             transport_complete: CountEvent::named("psend transport_complete"),
-            puts: Arc::new(Mutex::new(Vec::new())),
-            gen: Arc::new(AtomicU64::new(0)),
-            delivered: Arc::new(Mutex::new(vec![false; 1])),
+            puts: Mutex::new(Vec::new()),
+            gen: AtomicU64::new(0),
+            delivered: Mutex::new(vec![false; 1]),
             device_drain: Mutex::new(None),
-            shmem_failure: Arc::new(Mutex::new(None)),
+            shmem_failure: Mutex::new(None),
         }),
     })
 }
@@ -327,16 +333,15 @@ impl PsendRequest {
     /// world default, [`parcomm_mpi::WorldConfig::mechanism`]). The
     /// *receiver* resolves the mechanism at its first `MPIX_Pbuf_prepare`,
     /// so an override must be set symmetrically on both endpoints' requests
-    /// before either side prepares. Rejected once the channel has
-    /// negotiated.
-    pub fn set_mechanism(&self, m: CopyMechanism) -> Result<(), MpiError> {
-        let mut st = self.inner.state.lock();
-        if st.prepared {
+    /// before either side prepares. The sender only validates the call:
+    /// the receiver's choice arrives in its setup reply. Rejected once the
+    /// channel has negotiated.
+    pub fn set_mechanism(&self, _m: CopyMechanism) -> Result<(), MpiError> {
+        if self.inner.state.lock().route.is_some() {
             return Err(MpiError::InvalidArgument {
                 context: "set_mechanism after the channel negotiated at MPIX_Pbuf_prepare".into(),
             });
         }
-        st.requested = Some(m);
         Ok(())
     }
 
@@ -344,13 +349,16 @@ impl PsendRequest {
     /// and flags travel as device-initiated one-sided puts against the
     /// receiver's symmetric offsets, with no rkey exchange.
     pub fn shmem_active(&self) -> bool {
-        self.inner.state.lock().shmem.is_some()
+        matches!(self.inner.state.lock().route, Some(Route::Shmem { .. }))
     }
 
     /// The typed reason the receiver demoted a requested shmem channel to
     /// the Progression Engine, if it did.
     pub fn shmem_denial(&self) -> Option<ShmemError> {
-        self.inner.state.lock().shmem_denied.clone()
+        match &self.inner.state.lock().route {
+            Some(Route::Rma { shmem_denied, .. }) => shmem_denied.clone(),
+            _ => None,
+        }
     }
 
     /// Configure multi-path striping: split each transport partition's data
@@ -404,7 +412,7 @@ impl PsendRequest {
         // epochs without a reset race.
         let epoch = st.epoch;
         for u in 0..self.inner.user_partitions {
-            st.flag_stage.write_flag(u, epoch);
+            self.inner.flag_stage.write_flag(u, epoch);
         }
         Ok(())
     }
@@ -414,7 +422,10 @@ impl PsendRequest {
     /// [`RKey::revoke_ipc`] on it to simulate the peer unmapping its
     /// `ucp_rkey_ptr` IPC mapping mid-epoch.
     pub fn data_rkey(&self) -> Option<RKey> {
-        self.inner.state.lock().data_rkey.clone()
+        match &self.inner.state.lock().route {
+            Some(Route::Rma { data_rkey, .. }) => Some(data_rkey.clone()),
+            _ => None,
+        }
     }
 
     /// `MPIX_Pbuf_prepare` (sender side): block until the receiver's buffer
@@ -443,7 +454,7 @@ impl PsendRequest {
                     context: "MPIX_Pbuf_prepare before MPI_Start".into(),
                 });
             }
-            (!st.prepared, st.epoch)
+            (st.route.is_none(), st.epoch)
         };
         if first {
             let o = if charge {
@@ -456,58 +467,46 @@ impl PsendRequest {
             let msg = self.recv_handshake(p, reply_tag, "setup reply").await?;
             // The receiver decides the mechanism and its reply *type* is the
             // verdict: a shmem reply carries two symmetric offsets instead
-            // of packed rkeys. Try the shmem shape first; a mismatch hands
-            // the payload back for the classic decode.
-            match msg.payload.downcast::<ShmemReceiverSetup>() {
+            // of packed rkeys.
+            let reply = msg.payload.downcast::<ShmemReceiverSetup>().map_err(|payload| {
+                payload.downcast::<ReceiverSetup>().expect("setup reply payload type mismatch")
+            });
+            let (theirs, notifier) = match &reply {
+                Ok(srs) => (srs.user_partitions, srs.notifier.clone()),
+                Err(rs) => (rs.user_partitions, rs.notifier.clone()),
+            };
+            if theirs != self.inner.user_partitions {
+                return Err(MpiError::InvalidArgument {
+                    context: format!(
+                        "partitioned channel: sender ({}) and receiver ({theirs}) partition \
+                         counts differ",
+                        self.inner.user_partitions
+                    ),
+                });
+            }
+            let route = match reply {
                 Ok(srs) => {
-                    if srs.user_partitions != self.inner.user_partitions {
-                        return Err(MpiError::InvalidArgument {
-                            context: format!(
-                                "partitioned channel: sender ({}) and receiver ({}) partition \
-                                 counts differ",
-                                self.inner.user_partitions, srs.user_partitions
-                            ),
-                        });
-                    }
                     let heap = self.inner.world.shmem_heap();
-                    let data = heap.translate(
-                        self.inner.dest,
-                        srs.data_off,
-                        (self.inner.user_partitions * self.inner.partition_bytes) as u64,
-                    )?;
-                    let flags =
-                        heap.translate(self.inner.dest, srs.flag_off, (self.inner.user_partitions * 8) as u64)?;
+                    let bytes = (self.inner.user_partitions * self.inner.partition_bytes) as u64;
+                    let data = heap.translate(self.inner.dest, srs.data_off, bytes)?;
+                    let flag_bytes = (self.inner.user_partitions * 8) as u64;
+                    let flags = heap.translate(self.inner.dest, srs.flag_off, flag_bytes)?;
                     if let Some(i) = heap.obs() {
                         // One data rkey and one flag rkey that never had to
                         // be packed, shipped, or unpacked.
                         i.rkey_exchanges_avoided.add(2);
                     }
-                    let mut st = self.inner.state.lock();
-                    st.notifier = Some(srs.notifier.clone());
-                    st.shmem = Some(ShmemChannel { data, flags });
-                    st.prepared = true;
+                    Route::Shmem { data, flags }
                 }
-                Err(payload) => {
-                    let rs = payload
-                        .downcast::<ReceiverSetup>()
-                        .expect("setup reply payload type mismatch");
-                    if rs.user_partitions != self.inner.user_partitions {
-                        return Err(MpiError::InvalidArgument {
-                            context: format!(
-                                "partitioned channel: sender ({}) and receiver ({}) partition \
-                                 counts differ",
-                                self.inner.user_partitions, rs.user_partitions
-                            ),
-                        });
-                    }
-                    let mut st = self.inner.state.lock();
-                    st.data_rkey = Some(rs.data_rkey.clone());
-                    st.flag_rkey = Some(rs.flag_rkey.clone());
-                    st.notifier = Some(rs.notifier.clone());
-                    st.shmem_denied = rs.shmem_denied.clone();
-                    st.prepared = true;
-                }
-            }
+                Err(rs) => Route::Rma {
+                    data_rkey: rs.data_rkey.clone(),
+                    flag_rkey: rs.flag_rkey.clone(),
+                    shmem_denied: rs.shmem_denied.clone(),
+                },
+            };
+            let mut st = self.inner.state.lock();
+            st.route = Some(route);
+            st.notifier = Some(notifier);
         } else {
             p.advance(ApiOverheads::sample(&p.handle(), self.inner.overheads.pbuf_prepare_steady))
                 .await;
@@ -783,10 +782,10 @@ impl PsendShared {
 
     /// Replay the epoch's undelivered transports under a fresh generation;
     /// see [`PsendRequest::recover_epoch`].
-    pub(crate) async fn recover_epoch(&self, p: &Proc) -> usize {
+    pub(crate) async fn recover_epoch(self: &Arc<Self>, p: &Proc) -> usize {
         let todo: Vec<usize> = {
             let st = self.state.lock();
-            if !st.started || !st.prepared {
+            if !st.started || st.route.is_none() {
                 return 0;
             }
             let d = self.delivered.lock();
@@ -844,7 +843,7 @@ impl PsendShared {
                 context: "MPI_Pready before MPI_Start".into(),
             });
         }
-        if !st.prepared {
+        if st.route.is_none() {
             return Err(MpiError::InvalidArgument {
                 context: "MPI_Pready before MPIX_Pbuf_prepare (receiver not guaranteed ready)"
                     .into(),
@@ -879,336 +878,253 @@ impl PsendShared {
         Ok(completed)
     }
 
-    /// Issue the data put for transport partition `k`, chaining the
-    /// receive-side flag put at its completion (paper §IV-A4). `cause` is
-    /// the span that posted it (the progression-engine `pe_post` or the
-    /// host `pready_host` span); the chained flag put is in turn caused by
-    /// the data put's completion span. `pready_at` is when the partition's
-    /// pready began processing — the flag put landing closes the
-    /// `mpi.pready_arrival_us` histogram interval.
-    pub(crate) fn issue_data_put(&self, h: &SimHandle, k: usize, cause: SpanId, pready_at: SimTime) {
-        if self.state.lock().shmem.is_some() {
-            // Negotiated shmem channel: every delivery of transport `k` —
-            // host pready, PE-drained device notification, or epoch replay —
-            // goes out as a one-sided symmetric put.
-            self.issue_shmem_put(h, k, cause, pready_at);
-            return;
-        }
-        let (ep, data_rkey, flag_rkey, notifier, flag_stage, t, stripes) = {
-            let st = self.state.lock();
-            (
-                self.endpoint.clone(),
-                st.data_rkey.clone().expect("pbuf_prepare not completed"),
-                st.flag_rkey.clone().expect("pbuf_prepare not completed"),
-                st.notifier.clone().expect("pbuf_prepare not completed"),
-                st.flag_stage.clone(),
-                st.transport_partitions,
-                st.stripes,
-            )
-        };
-        let (u0, ulen) = chunk_range(self.user_partitions, t, k);
-        let byte_off = u0 * self.partition_bytes;
-        let byte_len = ulen * self.partition_bytes;
-        let tc = self.transport_complete.clone();
-        let ep2 = ep.clone();
-        let puts = self.puts.clone();
-        let puts2 = puts.clone();
-        // Generation tag: a replay bumps `gen`, so completions of puts
-        // issued under an older generation (or after this transport's
-        // delivered latch is set) discard their side effects — replay is
-        // idempotent.
-        let issue_gen = self.gen.load(Ordering::Acquire);
-        let gen = self.gen.clone();
-        let delivered = self.delivered.clone();
-        let attr = PutAttr {
+    /// The user partitions `(first, count)` transport `k` covers under the
+    /// current aggregation.
+    pub(crate) fn transport_users(&self, k: usize) -> (usize, usize) {
+        chunk_range(self.user_partitions, self.state.lock().transport_partitions, k)
+    }
+
+    fn put_attr(&self, k: usize) -> PutAttr {
+        PutAttr {
             src_rank: Some(self.my_rank as u32),
             dst_rank: Some(self.dest as u32),
             partition: Some(k as u32),
-        };
-        let world = self.world.clone();
-        // The data put carries the channel's stripe count; stripe count 1
-        // is put_nbx_attr exactly. The chained flag put below is never
-        // striped — it is 8 bytes per user partition of control traffic,
-        // and it must observe the *assembled* payload, which the striped
-        // put's completion (firing at the assembly barrier) guarantees.
-        let h = ep.put_nbx_striped(
-            &self.buffer,
-            byte_off,
-            byte_len,
-            &data_rkey,
-            byte_off,
-            stripes,
-            attr,
-            cause,
-            move |_h, complete_span| {
-                // Data delivered: chain the control put that raises the
-                // receive-side partition flags (UCX has no
-                // put-with-completion). The sender's transport-complete
-                // count also waits for this chained put, so the epoch
-                // cannot close (and the flag staging cannot be restamped by
-                // the next MPI_Start) while a flag put is still reading it.
-                let notifier = notifier.clone();
-                let tc = tc.clone();
-                let fh = ep2.put_nbx_attr(
-                    &flag_stage,
-                    u0 * 8,
-                    ulen * 8,
-                    &flag_rkey,
-                    u0 * 8,
-                    attr,
-                    complete_span,
-                    move |h, _span| {
-                        {
-                            let mut d = delivered.lock();
-                            if gen.load(Ordering::Acquire) != issue_gen || d[k] {
-                                if let Some(ins) = world.instruments() {
-                                    ins.recover_stale_puts.inc();
-                                }
-                                return;
-                            }
-                            d[k] = true;
-                        }
-                        if let Some(ins) = world.instruments() {
-                            let us = h.now().since(pready_at).as_micros_f64();
-                            ins.pready_arrival_us.record(us.round() as u64);
-                        }
-                        notifier.add(h, ulen as u64);
-                        tc.add(h, 1);
-                    },
-                );
-                puts2.lock().push(fh);
-            },
-        );
-        puts.lock().push(h);
+        }
     }
 
-    /// Kernel-copy completion signal: the data already landed via in-kernel
-    /// NVLink stores; only the flag put travels. `cause` is the
-    /// progression-engine `pe_post` span that posted it; `pready_at` as in
-    /// [`PsendShared::issue_data_put`].
-    pub(crate) fn issue_completion_flag_put(
-        &self,
-        _h: &SimHandle,
+    /// Deliver transport partition `k` along the negotiated [`Route`]: every
+    /// delivery — host pready, PE-drained device notification, device shmem
+    /// emission, or epoch replay — goes through here. `cause` is the span
+    /// that initiated it; `pready_at` is when the partition's pready began
+    /// processing, which opens the `mpi.pready_arrival_us` interval that
+    /// [`PsendShared::land`] closes.
+    ///
+    /// - [`Route::Rma`]: the data put, chaining [`PsendShared::issue_flag_put`]
+    ///   at its completion (paper §IV-A4), caused by the completion span.
+    /// - [`Route::Shmem`]: one one-sided symmetric put that raises the
+    ///   receiver's flags itself at arrival ([`ShmemPut`]).
+    pub(crate) fn issue_data_put(
+        self: &Arc<Self>,
+        h: &SimHandle,
         k: usize,
         cause: SpanId,
         pready_at: SimTime,
     ) {
-        let (ep, flag_rkey, notifier, flag_stage, t) = {
+        let (route, users, stripes, epoch) = {
             let st = self.state.lock();
-            (
-                self.endpoint.clone(),
-                st.flag_rkey.clone().expect("pbuf_prepare not completed"),
-                st.notifier.clone().expect("pbuf_prepare not completed"),
-                st.flag_stage.clone(),
-                st.transport_partitions,
-            )
+            let route = st.route.clone().expect("pbuf_prepare not completed");
+            let users = chunk_range(self.user_partitions, st.transport_partitions, k);
+            (route, users, st.stripes, st.epoch)
         };
-        let (u0, ulen) = chunk_range(self.user_partitions, t, k);
-        let tc = self.transport_complete.clone();
-        let attr = PutAttr {
-            src_rank: Some(self.my_rank as u32),
-            dst_rank: Some(self.dest as u32),
-            partition: Some(k as u32),
-        };
-        let world = self.world.clone();
+        // Generation tag: a replay bumps `gen`, so a landing issued under an
+        // older generation (or after this transport's delivered latch is
+        // set) discards its side effects — replay is idempotent.
         let issue_gen = self.gen.load(Ordering::Acquire);
-        let gen = self.gen.clone();
-        let delivered = self.delivered.clone();
-        let h = ep.put_nbx_attr(
-            &flag_stage,
+        match route {
+            Route::Shmem { data, flags } => {
+                let put = ShmemPut {
+                    send: self.clone(),
+                    data,
+                    flags,
+                    k,
+                    users,
+                    epoch,
+                    issue_gen,
+                    cause,
+                    pready_at,
+                    first_at: h.now(),
+                };
+                put.attempt(h, 0);
+            }
+            Route::Rma { data_rkey, .. } => {
+                let byte_off = users.0 * self.partition_bytes;
+                let byte_len = users.1 * self.partition_bytes;
+                let this = self.clone();
+                // The data put carries the channel's stripe count; stripe
+                // count 1 is put_nbx_attr exactly. The chained flag put is
+                // never striped — it is 8 bytes per user partition of
+                // control traffic, and it must observe the *assembled*
+                // payload, which the striped put's completion (firing at
+                // the assembly barrier) guarantees.
+                let put = self.endpoint.put_nbx_striped(
+                    &self.buffer,
+                    byte_off,
+                    byte_len,
+                    &data_rkey,
+                    byte_off,
+                    stripes,
+                    self.put_attr(k),
+                    cause,
+                    move |_h, span| this.issue_flag_put(k, users, span, issue_gen, pready_at),
+                );
+                self.puts.lock().push(put);
+            }
+        }
+    }
+
+    /// The control put that raises the receive-side flags of transport `k`
+    /// (user partitions `users`) and lands it (UCX has no
+    /// put-with-completion). Chained by the RMA data put's completion, or
+    /// posted by the progression engine for a Kernel Copy transport whose
+    /// payload the kernel already stored. `issue_gen` is the generation the
+    /// delivery was issued under: for a chained flag put, the data put's.
+    /// The sender's transport-complete count waits for this put, so the
+    /// epoch cannot close (and the flag staging cannot be restamped by the
+    /// next `MPI_Start`) while it is still reading the staging.
+    pub(crate) fn issue_flag_put(
+        self: &Arc<Self>,
+        k: usize,
+        (u0, ulen): (usize, usize),
+        cause: SpanId,
+        issue_gen: u64,
+        pready_at: SimTime,
+    ) {
+        let Some(Route::Rma { flag_rkey, .. }) = self.state.lock().route.clone() else {
+            unreachable!("flag puts travel only on RMA routes")
+        };
+        let this = self.clone();
+        let put = self.endpoint.put_nbx_attr(
+            &self.flag_stage,
             u0 * 8,
             ulen * 8,
             &flag_rkey,
             u0 * 8,
-            attr,
+            self.put_attr(k),
             cause,
-            move |h, _span| {
-                {
-                    let mut d = delivered.lock();
-                    if gen.load(Ordering::Acquire) != issue_gen || d[k] {
-                        if let Some(ins) = world.instruments() {
-                            ins.recover_stale_puts.inc();
-                        }
-                        return;
-                    }
-                    d[k] = true;
-                }
-                if let Some(ins) = world.instruments() {
-                    let us = h.now().since(pready_at).as_micros_f64();
-                    ins.pready_arrival_us.record(us.round() as u64);
-                }
-                notifier.add(h, ulen as u64);
-                tc.add(h, 1);
-            },
+            move |h, _span| this.land(h, k, ulen, issue_gen, pready_at, None),
         );
-        self.puts.lock().push(h);
+        self.puts.lock().push(put);
     }
 
-    /// Issue the device-initiated one-sided put for transport partition `k`
-    /// on a negotiated shmem channel: translate the receiver's symmetric
-    /// offsets locally, push the payload through the fabric, and raise the
-    /// receive-side partition flags at arrival (`shmem_signal`) — no host
-    /// PE hop, no rkey, no chained control put. `cause` is the span that
-    /// initiated it (device emission, host pready, or recovery replay).
-    pub(crate) fn issue_shmem_put(&self, h: &SimHandle, k: usize, cause: SpanId, pready_at: SimTime) {
-        let (sh, notifier, t, epoch) = {
-            let st = self.state.lock();
-            (
-                st.shmem.clone().expect("shmem channel negotiated"),
-                st.notifier.clone().expect("pbuf_prepare not completed"),
-                st.transport_partitions,
-                st.epoch,
-            )
-        };
-        let (u0, ulen) = chunk_range(self.user_partitions, t, k);
-        let job = ShmemPutJob {
-            world: self.world.clone(),
-            src: self.buffer.clone(),
-            data: sh.data,
-            flags: sh.flags,
-            notifier,
-            tc: self.transport_complete.clone(),
-            gen: self.gen.clone(),
-            issue_gen: self.gen.load(Ordering::Acquire),
-            delivered: self.delivered.clone(),
-            failure: self.shmem_failure.clone(),
-            k,
-            u0,
-            ulen,
-            partition_bytes: self.partition_bytes,
-            epoch,
-            my_rank: self.my_rank,
-            dest: self.dest,
-            signal_us: self.cost.shmem_signal_us,
-            cause,
-            pready_at,
-            first_at: h.now(),
-        };
-        run_shmem_put(job, h, 0);
+    /// Transport `k` (`ulen` user partitions) arrived: the one place a
+    /// delivery takes effect, whichever mechanism carried it. A landing
+    /// issued under a superseded generation, or after the transport's
+    /// delivered latch is set, only counts as a stale put. Otherwise it
+    /// latches the transport, records the shmem `signal` span (`arrival`
+    /// instant and causing wire span) when a symmetric put carried it,
+    /// closes the pready→arrival interval, and bumps the receiver's arrival
+    /// counter and this epoch's transport-complete count.
+    fn land(
+        &self,
+        h: &SimHandle,
+        k: usize,
+        ulen: usize,
+        issue_gen: u64,
+        pready_at: SimTime,
+        signal: Option<(SimTime, SpanId)>,
+    ) {
+        {
+            let mut d = self.delivered.lock();
+            if self.gen.load(Ordering::Acquire) != issue_gen || d[k] {
+                if let Some(ins) = self.world.instruments() {
+                    ins.recover_stale_puts.inc();
+                }
+                return;
+            }
+            d[k] = true;
+        }
+        if let Some((arrival, wire_span)) = signal {
+            let (dest, k) = (Some(self.dest as u32), Some(k as u32));
+            h.trace().record_causal("shmem_signal", arrival, h.now(), dest, k, wire_span);
+            if let Some(i) = self.world.shmem_heap().obs() {
+                i.signals.inc();
+            }
+        }
+        if let Some(ins) = self.world.instruments() {
+            let us = h.now().since(pready_at).as_micros_f64();
+            ins.pready_arrival_us.record(us.round() as u64);
+        }
+        let notifier = self.state.lock().notifier.clone().expect("pbuf_prepare not completed");
+        notifier.add(h, ulen as u64);
+        self.transport_complete.add(h, 1);
     }
 }
 
-/// Everything one in-flight shmem put needs, cloneable across retries.
-struct ShmemPutJob {
-    world: MpiWorld,
-    src: Buffer,
+/// One in-flight symmetric-heap put: the channel plus this put's values,
+/// carried across retries.
+struct ShmemPut {
+    send: Arc<PsendShared>,
+    /// The receiver's heap-translated data buffer and partition flags.
     data: Buffer,
     flags: Buffer,
-    notifier: CountEvent,
-    tc: CountEvent,
-    gen: Arc<AtomicU64>,
-    issue_gen: u64,
-    delivered: Arc<Mutex<Vec<bool>>>,
-    failure: Arc<Mutex<Option<ShmemError>>>,
     k: usize,
-    u0: usize,
-    ulen: usize,
-    partition_bytes: usize,
+    /// User partitions `(first, count)` of transport `k`.
+    users: (usize, usize),
     epoch: u64,
-    my_rank: usize,
-    dest: usize,
-    signal_us: f64,
+    issue_gen: u64,
     cause: SpanId,
     pready_at: SimTime,
     first_at: SimTime,
 }
 
-/// One attempt of a shmem put: route the payload through the fabric, and at
-/// arrival (+ the signal store cost) deposit the bytes, raise the receiver's
-/// partition flags in place, and bump the completion counters. A fabric
-/// outage retries with doubling backoff; exhausting the budget settles a
-/// typed [`ShmemError::WireTimeout`] for the stall diagnosis.
-fn run_shmem_put(job: ShmemPutJob, h: &SimHandle, attempt: u32) {
-    let now = h.now();
-    let byte_off = job.u0 * job.partition_bytes;
-    let byte_len = job.ulen * job.partition_bytes;
-    let src_loc = job.src.space().location();
-    let dst_loc = job.data.space().location();
-    let heap_obs = job.world.shmem_heap().obs();
-    if attempt == 0 {
-        if let Some(i) = &heap_obs {
-            i.puts.inc();
-            i.bytes.add(byte_len as u64);
+impl ShmemPut {
+    /// One attempt: route the payload through the fabric, and at arrival
+    /// (+ the signal store cost) deposit the bytes, raise the receiver's
+    /// partition flags in place, and land the transport — no host PE hop,
+    /// no rkey, no chained control put. A fabric outage retries with
+    /// doubling backoff; exhausting the budget settles a typed
+    /// [`ShmemError::WireTimeout`] for the stall diagnosis.
+    fn attempt(self, h: &SimHandle, attempt: u32) {
+        let send = &self.send;
+        let now = h.now();
+        let (u0, ulen) = self.users;
+        let byte_off = u0 * send.partition_bytes;
+        let byte_len = ulen * send.partition_bytes;
+        let heap_obs = send.world.shmem_heap().obs();
+        if attempt == 0 {
+            if let Some(i) = &heap_obs {
+                i.puts.inc();
+                i.bytes.add(byte_len as u64);
+            }
         }
-    }
-    let put_span = h.trace().record_causal(
-        "shmem_put",
-        now,
-        now,
-        Some(job.my_rank as u32),
-        Some(job.k as u32),
-        job.cause,
-    );
-    match job.world.fabric().try_transfer_attr(
-        now,
-        src_loc,
-        dst_loc,
-        byte_len as u64,
-        put_span,
-        Some(job.dest as u32),
-        Some(job.k as u32),
-    ) {
-        Ok(transfer) => {
-            let arrival = transfer.arrival;
-            let wire_span = transfer.span;
-            let signal = SimDuration::from_micros_f64(job.signal_us);
-            h.schedule_at(arrival + signal, move |h| {
-                // Bytes land and flags are (re)stamped regardless of
-                // staleness — both are idempotent, exactly like a classic
-                // put's functional copy. Only the completion side effects
-                // are gated on the generation/delivered latch.
-                job.data.copy_from_buffer(byte_off, &job.src, byte_off, byte_len);
-                for u in job.u0..job.u0 + job.ulen {
-                    job.flags.write_flag(u, job.epoch);
-                }
-                {
-                    let mut d = job.delivered.lock();
-                    if job.gen.load(Ordering::Acquire) != job.issue_gen || d[job.k] {
-                        if let Some(ins) = job.world.instruments() {
-                            ins.recover_stale_puts.inc();
-                        }
-                        return;
+        let (rank, k) = (Some(send.my_rank as u32), Some(self.k as u32));
+        let put_span = h.trace().record_causal("shmem_put", now, now, rank, k, self.cause);
+        match send.world.fabric().try_transfer_attr(
+            now,
+            send.buffer.space().location(),
+            self.data.space().location(),
+            byte_len as u64,
+            put_span,
+            Some(send.dest as u32),
+            k,
+        ) {
+            Ok(transfer) => {
+                let arrival = transfer.arrival;
+                let signal = SimDuration::from_micros_f64(send.cost.shmem_signal_us);
+                h.schedule_at(arrival + signal, move |h| {
+                    // Bytes land and flags are (re)stamped regardless of
+                    // staleness — both are idempotent, exactly like a
+                    // classic put's functional copy. Only the landing's
+                    // side effects are gated on the generation/delivered
+                    // latch.
+                    self.data.copy_from_buffer(byte_off, &self.send.buffer, byte_off, byte_len);
+                    for u in u0..u0 + ulen {
+                        self.flags.write_flag(u, self.epoch);
                     }
-                    d[job.k] = true;
-                }
-                h.trace().record_causal(
-                    "shmem_signal",
-                    arrival,
-                    h.now(),
-                    Some(job.dest as u32),
-                    Some(job.k as u32),
-                    wire_span,
-                );
-                if let Some(i) = job.world.shmem_heap().obs() {
-                    i.signals.inc();
-                }
-                if let Some(ins) = job.world.instruments() {
-                    let us = h.now().since(job.pready_at).as_micros_f64();
-                    ins.pready_arrival_us.record(us.round() as u64);
-                }
-                job.notifier.add(h, job.ulen as u64);
-                job.tc.add(h, 1);
-            });
-        }
-        Err(net_err) => {
-            if attempt + 1 >= SHMEM_PUT_MAX_ATTEMPTS {
-                if let Some(i) = &heap_obs {
-                    i.put_failures.inc();
-                }
-                let waited = now.since(job.first_at).as_micros_f64();
-                *job.failure.lock() = Some(ShmemError::WireTimeout {
-                    attempts: attempt + 1,
-                    waited_us: waited.round() as u64,
-                    cause: net_err.to_string(),
+                    let signal = Some((arrival, transfer.span));
+                    self.send.land(h, self.k, ulen, self.issue_gen, self.pready_at, signal);
                 });
-            } else {
-                if let Some(i) = &heap_obs {
-                    i.put_retries.inc();
+            }
+            Err(net_err) => {
+                if attempt + 1 >= SHMEM_PUT_MAX_ATTEMPTS {
+                    if let Some(i) = &heap_obs {
+                        i.put_failures.inc();
+                    }
+                    let waited = now.since(self.first_at).as_micros_f64();
+                    *send.shmem_failure.lock() = Some(ShmemError::WireTimeout {
+                        attempts: attempt + 1,
+                        waited_us: waited.round() as u64,
+                        cause: net_err.to_string(),
+                    });
+                } else {
+                    if let Some(i) = &heap_obs {
+                        i.put_retries.inc();
+                    }
+                    let backoff = SimDuration::from_micros_f64(
+                        SHMEM_PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32),
+                    );
+                    h.schedule_in(backoff, move |h| self.attempt(h, attempt + 1));
                 }
-                let backoff = SimDuration::from_micros_f64(
-                    SHMEM_PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32),
-                );
-                h.schedule_in(backoff, move |h| run_shmem_put(job, h, attempt + 1));
             }
         }
     }
