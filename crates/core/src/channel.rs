@@ -32,17 +32,10 @@ pub(crate) fn am_tag(chan: Channel, tag: u64, src: usize, dst: usize) -> u64 {
 }
 
 /// `setup_t`: what `MPI_Psend_init` ships to the receiver (non-blocking).
+/// On hardware it also carries the sender and destination rank and the
+/// tag for matching; the simulation's AM tag already encodes them.
 #[derive(Clone, Debug)]
 pub(crate) struct SenderSetup {
-    /// Sender and destination rank plus tag: carried on the wire for
-    /// matching on real hardware; in the simulation the AM tag already
-    /// encodes them, so they are kept for fidelity and debug output.
-    #[allow(dead_code)]
-    pub src: usize,
-    #[allow(dead_code)]
-    pub dst: usize,
-    #[allow(dead_code)]
-    pub tag: u64,
     /// Sender-side user partition count.
     pub user_partitions: usize,
     /// Bytes per user partition.
@@ -52,7 +45,9 @@ pub(crate) struct SenderSetup {
 }
 
 impl SenderSetup {
-    /// Modeled wire size: ranks, tag, counts, packed worker address.
+    /// Modeled wire size: ranks, tag, counts, packed worker address (the
+    /// hardware `setup_t`, including the matching fields the AM tag
+    /// carries here).
     pub const WIRE_BYTES: u64 = 64;
 }
 

@@ -230,9 +230,6 @@ pub async fn psend_init_async(
 
     let endpoint = rank.worker().create_endpoint(rank.peer_address(dest))?;
     let setup = SenderSetup {
-        src: rank.rank(),
-        dst: dest,
-        tag,
         user_partitions: partitions,
         partition_bytes: buffer.len() / partitions,
         sender_addr: rank.worker().address(),
