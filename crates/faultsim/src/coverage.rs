@@ -611,21 +611,19 @@ impl CampaignConfig {
 
     /// The search's plan list. Each round takes the first still-uncovered
     /// targets, up to eight; once everything is covered it keeps probing
-    /// with fresh parameters until the budget runs out.
-    ///
-    /// Target keys are unqualified (`link_drop@net`) while `covered` holds
-    /// qualified points (`pe:link_drop@net`), so the uncovered filter never
-    /// drops a target and every round restarts at the head of the list.
-    /// Comparing qualified keys would change every search plan list and
-    /// its pinned digests, so that fix is left to a change of its own.
+    /// with fresh parameters until the budget runs out. Target keys are
+    /// unqualified (`link_drop@net`) and `covered` holds qualified points
+    /// (`pe:link_drop@net`), so a target is qualified before the lookup.
     fn search_plans(&self, search_seed: u64, budget: u32) -> Vec<Planned> {
         let all_targets = targets(self.mechanism, self.channels);
         let mut covered: BTreeSet<String> = BTreeSet::new();
         let mut out: Vec<Planned> = Vec::new();
         let mut round = 0u32;
         while out.len() < budget as usize {
-            let fresh: Vec<_> =
-                all_targets.iter().filter(|(key, _)| !covered.contains(key)).collect();
+            let fresh: Vec<_> = all_targets
+                .iter()
+                .filter(|(key, _)| !covered.contains(&self.qualify(key)))
+                .collect();
             let pending: Vec<_> = if fresh.is_empty() {
                 all_targets.iter().skip((round as usize * 7) % all_targets.len()).collect()
             } else {
@@ -1147,7 +1145,10 @@ mod tests {
         let plans = search.plans();
         assert_eq!(plans.len(), 20, "the search spends exactly its budget");
         assert_eq!(plans[0].key, "r0:link_drop@net");
-        assert_eq!(plans[8].key, "r1:link_drop@net", "eight targets per round");
+        assert_eq!(
+            plans[8].key, "r1:link_drop+latency_spike",
+            "eight targets per round; round 1 skips the singles round 0 covered"
+        );
         let keys: BTreeSet<&str> = plans.iter().map(|p| p.key.as_str()).collect();
         assert_eq!(keys.len(), plans.len(), "cell keys are unique");
     }

@@ -322,6 +322,22 @@ fn chaos_campaign_report_is_thread_count_invariant() {
     assert_eq!(run_campaign(&cfg, 8).render(), serial);
 }
 
+/// The search is coverage-guided: every round after the first targets
+/// points no earlier plan covered, so the default 36-cell budget explores
+/// well past the first round's eight single-class points and reaches
+/// fault-class pairs — all under the recovery contract.
+#[test]
+fn search_covers_pairs_beyond_the_first_round() {
+    let report = run_campaign(&CampaignConfig::search(36), parcomm_sweep::threads());
+    assert!(report.failures.is_empty(), "{}", report.render());
+    assert!(report.covered.len() > 8, "36 cells covered only {:?}", report.covered);
+    assert!(
+        report.covered.iter().any(|point| point.contains('+')),
+        "no fault-class pair covered: {:?}",
+        report.covered
+    );
+}
+
 /// Per-cell `(key, digest, survived, replayed, numeric_ok)` of both plan
 /// sources, captured from the two separate grid and search engines this
 /// one replaced: a 1-seed × 1-rate × stripes {1, 4} grid, and a budget-6
