@@ -363,7 +363,9 @@ impl DevicePrequest {
         // call's serialized flag-write train.
         let train = |base: SimDuration, lead_us: f64, train_us: f64| -> Vec<SimDuration> {
             let share = |i: usize| (i + 1) as f64 / m as f64;
-            (0..m).map(|i| base + SimDuration::from_micros_f64(lead_us + share(i) * train_us)).collect()
+            (0..m)
+                .map(|i| base + SimDuration::from_micros_f64(lead_us + share(i) * train_us))
+                .collect()
         };
         let emit = self.emit();
         let (at, end) = match &emit {
