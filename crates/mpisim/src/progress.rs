@@ -6,13 +6,14 @@
 //! collective schedules. Here it is a daemon simulation process per rank
 //! that runs registered **hooks** every poll interval.
 //!
-//! The daemon's whole loop runs as one future under `Ctx::block_on`, so
-//! while the engine is parked (idle, between poll ticks, or inside a hook)
-//! the scheduler polls it in place instead of waking its OS thread. Hooks
-//! are async: a hook is called with the engine's [`Proc`] and returns a
-//! [`HookFuture`] that the sweep awaits, so a hook can charge host time
-//! (e.g. the put-post cost) by awaiting `Proc::advance`. That future runs
-//! inside the engine's future, on whichever thread holds the baton: it must
+//! The daemon is a thread-free process (`Ctx::spawn_daemon_future`): its
+//! whole loop is one future that the scheduler polls in place at each of
+//! its resumes (idle wake-ups, poll ticks, waits inside a hook), so the
+//! engine has no OS thread of its own. Hooks are async: a hook is called
+//! with the engine's [`Proc`] and returns a [`HookFuture`] that the sweep
+//! awaits, so a hook can charge host time (e.g. the put-post cost) by
+//! awaiting `Proc::advance`. That future runs inside the engine's future,
+//! on whichever thread holds the baton: it must
 //! not hold a lock guard across an `.await` (the `Send` bound rejects the
 //! `std` guards). A hook resolving to [`HookOutcome::Remove`] unregisters
 //! itself. The engine parks on an event while no hooks are registered, so
@@ -107,101 +108,98 @@ impl ProgressionEngine {
             heartbeat: heartbeat.clone(),
         };
         let mut stall_pending = fault.as_ref().is_some_and(|f| f.stall_us > 0.0);
-        ctx.spawn_daemon(format!("progress{rank}"), move |ctx| {
-            let p = ctx.proc();
-            ctx.block_on(async move {
-                loop {
+        ctx.spawn_daemon_future(format!("progress{rank}"), move |p| async move {
+            loop {
+                if p.is_shutdown() {
+                    break;
+                }
+                // Park while idle.
+                let wait_ev = {
+                    let st = inner.lock();
+                    if st.hooks.is_empty() {
+                        Some(st.work_available.clone())
+                    } else {
+                        None
+                    }
+                };
+                if let Some(ev) = wait_ev {
+                    if !p.wait(&ev).await {
+                        break; // shutdown
+                    }
+                    {
+                        let st = inner.lock();
+                        if st.work_available.is_set() && st.hooks.is_empty() {
+                            st.work_available.reset();
+                            continue;
+                        }
+                    }
+                    // The progress thread polls on a grid: a notification
+                    // raised between ticks is observed up to one poll
+                    // interval later (uniform phase).
+                    let phase = p.with_rng(|r| r.uniform());
+                    p.advance(SimDuration::from_micros_f64(poll.as_micros_f64() * phase))
+                        .await;
                     if p.is_shutdown() {
                         break;
                     }
-                    // Park while idle.
-                    let wait_ev = {
-                        let st = inner.lock();
-                        if st.hooks.is_empty() {
-                            Some(st.work_available.clone())
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some(ev) = wait_ev {
-                        if !p.wait(&ev).await {
-                            break; // shutdown
-                        }
-                        {
-                            let st = inner.lock();
-                            if st.work_available.is_set() && st.hooks.is_empty() {
-                                st.work_available.reset();
-                                continue;
-                            }
-                        }
-                        // The progress thread polls on a grid: a notification
-                        // raised between ticks is observed up to one poll
-                        // interval later (uniform phase).
-                        let phase = p.with_rng(|r| r.uniform());
-                        p.advance(SimDuration::from_micros_f64(poll.as_micros_f64() * phase))
-                            .await;
-                        if p.is_shutdown() {
-                            break;
-                        }
-                    }
-                    if let Some(f) = &fault {
-                        // Stall: checked immediately before each hook sweep
-                        // so that work arriving mid-window (even while the
-                        // engine was parked idle) is not serviced until the
-                        // window closes — hooks run late, puts post late, the
-                        // run survives with degraded timing.
-                        let now_us = p.now().as_micros_f64();
-                        if stall_pending && now_us >= f.stall_at_us {
-                            stall_pending = false;
-                            let end = f.stall_at_us + f.stall_us;
-                            if end > now_us {
-                                p.advance(SimDuration::from_micros_f64(end - now_us)).await;
-                                continue;
-                            }
-                        }
-                        // Crash: halt the loop for good. Checked immediately
-                        // before each sweep so no hook runs at or after the
-                        // crash instant; waiters time out upstream with
-                        // `MpiError::ProgressionHalted`.
-                        if f.crash_at_us.is_some_and(|t| p.now().as_micros_f64() >= t) {
-                            crashed.store(true, Ordering::Release);
-                            break;
-                        }
-                    }
-                    // Renew the lease immediately before the sweep: a live PE
-                    // always heartbeats before servicing hooks, so a stale
-                    // heartbeat with hooks pending means the loop is dead (or
-                    // stalled long enough that host takeover is safe anyway —
-                    // takeover is idempotent).
-                    *heartbeat.lock() = p.now();
-                    // Run every registered hook once. Hooks are temporarily
-                    // moved out so they can re-enter the engine (e.g.
-                    // register follow-up work) without deadlocking the lock.
-                    let mut hooks = std::mem::take(&mut inner.lock().hooks);
-                    if let Some(ins) = &instruments {
-                        ins.pe_polls.inc();
-                        ins.pe_hook_runs.add(hooks.len() as u64);
-                    }
-                    let mut kept: Vec<Hook> = Vec::with_capacity(hooks.len());
-                    for mut hook in hooks.drain(..) {
-                        if hook(&p).await == HookOutcome::Keep {
-                            kept.push(hook);
-                        }
-                    }
-                    {
-                        let mut st = inner.lock();
-                        // New hooks registered during the sweep go behind
-                        // kept ones.
-                        let newly = std::mem::take(&mut st.hooks);
-                        kept.extend(newly);
-                        st.hooks = kept;
-                        if st.hooks.is_empty() && st.work_available.is_set() {
-                            st.work_available.reset();
-                        }
-                    }
-                    p.advance(poll).await;
                 }
-            });
+                if let Some(f) = &fault {
+                    // Stall: checked immediately before each hook sweep
+                    // so that work arriving mid-window (even while the
+                    // engine was parked idle) is not serviced until the
+                    // window closes — hooks run late, puts post late, the
+                    // run survives with degraded timing.
+                    let now_us = p.now().as_micros_f64();
+                    if stall_pending && now_us >= f.stall_at_us {
+                        stall_pending = false;
+                        let end = f.stall_at_us + f.stall_us;
+                        if end > now_us {
+                            p.advance(SimDuration::from_micros_f64(end - now_us)).await;
+                            continue;
+                        }
+                    }
+                    // Crash: halt the loop for good. Checked immediately
+                    // before each sweep so no hook runs at or after the
+                    // crash instant; waiters time out upstream with
+                    // `MpiError::ProgressionHalted`.
+                    if f.crash_at_us.is_some_and(|t| p.now().as_micros_f64() >= t) {
+                        crashed.store(true, Ordering::Release);
+                        break;
+                    }
+                }
+                // Renew the lease immediately before the sweep: a live PE
+                // always heartbeats before servicing hooks, so a stale
+                // heartbeat with hooks pending means the loop is dead (or
+                // stalled long enough that host takeover is safe anyway —
+                // takeover is idempotent).
+                *heartbeat.lock() = p.now();
+                // Run every registered hook once. Hooks are temporarily
+                // moved out so they can re-enter the engine (e.g.
+                // register follow-up work) without deadlocking the lock.
+                let mut hooks = std::mem::take(&mut inner.lock().hooks);
+                if let Some(ins) = &instruments {
+                    ins.pe_polls.inc();
+                    ins.pe_hook_runs.add(hooks.len() as u64);
+                }
+                let mut kept: Vec<Hook> = Vec::with_capacity(hooks.len());
+                for mut hook in hooks.drain(..) {
+                    if hook(&p).await == HookOutcome::Keep {
+                        kept.push(hook);
+                    }
+                }
+                {
+                    let mut st = inner.lock();
+                    // New hooks registered during the sweep go behind
+                    // kept ones.
+                    let newly = std::mem::take(&mut st.hooks);
+                    kept.extend(newly);
+                    st.hooks = kept;
+                    if st.hooks.is_empty() && st.work_available.is_set() {
+                        st.work_available.reset();
+                    }
+                }
+                p.advance(poll).await;
+            }
         });
         engine
     }

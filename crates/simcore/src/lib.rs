@@ -4,10 +4,10 @@
 //!
 //! - a virtual clock ([`SimTime`], [`SimDuration`]) with nanosecond
 //!   resolution;
-//! - **simulation processes**: blocking-style user code, each process on its
-//!   own OS thread, with exactly one runnable at a time (SimGrid-style
-//!   cooperative scheduling) — so `MPI_Wait` can be written as an ordinary
-//!   blocking call;
+//! - **simulation processes**, exactly one runnable at a time
+//!   (SimGrid-style cooperative scheduling): blocking-style user code on a
+//!   pooled worker thread — so `MPI_Wait` can be written as an ordinary
+//!   blocking call — or a future polled in place, with no thread at all;
 //! - **scheduled callbacks** for fine-grained hardware events (DMA
 //!   completions, flag writes) that run inline on whichever thread drives
 //!   the event loop, without thread-switch cost;
@@ -42,6 +42,7 @@
 mod error;
 mod event;
 mod lock;
+mod pool;
 mod process;
 mod rng;
 mod sched;

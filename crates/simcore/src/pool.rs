@@ -1,0 +1,72 @@
+//! The process-wide pool of worker threads that run thread-backed
+//! simulation processes.
+//!
+//! A process whose body blocks (`Ctx::advance`, `Ctx::wait`, ...) needs a
+//! stack of its own, so it runs on an OS thread. Rather than starting a
+//! thread per process and joining it at the end of the run, the scheduler
+//! takes an idle worker from this pool, or starts one if none is idle. Once
+//! the process has finished, its worker parks back in the idle list, ready
+//! for the next process of this or any later simulation.
+//!
+//! One pool serves every simulation of the OS process, including
+//! simulations run concurrently from several threads. Workers are never
+//! stopped, and a worker is started only when the idle list is empty, so
+//! the pool never holds more workers than the peak number of thread-backed
+//! processes live at once (summed over the simulations running at that
+//! moment). A process left parked when its run fails (deadlock, panic)
+//! keeps its worker forever: no thread passes it the baton again, so that
+//! worker never returns to the pool.
+
+use std::sync::mpsc::{channel, Sender};
+use std::thread::{self, Thread};
+
+use crate::lock::Mutex;
+use crate::sched::Released;
+
+/// What a worker runs for one process. The [`Released`] it returns is
+/// dropped only once the worker is back in the idle list.
+pub(crate) type Job = Box<dyn FnOnce() -> Released + Send>;
+
+/// An idle (or just taken) worker thread.
+#[derive(Clone)]
+pub(crate) struct Worker {
+    thread: Thread,
+    jobs: Sender<Job>,
+}
+
+/// Workers waiting for a job, most recently idle last.
+static IDLE: Mutex<Vec<Worker>> = Mutex::new(Vec::new());
+
+impl Worker {
+    /// An idle worker, or a newly started one if none is idle.
+    pub(crate) fn take() -> Worker {
+        if let Some(worker) = IDLE.lock().pop() {
+            return worker;
+        }
+        let (jobs, queue) = channel::<Job>();
+        let own = jobs.clone();
+        let handle = thread::Builder::new()
+            .name("sim-worker".to_string())
+            .spawn(move || {
+                let me = Worker { thread: thread::current(), jobs: own };
+                while let Ok(job) = queue.recv() {
+                    let released = job();
+                    IDLE.lock().push(me.clone());
+                    drop(released);
+                }
+            })
+            .expect("failed to spawn simulation worker thread");
+        Worker { thread: handle.thread().clone(), jobs }
+    }
+
+    /// The worker's OS thread, which its process's resumes unpark.
+    pub(crate) fn thread(&self) -> &Thread {
+        &self.thread
+    }
+
+    /// Hand the worker its job. The worker holds a sender to its own queue,
+    /// so it is always there to receive it.
+    pub(crate) fn run(self, job: Job) {
+        self.jobs.send(job).expect("simulation worker threads never exit");
+    }
+}

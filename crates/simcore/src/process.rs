@@ -1,14 +1,17 @@
 //! The process-side API: what simulation code can do.
 //!
-//! Every simulation process receives a `&mut Ctx`. All blocking operations
-//! (`advance`, `wait`, channel receives) go through it; the mutable borrow
-//! statically prevents a process from blocking re-entrantly.
+//! Every thread-backed simulation process receives a `&mut Ctx`. All
+//! blocking operations (`advance`, `wait`, channel receives) go through it;
+//! the mutable borrow statically prevents a process from blocking
+//! re-entrantly.
 //!
 //! A process can also run async code with [`Ctx::block_on`]. The future
 //! suspends through a [`Proc`] handle, whose `advance` / `wait*` methods park
 //! the process exactly like their `Ctx` namesakes; while it is parked, the
 //! scheduler polls the future in place instead of switching to the
-//! process's thread (see the `sched` module docs).
+//! process's thread (see the `sched` module docs). A thread-free process
+//! ([`Ctx::spawn_future`]) has only a `Proc`: its whole body is such a
+//! future, and it has no thread to switch to.
 
 use std::future::Future;
 use std::panic;
@@ -36,7 +39,7 @@ pub struct Ctx {
 
 impl Ctx {
     pub(crate) fn new(pid: ProcessId, core: Arc<SchedCore>, resume: Arc<AtomicBool>) -> Self {
-        Ctx { proc: Proc { pid, handle: SimHandle { core } }, resume }
+        Ctx { proc: Proc::new(pid, core), resume }
     }
 
     fn core(&self) -> &Arc<SchedCore> {
@@ -203,6 +206,36 @@ impl Ctx {
         sched::spawn_process(self.core(), name.into(), true, body)
     }
 
+    /// Spawn a regular, thread-free child process starting at the current
+    /// virtual time. Its body is the future `body` returns, given the new
+    /// process's [`Proc`]; the scheduler polls it in place from its first
+    /// resume on, so the process costs no OS thread and no thread handoff.
+    /// It suspends only by awaiting that `Proc`'s methods, as under
+    /// [`Ctx::block_on`].
+    pub fn spawn_future<Fut>(
+        &mut self,
+        name: impl Into<String>,
+        body: impl FnOnce(Proc) -> Fut + Send + 'static,
+    ) -> SpawnHandle
+    where
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        sched::spawn_future(self.core(), name.into(), false, body)
+    }
+
+    /// Spawn a thread-free daemon child process; see [`Ctx::spawn_future`]
+    /// and [`Ctx::spawn_daemon`].
+    pub fn spawn_daemon_future<Fut>(
+        &mut self,
+        name: impl Into<String>,
+        body: impl FnOnce(Proc) -> Fut + Send + 'static,
+    ) -> SpawnHandle
+    where
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        sched::spawn_future(self.core(), name.into(), true, body)
+    }
+
     /// Block until the given spawned process finishes.
     pub fn join(&mut self, handle: &SpawnHandle) {
         self.wait(&handle.done);
@@ -229,7 +262,8 @@ impl Ctx {
 
     /// Block the calling thread until another thread passes us the baton.
     /// A process left parked when its run ends (deadlock, panic) stays
-    /// parked: no thread passes it the baton again.
+    /// parked, and keeps its pooled worker: no thread passes it the baton
+    /// again.
     pub(crate) fn park(&mut self) {
         while !self.resume.swap(false, Ordering::Acquire) {
             std::thread::park();
@@ -238,12 +272,14 @@ impl Ctx {
 }
 
 /// A cloneable, `Send + 'static` handle onto one process, through which
-/// async code run by that process's [`Ctx::block_on`] suspends it.
+/// async code run by that process's [`Ctx::block_on`], or the body of a
+/// thread-free process ([`Ctx::spawn_future`]), suspends it.
 ///
 /// Its async `advance` / `wait*` methods park the process exactly like the
 /// `Ctx` methods of the same name (same wait-target bookkeeping, waiter
 /// registration and timed backstops), then return `Pending` once. Await
-/// them only inside a `block_on` of the process the handle came from.
+/// them only inside a `block_on` of the process the handle came from, or in
+/// the body of the thread-free process it was given to.
 #[derive(Clone)]
 pub struct Proc {
     pid: ProcessId,
@@ -251,6 +287,10 @@ pub struct Proc {
 }
 
 impl Proc {
+    pub(crate) fn new(pid: ProcessId, core: Arc<SchedCore>) -> Self {
+        Proc { pid, handle: SimHandle { core } }
+    }
+
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         sched::now_of(&self.handle.core)

@@ -2,18 +2,29 @@
 //!
 //! ## Execution model
 //!
-//! The simulation is *process-oriented* (SimGrid / SimPy style): user code is
-//! written as ordinary blocking Rust running in **simulation processes**, each
-//! backed by its own OS thread, while fine-grained hardware actions (DMA
-//! completions, flag writes) are **scheduled callbacks** that run inline on
-//! whichever thread is currently driving the event loop.
+//! The simulation is *process-oriented* (SimGrid / SimPy style): user code
+//! runs in **simulation processes**, while fine-grained hardware actions
+//! (DMA completions, flag writes) are **scheduled callbacks** that run inline
+//! on whichever thread is currently driving the event loop. A process is
+//! one of two kinds:
+//!
+//! - *Thread-backed* ([`Simulation::spawn`], [`crate::Ctx::spawn`]): its body
+//!   is ordinary blocking Rust, so it needs a stack of its own. It runs on a
+//!   worker thread taken from a process-wide pool, which it gives back once
+//!   it has finished; the next simulation reuses the worker instead of
+//!   starting a thread.
+//! - *Thread-free* ([`Simulation::spawn_future`],
+//!   [`crate::Ctx::spawn_future`], [`crate::Ctx::spawn_daemon_future`]): its
+//!   body is a future, polled in place by the event loop (see below) from
+//!   its first resume to its completion. It has no thread at all.
 //!
 //! There is no dedicated scheduler thread. Exactly one thread holds the
 //! *baton* at any wall-clock instant, and the holder is the only thread that
-//! runs simulation code. When a process yields (`advance`, a `wait*` that
-//! parks, or its body returning), its own thread runs [`dispatch`]: it pops
-//! the event queue in `(time, seq)` order, runs callbacks inline, and stops
-//! at the first resume of a still-parked process.
+//! runs simulation code. When a thread-backed process yields (`advance`, a
+//! `wait*` that parks, or its body returning), its own thread runs
+//! [`dispatch`]: it pops the event queue in `(time, seq)` order, runs
+//! callbacks inline, and stops at the first resume of a still-parked
+//! thread-backed process.
 //!
 //! - If that resume is for the yielding process itself, the process simply
 //!   keeps running — no OS thread switch at all.
@@ -37,20 +48,28 @@
 //!   once it has the baton, so it ends the run as that process's
 //!   [`SimError::ProcessPanic`].
 //!
+//! The body of a thread-free process is such a future from the start. Its
+//! first poll happens at its first resume, the pop where a thread-backed
+//! process would start. When it completes, the holder retires the process
+//! right there (finished, `done` fired) and goes on with the loop; a panic
+//! ends the run as that process's [`SimError::ProcessPanic`].
+//!
 //! The queue sees the same items in the same order either way, so event
 //! counts, RNG draws and spans are those of the blocking code; only the
-//! number of thread handoffs drops, to one per `block_on` completion. A
-//! future runs on whichever thread holds the baton, so it must be `Send`,
-//! and it must not hold a lock guard across an `.await` (the compiler
-//! enforces this: a `std` `MutexGuard` is `!Send`).
+//! number of thread handoffs drops, to one per `block_on` completion and
+//! none at all for a thread-free process. A future runs on whichever thread
+//! holds the baton, so it must be `Send`, and it must not hold a lock guard
+//! across an `.await` (the compiler enforces this: a `std` `MutexGuard` is
+//! `!Send`).
 //!
 //! [`Simulation::run`] starts the first dispatch on the caller's thread and
 //! then blocks on a one-shot outcome channel. Whichever holder sees the run
 //! end (completion, deadlock, a process panic, or a panicking callback)
-//! reports it there. Virtual time only advances inside `dispatch`, between
-//! process steps, which makes the simulation deterministic: a given program
-//! and seed always produce the identical event trace, whichever thread
-//! happens to run each step.
+//! reports it there; after a completed run, `run` also waits until every
+//! thread-backed process's worker is back in the pool. Virtual time only
+//! advances inside `dispatch`, between process steps, which makes the
+//! simulation deterministic: a given program and seed always produce the
+//! identical event trace, whichever thread happens to run each step.
 //!
 //! ## Shutdown semantics
 //!
@@ -75,17 +94,17 @@ use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
-use std::thread::JoinHandle;
-
 use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::task::{Context, Poll, Waker};
+use std::thread::Thread;
 
 use crate::lock::Mutex;
 
 use crate::error::{BlockedProcess, SimError};
 use crate::event::Event;
-use crate::process::WaitTarget;
+use crate::pool::Worker;
+use crate::process::{Proc, WaitTarget};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
@@ -150,24 +169,30 @@ enum Outcome {
     CallbackPanic(Box<dyn Any + Send>),
 }
 
+/// How the baton reaches a thread-backed process.
+struct Baton {
+    /// The pooled worker thread the process runs on.
+    thread: Thread,
+    /// Set (then `thread` unparked) to pass the process the baton.
+    resume: Arc<AtomicBool>,
+}
+
 struct ProcRecord {
     name: String,
     daemon: bool,
-    /// Set (then the thread unparked) to pass this process the baton.
-    resume: Arc<AtomicBool>,
+    /// `None` for a thread-free process, whose body is `future`.
+    thread: Option<Baton>,
     /// Bumped every time the process parks; used to discard stale timed wakes.
     park_epoch: u64,
     parked: bool,
     finished: bool,
     done: Event,
-    /// The process's OS thread; set right after it is spawned and taken
-    /// only once the run is over.
-    join: Option<JoinHandle<()>>,
     /// The primitive the process is parked on (set by `Ctx` wait methods),
     /// formatted into deadlock diagnostics only when one is reported.
     waiting_on: Option<WaitTarget>,
-    /// Set while the process is parked inside `Ctx::block_on`: its resumes
-    /// poll this future in place until it completes.
+    /// Set while the process is parked inside `Ctx::block_on`, and for a
+    /// thread-free process from its spawn until it completes: its resumes
+    /// poll this future in place.
     future: Option<ParkedFuture>,
     /// A panic raised while polling `future` in place; re-raised on the
     /// process's own thread when it gets the baton back.
@@ -181,6 +206,21 @@ pub(crate) struct SchedCore {
     shutdown: AtomicBool,
     /// Span tracing (disabled by default).
     pub(crate) trace: Trace,
+    /// Thread-backed processes whose worker is back in the pool;
+    /// [`Simulation::run`] waits on `released_cv` until all of them are.
+    released: StdMutex<usize>,
+    released_cv: Condvar,
+}
+
+/// Dropped by a pooled worker once it is idle again, after its process
+/// has finished: counts the worker as released by that process's run.
+pub(crate) struct Released(Arc<SchedCore>);
+
+impl Drop for Released {
+    fn drop(&mut self) {
+        *self.0.released.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.released_cv.notify_all();
+    }
 }
 
 pub(crate) struct SchedState {
@@ -338,9 +378,10 @@ pub struct SimReport {
     pub events_processed: u64,
     /// Number of processes that ran (regular + daemon).
     pub processes: u64,
-    /// OS thread handoffs: resumes that passed control to another thread
-    /// (including each process's start). A host-cost statistic, kept out of
-    /// the behaviour digests.
+    /// OS thread handoffs: resumes that passed the baton to another
+    /// thread-backed process's thread, including the first resume that
+    /// starts it. Thread-free processes and futures polled in place cost
+    /// none. A host-cost statistic, kept out of the behaviour digests.
     pub handoffs: u64,
 }
 
@@ -382,6 +423,8 @@ impl Simulation {
             }),
             shutdown: AtomicBool::new(false),
             trace: Trace::for_sim(cfg.seed),
+            released: StdMutex::new(0),
+            released_cv: Condvar::new(),
         });
         Simulation { core }
     }
@@ -415,6 +458,18 @@ impl Simulation {
         spawn_process(&self.core, name.into(), true, body);
     }
 
+    /// Spawn a regular, thread-free root process whose body is the future
+    /// `body` returns (see module docs).
+    pub fn spawn_future<Fut>(
+        &mut self,
+        name: impl Into<String>,
+        body: impl FnOnce(Proc) -> Fut + Send + 'static,
+    ) where
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        spawn_future(&self.core, name.into(), false, body);
+    }
+
     /// Run the event loop to completion.
     ///
     /// Returns once every regular process has finished and the queue has
@@ -433,14 +488,16 @@ impl Simulation {
             Outcome::CallbackPanic(payload) => panic::resume_unwind(payload),
         }
 
-        // Join all process threads (all have finished by now).
-        let joins: Vec<JoinHandle<()>> = {
-            let mut st = self.core.state.lock();
-            st.procs.iter_mut().filter_map(|p| p.join.take()).collect()
-        };
-        for j in joins {
-            let _ = j.join();
-        }
+        // Every process has finished; wait until each thread-backed one's
+        // worker is back in the pool, done with the process's state.
+        let threads = self.core.state.lock().procs.iter().filter(|p| p.thread.is_some()).count();
+        let released = self.core.released.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(
+            self.core
+                .released_cv
+                .wait_while(released, |n| *n < threads)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
 
         let st = self.core.state.lock();
         Ok(SimReport {
@@ -492,32 +549,45 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                 p.parked = false;
                 p.waiting_on = None;
                 if let Some(mut fut) = p.future.take() {
-                    // Parked inside `block_on`: poll in place. The process
+                    // Parked inside its future: poll in place. A process
                     // thread gets the baton only once the future completes.
                     drop(st);
                     let polled = poll_in_place(&mut fut);
                     st = core.state.lock();
                     let p = st.proc_mut(pid);
-                    match polled {
+                    let result = match polled {
                         Poll::Pending if p.parked => {
                             // The future re-parked the process.
                             p.future = Some(fut);
                             check_shutdown = true;
                             continue;
                         }
-                        Poll::Pending => {
-                            p.future_panic = Some(Box::new(UNPARKED_PENDING.to_string()));
+                        Poll::Pending => Err(Box::new(UNPARKED_PENDING.to_string()) as _),
+                        Poll::Ready(result) => result,
+                    };
+                    if p.thread.is_none() {
+                        // A thread-free process's body is done: retire it
+                        // here, as its thread would have.
+                        drop(st);
+                        let result = result.map_err(|payload| payload_to_string(payload.as_ref()));
+                        if !retire(h, pid, result) {
+                            return false;
                         }
-                        Poll::Ready(Err(payload)) => p.future_panic = Some(payload),
-                        Poll::Ready(Ok(())) => {}
+                        check_shutdown = true;
+                        continue;
                     }
+                    p.future_panic = result.err();
                 }
-                let p = st.proc_mut(pid);
                 if me == Some(pid) {
                     return true;
                 }
-                p.resume.store(true, Ordering::Release);
-                let thread = p.join.as_ref().expect("process thread not spawned").thread().clone();
+                let baton = st
+                    .proc_mut(pid)
+                    .thread
+                    .as_ref()
+                    .expect("a thread-free process is parked in its future");
+                baton.resume.store(true, Ordering::Release);
+                let thread = baton.thread.clone();
                 st.handoffs += 1;
                 drop(st);
                 thread.unpark();
@@ -576,9 +646,10 @@ fn end_run(core: &SchedCore, outcome: Outcome) {
     }
 }
 
-/// Retire a process whose body returned (`Ok`) or panicked (`Err`), then
-/// pass the baton on.
-fn finish(h: &SimHandle, pid: ProcessId, result: Result<(), String>) {
+/// Retire a process whose body returned (`Ok`) or panicked (`Err`): mark
+/// it finished and fire its `done` event. A panic ends the run. Returns
+/// whether the run goes on.
+fn retire(h: &SimHandle, pid: ProcessId, result: Result<(), String>) -> bool {
     let (name, done) = {
         let mut st = h.core.state.lock();
         let p = st.proc_mut(pid);
@@ -595,12 +666,18 @@ fn finish(h: &SimHandle, pid: ProcessId, result: Result<(), String>) {
     };
     done.set(h);
     match result {
-        Ok(()) => {
-            dispatch(h, None, true);
-        }
+        Ok(()) => true,
         Err(message) => {
             end_run(&h.core, Outcome::Failed(SimError::ProcessPanic { name, message }));
+            false
         }
+    }
+}
+
+/// Retire a thread-backed process, then pass the baton on.
+fn finish(h: &SimHandle, pid: ProcessId, result: Result<(), String>) {
+    if retire(h, pid, result) {
+        dispatch(h, None, true);
     }
 }
 
@@ -619,9 +696,41 @@ impl SpawnHandle {
     }
 }
 
-/// Internal: register and start a process thread. The thread immediately
-/// parks; the event loop releases it via a `Resume` queue item at the current
-/// virtual time.
+/// Internal: register a process, parked until its first `Resume`, which
+/// is queued at the current virtual time.
+fn register(
+    core: &Arc<SchedCore>,
+    name: String,
+    daemon: bool,
+    thread: Option<Baton>,
+) -> SpawnHandle {
+    let done = Event::named(format!("join '{name}'"));
+    let mut st = core.state.lock();
+    let pid = ProcessId(st.procs.len() as u64);
+    if daemon {
+        st.live_daemons += 1;
+    } else {
+        st.live_regular += 1;
+    }
+    st.procs.push(ProcRecord {
+        name,
+        daemon,
+        thread,
+        park_epoch: 0,
+        parked: true,
+        finished: false,
+        done: done.clone(),
+        waiting_on: None,
+        future: None,
+        future_panic: None,
+    });
+    let now = st.now;
+    st.push(now, QueueItem::Resume { pid, epoch: 0 });
+    SpawnHandle { pid, done }
+}
+
+/// Internal: register a thread-backed process and hand its body to a
+/// pooled worker, which parks until the event loop passes it the baton.
 pub(crate) fn spawn_process(
     core: &Arc<SchedCore>,
     name: String,
@@ -629,49 +738,38 @@ pub(crate) fn spawn_process(
     body: impl FnOnce(&mut crate::process::Ctx) + Send + 'static,
 ) -> SpawnHandle {
     let resume = Arc::new(AtomicBool::new(false));
-    let done = Event::named(format!("join '{name}'"));
+    let worker = Worker::take();
+    let baton = Baton { thread: worker.thread().clone(), resume: resume.clone() };
+    let handle = register(core, name, daemon, Some(baton));
+    let (core, pid) = (core.clone(), handle.pid);
+    worker.run(Box::new(move || {
+        let released = Released(core.clone());
+        let mut ctx = crate::process::Ctx::new(pid, core, resume);
+        ctx.park(); // wait for the baton
+        let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
+            .map_err(|payload| payload_to_string(payload.as_ref()));
+        finish(&ctx.handle(), pid, result);
+        released
+    }));
+    handle
+}
 
-    let pid = {
-        let mut st = core.state.lock();
-        let pid = ProcessId(st.procs.len() as u64);
-        if daemon {
-            st.live_daemons += 1;
-        } else {
-            st.live_regular += 1;
-        }
-        st.procs.push(ProcRecord {
-            name: name.clone(),
-            daemon,
-            resume: resume.clone(),
-            park_epoch: 0,
-            parked: true,
-            finished: false,
-            done: done.clone(),
-            join: None,
-            waiting_on: None,
-            future: None,
-            future_panic: None,
-        });
-        let now = st.now;
-        st.push(now, QueueItem::Resume { pid, epoch: 0 });
-        pid
-    };
-
-    let core2 = core.clone();
-    let thread_name = format!("sim:{name}");
-    let join = std::thread::Builder::new()
-        .name(thread_name)
-        .spawn(move || {
-            let mut ctx = crate::process::Ctx::new(pid, core2, resume);
-            ctx.park(); // wait for the baton
-            let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
-                .map_err(|payload| payload_to_string(payload.as_ref()));
-            finish(&ctx.handle(), pid, result);
-        })
-        .expect("failed to spawn simulation process thread");
-
-    core.state.lock().proc_mut(pid).join = Some(join);
-    SpawnHandle { pid, done }
+/// Internal: register a thread-free process. `body` runs, and its future
+/// is first polled, at the process's first resume, where a thread-backed
+/// process would start.
+pub(crate) fn spawn_future<Fut>(
+    core: &Arc<SchedCore>,
+    name: String,
+    daemon: bool,
+    body: impl FnOnce(Proc) -> Fut + Send + 'static,
+) -> SpawnHandle
+where
+    Fut: Future<Output = ()> + Send + 'static,
+{
+    let handle = register(core, name, daemon, None);
+    let proc = Proc::new(handle.pid, core.clone());
+    core.state.lock().proc_mut(handle.pid).future = Some(Box::pin(async move { body(proc).await }));
+    handle
 }
 
 fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {

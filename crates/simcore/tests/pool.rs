@@ -1,0 +1,117 @@
+//! The process-wide worker pool that runs thread-backed simulation
+//! processes. These tests live in their own test binary so that no other
+//! test shares the pool with them, and they take [`SERIAL`] so that they
+//! do not share it with each other either.
+
+use std::collections::HashSet;
+use std::sync::Arc;
+use std::thread::{self, ThreadId};
+
+use parcomm_sim::{Event, Mutex, SimDuration, SimError, SimReport, Simulation};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn us(n: u64) -> SimDuration {
+    SimDuration::from_micros(n)
+}
+
+/// The fields of a report, comparable.
+fn summary(report: &SimReport) -> (u64, u64, u64, u64) {
+    (report.end_time.as_nanos(), report.events_processed, report.processes, report.handoffs)
+}
+
+/// A 4-process ping-pong with jitter, recording the OS thread each
+/// process ran on.
+fn four_process_run(seed: u64, threads: &Arc<Mutex<Vec<ThreadId>>>) -> SimReport {
+    let mut sim = Simulation::with_seed(seed);
+    for i in 0..4u64 {
+        let threads = threads.clone();
+        sim.spawn(format!("p{i}"), move |ctx| {
+            threads.lock().push(thread::current().id());
+            for _ in 0..5 {
+                let dt = ctx.jitter_us(1.0 + i as f64, 0.5);
+                ctx.advance(dt);
+            }
+        });
+    }
+    sim.run().expect("a 4-process run completes")
+}
+
+#[test]
+fn sequential_simulations_reuse_the_same_workers() {
+    let _serial = SERIAL.lock();
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    for seed in 0..10 {
+        four_process_run(seed, &threads);
+    }
+    let threads = threads.lock();
+    assert_eq!(threads.len(), 40);
+    let distinct: HashSet<&ThreadId> = threads.iter().collect();
+    assert!(distinct.len() <= 4, "{} distinct worker threads", distinct.len());
+}
+
+#[test]
+fn failed_runs_do_not_poison_the_pool() {
+    let _serial = SERIAL.lock();
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    let clean = summary(&four_process_run(7, &threads));
+
+    // A panic with other processes parked: they keep their workers.
+    let mut sim = Simulation::with_seed(1);
+    let never = Event::named("never-fires");
+    for i in 0..3 {
+        let never = never.clone();
+        sim.spawn(format!("parked{i}"), move |ctx| {
+            ctx.wait(&never);
+        });
+    }
+    sim.spawn("faulty", |ctx| {
+        ctx.advance(us(2));
+        panic!("faulty step");
+    });
+    match sim.run() {
+        Err(SimError::ProcessPanic { name, .. }) => assert_eq!(name, "faulty"),
+        other => panic!("expected process panic, got {other:?}"),
+    }
+
+    // A deadlock: both processes stay parked for good.
+    let mut sim = Simulation::with_seed(2);
+    for i in 0..2 {
+        let never = never.clone();
+        sim.spawn(format!("stuck{i}"), move |ctx| {
+            ctx.advance(us(1));
+            ctx.wait(&never);
+        });
+    }
+    match sim.run() {
+        Err(SimError::Deadlock { blocked }) => assert_eq!(blocked.len(), 2),
+        other => panic!("expected deadlock, got {other:?}"),
+    }
+
+    assert_eq!(summary(&four_process_run(7, &threads)), clean, "the clean run after failures");
+}
+
+#[test]
+fn concurrent_simulations_match_serial_ones() {
+    let _serial = SERIAL.lock();
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    let seeds: [u64; 2] = [21, 22];
+    let serial: Vec<_> = seeds.iter().map(|&s| summary(&four_process_run(s, &threads))).collect();
+    let concurrent: Vec<Vec<_>> = thread::scope(|scope| {
+        let runs: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                let threads = threads.clone();
+                scope.spawn(move || {
+                    (0..5).map(|_| summary(&four_process_run(seed, &threads))).collect()
+                })
+            })
+            .collect();
+        runs.into_iter().map(|r| r.join().expect("runner thread")).collect()
+    });
+    for (i, runs) in concurrent.iter().enumerate() {
+        for run in runs {
+            assert_eq!(*run, serial[i], "seed {}", seeds[i]);
+        }
+    }
+}

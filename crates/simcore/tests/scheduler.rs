@@ -1,13 +1,14 @@
 //! Integration tests for the discrete-event scheduler: ordering, blocking,
 //! shutdown, deadlock detection, and determinism.
 
+use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parcomm_sim::Mutex;
 
 use parcomm_sim::{
-    CountEvent, Event, SimBarrier, SimChannel, SimConfig, SimDuration, SimError, SimTime,
+    CountEvent, Event, Proc, SimBarrier, SimChannel, SimConfig, SimDuration, SimError, SimTime,
     Simulation, SpanId,
 };
 
@@ -902,4 +903,253 @@ fn daemon_whose_body_is_one_future_exits_at_shutdown() {
     // The engine's thread runs only at its start and once at the end; the
     // client's thread wakes once per advance.
     assert!(report.handoffs <= 2 + 3 + 1, "{} handoffs", report.handoffs);
+}
+
+/// Spawn a root process whose body is the future `body` returns: with
+/// `thread_free`, as a thread-free process; otherwise as a thread-backed
+/// process whose whole body is one `block_on`.
+fn spawn_root<Fut>(
+    sim: &mut Simulation,
+    thread_free: bool,
+    name: &str,
+    body: impl FnOnce(Proc) -> Fut + Send + 'static,
+) where
+    Fut: Future<Output = ()> + Send + 'static,
+{
+    if thread_free {
+        sim.spawn_future(name, body);
+    } else {
+        sim.spawn(name, move |ctx| {
+            let p = ctx.proc();
+            ctx.block_on(body(p));
+        });
+    }
+}
+
+/// What one run of [`future_program`] leaves behind: the run, every RNG
+/// draw in draw order, and the thread handoffs.
+type FutureProgramRun = (ProgramRun, Vec<u64>, u64);
+
+/// Processes [`future_program`] converts to thread-free processes.
+const CONVERTED: u64 = 4;
+
+/// A program of five processes: a blocking `driver` and four whose bodies
+/// are futures — a `producer` and a `consumer` at the root, and a `helper`
+/// and an `engine` daemon that the driver spawns before it returns. The
+/// engine serves the consumer's requests like a progression engine, polling
+/// until shutdown. With `thread_free`, the four are thread-free processes
+/// (`spawn_future` and friends); otherwise each is a thread-backed
+/// process whose body is one `block_on`.
+fn future_program(thread_free: bool) -> FutureProgramRun {
+    let mut sim = Simulation::with_seed(11);
+    let trace = sim.trace();
+    trace.enable();
+    let counter = CountEvent::named("produced");
+    let request = Event::named("request");
+    let draws = Arc::new(Mutex::new(Vec::new()));
+
+    let (c, d) = (counter.clone(), draws.clone());
+    spawn_root(&mut sim, thread_free, "producer", move |p| async move {
+        for round in 0..ROUNDS {
+            let t0 = p.now();
+            let dt = p.jitter_us(2.0, 0.5);
+            d.lock().push(dt.as_nanos());
+            p.advance(dt).await;
+            c.add(&p.handle(), 1);
+            p.handle().trace().record_attr(
+                "produce",
+                t0,
+                p.now(),
+                None,
+                Some(round as u32),
+                SpanId::NONE,
+            );
+        }
+    });
+    let (r, d) = (request.clone(), draws.clone());
+    spawn_root(&mut sim, thread_free, "consumer", move |p| async move {
+        for round in 0..ROUNDS {
+            let t0 = p.now();
+            let met = p.wait_count_timeout(&counter, round + 1, us(2)).await;
+            if round % 4 == 0 {
+                r.set(&p.handle());
+            }
+            let dt = p.jitter_us(1.0, 0.3);
+            d.lock().push(dt.as_nanos());
+            p.advance(dt).await;
+            p.handle().trace().record_attr(
+                "consume",
+                t0,
+                p.now(),
+                Some(met as u32),
+                Some(round as u32),
+                SpanId::NONE,
+            );
+        }
+    });
+    let d = draws.clone();
+    sim.spawn("driver", move |ctx| {
+        let d2 = d.clone();
+        // Idle until the first request, then poll on a 1 µs grid: a tick is
+        // queued when the last regular process finishes, so the run's end
+        // time shows when shutdown began.
+        let engine = move |p: Proc| async move {
+            assert!(p.wait(&request).await, "the consumer sends requests");
+            while !p.is_shutdown() {
+                if request.is_set() {
+                    request.reset();
+                    let phase = p.with_rng(|rng| rng.uniform());
+                    d2.lock().push(phase.to_bits());
+                    let t0 = p.now();
+                    p.advance(SimDuration::from_micros_f64(3.0 * phase)).await;
+                    p.handle().trace().record_attr("serve", t0, p.now(), None, None, SpanId::NONE);
+                }
+                p.advance(us(1)).await;
+            }
+        };
+        let helper = move |p: Proc| async move {
+            let t0 = p.now();
+            let dt = p.jitter_us(4.0, 1.0);
+            d.lock().push(dt.as_nanos());
+            p.advance(dt).await;
+            p.handle().trace().record_attr("help", t0, p.now(), None, None, SpanId::NONE);
+        };
+        ctx.advance(us(1));
+        if thread_free {
+            ctx.spawn_future("helper", helper);
+            ctx.spawn_daemon_future("engine", engine);
+        } else {
+            ctx.spawn("helper", move |ctx| {
+                let p = ctx.proc();
+                ctx.block_on(helper(p));
+            });
+            ctx.spawn_daemon("engine", move |ctx| {
+                let p = ctx.proc();
+                ctx.block_on(engine(p));
+            });
+        }
+    });
+    let report = sim.run().unwrap();
+    let spans = trace
+        .spans()
+        .iter()
+        .map(|s| (s.category, s.start.as_nanos(), s.end.as_nanos(), s.rank, s.partition))
+        .collect();
+    let run =
+        ProgramRun { end_time: report.end_time, events_processed: report.events_processed, spans };
+    let draws = draws.lock().clone();
+    (run, draws, report.handoffs)
+}
+
+#[test]
+fn spawn_future_reproduces_spawn_and_block_on() {
+    let (blocking, blocking_draws, blocking_handoffs) = future_program(false);
+    let (thread_free, thread_free_draws, thread_free_handoffs) = future_program(true);
+    assert_eq!(thread_free, blocking, "same end time, event count and span stream");
+    assert_eq!(thread_free_draws, blocking_draws, "same RNG draws in the same order");
+    let served = blocking.spans.iter().filter(|s| s.0 == "serve").count();
+    assert!(served > 1, "the engine served {served} requests");
+    let met: Vec<u32> =
+        blocking.spans.iter().filter(|s| s.0 == "consume").filter_map(|s| s.3).collect();
+    assert!(met.contains(&0) && met.contains(&1), "timed-wait outcomes: {met:?}");
+    // Each converted process saves its start and its final baton pass; the
+    // one handoff left starts the driver.
+    assert_eq!(thread_free_handoffs, blocking_handoffs - 2 * CONVERTED);
+    assert_eq!(thread_free_handoffs, 1);
+}
+
+#[test]
+fn thread_free_daemon_exits_at_shutdown_and_children_fire_done() {
+    let mut sim = Simulation::with_seed(1);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let l2 = log.clone();
+    sim.spawn("parent", move |ctx| {
+        let never = Event::named("never-fires");
+        let l3 = l2.clone();
+        let daemon = ctx.spawn_daemon_future("watcher", move |p| async move {
+            let set = p.wait(&never).await;
+            l3.lock().push(format!("watcher set={set} shutdown={}", p.is_shutdown()));
+        });
+        let l3 = l2.clone();
+        let child = ctx.spawn_future("child", move |p| async move {
+            p.advance(us(4)).await;
+            l3.lock().push(format!("child done at {}", p.now().as_micros_f64()));
+        });
+        ctx.join(&child);
+        l2.lock().push(format!("joined at {}", ctx.now().as_micros_f64()));
+        assert!(!daemon.done.is_set(), "a daemon runs until shutdown");
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(
+        *log.lock(),
+        vec!["child done at 4", "joined at 4", "watcher set=false shutdown=true"],
+        "the daemon is released by shutdown, after the last regular process"
+    );
+    assert_eq!(report.processes, 3);
+    // Only the parent has a thread; it starts once and keeps the baton.
+    assert_eq!(report.handoffs, 1);
+}
+
+#[test]
+fn panicking_thread_free_process_names_itself() {
+    let mut sim = Simulation::with_seed(1);
+    sim.spawn("ticker", |ctx| {
+        for _ in 0..10 {
+            ctx.advance(us(1));
+        }
+    });
+    sim.spawn_future("faulty", |p| async move {
+        p.advance(us(3)).await;
+        panic!("thread-free step {}", 2);
+    });
+    match sim.run() {
+        Err(SimError::ProcessPanic { name, message }) => {
+            assert_eq!(name, "faulty");
+            assert!(message.contains("thread-free step 2"), "message: {message}");
+        }
+        other => panic!("expected process panic, got {other:?}"),
+    }
+}
+
+#[test]
+fn thread_free_foreign_pending_is_a_process_panic() {
+    let mut sim = Simulation::with_seed(1);
+    sim.spawn_future("stuck", |_| std::future::pending::<()>());
+    match sim.run() {
+        Err(SimError::ProcessPanic { name, message }) => {
+            assert_eq!(name, "stuck");
+            assert!(message.contains("without awaiting a Proc method"), "message: {message}");
+        }
+        other => panic!("expected process panic, got {other:?}"),
+    }
+}
+
+#[test]
+fn deadlock_report_names_a_parked_thread_free_process() {
+    let mut sim = Simulation::with_seed(1);
+    let never = Event::named("never-fires");
+    let count = CountEvent::named("stalled");
+    sim.spawn_future("future-on-event", move |p| async move {
+        p.wait(&never).await;
+    });
+    sim.spawn("thread-on-count", move |ctx| {
+        count.add(&ctx.handle(), 1);
+        ctx.wait_count(&count, 3);
+    });
+    match sim.run() {
+        Err(SimError::Deadlock { blocked }) => assert_eq!(
+            blocked,
+            vec![
+                parcomm_sim::BlockedProcess {
+                    process: "future-on-event".into(),
+                    waiting_on: Some("event 'never-fires'".into()),
+                },
+                parcomm_sim::BlockedProcess {
+                    process: "thread-on-count".into(),
+                    waiting_on: Some("count 'stalled' (1/3)".into()),
+                },
+            ]
+        ),
+        other => panic!("expected deadlock, got {other:?}"),
+    }
 }
