@@ -192,26 +192,27 @@ pub async fn prequest_create_async(
     // Recovery: let a blocking wait drain this queue from host context when
     // the progression engine's lease expires. The queue pop is the
     // exactly-once point, so a false-positive takeover (stalled-not-dead PE)
-    // is harmless.
-    let drain = dp.clone();
+    // is harmless. The hook holds the request weakly, since the request
+    // holds the channel: while notifications are queued, the kernel
+    // emissions and the PE hook hold it strongly, and once the last handle
+    // is gone there is no queue left to drain.
+    let weak = Arc::downgrade(&dp.inner);
     *dp.inner.send.device_drain.lock() = Some(Box::new(move |p: &Proc| {
-        let (drain, p) = (drain.clone(), p.clone());
-        Box::pin(async move {
+        let (drain, p) = (DevicePrequest { inner: weak.upgrade()? }, p.clone());
+        Some(Box::pin(async move {
             drain.drain_notifications(&p).await;
-        })
+        }))
     }));
     Ok(dp)
 }
 
 impl DevicePrequest {
-    /// `MPIX_Prequest_free`: release device resources. (The simulation's
-    /// buffers are reference-counted; this charges the free cost and drops
-    /// the pinned mapping.)
+    /// `MPIX_Prequest_free`: release device resources. This only charges
+    /// the free cost: the simulation's buffers are reference-counted and
+    /// the channel's host-drain hook holds the request weakly, so dropping
+    /// the last handle frees the request and its pinned flags.
     pub fn free(self, ctx: &mut Ctx) {
         ctx.advance(SimDuration::from_micros_f64(5.0));
-        // Break the drain-hook reference cycle through the send channel.
-        *self.inner.send.device_drain.lock() = None;
-        drop(self);
     }
 
     /// This request's configuration.

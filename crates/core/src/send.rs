@@ -156,7 +156,9 @@ pub(crate) struct PsendShared {
     /// path: registered by `prequest_create`, it drains the device
     /// notification queue from the waiter's context when the progression
     /// engine's lease expires. Draining pops from the same queue the PE
-    /// hook drains, so each notification is serviced exactly once.
+    /// hook drains, so each notification is serviced exactly once. The hook
+    /// holds the device request weakly (the request holds this channel),
+    /// and yields no drain once the request is gone.
     pub device_drain: Mutex<Option<DrainHook>>,
     /// Settled failure of a device-initiated shmem put (retry budget
     /// exhausted). Checked first by the stall diagnosis; cleared at
@@ -166,8 +168,9 @@ pub(crate) struct PsendShared {
 
 /// Boxed host-drain callback; see [`PsendShared::device_drain`]. It returns
 /// the drain as a future, which the recovery ladder awaits inside
-/// [`PsendRequest::wait_async`].
-pub type DrainHook = Box<dyn FnMut(&Proc) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send>;
+/// [`PsendRequest::wait_async`], or `None` once the device request is gone.
+pub type DrainHook =
+    Box<dyn FnMut(&Proc) -> Option<Pin<Box<dyn Future<Output = ()> + Send>>> + Send>;
 
 /// A persistent partitioned send channel (`MPI_Psend_init` result).
 #[derive(Clone)]
@@ -762,13 +765,14 @@ impl PsendShared {
     }
 
     /// Host-drain takeover: run the registered device-notification drain (if
-    /// the device path is in use) from the calling context. Exactly-once is
+    /// the device path is in use and its request is alive) from the calling
+    /// context; only a drain that runs is counted. Exactly-once is
     /// guaranteed by the shared queue the drain pops from. The drain's
     /// future is taken out under the slot's lock and awaited after the
     /// guard is gone, so no other process can block on the slot while the
     /// drain is parked.
     pub(crate) async fn host_drain_device(&self, p: &Proc) {
-        let drain = self.device_drain.lock().as_mut().map(|drain| drain(p));
+        let drain = self.device_drain.lock().as_mut().and_then(|drain| drain(p));
         if let Some(drain) = drain {
             if let Some(ins) = self.world.instruments() {
                 ins.recover_host_drains.inc();

@@ -26,5 +26,5 @@ pub use cost::{AggLevel, CostModel};
 pub use device::{Gpu, GpuId, IpcError, IpcMappedBuffer};
 pub use faults::EmissionFaultConfig;
 pub use kernel::{DeviceCtx, KernelSpec, LaunchHandle};
-pub use mem::{Buffer, BufferId, Location, MemSpace, Unit};
+pub use mem::{Buffer, BufferId, Location, MemSpace, Unit, WeakBuffer};
 pub use stream::Stream;

@@ -12,7 +12,7 @@
 //! runtime an out-of-range RMA is a correctness bug we want loud.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parcomm_sim::Mutex;
 
@@ -143,6 +143,12 @@ impl Buffer {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
+    /// A handle that does not keep the allocation alive: once every
+    /// [`Buffer`] clone is gone, [`WeakBuffer::is_live`] turns false.
+    pub fn downgrade(&self) -> WeakBuffer {
+        WeakBuffer { inner: Arc::downgrade(&self.inner) }
+    }
+
     // ---- raw byte access -------------------------------------------------
 
     /// Copy `src` into the buffer at `offset`.
@@ -163,11 +169,10 @@ impl Buffer {
     }
 
     /// Functional copy between buffers (the data plane of an RMA put or a
-    /// DMA memcpy). Handles the same-allocation case with a scratch copy.
+    /// DMA memcpy). Overlapping ranges of one allocation copy as `memmove`.
     pub fn copy_from_buffer(&self, dst_offset: usize, src: &Buffer, src_offset: usize, len: usize) {
         if self.same_allocation(src) {
-            let tmp = src.read_bytes(src_offset, len);
-            self.write_bytes(dst_offset, &tmp);
+            self.inner.bytes.lock().copy_within(src_offset..src_offset + len, dst_offset);
             return;
         }
         let src_guard = src.inner.bytes.lock();
@@ -227,14 +232,19 @@ impl Buffer {
     }
 
     /// `self[dst..] += other[src..]` over `n` `f64` elements — the reduction
-    /// data plane for allreduce.
+    /// data plane for allreduce. One pass over both buffers; ranges of one
+    /// allocation add a snapshot of the source, as if read before any write.
     pub fn accumulate_f64(&self, dst_offset: usize, other: &Buffer, src_offset: usize, n: usize) {
-        let src = other.read_f64_slice(src_offset, n);
-        let mut b = self.inner.bytes.lock();
-        for (chunk, s) in b[dst_offset..dst_offset + n * 8].chunks_exact_mut(8).zip(src) {
-            let v = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            chunk.copy_from_slice(&(v + s).to_le_bytes());
+        let len = n * 8;
+        if self.same_allocation(other) {
+            let mut b = self.inner.bytes.lock();
+            let src = b[src_offset..src_offset + len].to_vec();
+            add_f64(&mut b[dst_offset..dst_offset + len], &src);
+            return;
         }
+        let src = other.inner.bytes.lock();
+        let mut dst = self.inner.bytes.lock();
+        add_f64(&mut dst[dst_offset..dst_offset + len], &src[src_offset..src_offset + len]);
     }
 
     /// Sum of `n` `f64` elements.
@@ -286,6 +296,29 @@ impl Buffer {
     /// Write flag word `index`.
     pub fn write_flag(&self, index: usize, v: u64) {
         self.write_bytes(index * 8, &v.to_le_bytes());
+    }
+}
+
+/// `dst += src`, both little-endian `f64` byte slices of equal length.
+fn add_f64(dst: &mut [u8], src: &[u8]) {
+    for (d, s) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)) {
+        let v = f64::from_le_bytes(d.try_into().expect("8-byte chunk"))
+            + f64::from_le_bytes(s.try_into().expect("8-byte chunk"));
+        d.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// A non-owning handle onto a [`Buffer`]'s allocation (see
+/// [`Buffer::downgrade`]).
+#[derive(Clone)]
+pub struct WeakBuffer {
+    inner: Weak<BufInner>,
+}
+
+impl WeakBuffer {
+    /// True while some [`Buffer`] still holds the allocation.
+    pub fn is_live(&self) -> bool {
+        self.inner.strong_count() > 0
     }
 }
 
@@ -359,6 +392,44 @@ mod tests {
         a.accumulate_f64(0, &b, 0, 3);
         assert_eq!(a.read_f64_slice(0, 3), vec![11.0, 22.0, 33.0]);
         assert_eq!(a.reduce_sum_f64(0, 3), 66.0);
+    }
+
+    #[test]
+    fn copy_within_overlapping_ranges_moves() {
+        let b = host_buf(40);
+        b.write_f64_slice(0, &[1.0, 2.0, 3.0, 4.0]);
+        b.copy_from_buffer(8, &b.clone(), 0, 24);
+        assert_eq!(b.read_f64_slice(0, 5), vec![1.0, 1.0, 2.0, 3.0, 0.0]);
+        b.copy_from_buffer(0, &b.clone(), 16, 24);
+        assert_eq!(b.read_f64_slice(0, 5), vec![2.0, 3.0, 0.0, 3.0, 0.0]);
+    }
+
+    #[test]
+    fn aliased_overlapping_accumulate_adds_a_snapshot() {
+        let vals = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
+        let b = host_buf(48);
+        b.write_f64_slice(0, &vals);
+        // dst = elements 2..6, src = elements 0..4: overlapping ranges of
+        // one allocation, through an aliasing handle.
+        b.clone().accumulate_f64(16, &b, 0, 4);
+        // The two-pass result by hand: read the source first, then add.
+        let mut want = vals.to_vec();
+        for i in 0..4 {
+            want[2 + i] = vals[2 + i] + vals[i];
+        }
+        assert_eq!(b.read_f64_slice(0, 6), want);
+        assert_eq!(want, vec![1.0, 2.0, 5.0, 10.0, 20.0, 40.0]);
+    }
+
+    #[test]
+    fn downgrade_tracks_the_last_clone() {
+        let a = host_buf(8);
+        let weak = a.downgrade();
+        let alias = a.clone();
+        drop(a);
+        assert!(weak.is_live(), "a clone still holds the allocation");
+        drop(alias);
+        assert!(!weak.is_live());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parcomm_sim::Mutex;
 
@@ -74,15 +74,29 @@ struct PeState {
 }
 
 /// Handle to a rank's progression engine.
+///
+/// The handle holds the engine's hook list weakly: only the engine's
+/// daemon and its [`Rank`](crate::Rank) keep the list alive. A hook holds
+/// its channel and a channel holds this handle, so a strong handle would
+/// turn every hook still registered when a run ends (a crashed engine's,
+/// for one) into a reference cycle.
 #[derive(Clone)]
 pub struct ProgressionEngine {
-    inner: Arc<Mutex<PeState>>,
+    inner: Weak<Mutex<PeState>>,
     poll: SimDuration,
     crashed: Arc<AtomicBool>,
     /// Virtual instant of the last hook sweep — the engine's heartbeat,
     /// renewed immediately before each sweep. Recovery's lease check reads
     /// this to distinguish a slow PE from a dead one without any wall clock.
     heartbeat: Arc<Mutex<SimTime>>,
+}
+
+/// Keeps a progression engine's hooks alive while its rank runs, so a
+/// crashed engine's hooks (and the device requests they hold) stay
+/// reachable by the rank's host-drain takeover.
+#[derive(Clone)]
+pub(crate) struct HookOwner {
+    _hooks: Arc<Mutex<PeState>>,
 }
 
 impl ProgressionEngine {
@@ -94,15 +108,16 @@ impl ProgressionEngine {
         poll: SimDuration,
         fault: Option<PeFaultConfig>,
         instruments: Option<crate::world::MpiInstruments>,
-    ) -> ProgressionEngine {
+    ) -> (ProgressionEngine, HookOwner) {
         let inner = Arc::new(Mutex::new(PeState {
             hooks: Vec::new(),
             work_available: Event::new(),
         }));
         let crashed = Arc::new(AtomicBool::new(false));
         let heartbeat = Arc::new(Mutex::new(SimTime::ZERO));
+        let owner = HookOwner { _hooks: inner.clone() };
         let engine = ProgressionEngine {
-            inner: inner.clone(),
+            inner: Arc::downgrade(&inner),
             poll,
             crashed: crashed.clone(),
             heartbeat: heartbeat.clone(),
@@ -201,20 +216,22 @@ impl ProgressionEngine {
                 p.advance(poll).await;
             }
         });
-        engine
+        (engine, owner)
     }
 
     /// Register a hook; the engine wakes if it was idle. Callable from both
     /// process context (pass `ctx.handle()`) and scheduled callbacks — the
     /// device-side `MPIX_Pready` notification path registers from the
-    /// latter.
+    /// latter. Once the daemon has stopped and its rank is gone, no hook
+    /// can run again and the hook is dropped.
     pub fn register(
         &self,
         h: &parcomm_sim::SimHandle,
         hook: impl FnMut(&Proc) -> HookFuture + Send + 'static,
     ) {
+        let Some(inner) = self.inner.upgrade() else { return };
         let ev = {
-            let mut st = self.inner.lock();
+            let mut st = inner.lock();
             st.hooks.push(Box::new(hook));
             st.work_available.clone()
         };
@@ -254,6 +271,6 @@ impl ProgressionEngine {
 
     /// Number of registered hooks (diagnostics/tests).
     pub fn hook_count(&self) -> usize {
-        self.inner.lock().hooks.len()
+        self.inner.upgrade().map_or(0, |inner| inner.lock().hooks.len())
     }
 }

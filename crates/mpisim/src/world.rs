@@ -18,7 +18,7 @@ use parcomm_ucx::{UcxUniverse, Worker, WorkerAddress};
 
 use crate::mechanism::CopyMechanism;
 use crate::p2p::MatchTable;
-use crate::progress::{PeFaultConfig, ProgressionEngine};
+use crate::progress::{HookOwner, PeFaultConfig, ProgressionEngine};
 
 /// MPI-layer instruments, shared by every rank's progression engine and the
 /// partitioned send/recv watchdogs. Cheap to clone; clones share counters.
@@ -354,6 +354,9 @@ pub struct Rank {
     gpu: Gpu,
     worker: Worker,
     progression: ProgressionEngine,
+    /// Keeps the engine's hooks alive while this rank runs (the engine
+    /// handle holds them weakly).
+    _hooks: HookOwner,
 }
 
 impl Rank {
@@ -394,7 +397,7 @@ impl Rank {
             .iter()
             .find(|(r, _)| *r == rank)
             .map(|(_, f)| f.clone());
-        let progression = ProgressionEngine::start(
+        let (progression, hooks) = ProgressionEngine::start(
             ctx,
             rank,
             SimDuration::from_micros_f64(world.inner.config.progress_poll_us),
@@ -404,7 +407,7 @@ impl Rank {
         // MPI_Init barrier: every rank's worker address is published before
         // anyone communicates.
         world.inner.start_barrier.wait(ctx);
-        Rank { world, rank, gpu, worker, progression }
+        Rank { world, rank, gpu, worker, progression, _hooks: hooks }
     }
 
     /// This rank's index in the world.

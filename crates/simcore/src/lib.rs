@@ -55,7 +55,9 @@ pub use event::{CountEvent, Event};
 pub use lock::Mutex;
 pub use process::{Ctx, Proc};
 pub use rng::SimRng;
-pub use sched::{ProcessId, SimConfig, SimHandle, SimReport, Simulation, SpawnHandle};
+pub use sched::{
+    ProcessId, SimConfig, SimHandle, SimReport, Simulation, SpawnHandle, WeakSimHandle,
+};
 pub use sync::{Semaphore, SimBarrier, SimChannel};
 pub use time::{SimDuration, SimTime};
 pub use trace::{EvictSink, SpanId, Trace, TraceSpan};

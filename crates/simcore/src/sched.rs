@@ -95,7 +95,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError, Weak};
 use std::task::{Context, Poll, Waker};
 use std::thread::Thread;
 
@@ -207,19 +207,28 @@ pub(crate) struct SchedCore {
     /// Span tracing (disabled by default).
     pub(crate) trace: Trace,
     /// Thread-backed processes whose worker is back in the pool;
-    /// [`Simulation::run`] waits on `released_cv` until all of them are.
-    released: StdMutex<usize>,
-    released_cv: Condvar,
+    /// [`Simulation::run`] waits until all of them are.
+    released: Arc<ReleaseCount>,
+}
+
+/// A count of released workers and the condvar that signals it. It lives
+/// apart from [`SchedCore`] so that a worker reporting its release no
+/// longer holds the scheduler state: once `run` returns, dropping the
+/// [`Simulation`] frees it.
+#[derive(Default)]
+struct ReleaseCount {
+    count: StdMutex<usize>,
+    cv: Condvar,
 }
 
 /// Dropped by a pooled worker once it is idle again, after its process
 /// has finished: counts the worker as released by that process's run.
-pub(crate) struct Released(Arc<SchedCore>);
+pub(crate) struct Released(Arc<ReleaseCount>);
 
 impl Drop for Released {
     fn drop(&mut self) {
-        *self.0.released.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        self.0.released_cv.notify_all();
+        *self.0.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.cv.notify_all();
     }
 }
 
@@ -239,6 +248,19 @@ pub(crate) struct SchedState {
     handoffs: u64,
     /// Where the holder that sees the run end reports it; taken once.
     outcome_tx: Option<Sender<Outcome>>,
+}
+
+/// A non-owning handle onto a simulation (see [`SimHandle::downgrade`]).
+#[derive(Clone)]
+pub struct WeakSimHandle {
+    core: Weak<SchedCore>,
+}
+
+impl WeakSimHandle {
+    /// True while anything still holds the simulation's scheduler state.
+    pub fn is_live(&self) -> bool {
+        self.core.strong_count() > 0
+    }
 }
 
 /// A cloneable capability handle onto the running simulation.
@@ -294,6 +316,13 @@ impl SimHandle {
     /// is enabled via [`crate::Simulation::trace`]).
     pub fn trace(&self) -> &Trace {
         &self.core.trace
+    }
+
+    /// A handle that does not keep the simulation alive: once the
+    /// [`Simulation`] and every model object holding a `SimHandle` are gone,
+    /// [`WeakSimHandle::is_live`] turns false.
+    pub fn downgrade(&self) -> WeakSimHandle {
+        WeakSimHandle { core: Arc::downgrade(&self.core) }
     }
 
     pub(crate) fn wake(&self, pid: ProcessId, epoch: u64) {
@@ -423,8 +452,7 @@ impl Simulation {
             }),
             shutdown: AtomicBool::new(false),
             trace: Trace::for_sim(cfg.seed),
-            released: StdMutex::new(0),
-            released_cv: Condvar::new(),
+            released: Arc::default(),
         });
         Simulation { core }
     }
@@ -491,12 +519,10 @@ impl Simulation {
         // Every process has finished; wait until each thread-backed one's
         // worker is back in the pool, done with the process's state.
         let threads = self.core.state.lock().procs.iter().filter(|p| p.thread.is_some()).count();
-        let released = self.core.released.lock().unwrap_or_else(PoisonError::into_inner);
+        let released = &self.core.released;
+        let count = released.count.lock().unwrap_or_else(PoisonError::into_inner);
         drop(
-            self.core
-                .released_cv
-                .wait_while(released, |n| *n < threads)
-                .unwrap_or_else(PoisonError::into_inner),
+            released.cv.wait_while(count, |n| *n < threads).unwrap_or_else(PoisonError::into_inner),
         );
 
         let st = self.core.state.lock();
@@ -743,7 +769,7 @@ pub(crate) fn spawn_process(
     let handle = register(core, name, daemon, Some(baton));
     let (core, pid) = (core.clone(), handle.pid);
     worker.run(Box::new(move || {
-        let released = Released(core.clone());
+        let released = Released(core.released.clone());
         let mut ctx = crate::process::Ctx::new(pid, core, resume);
         ctx.park(); // wait for the baton
         let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
