@@ -13,7 +13,7 @@
 //!   would be present in a training loop");
 //! - `Nccl` — BCE kernel → `ncclAllReduce` on the stream.
 
-use parcomm_coll::{pallreduce_init, Pallreduce};
+use parcomm_coll::{pallreduce_init, PcollRequest};
 use parcomm_gpu::KernelSpec;
 use parcomm_mpi::{MpiError, Rank};
 use parcomm_nccl::{NcclComm, NcclConfig};
@@ -107,7 +107,7 @@ pub fn run_dl(
         target.write_f64_slice(0, &targets);
     }
 
-    let coll: Option<Pallreduce> = if cfg.model == DlModel::Partitioned {
+    let coll: Option<PcollRequest> = if cfg.model == DlModel::Partitioned {
         Some(pallreduce_init(ctx, rank, &grad, cfg.partitions, &stream, 77)?)
     } else {
         None

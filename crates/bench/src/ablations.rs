@@ -24,11 +24,6 @@ use crate::report::Experiment;
 
 /// Poll-interval sensitivity of the Progression-Engine copy path.
 pub fn run_poll_interval(quick: bool) -> Experiment {
-    run_poll_interval_threaded(quick, crate::report::threads())
-}
-
-/// [`run_poll_interval`] with an explicit sweep worker count.
-pub fn run_poll_interval_threaded(quick: bool, threads: usize) -> Experiment {
     let polls = if quick { vec![0.5f64, 4.0] } else { vec![0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0] };
     let mut exp = Experiment::new(
         "ablation_poll",
@@ -39,7 +34,7 @@ pub fn run_poll_interval_threaded(quick: bool, threads: usize) -> Experiment {
     for &poll in &polls {
         spec.cell(format!("poll={poll}"), move || vec![poll, pe_epoch_with_poll(poll)]);
     }
-    for row in spec.run(threads).into_values().expect("poll sweep") {
+    for row in crate::report::run_sweep(spec, "poll sweep") {
         exp.push_row(row);
     }
     let first = exp.rows.first().map(|r| r[1]).unwrap_or(0.0);
@@ -93,22 +88,13 @@ fn pe_epoch_with_poll(poll_us: f64) -> f64 {
 /// §VI-A finding: one best intra-node, two best inter-node for large
 /// kernels).
 pub fn run_transport_sweep(quick: bool) -> Experiment {
-    run_transport_sweep_threaded(quick, crate::report::threads())
-}
-
-/// [`run_transport_sweep`] with an explicit sweep worker count.
-pub fn run_transport_sweep_threaded(quick: bool, threads: usize) -> Experiment {
-    run_transport_sweep_mech(quick, threads, CopyMechanism::ProgressionEngine)
+    run_transport_sweep_mech(quick, CopyMechanism::ProgressionEngine)
 }
 
 /// [`run_transport_sweep`] over an explicit copy mechanism (the
 /// `--mechanism` axis): under `Shmem` the intra-node pair rides symmetric
 /// puts while the inter-node pair measures the typed PE fallback.
-pub fn run_transport_sweep_mech(
-    quick: bool,
-    threads: usize,
-    mechanism: CopyMechanism,
-) -> Experiment {
+pub fn run_transport_sweep_mech(quick: bool, mechanism: CopyMechanism) -> Experiment {
     let transports = if quick { vec![1usize, 2] } else { vec![1, 2, 4, 8, 16] };
     let grid = 2048u32; // 16 MB payload: squarely in the large regime
     let mut exp = Experiment::new(
@@ -121,7 +107,7 @@ pub fn run_transport_sweep_mech(
     for &t in &transports {
         spec.cell(format!("transports={t}"), move || transport_row(t, grid, quick, mechanism));
     }
-    for row in spec.run(threads).into_values().expect("transport sweep") {
+    for row in crate::report::run_sweep(spec, "transport sweep") {
         exp.push_row(row);
     }
     let knee_intra = knee_row(&exp, 1);
@@ -178,11 +164,6 @@ fn knee_row(exp: &Experiment, col: usize) -> usize {
 
 /// Multi-block counter aggregation on/off across grid sizes.
 pub fn run_counter_aggregation(quick: bool) -> Experiment {
-    run_counter_aggregation_threaded(quick, crate::report::threads())
-}
-
-/// [`run_counter_aggregation`] with an explicit sweep worker count.
-pub fn run_counter_aggregation_threaded(quick: bool, threads: usize) -> Experiment {
     let grids = if quick { vec![4u32, 64] } else { vec![2, 8, 32, 128, 512] };
     let mut exp = Experiment::new(
         "ablation_counters",
@@ -195,7 +176,7 @@ pub fn run_counter_aggregation_threaded(quick: bool, threads: usize) -> Experime
             vec![grid as f64, pready_ext(grid, false), pready_ext(grid, true)]
         });
     }
-    for row in spec.run(threads).into_values().expect("counter sweep") {
+    for row in crate::report::run_sweep(spec, "counter sweep") {
         exp.push_row(row);
     }
     exp.note(
@@ -262,14 +243,9 @@ fn pready_ext(grid: u32, counters: bool) -> f64 {
 /// `FaultPlan::chaos(seed, rate)` and reports the virtual completion time
 /// and the goodput relative to the fault-free run. Survivable-by-
 /// construction: the `survived` column must stay 1.0, and the numerics are
-/// asserted bit-identical to fault-free before a row is reported.
-pub fn run_fault_goodput(quick: bool, fault_seed: u64) -> Experiment {
-    run_fault_goodput_threaded(quick, fault_seed, crate::report::threads())
-}
-
-/// [`run_fault_goodput`] with an explicit sweep worker count. The clean
+/// asserted bit-identical to fault-free before a row is reported. The clean
 /// baseline runs once up front; each rate is then an independent cell.
-pub fn run_fault_goodput_threaded(quick: bool, fault_seed: u64, threads: usize) -> Experiment {
+pub fn run_fault_goodput(quick: bool, fault_seed: u64) -> Experiment {
     use parcomm_fault::{chaos, FaultPlan};
 
     let rates: Vec<f64> =
@@ -302,7 +278,7 @@ pub fn run_fault_goodput_threaded(quick: bool, fault_seed: u64, threads: usize) 
             vec![rate, run.end_time_us, clean.end_time_us / run.end_time_us, survived]
         });
     }
-    for row in spec.run(threads).into_values().expect("fault sweep") {
+    for row in crate::report::run_sweep(spec, "fault sweep") {
         exp.push_row(row);
     }
     exp.note(format!(

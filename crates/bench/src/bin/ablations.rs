@@ -11,7 +11,7 @@ fn main() {
     let q = b::quick_mode();
     b::ablations::run_poll_interval(q).emit();
     match b::mechanism() {
-        Some(m) => b::ablations::run_transport_sweep_mech(q, b::threads(), m).emit(),
+        Some(m) => b::ablations::run_transport_sweep_mech(q, m).emit(),
         None => b::ablations::run_transport_sweep(q).emit(),
     }
     b::ablations::run_counter_aggregation(q).emit();

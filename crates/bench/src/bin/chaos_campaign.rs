@@ -50,7 +50,7 @@
 use parcomm_bench::{arg_flag, arg_value};
 use parcomm_fault::coverage::TopologyShape;
 use parcomm_fault::{run_campaign, run_campaign_with_sink, CampaignConfig, FaultPlan, PlanSource};
-use parcomm_recover::RecoveryReport;
+use parcomm_mpi::RecoveryReport;
 use parcomm_sweep::JsonlSink;
 
 /// The campaign the command line describes.

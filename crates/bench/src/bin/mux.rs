@@ -19,7 +19,7 @@ fn main() {
     let quick = b::quick_mode();
     let channels = b::mux::channels_arg().unwrap_or_else(|| b::mux::default_channels(quick));
     let tenants = b::mux::tenants_arg();
-    b::mux::run_threaded(&channels, tenants, quick, b::threads()).emit();
+    b::mux::run(&channels, tenants, quick).emit();
     if let Some(path) = b::trace_out() {
         // A bounded-ring traced run of the largest requested grid: the
         // ring keeps memory flat and every evicted span streams to the

@@ -11,8 +11,5 @@
 use parcomm_bench as b;
 
 fn main() {
-    let quick = b::quick_mode();
-    let stripes =
-        b::striping::stripes_arg().unwrap_or_else(|| b::striping::default_stripes(quick));
-    b::striping::run_threaded(&stripes, quick, b::threads()).emit();
+    b::striping::run(b::quick_mode()).emit();
 }

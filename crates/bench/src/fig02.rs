@@ -12,14 +12,9 @@ use parcomm_sweep::SweepSpec;
 use crate::report::Experiment;
 use crate::stats::{mean, pow2_range, stddev};
 
-/// Run the Fig. 2 sweep. `quick` trims the sweep for smoke runs.
+/// Run the Fig. 2 sweep, one sweep cell per grid size. `quick` trims the
+/// sweep for smoke runs.
 pub fn run(quick: bool) -> Experiment {
-    run_threaded(quick, crate::report::threads())
-}
-
-/// [`run`] with an explicit sweep worker count: one sweep cell per grid
-/// size, byte-identical output at any `threads`.
-pub fn run_threaded(quick: bool, threads: usize) -> Experiment {
     let max_grid = if quick { 1024 } else { 128 * 1024 };
     let grids = pow2_range(1, max_grid);
     let samples = if quick { 3 } else { 10 };
@@ -57,7 +52,7 @@ pub fn run_threaded(quick: bool, threads: usize) -> Experiment {
             ]
         });
     }
-    for row in spec.run(threads).into_values().expect("fig02 sweep") {
+    for row in crate::report::run_sweep(spec, "fig02 sweep") {
         exp.push_row(row);
     }
 

@@ -13,14 +13,8 @@ use parcomm_sweep::SweepSpec;
 use crate::report::Experiment;
 use crate::stats::pow2_range;
 
-/// Run the Fig. 3 sweep.
+/// Run the Fig. 3 sweep, one sweep cell per thread count.
 pub fn run(quick: bool) -> Experiment {
-    run_threaded(quick, crate::report::threads())
-}
-
-/// [`run`] with an explicit sweep worker count: one sweep cell per thread
-/// count, byte-identical output at any `threads`.
-pub fn run_threaded(quick: bool, threads: usize) -> Experiment {
     let counts = if quick { vec![1u32, 32, 1024] } else { pow2_range(1, 1024) };
     let mut exp = Experiment::new(
         "fig03",
@@ -37,7 +31,7 @@ pub fn run_threaded(quick: bool, threads: usize) -> Experiment {
             vec![t as f64, row[0], row[1], row[2]]
         });
     }
-    for row in spec.run(threads).into_values().expect("fig03 sweep") {
+    for row in crate::report::run_sweep(spec, "fig03 sweep") {
         exp.push_row(row);
     }
     if let Some(last) = exp.rows.last() {

@@ -26,14 +26,8 @@ fn iters_for(grid: u32, quick: bool) -> usize {
     }
 }
 
-/// Fig. 4: intra-node Goodput sweep.
+/// Fig. 4: intra-node Goodput sweep, one sweep cell per grid size.
 pub fn run_fig04(quick: bool) -> Experiment {
-    run_fig04_threaded(quick, crate::report::threads())
-}
-
-/// [`run_fig04`] with an explicit sweep worker count: one sweep cell per
-/// grid size, byte-identical output at any `threads`.
-pub fn run_fig04_threaded(quick: bool, threads: usize) -> Experiment {
     let max_grid = if quick { 256 } else { 32 * 1024 };
     let grids = pow2_range(1, max_grid);
     let mut exp = Experiment::new(
@@ -81,7 +75,7 @@ pub fn run_fig04_threaded(quick: bool, threads: usize) -> Experiment {
             ]
         });
     }
-    for row in spec.run(threads).into_values().expect("fig04 sweep") {
+    for row in crate::report::run_sweep(spec, "fig04 sweep") {
         exp.push_row(row);
     }
     summarize(&mut exp, 4, 5);
@@ -93,14 +87,8 @@ pub fn run_fig04_threaded(quick: bool, threads: usize) -> Experiment {
     exp
 }
 
-/// Fig. 5: inter-node Goodput sweep.
+/// Fig. 5: inter-node Goodput sweep, one sweep cell per grid size.
 pub fn run_fig05(quick: bool) -> Experiment {
-    run_fig05_threaded(quick, crate::report::threads())
-}
-
-/// [`run_fig05`] with an explicit sweep worker count: one sweep cell per
-/// grid size, byte-identical output at any `threads`.
-pub fn run_fig05_threaded(quick: bool, threads: usize) -> Experiment {
     let max_grid = if quick { 256 } else { 32 * 1024 };
     let grids = pow2_range(1, max_grid);
     let mut exp = Experiment::new(
@@ -141,7 +129,7 @@ pub fn run_fig05_threaded(quick: bool, threads: usize) -> Experiment {
             vec![grid as f64, goodput_gbps(bytes, trad), goodput_gbps(bytes, pe), trad / pe]
         });
     }
-    for row in spec.run(threads).into_values().expect("fig05 sweep") {
+    for row in crate::report::run_sweep(spec, "fig05 sweep") {
         exp.push_row(row);
     }
     summarize(&mut exp, 3, 3);

@@ -26,25 +26,15 @@ enum Coll {
 
 /// Fig. 6: one node, four GH200.
 pub fn run_fig06(quick: bool) -> Experiment {
-    run_fig06_threaded(quick, crate::report::threads())
-}
-
-/// [`run_fig06`] with an explicit sweep worker count.
-pub fn run_fig06_threaded(quick: bool, threads: usize) -> Experiment {
-    run(quick, 1, "fig06", "Allreduce, 4 GH200 (one node): kernel + collective time (µs)", threads)
+    run(quick, 1, "fig06", "Allreduce, 4 GH200 (one node): kernel + collective time (µs)")
 }
 
 /// Fig. 7: two nodes, eight GH200.
 pub fn run_fig07(quick: bool) -> Experiment {
-    run_fig07_threaded(quick, crate::report::threads())
+    run(quick, 2, "fig07", "Allreduce, 8 GH200 (two nodes): kernel + collective time (µs)")
 }
 
-/// [`run_fig07`] with an explicit sweep worker count.
-pub fn run_fig07_threaded(quick: bool, threads: usize) -> Experiment {
-    run(quick, 2, "fig07", "Allreduce, 8 GH200 (two nodes): kernel + collective time (µs)", threads)
-}
-
-fn run(quick: bool, nodes: u16, id: &str, title: &str, threads: usize) -> Experiment {
+fn run(quick: bool, nodes: u16, id: &str, title: &str) -> Experiment {
     // Paper: large grids only (ring maximizes bandwidth for large
     // messages); 1K..32K blocks of 1024 threads → 8..256 MB buffers. The
     // full-sweep cap is 8K grids: beyond that the *simulator's* staging
@@ -66,7 +56,7 @@ fn run(quick: bool, nodes: u16, id: &str, title: &str, threads: usize) -> Experi
             vec![grid as f64, trad, part, nccl, trad / part, part - nccl]
         });
     }
-    for row in spec.run(threads).into_values().expect("fig06/07 sweep") {
+    for row in crate::report::run_sweep(spec, "fig06/07 sweep") {
         exp.push_row(row);
     }
     if let Some(first) = exp.rows.first() {

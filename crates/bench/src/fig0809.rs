@@ -16,25 +16,15 @@ use crate::report::Experiment;
 
 /// Fig. 8: four GH200 on one node.
 pub fn run_fig08(quick: bool) -> Experiment {
-    run_fig08_threaded(quick, crate::report::threads())
-}
-
-/// [`run_fig08`] with an explicit sweep worker count.
-pub fn run_fig08_threaded(quick: bool, threads: usize) -> Experiment {
-    run(quick, 1, "fig08", "Jacobi solver GFLOP/s, 4 GH200 (2x2 decomposition)", threads)
+    run(quick, 1, "fig08", "Jacobi solver GFLOP/s, 4 GH200 (2x2 decomposition)")
 }
 
 /// Fig. 9: eight GH200 on two nodes.
 pub fn run_fig09(quick: bool) -> Experiment {
-    run_fig09_threaded(quick, crate::report::threads())
+    run(quick, 2, "fig09", "Jacobi solver GFLOP/s, 8 GH200 (4x2 decomposition)")
 }
 
-/// [`run_fig09`] with an explicit sweep worker count.
-pub fn run_fig09_threaded(quick: bool, threads: usize) -> Experiment {
-    run(quick, 2, "fig09", "Jacobi solver GFLOP/s, 8 GH200 (4x2 decomposition)", threads)
-}
-
-fn run(quick: bool, nodes: u16, id: &str, title: &str, threads: usize) -> Experiment {
+fn run(quick: bool, nodes: u16, id: &str, title: &str) -> Experiment {
     let multipliers: Vec<usize> =
         if quick { vec![1, 4] } else { vec![1, 2, 4, 8, 16, 32] };
     let mut exp = Experiment::new(
@@ -58,7 +48,7 @@ fn run(quick: bool, nodes: u16, id: &str, title: &str, threads: usize) -> Experi
             vec![m as f64, trad, part, part / trad]
         });
     }
-    for row in spec.run(threads).into_values().expect("fig08/09 sweep") {
+    for row in crate::report::run_sweep(spec, "fig08/09 sweep") {
         exp.push_row(row);
     }
     let max_speedup =

@@ -17,25 +17,15 @@ use crate::stats::pow2_range;
 
 /// Fig. 10: four GH200 on one node.
 pub fn run_fig10(quick: bool) -> Experiment {
-    run_fig10_threaded(quick, crate::report::threads())
-}
-
-/// [`run_fig10`] with an explicit sweep worker count.
-pub fn run_fig10_threaded(quick: bool, threads: usize) -> Experiment {
-    run(quick, 1, "fig10", "DL kernel per-step time (µs), 4 GH200", threads)
+    run(quick, 1, "fig10", "DL kernel per-step time (µs), 4 GH200")
 }
 
 /// Fig. 11: eight GH200 on two nodes.
 pub fn run_fig11(quick: bool) -> Experiment {
-    run_fig11_threaded(quick, crate::report::threads())
+    run(quick, 2, "fig11", "DL kernel per-step time (µs), 8 GH200")
 }
 
-/// [`run_fig11`] with an explicit sweep worker count.
-pub fn run_fig11_threaded(quick: bool, threads: usize) -> Experiment {
-    run(quick, 2, "fig11", "DL kernel per-step time (µs), 8 GH200", threads)
-}
-
-fn run(quick: bool, nodes: u16, id: &str, title: &str, threads: usize) -> Experiment {
+fn run(quick: bool, nodes: u16, id: &str, title: &str) -> Experiment {
     // Gradient sizes: grid × 1024 threads × 8 B, large-kernel regime
     // (capped at 4K grids to bound the simulator's staging memory).
     let grids = if quick { vec![64u32, 256] } else { pow2_range(256, 4 * 1024) };
@@ -54,7 +44,7 @@ fn run(quick: bool, nodes: u16, id: &str, title: &str, threads: usize) -> Experi
             vec![grid as f64, trad, part, nccl, trad / part, part / nccl]
         });
     }
-    for row in spec.run(threads).into_values().expect("fig10/11 sweep") {
+    for row in crate::report::run_sweep(spec, "fig10/11 sweep") {
         exp.push_row(row);
     }
     exp.note(

@@ -21,13 +21,8 @@ use parcomm_sweep::SweepSpec;
 
 use crate::report::Experiment;
 
-/// Run the three-mechanism sweep on the default worker count.
+/// Run the three-mechanism sweep.
 pub fn run(quick: bool) -> Experiment {
-    run_threaded(quick, crate::report::threads())
-}
-
-/// [`run`] with an explicit sweep worker count.
-pub fn run_threaded(quick: bool, threads: usize) -> Experiment {
     let sizes: Vec<usize> = if quick {
         vec![256, 4_096, 65_536]
     } else {
@@ -49,7 +44,7 @@ pub fn run_threaded(quick: bool, threads: usize) -> Experiment {
             ]
         });
     }
-    for row in spec.run(threads).into_values().expect("mechanism sweep") {
+    for row in crate::report::run_sweep(spec, "mechanism sweep") {
         exp.push_row(row);
     }
     let small = exp.rows.first().expect("non-empty sweep").clone();

@@ -321,19 +321,8 @@ fn mech_code(m: CopyMechanism) -> f64 {
     }
 }
 
-/// Run the mux sweep with the shared CLI/env policy.
-pub fn run(quick: bool) -> Experiment {
-    let channels = channels_arg().unwrap_or_else(|| default_channels(quick));
-    run_threaded(&channels, tenants_arg(), quick, crate::report::threads())
-}
-
-/// [`run`] with an explicit channel grid, tenant count, and worker count.
-pub fn run_threaded(
-    channels: &[usize],
-    tenants: usize,
-    quick: bool,
-    threads: usize,
-) -> Experiment {
+/// Run the mux sweep over a channel grid and tenant count.
+pub fn run(channels: &[usize], tenants: usize, quick: bool) -> Experiment {
     let mechanisms = [
         CopyMechanism::ProgressionEngine,
         CopyMechanism::KernelCopy,
@@ -380,7 +369,7 @@ pub fn run_threaded(
             });
         }
     }
-    for (rows, notes) in spec.run(threads).into_values().expect("mux sweep") {
+    for (rows, notes) in crate::report::run_sweep(spec, "mux sweep") {
         for row in rows {
             exp.push_row(row);
         }

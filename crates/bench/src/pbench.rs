@@ -18,11 +18,6 @@ use crate::stats::pow2_range;
 /// Host-driven partitioned ping-pong latency across payload sizes
 /// (1 partition, intra- and inter-node).
 pub fn run_latency(quick: bool) -> Experiment {
-    run_latency_threaded(quick, crate::report::threads())
-}
-
-/// [`run_latency`] with an explicit sweep worker count.
-pub fn run_latency_threaded(quick: bool, threads: usize) -> Experiment {
     let sizes = if quick { vec![64u32, 4096] } else { pow2_range(8, 1 << 20) };
     let mut exp = Experiment::new(
         "pbench_latency",
@@ -39,7 +34,7 @@ pub fn run_latency_threaded(quick: bool, threads: usize) -> Experiment {
             ]
         });
     }
-    for row in spec.run(threads).into_values().expect("pbench latency sweep") {
+    for row in crate::report::run_sweep(spec, "pbench latency sweep") {
         exp.push_row(row);
     }
     exp.note("half round trip: sender Pready→wait; receiver wait; averaged over iterations");
@@ -95,11 +90,6 @@ fn latency_once(nodes: u16, a: usize, b: usize, bytes: usize, quick: bool) -> f6
 /// Per-partition overhead: fixed 8 MB payload split into 1..=256
 /// partitions, each `MPI_Pready`ed individually by the host.
 pub fn run_partition_overhead(quick: bool) -> Experiment {
-    run_partition_overhead_threaded(quick, crate::report::threads())
-}
-
-/// [`run_partition_overhead`] with an explicit sweep worker count.
-pub fn run_partition_overhead_threaded(quick: bool, threads: usize) -> Experiment {
     let parts = if quick { vec![1u32, 16] } else { pow2_range(1, 256) };
     let mut exp = Experiment::new(
         "pbench_partitions",
@@ -113,7 +103,7 @@ pub fn run_partition_overhead_threaded(quick: bool, threads: usize) -> Experimen
             vec![p as f64, epoch, epoch / p as f64]
         });
     }
-    for row in spec.run(threads).into_values().expect("pbench partitions sweep") {
+    for row in crate::report::run_sweep(spec, "pbench partitions sweep") {
         exp.push_row(row);
     }
     let first = exp.rows.first().map(|r| r[1]).unwrap_or(0.0);
@@ -180,11 +170,6 @@ fn partition_epoch(partitions: usize, quick: bool) -> f64 {
 /// reference \[37\]): fraction of the communication hidden behind the
 /// kernel as the compute/transfer ratio varies.
 pub fn run_overlap(quick: bool) -> Experiment {
-    run_overlap_threaded(quick, crate::report::threads())
-}
-
-/// [`run_overlap`] with an explicit sweep worker count.
-pub fn run_overlap_threaded(quick: bool, threads: usize) -> Experiment {
     let ratios = if quick { vec![0.5f64, 2.0] } else { vec![0.25, 0.5, 1.0, 2.0, 4.0] };
     let mut exp = Experiment::new(
         "pbench_overlap",
@@ -200,7 +185,7 @@ pub fn run_overlap_threaded(quick: bool, threads: usize) -> Experiment {
             vec![r, serial, overlapped, (ideal_hidden / comm).clamp(0.0, 1.0)]
         });
     }
-    for row in spec.run(threads).into_values().expect("pbench overlap sweep") {
+    for row in crate::report::run_sweep(spec, "pbench overlap sweep") {
         exp.push_row(row);
     }
     exp.note(

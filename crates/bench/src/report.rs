@@ -3,6 +3,7 @@
 //! helpers every harness binary reads its flags with.
 
 use parcomm_obs::json::{number, quote};
+use parcomm_sweep::SweepSpec;
 
 /// One reproduced table or figure.
 #[derive(Clone, Debug)]
@@ -167,6 +168,13 @@ pub fn metrics_out() -> Option<String> {
 /// byte-identical at any thread count.
 pub fn threads() -> usize {
     parcomm_sweep::threads()
+}
+
+/// Run a harness's sweep on [`threads`] workers and return the cell
+/// values in cell order — the one place a harness reads the worker count.
+/// Panics with `what` if a cell failed.
+pub(crate) fn run_sweep<T: Send + 'static>(spec: SweepSpec<T>, what: &str) -> Vec<T> {
+    spec.run(threads()).into_values().expect(what)
 }
 
 /// Copy mechanism selected on the command line: `--mechanism pe|kc|shmem`

@@ -159,13 +159,8 @@ pub fn allreduce_cell_on(cluster: ClusterSpec, hierarchical: bool, chunk_elems: 
     (us, d.finish())
 }
 
-/// Run the scaling grid with the shared thread-count policy.
+/// Run the scaling grid: one flat + hierarchical cell per node count.
 pub fn run_scaling(nodes: &[u16], quick: bool) -> Experiment {
-    run_scaling_threaded(nodes, quick, crate::report::threads())
-}
-
-/// [`run_scaling`] with an explicit sweep worker count.
-pub fn run_scaling_threaded(nodes: &[u16], quick: bool, threads: usize) -> Experiment {
     let chunk_elems = if quick { 256 } else { 4096 };
     let mut exp = Experiment::new(
         "scaling",
@@ -193,7 +188,7 @@ pub fn run_scaling_threaded(nodes: &[u16], quick: bool, threads: usize) -> Exper
             (row, note)
         });
     }
-    for (row, note) in spec.run(threads).into_values().expect("scaling sweep") {
+    for (row, note) in crate::report::run_sweep(spec, "scaling sweep") {
         exp.push_row(row);
         exp.note(note);
     }
@@ -214,11 +209,6 @@ pub fn run_scaling_threaded(nodes: &[u16], quick: bool, threads: usize) -> Exper
 /// (truncated local rings, fold/unfold for surplus ranks) and every cell
 /// still verifies the reduced buffer against the closed-form sums.
 pub fn run_scaling_specs(specs: &[ClusterSpec], quick: bool) -> Experiment {
-    run_scaling_specs_threaded(specs, quick, crate::report::threads())
-}
-
-/// [`run_scaling_specs`] with an explicit sweep worker count.
-pub fn run_scaling_specs_threaded(specs: &[ClusterSpec], quick: bool, threads: usize) -> Experiment {
     let chunk_elems = if quick { 256 } else { 4096 };
     let mut exp = Experiment::new(
         "scaling-topology",
@@ -252,7 +242,7 @@ pub fn run_scaling_specs_threaded(specs: &[ClusterSpec], quick: bool, threads: u
             (row, note)
         });
     }
-    for (row, note) in spec.run(threads).into_values().expect("topology sweep") {
+    for (row, note) in crate::report::run_sweep(spec, "topology sweep") {
         exp.push_row(row);
         exp.note(note);
     }

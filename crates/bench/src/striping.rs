@@ -117,14 +117,10 @@ pub fn striped_p2p_cell(nodes: u16, stripes: usize, partition_bytes: usize) -> (
     (us, d.finish())
 }
 
-/// Run the striping ablation with the shared CLI/env policy.
+/// Run the striping ablation over the `--stripes` grid (default
+/// [`default_stripes`]).
 pub fn run(quick: bool) -> Experiment {
     let stripes = stripes_arg().unwrap_or_else(|| default_stripes(quick));
-    run_threaded(&stripes, quick, crate::report::threads())
-}
-
-/// [`run`] with explicit stripe grid and sweep worker count.
-pub fn run_threaded(stripes: &[usize], quick: bool, threads: usize) -> Experiment {
     let partition_bytes = if quick { 64 * 1024 } else { 256 * 1024 };
     let nodes: u16 = 2;
     let mut exp = Experiment::new(
@@ -133,7 +129,7 @@ pub fn run_threaded(stripes: &[usize], quick: bool, threads: usize) -> Experimen
         &["nodes", "stripes", "epoch_us", "goodput_gbps", "speedup_vs_1stripe"],
     );
     let mut spec = SweepSpec::new();
-    for &s in stripes {
+    for &s in &stripes {
         spec.cell(format!("nodes={nodes},stripes={s}"), move || {
             let (us, digest) = striped_p2p_cell(nodes, s, partition_bytes);
             let bytes = (8 * partition_bytes) as f64;
@@ -143,7 +139,7 @@ pub fn run_threaded(stripes: &[usize], quick: bool, threads: usize) -> Experimen
         });
     }
     let mut single_path_us = None;
-    for (mut row, note) in spec.run(threads).into_values().expect("striping sweep") {
+    for (mut row, note) in crate::report::run_sweep(spec, "striping sweep") {
         if row[1] == 1.0 {
             single_path_us = Some(row[2]);
         }

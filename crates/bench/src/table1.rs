@@ -31,15 +31,9 @@ struct Samples {
     pbuf_steady: Vec<f64>,
 }
 
-/// Run the Table I measurement.
+/// Run the Table I measurement: one sweep cell per sample world, merged
+/// in sample order.
 pub fn run(quick: bool) -> Experiment {
-    run_threaded(quick, crate::report::threads())
-}
-
-/// [`run`] with an explicit sweep worker count: one sweep cell per
-/// sample world, merged in sample order so the table is byte-identical
-/// at any `threads`.
-pub fn run_threaded(quick: bool, threads: usize) -> Experiment {
     let samples = if quick { 3 } else { 10 };
     let iters = if quick { 10 } else { 100 };
 
@@ -54,7 +48,7 @@ pub fn run_threaded(quick: bool, threads: usize) -> Experiment {
         pbuf_first: Vec::new(),
         pbuf_steady: Vec::new(),
     };
-    for one in spec.run(threads).into_values().expect("table1 sweep") {
+    for one in crate::report::run_sweep(spec, "table1 sweep") {
         all.p2p_init.extend(one.p2p_init);
         all.pallreduce_init.extend(one.pallreduce_init);
         all.prequest_create.extend(one.prequest_create);

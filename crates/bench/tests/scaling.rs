@@ -6,7 +6,7 @@
 
 use parcomm_bench::scaling::allreduce_cell;
 
-/// Quick-mode chunk size (`run_scaling_threaded(_, quick=true, _)`).
+/// Quick-mode chunk size (`run_scaling(_, quick=true)`).
 const QUICK_CHUNK: usize = 256;
 
 #[test]

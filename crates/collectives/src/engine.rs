@@ -1,9 +1,9 @@
 //! The generic partitioned-collective executor.
 //!
-//! One engine instance per rank per collective. At init time (paper
-//! §IV-B1) the engine:
+//! One [`PcollRequest`] per rank per collective. At init time (paper
+//! §IV-B1) the request:
 //!
-//! - builds this rank's [`Schedule`],
+//! - takes this rank's [`Schedule`], chosen by the `*_init` function,
 //! - creates one partitioned *send* channel per distinct outgoing neighbor
 //!   and one *receive* channel per distinct incoming neighbor
 //!   (`MPI_Psend_init` / `MPI_Precv_init` inside the collective init),
@@ -51,8 +51,6 @@ const NO_ENTRY: u32 = u32::MAX;
 
 /// A send channel to one neighbor, serving a set of schedule steps.
 struct SendChannel {
-    /// The neighbor rank this channel reaches.
-    peer: usize,
     sreq: PsendRequest,
     stage: Buffer,
     /// Schedule steps this channel carries, in order; the slot for
@@ -65,7 +63,6 @@ struct SendChannel {
 
 /// A receive channel from one neighbor.
 struct RecvChannel {
-    peer: usize,
     rreq: PrecvRequest,
     stage: Buffer,
     steps: Vec<usize>,
@@ -82,6 +79,9 @@ struct PartState {
     processed: Vec<bool>,
     pready_complete: usize,
     active: bool,
+    /// Activation sends of a schedule with `early_stage` steps still in
+    /// flight: the sweep leaves the partition alone until they are issued.
+    staging: bool,
 }
 
 struct EngineInner {
@@ -127,14 +127,19 @@ struct EngineInner {
     hook_active: Mutex<bool>,
 }
 
-/// The engine shared by the collective wrappers.
+/// A persistent partitioned collective request: the result of every
+/// `MPIX_P<collective>_init`, whatever its schedule.
+///
+/// The control flow matches partitioned point-to-point: `*_init` once,
+/// then per iteration `start → pbuf_prepare → pready` per user partition
+/// (host or device) `→ wait`.
 #[derive(Clone)]
-pub(crate) struct CollectiveEngine {
+pub struct PcollRequest {
     inner: Arc<EngineInner>,
 }
 
-impl CollectiveEngine {
-    /// Build the engine: channels, staging, and per-partition state.
+impl PcollRequest {
+    /// Build the request: channels, staging, and per-partition state.
     pub(crate) fn new(
         ctx: &mut Ctx,
         rank: &Rank,
@@ -143,7 +148,7 @@ impl CollectiveEngine {
         user_partitions: usize,
         stream: &Stream,
         tag: u64,
-    ) -> Result<CollectiveEngine, MpiError> {
+    ) -> Result<PcollRequest, MpiError> {
         if user_partitions == 0 {
             return Err(MpiError::InvalidArgument {
                 context: "collective init: need at least one partition".into(),
@@ -209,7 +214,7 @@ impl CollectiveEngine {
             }
             let slot_of_step = slot_index(&steps);
             send_of_peer[o] = send.len() as u32;
-            send.push(SendChannel { peer: o, sreq, stage, steps, slot_of_step });
+            send.push(SendChannel { sreq, stage, steps, slot_of_step });
         }
         let mut recv = Vec::with_capacity(in_steps.len());
         let mut recv_of_peer = vec![NO_ENTRY; world_size];
@@ -222,7 +227,7 @@ impl CollectiveEngine {
             let rreq = precv_init(ctx, rank, inc, tag, &stage, slots)?;
             let slot_of_step = slot_index(&steps);
             recv_of_peer[inc] = recv.len() as u32;
-            recv.push(RecvChannel { peer: inc, rreq, stage, steps, slot_of_step });
+            recv.push(RecvChannel { rreq, stage, steps, slot_of_step });
         }
 
         let states = (0..user_partitions)
@@ -232,10 +237,11 @@ impl CollectiveEngine {
                 processed: Vec::new(),
                 pready_complete: 0,
                 active: false,
+                staging: false,
             })
             .collect();
 
-        Ok(CollectiveEngine {
+        Ok(PcollRequest {
             inner: Arc::new(EngineInner {
                 schedule,
                 user_partitions,
@@ -260,22 +266,18 @@ impl CollectiveEngine {
         })
     }
 
-    pub(crate) fn user_partitions(&self) -> usize {
-        self.inner.user_partitions
-    }
-
-    pub(crate) fn schedule(&self) -> &Schedule {
-        &self.inner.schedule
-    }
-
-    /// Completion-path channel-table lookups so far (test support: the
-    /// conformance suite asserts this stays linear in arrivals).
-    pub(crate) fn completion_lookup_ops(&self) -> u64 {
+    /// Channel-table lookups the engine performed on its completion path so
+    /// far. Test support for the O(1)-per-event contract: the conformance
+    /// suite asserts this grows linearly with arrivals, never with an
+    /// O(channels) rescan factor.
+    #[doc(hidden)]
+    pub fn completion_lookup_ops(&self) -> u64 {
         self.inner.completion_lookups.load(Ordering::Relaxed)
     }
 
-    /// `MPI_Start` for every underlying channel plus state reset.
-    pub(crate) fn start(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
+    /// `MPI_Start` for the collective: starts every underlying channel and
+    /// resets the per-partition state.
+    pub fn start(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
         for ch in &self.inner.send {
             ch.sreq.start(ctx)?;
         }
@@ -289,6 +291,7 @@ impl CollectiveEngine {
             st.processed.clear();
             st.pready_complete = 0;
             st.active = false;
+            st.staging = false;
         }
         self.inner.pending_device.lock().clear();
         Ok(())
@@ -298,7 +301,7 @@ impl CollectiveEngine {
     /// collective (the paper: "we now synchronize the processes associated
     /// with the collective rather than just two ranks" — ring neighbors
     /// transitively synchronize the whole communicator).
-    pub(crate) fn pbuf_prepare(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
+    pub fn pbuf_prepare(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
         // Receive channels reply/RTR first so no sender can block forever
         // waiting for its peer's receive side.
         for ch in &self.inner.recv {
@@ -310,11 +313,12 @@ impl CollectiveEngine {
         Ok(())
     }
 
-    /// Host `MPI_Pready` for one collective user partition: activates its
-    /// schedule, issues the step-0 sends, and stages-and-sends every
-    /// `early_stage` step's chunk (epoch-original data whose buffer slot
-    /// may later be overwritten by in-place arrivals).
-    pub(crate) fn pready(&self, ctx: &mut Ctx, u: usize) -> Result<(), MpiError> {
+    /// Host `MPI_Pready`: user partition `u`'s local contribution is
+    /// complete. Activates its schedule, issues the step-0 sends, and
+    /// stages-and-sends every `early_stage` step's chunk (epoch-original
+    /// data whose buffer slot may later be overwritten by in-place
+    /// arrivals).
+    pub fn pready(&self, ctx: &mut Ctx, u: usize) -> Result<(), MpiError> {
         if u >= self.inner.user_partitions {
             return Err(MpiError::InvalidArgument {
                 context: format!("collective pready: partition {u} out of range"),
@@ -335,13 +339,14 @@ impl CollectiveEngine {
         ctx.block_on(async move { this.issue_activation_sends(&p, u).await })
     }
 
-    /// Device binding: called from a kernel body. Extends the kernel with
-    /// the block-aggregated notification cost and hands the partitions to
-    /// the progression engine, which performs the step-0 staging copies and
-    /// `MPI_Pready` calls on the host (paper §IV-B, Progression Engine
-    /// approach — in-kernel collective execution is future work the paper
-    /// advocates for).
-    pub(crate) fn pready_device(&self, d: &mut DeviceCtx<'_>, users: Range<usize>) {
+    /// Device `MPIX_Pready` for a range of user partitions, callable from
+    /// a kernel body. Extends the kernel with the block-aggregated
+    /// notification cost and hands the partitions to the progression
+    /// engine, which performs the step-0 staging copies and `MPI_Pready`
+    /// calls on the host (paper §IV-B, Progression Engine approach —
+    /// in-kernel collective execution is future work the paper advocates
+    /// for).
+    pub fn pready_device(&self, d: &mut DeviceCtx<'_>, users: Range<usize>) {
         assert!(!users.is_empty());
         assert!(users.end <= self.inner.user_partitions);
         let cost = d.cost();
@@ -365,6 +370,11 @@ impl CollectiveEngine {
                 this.inner.progression.register(h, move |p| engine.drain_device(p));
             }
         });
+    }
+
+    /// Device `MPIX_Pready` for all user partitions.
+    pub fn pready_device_all(&self, d: &mut DeviceCtx<'_>) {
+        self.pready_device(d, 0..self.inner.user_partitions);
     }
 
     /// Progression-engine hook: drain the device readiness queue.
@@ -399,19 +409,29 @@ impl CollectiveEngine {
 
     /// The sends a partition issues when it becomes ready: step 0, plus
     /// the staged chunk of every `early_stage` step.
+    ///
+    /// Until the last early chunk is staged, an in-place arrival ingested
+    /// by the sweep could overwrite it, so such a partition is marked
+    /// `staging` for the duration. Host `MPI_Pready` blocks the rank
+    /// through it anyway; device readiness is activated by the progression
+    /// engine while the rank sweeps in `MPI_Wait`.
     async fn issue_activation_sends(&self, p: &Proc, u: usize) -> Result<(), MpiError> {
+        let steps = &self.inner.schedule.steps;
+        let early = steps.iter().any(|st| st.early_stage);
+        self.inner.states.lock()[u].staging = early;
         self.issue_step_sends(p, u, 0).await?;
-        for s in 1..self.inner.schedule.len() {
-            if self.inner.schedule.steps[s].early_stage {
+        for (s, step) in steps.iter().enumerate().skip(1) {
+            if step.early_stage {
                 self.stage_and_send(p, u, s).await?;
             }
         }
+        self.inner.states.lock()[u].staging = false;
         Ok(())
     }
 
     /// `MPI_Parrived` for the collective: has partition `u` completed the
     /// whole schedule?
-    pub(crate) fn parrived(&self, u: usize) -> bool {
+    pub fn parrived(&self, u: usize) -> bool {
         let states = self.inner.states.lock();
         states[u].step >= self.inner.schedule.len()
     }
@@ -476,11 +496,11 @@ impl CollectiveEngine {
         let total_steps = self.inner.schedule.len();
         for u in 0..self.inner.user_partitions {
             loop {
-                let (s, active) = {
+                let (s, sweepable) = {
                     let states = self.inner.states.lock();
-                    (states[u].step, states[u].active)
+                    (states[u].step, states[u].active && !states[u].staging)
                 };
-                if !active || s >= total_steps {
+                if !sweepable || s >= total_steps {
                     break; // line 4: continue past finished partitions
                 }
                 let step = self.inner.schedule.steps[s].clone();
@@ -606,7 +626,7 @@ impl CollectiveEngine {
     /// channel's undelivered transports are replayed under a fresh
     /// generation. Only after `max_replays` fruitless rounds does the typed
     /// [`MpiError::Unrecoverable`] surface.
-    pub(crate) fn wait(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
+    pub fn wait(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
         let this = self.clone();
         let p = ctx.proc();
         ctx.block_on(async move { this.run_schedule(&p).await })?;
@@ -723,25 +743,9 @@ impl CollectiveEngine {
         }
     }
 
-    /// Debug helper: print each channel's staging contents (first f64 per
-    /// slot). Test-support only.
-    #[doc(hidden)]
-    pub fn debug_dump_stages(&self, me: usize) {
-        for ch in &self.inner.send {
-            let v: Vec<f64> =
-                (0..ch.steps.len()).map(|j| ch.stage.read_f64(j * self.inner.chunk_bytes)).collect();
-            println!("rank {me}: send→{} steps {:?} stage {v:?}", ch.peer, ch.steps);
-        }
-        for ch in &self.inner.recv {
-            let v: Vec<f64> =
-                (0..ch.steps.len()).map(|j| ch.stage.read_f64(j * self.inner.chunk_bytes)).collect();
-            println!("rank {me}: recv←{} steps {:?} stage {v:?}", ch.peer, ch.steps);
-        }
-    }
-
     /// Block until an arrival count changes anywhere (poll-style backstop
     /// for multi-channel waiting). With the watchdog armed, the block is
-    /// bounded so the stall check in [`CollectiveEngine::wait`] re-runs.
+    /// bounded so the stall check in [`PcollRequest::wait`] re-runs.
     ///
     /// Blocking on the receive channel's arrival event is only sound when
     /// every step of this rank's schedule carries an incoming chunk, so

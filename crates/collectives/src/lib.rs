@@ -2,33 +2,24 @@
 //!
 //! The first partitioned-collective schedule design (paper §IV-B): a
 //! generic, algorithm-independent step schedule `S_i = (I, R, ⊕, O, A)`
-//! built on the partitioned point-to-point library, instantiated as a
-//! ring reduce-scatter-allgather allreduce (Algorithm 1) and a
-//! binomial-tree broadcast, progressed by the Algorithm 2 state machine in
-//! `MPI_Wait`.
+//! built on the partitioned point-to-point library and progressed by the
+//! Algorithm 2 state machine in `MPI_Wait`. Every collective is one
+//! request type, [`PcollRequest`]; each `MPIX_P<collective>_init`
+//! function only chooses this rank's [`Schedule`] — a ring
+//! reduce-scatter-allgather allreduce (Algorithm 1) or its node-aware
+//! hierarchical form, a binomial-tree broadcast, ring allgather and
+//! reduce-scatter, chain gather and scatter, and pairwise alltoall.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod allreduce;
 mod engine;
-mod more_colls;
+mod init;
 mod schedule;
 
-pub use allreduce::{
-    pallreduce_init, pallreduce_init_hierarchical, pbcast_init, Pallreduce, Pbcast,
-};
-pub use more_colls::{
-    pallgather_init, palltoall_init, pgather_init, preduce_scatter_init, pscatter_init,
-    Pallgather, Palltoall, Pgather, PreduceScatter, Pscatter,
+pub use engine::PcollRequest;
+pub use init::{
+    pallgather_init, pallreduce_init, pallreduce_init_hierarchical, palltoall_init, pbcast_init,
+    pgather_init, preduce_scatter_init, pscatter_init,
 };
 pub use schedule::{Schedule, Step, StepOp};
-
-use parcomm_sim::Ctx;
-
-/// Charge the extra `MPIX_P<collective>_init` cost on top of the
-/// constituent point-to-point inits (Table I).
-pub(crate) fn charge_pcoll_init_extra(ctx: &mut Ctx) {
-    let o = parcomm_core::ApiOverheads::default().pcoll_init_extra;
-    ctx.advance(ctx.jitter_us(o.mean_us, o.sd_us));
-}

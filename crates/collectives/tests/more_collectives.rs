@@ -2,9 +2,7 @@
 //! allgather, reduce-scatter, gather, scatter — on one and two nodes,
 //! with epoch reuse.
 
-use parcomm_coll::{
-    pallgather_init, pgather_init, preduce_scatter_init, pscatter_init, PreduceScatter, Schedule,
-};
+use parcomm_coll::{pallgather_init, pgather_init, preduce_scatter_init, pscatter_init, Schedule};
 use parcomm_mpi::MpiWorld;
 use parcomm_sim::{SimConfig, Simulation};
 
@@ -74,8 +72,9 @@ fn preduce_scatter_owns_reduced_chunk() {
             coll.pready(ctx, u).expect("pready");
         }
         coll.wait(ctx).expect("wait");
-        // The owned chunk of every partition region is fully reduced.
-        let owned = PreduceScatter::owned_chunk(rank.rank(), p);
+        // The owned chunk, (r + 1) mod P, of every partition region is
+        // fully reduced.
+        let owned = (rank.rank() + 1) % p;
         let expect = (p * (p + 1)) as f64 / 2.0;
         for u in 0..partitions {
             let region = u * p * elems_per_chunk;
@@ -274,37 +273,96 @@ fn single_rank_collectives_complete_trivially() {
     sim.run().unwrap();
 }
 
-#[test]
-fn collective_device_pready_partial_ranges() {
-    // Device bindings may mark partition subsets from separate kernels.
-    use parcomm_coll::pallreduce_init;
+/// Run one collective over every rank of a `nodes`-node world, every rank
+/// starting from the same rank-distinct input, and return each rank's
+/// final buffer as f64 bit patterns. `device` readies the partitions from
+/// two kernels, each calling `pready_device` on half of them; otherwise
+/// the host calls `pready` on each partition in order.
+fn run_collective(coll: &'static str, root: usize, nodes: u16, device: bool) -> Vec<Vec<u64>> {
+    use std::sync::Arc;
+
+    use parcomm_coll::{
+        pallreduce_init, pallreduce_init_hierarchical, palltoall_init, pbcast_init,
+    };
     use parcomm_gpu::KernelSpec;
+    use parcomm_sim::Mutex;
 
     let mut sim = Simulation::new(SimConfig::default());
-    let world = MpiWorld::gh200(&sim, 1);
+    let world = MpiWorld::gh200(&sim, nodes);
     let p = world.size();
+    let out = Arc::new(Mutex::new(vec![Vec::new(); p]));
+    let o2 = out.clone();
     world.run_ranks(&mut sim, move |ctx, rank| {
         let partitions = 4usize;
         let n = partitions * p * 16;
         let buf = rank.gpu().alloc_global(n * 8);
-        buf.write_f64_slice(0, &vec![1.0; n]);
+        let input: Vec<f64> = (0..n).map(|i| (rank.rank() * 10_000 + i) as f64).collect();
+        buf.write_f64_slice(0, &input);
         let stream = rank.gpu().create_stream();
-        let coll = pallreduce_init(ctx, rank, &buf, partitions, &stream, 46).expect("init");
-        coll.start(ctx).expect("start");
-        coll.pbuf_prepare(ctx).expect("pbuf_prepare");
-        // Two kernels, each readying half the partitions.
-        let c1 = coll.clone();
-        stream.launch(ctx, KernelSpec::vector_add(1, 1024), move |d| {
-            c1.pready_device(d, 0..2);
-        });
-        let c2 = coll.clone();
-        stream.launch(ctx, KernelSpec::vector_add(1, 1024), move |d| {
-            c2.pready_device(d, 2..4);
-        });
-        coll.wait(ctx).expect("wait");
-        assert!(buf.read_f64_slice(0, n).iter().all(|v| (*v - p as f64).abs() < 1e-9));
+        let (b, s) = (&buf, &stream);
+        let req = match coll {
+            "allreduce" => pallreduce_init(ctx, rank, b, partitions, s, 46),
+            "allreduce_hierarchical" => pallreduce_init_hierarchical(ctx, rank, b, partitions, s, 46),
+            "bcast" => pbcast_init(ctx, rank, b, partitions, s, root, 46),
+            "allgather" => pallgather_init(ctx, rank, b, partitions, s, 46),
+            "reduce_scatter" => preduce_scatter_init(ctx, rank, b, partitions, s, 46),
+            "gather" => pgather_init(ctx, rank, b, partitions, s, root, 46),
+            "alltoall" => palltoall_init(ctx, rank, b, partitions, s, 46),
+            "scatter" => pscatter_init(ctx, rank, b, partitions, s, root, 46),
+            other => panic!("unknown collective {other}"),
+        }
+        .expect("init");
+        req.start(ctx).expect("start");
+        req.pbuf_prepare(ctx).expect("pbuf_prepare");
+        if device {
+            for half in [0..partitions / 2, partitions / 2..partitions] {
+                let r = req.clone();
+                stream.launch(ctx, KernelSpec::vector_add(1, 1024), move |d| {
+                    r.pready_device(d, half);
+                });
+            }
+        } else {
+            for u in 0..partitions {
+                req.pready(ctx, u).expect("pready");
+            }
+        }
+        req.wait(ctx).expect("wait");
+        assert!((0..partitions).all(|u| req.parrived(u)));
+        let bits = buf.read_f64_slice(0, n).iter().map(|v| v.to_bits()).collect();
+        o2.lock()[rank.rank()] = bits;
     });
     sim.run().unwrap();
+    let v = out.lock().clone();
+    v
+}
+
+#[test]
+fn collective_device_pready_partial_ranges() {
+    // Device bindings may mark partition subsets from separate kernels, on
+    // every collective: the result must be bit-identical to host readiness.
+    let cases: [(&str, usize); 11] = [
+        ("allreduce", 0),
+        ("allreduce_hierarchical", 0),
+        ("bcast", 0),
+        ("bcast", 5),
+        ("allgather", 0),
+        ("reduce_scatter", 0),
+        ("gather", 0),
+        ("gather", 6),
+        ("alltoall", 0),
+        ("scatter", 0),
+        ("scatter", 3),
+    ];
+    for (coll, root) in cases {
+        let host = run_collective(coll, root, 2, false);
+        let device = run_collective(coll, root, 2, true);
+        assert_eq!(device, host, "{coll} root={root}: device pready differs from host pready");
+        // The collective moved data: some rank no longer holds its input.
+        let moved = host.iter().enumerate().any(|(r, bits)| {
+            bits.iter().enumerate().any(|(i, b)| *b != ((r * 10_000 + i) as f64).to_bits())
+        });
+        assert!(moved, "{coll} root={root}: no rank's buffer changed");
+    }
 }
 
 #[test]

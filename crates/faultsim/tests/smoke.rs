@@ -3,12 +3,12 @@
 
 use parcomm_fault::chaos::{self, Cell, ChaosRun, Workload};
 use parcomm_fault::FaultPlan;
-use parcomm_recover::{RecoverPolicy, RecoveryReport};
+use parcomm_mpi::{RecoverConfig, RecoveryReport};
 
 /// The canonical allreduce cell with the default policy armed.
 fn recovering(seed: u64, plan: &FaultPlan, nodes: u16) -> ChaosRun {
     let cell = Cell {
-        recover: Some(RecoverPolicy::new().config()),
+        recover: Some(RecoverConfig::default()),
         ..Cell::new(Workload::Allreduce, nodes)
     };
     cell.run(seed, plan)

@@ -181,16 +181,6 @@ impl Buffer {
             .copy_from_slice(&src_guard[src_offset..src_offset + len]);
     }
 
-    /// Run `f` over the raw bytes (read-only).
-    pub fn with_bytes<T>(&self, f: impl FnOnce(&[u8]) -> T) -> T {
-        f(&self.inner.bytes.lock())
-    }
-
-    /// Run `f` over the raw bytes (mutable).
-    pub fn with_bytes_mut<T>(&self, f: impl FnOnce(&mut [u8]) -> T) -> T {
-        f(&mut self.inner.bytes.lock())
-    }
-
     // ---- f64 views -------------------------------------------------------
 
     /// Write a slice of `f64` at a byte offset.
@@ -222,15 +212,6 @@ impl Buffer {
         self.write_bytes(byte_offset, &v.to_le_bytes());
     }
 
-    /// Apply `f` elementwise to `n` `f64`s in place.
-    pub fn map_f64_inplace(&self, byte_offset: usize, n: usize, mut f: impl FnMut(f64) -> f64) {
-        let mut b = self.inner.bytes.lock();
-        for chunk in b[byte_offset..byte_offset + n * 8].chunks_exact_mut(8) {
-            let v = f64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            chunk.copy_from_slice(&f(v).to_le_bytes());
-        }
-    }
-
     /// `self[dst..] += other[src..]` over `n` `f64` elements — the reduction
     /// data plane for allreduce. One pass over both buffers; ranges of one
     /// allocation add a snapshot of the source, as if read before any write.
@@ -254,35 +235,6 @@ impl Buffer {
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
             .sum()
-    }
-
-    // ---- f32 views -------------------------------------------------------
-
-    /// Write a slice of `f32` at a byte offset.
-    pub fn write_f32_slice(&self, byte_offset: usize, src: &[f32]) {
-        let mut b = self.inner.bytes.lock();
-        let dst = &mut b[byte_offset..byte_offset + src.len() * 4];
-        for (chunk, v) in dst.chunks_exact_mut(4).zip(src) {
-            chunk.copy_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Read `n` `f32` values from a byte offset.
-    pub fn read_f32_slice(&self, byte_offset: usize, n: usize) -> Vec<f32> {
-        let b = self.inner.bytes.lock();
-        b[byte_offset..byte_offset + n * 4]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect()
-    }
-
-    /// Apply `f` elementwise to `n` `f32`s in place.
-    pub fn map_f32_inplace(&self, byte_offset: usize, n: usize, mut f: impl FnMut(f32) -> f32) {
-        let mut b = self.inner.bytes.lock();
-        for chunk in b[byte_offset..byte_offset + n * 4].chunks_exact_mut(4) {
-            let v = f32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-            chunk.copy_from_slice(&f(v).to_le_bytes());
-        }
     }
 
     // ---- u64 flag words (partition status) --------------------------------
@@ -358,14 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_roundtrip() {
-        let b = host_buf(32);
-        let data = [1.5f32, -2.25, 3.75];
-        b.write_f32_slice(4, &data);
-        assert_eq!(b.read_f32_slice(4, 3), data);
-    }
-
-    #[test]
     fn copy_between_buffers() {
         let src = host_buf(32);
         let dst = host_buf(32);
@@ -430,14 +374,6 @@ mod tests {
         assert!(weak.is_live(), "a clone still holds the allocation");
         drop(alias);
         assert!(!weak.is_live());
-    }
-
-    #[test]
-    fn map_inplace() {
-        let b = host_buf(16);
-        b.write_f64_slice(0, &[2.0, 3.0]);
-        b.map_f64_inplace(0, 2, |x| x * x);
-        assert_eq!(b.read_f64_slice(0, 2), vec![4.0, 9.0]);
     }
 
     #[test]

@@ -104,17 +104,6 @@ impl Stream {
         self.enqueue_kernel(&p.handle(), spec, body)
     }
 
-    /// Launch from a non-process context (e.g. a progression-engine
-    /// callback); no host time is charged.
-    pub fn launch_from_handle(
-        &self,
-        h: &SimHandle,
-        spec: KernelSpec,
-        body: impl FnOnce(&mut DeviceCtx<'_>),
-    ) -> LaunchHandle {
-        self.enqueue_kernel(h, spec, body)
-    }
-
     fn enqueue_kernel(
         &self,
         h: &SimHandle,

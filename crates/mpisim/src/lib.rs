@@ -23,4 +23,6 @@ pub use mechanism::CopyMechanism;
 pub use p2p::P2pOp;
 pub use persistent::PersistentRequest;
 pub use progress::{HookFuture, HookOutcome, PeFaultConfig, ProgressionEngine};
-pub use world::{MpiInstruments, MpiWorld, Rank, RecoverConfig, WorldConfig};
+pub use world::{
+    EscalationLevel, MpiInstruments, MpiWorld, Rank, RecoverConfig, RecoveryReport, WorldConfig,
+};

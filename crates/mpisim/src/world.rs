@@ -11,7 +11,7 @@ use parcomm_sim::Mutex;
 
 use parcomm_gpu::{CostModel, EmissionFaultConfig, Gpu, GpuId, Location, Unit};
 use parcomm_net::{ClusterSpec, Fabric, NetFaultConfig, Topology};
-use parcomm_obs::{Counter, Histogram, MetricsRegistry};
+use parcomm_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use parcomm_shmem::SymmetricHeap;
 use parcomm_sim::{Ctx, SimBarrier, SimDuration, Simulation};
 use parcomm_ucx::{UcxUniverse, Worker, WorkerAddress};
@@ -95,6 +95,75 @@ pub struct RecoverConfig {
 impl Default for RecoverConfig {
     fn default() -> Self {
         RecoverConfig { max_replays: 4, detect_us: 20_000.0, lease_us: 2_000.0 }
+    }
+}
+
+/// The rungs of the recovery escalation ladder, mildest first. Rungs 1–3
+/// live in the layers below (`ucxsim` put retry, `netsim` re-striping, the
+/// `core` Kernel-Copy fallback); [`RecoverConfig`] arms the rest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum EscalationLevel {
+    /// Nothing fired: the epoch completed on the fast path.
+    None,
+    /// UCX put retry with backoff absorbed transient wire failures.
+    PutRetry,
+    /// Stripes re-spread over surviving rails around a dark NIC.
+    Restripe,
+    /// Kernel Copy demoted to Progression-Engine posts (IPC revocation).
+    KernelCopyFallback,
+    /// A PE lease expired and the host drained its queue.
+    LeaseTakeover,
+    /// Undelivered partitions were replayed under a new generation.
+    EpochReplay,
+    /// The ladder was exhausted: [`crate::MpiError::Unrecoverable`] surfaced.
+    Unrecoverable,
+}
+
+/// Post-run survivability report, read from the `mpi.recover.*` counters.
+///
+/// Counters are pure atomics, so assembling the report never perturbs the
+/// run's digest.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// PE leases found expired (crash or missed heartbeat).
+    pub lease_expired: u64,
+    /// Epoch replays issued.
+    pub replays: u64,
+    /// Stale pre-recovery puts discarded by generation gating.
+    pub stale_puts: u64,
+    /// Host drains of a dead engine's queue.
+    pub host_drains: u64,
+}
+
+impl RecoveryReport {
+    /// Read the recovery counters out of a run's metrics snapshot.
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        let c = |name: &str| metrics.counter(name).unwrap_or(0);
+        RecoveryReport {
+            lease_expired: c("mpi.recover.lease_expired"),
+            replays: c("mpi.recover.replays"),
+            stale_puts: c("mpi.recover.stale_puts"),
+            host_drains: c("mpi.recover.host_drains"),
+        }
+    }
+
+    /// True when no ladder rung above put-retry fired.
+    pub fn quiet(&self) -> bool {
+        self.lease_expired == 0 && self.replays == 0 && self.stale_puts == 0
+            && self.host_drains == 0
+    }
+
+    /// The highest ladder rung the counters witness. (`PutRetry` and
+    /// below are absorbed beneath the counters; a quiet report maps to
+    /// [`EscalationLevel::None`].)
+    pub fn highest_level(&self) -> EscalationLevel {
+        if self.replays > 0 {
+            EscalationLevel::EpochReplay
+        } else if self.lease_expired > 0 || self.host_drains > 0 {
+            EscalationLevel::LeaseTakeover
+        } else {
+            EscalationLevel::None
+        }
     }
 }
 
@@ -484,5 +553,27 @@ impl Rank {
 impl std::fmt::Debug for Rank {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Rank").field("rank", &self.rank).field("gpu", &self.gpu.id()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ladder_levels_are_ordered() {
+        assert!(EscalationLevel::PutRetry < EscalationLevel::EpochReplay);
+        assert!(EscalationLevel::EpochReplay < EscalationLevel::Unrecoverable);
+    }
+
+    #[test]
+    fn report_reads_counters_and_classifies() {
+        let r = RecoveryReport::default();
+        assert!(r.quiet());
+        assert_eq!(r.highest_level(), EscalationLevel::None);
+        let r = RecoveryReport { replays: 2, lease_expired: 1, ..Default::default() };
+        assert_eq!(r.highest_level(), EscalationLevel::EpochReplay);
+        let r = RecoveryReport { host_drains: 1, ..Default::default() };
+        assert_eq!(r.highest_level(), EscalationLevel::LeaseTakeover);
     }
 }

@@ -51,13 +51,13 @@ pub enum TopologyError {
     ZeroNics,
     /// `ranks_per_gpu == 0`: no rank could be placed anywhere.
     ZeroRanksPerGpu,
-    /// A node whose `gpus · ranks_per_gpu` exceeds [`MAX_LOCAL_RANKS`].
+    /// A node whose `gpus · ranks_per_gpu` exceeds `MAX_LOCAL_RANKS` (256).
     OversubscriptionOverflow {
         /// The offending node index.
         node: u16,
         /// Local ranks the spec asks the node to host.
         ranks: usize,
-        /// The cap ([`MAX_LOCAL_RANKS`]).
+        /// The cap (`MAX_LOCAL_RANKS`, 256).
         max: usize,
     },
     /// A ragged spec whose per-node GPU and NIC lists disagree in length:
@@ -232,7 +232,7 @@ impl Topology {
     /// GPUs and `node_nics[v]` NICs on node `v`, with `ranks_per_gpu`
     /// ranks sharing each GPU. The lists must align; every node needs at
     /// least one GPU and one NIC, no node may front more NICs than GPUs,
-    /// and no node may host more than [`MAX_LOCAL_RANKS`] ranks.
+    /// and no node may host more than `MAX_LOCAL_RANKS` (256) ranks.
     pub fn ragged(
         node_gpus: Vec<u8>,
         node_nics: Vec<u8>,

@@ -105,12 +105,6 @@ impl SimRng {
         }
     }
 
-    /// Fill a slice with uniform `f32` values in `[lo, hi)`.
-    pub fn fill_uniform_f32(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-        for v in out {
-            *v = lo + (hi - lo) * self.uniform_f32();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -59,25 +59,23 @@ pub use parcomm_mux as mux;
 pub use parcomm_nccl as nccl;
 pub use parcomm_net as net;
 pub use parcomm_obs as obs;
-pub use parcomm_recover as recover;
 pub use parcomm_shmem as shmem;
 pub use parcomm_sim as sim;
 pub use parcomm_ucx as ucx;
 
 /// The common imports for writing parcomm programs.
 pub mod prelude {
-    pub use parcomm_coll::{pallreduce_init, pbcast_init, Pallreduce, Pbcast};
+    pub use parcomm_coll::{pallreduce_init, pbcast_init, PcollRequest};
     pub use parcomm_core::{
         precv_init, prequest_create, psend_init, CopyMechanism, DevicePrequest, PrecvRequest,
         PrequestConfig, PsendRequest,
     };
     pub use parcomm_fault::FaultPlan;
     pub use parcomm_gpu::{AggLevel, Buffer, CostModel, DeviceCtx, Gpu, KernelSpec, Stream};
-    pub use parcomm_mpi::{MpiError, MpiWorld, Rank, WorldConfig};
+    pub use parcomm_mpi::{MpiError, MpiWorld, Rank, RecoverConfig, RecoveryReport, WorldConfig};
     pub use parcomm_mux::{ChannelSpec, Direction, MuxConfig, MuxService};
     pub use parcomm_nccl::{NcclComm, NcclConfig};
     pub use parcomm_net::ClusterSpec;
-    pub use parcomm_recover::{RecoverPolicy, RecoveryReport};
     pub use parcomm_shmem::{ShmemError, SymmetricHeap};
     pub use parcomm_sim::{Ctx, Event, SimConfig, SimDuration, SimTime, Simulation};
 }

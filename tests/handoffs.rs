@@ -107,7 +107,7 @@ fn recover_armed_allreduce_survives_pe_crash_under_block_on() {
     cfg.pe_faults =
         vec![(1, PeFaultConfig { crash_at_us: Some(80.0), ..PeFaultConfig::default() })];
     cfg.wait_watchdog_us = Some(5_000_000.0);
-    RecoverPolicy::new().apply(&mut cfg);
+    cfg.recover = Some(RecoverConfig::default());
     let failures = Arc::new(Mutex::new(0));
     let f2 = failures.clone();
     let (report, drains) = run_world(0xA11CE, cfg, move |ctx, rank| {

@@ -191,7 +191,7 @@ fn pe_crash_recovery_frees_its_world() {
     let mut cfg = WorldConfig::gh200(1);
     cfg.pe_faults = vec![(0, PeFaultConfig { crash_at_us: Some(1.0), ..PeFaultConfig::default() })];
     cfg.wait_watchdog_us = Some(5_000_000.0);
-    RecoverPolicy::new().apply(&mut cfg);
+    cfg.recover = Some(RecoverConfig::default());
     let ready = Ready::Device(CopyMechanism::ProgressionEngine);
     let (weak_sim, buffers, drains) =
         run_and_drop(0xA11CE, cfg, move |ctx, rank, a| p2p_body(ctx, rank, ready, a));

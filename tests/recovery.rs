@@ -23,7 +23,7 @@ use std::sync::Arc;
 use parcomm::fault::chaos::{self, Cell, ChaosRun, Workload};
 use parcomm::fault::{run_campaign, CampaignConfig, FaultPlan};
 use parcomm::prelude::*;
-use parcomm::recover::EscalationLevel;
+use parcomm::mpi::EscalationLevel;
 use parcomm::sim::Mutex;
 use parcomm_testkit::prop::{check, PropConfig, TestResult};
 
@@ -40,7 +40,7 @@ const FROZEN_ALLREDUCE: &[(u64, u64)] = &[
 /// The canonical allreduce cell with the default recovery policy armed.
 fn recovering(seed: u64, plan: &FaultPlan, nodes: u16) -> ChaosRun {
     let cell = Cell {
-        recover: Some(RecoverPolicy::new().config()),
+        recover: Some(RecoverConfig::default()),
         ..Cell::new(Workload::Allreduce, nodes)
     };
     cell.run(seed, plan)
