@@ -503,7 +503,7 @@ impl PcollRequest {
                 if !sweepable || s >= total_steps {
                     break; // line 4: continue past finished partitions
                 }
-                let step = self.inner.schedule.steps[s].clone();
+                let step = &self.inner.schedule.steps[s];
                 let step_t0 = p.now();
                 // Lines 5–13: check/ingest arrivals for this step.
                 let mut arrived_now: Vec<(usize, usize)> = Vec::new();
@@ -511,7 +511,8 @@ impl PcollRequest {
                     let mut states = self.inner.states.lock();
                     let st = &mut states[u];
                     if st.processed.len() != step.incoming.len() {
-                        st.processed = vec![false; step.incoming.len()];
+                        st.processed.clear();
+                        st.processed.resize(step.incoming.len(), false);
                     }
                     for (xi, &inc) in step.incoming.iter().enumerate() {
                         if st.processed[xi] {

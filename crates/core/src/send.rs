@@ -401,10 +401,10 @@ impl PsendRequest {
         st.epoch += 1;
         st.started = true;
         let t = st.transport_partitions;
-        st.ready = vec![0; t];
-        st.user_ready = vec![false; self.inner.user_partitions];
-        st.sent = vec![false; t];
-        *self.inner.delivered.lock() = vec![false; t];
+        refill(&mut st.ready, t, 0);
+        refill(&mut st.user_ready, self.inner.user_partitions, false);
+        refill(&mut st.sent, t, false);
+        refill(&mut self.inner.delivered.lock(), t, false);
         self.inner.puts.lock().clear();
         *self.inner.shmem_failure.lock() = None;
         self.inner.transport_complete.reset();
@@ -1129,6 +1129,12 @@ impl ShmemPut {
             }
         }
     }
+}
+
+/// Reset `v` to `len` copies of `value`, keeping its allocation.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
 }
 
 impl std::fmt::Debug for PsendRequest {

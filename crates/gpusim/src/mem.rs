@@ -11,6 +11,7 @@
 //! bounds-checked and panic on out-of-range access — in a communication
 //! runtime an out-of-range RMA is a correctness bug we want loud.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -94,13 +95,209 @@ impl MemSpace {
 
 static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Page size of a buffer's copy-on-write storage. The collective chunks
+/// (16 KiB) and p2p partitions (64 and 128 KiB) are multiples of it, so
+/// their staging and delivery copies move whole pages.
+const PAGE: usize = 16 * 1024;
+
+/// What a never-written page reads as.
+static ZEROS: [u8; PAGE] = [0; PAGE];
+
+/// One page of a buffer: `None` until first written (it reads as zeros),
+/// then bytes that other buffers may share and that are copied before a
+/// write (copy-on-write). Every page is [`PAGE`] bytes except a shorter
+/// last one, so a buffer of at most one page is one exact-size page.
+type Page = Option<Arc<Vec<u8>>>;
+
+/// The pieces of the byte range `off..off + n` that cross no page
+/// boundary, in order: `(page, offset in page, offset in range, length)`.
+fn spans(off: usize, n: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < n).then(|| {
+            let (i, o) = ((off + done) / PAGE, (off + done) % PAGE);
+            let take = (n - done).min(PAGE - o);
+            done += take;
+            (i, o, done - take, take)
+        })
+    })
+}
+
+/// A buffer's bytes as pages. All offsets are byte offsets into the buffer.
+struct Store {
+    len: usize,
+    pages: Vec<Page>,
+}
+
+impl Store {
+    fn new(len: usize) -> Store {
+        Store { len, pages: vec![None; len.div_ceil(PAGE)] }
+    }
+
+    /// Panics unless `off..off + n` lies inside the buffer.
+    fn check(&self, off: usize, n: usize) {
+        let end = off.checked_add(n).expect("buffer range overflows usize");
+        assert!(end <= self.len, "range {off}..{end} out of bounds for a {}-byte buffer", self.len);
+    }
+
+    fn page_len(&self, i: usize) -> usize {
+        (self.len - i * PAGE).min(PAGE)
+    }
+
+    fn page(&self, i: usize) -> &[u8] {
+        match &self.pages[i] {
+            Some(p) => p,
+            None => &ZEROS[..self.page_len(i)],
+        }
+    }
+
+    /// Page `i` made writable: a never-written page becomes real zeros and
+    /// a shared one is copied first.
+    fn page_mut(&mut self, i: usize) -> &mut [u8] {
+        let len = self.page_len(i);
+        Arc::make_mut(self.pages[i].get_or_insert_with(|| Arc::new(vec![0; len]))).as_mut_slice()
+    }
+
+    /// Before a write covering page `i` whole: drop the page if another
+    /// buffer shares it, so the write starts from a fresh page instead of
+    /// a copy of bytes it replaces.
+    fn unshare_whole(&mut self, i: usize) {
+        if self.pages[i].as_ref().is_some_and(|p| Arc::strong_count(p) > 1) {
+            self.pages[i] = None;
+        }
+    }
+
+    /// Bytes `off..off + n`: borrowed when they sit in one page, gathered
+    /// otherwise.
+    fn slice(&self, off: usize, n: usize) -> Cow<'_, [u8]> {
+        self.check(off, n);
+        let o = off % PAGE;
+        if o + n <= PAGE {
+            return Cow::Borrowed(if n == 0 { &[] } else { &self.page(off / PAGE)[o..o + n] });
+        }
+        let mut out = Vec::with_capacity(n);
+        for (i, o, _, take) in spans(off, n) {
+            out.extend_from_slice(&self.page(i)[o..o + take]);
+        }
+        Cow::Owned(out)
+    }
+
+    /// The `f64`s at `off..off + n`.
+    fn f64s(&self, off: usize, n: usize) -> Vec<f64> {
+        if !off.is_multiple_of(8) {
+            return self.slice(off, n).chunks_exact(8).map(f64_le).collect();
+        }
+        // Aligned: no element straddles a page boundary.
+        self.check(off, n);
+        let mut out = Vec::with_capacity(n / 8);
+        for (i, o, _, take) in spans(off, n) {
+            out.extend(self.page(i)[o..o + take].chunks_exact(8).map(f64_le));
+        }
+        out
+    }
+
+    /// Write `n` bytes at `o` in page `i`: `src`, or zeros for `None`. A
+    /// write covering the whole page never copies the bytes it replaces: it
+    /// overwrites an unshared page in place and otherwise swaps in a fresh
+    /// one.
+    fn write_in_page(&mut self, i: usize, o: usize, src: Option<&[u8]>, n: usize) {
+        if o == 0 && n == self.page_len(i) {
+            match (self.pages[i].as_mut().and_then(Arc::get_mut), src) {
+                (Some(page), Some(src)) => page.copy_from_slice(src),
+                (_, src) => self.pages[i] = src.map(|s| Arc::new(s.to_vec())),
+            }
+            return;
+        }
+        match src {
+            Some(src) => self.page_mut(i)[o..o + n].copy_from_slice(src),
+            None if self.pages[i].is_some() => self.page_mut(i)[o..o + n].fill(0),
+            None => {}
+        }
+    }
+
+    fn write(&mut self, off: usize, src: &[u8]) {
+        self.check(off, src.len());
+        for (i, o, at, take) in spans(off, src.len()) {
+            self.write_in_page(i, o, Some(&src[at..at + take]), take);
+        }
+    }
+
+    /// Write `src` as little-endian `f64`s at `off`.
+    fn write_f64s(&mut self, off: usize, src: &[f64]) {
+        let n = src.len() * 8;
+        if !off.is_multiple_of(8) {
+            let mut bytes = Vec::with_capacity(n);
+            for v in src {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            return self.write(off, &bytes);
+        }
+        self.check(off, n);
+        for (i, o, at, take) in spans(off, n) {
+            if o == 0 && take == self.page_len(i) {
+                self.unshare_whole(i);
+            }
+            let vals = &src[at / 8..(at + take) / 8];
+            for (d, v) in self.page_mut(i)[o..o + take].chunks_exact_mut(8).zip(vals) {
+                d.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+
+    /// Copy `n` bytes of `src` at `src_off` to `off`. A page that both
+    /// ranges cover whole, at the same offset into each, is shared rather
+    /// than copied.
+    fn copy_from(&mut self, off: usize, src: &Store, src_off: usize, n: usize) {
+        self.check(off, n);
+        src.check(src_off, n);
+        let mut done = 0;
+        while done < n {
+            let (si, so) = ((src_off + done) / PAGE, (src_off + done) % PAGE);
+            let (di, o) = ((off + done) / PAGE, (off + done) % PAGE);
+            let take = (n - done).min(PAGE - so).min(PAGE - o);
+            if so == 0 && o == 0 && take == src.page_len(si) && take == self.page_len(di) {
+                self.pages[di] = src.pages[si].clone();
+            } else {
+                let bytes = src.pages[si].as_ref().map(|p| &p[so..so + take]);
+                self.write_in_page(di, o, bytes, take);
+            }
+            done += take;
+        }
+    }
+
+    /// `self[off..] += src[src_off..]` over `n` bytes of `f64`s.
+    fn accumulate_f64(&mut self, off: usize, src: &Store, src_off: usize, n: usize) {
+        self.check(off, n);
+        let src = src.slice(src_off, n);
+        if !off.is_multiple_of(8) {
+            // Elements straddle page boundaries: add in a gathered copy.
+            let mut sum = self.slice(off, n).into_owned();
+            add_f64(&mut sum, &src);
+            return self.write(off, &sum);
+        }
+        for (i, o, at, take) in spans(off, n) {
+            add_f64(&mut self.page_mut(i)[o..o + take], &src[at..at + take]);
+        }
+    }
+
+    /// The same bytes in pages shared with `self`: the source of a copy
+    /// within one allocation, read as it was before any write.
+    fn snapshot(&self) -> Store {
+        Store { len: self.len, pages: self.pages.clone() }
+    }
+}
+
 struct BufInner {
     id: BufferId,
     space: MemSpace,
-    bytes: Mutex<Vec<u8>>,
+    store: Mutex<Store>,
 }
 
 /// A reference-counted simulated memory buffer. Cheap to clone.
+///
+/// The bytes live in copy-on-write pages, so a copy of whole pages between
+/// buffers shares them rather than moving bytes; what any read returns is
+/// exactly what a flat byte array would return.
 #[derive(Clone)]
 pub struct Buffer {
     inner: Arc<BufInner>,
@@ -113,7 +310,7 @@ impl Buffer {
             inner: Arc::new(BufInner {
                 id: BufferId(NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed)),
                 space,
-                bytes: Mutex::new(vec![0u8; len]),
+                store: Mutex::new(Store::new(len)),
             }),
         }
     }
@@ -130,7 +327,7 @@ impl Buffer {
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.inner.bytes.lock().len()
+        self.inner.store.lock().len
     }
 
     /// True when zero-length.
@@ -153,58 +350,47 @@ impl Buffer {
 
     /// Copy `src` into the buffer at `offset`.
     pub fn write_bytes(&self, offset: usize, src: &[u8]) {
-        let mut b = self.inner.bytes.lock();
-        b[offset..offset + src.len()].copy_from_slice(src);
+        self.inner.store.lock().write(offset, src);
     }
 
     /// Read `len` bytes starting at `offset`.
     pub fn read_bytes(&self, offset: usize, len: usize) -> Vec<u8> {
-        let b = self.inner.bytes.lock();
-        b[offset..offset + len].to_vec()
+        self.inner.store.lock().slice(offset, len).into_owned()
     }
 
     /// Zero-fill the whole buffer.
     pub fn zero(&self) {
-        self.inner.bytes.lock().fill(0);
+        self.inner.store.lock().pages.fill(None);
     }
 
     /// Functional copy between buffers (the data plane of an RMA put or a
     /// DMA memcpy). Overlapping ranges of one allocation copy as `memmove`.
     pub fn copy_from_buffer(&self, dst_offset: usize, src: &Buffer, src_offset: usize, len: usize) {
         if self.same_allocation(src) {
-            self.inner.bytes.lock().copy_within(src_offset..src_offset + len, dst_offset);
+            let mut store = self.inner.store.lock();
+            let snapshot = store.snapshot();
+            store.copy_from(dst_offset, &snapshot, src_offset, len);
             return;
         }
-        let src_guard = src.inner.bytes.lock();
-        let mut dst_guard = self.inner.bytes.lock();
-        dst_guard[dst_offset..dst_offset + len]
-            .copy_from_slice(&src_guard[src_offset..src_offset + len]);
+        let src_guard = src.inner.store.lock();
+        self.inner.store.lock().copy_from(dst_offset, &src_guard, src_offset, len);
     }
 
     // ---- f64 views -------------------------------------------------------
 
     /// Write a slice of `f64` at a byte offset.
     pub fn write_f64_slice(&self, byte_offset: usize, src: &[f64]) {
-        let mut b = self.inner.bytes.lock();
-        let dst = &mut b[byte_offset..byte_offset + src.len() * 8];
-        for (chunk, v) in dst.chunks_exact_mut(8).zip(src) {
-            chunk.copy_from_slice(&v.to_le_bytes());
-        }
+        self.inner.store.lock().write_f64s(byte_offset, src);
     }
 
     /// Read `n` `f64` values from a byte offset.
     pub fn read_f64_slice(&self, byte_offset: usize, n: usize) -> Vec<f64> {
-        let b = self.inner.bytes.lock();
-        b[byte_offset..byte_offset + n * 8]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect()
+        self.inner.store.lock().f64s(byte_offset, n * 8)
     }
 
     /// Read a single `f64`.
     pub fn read_f64(&self, byte_offset: usize) -> f64 {
-        let b = self.inner.bytes.lock();
-        f64::from_le_bytes(b[byte_offset..byte_offset + 8].try_into().expect("8 bytes"))
+        f64_le(&self.inner.store.lock().slice(byte_offset, 8))
     }
 
     /// Write a single `f64`.
@@ -216,33 +402,28 @@ impl Buffer {
     /// data plane for allreduce. One pass over both buffers; ranges of one
     /// allocation add a snapshot of the source, as if read before any write.
     pub fn accumulate_f64(&self, dst_offset: usize, other: &Buffer, src_offset: usize, n: usize) {
-        let len = n * 8;
         if self.same_allocation(other) {
-            let mut b = self.inner.bytes.lock();
-            let src = b[src_offset..src_offset + len].to_vec();
-            add_f64(&mut b[dst_offset..dst_offset + len], &src);
+            let mut store = self.inner.store.lock();
+            let snapshot = store.snapshot();
+            store.accumulate_f64(dst_offset, &snapshot, src_offset, n * 8);
             return;
         }
-        let src = other.inner.bytes.lock();
-        let mut dst = self.inner.bytes.lock();
-        add_f64(&mut dst[dst_offset..dst_offset + len], &src[src_offset..src_offset + len]);
+        let src = other.inner.store.lock();
+        self.inner.store.lock().accumulate_f64(dst_offset, &src, src_offset, n * 8);
     }
 
     /// Sum of `n` `f64` elements.
     pub fn reduce_sum_f64(&self, byte_offset: usize, n: usize) -> f64 {
-        let b = self.inner.bytes.lock();
-        b[byte_offset..byte_offset + n * 8]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .sum()
+        let store = self.inner.store.lock();
+        store.slice(byte_offset, n * 8).chunks_exact(8).map(f64_le).sum()
     }
 
     // ---- u64 flag words (partition status) --------------------------------
 
     /// Read flag word `index` (8-byte stride).
     pub fn read_flag(&self, index: usize) -> u64 {
-        let b = self.inner.bytes.lock();
-        u64::from_le_bytes(b[index * 8..index * 8 + 8].try_into().expect("8 bytes"))
+        let store = self.inner.store.lock();
+        u64::from_le_bytes(store.slice(index * 8, 8)[..].try_into().expect("8 bytes"))
     }
 
     /// Write flag word `index`.
@@ -251,11 +432,15 @@ impl Buffer {
     }
 }
 
+/// A little-endian `f64` from an 8-byte slice.
+fn f64_le(b: &[u8]) -> f64 {
+    f64::from_le_bytes(b.try_into().expect("8-byte chunk"))
+}
+
 /// `dst += src`, both little-endian `f64` byte slices of equal length.
 fn add_f64(dst: &mut [u8], src: &[u8]) {
     for (d, s) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)) {
-        let v = f64::from_le_bytes(d.try_into().expect("8-byte chunk"))
-            + f64::from_le_bytes(s.try_into().expect("8-byte chunk"));
+        let v = f64_le(d) + f64_le(s);
         d.copy_from_slice(&v.to_le_bytes());
     }
 }
@@ -390,6 +575,205 @@ mod tests {
     #[should_panic]
     fn out_of_bounds_write_panics() {
         host_buf(8).write_bytes(4, &[0u8; 8]);
+    }
+
+    /// A pattern of `n` bytes that is nonzero in every page.
+    fn pattern(n: usize, salt: usize) -> Vec<u8> {
+        (0..n).map(|i| ((i * 7 + salt) % 251 + 1) as u8).collect()
+    }
+
+    /// True when page `i` of `a` and page `j` of `b` are one shared page.
+    fn shares_page(a: &Buffer, i: usize, b: &Buffer, j: usize) -> bool {
+        let (a, b) = (a.inner.store.lock(), b.inner.store.lock());
+        matches!((&a.pages[i], &b.pages[j]), (Some(x), Some(y)) if Arc::ptr_eq(x, y))
+    }
+
+    #[test]
+    fn whole_page_copy_shares_and_a_write_unshares() {
+        let src = host_buf(2 * PAGE);
+        let dst = host_buf(3 * PAGE + 100);
+        let bytes = pattern(2 * PAGE, 0);
+        src.write_bytes(0, &bytes);
+        dst.copy_from_buffer(PAGE, &src, 0, 2 * PAGE);
+        assert!(shares_page(&dst, 1, &src, 0) && shares_page(&dst, 2, &src, 1));
+        // A write to the source copies its page first: the destination
+        // keeps the bytes of the copy.
+        src.write_bytes(PAGE + 5, &[0xFF; 3]);
+        assert!(!shares_page(&dst, 2, &src, 1));
+        assert_eq!(dst.read_bytes(PAGE, 2 * PAGE), bytes);
+        // And the other way round.
+        dst.write_bytes(PAGE + 1, &[0xEE]);
+        assert_eq!(src.read_bytes(0, PAGE), bytes[..PAGE]);
+        // Misaligned ranges copy bytes; a short tail page is never shared
+        // with a full one.
+        dst.copy_from_buffer(8, &src, 0, PAGE);
+        dst.copy_from_buffer(3 * PAGE, &src, 0, 100);
+        assert!(!shares_page(&dst, 0, &src, 0) && !shares_page(&dst, 3, &src, 0));
+        assert_eq!(dst.read_bytes(3 * PAGE, 100), bytes[..100]);
+    }
+
+    #[test]
+    fn aliased_overlapping_copy_after_a_share_moves() {
+        let other = host_buf(3 * PAGE);
+        let b = host_buf(3 * PAGE);
+        let bytes = pattern(3 * PAGE, 3);
+        other.write_bytes(0, &bytes);
+        b.copy_from_buffer(0, &other, 0, 3 * PAGE);
+        // Every page of `b` is shared with `other`; move forward by a page
+        // and 8 bytes through an aliasing handle.
+        b.clone().copy_from_buffer(PAGE + 8, &b, 0, 2 * PAGE - 8);
+        let mut want = bytes.clone();
+        want.copy_within(0..2 * PAGE - 8, PAGE + 8);
+        assert_eq!(b.read_bytes(0, 3 * PAGE), want);
+        // A page-aligned backward move shares pages within one buffer.
+        b.copy_from_buffer(0, &b.clone(), PAGE, 2 * PAGE);
+        want.copy_within(PAGE..3 * PAGE, 0);
+        assert_eq!(b.read_bytes(0, 3 * PAGE), want);
+        let pages = &b.inner.store.lock().pages;
+        assert!(matches!((&pages[1], &pages[2]), (Some(x), Some(y)) if Arc::ptr_eq(x, y)));
+        assert_eq!(other.read_bytes(0, 3 * PAGE), bytes, "the source of the share is untouched");
+    }
+
+    /// A value in `0..=max` drawn from `x`, biased to page boundaries and
+    /// the bytes around them.
+    fn pick(x: u64, max: usize) -> usize {
+        let k = (x >> 2) as usize;
+        let v = match x % 4 {
+            0 => k % (max / PAGE + 1) * PAGE,
+            1 => (k % (max / PAGE + 2) * PAGE + k % 17).saturating_sub(8),
+            _ => k % (max + 1),
+        };
+        v.min(max)
+    }
+
+    /// One encoded `Buffer` operation: kind and buffers, then three
+    /// operands that [`pick`] turns into offsets, lengths and values.
+    type Op = (u64, u64, u64, u64);
+
+    /// Apply one encoded operation to three buffers and to their flat
+    /// `Vec<u8>` models; `Err` when a read disagrees.
+    fn apply(
+        bufs: &[Buffer],
+        model: &mut [Vec<u8>],
+        (a, b, c, d): Op,
+    ) -> Result<(), String> {
+        let (x, y) = ((a / 10 % 3) as usize, (a / 30 % 3) as usize);
+        let (len, other_len) = (model[x].len(), model[y].len());
+        let value = |i: usize| (d.wrapping_mul(i as u64 + 1) >> 40) as f64 * 0.25 - 1000.0;
+        let f64s = |m: &[u8]| m.chunks_exact(8).map(f64_le).collect::<Vec<_>>();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        match a % 10 {
+            0 => {
+                let off = pick(b, len);
+                let n = pick(c, len - off);
+                let src: Vec<u8> =
+                    (0..n).map(|i| (d.wrapping_mul(i as u64 + 1) >> 24) as u8).collect();
+                bufs[x].write_bytes(off, &src);
+                model[x][off..off + n].copy_from_slice(&src);
+            }
+            1 => {
+                let off = pick(b, len);
+                let n = pick(c, len - off);
+                if bufs[x].read_bytes(off, n) != model[x][off..off + n] {
+                    return Err(format!("read_bytes({off}, {n}) of buffer {x}"));
+                }
+            }
+            2 => {
+                let off = pick(b, len);
+                let vals: Vec<f64> = (0..pick(c, len - off) / 8).map(value).collect();
+                bufs[x].write_f64_slice(off, &vals);
+                for (i, v) in vals.iter().enumerate() {
+                    model[x][off + 8 * i..off + 8 * i + 8].copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            3 => {
+                let off = pick(b, len);
+                let n = pick(c, len - off) / 8;
+                let got = bits(bufs[x].read_f64_slice(off, n));
+                if got != bits(f64s(&model[x][off..off + 8 * n])) {
+                    return Err(format!("read_f64_slice({off}, {n}) of buffer {x}"));
+                }
+                let sum = bufs[x].reduce_sum_f64(off, n).to_bits();
+                if sum != f64s(&model[x][off..off + 8 * n]).into_iter().sum::<f64>().to_bits() {
+                    return Err(format!("reduce_sum_f64({off}, {n}) of buffer {x}"));
+                }
+            }
+            4 => {
+                let n = pick(c, len.min(other_len));
+                let (off, src_off) = (pick(b, len - n), pick(d, other_len - n));
+                // An aliasing handle when both sides are one buffer.
+                bufs[x].copy_from_buffer(off, &bufs[y].clone(), src_off, n);
+                let src = model[y][src_off..src_off + n].to_vec();
+                model[x][off..off + n].copy_from_slice(&src);
+            }
+            5 => {
+                let n = pick(c, len.min(other_len)) / 8;
+                let (off, src_off) = (pick(b, len - 8 * n), pick(d, other_len - 8 * n));
+                bufs[x].accumulate_f64(off, &bufs[y].clone(), src_off, n);
+                let src = model[y][src_off..src_off + 8 * n].to_vec();
+                add_f64(&mut model[x][off..off + 8 * n], &src);
+            }
+            6 => {
+                bufs[x].zero();
+                model[x].fill(0);
+            }
+            7 if len >= 8 => {
+                let i = b as usize % (len / 8);
+                bufs[x].write_flag(i, d);
+                model[x][8 * i..8 * i + 8].copy_from_slice(&d.to_le_bytes());
+                let off = pick(c, len - 8);
+                bufs[x].write_f64(off, value(0));
+                model[x][off..off + 8].copy_from_slice(&value(0).to_le_bytes());
+            }
+            8 if len >= 8 => {
+                let i = b as usize % (len / 8);
+                let want =
+                    u64::from_le_bytes(model[x][8 * i..8 * i + 8].try_into().expect("8 bytes"));
+                if bufs[x].read_flag(i) != want {
+                    return Err(format!("read_flag({i}) of buffer {x}"));
+                }
+                let off = pick(c, len - 8);
+                if bufs[x].read_f64(off).to_bits() != f64_le(&model[x][off..off + 8]).to_bits() {
+                    return Err(format!("read_f64({off}) of buffer {x}"));
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn pages_behave_like_a_flat_byte_array() {
+        parcomm_testkit::prop::check(
+            &parcomm_testkit::prop::PropConfig::with_cases(96),
+            "pages_behave_like_a_flat_byte_array",
+            |rng| {
+                let sizes: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
+                let ops = (0..rng.uniform_range(1, 48))
+                    .map(|_| (rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()))
+                    .collect::<Vec<_>>();
+                (sizes, ops)
+            },
+            |(sizes, ops): &(Vec<u64>, Vec<Op>)| -> Result<(), String> {
+                let lens: Vec<usize> = (0..3)
+                    .map(|i| pick(sizes.get(i).copied().unwrap_or(0), 4 * PAGE + 40))
+                    .collect();
+                let bufs: Vec<Buffer> = lens.iter().map(|&n| host_buf(n)).collect();
+                let mut model: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0; n]).collect();
+                for (k, &op) in ops.iter().enumerate() {
+                    apply(&bufs, &mut model, op).map_err(|e| format!("op {k} {op:?}: {e}"))?;
+                }
+                for (x, buf) in bufs.iter().enumerate() {
+                    if buf.len() != lens[x] || buf.read_bytes(0, lens[x]) != model[x] {
+                        return Err(format!(
+                            "buffer {x} (len {}) diverged from its model",
+                            lens[x]
+                        ));
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

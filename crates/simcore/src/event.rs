@@ -8,6 +8,7 @@
 //! epoch when resetting, which the partitioned runtime guarantees by
 //! quiescing in `MPI_Wait` first.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::lock::Mutex;
@@ -22,7 +23,7 @@ struct EventState {
     waiters: Vec<(ProcessId, u64)>,
     /// Optional label surfaced in deadlock diagnostics ("what was this
     /// process waiting on?"). Never affects scheduling.
-    label: Option<String>,
+    label: Option<Cow<'static, str>>,
 }
 
 /// A fireable flag that processes can block on. Cheap to clone (shared).
@@ -39,20 +40,20 @@ impl Event {
 
     /// Create a new, unset event carrying a diagnostic label (shown in
     /// [`crate::SimError::Deadlock`] wait-for reports).
-    pub fn named(label: impl Into<String>) -> Self {
+    pub fn named(label: impl Into<Cow<'static, str>>) -> Self {
         let ev = Event::default();
         ev.inner.lock().label = Some(label.into());
         ev
     }
 
     /// Attach or replace the diagnostic label.
-    pub fn set_label(&self, label: impl Into<String>) {
+    pub fn set_label(&self, label: impl Into<Cow<'static, str>>) {
         self.inner.lock().label = Some(label.into());
     }
 
     /// The diagnostic label, if any.
     pub fn label(&self) -> Option<String> {
-        self.inner.lock().label.clone()
+        self.inner.lock().label.as_deref().map(str::to_owned)
     }
 
     /// True if the event has fired (and has not been reset since).
@@ -131,7 +132,7 @@ struct CountState {
     /// (threshold, pid, epoch)
     waiters: Vec<(u64, ProcessId, u64)>,
     /// Optional label surfaced in deadlock diagnostics.
-    label: Option<String>,
+    label: Option<Cow<'static, str>>,
 }
 
 impl CountEvent {
@@ -142,20 +143,20 @@ impl CountEvent {
 
     /// New counter carrying a diagnostic label (shown in
     /// [`crate::SimError::Deadlock`] wait-for reports).
-    pub fn named(label: impl Into<String>) -> Self {
+    pub fn named(label: impl Into<Cow<'static, str>>) -> Self {
         let ev = CountEvent::default();
         ev.inner.lock().label = Some(label.into());
         ev
     }
 
     /// Attach or replace the diagnostic label.
-    pub fn set_label(&self, label: impl Into<String>) {
+    pub fn set_label(&self, label: impl Into<Cow<'static, str>>) {
         self.inner.lock().label = Some(label.into());
     }
 
     /// The diagnostic label, if any.
     pub fn label(&self) -> Option<String> {
-        self.inner.lock().label.clone()
+        self.inner.lock().label.as_deref().map(str::to_owned)
     }
 
     /// Current count.
