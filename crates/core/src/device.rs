@@ -139,7 +139,7 @@ pub async fn prequest_create_async(
     config: PrequestConfig,
 ) -> Result<DevicePrequest, MpiError> {
     let send = sreq.shared().clone();
-    let Some(route) = send.state.lock().route.clone() else {
+    let Some(route) = send.route.get() else {
         return Err(MpiError::InvalidArgument {
             context: "MPIX_Prequest_create before MPIX_Pbuf_prepare completed".into(),
         });
@@ -161,7 +161,7 @@ pub async fn prequest_create_async(
         // with the Progression Engine.
         (Route::Rma { shmem_denied, .. }, CopyMechanism::Shmem) => {
             return Err(match shmem_denied {
-                Some(e) => MpiError::Shmem(e),
+                Some(e) => MpiError::Shmem(e.clone()),
                 None => MpiError::InvalidArgument {
                     context: "MPIX_Prequest_create: copy mechanism Shmem but the channel \
                               negotiated the classic rkey protocol (request Shmem on both \

@@ -37,7 +37,7 @@ use std::future::Future;
 use std::ops::Range;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parcomm_sim::Mutex;
 
@@ -76,7 +76,6 @@ pub fn transport_of_user(users: usize, transports: usize, u: usize) -> usize {
 
 /// How a channel's transport partitions reach the receiver, decided once
 /// by the receiver's setup reply at the first `MPIX_Pbuf_prepare`.
-#[derive(Clone)]
 pub(crate) enum Route {
     /// Classic RMA: a data put against the receiver's data rkey, chaining
     /// a flag put against its flag rkey. Used by the Progression Engine and
@@ -100,10 +99,8 @@ pub(crate) struct SendState {
     pub epoch: u64,
     pub started: bool,
     pub transport_partitions: usize,
-    /// The negotiated route; `None` until the first `MPIX_Pbuf_prepare`.
-    pub route: Option<Route>,
     /// Receiver's arrival counter (the sim stand-in for the receiver
-    /// polling its flag memory); set with `route`, bumped by each landing.
+    /// polling its flag memory); set with the route, bumped by each landing.
     pub notifier: Option<CountEvent>,
     /// Per-transport count of user partitions marked ready this epoch.
     pub ready: Vec<u64>,
@@ -134,6 +131,9 @@ pub(crate) struct PsendShared {
     /// Host staging for the flag puts: one u64 per user partition, holding
     /// the current epoch number.
     pub flag_stage: Buffer,
+    /// The negotiated route; unset until the first `MPIX_Pbuf_prepare`,
+    /// then fixed for the channel's life, so every put reads it in place.
+    pub route: OnceLock<Route>,
     pub state: Mutex<SendState>,
     /// Bumped once per transport partition delivered this epoch.
     pub transport_complete: CountEvent,
@@ -259,11 +259,11 @@ pub async fn psend_init_async(
             partition_bytes: buffer.len() / partitions,
             endpoint,
             flag_stage: Buffer::alloc(MemSpace::Host { node }, partitions * 8),
+            route: OnceLock::new(),
             state: Mutex::new(SendState {
                 epoch: 0,
                 started: false,
                 transport_partitions: 1,
-                route: None,
                 notifier: None,
                 ready: vec![0; 1],
                 user_ready: vec![false; partitions],
@@ -337,7 +337,7 @@ impl PsendRequest {
     /// the receiver's choice arrives in its setup reply. Rejected once the
     /// channel has negotiated.
     pub fn set_mechanism(&self, _m: CopyMechanism) -> Result<(), MpiError> {
-        if self.inner.state.lock().route.is_some() {
+        if self.inner.route.get().is_some() {
             return Err(MpiError::InvalidArgument {
                 context: "set_mechanism after the channel negotiated at MPIX_Pbuf_prepare".into(),
             });
@@ -349,13 +349,13 @@ impl PsendRequest {
     /// and flags travel as device-initiated one-sided puts against the
     /// receiver's symmetric offsets, with no rkey exchange.
     pub fn shmem_active(&self) -> bool {
-        matches!(self.inner.state.lock().route, Some(Route::Shmem { .. }))
+        matches!(self.inner.route.get(), Some(Route::Shmem { .. }))
     }
 
     /// The typed reason the receiver demoted a requested shmem channel to
     /// the Progression Engine, if it did.
     pub fn shmem_denial(&self) -> Option<ShmemError> {
-        match &self.inner.state.lock().route {
+        match self.inner.route.get() {
             Some(Route::Rma { shmem_denied, .. }) => shmem_denied.clone(),
             _ => None,
         }
@@ -422,7 +422,7 @@ impl PsendRequest {
     /// [`RKey::revoke_ipc`] on it to simulate the peer unmapping its
     /// `ucp_rkey_ptr` IPC mapping mid-epoch.
     pub fn data_rkey(&self) -> Option<RKey> {
-        match &self.inner.state.lock().route {
+        match self.inner.route.get() {
             Some(Route::Rma { data_rkey, .. }) => Some(data_rkey.clone()),
             _ => None,
         }
@@ -454,7 +454,7 @@ impl PsendRequest {
                     context: "MPIX_Pbuf_prepare before MPI_Start".into(),
                 });
             }
-            (st.route.is_none(), st.epoch)
+            (self.inner.route.get().is_none(), st.epoch)
         };
         if first {
             let o = if charge {
@@ -504,9 +504,10 @@ impl PsendRequest {
                     shmem_denied: rs.shmem_denied.clone(),
                 },
             };
-            let mut st = self.inner.state.lock();
-            st.route = Some(route);
-            st.notifier = Some(notifier);
+            if self.inner.route.set(route).is_err() {
+                unreachable!("a channel negotiates its route once");
+            }
+            self.inner.state.lock().notifier = Some(notifier);
         } else {
             p.advance(ApiOverheads::sample(&p.handle(), self.inner.overheads.pbuf_prepare_steady))
                 .await;
@@ -786,7 +787,7 @@ impl PsendShared {
     pub(crate) async fn recover_epoch(self: &Arc<Self>, p: &Proc) -> usize {
         let todo: Vec<usize> = {
             let st = self.state.lock();
-            if !st.started || st.route.is_none() {
+            if !st.started || self.route.get().is_none() {
                 return 0;
             }
             let d = self.delivered.lock();
@@ -844,7 +845,7 @@ impl PsendShared {
                 context: "MPI_Pready before MPI_Start".into(),
             });
         }
-        if st.route.is_none() {
+        if self.route.get().is_none() {
             return Err(MpiError::InvalidArgument {
                 context: "MPI_Pready before MPIX_Pbuf_prepare (receiver not guaranteed ready)"
                     .into(),
@@ -911,11 +912,11 @@ impl PsendShared {
         cause: SpanId,
         pready_at: SimTime,
     ) {
-        let (route, users, stripes, epoch) = {
+        let route = self.route.get().expect("pbuf_prepare not completed");
+        let (users, stripes, epoch) = {
             let st = self.state.lock();
-            let route = st.route.clone().expect("pbuf_prepare not completed");
             let users = chunk_range(self.user_partitions, st.transport_partitions, k);
-            (route, users, st.stripes, st.epoch)
+            (users, st.stripes, st.epoch)
         };
         // Generation tag: a replay bumps `gen`, so a landing issued under an
         // older generation (or after this transport's delivered latch is
@@ -925,8 +926,8 @@ impl PsendShared {
             Route::Shmem { data, flags } => {
                 let put = ShmemPut {
                     send: self.clone(),
-                    data,
-                    flags,
+                    data: data.clone(),
+                    flags: flags.clone(),
                     k,
                     users,
                     epoch,
@@ -951,7 +952,7 @@ impl PsendShared {
                     &self.buffer,
                     byte_off,
                     byte_len,
-                    &data_rkey,
+                    data_rkey,
                     byte_off,
                     stripes,
                     self.put_attr(k),
@@ -980,7 +981,7 @@ impl PsendShared {
         issue_gen: u64,
         pready_at: SimTime,
     ) {
-        let Some(Route::Rma { flag_rkey, .. }) = self.state.lock().route.clone() else {
+        let Some(Route::Rma { flag_rkey, .. }) = self.route.get() else {
             unreachable!("flag puts travel only on RMA routes")
         };
         let this = self.clone();
@@ -988,7 +989,7 @@ impl PsendShared {
             &self.flag_stage,
             u0 * 8,
             ulen * 8,
-            &flag_rkey,
+            flag_rkey,
             u0 * 8,
             self.put_attr(k),
             cause,

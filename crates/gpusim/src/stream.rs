@@ -162,10 +162,7 @@ impl Stream {
                 }
             }
         }
-        {
-            let done = done.clone();
-            h.schedule_at(end, move |h| done.set(h));
-        }
+        h.set_at(end, done.clone());
         LaunchHandle { done, start, end, span }
     }
 
@@ -182,10 +179,7 @@ impl Stream {
         let done = Event::new();
         st.tail_done = done.clone();
         drop(st);
-        {
-            let done = done.clone();
-            h.schedule_at(end, move |h| done.set(h));
-        }
+        h.set_at(end, done.clone());
         LaunchHandle { done, start, end, span: SpanId::NONE }
     }
 

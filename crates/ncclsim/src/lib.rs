@@ -187,9 +187,7 @@ impl NcclComm {
             buf.write_f64_slice(*off, &acc);
         }
         let dur = self.allreduce_duration((n * 8) as u64);
-        let done = op.done;
-        let h = ctx.handle();
-        h.schedule_at(start + dur, move |h| done.set(h));
+        ctx.handle().set_at(start + dur, op.done);
     }
 }
 

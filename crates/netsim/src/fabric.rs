@@ -7,14 +7,13 @@
 //! behind each other, which is what produces bandwidth contention in the
 //! ring-collective experiments.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parcomm_sim::Mutex;
 
 use parcomm_gpu::{Location, Unit};
 use parcomm_obs::{Counter, Histogram, MetricsRegistry};
-use parcomm_sim::{Event, SimDuration, SimHandle, SimTime, SpanId};
+use parcomm_sim::{SimDuration, SimHandle, SimTime, SpanId};
 
 use crate::faults::{NetError, NetFaultConfig, NetFaults};
 use crate::multipath::{relay_for_rail, MultiPathPlan, PlanError};
@@ -25,8 +24,18 @@ use crate::topology::{RouteClass, Topology, TopologyError};
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct LinkId(usize);
 
+impl LinkId {
+    /// The link's position in the fabric's link table. Each node's links
+    /// sit in one block, in this order: the host-memory link; per GPU its
+    /// C2C uplink, C2C downlink and NVLinks to every other GPU in index
+    /// order; per NIC its IB uplink and downlink.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// Kinds of physical links the GH200 topology instantiates.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 enum LinkKey {
     /// Directed GPU→GPU NVLink on `node` from `src` to `dst`.
     NvLink { node: u16, src: u8, dst: u8 },
@@ -55,23 +64,86 @@ impl Link {
     }
 }
 
-/// A completed routing decision: the hops a message traverses.
-#[derive(Debug, Clone)]
+/// Where a node's links start in the link table, and how many GPUs and
+/// NICs the block covers (see [`LinkId::index`] for the block layout).
+struct NodeLinks {
+    base: usize,
+    gpus: usize,
+    nics: usize,
+}
+
+impl NodeLinks {
+    /// Links in one node's block.
+    fn len(&self) -> usize {
+        1 + self.gpus * (self.gpus + 1) + 2 * self.nics
+    }
+
+    /// Offset of `key`'s link within the block, if the node has it.
+    fn offset(&self, key: LinkKey) -> Option<usize> {
+        // Each GPU owns a C2C pair plus `gpus - 1` NVLinks.
+        let gpu_block = |gpu: u8| 1 + gpu as usize * (self.gpus + 1);
+        match key {
+            LinkKey::HostMem { .. } => Some(0),
+            LinkKey::C2c { gpu, up, .. } if (gpu as usize) < self.gpus => {
+                Some(gpu_block(gpu) + usize::from(!up))
+            }
+            LinkKey::NvLink { src, dst, .. }
+                if (src as usize) < self.gpus && (dst as usize) < self.gpus && src != dst =>
+            {
+                // NVLinks skip the GPU itself.
+                Some(gpu_block(src) + 2 + dst as usize - usize::from(dst > src))
+            }
+            LinkKey::Ib { nic, up, .. } if (nic as usize) < self.nics => {
+                Some(1 + self.gpus * (self.gpus + 1) + 2 * nic as usize + usize::from(!up))
+            }
+            _ => None,
+        }
+    }
+}
+
+impl LinkKey {
+    fn node(self) -> u16 {
+        match self {
+            LinkKey::NvLink { node, .. }
+            | LinkKey::C2c { node, .. }
+            | LinkKey::Ib { node, .. }
+            | LinkKey::HostMem { node } => node,
+        }
+    }
+}
+
+/// Most hops a route takes: a planned cross-node stripe's NVLink relay,
+/// IB uplink, IB downlink and NVLink relay.
+const MAX_HOPS: usize = 4;
+
+/// Bytes that clear a hop before a cut-through message starts on the next.
+const SEGMENT_BYTES: u64 = 64 * 1024;
+
+/// A completed routing decision: the hops a message traverses. Holds them
+/// inline, so a route is a plain copyable value.
+#[derive(Debug, Clone, Copy)]
 pub struct Route {
-    links: Vec<LinkId>,
+    hops: [LinkId; MAX_HOPS],
+    len: u8,
     /// Total propagation latency across hops.
     pub latency: SimDuration,
 }
 
-/// An in-flight or completed transfer.
-#[derive(Clone, Debug)]
+impl Route {
+    /// The links the route crosses, in order.
+    pub fn links(&self) -> &[LinkId] {
+        &self.hops[..self.len as usize]
+    }
+}
+
+/// An in-flight or completed transfer. The fabric moves time only: the
+/// caller acts at `arrival` (typically in a callback scheduled there).
+#[derive(Clone, Copy, Debug)]
 pub struct Transfer {
     /// When the first hop started serializing.
     pub start: SimTime,
     /// When the last byte arrives at the destination.
     pub arrival: SimTime,
-    /// Fires at `arrival`.
-    pub done: Event,
     /// The transfer's `wire` trace span ([`SpanId::NONE`] when tracing is
     /// off), for causal chaining by the transport above.
     pub span: SpanId,
@@ -98,8 +170,8 @@ pub struct StripeArrival {
 }
 
 /// An in-flight or completed multi-path transfer executed from a
-/// [`MultiPathPlan`]: per-stripe arrivals for partial reassembly plus one
-/// overall completion that fires when the slowest stripe lands.
+/// [`MultiPathPlan`]: per-stripe arrivals for partial reassembly plus the
+/// overall arrival of the slowest stripe.
 #[derive(Clone, Debug)]
 pub struct StripedTransfer {
     /// When the first stripe's first hop started serializing.
@@ -107,8 +179,6 @@ pub struct StripedTransfer {
     /// When the whole payload is reassembled (slowest stripe's arrival,
     /// plus any fault penalty).
     pub arrival: SimTime,
-    /// Fires at `arrival`.
-    pub done: Event,
     /// Per-stripe arrivals, in payload order.
     pub stripes: Vec<StripeArrival>,
 }
@@ -129,7 +199,8 @@ struct FabricInner {
     topology: Topology,
     handle: SimHandle,
     links: Vec<Link>,
-    index: HashMap<LinkKey, LinkId>,
+    /// Per node, where its block of `links` starts.
+    nodes: Vec<NodeLinks>,
     /// Armed fault schedule; `None` (the default) keeps every fault branch
     /// dormant so fault-free runs draw nothing and schedule nothing extra.
     faults: Mutex<Option<NetFaults>>,
@@ -158,39 +229,40 @@ impl Fabric {
     pub fn try_new(handle: SimHandle, spec: ClusterSpec) -> Result<Fabric, TopologyError> {
         let topology = spec.topology()?;
         let mut links = Vec::new();
-        let mut index = HashMap::new();
-        let mut add = |key: LinkKey, ls: &LinkSpec| {
-            let id = LinkId(links.len());
+        let mut nodes = Vec::new();
+        let mut add = |ls: &LinkSpec| {
             links.push(Link { spec: ls.clone(), busy_until: Mutex::new(SimTime::ZERO) });
-            index.insert(key, id);
         };
         // Instantiate each node's own GPU/NIC complement (ragged shapes
         // carry per-node counts; uniform specs reproduce the historical
-        // link set exactly).
+        // link set exactly), in the block order `NodeLinks::offset` reads.
+        let mut base = 0;
         for node in 0..topology.nodes() {
-            add(LinkKey::HostMem { node }, &spec.host_mem);
-            let gpus = topology.gpus_on(node);
-            for gpu in 0..gpus {
-                add(LinkKey::C2c { node, gpu, up: true }, &spec.c2c);
-                add(LinkKey::C2c { node, gpu, up: false }, &spec.c2c);
-                for dst in 0..gpus {
-                    if dst != gpu {
-                        add(LinkKey::NvLink { node, src: gpu, dst }, &spec.nvlink);
-                    }
+            let (gpus, nics) = (topology.gpus_on(node), topology.nics_on(node));
+            add(&spec.host_mem);
+            for _gpu in 0..gpus {
+                add(&spec.c2c); // up
+                add(&spec.c2c); // down
+                for _peer in 1..gpus {
+                    add(&spec.nvlink);
                 }
             }
-            for nic in 0..topology.nics_on(node) {
-                add(LinkKey::Ib { node, nic, up: true }, &spec.ib);
-                add(LinkKey::Ib { node, nic, up: false }, &spec.ib);
+            for _nic in 0..nics {
+                add(&spec.ib); // up
+                add(&spec.ib); // down
             }
+            let block = NodeLinks { base, gpus: gpus as usize, nics: nics as usize };
+            base += block.len();
+            nodes.push(block);
         }
+        debug_assert_eq!(base, links.len());
         Ok(Fabric {
             inner: Arc::new(FabricInner {
                 spec,
                 topology,
                 handle,
                 links,
-                index,
+                nodes,
                 faults: Mutex::new(None),
                 instruments: Mutex::new(None),
             }),
@@ -213,14 +285,15 @@ impl Fabric {
         });
     }
 
-    /// Count one transfer; `rail_shares` lists cross-node `(nic, bytes)`
-    /// shares (empty for intra-node traffic).
-    fn count_transfer(&self, bytes: u64, rail_shares: &[(u8, u64)]) {
+    /// Count one transfer; `rail_shares` yields cross-node `(nic, bytes)`
+    /// shares (none for intra-node traffic; a rail may appear more than
+    /// once).
+    fn count_transfer(&self, bytes: u64, rail_shares: impl IntoIterator<Item = (u8, u64)>) {
         if let Some(i) = self.inner.instruments.lock().as_ref() {
             i.transfers.inc();
             i.bytes.add(bytes);
             i.bytes_hist.record(bytes);
-            for &(nic, share) in rail_shares {
+            for (nic, share) in rail_shares {
                 if let Some(c) = i.rail_bytes.get(nic as usize) {
                     c.add(share);
                 }
@@ -256,11 +329,44 @@ impl Fabric {
     }
 
     fn link(&self, key: LinkKey) -> LinkId {
-        *self
-            .inner
-            .index
-            .get(&key)
-            .unwrap_or_else(|| panic!("no such link in topology: {key:?}"))
+        let block = self.inner.nodes.get(key.node() as usize);
+        match block.and_then(|b| Some(b.base + b.offset(key)?)) {
+            Some(id) => LinkId(id),
+            None => panic!("no such link in topology: {key:?}"),
+        }
+    }
+
+    /// The route over `hops`, with their summed propagation latency.
+    fn route_over(&self, links: &[LinkId]) -> Route {
+        let mut hops = [LinkId(0); MAX_HOPS];
+        hops[..links.len()].copy_from_slice(links);
+        let latency = links
+            .iter()
+            .map(|id| SimDuration::from_micros_f64(self.inner.links[id.0].spec.latency_us))
+            .sum();
+        Route { hops, len: links.len() as u8, latency }
+    }
+
+    /// Reserve every hop of `route` for `bytes`, no earlier than `at`.
+    /// Multi-hop routes are cut-through: hop *i+1* begins once the first
+    /// segment clears hop *i*. Returns when the first hop started
+    /// serializing and when the last byte arrives (the last hop's end plus
+    /// the route's latency).
+    fn reserve(&self, route: &Route, at: SimTime, bytes: u64) -> (SimTime, SimTime) {
+        let mut cursor = at;
+        let mut first_start = None;
+        let mut tail = at;
+        for id in route.links() {
+            let link = &self.inner.links[id.0];
+            let (s, e) = link.reserve(cursor, bytes);
+            first_start.get_or_insert(s);
+            // Next hop starts after the first segment clears this one.
+            cursor = s + SimDuration::from_micros_f64(
+                link.spec.serialize_us(bytes.min(SEGMENT_BYTES)),
+            );
+            tail = tail.max(e);
+        }
+        (first_start.unwrap_or(at), tail + route.latency)
     }
 
     fn nic_for(&self, loc: Location) -> u8 {
@@ -325,47 +431,48 @@ impl Fabric {
     /// C2C hop; cross-node routes go NIC uplink → NIC downlink with the
     /// GPU-direct PCIe/C2C cost folded into the IB latency.
     pub fn route(&self, src: Location, dst: Location) -> Route {
-        let mut links = Vec::with_capacity(2);
+        let node = src.node;
         match RouteClass::classify(src, dst) {
             // Local copy within one unit's memory: host-mem pseudo-link for
             // CPUs; GPU-local copies are modeled by the GPU cost model and
             // take the host-mem link's latency floor here.
             RouteClass::SameGpu | RouteClass::HostLocal => {
-                links.push(self.link(LinkKey::HostMem { node: src.node }));
+                self.route_over(&[self.link(LinkKey::HostMem { node })])
             }
             RouteClass::NvLink => match (src.unit, dst.unit) {
                 (Unit::Gpu(a), Unit::Gpu(b)) => {
-                    links.push(self.link(LinkKey::NvLink { node: src.node, src: a, dst: b }));
+                    self.route_over(&[self.link(LinkKey::NvLink { node, src: a, dst: b })])
                 }
                 _ => unreachable!("NvLink class implies GPU endpoints"),
             },
             RouteClass::C2cHost => match (src.unit, dst.unit) {
                 (Unit::Gpu(a), Unit::Cpu) => {
-                    links.push(self.link(LinkKey::C2c { node: src.node, gpu: a, up: true }));
+                    self.route_over(&[self.link(LinkKey::C2c { node, gpu: a, up: true })])
                 }
                 (Unit::Cpu, Unit::Gpu(b)) => {
-                    links.push(self.link(LinkKey::C2c { node: src.node, gpu: b, up: false }));
+                    self.route_over(&[self.link(LinkKey::C2c { node, gpu: b, up: false })])
                 }
                 _ => unreachable!("C2cHost class implies one GPU and one CPU endpoint"),
             },
             RouteClass::IbCrossNode => {
-                let src_nic = self.nic_for(src);
-                let dst_nic = self.nic_for(dst);
-                links.push(self.link(LinkKey::Ib { node: src.node, nic: src_nic, up: true }));
-                links.push(self.link(LinkKey::Ib { node: dst.node, nic: dst_nic, up: false }));
+                self.ib_route(src.node, self.nic_for(src), dst.node, self.nic_for(dst))
             }
         }
-        let latency = links
-            .iter()
-            .map(|id| SimDuration::from_micros_f64(self.inner.links[id.0].spec.latency_us))
-            .sum();
-        Route { links, latency }
+    }
+
+    /// The cross-node route from `src_nic`'s uplink on `src_node` to
+    /// `dst_nic`'s downlink on `dst_node`.
+    fn ib_route(&self, src_node: u16, src_nic: u8, dst_node: u16, dst_nic: u8) -> Route {
+        self.route_over(&[
+            self.link(LinkKey::Ib { node: src_node, nic: src_nic, up: true }),
+            self.link(LinkKey::Ib { node: dst_node, nic: dst_nic, up: false }),
+        ])
     }
 
     /// Bottleneck bandwidth (GB/s) along the route between two locations.
     pub fn path_bandwidth_gbps(&self, src: Location, dst: Location) -> f64 {
         self.route(src, dst)
-            .links
+            .links()
             .iter()
             .map(|id| self.inner.links[id.0].spec.bandwidth_gbps)
             .fold(f64::INFINITY, f64::min)
@@ -378,7 +485,7 @@ impl Fabric {
 
     /// Issue a transfer of `bytes` from `src` to `dst`, starting no earlier
     /// than `at` (clamped to now). Reserves occupancy on every hop and
-    /// returns a ticket whose `done` event fires at arrival.
+    /// returns a ticket carrying the arrival instant.
     ///
     /// Multi-hop routes are **cut-through**: hop *i+1* begins once the
     /// first segment (64 KiB) clears hop *i*, so a message's hops overlap
@@ -440,7 +547,6 @@ impl Fabric {
         dst_rank: Option<u32>,
         partition: Option<u32>,
     ) -> Result<Transfer, NetError> {
-        const SEGMENT_BYTES: u64 = 64 * 1024;
         let now = self.inner.handle.now();
         let at = at.max(now);
         // Large cross-node messages stripe across every NIC pair of the
@@ -450,38 +556,25 @@ impl Fabric {
             return self.striped_transfer(at, src, dst, bytes, cause, dst_rank, partition);
         }
         let (route, src_nic) = self.route_at(at, src, dst)?;
-        let mut cursor = at;
-        let mut first_start = None;
-        let mut tail = at;
-        for id in &route.links {
-            let link = &self.inner.links[id.0];
-            let (s, e) = link.reserve(cursor, bytes);
-            if first_start.is_none() {
-                first_start = Some(s);
-            }
-            // Next hop starts after the first segment clears this one.
-            let seg = SimDuration::from_micros_f64(
-                link.spec.serialize_us(bytes.min(SEGMENT_BYTES)),
-            );
-            cursor = s + seg;
-            tail = tail.max(e);
-        }
-        let arrival = tail + route.latency + self.fault_penalty();
-        let done = Event::new();
-        {
-            let done = done.clone();
-            self.inner.handle.schedule_at(arrival, move |h| done.set(h));
-        }
-        let start = first_start.unwrap_or(at);
+        let (start, tail) = self.reserve(&route, at, bytes);
+        let arrival = tail + self.fault_penalty();
+        self.mark_arrival(arrival);
         let span = self
             .inner
             .handle
             .trace()
             .record_attr("wire", start, arrival, dst_rank, partition, cause);
-        let rail_shares: Vec<(u8, u64)> =
-            src_nic.map(|nic| vec![(nic, bytes)]).unwrap_or_default();
-        self.count_transfer(bytes, &rail_shares);
-        Ok(Transfer { start, arrival, done, span })
+        self.count_transfer(bytes, src_nic.map(|nic| (nic, bytes)));
+        Ok(Transfer { start, arrival, span })
+    }
+
+    /// Keep a transfer's arrival instant in the event queue as a
+    /// payload-free entry. Transfers once fired a completion event there,
+    /// and the behaviour digests hash the run's event count; the entry
+    /// keeps that count, and its place before the caller's own callback at
+    /// the same instant, until the digest no longer hashes it.
+    fn mark_arrival(&self, arrival: SimTime) {
+        self.inner.handle.tick_at(arrival);
     }
 
     /// Like [`route`](Fabric::route), but steers cross-node hops around NIC
@@ -499,15 +592,7 @@ impl Fabric {
         }
         let src_nic = self.pick_nic(src.node, self.nic_for(src), at)?;
         let dst_nic = self.pick_nic(dst.node, self.nic_for(dst), at)?;
-        let links = vec![
-            self.link(LinkKey::Ib { node: src.node, nic: src_nic, up: true }),
-            self.link(LinkKey::Ib { node: dst.node, nic: dst_nic, up: false }),
-        ];
-        let latency = links
-            .iter()
-            .map(|id| SimDuration::from_micros_f64(self.inner.links[id.0].spec.latency_us))
-            .sum();
-        Ok((Route { links, latency }, Some(src_nic)))
+        Ok((self.ib_route(src.node, src_nic, dst.node, dst_nic), Some(src_nic)))
     }
 
     /// Transfer starting at the current instant.
@@ -535,47 +620,26 @@ impl Fabric {
         dst_rank: Option<u32>,
         partition: Option<u32>,
     ) -> Result<Transfer, NetError> {
-        const SEGMENT_BYTES: u64 = 64 * 1024;
         let rails = self.up_rails(src.node, dst.node, at)?;
         let share = bytes.div_ceil(rails.len() as u64);
-        let rail_shares: Vec<(u8, u64)> = rails.iter().map(|&nic| (nic, share)).collect();
         let mut first_start: Option<SimTime> = None;
         let mut arrival = at;
-        for nic in rails {
-            let up = self.link(LinkKey::Ib { node: src.node, nic, up: true });
-            let down = self.link(LinkKey::Ib { node: dst.node, nic, up: false });
-            let mut cursor = at;
-            let mut tail = at;
-            let mut latency = SimDuration::ZERO;
-            for id in [up, down] {
-                let link = &self.inner.links[id.0];
-                let (s, e) = link.reserve(cursor, share);
-                if first_start.is_none() {
-                    first_start = Some(s);
-                }
-                let seg = SimDuration::from_micros_f64(
-                    link.spec.serialize_us(share.min(SEGMENT_BYTES)),
-                );
-                cursor = s + seg;
-                tail = tail.max(e);
-                latency += SimDuration::from_micros_f64(link.spec.latency_us);
-            }
-            arrival = arrival.max(tail + latency);
+        for &nic in &rails {
+            let route = self.ib_route(src.node, nic, dst.node, nic);
+            let (s, a) = self.reserve(&route, at, share);
+            first_start.get_or_insert(s);
+            arrival = arrival.max(a);
         }
         let arrival = arrival + self.fault_penalty();
-        let done = Event::new();
-        {
-            let done = done.clone();
-            self.inner.handle.schedule_at(arrival, move |h| done.set(h));
-        }
+        self.mark_arrival(arrival);
         let start = first_start.unwrap_or(at);
         let span = self
             .inner
             .handle
             .trace()
             .record_attr("wire", start, arrival, dst_rank, partition, cause);
-        self.count_transfer(bytes, &rail_shares);
-        Ok(Transfer { start, arrival, done, span })
+        self.count_transfer(bytes, rails.iter().map(|&nic| (nic, share)));
+        Ok(Transfer { start, arrival, span })
     }
 
     /// Compute a [`MultiPathPlan`] splitting `bytes` from `src` to `dst`
@@ -594,7 +658,7 @@ impl Fabric {
 
     /// Execute a [`MultiPathPlan`]: reserve every stripe's partition →
     /// translate → assemble hops, record one `wire` span per stripe, and
-    /// fire `done` when the slowest stripe lands.
+    /// report when the slowest stripe lands.
     ///
     /// A single-path plan delegates to the ordinary transfer path
     /// ([`try_transfer_attr`](Fabric::try_transfer_attr)) and is therefore
@@ -614,7 +678,6 @@ impl Fabric {
         dst_rank: Option<u32>,
         partition: Option<u32>,
     ) -> Result<StripedTransfer, NetError> {
-        const SEGMENT_BYTES: u64 = 64 * 1024;
         let now = self.inner.handle.now();
         let at = at.max(now);
         if plan.is_single_path() {
@@ -624,7 +687,6 @@ impl Fabric {
             return Ok(StripedTransfer {
                 start: t.start,
                 arrival: t.arrival,
-                done: t.done,
                 stripes: vec![StripeArrival {
                     index: 0,
                     offset: 0,
@@ -644,12 +706,12 @@ impl Fabric {
         } else {
             Vec::new()
         };
+        let trace = self.inner.handle.trace();
         let mut first_start: Option<SimTime> = None;
         let mut overall = at;
-        let mut rail_shares: Vec<(u8, u64)> = Vec::new();
-        let mut landed: Vec<(u64, u64, Option<u8>, SimTime, SimTime)> = Vec::new();
-        for stripe in &plan.stripes {
-            let (hops, used_rail) = if cross_node {
+        let mut stripes = Vec::with_capacity(plan.stripes.len());
+        for (index, stripe) in plan.stripes.iter().enumerate() {
+            let (route, rail) = if cross_node {
                 let planned = stripe.rail.expect("cross-node multi-stripe plans pin rails");
                 // Remap onto a surviving rail; identity when the planned
                 // rail is up (the common, fault-free case).
@@ -662,16 +724,21 @@ impl Fabric {
                 // keeps the three-stage pipeline consistent.
                 let src_relay = relay_for_rail(&topo, plan.src.node, plan.src.unit, rail);
                 let dst_relay = relay_for_rail(&topo, plan.dst.node, plan.dst.unit, rail);
-                let mut hops = Vec::with_capacity(4);
+                let mut hops = [LinkId(0); MAX_HOPS];
+                let mut n = 0;
+                let mut hop = |id: LinkId| {
+                    hops[n] = id;
+                    n += 1;
+                };
                 if let (Unit::Gpu(g), Some(r)) = (plan.src.unit, src_relay) {
-                    hops.push(self.link(LinkKey::NvLink { node: plan.src.node, src: g, dst: r }));
+                    hop(self.link(LinkKey::NvLink { node: plan.src.node, src: g, dst: r }));
                 }
-                hops.push(self.link(LinkKey::Ib { node: plan.src.node, nic: rail, up: true }));
-                hops.push(self.link(LinkKey::Ib { node: plan.dst.node, nic: rail, up: false }));
+                hop(self.link(LinkKey::Ib { node: plan.src.node, nic: rail, up: true }));
+                hop(self.link(LinkKey::Ib { node: plan.dst.node, nic: rail, up: false }));
                 if let (Unit::Gpu(g), Some(r)) = (plan.dst.unit, dst_relay) {
-                    hops.push(self.link(LinkKey::NvLink { node: plan.dst.node, src: r, dst: g }));
+                    hop(self.link(LinkKey::NvLink { node: plan.dst.node, src: r, dst: g }));
                 }
-                (hops, Some(rail))
+                (self.route_over(&hops[..n]), Some(rail))
             } else {
                 // Intra-node NVLink multipath: the direct pair, or a
                 // two-hop relay through a peer GPU.
@@ -680,69 +747,34 @@ impl Fabric {
                     _ => unreachable!("intra-node multi-stripe plans imply GPU endpoints"),
                 };
                 let node = plan.src.node;
-                let hops = match stripe.src_relay {
-                    None => vec![self.link(LinkKey::NvLink { node, src: a, dst: b })],
-                    Some(r) => vec![
+                let route = match stripe.src_relay {
+                    None => self.route_over(&[self.link(LinkKey::NvLink { node, src: a, dst: b })]),
+                    Some(r) => self.route_over(&[
                         self.link(LinkKey::NvLink { node, src: a, dst: r }),
                         self.link(LinkKey::NvLink { node, src: r, dst: b }),
-                    ],
+                    ]),
                 };
-                (hops, None)
+                (route, None)
             };
-            let mut cursor = at;
-            let mut tail = at;
-            let mut latency = SimDuration::ZERO;
-            let mut stripe_start: Option<SimTime> = None;
-            for id in hops {
-                let link = &self.inner.links[id.0];
-                let (s, e) = link.reserve(cursor, stripe.len);
-                if stripe_start.is_none() {
-                    stripe_start = Some(s);
-                }
-                let seg = SimDuration::from_micros_f64(
-                    link.spec.serialize_us(stripe.len.min(SEGMENT_BYTES)),
-                );
-                cursor = s + seg;
-                tail = tail.max(e);
-                latency += SimDuration::from_micros_f64(link.spec.latency_us);
-            }
-            let stripe_start = stripe_start.unwrap_or(at);
-            if first_start.is_none() {
-                first_start = Some(stripe_start);
-            }
-            let stripe_arrival = tail + latency;
-            overall = overall.max(stripe_arrival);
-            if let Some(rail) = used_rail {
-                match rail_shares.iter_mut().find(|(r, _)| *r == rail) {
-                    Some((_, share)) => *share += stripe.len,
-                    None => rail_shares.push((rail, stripe.len)),
-                }
-            }
-            landed.push((stripe.offset, stripe.len, used_rail, stripe_start, stripe_arrival));
+            let (start, arrival) = self.reserve(&route, at, stripe.len);
+            first_start.get_or_insert(start);
+            overall = overall.max(arrival);
+            stripes.push(StripeArrival {
+                index,
+                offset: stripe.offset,
+                len: stripe.len,
+                rail,
+                arrival,
+                span: trace.record_attr("wire", start, arrival, dst_rank, partition, cause),
+            });
         }
         let arrival = overall + self.fault_penalty();
-        let done = Event::new();
-        {
-            let done = done.clone();
-            self.inner.handle.schedule_at(arrival, move |h| done.set(h));
-        }
-        let trace = self.inner.handle.trace();
-        let stripes: Vec<StripeArrival> = landed
-            .into_iter()
-            .enumerate()
-            .map(|(index, (offset, len, rail, s, a))| StripeArrival {
-                index,
-                offset,
-                len,
-                rail,
-                arrival: a,
-                span: trace.record_attr("wire", s, a, dst_rank, partition, cause),
-            })
-            .collect();
+        self.mark_arrival(arrival);
         // Rail accounting uses the exact stripe lengths, so the per-rail
         // counters sum to the payload precisely.
-        self.count_transfer(plan.bytes, &rail_shares);
-        Ok(StripedTransfer { start: first_start.unwrap_or(at), arrival, done, stripes })
+        let rail_shares = stripes.iter().filter_map(|s| Some((s.rail?, s.len)));
+        self.count_transfer(plan.bytes, rail_shares);
+        Ok(StripedTransfer { start: first_start.unwrap_or(at), arrival, stripes })
     }
 
     /// Effective bandwidth between two locations for a large message,
@@ -766,7 +798,6 @@ impl Fabric {
     /// serialization (bottleneck hop plus one segment per extra hop) plus
     /// propagation. Used by the kernel-copy path to extend kernel windows.
     pub fn unloaded_duration(&self, src: Location, dst: Location, bytes: u64) -> SimDuration {
-        const SEGMENT_BYTES: u64 = 64 * 1024;
         // Mirror transfer_at's multi-rail striping for large cross-node
         // messages: each rail carries an equal share.
         let bytes = if src.node != dst.node && bytes >= Self::STRIPE_THRESHOLD {
@@ -782,7 +813,7 @@ impl Fabric {
         let route = self.route(src, dst);
         let mut cursor = 0.0f64;
         let mut tail = 0.0f64;
-        for id in &route.links {
+        for id in route.links() {
             let spec = &self.inner.links[id.0].spec;
             let end = cursor + spec.serialize_us(bytes);
             tail = tail.max(end);

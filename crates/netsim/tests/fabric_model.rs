@@ -3,7 +3,7 @@
 
 use parcomm_gpu::{Location, Unit};
 use parcomm_net::{ClusterSpec, Fabric};
-use parcomm_sim::{SimConfig, Simulation};
+use parcomm_sim::{Ctx, SimConfig, SimTime, Simulation};
 
 fn gpu(node: u16, idx: u8) -> Location {
     Location { node, unit: Unit::Gpu(idx) }
@@ -11,6 +11,14 @@ fn gpu(node: u16, idx: u8) -> Location {
 
 fn cpu(node: u16) -> Location {
     Location { node, unit: Unit::Cpu }
+}
+
+/// Park the process until `at` (a transfer's arrival); no-op once past.
+fn wait_until(ctx: &mut Ctx, at: SimTime) {
+    let now = ctx.now();
+    if at > now {
+        ctx.advance(at.since(now));
+    }
 }
 
 #[test]
@@ -47,7 +55,7 @@ fn transfer_times_match_bandwidth() {
     sim.spawn("p", move |ctx| {
         // 150 MB over 150 GB/s NVLink = 1 ms + 1.9 µs latency.
         let t = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
-        ctx.wait(&t.done);
+        wait_until(ctx, t.arrival);
         let us = ctx.now().as_micros_f64();
         assert!((1001.0..1003.0).contains(&us), "arrival at {us}");
     });
@@ -67,7 +75,7 @@ fn same_link_transfers_contend() {
             b.arrival.since(a.arrival).as_micros_f64() > 900.0,
             "second transfer must serialize"
         );
-        ctx.wait(&b.done);
+        wait_until(ctx, b.arrival);
     });
     sim.run().unwrap();
 }
@@ -82,8 +90,8 @@ fn distinct_links_do_not_contend() {
         let delta =
             (a.arrival.as_micros_f64() - b.arrival.as_micros_f64()).abs();
         assert!(delta < 1.0, "independent NVLink pairs must run in parallel");
-        ctx.wait(&a.done);
-        ctx.wait(&b.done);
+        wait_until(ctx, a.arrival);
+        wait_until(ctx, b.arrival);
     });
     sim.run().unwrap();
 }
@@ -97,8 +105,8 @@ fn opposite_directions_do_not_contend() {
         let b = fabric.transfer(gpu(0, 1), gpu(0, 0), 150_000_000);
         let delta = (a.arrival.as_micros_f64() - b.arrival.as_micros_f64()).abs();
         assert!(delta < 1.0, "NVLink is full duplex in the model");
-        ctx.wait(&a.done);
-        ctx.wait(&b.done);
+        wait_until(ctx, a.arrival);
+        wait_until(ctx, b.arrival);
     });
     sim.run().unwrap();
 }
@@ -114,8 +122,8 @@ fn cross_node_nic_mapping_separates_gpu_flows() {
         let b = fabric.transfer(gpu(0, 1), gpu(1, 1), 512_000);
         let delta = (a.arrival.as_micros_f64() - b.arrival.as_micros_f64()).abs();
         assert!(delta < 1.0, "per-GPU NICs must not serialize");
-        ctx.wait(&a.done);
-        ctx.wait(&b.done);
+        wait_until(ctx, a.arrival);
+        wait_until(ctx, b.arrival);
     });
     sim.run().unwrap();
 }
@@ -130,7 +138,7 @@ fn unloaded_duration_matches_actual_on_idle_fabric() {
         let predicted = fabric.unloaded_duration(gpu(0, 0), gpu(1, 2), 1 << 22);
         let t0 = ctx.now();
         let t = fabric.transfer(gpu(0, 0), gpu(1, 2), 1 << 22);
-        ctx.wait(&t.done);
+        wait_until(ctx, t.arrival);
         let actual = ctx.now().since(t0);
         // Allow 2 ns of float-rounding skew between the analytic form and
         // the hop-by-hop reservation arithmetic.
@@ -146,7 +154,7 @@ fn zero_byte_transfer_is_latency_only() {
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
         let t = fabric.transfer(gpu(0, 0), gpu(0, 1), 0);
-        ctx.wait(&t.done);
+        wait_until(ctx, t.arrival);
         let us = ctx.now().as_micros_f64();
         assert!((1.8..2.0).contains(&us), "latency-only arrival {us}");
     });
@@ -161,7 +169,7 @@ fn large_cross_node_transfers_stripe_across_rails() {
         // 200 MB striped over 4 × 50 GB/s rails ≈ 1 ms; single-rail would
         // be 4 ms.
         let t = fabric.transfer(gpu(0, 0), gpu(1, 0), 200_000_000);
-        ctx.wait(&t.done);
+        wait_until(ctx, t.arrival);
         let us = ctx.now().as_micros_f64();
         assert!((1000.0..1100.0).contains(&us), "striped arrival {us}");
     });
@@ -176,7 +184,7 @@ fn transfer_at_future_time_respects_start() {
         let at = ctx.now() + parcomm_sim::SimDuration::from_micros(100);
         let t = fabric.transfer_at(at, gpu(0, 0), gpu(0, 1), 1500);
         assert_eq!(t.start, at);
-        ctx.wait(&t.done);
+        wait_until(ctx, t.arrival);
         assert!(ctx.now().as_micros_f64() >= 100.0);
     });
     sim.run().unwrap();

@@ -23,7 +23,24 @@ struct EventState {
     waiters: Vec<(ProcessId, u64)>,
     /// Optional label surfaced in deadlock diagnostics ("what was this
     /// process waiting on?"). Never affects scheduling.
-    label: Option<Cow<'static, str>>,
+    label: Option<Label>,
+}
+
+/// An event's diagnostic label.
+enum Label {
+    Text(Cow<'static, str>),
+    /// `"{prefix} {n}"`, formatted only when the label is read, so events
+    /// created on a hot path name themselves without allocating.
+    Numbered(&'static str, u64),
+}
+
+impl Label {
+    fn render(&self) -> String {
+        match self {
+            Label::Text(text) => text.to_string(),
+            Label::Numbered(prefix, n) => format!("{prefix} {n}"),
+        }
+    }
 }
 
 /// A fireable flag that processes can block on. Cheap to clone (shared).
@@ -41,19 +58,29 @@ impl Event {
     /// Create a new, unset event carrying a diagnostic label (shown in
     /// [`crate::SimError::Deadlock`] wait-for reports).
     pub fn named(label: impl Into<Cow<'static, str>>) -> Self {
-        let ev = Event::default();
-        ev.inner.lock().label = Some(label.into());
-        ev
+        Event::labelled(Label::Text(label.into()))
+    }
+
+    /// Create a new, unset event labelled `"{prefix} {n}"`. The label is
+    /// formatted only when read, so creating the event allocates nothing
+    /// for it.
+    pub fn numbered(prefix: &'static str, n: u64) -> Self {
+        Event::labelled(Label::Numbered(prefix, n))
+    }
+
+    fn labelled(label: Label) -> Self {
+        let state = EventState { label: Some(label), ..EventState::default() };
+        Event { inner: Arc::new(Mutex::new(state)) }
     }
 
     /// Attach or replace the diagnostic label.
     pub fn set_label(&self, label: impl Into<Cow<'static, str>>) {
-        self.inner.lock().label = Some(label.into());
+        self.inner.lock().label = Some(Label::Text(label.into()));
     }
 
     /// The diagnostic label, if any.
     pub fn label(&self) -> Option<String> {
-        self.inner.lock().label.as_deref().map(str::to_owned)
+        self.inner.lock().label.as_ref().map(Label::render)
     }
 
     /// True if the event has fired (and has not been reset since).

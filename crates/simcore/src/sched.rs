@@ -93,7 +93,7 @@ use std::collections::{BinaryHeap, HashSet};
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError, Weak};
 use std::task::{Context, Poll, Waker};
@@ -127,6 +127,12 @@ enum QueueItem {
     Backstop { pid: ProcessId, epoch: u64 },
     /// Run a closure on the baton holder's thread.
     Callback(Callback),
+    /// Fire an event: the unboxed form of a callback that only calls
+    /// [`Event::set`] (see [`SimHandle::set_at`]).
+    Set(Event),
+    /// A payload-free entry: it only counts as one processed event and runs
+    /// the shutdown check a callback runs (see [`SimHandle::tick_at`]).
+    Tick,
 }
 
 /// One event-queue entry. The heap pops the earliest `(at, seq)` first;
@@ -202,6 +208,11 @@ struct ProcRecord {
 /// Shared scheduler state. Lives behind `Arc` in [`SimHandle`] and `Ctx`.
 pub(crate) struct SchedCore {
     pub(crate) state: Mutex<SchedState>,
+    /// A copy of `SchedState::now` in nanoseconds, written by `dispatch`
+    /// right after each pop, so reading the clock takes no lock. The
+    /// holder's `Release` store pairs with `now_of`'s `Acquire` load; the
+    /// baton pass between threads orders them too.
+    clock: AtomicU64,
     /// Global shutdown flag: set once all regular processes have finished.
     shutdown: AtomicBool,
     /// Span tracing (disabled by default).
@@ -277,7 +288,7 @@ pub struct SimHandle {
 impl SimHandle {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.state.lock().now
+        now_of(&self.core)
     }
 
     /// True once every regular process has finished and daemons are being
@@ -299,6 +310,27 @@ impl SimHandle {
         let mut st = self.core.state.lock();
         assert!(at >= st.now, "schedule_at: {at:?} is in the past (now {:?})", st.now);
         st.push(at, QueueItem::Callback(Box::new(f)));
+    }
+
+    /// Fire `event` at the absolute virtual instant `at` (must not be in
+    /// the past). The same queue entry as `schedule_at(at, move |h|
+    /// event.set(h))`, without boxing a closure.
+    pub fn set_at(&self, at: SimTime, event: Event) {
+        let mut st = self.core.state.lock();
+        assert!(at >= st.now, "set_at: {at:?} is in the past (now {:?})", st.now);
+        st.push(at, QueueItem::Set(event));
+    }
+
+    /// Queue a payload-free entry at the absolute virtual instant `at`
+    /// (must not be in the past). It runs nothing: it counts as one
+    /// processed event and, like a callback, lets a run whose regular
+    /// processes have all finished begin shutdown. The fabric queues one
+    /// at each transfer's arrival, which keeps `events_processed` equal to
+    /// that of a transfer carrying its own completion event.
+    pub fn tick_at(&self, at: SimTime) {
+        let mut st = self.core.state.lock();
+        assert!(at >= st.now, "tick_at: {at:?} is in the past (now {:?})", st.now);
+        st.push(at, QueueItem::Tick);
     }
 
     /// Draw from the simulation's deterministic RNG.
@@ -450,6 +482,7 @@ impl Simulation {
                 handoffs: 0,
                 outcome_tx: None,
             }),
+            clock: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             trace: Trace::for_sim(cfg.seed),
             released: Arc::default(),
@@ -558,7 +591,9 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
         }
         check_shutdown = false;
 
-        match st.pop_live() {
+        let item = st.pop_live();
+        core.clock.store(st.now.as_nanos(), Ordering::Release);
+        match item {
             Some(QueueItem::Callback(f)) => {
                 drop(st);
                 if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(h))) {
@@ -567,6 +602,12 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                 }
                 check_shutdown = true;
             }
+            Some(QueueItem::Set(event)) => {
+                drop(st);
+                event.set(h);
+                check_shutdown = true;
+            }
+            Some(QueueItem::Tick) => check_shutdown = true,
             Some(QueueItem::Resume { pid, epoch } | QueueItem::Backstop { pid, epoch }) => {
                 let p = st.proc_mut(pid);
                 if !p.parked || p.finished || p.park_epoch != epoch {
@@ -824,7 +865,7 @@ pub(crate) fn park_for(core: &Arc<SchedCore>, pid: ProcessId, dt: SimDuration) {
 }
 
 pub(crate) fn now_of(core: &Arc<SchedCore>) -> SimTime {
-    core.state.lock().now
+    SimTime::from_nanos(core.clock.load(Ordering::Acquire))
 }
 
 /// Queue a cancellable resume of `pid` at `at` (a timed wait's deadline);

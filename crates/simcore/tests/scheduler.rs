@@ -1153,3 +1153,139 @@ fn deadlock_report_names_a_parked_thread_free_process() {
         other => panic!("expected deadlock, got {other:?}"),
     }
 }
+
+#[test]
+fn numbered_event_label_is_formatted_when_read() {
+    let mut sim = Simulation::with_seed(1);
+    let ev = Event::numbered("am_send tag", 42);
+    assert_eq!(ev.label().as_deref(), Some("am_send tag 42"));
+    sim.spawn("stuck-proc", move |ctx| {
+        ctx.wait(&ev);
+    });
+    match sim.run() {
+        Err(SimError::Deadlock { blocked }) => {
+            assert_eq!(blocked[0].waiting_on.as_deref(), Some("event 'am_send tag 42'"));
+        }
+        other => panic!("expected deadlock, got {other:?}"),
+    }
+}
+
+/// Run one process that fires `ev` at 7 µs through `fire`, and a second
+/// process, spawned first, already parked on `ev` when `fire` runs.
+fn fire_event_at_7us(fire: fn(&parcomm_sim::SimHandle, SimTime, Event)) -> (SimTime, u64) {
+    let mut sim = Simulation::with_seed(1);
+    let ev = Event::new();
+    let woke = Arc::new(Mutex::new(None));
+    let (ev2, woke2) = (ev.clone(), woke.clone());
+    sim.spawn("waiter", move |ctx| {
+        assert!(ctx.wait(&ev2));
+        *woke2.lock() = Some(ctx.now());
+    });
+    sim.spawn("firer", move |ctx| {
+        fire(&ctx.handle(), SimTime::from_nanos(7_000), ev);
+    });
+    let report = sim.run().unwrap();
+    let woke = woke.lock().expect("the waiter woke");
+    (woke, report.events_processed)
+}
+
+#[test]
+fn set_at_fires_at_its_instant_as_one_event() {
+    let (woke, events) = fire_event_at_7us(|h, at, ev| h.set_at(at, ev));
+    assert_eq!(woke, SimTime::from_nanos(7_000));
+    // Two starts, the set entry, and the waiter's wake.
+    assert_eq!(events, 4);
+    // The same as the boxed callback it replaces.
+    let boxed = fire_event_at_7us(|h, at, ev| h.schedule_at(at, move |h| ev.set(h)));
+    assert_eq!((woke, events), boxed);
+}
+
+#[test]
+fn tick_counts_as_one_event_and_runs_nothing() {
+    let run = |tick: bool| {
+        let mut sim = Simulation::with_seed(1);
+        sim.spawn("p", move |ctx| {
+            let h = ctx.handle();
+            if tick {
+                h.tick_at(SimTime::from_nanos(5_000));
+            } else {
+                h.schedule_at(SimTime::from_nanos(5_000), |_| {});
+            }
+            ctx.advance(us(10));
+        });
+        let r = sim.run().unwrap();
+        (r.end_time, r.events_processed, r.handoffs)
+    };
+    assert_eq!(run(true), (SimTime::from_nanos(10_000), 3, 1));
+    assert_eq!(run(true), run(false));
+}
+
+/// Whether a callback queued at t = 0 sees the run shutting down, with a
+/// tick queued at the same instant before (`tick_first`) or after it, and
+/// only a daemon left to run.
+fn callback_sees_shutdown(tick_first: bool) -> bool {
+    let mut sim = Simulation::with_seed(1);
+    let h = sim.handle();
+    let seen = Arc::new(Mutex::new(None));
+    let seen2 = seen.clone();
+    if tick_first {
+        h.tick_at(SimTime::ZERO);
+    }
+    h.schedule_at(SimTime::ZERO, move |h| *seen2.lock() = Some(h.is_shutdown()));
+    if !tick_first {
+        h.tick_at(SimTime::ZERO);
+    }
+    sim.spawn_daemon("poller", |ctx| {
+        while !ctx.is_shutdown() {
+            ctx.advance(us(1));
+        }
+    });
+    sim.run().unwrap();
+    let seen = seen.lock().expect("the callback ran");
+    seen
+}
+
+#[test]
+fn tick_keeps_its_push_order_slot() {
+    // A tick popped first runs the shutdown check before the callback.
+    assert!(callback_sees_shutdown(true));
+    assert!(!callback_sees_shutdown(false));
+}
+
+/// A daemon-only run whose first queue entry is pushed by `entry`: the
+/// daemon's log of `(now, is_shutdown)` per wake, and the run's report.
+fn daemon_tail(entry: fn(&parcomm_sim::SimHandle)) -> (Vec<(SimTime, bool)>, SimTime, u64, u64) {
+    let mut sim = Simulation::with_seed(1);
+    entry(&sim.handle());
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let log2 = log.clone();
+    sim.spawn_daemon("poller", move |ctx| loop {
+        log2.lock().push((ctx.now(), ctx.is_shutdown()));
+        if ctx.is_shutdown() {
+            break;
+        }
+        ctx.advance(us(1));
+    });
+    let r = sim.run().unwrap();
+    let log = log.lock().clone();
+    (log, r.end_time, r.events_processed, r.handoffs)
+}
+
+#[test]
+fn tick_ends_a_daemon_only_tail_like_a_callback() {
+    let ticked = daemon_tail(|h| {
+        h.tick_at(SimTime::ZERO);
+        h.tick_at(SimTime::from_nanos(3_000));
+    });
+    let called = daemon_tail(|h| {
+        h.schedule_at(SimTime::ZERO, |_| {});
+        h.schedule_at(SimTime::from_nanos(3_000), |_| {});
+    });
+    assert_eq!(ticked, called);
+    // The tick at t = 0 begins shutdown before the daemon's first wake;
+    // the one at 3 µs still runs, and ends the run.
+    assert_eq!(ticked.0, vec![(SimTime::ZERO, true)]);
+    assert_eq!(ticked.1, SimTime::from_nanos(3_000));
+    // Without an entry the daemon's first wake does not see shutdown.
+    assert_eq!(daemon_tail(|_| {}).0[0], (SimTime::ZERO, false));
+}

@@ -164,19 +164,28 @@ pub struct PutHandle {
     /// that entered fault-retry this is provisional; the authoritative
     /// arrival is in [`PutHandle::result`].
     pub arrival: SimTime,
-    result: Arc<Mutex<Option<Result<SimTime, UcxError>>>>,
+    failure: Failure,
 }
+
+/// Where a failed put records its error. Only a fabric with faults armed
+/// can fail a put, and a put's first attempt runs at issue, so the slot
+/// is allocated only for puts issued while faults are armed.
+type Failure = Option<Arc<Mutex<Option<UcxError>>>>;
 
 impl PutHandle {
     /// The put's outcome: `None` until `done` fires, then `Ok(arrival)` or
-    /// the typed error that ended the retry sequence.
+    /// the typed error that ended the retry sequence. A put's `done` fires
+    /// at its arrival, so `Ok` carries the instant `done` was set.
     pub fn result(&self) -> Option<Result<SimTime, UcxError>> {
-        self.result.lock().clone()
+        if let Some(err) = self.failure.as_ref().and_then(|f| f.lock().clone()) {
+            return Some(Err(err));
+        }
+        self.done.set_at().map(Ok)
     }
 
     /// True once the put has settled as a failure.
     pub fn is_failed(&self) -> bool {
-        matches!(*self.result.lock(), Some(Err(_)))
+        self.failure.as_ref().is_some_and(|f| f.lock().is_some())
     }
 }
 
@@ -188,11 +197,6 @@ impl Worker {
         MemHandle { buffer: buffer.clone(), universe: self.universe.clone() }
     }
 }
-
-/// Completion hook of a put: runs at arrival with the put's
-/// `put_complete` trace span ([`SpanId::NONE`] when causal tracing is
-/// off).
-type PutCompletion = Box<dyn FnOnce(&SimHandle, SpanId) + Send + 'static>;
 
 /// MPI-level attribution of a put, carried through its causal spans so
 /// `obs::critical` resolves cross-rank handoffs exactly: the `put` span
@@ -215,8 +219,11 @@ impl PutAttr {
 }
 
 /// Everything one put attempt needs; kept in a struct so the retry chain
-/// can re-issue it from scheduled callbacks.
-struct PendingPut {
+/// can re-issue it from scheduled callbacks. `F` is the completion hook:
+/// it runs at arrival with the put's `put_complete` trace span
+/// ([`SpanId::NONE`] when causal tracing is off). Held unboxed, so the one
+/// box the arrival callback takes holds the hook too.
+struct PendingPut<F> {
     fabric: Fabric,
     universe: UcxUniverse,
     from: Location,
@@ -226,9 +233,9 @@ struct PendingPut {
     len: usize,
     dst: Buffer,
     dst_off: usize,
-    on_complete: PutCompletion,
+    on_complete: F,
     done: Event,
-    result: Arc<Mutex<Option<Result<SimTime, UcxError>>>>,
+    failure: Failure,
     first_try_at: SimTime,
     /// Causal parent of the put (e.g. the PE drain that issued it).
     cause: SpanId,
@@ -244,7 +251,10 @@ struct PendingPut {
 /// Issue (or re-issue) one attempt of a put; schedules the next retry with
 /// exponential backoff on a routing failure, or settles the handle with
 /// [`UcxError::PutTimeout`] once attempts are exhausted.
-fn attempt_put(p: PendingPut, attempt: u32) -> SimTime {
+fn attempt_put<F>(p: PendingPut<F>, attempt: u32) -> SimTime
+where
+    F: FnOnce(&SimHandle, SpanId) + Send + 'static,
+{
     let h = p.fabric.sim().clone();
     let now = h.now();
     if attempt == 0 {
@@ -280,7 +290,6 @@ fn attempt_put(p: PendingPut, attempt: u32) -> SimTime {
                 dst_off,
                 on_complete,
                 done,
-                result,
                 first_try_at,
                 attr,
                 ..
@@ -300,7 +309,6 @@ fn attempt_put(p: PendingPut, attempt: u32) -> SimTime {
                     wire_span,
                 );
                 on_complete(h, complete_span);
-                *result.lock() = Some(Ok(arrival));
                 done.set(h);
             });
             arrival
@@ -312,13 +320,16 @@ fn attempt_put(p: PendingPut, attempt: u32) -> SimTime {
 /// Shared failure arm of the put retry chain: schedule the next attempt
 /// with exponential backoff, or settle the handle with
 /// [`UcxError::PutTimeout`] once attempts are exhausted.
-fn retry_or_fail(
-    p: PendingPut,
+fn retry_or_fail<F>(
+    p: PendingPut<F>,
     attempt: u32,
     net_err: NetError,
     h: &SimHandle,
     now: SimTime,
-) -> SimTime {
+) -> SimTime
+where
+    F: FnOnce(&SimHandle, SpanId) + Send + 'static,
+{
     if let Some(i) = p.universe.obs() {
         if attempt + 1 >= PUT_MAX_ATTEMPTS {
             i.put_failures.inc();
@@ -328,11 +339,12 @@ fn retry_or_fail(
     }
     if attempt + 1 >= PUT_MAX_ATTEMPTS {
         let waited = now.since(p.first_try_at);
-        *p.result.lock() = Some(Err(UcxError::PutTimeout {
+        let failure = p.failure.as_ref().expect("only a fabric with faults armed fails a put");
+        *failure.lock() = Some(UcxError::PutTimeout {
             attempts: attempt + 1,
             waited_us: waited.as_micros_f64() as u64,
             cause: net_err.to_string(),
-        }));
+        });
         p.done.set(h);
     } else {
         let backoff =
@@ -354,13 +366,16 @@ fn retry_or_fail(
 /// partially reassembled payload. Retries and [`UcxError::PutTimeout`]
 /// behave exactly as on the single-path arm; each retry re-plans against
 /// the rails surviving at that instant.
-fn attempt_put_striped(
-    p: PendingPut,
+fn attempt_put_striped<F>(
+    p: PendingPut<F>,
     attempt: u32,
     put_span: SpanId,
     h: SimHandle,
     now: SimTime,
-) -> SimTime {
+) -> SimTime
+where
+    F: FnOnce(&SimHandle, SpanId) + Send + 'static,
+{
     let plan = p
         .fabric
         .plan(p.from, p.to, p.len as u64, p.stripes)
@@ -376,7 +391,6 @@ fn attempt_put_striped(
                 dst_off,
                 on_complete,
                 done,
-                result,
                 first_try_at,
                 attr,
                 ..
@@ -412,7 +426,6 @@ fn attempt_put_striped(
                     i.put_latency.record(issue_to_land.round() as u64);
                 }
                 on_complete(h, *last_span.lock());
-                *result.lock() = Some(Ok(arrival));
                 done.set(h);
             });
             arrival
@@ -511,7 +524,7 @@ impl Endpoint {
     ) -> PutHandle {
         let fabric = self.universe.fabric().clone();
         let done = Event::named("put_nbx");
-        let result = Arc::new(Mutex::new(None));
+        let failure = fabric.faults_armed().then(Arc::default);
         let pending = PendingPut {
             universe: self.universe.clone(),
             from: src.space().location(),
@@ -521,9 +534,9 @@ impl Endpoint {
             len,
             dst: rkey.target_buffer().clone(),
             dst_off,
-            on_complete: Box::new(on_complete),
+            on_complete,
             done: done.clone(),
-            result: result.clone(),
+            failure: failure.clone(),
             first_try_at: fabric.sim().now(),
             fabric,
             cause,
@@ -531,7 +544,7 @@ impl Endpoint {
             stripes: stripes.max(1),
         };
         let arrival = attempt_put(pending, 0);
-        PutHandle { done, arrival, result }
+        PutHandle { done, arrival, failure }
     }
 
     /// Put without a completion callback.

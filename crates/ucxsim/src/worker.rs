@@ -338,7 +338,7 @@ impl Endpoint {
     /// drops the message, which the receiver-side watchdog surfaces as a
     /// typed timeout). With no faults armed the retry path is never entered.
     pub fn am_send<T: Any + Send>(&self, tag: u64, payload: T, wire_bytes: u64) -> Event {
-        let done = Event::named(format!("am_send tag {tag}"));
+        let done = Event::numbered("am_send tag", tag);
         let payload: Box<dyn Any + Send> = Box::new(payload);
         am_send_attempt(
             self.universe.clone(),
