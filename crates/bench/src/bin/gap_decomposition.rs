@@ -9,42 +9,41 @@
 //! causal handoff spans — the printed table filters those out, so it stays
 //! byte-identical with or without the export.
 
-use std::sync::Arc;
-
-use parcomm_sim::Mutex;
-
 use parcomm_apps::nccl_for_world;
 use parcomm_bench as b;
+use parcomm_bench::obsrun::allreduce_epoch;
+use parcomm_bench::world::World;
 use parcomm_coll::{pallreduce_init, pallreduce_init_hierarchical};
 use parcomm_gpu::KernelSpec;
-use parcomm_mpi::{MpiError, MpiWorld, Rank, WorldConfig};
+use parcomm_mpi::{MpiError, Rank, WorldConfig};
 use parcomm_obs::{chrome_trace_json, is_causal_category, occupancy, CriticalPath};
-use parcomm_sim::{Ctx, SimTime, Simulation};
+use parcomm_sim::{Ctx, SimTime, Trace};
 
-fn partitioned_body(
-    ctx: &mut Ctx,
-    rank: &mut Rank,
-    n: usize,
-) -> Result<impl FnOnce(&mut Ctx) -> Result<(), MpiError>, MpiError> {
-    let buf = rank.gpu().alloc_global(n * 8);
-    let stream = rank.gpu().create_stream();
-    let grid = (n as u32).div_ceil(1024);
-    let coll = pallreduce_init(ctx, rank, &buf, 4, &stream, 7)?;
-    // Warm-up epoch: first-call pbuf_prepare and setup exchange happen
-    // outside the measured region.
-    coll.start(ctx)?;
-    coll.pbuf_prepare(ctx)?;
-    for u in 0..4 {
-        coll.pready(ctx, u)?;
+/// Run `body` on every rank of `world` and return rank 0's measured
+/// window. A failed simulation or rank ends the process.
+fn measured_window<F>(label: &str, world: World, body: F) -> (SimTime, SimTime)
+where
+    F: Fn(&mut Ctx, &mut Rank) -> Result<(SimTime, SimTime), MpiError> + Send + Sync + 'static,
+{
+    let run = world.try_run(move |ctx, rank| match body(ctx, rank) {
+        Ok(window) => (rank.rank() == 0).then_some(Ok(window)),
+        Err(e) => Some(Err((rank.rank(), e))),
+    });
+    let (reports, _) = run.unwrap_or_else(|e| {
+        eprintln!("error: {label} run failed: {e:?}");
+        std::process::exit(1);
+    });
+    let mut window = (SimTime::ZERO, SimTime::ZERO);
+    for report in reports {
+        match report {
+            Ok(w) => window = w,
+            Err((r, e)) => {
+                eprintln!("error: {label}: rank {r} failed: {e}");
+                std::process::exit(1);
+            }
+        }
     }
-    coll.wait(ctx)?;
-    Ok(move |ctx: &mut Ctx| {
-        coll.start(ctx)?;
-        coll.pbuf_prepare(ctx)?;
-        let c2 = coll.clone();
-        stream.launch(ctx, KernelSpec::vector_add(grid, 1024), move |d| c2.pready_device_all(d));
-        coll.wait(ctx)
-    })
+    window
 }
 
 fn main() {
@@ -53,63 +52,34 @@ fn main() {
     for partitioned in [true, false] {
         let label = if partitioned { "partitioned allreduce" } else { "ncclAllReduce" };
         let causal = partitioned && trace_out.is_some();
-        let mut sim = Simulation::with_seed(0xDEC0);
-        let trace = sim.trace();
-        let world = MpiWorld::gh200(&sim, 1);
-        let nccl = nccl_for_world(&world);
-        let window = Arc::new(Mutex::new((SimTime::ZERO, SimTime::ZERO)));
-        let errors: Arc<Mutex<Vec<(usize, MpiError)>>> = Arc::new(Mutex::new(Vec::new()));
-        let (w2, e2, trace2) = (window.clone(), errors.clone(), trace.clone());
-        world.run_ranks(&mut sim, move |ctx, rank| {
-            let measured = if partitioned {
-                match partitioned_body(ctx, rank, n) {
-                    Ok(f) => Some(f),
-                    Err(e) => {
-                        e2.lock().push((rank.rank(), e));
-                        return;
-                    }
-                }
-            } else {
-                None
+        let world = World::gh200(0xDEC0, 1);
+        let trace = world.sim.trace();
+        let nccl = nccl_for_world(&world.mpi);
+        let trace2 = trace.clone();
+        let (from, to) = measured_window(label, world, move |ctx, rank| {
+            let me = rank.rank();
+            // Record only the measured region; causal level adds the
+            // handoff spans the Chrome export needs.
+            let begin = |_| match (me, causal) {
+                (0, true) => trace2.enable_causal(),
+                (0, false) => trace2.enable(),
+                _ => {}
             };
-            rank.barrier(ctx);
-            if rank.rank() == 0 {
-                // Record only the measured region; causal level adds the
-                // handoff spans the Chrome export needs.
-                if causal {
-                    trace2.enable_causal();
-                } else {
-                    trace2.enable();
-                }
-                w2.lock().0 = ctx.now();
-            }
-            if let Some(run_epoch) = measured {
-                if let Err(e) = run_epoch(ctx) {
-                    e2.lock().push((rank.rank(), e));
-                    return;
-                }
+            if partitioned {
+                allreduce_epoch(ctx, rank, n, begin)
             } else {
+                rank.barrier(ctx);
+                let from = ctx.now();
+                begin(from);
                 let buf = rank.gpu().alloc_global(n * 8);
                 let stream = rank.gpu().create_stream();
                 let grid = (n as u32).div_ceil(1024);
                 stream.launch(ctx, KernelSpec::vector_add(grid, 1024), |_| {});
-                let done = nccl.all_reduce_f64(ctx, rank.rank(), &buf, 0, n, &stream);
+                let done = nccl.all_reduce_f64(ctx, me, &buf, 0, n, &stream);
                 ctx.wait(&done);
-            }
-            if rank.rank() == 0 {
-                w2.lock().1 = ctx.now();
+                Ok((from, ctx.now()))
             }
         });
-        if let Err(e) = sim.run() {
-            eprintln!("error: {label} run failed: {e:?}");
-            std::process::exit(1);
-        }
-        let errors = errors.lock().clone();
-        if let Some((r, e)) = errors.first() {
-            eprintln!("error: {label}: rank {r} failed: {e}");
-            std::process::exit(1);
-        }
-        let (from, to) = *window.lock();
         let total = to.since(from);
         println!("== {label}: measured interval {total} ==");
         let spans = trace.spans();
@@ -165,71 +135,16 @@ fn two_node_section() {
             (false, 1) => "flat ring, 2 nodes".to_string(),
             (false, s) => format!("flat ring + {s}-stripe striping, 2 nodes"),
         };
-        let mut sim = Simulation::with_seed(0xDEC02);
-        let trace = sim.trace();
-        let world = {
-            let mut cfg = WorldConfig::gh200(2);
-            cfg.stripes = stripes;
-            MpiWorld::new(&sim, cfg)
-        };
-        let registry = world.enable_metrics();
-        let topo = world.topology();
-        let window = Arc::new(Mutex::new((SimTime::ZERO, SimTime::ZERO)));
-        let errors: Arc<Mutex<Vec<(usize, MpiError)>>> = Arc::new(Mutex::new(Vec::new()));
-        let (w2, e2, trace2) = (window.clone(), errors.clone(), trace.clone());
-        world.run_ranks(&mut sim, move |ctx, rank| {
-            let buf = rank.gpu().alloc_global(n * 8);
-            let stream = rank.gpu().create_stream();
-            let grid = (n as u32).div_ceil(1024);
-            let init = if hierarchical {
-                pallreduce_init_hierarchical(ctx, rank, &buf, 4, &stream, 7)
-            } else {
-                pallreduce_init(ctx, rank, &buf, 4, &stream, 7)
-            };
-            let coll = match init {
-                Ok(c) => c,
-                Err(e) => {
-                    e2.lock().push((rank.rank(), e));
-                    return;
-                }
-            };
-            let epoch = |ctx: &mut Ctx| -> Result<(), MpiError> {
-                coll.start(ctx)?;
-                coll.pbuf_prepare(ctx)?;
-                let c2 = coll.clone();
-                stream.launch(ctx, KernelSpec::vector_add(grid, 1024), move |d| {
-                    c2.pready_device_all(d)
-                });
-                coll.wait(ctx)
-            };
-            // Warm-up epoch outside the traced window, as in the one-node
-            // decomposition.
-            if let Err(e) = epoch(ctx) {
-                e2.lock().push((rank.rank(), e));
-                return;
-            }
-            rank.barrier(ctx);
-            if rank.rank() == 0 {
-                trace2.enable_causal();
-                w2.lock().0 = ctx.now();
-            }
-            if let Err(e) = epoch(ctx) {
-                e2.lock().push((rank.rank(), e));
-                return;
-            }
-            if rank.rank() == 0 {
-                w2.lock().1 = ctx.now();
-            }
+        let mut cfg = WorldConfig::gh200(2);
+        cfg.stripes = stripes;
+        let world = World::new(0xDEC02, cfg);
+        let trace = world.sim.trace();
+        let registry = world.mpi.enable_metrics();
+        let topo = world.mpi.topology();
+        let trace2 = trace.clone();
+        let (from, to) = measured_window(&label, world, move |ctx, rank| {
+            two_node_epoch(ctx, rank, n, hierarchical, &trace2)
         });
-        if let Err(e) = sim.run() {
-            eprintln!("error: {label} run failed: {e:?}");
-            std::process::exit(1);
-        }
-        if let Some((r, e)) = errors.lock().first() {
-            eprintln!("error: {label}: rank {r} failed: {e}");
-            std::process::exit(1);
-        }
-        let (from, to) = *window.lock();
         println!("== {label}: measured epoch {} ==", to.since(from));
         // Whole-run cross-node bytes by NIC rail: the flat ring funnels
         // every boundary crossing through the boundary rank's NIC, the
@@ -273,4 +188,39 @@ fn two_node_section() {
         }
         println!();
     }
+}
+
+/// The two-node measured epoch on every rank: a device-readied warm-up
+/// epoch outside the traced window, as in the one-node decomposition, a
+/// barrier, then one causally traced epoch. Returns the measured window.
+fn two_node_epoch(
+    ctx: &mut Ctx,
+    rank: &Rank,
+    n: usize,
+    hierarchical: bool,
+    trace: &Trace,
+) -> Result<(SimTime, SimTime), MpiError> {
+    let buf = rank.gpu().alloc_global(n * 8);
+    let stream = rank.gpu().create_stream();
+    let grid = (n as u32).div_ceil(1024);
+    let coll = if hierarchical {
+        pallreduce_init_hierarchical(ctx, rank, &buf, 4, &stream, 7)
+    } else {
+        pallreduce_init(ctx, rank, &buf, 4, &stream, 7)
+    }?;
+    let epoch = |ctx: &mut Ctx| -> Result<(), MpiError> {
+        coll.start(ctx)?;
+        coll.pbuf_prepare(ctx)?;
+        let c2 = coll.clone();
+        stream.launch(ctx, KernelSpec::vector_add(grid, 1024), move |d| c2.pready_device_all(d));
+        coll.wait(ctx)
+    };
+    epoch(ctx)?;
+    rank.barrier(ctx);
+    let from = ctx.now();
+    if rank.rank() == 0 {
+        trace.enable_causal();
+    }
+    epoch(ctx)?;
+    Ok((from, ctx.now()))
 }

@@ -2,19 +2,14 @@
 //! vs the partitioned allreduce vs NCCL, on one node (4 GH200) and two
 //! nodes (8 GH200). Large kernel grid sizes, ring algorithm everywhere.
 
-use std::sync::Arc;
-
-use parcomm_sim::Mutex;
-
 use parcomm_apps::nccl_for_world;
 use parcomm_coll::pallreduce_init;
 use parcomm_gpu::KernelSpec;
-use parcomm_mpi::MpiWorld;
-use parcomm_sim::Simulation;
 use parcomm_sweep::SweepSpec;
 
 use crate::report::Experiment;
 use crate::stats::pow2_range;
+use crate::world::World;
 
 /// Which collective implementation a measurement uses.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -83,12 +78,9 @@ fn run(quick: bool, nodes: u16, id: &str, title: &str) -> Experiment {
 
 fn timed(nodes: u16, n: usize, coll: Coll, quick: bool) -> f64 {
     let iters = if quick { 1 } else { 3 };
-    let mut sim = Simulation::with_seed(0x0607 ^ n as u64 ^ (coll as u64) << 40);
-    let world = MpiWorld::gh200(&sim, nodes);
-    let nccl = nccl_for_world(&world);
-    let out = Arc::new(Mutex::new(0.0f64));
-    let out2 = out.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
+    let world = World::gh200(0x0607 ^ n as u64 ^ (coll as u64) << 40, nodes);
+    let nccl = nccl_for_world(&world.mpi);
+    world.run("fig06/07 point", move |ctx, rank| {
         let partitions = 4usize;
         let buf = rank.gpu().alloc_global(n * 8);
         let stream = rank.gpu().create_stream();
@@ -100,7 +92,7 @@ fn timed(nodes: u16, n: usize, coll: Coll, quick: bool) -> f64 {
         };
         rank.barrier(ctx);
         let t0 = ctx.now();
-        for it in 0..iters {
+        for _ in 0..iters {
             match coll {
                 Coll::Traditional => {
                     stream.launch(ctx, KernelSpec::vector_add(grid, 1024), |_| {});
@@ -123,13 +115,7 @@ fn timed(nodes: u16, n: usize, coll: Coll, quick: bool) -> f64 {
                     ctx.wait(&done);
                 }
             }
-            let _ = it;
         }
-        if rank.rank() == 0 {
-            *out2.lock() = ctx.now().since(t0).as_micros_f64() / iters as f64;
-        }
-    });
-    sim.run().expect("fig06/07 point");
-    let v = *out.lock();
-    v
+        (rank.rank() == 0).then(|| ctx.now().since(t0).as_micros_f64() / iters as f64)
+    })
 }

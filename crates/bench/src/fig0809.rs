@@ -2,17 +2,12 @@
 //! with the problem-size multiplier swept 1..=32 in powers of two
 //! (2×2 decomposition on four GH200, 4×2 on eight).
 
-use std::sync::Arc;
-
-use parcomm_sim::Mutex;
-
 use parcomm_apps::{run_jacobi, JacobiConfig, JacobiModel};
 use parcomm_core::CopyMechanism;
-use parcomm_mpi::MpiWorld;
-use parcomm_sim::Simulation;
 use parcomm_sweep::SweepSpec;
 
 use crate::report::Experiment;
+use crate::world::World;
 
 /// Fig. 8: four GH200 on one node.
 pub fn run_fig08(quick: bool) -> Experiment {
@@ -61,12 +56,8 @@ fn run(quick: bool, nodes: u16, id: &str, title: &str) -> Experiment {
 }
 
 fn gflops(nodes: u16, multiplier: usize, model: JacobiModel, quick: bool) -> f64 {
-    let mut sim = Simulation::with_seed(0x0809 ^ multiplier as u64);
-    let world = MpiWorld::gh200(&sim, nodes);
-    let out = Arc::new(Mutex::new(0.0f64));
-    let out2 = out.clone();
     let iterations = if quick { 5 } else { 30 };
-    world.run_ranks(&mut sim, move |ctx, rank| {
+    World::gh200(0x0809 ^ multiplier as u64, nodes).run("jacobi point", move |ctx, rank| {
         let cfg = JacobiConfig {
             base_h: 512,
             base_w: 512,
@@ -77,11 +68,6 @@ fn gflops(nodes: u16, multiplier: usize, model: JacobiModel, quick: bool) -> f64
             stencil_gbps: 300.0,
         };
         let result = run_jacobi(ctx, rank, &cfg).expect("run_jacobi");
-        if rank.rank() == 0 {
-            *out2.lock() = result.gflops;
-        }
-    });
-    sim.run().expect("jacobi point");
-    let v = *out.lock();
-    v
+        (rank.rank() == 0).then_some(result.gflops)
+    })
 }

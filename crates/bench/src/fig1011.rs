@@ -3,17 +3,12 @@
 //! `MPI_Allreduce`, the partitioned allreduce (including per-step
 //! `MPI_Start` + `MPIX_Pbuf_prepare`, as the paper measures), and NCCL.
 
-use std::sync::Arc;
-
-use parcomm_sim::Mutex;
-
 use parcomm_apps::{nccl_for_world, run_dl, DlConfig, DlModel};
-use parcomm_mpi::MpiWorld;
-use parcomm_sim::Simulation;
 use parcomm_sweep::SweepSpec;
 
 use crate::report::Experiment;
 use crate::stats::pow2_range;
+use crate::world::World;
 
 /// Fig. 10: four GH200 on one node.
 pub fn run_fig10(quick: bool) -> Experiment {
@@ -55,20 +50,12 @@ fn run(quick: bool, nodes: u16, id: &str, title: &str) -> Experiment {
 }
 
 fn per_step(nodes: u16, elements: usize, model: DlModel, quick: bool) -> f64 {
-    let mut sim = Simulation::with_seed(0x1011 ^ elements as u64);
-    let world = MpiWorld::gh200(&sim, nodes);
-    let nccl = nccl_for_world(&world);
-    let out = Arc::new(Mutex::new(0.0f64));
-    let out2 = out.clone();
+    let world = World::gh200(0x1011 ^ elements as u64, nodes);
+    let nccl = nccl_for_world(&world.mpi);
     let steps = if quick { 1 } else { 3 };
-    world.run_ranks(&mut sim, move |ctx, rank| {
+    world.run("dl point", move |ctx, rank| {
         let cfg = DlConfig { elements, partitions: 4, steps, functional: false, model };
         let result = run_dl(ctx, rank, &cfg, Some(&nccl)).expect("run_dl");
-        if rank.rank() == 0 {
-            *out2.lock() = result.per_step.as_micros_f64();
-        }
-    });
-    sim.run().expect("dl point");
-    let v = *out.lock();
-    v
+        (rank.rank() == 0).then(|| result.per_step.as_micros_f64())
+    })
 }

@@ -25,6 +25,7 @@ pub mod scaling;
 pub mod stats;
 pub mod striping;
 pub mod table1;
+pub mod world;
 
 pub use report::{
     arg_flag, arg_or_env, arg_value, fault_seed, mechanism, metrics_out, quick_mode, threads,

@@ -11,14 +11,11 @@
 //! partition size and prints a grep-able verdict note, plus the
 //! rkey-exchange invariant checked against live counters.
 
-use std::sync::Arc;
-
-use parcomm_core::{precv_init, prequest_create, psend_init, CopyMechanism, PrequestConfig};
+use parcomm_core::{CopyMechanism, PrequestConfig};
 use parcomm_gpu::KernelSpec;
-use parcomm_mpi::{MpiWorld, WorldConfig};
-use parcomm_sim::{Mutex, Simulation};
 use parcomm_sweep::SweepSpec;
 
+use crate::p2p::{world_config, Pair};
 use crate::report::Experiment;
 
 /// Run the three-mechanism sweep.
@@ -75,79 +72,20 @@ pub fn run(quick: bool) -> Experiment {
 /// `partition_bytes` each, 2 transport partitions) under `mechanism`;
 /// returns the sender-side latency from kernel launch to `MPI_Wait`.
 fn epoch_us(partition_bytes: usize, mechanism: CopyMechanism) -> f64 {
-    let (world, mut sim) = build_world(partition_bytes, mechanism);
-    let out = Arc::new(Mutex::new(0.0f64));
-    let o2 = out.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
-        let parts = 4usize;
-        let buf = rank.gpu().alloc_global(parts * partition_bytes);
-        match rank.rank() {
-            0 => {
-                let sreq = psend_init(ctx, rank, 1, 14, &buf, parts).expect("init");
-                sreq.start(ctx).expect("start");
-                sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                let preq = prequest_create(ctx, rank, &sreq, PrequestConfig {
-                    copy: mechanism,
-                    transport_partitions: 2,
-                    ..PrequestConfig::default()
-                })
-                .expect("intra-node prequest negotiates every mechanism");
-                rank.barrier(ctx);
-                let t0 = ctx.now();
-                let stream = rank.gpu().create_stream();
-                stream.launch(ctx, KernelSpec::vector_add(1, 64), move |d| preq.pready_all(d));
-                sreq.wait(ctx).expect("wait");
-                *o2.lock() = ctx.now().since(t0).as_micros_f64();
-            }
-            1 => {
-                let rreq = precv_init(ctx, rank, 0, 14, &buf, parts).expect("init");
-                rreq.start(ctx).expect("start");
-                rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                rank.barrier(ctx);
-                rreq.wait(ctx).expect("wait");
-            }
-            _ => rank.barrier(ctx),
-        }
-    });
-    sim.run().expect("mechanism epoch");
-    let v = *out.lock();
-    v
+    let pair = Pair { align: true, ..pair(partition_bytes, mechanism, 14) };
+    let kernel = KernelSpec::vector_add(1, 64);
+    pair.measure(move |ctx, rank, tx| tx.kernel_epochs(ctx, rank, &kernel, false))
 }
 
 /// The rkey invariant, measured rather than asserted from structure: one
 /// shmem epoch with live counters, returning
 /// `(ucx.rkey_exchanges, shmem.rkey_exchanges_avoided)`.
 fn shmem_rkey_counters(partition_bytes: usize) -> (u64, u64) {
-    let (world, mut sim) = build_world(partition_bytes, CopyMechanism::Shmem);
-    let registry = world.enable_metrics();
-    world.run_ranks(&mut sim, move |ctx, rank| {
-        let parts = 4usize;
-        let buf = rank.gpu().alloc_global(parts * partition_bytes);
-        match rank.rank() {
-            0 => {
-                let sreq = psend_init(ctx, rank, 1, 15, &buf, parts).expect("init");
-                sreq.start(ctx).expect("start");
-                sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                let preq = prequest_create(ctx, rank, &sreq, PrequestConfig {
-                    copy: CopyMechanism::Shmem,
-                    transport_partitions: 2,
-                    ..PrequestConfig::default()
-                })
-                .expect("prequest");
-                let stream = rank.gpu().create_stream();
-                stream.launch(ctx, KernelSpec::vector_add(1, 64), move |d| preq.pready_all(d));
-                sreq.wait(ctx).expect("wait");
-            }
-            1 => {
-                let rreq = precv_init(ctx, rank, 0, 15, &buf, parts).expect("init");
-                rreq.start(ctx).expect("start");
-                rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                rreq.wait(ctx).expect("wait");
-            }
-            _ => {}
-        }
-    });
-    sim.run().expect("rkey invariant epoch");
+    let pair = pair(partition_bytes, CopyMechanism::Shmem, 15);
+    let world = pair.world();
+    let registry = world.mpi.enable_metrics();
+    let kernel = KernelSpec::vector_add(1, 64);
+    pair.measure_in(world, move |ctx, rank, tx| tx.kernel_epochs(ctx, rank, &kernel, false));
     let snap = registry.snapshot();
     (
         snap.counter("ucx.rkey_exchanges").unwrap_or(0),
@@ -155,15 +93,25 @@ fn shmem_rkey_counters(partition_bytes: usize) -> (u64, u64) {
     )
 }
 
-/// A one-node world seeded per partition size; the world default mechanism
+/// A one-node device pair seeded per partition size: 4 user partitions,
+/// 2 transport partitions under `mechanism`. The world default mechanism
 /// is set to Shmem only when measuring shmem so the classic runs keep the
 /// frozen negotiation path.
-fn build_world(partition_bytes: usize, mechanism: CopyMechanism) -> (MpiWorld, Simulation) {
-    let sim = Simulation::with_seed(0x3EC4 ^ partition_bytes as u64);
-    let mut config = WorldConfig::gh200(1);
-    if mechanism == CopyMechanism::Shmem {
-        config.mechanism = CopyMechanism::Shmem;
+fn pair(partition_bytes: usize, mechanism: CopyMechanism, tag: u64) -> Pair {
+    let parts = 4;
+    Pair {
+        device: Some(PrequestConfig {
+            copy: mechanism,
+            transport_partitions: 2,
+            ..PrequestConfig::default()
+        }),
+        ..Pair::new(
+            world_config(1, mechanism),
+            0x3EC4 ^ partition_bytes as u64,
+            (0, 1),
+            tag,
+            parts,
+            parts * partition_bytes,
+        )
     }
-    let world = MpiWorld::new(&sim, config);
-    (world, sim)
 }

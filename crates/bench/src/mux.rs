@@ -18,20 +18,18 @@
 //! order the mux tick uses. Each cell is a deterministic simulation
 //! digested end to end; output is byte-identical at any `--threads` count.
 
-use std::sync::Arc;
-
 use parcomm_core::{prequest_create, CopyMechanism, PrequestConfig};
 use parcomm_gpu::{AggLevel, KernelSpec};
-use parcomm_mpi::{MpiWorld, WorldConfig};
+use parcomm_mpi::WorldConfig;
 use parcomm_mux::{
     ChannelSpec, Direction, MuxChannelId, MuxConfig, MuxService, TenantReport, WeightedFair,
 };
 use parcomm_obs::attach_jsonl_spill;
-use parcomm_sim::{Mutex, Simulation};
 use parcomm_sweep::SweepSpec;
 use parcomm_testkit::digest;
 
 use crate::report::Experiment;
+use crate::world::World;
 
 /// Sim seed for every mux cell.
 pub const MUX_SEED: u64 = 0x00B0_55ED;
@@ -122,25 +120,21 @@ const PARTITION_BYTES: usize = 256;
 /// mode for 4096-channel runs).
 pub fn mux_cell(cfg: &MuxCellCfg, spill: Option<&str>) -> MuxCellStats {
     assert!(cfg.channels >= 2 && cfg.channels.is_multiple_of(2), "channels must be even");
-    let mut sim = Simulation::with_seed(MUX_SEED);
-    let trace = sim.trace();
+    let world = World::new(MUX_SEED, WorldConfig {
+        mechanism: cfg.mechanism,
+        shmem_heap_bytes: 32 << 20,
+        ..WorldConfig::gh200(1)
+    });
+    let trace = world.sim.trace();
     trace.enable();
     let spill_handle = spill.map(|path| {
         trace.set_capacity(Some(8192));
         attach_jsonl_spill(&trace, path).expect("create trace spill")
     });
-    let world = MpiWorld::new(&sim, WorldConfig {
-        mechanism: cfg.mechanism,
-        shmem_heap_bytes: 32 << 20,
-        ..WorldConfig::gh200(1)
-    });
     let weights = cfg.weights();
     let pairs = cfg.channels / 2;
-    let out: Arc<Mutex<(Vec<TenantReport>, f64, usize)>> =
-        Arc::new(Mutex::new((Vec::new(), 0.0, 0)));
-    let o2 = out.clone();
     let cell = cfg.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
+    let run = world.try_run(move |ctx, rank| {
         let size = rank.size();
         let me = rank.rank();
         let gpu = rank.gpu();
@@ -206,13 +200,8 @@ pub fn mux_cell(cfg: &MuxCellCfg, spill: Option<&str>) -> MuxCellStats {
                         transport_partitions: 1,
                         multi_block_counters: true,
                     };
-                    prequest_create(ctx, rank, &sreq, want).unwrap_or_else(|_| {
-                        prequest_create(ctx, rank, &sreq, PrequestConfig {
-                            copy: CopyMechanism::ProgressionEngine,
-                            ..want
-                        })
-                        .expect("PE prequest always available")
-                    })
+                    // One node: every Kernel Copy channel maps its peer.
+                    prequest_create(ctx, rank, &sreq, want).expect("Kernel Copy prequest")
                 })
             })
             .collect();
@@ -289,19 +278,12 @@ pub fn mux_cell(cfg: &MuxCellCfg, spill: Option<&str>) -> MuxCellStats {
                 }
             }
         }
-        if me == 0 {
-            *o2.lock() = (
-                mux.tenant_stats(),
-                ctx.now().since(t0).as_micros_f64(),
-                admitted.len(),
-            );
-        }
+        (me == 0).then(|| {
+            (mux.tenant_stats(), ctx.now().since(t0).as_micros_f64(), admitted.len())
+        })
     });
-    let report = sim.run().expect("mux cell sim");
-    let (reports, elapsed_us, admitted) = {
-        let locked = out.lock();
-        locked.clone()
-    };
+    let (mut reported, report) = run.expect("mux cell sim");
+    let (reports, elapsed_us, admitted) = reported.pop().expect("rank 0 reports");
     let mut d = digest::Digest::new();
     d.write_u64(digest::run_digest(&report, &trace));
     for r in &reports {

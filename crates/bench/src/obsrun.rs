@@ -12,16 +12,13 @@
 //! - a critical-path report walking the causal graph backward from the
 //!   last completion.
 
-use std::sync::Arc;
-
 use parcomm_coll::pallreduce_init;
 use parcomm_gpu::KernelSpec;
-use parcomm_mpi::{MpiError, MpiWorld, Rank};
-use parcomm_obs::{
-    chrome_trace_json_with_counters, folded_stacks, CriticalPath, MetricsRegistry,
-    MetricsSnapshot,
-};
-use parcomm_sim::{Ctx, Mutex, SimTime, Simulation, Trace, TraceSpan};
+use parcomm_mpi::{MpiError, Rank};
+use parcomm_obs::{chrome_trace_json_with_counters, folded_stacks, CriticalPath, MetricsSnapshot};
+use parcomm_sim::{Ctx, SimTime, TraceSpan};
+
+use crate::world::World;
 
 /// The artifacts of one traced allreduce run.
 pub struct ObsRun {
@@ -67,21 +64,21 @@ impl ObsRun {
     }
 }
 
-fn rank_body(
+/// The §VI-B measured epoch, on every rank: a partitioned allreduce of
+/// `n` f64 whose warm-up epoch is host-readied, so the setup exchange and
+/// the first `pbuf_prepare` stay outside the measurement; then a barrier,
+/// `begin` (where rank 0 starts tracing), and one device-readied epoch.
+/// Returns the measured window.
+pub fn allreduce_epoch(
     ctx: &mut Ctx,
-    rank: &mut Rank,
+    rank: &Rank,
     n: usize,
-    trace: &Trace,
-    window: &Mutex<(SimTime, SimTime)>,
-    registry: &MetricsRegistry,
-    samples: &Mutex<Vec<(SimTime, MetricsSnapshot)>>,
-) -> Result<(), MpiError> {
+    begin: impl FnOnce(SimTime),
+) -> Result<(SimTime, SimTime), MpiError> {
     let buf = rank.gpu().alloc_global(n * 8);
     let stream = rank.gpu().create_stream();
     let grid = (n as u32).div_ceil(1024);
     let coll = pallreduce_init(ctx, rank, &buf, 4, &stream, 7)?;
-    // Warm-up epoch: setup exchange and first-call pbuf_prepare stay
-    // outside the measured (and traced) region.
     coll.start(ctx)?;
     coll.pbuf_prepare(ctx)?;
     for u in 0..4 {
@@ -89,21 +86,14 @@ fn rank_body(
     }
     coll.wait(ctx)?;
     rank.barrier(ctx);
-    if rank.rank() == 0 {
-        trace.enable_causal(); // record the measured epoch, with handoffs
-        window.lock().0 = ctx.now();
-        samples.lock().push((ctx.now(), registry.snapshot()));
-    }
+    let from = ctx.now();
+    begin(from);
     coll.start(ctx)?;
     coll.pbuf_prepare(ctx)?;
     let c2 = coll.clone();
     stream.launch(ctx, KernelSpec::vector_add(grid, 1024), move |d| c2.pready_device_all(d));
     coll.wait(ctx)?;
-    if rank.rank() == 0 {
-        window.lock().1 = ctx.now();
-        samples.lock().push((ctx.now(), registry.snapshot()));
-    }
-    Ok(())
+    Ok((from, ctx.now()))
 }
 
 /// Run the traced 1K-grid partitioned allreduce (quick mode shrinks the
@@ -112,27 +102,38 @@ fn rank_body(
 /// into the error string.
 pub fn run_traced_allreduce(quick: bool) -> Result<ObsRun, String> {
     let n = if quick { 64 * 1024 } else { 1024 * 1024 };
-    let mut sim = Simulation::with_seed(0x0B5);
-    let trace = sim.trace();
-    let world = MpiWorld::gh200(&sim, 1);
-    let registry = world.enable_metrics();
-    let window = Arc::new(Mutex::new((SimTime::ZERO, SimTime::ZERO)));
-    let samples: Arc<Mutex<Vec<(SimTime, MetricsSnapshot)>>> = Arc::new(Mutex::new(Vec::new()));
-    let errors: Arc<Mutex<Vec<(usize, MpiError)>>> = Arc::new(Mutex::new(Vec::new()));
-    let (t2, w2, e2) = (trace.clone(), window.clone(), errors.clone());
-    let (r2, s2) = (registry.clone(), samples.clone());
-    world.run_ranks(&mut sim, move |ctx, rank| {
-        if let Err(e) = rank_body(ctx, rank, n, &t2, &w2, &r2, &s2) {
-            e2.lock().push((rank.rank(), e));
+    let world = World::gh200(0x0B5, 1);
+    let trace = world.sim.trace();
+    let registry = world.mpi.enable_metrics();
+    let (t2, r2) = (trace.clone(), registry.clone());
+    let (reports, _) = world
+        .try_run(move |ctx, rank| {
+            let me = rank.rank();
+            let mut samples = Vec::new();
+            let measured = allreduce_epoch(ctx, rank, n, |from| {
+                if me == 0 {
+                    t2.enable_causal(); // record the measured epoch, with handoffs
+                    samples.push((from, r2.snapshot()));
+                }
+            });
+            match measured {
+                Ok(window) if me == 0 => {
+                    samples.push((window.1, r2.snapshot()));
+                    Some(Ok((window, samples)))
+                }
+                Ok(_) => None,
+                Err(e) => Some(Err((me, e))),
+            }
+        })
+        .map_err(|e| format!("traced allreduce simulation failed: {e:?}"))?;
+    let mut measured = None;
+    for report in reports {
+        match report {
+            Ok(m) => measured = Some(m),
+            Err((r, e)) => return Err(format!("traced allreduce: rank {r} failed: {e}")),
         }
-    });
-    sim.run().map_err(|e| format!("traced allreduce simulation failed: {e:?}"))?;
-    let errors = errors.lock().clone();
-    if let Some((r, e)) = errors.first() {
-        return Err(format!("traced allreduce: rank {r} failed: {e}"));
     }
-    let (from, to) = *window.lock();
-    let counter_samples = samples.lock().clone();
+    let ((from, to), counter_samples) = measured.ok_or("traced allreduce: no measured window")?;
     Ok(ObsRun { spans: trace.spans(), metrics: registry.snapshot(), counter_samples, from, to })
 }
 

@@ -3,15 +3,11 @@
 //! bandwidth, partition-count overhead, achievable overlap, and a halo
 //! pattern — all against the partitioned API rather than plain P2P.
 
-use std::sync::Arc;
-
-use parcomm_sim::Mutex;
-
-use parcomm_core::{precv_init, prequest_create, psend_init, PrequestConfig};
+use parcomm_core::PrequestConfig;
 use parcomm_gpu::KernelSpec;
-use parcomm_mpi::MpiWorld;
-use parcomm_sim::Simulation;
+use parcomm_mpi::WorldConfig;
 
+use crate::p2p::Pair;
 use crate::report::Experiment;
 use crate::stats::pow2_range;
 
@@ -42,49 +38,12 @@ pub fn run_latency(quick: bool) -> Experiment {
 }
 
 fn latency_once(nodes: u16, a: usize, b: usize, bytes: usize, quick: bool) -> f64 {
-    let iters = if quick { 3 } else { 20 };
-    let mut sim = Simulation::with_seed(0x9B01 ^ bytes as u64);
-    let world = MpiWorld::gh200(&sim, nodes);
-    let out = Arc::new(Mutex::new(0.0f64));
-    let o2 = out.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
-        let buf = rank.gpu().alloc_global(bytes.max(8));
-        if rank.rank() == a {
-            let sreq = psend_init(ctx, rank, b, 1, &buf, 1).expect("init");
-            sreq.start(ctx).expect("start");
-            sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-            rank.barrier(ctx);
-            let mut total = 0.0;
-            for it in 0..iters {
-                let t0 = ctx.now();
-                sreq.pready(ctx, 0).expect("pready");
-                sreq.wait(ctx).expect("wait");
-                total += ctx.now().since(t0).as_micros_f64();
-                if it + 1 < iters {
-                    sreq.start(ctx).expect("start");
-                    sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                }
-            }
-            *o2.lock() = total / iters as f64;
-        } else if rank.rank() == b {
-            let rreq = precv_init(ctx, rank, a, 1, &buf, 1).expect("init");
-            rreq.start(ctx).expect("start");
-            rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-            rank.barrier(ctx);
-            for it in 0..iters {
-                rreq.wait(ctx).expect("wait");
-                if it + 1 < iters {
-                    rreq.start(ctx).expect("start");
-                    rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                }
-            }
-        } else {
-            rank.barrier(ctx);
-        }
-    });
-    sim.run().expect("pbench latency");
-    let v = *out.lock();
-    v
+    let pair = Pair {
+        epochs: if quick { 3 } else { 20 },
+        align: true,
+        ..Pair::new(WorldConfig::gh200(nodes), 0x9B01 ^ bytes as u64, (a, b), 1, 1, bytes.max(8))
+    };
+    pair.measure(|ctx, _, tx| tx.host_epochs(ctx))
 }
 
 /// Per-partition overhead: fixed 8 MB payload split into 1..=256
@@ -117,53 +76,13 @@ pub fn run_partition_overhead(quick: bool) -> Experiment {
 }
 
 fn partition_epoch(partitions: usize, quick: bool) -> f64 {
-    let iters = if quick { 2 } else { 10 };
-    let bytes = 8 << 20;
-    let mut sim = Simulation::with_seed(0x9B02 ^ partitions as u64);
-    let world = MpiWorld::gh200(&sim, 1);
-    let out = Arc::new(Mutex::new(0.0f64));
-    let o2 = out.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
-        let buf = rank.gpu().alloc_global(bytes);
-        match rank.rank() {
-            0 => {
-                let sreq = psend_init(ctx, rank, 1, 2, &buf, partitions).expect("init");
-                sreq.set_transport_partitions(partitions).expect("set_transport_partitions");
-                sreq.start(ctx).expect("start");
-                sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                let mut total = 0.0;
-                for it in 0..iters {
-                    let t0 = ctx.now();
-                    for u in 0..partitions {
-                        sreq.pready(ctx, u).expect("pready");
-                    }
-                    sreq.wait(ctx).expect("wait");
-                    total += ctx.now().since(t0).as_micros_f64();
-                    if it + 1 < iters {
-                        sreq.start(ctx).expect("start");
-                        sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                    }
-                }
-                *o2.lock() = total / iters as f64;
-            }
-            1 => {
-                let rreq = precv_init(ctx, rank, 0, 2, &buf, partitions).expect("init");
-                rreq.start(ctx).expect("start");
-                rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                for it in 0..iters {
-                    rreq.wait(ctx).expect("wait");
-                    if it + 1 < iters {
-                        rreq.start(ctx).expect("start");
-                        rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                    }
-                }
-            }
-            _ => {}
-        }
-    });
-    sim.run().expect("pbench partitions");
-    let v = *out.lock();
-    v
+    let seed = 0x9B02 ^ partitions as u64;
+    let pair = Pair {
+        transports: Some(partitions),
+        epochs: if quick { 2 } else { 10 },
+        ..Pair::new(WorldConfig::gh200(1), seed, (0, 1), 2, partitions, 8 << 20)
+    };
+    pair.measure(|ctx, _, tx| tx.host_epochs(ctx))
 }
 
 /// Achievable overlap (Schonbein et al.'s early-bird potential, paper
@@ -210,64 +129,11 @@ fn overlap_once(ratio: f64, quick: bool) -> (f64, f64) {
 }
 
 fn overlap_measure(kernel: KernelSpec, bytes: usize, progressive: bool, quick: bool) -> f64 {
-    let iters = if quick { 2 } else { 5 };
-    let mut sim = Simulation::with_seed(0x9B03 ^ progressive as u64);
-    let world = MpiWorld::gh200(&sim, 2);
-    let out = Arc::new(Mutex::new(0.0f64));
-    let o2 = out.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
-        let parts = 64usize;
-        let buf = rank.gpu().alloc_global(bytes);
-        match rank.rank() {
-            0 => {
-                let sreq = psend_init(ctx, rank, 4, 3, &buf, parts).expect("init");
-                sreq.start(ctx).expect("start");
-                sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                let preq = prequest_create(
-                    ctx,
-                    rank,
-                    &sreq,
-                    PrequestConfig { transport_partitions: 8, ..PrequestConfig::default() },
-                )
-                .expect("prequest");
-                let stream = rank.gpu().create_stream();
-                let mut total = 0.0;
-                for it in 0..iters {
-                    let t0 = ctx.now();
-                    let p2 = preq.clone();
-                    let spec = kernel.clone();
-                    stream.launch(ctx, spec, move |d| {
-                        if progressive {
-                            p2.pready_all_progressive(d);
-                        } else {
-                            p2.pready_all(d);
-                        }
-                    });
-                    sreq.wait(ctx).expect("wait");
-                    total += ctx.now().since(t0).as_micros_f64();
-                    if it + 1 < iters {
-                        sreq.start(ctx).expect("start");
-                        sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                    }
-                }
-                *o2.lock() = total / iters as f64;
-            }
-            4 => {
-                let rreq = precv_init(ctx, rank, 0, 3, &buf, parts).expect("init");
-                rreq.start(ctx).expect("start");
-                rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                for it in 0..iters {
-                    rreq.wait(ctx).expect("wait");
-                    if it + 1 < iters {
-                        rreq.start(ctx).expect("start");
-                        rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                    }
-                }
-            }
-            _ => {}
-        }
-    });
-    sim.run().expect("pbench overlap");
-    let v = *out.lock();
-    v
+    let seed = 0x9B03 ^ progressive as u64;
+    let pair = Pair {
+        device: Some(PrequestConfig { transport_partitions: 8, ..PrequestConfig::default() }),
+        epochs: if quick { 2 } else { 5 },
+        ..Pair::new(WorldConfig::gh200(2), seed, (0, 4), 3, 64, bytes)
+    };
+    pair.measure(move |ctx, rank, tx| tx.kernel_epochs(ctx, rank, &kernel, progressive))
 }

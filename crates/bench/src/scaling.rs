@@ -26,19 +26,15 @@
 //! rank-0 buffer) so regressions in either variant are a one-line diff.
 //! `crates/bench/tests/scaling.rs` freezes the digests at 1 and 4 nodes.
 
-use std::sync::Arc;
-
-use parcomm_sim::Mutex;
-
 use parcomm_coll::{pallreduce_init, pallreduce_init_hierarchical};
 use parcomm_gpu::KernelSpec;
-use parcomm_mpi::{MpiWorld, WorldConfig};
+use parcomm_mpi::WorldConfig;
 use parcomm_net::ClusterSpec;
-use parcomm_sim::Simulation;
 use parcomm_sweep::SweepSpec;
 use parcomm_testkit::digest;
 
 use crate::report::Experiment;
+use crate::world::World;
 
 /// Sim seed for every scaling cell; frozen by `tests/scaling.rs`.
 pub const SCALING_SEED: u64 = 0x5CA1_E0F0;
@@ -101,14 +97,10 @@ pub fn allreduce_cell(nodes: u16, hierarchical: bool, chunk_elems: usize) -> (f6
 /// epoch pair; the uniform spec is bit-identical to the classic cell.
 pub fn allreduce_cell_on(cluster: ClusterSpec, hierarchical: bool, chunk_elems: usize) -> (f64, u64) {
     let nodes = cluster.nodes;
-    let mut sim = Simulation::with_seed(SCALING_SEED);
-    let trace = sim.trace();
+    let world = World::new(SCALING_SEED, WorldConfig { cluster, ..WorldConfig::gh200(nodes) });
+    let trace = world.sim.trace();
     trace.enable();
-    let world =
-        MpiWorld::new(&sim, WorldConfig { cluster, ..WorldConfig::gh200(nodes) });
-    let out = Arc::new(Mutex::new((0.0f64, Vec::new())));
-    let o2 = out.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
+    let run = world.try_run(move |ctx, rank| {
         let partitions = 4usize;
         let p = rank.size();
         let n = partitions * p * chunk_elems;
@@ -145,14 +137,12 @@ pub fn allreduce_cell_on(cluster: ClusterSpec, hierarchical: bool, chunk_elems: 
                 let expect = (31 * p * (p - 1) / 2 + p * i) as f64;
                 assert_eq!(*v, expect, "allreduce sum mismatch at element {i}");
             }
-            *o2.lock() = (us, got);
+            return Some((us, got));
         }
+        None
     });
-    let report = sim.run().expect("scaling cell sim");
-    let (us, vals) = {
-        let guard = out.lock();
-        (guard.0, guard.1.clone())
-    };
+    let (mut reported, report) = run.expect("scaling cell sim");
+    let (us, vals) = reported.pop().expect("rank 0 reports");
     let mut d = digest::Digest::new();
     d.write_u64(digest::run_digest(&report, &trace));
     d.write_f64_slice(&vals);

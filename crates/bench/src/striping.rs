@@ -18,16 +18,14 @@
 //! CI `scale` job diffs a serial sweep against a 4-worker sweep and greps
 //! the goodput verdict line.
 
-use std::sync::Arc;
-
-use parcomm_sim::Mutex;
-
-use parcomm_core::{precv_init, psend_init};
-use parcomm_mpi::MpiWorld;
-use parcomm_sim::Simulation;
+use parcomm_core::{PrecvRequest, PsendRequest};
+use parcomm_gpu::Buffer;
+use parcomm_mpi::{Rank, WorldConfig};
+use parcomm_sim::Ctx;
 use parcomm_sweep::SweepSpec;
 use parcomm_testkit::digest;
 
+use crate::p2p::Pair;
 use crate::report::Experiment;
 
 /// Sim seed for every striping cell; frozen by `tests/striping.rs`.
@@ -57,60 +55,54 @@ pub fn stripes_arg() -> Option<Vec<usize>> {
 /// producing a fast-but-wrong number. Needs `nodes >= 2`.
 pub fn striped_p2p_cell(nodes: u16, stripes: usize, partition_bytes: usize) -> (f64, u64) {
     assert!(nodes >= 2, "striping cell is cross-node by construction");
-    let mut sim = Simulation::with_seed(STRIPING_SEED);
-    let trace = sim.trace();
+    let config = WorldConfig::gh200(nodes);
+    let gpus = config.cluster.gpus_per_node as usize;
+    let parts = 8;
+    let pair = Pair {
+        align: true,
+        ..Pair::new(config, STRIPING_SEED, (gpus - 1, gpus), 21, parts, parts * partition_bytes)
+    };
+    let world = pair.world();
+    let trace = world.sim.trace();
     trace.enable();
-    let world = MpiWorld::gh200(&sim, nodes);
-    let gpus = world.topology().gpus_per_node() as usize;
-    let (sender, receiver) = (gpus - 1, gpus);
-    let out = Arc::new(Mutex::new(0.0f64));
-    let o2 = out.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
-        let parts = 8usize;
-        let buf = rank.gpu().alloc_global(parts * partition_bytes);
-        if rank.rank() == sender {
-            let sreq = psend_init(ctx, rank, receiver, 21, &buf, parts).expect("psend init");
-            sreq.set_transport_partitions(parts).expect("transports");
-            sreq.set_stripes(stripes).expect("stripes");
-            let epoch = |ctx: &mut parcomm_sim::Ctx| {
-                for u in 0..parts {
-                    buf.write_f64_slice(u * partition_bytes, &[(u + 1) as f64; 16]);
-                }
-                sreq.start(ctx).expect("start");
-                sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                for u in 0..parts {
-                    sreq.pready(ctx, u).expect("pready");
-                }
-                sreq.wait(ctx).expect("wait");
-            };
-            epoch(ctx);
-            rank.barrier(ctx);
-            let t0 = ctx.now();
-            epoch(ctx);
-            *o2.lock() = ctx.now().since(t0).as_micros_f64();
-        } else if rank.rank() == receiver {
-            let rreq = precv_init(ctx, rank, sender, 21, &buf, parts).expect("precv init");
-            let epoch = |ctx: &mut parcomm_sim::Ctx| {
-                rreq.start(ctx).expect("start");
-                rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
-                rreq.wait(ctx).expect("wait");
-                for u in 0..parts {
-                    assert_eq!(
-                        buf.read_f64(u * partition_bytes),
-                        (u + 1) as f64,
-                        "stripe reassembly corrupted partition {u}"
-                    );
-                }
-            };
-            epoch(ctx);
-            rank.barrier(ctx);
-            epoch(ctx);
-        } else {
-            rank.barrier(ctx);
-        }
-    });
-    let report = sim.run().expect("striping cell sim");
-    let us = *out.lock();
+    let send = move |ctx: &mut Ctx, rank: &Rank, sreq: PsendRequest, buf: &Buffer| {
+        sreq.set_transport_partitions(parts).expect("transports");
+        sreq.set_stripes(stripes).expect("stripes");
+        let epoch = |ctx: &mut Ctx| {
+            for u in 0..parts {
+                buf.write_f64_slice(u * partition_bytes, &[(u + 1) as f64; 16]);
+            }
+            sreq.start(ctx).expect("start");
+            sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
+            for u in 0..parts {
+                sreq.pready(ctx, u).expect("pready");
+            }
+            sreq.wait(ctx).expect("wait");
+        };
+        epoch(ctx);
+        rank.barrier(ctx);
+        let t0 = ctx.now();
+        epoch(ctx);
+        ctx.now().since(t0).as_micros_f64()
+    };
+    let recv = move |ctx: &mut Ctx, rank: &Rank, rreq: PrecvRequest, buf: &Buffer| {
+        let epoch = |ctx: &mut Ctx| {
+            rreq.start(ctx).expect("start");
+            rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
+            rreq.wait(ctx).expect("wait");
+            for u in 0..parts {
+                assert_eq!(
+                    buf.read_f64(u * partition_bytes),
+                    (u + 1) as f64,
+                    "stripe reassembly corrupted partition {u}"
+                );
+            }
+        };
+        epoch(ctx);
+        rank.barrier(ctx);
+        epoch(ctx);
+    };
+    let (us, report) = pair.run_in(world, send, recv);
     let mut d = digest::Digest::new();
     d.write_u64(digest::run_digest(&report, &trace));
     d.write_f64(us);

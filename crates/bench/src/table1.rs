@@ -2,18 +2,13 @@
 //! the calls in the simulation — 100-iteration control flow, 10 samples,
 //! mean ± standard deviation, exactly as the paper reports.
 
-use std::sync::Arc;
-
-use parcomm_sim::Mutex;
-
 use parcomm_coll::pallreduce_init;
 use parcomm_core::{precv_init, prequest_create, psend_init, PrequestConfig};
-use parcomm_mpi::MpiWorld;
-use parcomm_sim::Simulation;
 use parcomm_sweep::SweepSpec;
 
 use crate::report::Experiment;
 use crate::stats::{mean, stddev};
+use crate::world::World;
 
 /// Paper values for the side-by-side note.
 const PAPER: [(&str, f64, f64); 4] = [
@@ -23,6 +18,7 @@ const PAPER: [(&str, f64, f64); 4] = [
     ("MPIX_Pbuf_prepare (steady)", 3.4, 1.4),
 ];
 
+#[derive(Default)]
 struct Samples {
     p2p_init: Vec<f64>,
     pallreduce_init: Vec<f64>,
@@ -41,13 +37,7 @@ pub fn run(quick: bool) -> Experiment {
     for s in 0..samples {
         spec.cell(format!("sample={s}"), move || sample(iters, s as u64));
     }
-    let mut all = Samples {
-        p2p_init: Vec::new(),
-        pallreduce_init: Vec::new(),
-        prequest_create: Vec::new(),
-        pbuf_first: Vec::new(),
-        pbuf_steady: Vec::new(),
-    };
+    let mut all = Samples::default();
     for one in crate::report::run_sweep(spec, "table1 sweep") {
         all.p2p_init.extend(one.p2p_init);
         all.pallreduce_init.extend(one.pallreduce_init);
@@ -84,23 +74,13 @@ pub fn run(quick: bool) -> Experiment {
 
 /// One sample world: time each call on the sender rank.
 fn sample(iters: usize, seed: u64) -> Samples {
-    let mut sim = Simulation::with_seed(0x7AB1 ^ seed);
-    let world = MpiWorld::gh200(&sim, 1);
-    let out = Arc::new(Mutex::new(None::<Samples>));
-    let out2 = out.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
+    World::gh200(0x7AB1 ^ seed, 1).run("table1 sample", move |ctx, rank| {
         let parts = 8usize;
         let buf = rank.gpu().alloc_global(parts * 1024);
         let stream = rank.gpu().create_stream();
         match rank.rank() {
             0 => {
-                let mut s = Samples {
-                    p2p_init: Vec::new(),
-                    pallreduce_init: Vec::new(),
-                    prequest_create: Vec::new(),
-                    pbuf_first: Vec::new(),
-                    pbuf_steady: Vec::new(),
-                };
+                let mut s = Samples::default();
                 // Timed MPI_Psend_init.
                 let t0 = ctx.now();
                 let sreq = psend_init(ctx, rank, 1, 9, &buf, parts).expect("init");
@@ -141,7 +121,7 @@ fn sample(iters: usize, seed: u64) -> Samples {
                     sreq.pready(ctx, u).expect("pready");
                 }
                 sreq.wait(ctx).expect("wait");
-                *out2.lock() = Some(s);
+                Some(s)
             }
             1 => {
                 let t0 = ctx.now();
@@ -157,25 +137,14 @@ fn sample(iters: usize, seed: u64) -> Samples {
                     rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
                     rreq.wait(ctx).expect("wait");
                 }
+                None
             }
             _ => {
                 // Other ranks only participate in the collective init.
                 let coll = pallreduce_init(ctx, rank, &buf, 4, &stream, 19).expect("init");
                 let _ = coll;
+                None
             }
         }
-    });
-    sim.run().expect("table1 sample");
-    let guard = out.lock();
-    guard.as_ref().map(clone_samples).expect("sender produced samples")
-}
-
-fn clone_samples(s: &Samples) -> Samples {
-    Samples {
-        p2p_init: s.p2p_init.clone(),
-        pallreduce_init: s.pallreduce_init.clone(),
-        prequest_create: s.prequest_create.clone(),
-        pbuf_first: s.pbuf_first.clone(),
-        pbuf_steady: s.pbuf_steady.clone(),
-    }
+    })
 }
