@@ -25,6 +25,7 @@ mod device;
 mod overheads;
 mod recv;
 mod send;
+mod watchdog;
 
 pub use batch::{pbuf_prepare_batch, pbuf_prepare_batch_async};
 pub use device::{prequest_create, prequest_create_async, DevicePrequest, PrequestConfig};

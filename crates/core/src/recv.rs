@@ -23,6 +23,7 @@ use crate::channel::{
     am_tag, Channel, ReadyToReceive, ReceiverSetup, SenderSetup, ShmemReceiverSetup,
 };
 use crate::overheads::ApiOverheads;
+use crate::watchdog;
 
 pub(crate) struct RecvState {
     pub epoch: u64,
@@ -439,38 +440,48 @@ impl PrecvShared {
     async fn recv_handshake(&self, p: &Proc, tag: u64, what: &str) -> Result<AmMessage, MpiError> {
         match self.world.config().wait_watchdog_us {
             None => Ok(self.worker.am_recv_async(p, tag).await),
-            Some(t) => self
-                .worker
-                .am_recv_timeout_async(p, tag, SimDuration::from_micros_f64(t))
+            Some(t) => {
+                watchdog::bounded(
+                    &self.world,
+                    t,
+                    |dt| self.worker.am_recv_timeout_async(p, tag, dt),
+                    || MpiError::WaitTimeout {
+                        rank: self.my_rank,
+                        context: format!("precv {what} (src {})", self.src),
+                        completed: 0,
+                        expected: 1,
+                        timeout_us: t,
+                    },
+                )
                 .await
-                .ok_or_else(|| MpiError::WaitTimeout {
-                    rank: self.my_rank,
-                    context: format!("precv {what} (src {})", self.src),
-                    completed: 0,
-                    expected: 1,
-                    timeout_us: t,
-                }),
+            }
         }
     }
 
     /// Wait for `target` arrivals, honoring the world's wait watchdog.
     async fn wait_arrived(&self, p: &Proc, target: u64, what: &str) -> Result<(), MpiError> {
         match self.world.config().wait_watchdog_us {
-            None => p.wait_count(&self.arrived, target).await,
+            None => {
+                p.wait_count(&self.arrived, target).await;
+                Ok(())
+            }
             Some(timeout_us) => {
-                let dt = SimDuration::from_micros_f64(timeout_us);
-                if !p.wait_count_timeout(&self.arrived, target, dt).await {
-                    return Err(MpiError::WaitTimeout {
+                let arrived = &self.arrived;
+                watchdog::bounded(
+                    &self.world,
+                    timeout_us,
+                    |dt| async move { p.wait_count_timeout(arrived, target, dt).await.then_some(()) },
+                    || MpiError::WaitTimeout {
                         rank: self.my_rank,
                         context: format!("precv {what} (src {})", self.src),
-                        completed: self.arrived.count(),
+                        completed: arrived.count(),
                         expected: target,
                         timeout_us,
-                    });
-                }
+                    },
+                )
+                .await
             }
         }
-        Ok(())
     }
 }
 

@@ -51,6 +51,7 @@ use crate::channel::{
     am_tag, Channel, ReadyToReceive, ReceiverSetup, SenderSetup, ShmemReceiverSetup,
 };
 use crate::overheads::ApiOverheads;
+use crate::watchdog;
 
 /// Maximum attempts for a device-initiated shmem put (first try + retries),
 /// mirroring the UCX transport's retry budget so chaos outcomes are
@@ -604,17 +605,14 @@ impl PsendRequest {
         match (recover, self.inner.world.config().wait_watchdog_us) {
             (None, None) => p.wait_count(&self.inner.transport_complete, t).await,
             (None, Some(timeout_us)) => {
-                let instruments = self.inner.world.instruments();
-                if let Some(ins) = &instruments {
-                    ins.watchdog_arms.inc();
-                }
-                let dt = SimDuration::from_micros_f64(timeout_us);
-                if !p.wait_count_timeout(&self.inner.transport_complete, t, dt).await {
-                    if let Some(ins) = &instruments {
-                        ins.watchdog_fires.inc();
-                    }
-                    return Err(self.inner.diagnose_stall(timeout_us, t));
-                }
+                let done = &self.inner.transport_complete;
+                watchdog::bounded(
+                    &self.inner.world,
+                    timeout_us,
+                    |dt| async move { p.wait_count_timeout(done, t, dt).await.then_some(()) },
+                    || self.inner.diagnose_stall(timeout_us, t),
+                )
+                .await?;
             }
             (Some(rc), watchdog_us) => {
                 let instruments = self.inner.world.instruments();
@@ -710,29 +708,23 @@ impl PsendRequest {
     /// one armed, a dead peer surfaces a typed timeout instead of parking
     /// this rank forever.
     async fn recv_handshake(&self, p: &Proc, tag: u64, what: &str) -> Result<AmMessage, MpiError> {
-        match self.inner.world.config().wait_watchdog_us {
-            None => Ok(self.inner.worker.am_recv_async(p, tag).await),
+        let inner = &self.inner;
+        match inner.world.config().wait_watchdog_us {
+            None => Ok(inner.worker.am_recv_async(p, tag).await),
             Some(t) => {
-                let instruments = self.inner.world.instruments();
-                if let Some(ins) = &instruments {
-                    ins.watchdog_arms.inc();
-                }
-                self.inner
-                    .worker
-                    .am_recv_timeout_async(p, tag, SimDuration::from_micros_f64(t))
-                    .await
-                    .ok_or_else(|| {
-                        if let Some(ins) = &instruments {
-                            ins.watchdog_fires.inc();
-                        }
-                        MpiError::WaitTimeout {
-                            rank: self.inner.my_rank,
-                            context: format!("psend {what} (dst {})", self.inner.dest),
-                            completed: 0,
-                            expected: 1,
-                            timeout_us: t,
-                        }
-                    })
+                watchdog::bounded(
+                    &inner.world,
+                    t,
+                    |dt| inner.worker.am_recv_timeout_async(p, tag, dt),
+                    || MpiError::WaitTimeout {
+                        rank: inner.my_rank,
+                        context: format!("psend {what} (dst {})", inner.dest),
+                        completed: 0,
+                        expected: 1,
+                        timeout_us: t,
+                    },
+                )
+                .await
             }
         }
     }

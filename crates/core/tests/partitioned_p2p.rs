@@ -7,7 +7,7 @@ use parcomm_sim::Mutex;
 
 use parcomm_core::{precv_init, prequest_create, psend_init, CopyMechanism, PrequestConfig};
 use parcomm_gpu::{AggLevel, KernelSpec};
-use parcomm_mpi::MpiWorld;
+use parcomm_mpi::{MpiWorld, WorldConfig};
 use parcomm_sim::{SimConfig, SimDuration, Simulation};
 
 const TAG: u64 = 42;
@@ -424,4 +424,58 @@ fn mismatched_partition_counts_detected() {
     let err = sim.run().unwrap_err();
     let msg = format!("{err}");
     assert!(msg.contains("partition counts differ"), "got: {msg}");
+}
+
+#[test]
+fn watchdog_counts_every_bounded_wait_on_both_ranks() {
+    let mut sim = Simulation::new(SimConfig::default());
+    let mut config = WorldConfig::gh200(1);
+    config.wait_watchdog_us = Some(1e6);
+    let world = MpiWorld::new(&sim, config);
+    let registry = world.enable_metrics();
+    // Each rank counts its own bounded waits, call by call.
+    let expected = Arc::new(Mutex::new(0u64));
+    let counted = expected.clone();
+    world.run_ranks(&mut sim, move |ctx, rank| {
+        let parts = 4usize;
+        let buf = rank.gpu().alloc_global(parts * 8);
+        let mut waits = 0;
+        match rank.rank() {
+            0 => {
+                let sreq = psend_init(ctx, rank, 1, TAG, &buf, parts).expect("init");
+                for _ in 0..2 {
+                    sreq.start(ctx).expect("start");
+                    // Setup reply on the first epoch, ready-to-receive after.
+                    sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
+                    waits += 1;
+                    for u in 0..parts {
+                        sreq.pready(ctx, u).expect("pready");
+                    }
+                    sreq.wait(ctx).expect("wait");
+                    waits += 1;
+                }
+            }
+            1 => {
+                let rreq = precv_init(ctx, rank, 0, TAG, &buf, parts).expect("init");
+                rreq.start(ctx).expect("start");
+                // Sender setup; later epochs only send ready-to-receive.
+                rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
+                waits += 1;
+                rreq.wait(ctx).expect("wait");
+                waits += 1;
+                rreq.start(ctx).expect("start");
+                rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
+                rreq.wait_arrivals(ctx, 1).expect("wait_arrivals");
+                waits += 1;
+                rreq.wait(ctx).expect("wait");
+                waits += 1;
+            }
+            _ => {}
+        }
+        *counted.lock() += waits;
+    });
+    sim.run().unwrap();
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("mpi.watchdog.arms"), Some(*expected.lock()));
+    assert_eq!(snap.counter("mpi.watchdog.fires"), Some(0));
 }
