@@ -223,12 +223,6 @@ impl Stream {
         self.inner.obs.count_stream_sync();
     }
 
-    /// True when no device work is pending at the current instant.
-    pub fn is_idle(&self, h: &SimHandle) -> bool {
-        let st = self.inner.state.lock();
-        st.busy_until <= h.now() && st.tail_done.is_set()
-    }
-
     /// The instant the device becomes free given work enqueued so far.
     pub fn busy_until(&self) -> SimTime {
         self.inner.state.lock().busy_until

@@ -83,7 +83,6 @@ struct PeState {
 #[derive(Clone)]
 pub struct ProgressionEngine {
     inner: Weak<Mutex<PeState>>,
-    poll: SimDuration,
     crashed: Arc<AtomicBool>,
     /// Virtual instant of the last hook sweep — the engine's heartbeat,
     /// renewed immediately before each sweep. Recovery's lease check reads
@@ -118,7 +117,6 @@ impl ProgressionEngine {
         let owner = HookOwner { _hooks: inner.clone() };
         let engine = ProgressionEngine {
             inner: Arc::downgrade(&inner),
-            poll,
             crashed: crashed.clone(),
             heartbeat: heartbeat.clone(),
         };
@@ -236,11 +234,6 @@ impl ProgressionEngine {
             st.work_available.clone()
         };
         ev.set(h);
-    }
-
-    /// The engine's poll interval.
-    pub fn poll_interval(&self) -> SimDuration {
-        self.poll
     }
 
     /// True once an injected crash has permanently halted the engine.

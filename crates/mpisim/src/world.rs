@@ -524,24 +524,6 @@ impl Rank {
         SimDuration::from_micros_f64(self.world.inner.config.mpi_overhead_us)
     }
 
-    /// The epoch-recovery policy, if enabled. Blocking partitioned waits use
-    /// this to escalate a stalled epoch through lease check → replay → host
-    /// drain instead of timing out fatally.
-    pub fn recover_config(&self) -> Option<RecoverConfig> {
-        self.world.inner.config.recover.clone()
-    }
-
-    /// The armed wait-watchdog timeout, if any. Blocking MPI waits use this
-    /// to turn a stalled completion counter into a typed [`crate::MpiError`]
-    /// instead of deadlocking the simulation.
-    pub fn wait_watchdog(&self) -> Option<SimDuration> {
-        self.world
-            .inner
-            .config
-            .wait_watchdog_us
-            .map(SimDuration::from_micros_f64)
-    }
-
     /// Synchronize all ranks (zero-cost alignment barrier used by the
     /// benchmark harnesses; real MPI_Barrier latency is not modeled because
     /// no measured region in the paper contains one).

@@ -83,11 +83,6 @@ impl Ctx {
         self.yield_baton();
     }
 
-    /// Yield to other processes/callbacks scheduled at the current instant.
-    pub fn yield_now(&mut self) {
-        self.advance(SimDuration::ZERO);
-    }
-
     /// Block until `event` fires. Returns `true` if the event is set, or
     /// `false` if the process was released by simulation shutdown instead
     /// (only happens to daemons).
@@ -112,13 +107,6 @@ impl Ctx {
                     sched::cancel_backstop(self.core(), backstop);
                 }
             }
-        }
-    }
-
-    /// Block until all events in `events` have fired.
-    pub fn wait_all(&mut self, events: &[Event]) {
-        for e in events {
-            self.wait(e);
         }
     }
 

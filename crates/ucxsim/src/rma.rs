@@ -88,11 +88,6 @@ impl RKey {
         self.buffer.space()
     }
 
-    /// Length of the target region in bytes.
-    pub fn region_len(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Direct load/store mapping of the remote region (`ucp_rkey_ptr`).
     ///
     /// Only available when the region is GPU global memory and the route
@@ -181,11 +176,6 @@ impl PutHandle {
             return Some(Err(err));
         }
         self.done.set_at().map(Ok)
-    }
-
-    /// True once the put has settled as a failure.
-    pub fn is_failed(&self) -> bool {
-        self.failure.as_ref().is_some_and(|f| f.lock().is_some())
     }
 }
 

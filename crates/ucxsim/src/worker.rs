@@ -318,16 +318,6 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    /// Location of the initiating worker.
-    pub fn src_location(&self) -> Location {
-        self.src.location
-    }
-
-    /// Location of the target worker.
-    pub fn dst_location(&self) -> Location {
-        self.dst.location
-    }
-
     /// Send a tagged active message carrying `payload`; `wire_bytes` is the
     /// modeled serialized size (control messages are small, e.g. the
     /// `setup_t` exchange). Returns an event that fires at delivery.
