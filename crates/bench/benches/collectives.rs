@@ -6,13 +6,11 @@
 //! run with `cargo bench -p parcomm-bench --bench collectives`.
 
 use std::hint::black_box;
-use std::sync::Arc;
 
 use parcomm_apps::nccl_for_world;
+use parcomm_bench::world::World;
 use parcomm_coll::pallreduce_init;
 use parcomm_gpu::KernelSpec;
-use parcomm_mpi::MpiWorld;
-use parcomm_sim::{Mutex, Simulation};
 use parcomm_testkit::timer::{bench, BenchConfig};
 
 #[derive(Copy, Clone)]
@@ -23,12 +21,9 @@ enum Which {
 }
 
 fn run_once(nodes: u16, which: Which) -> f64 {
-    let mut sim = Simulation::with_seed(0xC011);
-    let world = MpiWorld::gh200(&sim, nodes);
-    let nccl = nccl_for_world(&world);
-    let out = Arc::new(Mutex::new(0.0f64));
-    let o2 = out.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
+    let world = World::gh200(0xC011, nodes);
+    let nccl = nccl_for_world(&world.mpi);
+    world.run("bench run", move |ctx, rank| {
         let partitions = 4usize;
         let n = partitions * rank.size() * 256;
         let buf = rank.gpu().alloc_global(n * 8);
@@ -55,13 +50,8 @@ fn run_once(nodes: u16, which: Which) -> f64 {
                 ctx.wait(&done);
             }
         }
-        if rank.rank() == 0 {
-            *o2.lock() = ctx.now().as_micros_f64();
-        }
-    });
-    sim.run().expect("bench run");
-    let v = *out.lock();
-    v
+        (rank.rank() == 0).then(|| ctx.now().as_micros_f64())
+    })
 }
 
 fn main() {
