@@ -484,7 +484,7 @@ impl Simulation {
             }),
             clock: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            trace: Trace::for_sim(cfg.seed),
+            trace: Trace::default(),
             released: Arc::default(),
         });
         Simulation { core }

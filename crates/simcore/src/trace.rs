@@ -26,25 +26,14 @@
 //!
 //! ## Bounding trace memory
 //!
-//! Two long-run controls exist, both digest-neutral toward the simulation
-//! itself (they only decide what is *retained*, never what the model does):
-//!
-//! - a **bounded ring-buffer sink** ([`Trace::set_capacity`], or the
-//!   `PARCOMM_TRACE_CAP` environment variable read at simulation
-//!   construction): once full, the oldest spans are evicted;
-//!   [`Trace::spans`] remaps surviving causal edges and drops edges into
-//!   the evicted prefix. An optional **eviction sink**
-//!   ([`Trace::set_evict_sink`]) streams evicted spans out at eviction
-//!   time instead of discarding them, so bounded memory no longer means
-//!   lost history;
-//! - **deterministic 1-in-N causal sampling**
-//!   ([`Trace::enable_causal_sampled`]): causal *chains* are sampled at
-//!   their head span from a dedicated RNG seeded by the simulation seed
-//!   (never the main RNG stream, so arming it perturbs nothing). A
-//!   retained head keeps its entire downstream chain — critical-path
-//!   edges survive inside every retained chain — while a dropped head
-//!   suppresses the causal spans hanging off it. Base (level-1) spans are
-//!   never sampled away.
+//! A **bounded ring-buffer sink** ([`Trace::set_capacity`]) keeps a
+//! long run's memory flat: once full, the oldest spans are evicted, and
+//! [`Trace::spans`] remaps surviving causal edges and drops edges into
+//! the evicted prefix. An optional **eviction sink**
+//! ([`Trace::set_evict_sink`]) streams evicted spans out at eviction time
+//! instead of discarding them, so bounded memory no longer means lost
+//! history. Both only decide what is *retained*, never what the model
+//! does, so they are digest-neutral toward the simulation itself.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -52,7 +41,6 @@ use std::sync::Arc;
 use std::collections::VecDeque;
 
 use crate::lock::Mutex;
-use crate::rng::SimRng;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -72,24 +60,14 @@ impl SpanId {
     /// The absent span id (no causal edge).
     pub const NONE: SpanId = SpanId(0);
 
-    /// Sentinel returned by [`Trace::record_causal`] for a span dropped by
-    /// 1-in-N chain sampling: passing it as the `caused_by` of a later
-    /// causal record suppresses that record too, so a dropped chain head
-    /// takes its whole chain with it. Behaves like [`SpanId::NONE`] for
-    /// `is_none`/`index`, and base-span recording normalizes it away.
-    pub const SUPPRESSED: SpanId = SpanId(u64::MAX);
-
-    /// True when this id names no retained span.
+    /// True when this id names no span.
     pub fn is_none(self) -> bool {
-        self.0 == 0 || self.0 == u64::MAX
+        self.0 == 0
     }
 
     /// Index of the span in the recording order, or `None` for
-    /// [`SpanId::NONE`] / [`SpanId::SUPPRESSED`].
+    /// [`SpanId::NONE`].
     pub fn index(self) -> Option<usize> {
-        if self.0 == u64::MAX {
-            return None;
-        }
         self.0.checked_sub(1).map(|i| i as usize)
     }
 
@@ -144,12 +122,6 @@ struct SpanStore {
     capacity: usize,
 }
 
-/// Deterministic 1-in-N sampler for causal chains.
-struct Sampler {
-    rng: SimRng,
-    one_in: u64,
-}
-
 /// Callback invoked with each span the ring buffer evicts, in eviction
 /// order. See [`Trace::set_evict_sink`].
 pub type EvictSink = Arc<dyn Fn(&TraceSpan) + Send + Sync>;
@@ -158,7 +130,6 @@ pub type EvictSink = Arc<dyn Fn(&TraceSpan) + Send + Sync>;
 pub(crate) struct TraceState {
     level: AtomicU8,
     store: Mutex<SpanStore>,
-    sampler: Mutex<Option<Sampler>>,
     evict_sink: Mutex<Option<EvictSink>>,
 }
 
@@ -166,25 +137,9 @@ pub(crate) struct TraceState {
 #[derive(Clone, Default)]
 pub struct Trace {
     pub(crate) state: Arc<TraceState>,
-    /// Simulation seed, used (only) to seed the causal-chain sampler.
-    seed: u64,
 }
 
 impl Trace {
-    /// Trace for a simulation seeded with `seed`. Honors the
-    /// `PARCOMM_TRACE_CAP` environment variable as the initial ring-buffer
-    /// capacity (unset/unparsable = unbounded, matching [`Trace::default`]).
-    pub(crate) fn for_sim(seed: u64) -> Trace {
-        let trace = Trace { state: Arc::new(TraceState::default()), seed };
-        if let Some(cap) = std::env::var("PARCOMM_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            trace.set_capacity(Some(cap));
-        }
-        trace
-    }
-
     /// Turn base-span recording on (level 1). Never downgrades a trace
     /// already at causal level.
     pub fn enable(&self) {
@@ -192,30 +147,8 @@ impl Trace {
     }
 
     /// Turn full causal recording on (level 2): base spans plus the
-    /// handoff spans recorded via [`Trace::record_causal`]. Clears any
-    /// armed sampler — every chain records.
+    /// handoff spans recorded via [`Trace::record_causal`].
     pub fn enable_causal(&self) {
-        *self.state.sampler.lock() = None;
-        self.state.level.fetch_max(LEVEL_CAUSAL, Ordering::AcqRel);
-    }
-
-    /// Turn causal recording on with deterministic 1-in-`one_in` chain
-    /// sampling: each causal *chain head* (a `record_causal` with no
-    /// cause) is kept with probability `1/one_in`, decided by a dedicated
-    /// RNG seeded from the simulation seed — the main RNG stream is never
-    /// touched, so sampling cannot perturb the run. A kept head retains
-    /// its full downstream chain (critical-path edges intact); a dropped
-    /// head suppresses the causal spans chained to it. `one_in <= 1` is
-    /// full causal recording.
-    pub fn enable_causal_sampled(&self, one_in: u64) {
-        if one_in <= 1 {
-            self.enable_causal();
-            return;
-        }
-        // Domain-separate from the main stream (and from netsim's fault
-        // RNG, which uses the raw seed) with a fixed xor constant.
-        *self.state.sampler.lock() =
-            Some(Sampler { rng: SimRng::seeded(self.seed ^ 0x7AC3_5A3D_11E5_C4A1), one_in });
         self.state.level.fetch_max(LEVEL_CAUSAL, Ordering::AcqRel);
     }
 
@@ -299,8 +232,6 @@ impl Trace {
         partition: Option<u32>,
         caused_by: SpanId,
     ) -> SpanId {
-        // A suppressed cause never escapes into the store.
-        let caused_by = if caused_by == SpanId::SUPPRESSED { SpanId::NONE } else { caused_by };
         let mut evicted_span: Option<TraceSpan> = None;
         let mut store = self.state.store.lock();
         let id = SpanId::from_index(store.evicted as usize + store.spans.len());
@@ -346,9 +277,7 @@ impl Trace {
 
     /// Record a causal handoff span — only at causal level (2), so the
     /// level-1 span stream stays byte-identical to the pre-causal baseline
-    /// and frozen digests hold. Returns [`SpanId::NONE`] below level 2,
-    /// and [`SpanId::SUPPRESSED`] when 1-in-N sampling dropped the span's
-    /// chain (see [`Trace::enable_causal_sampled`]).
+    /// and frozen digests hold. Returns [`SpanId::NONE`] below level 2.
     pub fn record_causal(
         &self,
         category: &'static str,
@@ -358,22 +287,11 @@ impl Trace {
         partition: Option<u32>,
         caused_by: SpanId,
     ) -> SpanId {
-        if !self.causal_enabled() {
-            return SpanId::NONE;
+        if self.causal_enabled() {
+            self.push(category, start, end, rank, partition, caused_by)
+        } else {
+            SpanId::NONE
         }
-        // A span extending a suppressed chain is itself suppressed; a
-        // chain head rolls the sampling dice.
-        if caused_by == SpanId::SUPPRESSED {
-            return SpanId::SUPPRESSED;
-        }
-        if caused_by == SpanId::NONE {
-            if let Some(s) = self.state.sampler.lock().as_mut() {
-                if s.rng.next_u64() % s.one_in != 0 {
-                    return SpanId::SUPPRESSED;
-                }
-            }
-        }
-        self.push(category, start, end, rank, partition, caused_by)
     }
 
     /// All retained spans (clone), with causal edges re-based onto the
@@ -469,8 +387,6 @@ mod tests {
         assert_eq!(b.index(), Some(1));
         assert!(SpanId::NONE.is_none());
         assert_eq!(SpanId::NONE.index(), None);
-        assert!(SpanId::SUPPRESSED.is_none());
-        assert_eq!(SpanId::SUPPRESSED.index(), None);
     }
 
     #[test]
@@ -535,74 +451,5 @@ mod tests {
         tr.record("x", t(0), t(1));
         tr.record("y", t(0), t(1));
         assert_eq!(sunk.lock().len(), 4);
-    }
-
-    #[test]
-    fn sampled_causal_keeps_one_in_n_chains_and_their_edges() {
-        let tr = Trace { state: Arc::new(TraceState::default()), seed: 42 };
-        tr.enable_causal_sampled(4);
-        assert!(tr.causal_enabled());
-        let chains: usize = 256;
-        let mut kept: usize = 0;
-        for i in 0..chains {
-            let head = tr.record_causal("head", t(i as u64), t(i as u64), None, None, SpanId::NONE);
-            // Downstream spans follow their head's fate exactly.
-            let mid = tr.record_causal("mid", t(i as u64), t(i as u64), None, None, head);
-            let tail = tr.record_causal("tail", t(i as u64), t(i as u64), None, None, mid);
-            if head.is_none() {
-                assert_eq!(head, SpanId::SUPPRESSED);
-                assert_eq!(mid, SpanId::SUPPRESSED);
-                assert_eq!(tail, SpanId::SUPPRESSED);
-            } else {
-                kept += 1;
-                assert!(!mid.is_none() && !tail.is_none());
-            }
-        }
-        // Deterministic, roughly 1-in-4 (loose band: seeded xoshiro).
-        assert!((chains / 8..=chains / 2).contains(&kept), "kept {kept}/{chains}");
-        let spans = tr.spans();
-        assert_eq!(spans.len(), kept * 3);
-        // Every retained chain is fully linked: tail -> mid -> head.
-        for c in 0..kept {
-            assert_eq!(spans[3 * c].category, "head");
-            assert_eq!(spans[3 * c + 1].caused_by, SpanId::from_index(3 * c));
-            assert_eq!(spans[3 * c + 2].caused_by, SpanId::from_index(3 * c + 1));
-        }
-        // Identical seed, identical decisions.
-        let tr2 = Trace { state: Arc::new(TraceState::default()), seed: 42 };
-        tr2.enable_causal_sampled(4);
-        for i in 0..chains {
-            let head = tr2.record_causal("head", t(i as u64), t(i as u64), None, None, SpanId::NONE);
-            tr2.record_causal("mid", t(i as u64), t(i as u64), None, None, head);
-            tr2.record_causal("tail", t(i as u64), t(i as u64), None, None, head);
-        }
-        assert_eq!(tr2.span_count(), kept * 3);
-    }
-
-    #[test]
-    fn base_spans_never_sampled_and_suppressed_cause_normalizes() {
-        let tr = Trace { state: Arc::new(TraceState::default()), seed: 7 };
-        tr.enable_causal_sampled(1_000_000); // drop (nearly) every chain
-        let mut base = 0;
-        for i in 0..32 {
-            let head = tr.record_causal("head", t(i), t(i), None, None, SpanId::NONE);
-            // A base span fed a suppressed cause still records, with the
-            // sentinel normalized away.
-            let wire = tr.record_attr("wire", t(i), t(i), None, None, head);
-            assert!(!wire.is_none());
-            base += 1;
-            // …and the chain may resume from the base span.
-            let resumed = tr.record_causal("after", t(i), t(i), None, None, wire);
-            assert!(!resumed.is_none());
-        }
-        let spans = tr.spans();
-        assert_eq!(spans.len(), base * 2);
-        assert!(spans.iter().all(|s| s.caused_by != SpanId::SUPPRESSED));
-        // one_in <= 1 falls back to full causal recording.
-        let tr_full = Trace { state: Arc::new(TraceState::default()), seed: 7 };
-        tr_full.enable_causal_sampled(1);
-        assert!(!tr_full
-            .record_causal("head", t(0), t(0), None, None, SpanId::NONE)
-            .is_none());
     }
 }
