@@ -1,16 +1,17 @@
 //! The span-category → pipeline-layer mapping.
 //!
 //! Exporters group spans into one track per rank × layer; the layer names
-//! follow the paper's pipeline: GPU (kernels, device flag writes), host
-//! (host-side `MPI_Pready`), progression engine, UCX (puts), and the
+//! follow the paper's pipeline: GPU (kernels, device flag writes, and the
+//! device-initiated symmetric-heap put and its signal), host (host-side
+//! `MPI_Pready`, recovery replay), progression engine, UCX (puts), and the
 //! network fabric.
 
 /// The pipeline layer a span category belongs to. Unknown categories map
 /// to `"other"` so exporters never drop a span.
 pub fn layer_of(category: &str) -> &'static str {
     match category {
-        "kernel" | "stream_sync" | "pready_flag" => "gpu",
-        "pready_host" => "host",
+        "kernel" | "stream_sync" | "pready_flag" | "shmem_put" | "shmem_signal" => "gpu",
+        "pready_host" | "recover_replay" => "host",
         "pe_post" | "coll_step" => "pe",
         "put" | "put_complete" => "ucx",
         "wire" => "net",
@@ -36,7 +37,15 @@ pub fn layer_tid(layer: &str) -> u64 {
 pub fn is_causal_category(category: &str) -> bool {
     matches!(
         category,
-        "pready_flag" | "pready_host" | "pe_post" | "put" | "put_complete" | "coll_step"
+        "pready_flag"
+            | "pready_host"
+            | "pe_post"
+            | "put"
+            | "put_complete"
+            | "coll_step"
+            | "shmem_put"
+            | "shmem_signal"
+            | "recover_replay"
     )
 }
 
@@ -49,16 +58,38 @@ mod tests {
         for c in ["kernel", "stream_sync", "wire"] {
             assert!(!is_causal_category(c), "{c}");
         }
-        for c in ["pready_flag", "pready_host", "pe_post", "put", "put_complete"] {
+        for c in [
+            "pready_flag",
+            "pready_host",
+            "pe_post",
+            "put",
+            "put_complete",
+            "coll_step",
+            "shmem_put",
+            "shmem_signal",
+            "recover_replay",
+        ] {
             assert!(is_causal_category(c), "{c}");
         }
     }
 
+    /// Every category a `record*` call under `crates/*/src` records.
     #[test]
     fn every_known_category_has_a_layer() {
-        for c in
-            ["kernel", "stream_sync", "pready_flag", "pready_host", "pe_post", "put", "wire"]
-        {
+        for c in [
+            "kernel",
+            "stream_sync",
+            "pready_flag",
+            "pready_host",
+            "pe_post",
+            "coll_step",
+            "put",
+            "put_complete",
+            "wire",
+            "shmem_put",
+            "shmem_signal",
+            "recover_replay",
+        ] {
             assert_ne!(layer_of(c), "other", "{c}");
         }
         assert_eq!(layer_of("mystery"), "other");

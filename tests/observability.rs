@@ -18,9 +18,23 @@ enum Level {
     Causal,
 }
 
-/// Run one partitioned p2p epoch (4 ranks, 8 partitions, 2 transports) at
-/// the given trace level; return the report digest and the span stream.
-fn p2p_run(seed: u64, level: Level) -> (u64, Vec<TraceSpan>) {
+/// The program [`p2p_run`] runs.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Program {
+    /// Host pready over the default mechanism.
+    Default,
+    /// Host pready over the symmetric-heap mechanism (`shmem_put`,
+    /// `shmem_signal` spans).
+    Shmem,
+    /// [`Program::Default`] with one spurious epoch replay between the
+    /// last pready and the wait (`recover_replay` spans).
+    Replay,
+}
+
+/// Run one partitioned p2p epoch (4 ranks, 8 partitions, 2 transports) of
+/// `program` at the given trace level; return the report digest and the
+/// span stream.
+fn p2p_run(seed: u64, level: Level, program: Program) -> (u64, Vec<TraceSpan>) {
     let mut sim = Simulation::with_seed(seed);
     let trace = sim.trace();
     match level {
@@ -28,8 +42,12 @@ fn p2p_run(seed: u64, level: Level) -> (u64, Vec<TraceSpan>) {
         Level::Spans => trace.enable(),
         Level::Causal => trace.enable_causal(),
     }
-    let world = MpiWorld::gh200(&sim, 1);
-    world.run_ranks(&mut sim, |ctx, rank| {
+    let mut config = WorldConfig::gh200(1);
+    if program == Program::Shmem {
+        config.mechanism = CopyMechanism::Shmem;
+    }
+    let world = MpiWorld::new(&sim, config);
+    world.run_ranks(&mut sim, move |ctx, rank| {
         let parts = 8usize;
         let buf = rank.gpu().alloc_global(parts * 1024);
         match rank.rank() {
@@ -40,6 +58,9 @@ fn p2p_run(seed: u64, level: Level) -> (u64, Vec<TraceSpan>) {
                 sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
                 for u in 0..parts {
                     sreq.pready(ctx, u).expect("pready");
+                }
+                if program == Program::Replay {
+                    sreq.recover_epoch(ctx);
                 }
                 sreq.wait(ctx).expect("wait");
             }
@@ -79,27 +100,39 @@ fn base_stream_digest(spans: &[TraceSpan]) -> u64 {
 /// trace level 0 (off), 1 (spans), and 2 (spans + causal handoffs) yields
 /// identical end times and event counts, and level 2's base span stream is
 /// byte-identical to level 1's — the causal spans are purely additive.
+/// The shmem and replay programs check that their causal-only categories
+/// are filtered out of the base view.
 #[test]
 fn tracing_levels_do_not_perturb_the_run() {
-    for seed in [3, 0xA11CE, 0xFEED] {
-        let (off_digest, off_spans) = p2p_run(seed, Level::Off);
-        let (l1_digest, l1_spans) = p2p_run(seed, Level::Spans);
-        let (l2_digest, l2_spans) = p2p_run(seed, Level::Causal);
+    let programs: [(Program, &[&str]); 3] = [
+        (Program::Default, &["put"]),
+        (Program::Shmem, &["shmem_put", "shmem_signal"]),
+        (Program::Replay, &["recover_replay"]),
+    ];
+    for (program, markers) in programs {
+        for seed in [3, 0xA11CE, 0xFEED] {
+            let (off_digest, off_spans) = p2p_run(seed, Level::Off, program);
+            let (l1_digest, l1_spans) = p2p_run(seed, Level::Spans, program);
+            let (l2_digest, l2_spans) = p2p_run(seed, Level::Causal, program);
 
-        assert_eq!(off_digest, l1_digest, "seed {seed}: level 1 changed the run");
-        assert_eq!(off_digest, l2_digest, "seed {seed}: level 2 changed the run");
-        assert!(off_spans.is_empty(), "level 0 must record nothing");
+            let at = format!("{program:?} seed {seed}");
+            assert_eq!(off_digest, l1_digest, "{at}: level 1 changed the run");
+            assert_eq!(off_digest, l2_digest, "{at}: level 2 changed the run");
+            assert!(off_spans.is_empty(), "level 0 must record nothing");
 
-        assert_eq!(
-            base_stream_digest(&l1_spans),
-            base_stream_digest(&l2_spans),
-            "seed {seed}: causal level altered the frozen base span stream"
-        );
-        assert!(l1_spans.iter().all(|s| !is_causal_category(s.category)));
-        assert!(
-            l2_spans.iter().any(|s| is_causal_category(s.category)),
-            "seed {seed}: causal level recorded no handoff spans (vacuous)"
-        );
+            assert_eq!(
+                base_stream_digest(&l1_spans),
+                base_stream_digest(&l2_spans),
+                "{at}: causal level altered the frozen base span stream"
+            );
+            assert!(l1_spans.iter().all(|s| !is_causal_category(s.category)));
+            for marker in markers {
+                assert!(
+                    l2_spans.iter().any(|s| s.category == *marker),
+                    "{at}: causal level recorded no {marker} span (vacuous)"
+                );
+            }
+        }
     }
 }
 
