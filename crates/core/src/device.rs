@@ -37,6 +37,7 @@ use parcomm_sim::Mutex;
 
 use parcomm_gpu::{AggLevel, Buffer, DeviceCtx};
 use parcomm_mpi::{CopyMechanism, HookOutcome, MpiError, Rank};
+use parcomm_net::WireAttr;
 use parcomm_sim::{Ctx, Proc, SimDuration, SimTime, SpanId};
 use parcomm_ucx::IpcMapping;
 
@@ -334,7 +335,11 @@ impl DevicePrequest {
         let fabric = send.world.fabric();
         let src_loc = send.buffer.space().location();
         let dst_loc = peer.buffer().space().location();
-        let transfer = fabric.transfer_at(copy_start, src_loc, dst_loc, bytes as u64);
+        let transfer = fabric
+            .try_transfer(copy_start, src_loc, dst_loc, bytes as u64, WireAttr::NONE)
+            .unwrap_or_else(|e| {
+                panic!("fabric transfer {src_loc:?} -> {dst_loc:?} failed with no recovery path: {e}")
+            });
         let latency = fabric.path_latency(src_loc, dst_loc);
         transfer.arrival.saturating_since(origin).saturating_sub(latency)
     }

@@ -43,22 +43,19 @@ use parcomm_sim::Mutex;
 
 use parcomm_gpu::{Buffer, CostModel, MemSpace};
 use parcomm_mpi::{chunk_range, CopyMechanism, MpiError, MpiWorld, ProgressionEngine, Rank};
+use parcomm_net::WireAttr;
 use parcomm_shmem::ShmemError;
 use parcomm_sim::{CountEvent, Ctx, Proc, SimDuration, SimHandle, SimTime, SpanId};
-use parcomm_ucx::{AmMessage, Endpoint, PutAttr, PutHandle, RKey, Worker, MAX_STRIPES};
+use parcomm_ucx::{
+    AmMessage, Endpoint, PutHandle, PutOpts, RKey, Worker, MAX_STRIPES, PUT_MAX_ATTEMPTS,
+    PUT_RETRY_BACKOFF_US,
+};
 
 use crate::channel::{
     am_tag, Channel, ReadyToReceive, ReceiverSetup, SenderSetup, ShmemReceiverSetup,
 };
 use crate::overheads::ApiOverheads;
 use crate::watchdog;
-
-/// Maximum attempts for a device-initiated shmem put (first try + retries),
-/// mirroring the UCX transport's retry budget so chaos outcomes are
-/// comparable across mechanisms.
-const SHMEM_PUT_MAX_ATTEMPTS: u32 = 6;
-/// Initial retry backoff for a failed shmem put, doubled per attempt.
-const SHMEM_PUT_RETRY_BACKOFF_US: f64 = 20.0;
 
 /// Which transport partition covers user partition `u` when `users` user
 /// partitions are aggregated into `transports` transport partitions
@@ -878,11 +875,15 @@ impl PsendShared {
         chunk_range(self.user_partitions, self.state.lock().transport_partitions, k)
     }
 
-    fn put_attr(&self, k: usize) -> PutAttr {
-        PutAttr {
+    /// The options of a put serving transport `k`: `stripes` stripes,
+    /// attributed from this rank to the receiver, caused by `cause`.
+    fn put_opts(&self, k: usize, stripes: usize, cause: SpanId) -> PutOpts {
+        PutOpts {
+            stripes,
             src_rank: Some(self.my_rank as u32),
             dst_rank: Some(self.dest as u32),
             partition: Some(k as u32),
+            cause,
         }
     }
 
@@ -935,20 +936,18 @@ impl PsendShared {
                 let byte_len = users.1 * self.partition_bytes;
                 let this = self.clone();
                 // The data put carries the channel's stripe count; stripe
-                // count 1 is put_nbx_attr exactly. The chained flag put is
+                // count 1 is the single-path put. The chained flag put is
                 // never striped — it is 8 bytes per user partition of
                 // control traffic, and it must observe the *assembled*
                 // payload, which the striped put's completion (firing at
                 // the assembly barrier) guarantees.
-                let put = self.endpoint.put_nbx_striped(
+                let put = self.endpoint.put_nbx(
                     &self.buffer,
                     byte_off,
                     byte_len,
                     data_rkey,
                     byte_off,
-                    stripes,
-                    self.put_attr(k),
-                    cause,
+                    self.put_opts(k, stripes, cause),
                     move |_h, span| this.issue_flag_put(k, users, span, issue_gen, pready_at),
                 );
                 self.puts.lock().push(put);
@@ -977,14 +976,13 @@ impl PsendShared {
             unreachable!("flag puts travel only on RMA routes")
         };
         let this = self.clone();
-        let put = self.endpoint.put_nbx_attr(
+        let put = self.endpoint.put_nbx(
             &self.flag_stage,
             u0 * 8,
             ulen * 8,
             flag_rkey,
             u0 * 8,
-            self.put_attr(k),
-            cause,
+            self.put_opts(k, 1, cause),
             move |h, _span| this.land(h, k, ulen, issue_gen, pready_at, None),
         );
         self.puts.lock().push(put);
@@ -1055,8 +1053,10 @@ impl ShmemPut {
     /// One attempt: route the payload through the fabric, and at arrival
     /// (+ the signal store cost) deposit the bytes, raise the receiver's
     /// partition flags in place, and land the transport — no host PE hop,
-    /// no rkey, no chained control put. A fabric outage retries with
-    /// doubling backoff; exhausting the budget settles a typed
+    /// no rkey, no chained control put. A fabric outage retries on the UCX
+    /// put budget ([`PUT_MAX_ATTEMPTS`] attempts, backoff from
+    /// [`PUT_RETRY_BACKOFF_US`] doubling), so chaos outcomes compare across
+    /// mechanisms; exhausting it settles a typed
     /// [`ShmemError::WireTimeout`] for the stall diagnosis.
     fn attempt(self, h: &SimHandle, attempt: u32) {
         let send = &self.send;
@@ -1073,14 +1073,12 @@ impl ShmemPut {
         }
         let (rank, k) = (Some(send.my_rank as u32), Some(self.k as u32));
         let put_span = h.trace().record_causal("shmem_put", now, now, rank, k, self.cause);
-        match send.world.fabric().try_transfer_attr(
+        match send.world.fabric().try_transfer(
             now,
             send.buffer.space().location(),
             self.data.space().location(),
             byte_len as u64,
-            put_span,
-            Some(send.dest as u32),
-            k,
+            WireAttr { cause: put_span, dst_rank: Some(send.dest as u32), partition: k },
         ) {
             Ok(transfer) => {
                 let arrival = transfer.arrival;
@@ -1100,7 +1098,7 @@ impl ShmemPut {
                 });
             }
             Err(net_err) => {
-                if attempt + 1 >= SHMEM_PUT_MAX_ATTEMPTS {
+                if attempt + 1 >= PUT_MAX_ATTEMPTS {
                     if let Some(i) = &heap_obs {
                         i.put_failures.inc();
                     }
@@ -1115,7 +1113,7 @@ impl ShmemPut {
                         i.put_retries.inc();
                     }
                     let backoff = SimDuration::from_micros_f64(
-                        SHMEM_PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32),
+                        PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32),
                     );
                     h.schedule_in(backoff, move |h| self.attempt(h, attempt + 1));
                 }

@@ -13,6 +13,7 @@ use std::collections::{HashMap, VecDeque};
 use parcomm_sim::Mutex;
 
 use parcomm_gpu::Buffer;
+use parcomm_net::{Fabric, WireAttr};
 use parcomm_sim::{Ctx, Event, SimHandle};
 
 use crate::world::Rank;
@@ -70,7 +71,7 @@ const EAGER_THRESHOLD: usize = 4096;
 /// Start the matched transfer: data plane + completion events.
 fn fire_transfer(
     h: &SimHandle,
-    fabric: &parcomm_net::Fabric,
+    fabric: &Fabric,
     send: SendEntry,
     recv: RecvEntry,
 ) {
@@ -87,7 +88,11 @@ fn fire_transfer(
     } else {
         parcomm_sim::SimDuration::ZERO
     };
-    let t = fabric.transfer_at(h.now() + handshake, src_loc, dst_loc, send.len as u64);
+    let t = fabric
+        .try_transfer(h.now() + handshake, src_loc, dst_loc, send.len as u64, WireAttr::NONE)
+        .unwrap_or_else(|e| {
+            panic!("fabric transfer {src_loc:?} -> {dst_loc:?} failed with no recovery path: {e}")
+        });
     let (sbuf, rbuf) = (send.buf, recv.buf);
     let (soff, roff, len) = (send.off, recv.off, send.len);
     let (sdone, rdone) = (send.done, recv.done);

@@ -6,6 +6,13 @@
 //! propagation latency. Concurrent transfers over the same link queue
 //! behind each other, which is what produces bandwidth contention in the
 //! ring-collective experiments.
+//!
+//! Two functions put bytes on the wire: [`Fabric::try_transfer`] moves one
+//! message over its route, and [`Fabric::try_transfer_planned`] executes a
+//! [`MultiPathPlan`]. Both take a [`WireAttr`] naming what their `wire`
+//! spans record, and both return a typed [`NetError`] instead of
+//! panicking when an armed outage leaves no route; a caller with no
+//! recovery path unwraps at its own call site.
 
 use std::sync::Arc;
 
@@ -147,6 +154,26 @@ pub struct Transfer {
     /// The transfer's `wire` trace span ([`SpanId::NONE`] when tracing is
     /// off), for causal chaining by the transport above.
     pub span: SpanId,
+}
+
+/// What a transfer's `wire` trace span records beyond its times: the
+/// caller's span as causal parent, and the destination MPI rank and
+/// partition the bytes deliver into, so `obs::critical` sees the
+/// cross-rank hop exactly instead of inferring it. Digest-neutral: span
+/// digests hash only `(category, start, end)`.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct WireAttr {
+    /// The span that caused the transfer ([`SpanId::NONE`] when none).
+    pub cause: SpanId,
+    /// Rank whose memory the transfer lands in.
+    pub dst_rank: Option<u32>,
+    /// Transport partition the transfer serves, when meaningful.
+    pub partition: Option<u32>,
+}
+
+impl WireAttr {
+    /// No cause and no attribution.
+    pub const NONE: WireAttr = WireAttr { cause: SpanId::NONE, dst_rank: None, partition: None };
 }
 
 /// The per-stripe outcome of a planned multi-path transfer: which byte
@@ -491,61 +518,26 @@ impl Fabric {
     /// first segment (64 KiB) clears hop *i*, so a message's hops overlap
     /// and the end-to-end serialization is governed by the bottleneck
     /// link, as on real InfiniBand fabrics — splitting a message does not
-    /// magically double multi-hop bandwidth.
+    /// magically double multi-hop bandwidth. Cross-node messages of at
+    /// least [`STRIPE_THRESHOLD`](Fabric::STRIPE_THRESHOLD) bytes stripe
+    /// across every NIC rail.
     ///
     /// The fabric moves *time*, not data: the caller applies the functional
     /// copy no later than `arrival` (typically in a completion callback).
-    pub fn transfer_at(&self, at: SimTime, src: Location, dst: Location, bytes: u64) -> Transfer {
-        self.try_transfer_at(at, src, dst, bytes).unwrap_or_else(|e| {
-            panic!("fabric transfer {src:?} -> {dst:?} failed with no recovery path: {e}")
-        })
-    }
-
-    /// Fallible form of [`transfer_at`](Fabric::transfer_at): returns
-    /// [`NetError`] instead of panicking when an armed fault schedule has
-    /// taken down every usable NIC on a required node. Transient drops and
-    /// latency spikes never error — they surface as a later arrival (the
-    /// transport retransmits under the covers). With no faults armed this is
-    /// infallible and byte-identical in behavior to the fault-free fabric.
-    pub fn try_transfer_at(
+    /// `wire` is recorded on the transfer's `wire` span.
+    ///
+    /// Returns [`NetError`] when an armed fault schedule has taken down
+    /// every usable NIC on a required node; a caller with no recovery path
+    /// unwraps. Transient drops and latency spikes never error — they
+    /// surface as a later arrival (the transport retransmits under the
+    /// covers). With no faults armed this never errors.
+    pub fn try_transfer(
         &self,
         at: SimTime,
         src: Location,
         dst: Location,
         bytes: u64,
-    ) -> Result<Transfer, NetError> {
-        self.try_transfer_caused(at, src, dst, bytes, SpanId::NONE)
-    }
-
-    /// Like [`try_transfer_at`](Fabric::try_transfer_at), with the caller's
-    /// trace span as the causal parent of the transfer's `wire` span (pass
-    /// [`SpanId::NONE`] when there is none).
-    pub fn try_transfer_caused(
-        &self,
-        at: SimTime,
-        src: Location,
-        dst: Location,
-        bytes: u64,
-        cause: SpanId,
-    ) -> Result<Transfer, NetError> {
-        self.try_transfer_attr(at, src, dst, bytes, cause, None, None)
-    }
-
-    /// Like [`try_transfer_caused`](Fabric::try_transfer_caused), with the
-    /// destination MPI rank (and partition) the transfer delivers into
-    /// recorded on its `wire` span, so `obs::critical` sees the cross-rank
-    /// hop exactly instead of inferring it. Attribution is digest-neutral:
-    /// span digests hash only `(category, start, end)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_transfer_attr(
-        &self,
-        at: SimTime,
-        src: Location,
-        dst: Location,
-        bytes: u64,
-        cause: SpanId,
-        dst_rank: Option<u32>,
-        partition: Option<u32>,
+        wire: WireAttr,
     ) -> Result<Transfer, NetError> {
         let now = self.inner.handle.now();
         let at = at.max(now);
@@ -553,19 +545,27 @@ impl Fabric {
         // two nodes (UCX multi-rail): each rail carries an equal share and
         // the message completes when the slowest rail drains.
         if src.node != dst.node && bytes >= Self::STRIPE_THRESHOLD {
-            return self.striped_transfer(at, src, dst, bytes, cause, dst_rank, partition);
+            return self.striped_transfer(at, src, dst, bytes, wire);
         }
         let (route, src_nic) = self.route_at(at, src, dst)?;
         let (start, tail) = self.reserve(&route, at, bytes);
         let arrival = tail + self.fault_penalty();
         self.mark_arrival(arrival);
-        let span = self
-            .inner
-            .handle
-            .trace()
-            .record_attr("wire", start, arrival, dst_rank, partition, cause);
+        let span = self.record_wire(start, arrival, wire);
         self.count_transfer(bytes, src_nic.map(|nic| (nic, bytes)));
         Ok(Transfer { start, arrival, span })
+    }
+
+    /// Record one `wire` span attributed per `wire`.
+    fn record_wire(&self, start: SimTime, arrival: SimTime, wire: WireAttr) -> SpanId {
+        self.inner.handle.trace().record_attr(
+            "wire",
+            start,
+            arrival,
+            wire.dst_rank,
+            wire.partition,
+            wire.cause,
+        )
     }
 
     /// Keep a transfer's arrival instant in the event queue as a
@@ -595,11 +595,6 @@ impl Fabric {
         Ok((self.ib_route(src.node, src_nic, dst.node, dst_nic), Some(src_nic)))
     }
 
-    /// Transfer starting at the current instant.
-    pub fn transfer(&self, src: Location, dst: Location, bytes: u64) -> Transfer {
-        self.transfer_at(self.inner.handle.now(), src, dst, bytes)
-    }
-
     /// Messages at or above this size stripe across all NIC rails when
     /// crossing nodes (the UCX multi-rail threshold).
     pub const STRIPE_THRESHOLD: u64 = 1 << 20;
@@ -609,16 +604,13 @@ impl Fabric {
     /// internally. Under an armed NIC outage the message **re-stripes** over
     /// the surviving rails — degraded bandwidth, not failure — and only
     /// errors when no rail survives.
-    #[allow(clippy::too_many_arguments)]
     fn striped_transfer(
         &self,
         at: SimTime,
         src: Location,
         dst: Location,
         bytes: u64,
-        cause: SpanId,
-        dst_rank: Option<u32>,
-        partition: Option<u32>,
+        wire: WireAttr,
     ) -> Result<Transfer, NetError> {
         let rails = self.up_rails(src.node, dst.node, at)?;
         let share = bytes.div_ceil(rails.len() as u64);
@@ -633,11 +625,7 @@ impl Fabric {
         let arrival = arrival + self.fault_penalty();
         self.mark_arrival(arrival);
         let start = first_start.unwrap_or(at);
-        let span = self
-            .inner
-            .handle
-            .trace()
-            .record_attr("wire", start, arrival, dst_rank, partition, cause);
+        let span = self.record_wire(start, arrival, wire);
         self.count_transfer(bytes, rails.iter().map(|&nic| (nic, share)));
         Ok(Transfer { start, arrival, span })
     }
@@ -657,11 +645,11 @@ impl Fabric {
     }
 
     /// Execute a [`MultiPathPlan`]: reserve every stripe's partition →
-    /// translate → assemble hops, record one `wire` span per stripe, and
-    /// report when the slowest stripe lands.
+    /// translate → assemble hops, record one `wire` span per stripe (each
+    /// attributed per `wire`), and report when the slowest stripe lands.
     ///
     /// A single-path plan delegates to the ordinary transfer path
-    /// ([`try_transfer_attr`](Fabric::try_transfer_attr)) and is therefore
+    /// ([`try_transfer`](Fabric::try_transfer)) and is therefore
     /// bit-for-bit identical to an unplanned transfer — including the
     /// implicit multi-rail striping for large cross-node messages.
     ///
@@ -674,16 +662,12 @@ impl Fabric {
         &self,
         at: SimTime,
         plan: &MultiPathPlan,
-        cause: SpanId,
-        dst_rank: Option<u32>,
-        partition: Option<u32>,
+        wire: WireAttr,
     ) -> Result<StripedTransfer, NetError> {
         let now = self.inner.handle.now();
         let at = at.max(now);
         if plan.is_single_path() {
-            let t = self.try_transfer_attr(
-                at, plan.src, plan.dst, plan.bytes, cause, dst_rank, partition,
-            )?;
+            let t = self.try_transfer(at, plan.src, plan.dst, plan.bytes, wire)?;
             return Ok(StripedTransfer {
                 start: t.start,
                 arrival: t.arrival,
@@ -706,7 +690,6 @@ impl Fabric {
         } else {
             Vec::new()
         };
-        let trace = self.inner.handle.trace();
         let mut first_start: Option<SimTime> = None;
         let mut overall = at;
         let mut stripes = Vec::with_capacity(plan.stripes.len());
@@ -765,7 +748,7 @@ impl Fabric {
                 len: stripe.len,
                 rail,
                 arrival,
-                span: trace.record_attr("wire", start, arrival, dst_rank, partition, cause),
+                span: self.record_wire(start, arrival, wire),
             });
         }
         let arrival = overall + self.fault_penalty();
@@ -792,34 +775,6 @@ impl Fabric {
         } else {
             base
         }
-    }
-
-    /// Analytic (zero-contention) duration of a transfer: cut-through
-    /// serialization (bottleneck hop plus one segment per extra hop) plus
-    /// propagation. Used by the kernel-copy path to extend kernel windows.
-    pub fn unloaded_duration(&self, src: Location, dst: Location, bytes: u64) -> SimDuration {
-        // Mirror transfer_at's multi-rail striping for large cross-node
-        // messages: each rail carries an equal share.
-        let bytes = if src.node != dst.node && bytes >= Self::STRIPE_THRESHOLD {
-            let rails = self
-                .inner
-                .topology
-                .nics_on(src.node)
-                .min(self.inner.topology.nics_on(dst.node));
-            bytes.div_ceil(rails as u64)
-        } else {
-            bytes
-        };
-        let route = self.route(src, dst);
-        let mut cursor = 0.0f64;
-        let mut tail = 0.0f64;
-        for id in route.links() {
-            let spec = &self.inner.links[id.0].spec;
-            let end = cursor + spec.serialize_us(bytes);
-            tail = tail.max(end);
-            cursor += spec.serialize_us(bytes.min(SEGMENT_BYTES));
-        }
-        SimDuration::from_micros_f64(tail) + route.latency
     }
 }
 

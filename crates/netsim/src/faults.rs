@@ -21,7 +21,7 @@
 //!   virtual-time window. Routing steers single-rail messages to a surviving
 //!   NIC and multi-rail striping re-stripes over the surviving rails
 //!   (degraded bandwidth, not failure). Only when *every* NIC on a required
-//!   node is down does [`crate::Fabric::try_transfer_at`] return
+//!   node is down does [`crate::Fabric::try_transfer`] return
 //!   [`NetError::NoNicAvailable`] — the typed surface the UCX retry layer
 //!   recovers from.
 

@@ -15,7 +15,7 @@ mod multipath;
 mod spec;
 mod topology;
 
-pub use fabric::{Fabric, LinkId, Route, StripeArrival, StripedTransfer, Transfer};
+pub use fabric::{Fabric, LinkId, Route, StripeArrival, StripedTransfer, Transfer, WireAttr};
 pub use faults::{NetError, NetFaultConfig, NicOutage, MAX_RETRANSMITS};
 pub use multipath::{MultiPathPlan, PlanError, Stripe, MAX_STRIPES};
 pub use spec::{ClusterSpec, LinkSpec};

@@ -2,7 +2,7 @@
 //! link contention.
 
 use parcomm_gpu::{Location, Unit};
-use parcomm_net::{ClusterSpec, Fabric};
+use parcomm_net::{ClusterSpec, Fabric, Transfer, WireAttr};
 use parcomm_sim::{Ctx, SimConfig, SimTime, Simulation};
 
 fn gpu(node: u16, idx: u8) -> Location {
@@ -11,6 +11,11 @@ fn gpu(node: u16, idx: u8) -> Location {
 
 fn cpu(node: u16) -> Location {
     Location { node, unit: Unit::Cpu }
+}
+
+/// A fault-free transfer starting now.
+fn transfer(fabric: &Fabric, src: Location, dst: Location, bytes: u64) -> Transfer {
+    fabric.try_transfer(fabric.sim().now(), src, dst, bytes, WireAttr::NONE).unwrap()
 }
 
 /// Park the process until `at` (a transfer's arrival); no-op once past.
@@ -54,7 +59,7 @@ fn transfer_times_match_bandwidth() {
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
         // 150 MB over 150 GB/s NVLink = 1 ms + 1.9 µs latency.
-        let t = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
+        let t = transfer(&fabric, gpu(0, 0), gpu(0, 1), 150_000_000);
         wait_until(ctx, t.arrival);
         let us = ctx.now().as_micros_f64();
         assert!((1001.0..1003.0).contains(&us), "arrival at {us}");
@@ -67,8 +72,8 @@ fn same_link_transfers_contend() {
     let mut sim = Simulation::new(SimConfig::default());
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
-        let a = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
-        let b = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
+        let a = transfer(&fabric, gpu(0, 0), gpu(0, 1), 150_000_000);
+        let b = transfer(&fabric, gpu(0, 0), gpu(0, 1), 150_000_000);
         // Second transfer queues behind the first on the same link.
         assert!(b.start >= a.start);
         assert!(
@@ -85,8 +90,8 @@ fn distinct_links_do_not_contend() {
     let mut sim = Simulation::new(SimConfig::default());
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
-        let a = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
-        let b = fabric.transfer(gpu(0, 2), gpu(0, 3), 150_000_000);
+        let a = transfer(&fabric, gpu(0, 0), gpu(0, 1), 150_000_000);
+        let b = transfer(&fabric, gpu(0, 2), gpu(0, 3), 150_000_000);
         let delta =
             (a.arrival.as_micros_f64() - b.arrival.as_micros_f64()).abs();
         assert!(delta < 1.0, "independent NVLink pairs must run in parallel");
@@ -101,8 +106,8 @@ fn opposite_directions_do_not_contend() {
     let mut sim = Simulation::new(SimConfig::default());
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
-        let a = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
-        let b = fabric.transfer(gpu(0, 1), gpu(0, 0), 150_000_000);
+        let a = transfer(&fabric, gpu(0, 0), gpu(0, 1), 150_000_000);
+        let b = transfer(&fabric, gpu(0, 1), gpu(0, 0), 150_000_000);
         let delta = (a.arrival.as_micros_f64() - b.arrival.as_micros_f64()).abs();
         assert!(delta < 1.0, "NVLink is full duplex in the model");
         wait_until(ctx, a.arrival);
@@ -118,8 +123,8 @@ fn cross_node_nic_mapping_separates_gpu_flows() {
     sim.spawn("p", move |ctx| {
         // Below the multi-rail stripe threshold, GPU 0 and GPU 1 use their
         // own NICs, so cross-node flows overlap.
-        let a = fabric.transfer(gpu(0, 0), gpu(1, 0), 512_000);
-        let b = fabric.transfer(gpu(0, 1), gpu(1, 1), 512_000);
+        let a = transfer(&fabric, gpu(0, 0), gpu(1, 0), 512_000);
+        let b = transfer(&fabric, gpu(0, 1), gpu(1, 1), 512_000);
         let delta = (a.arrival.as_micros_f64() - b.arrival.as_micros_f64()).abs();
         assert!(delta < 1.0, "per-GPU NICs must not serialize");
         wait_until(ctx, a.arrival);
@@ -129,31 +134,11 @@ fn cross_node_nic_mapping_separates_gpu_flows() {
 }
 
 #[test]
-fn unloaded_duration_matches_actual_on_idle_fabric() {
-    let mut sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2));
-    sim.spawn("p", move |ctx| {
-        // Above the stripe threshold: the analytic form must model the
-        // multi-rail split exactly like the reservation path.
-        let predicted = fabric.unloaded_duration(gpu(0, 0), gpu(1, 2), 1 << 22);
-        let t0 = ctx.now();
-        let t = fabric.transfer(gpu(0, 0), gpu(1, 2), 1 << 22);
-        wait_until(ctx, t.arrival);
-        let actual = ctx.now().since(t0);
-        // Allow 2 ns of float-rounding skew between the analytic form and
-        // the hop-by-hop reservation arithmetic.
-        let delta = predicted.as_nanos().abs_diff(actual.as_nanos());
-        assert!(delta <= 2, "predicted {predicted} vs actual {actual}");
-    });
-    sim.run().unwrap();
-}
-
-#[test]
 fn zero_byte_transfer_is_latency_only() {
     let mut sim = Simulation::new(SimConfig::default());
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
-        let t = fabric.transfer(gpu(0, 0), gpu(0, 1), 0);
+        let t = transfer(&fabric, gpu(0, 0), gpu(0, 1), 0);
         wait_until(ctx, t.arrival);
         let us = ctx.now().as_micros_f64();
         assert!((1.8..2.0).contains(&us), "latency-only arrival {us}");
@@ -168,7 +153,7 @@ fn large_cross_node_transfers_stripe_across_rails() {
     sim.spawn("p", move |ctx| {
         // 200 MB striped over 4 × 50 GB/s rails ≈ 1 ms; single-rail would
         // be 4 ms.
-        let t = fabric.transfer(gpu(0, 0), gpu(1, 0), 200_000_000);
+        let t = transfer(&fabric, gpu(0, 0), gpu(1, 0), 200_000_000);
         wait_until(ctx, t.arrival);
         let us = ctx.now().as_micros_f64();
         assert!((1000.0..1100.0).contains(&us), "striped arrival {us}");
@@ -182,7 +167,7 @@ fn transfer_at_future_time_respects_start() {
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
         let at = ctx.now() + parcomm_sim::SimDuration::from_micros(100);
-        let t = fabric.transfer_at(at, gpu(0, 0), gpu(0, 1), 1500);
+        let t = fabric.try_transfer(at, gpu(0, 0), gpu(0, 1), 1500, WireAttr::NONE).unwrap();
         assert_eq!(t.start, at);
         wait_until(ctx, t.arrival);
         assert!(ctx.now().as_micros_f64() >= 100.0);

@@ -14,7 +14,7 @@ mod worker;
 
 pub use parcomm_net::MAX_STRIPES;
 pub use rma::{
-    IpcMapping, MemHandle, PutAttr, PutHandle, RKey, PUT_MAX_ATTEMPTS, PUT_RETRY_BACKOFF_US,
+    IpcMapping, MemHandle, PutHandle, PutOpts, RKey, PUT_MAX_ATTEMPTS, PUT_RETRY_BACKOFF_US,
 };
 pub use worker::{
     AmMessage, Endpoint, UcxError, UcxUniverse, Worker, WorkerAddress, AM_MAX_ATTEMPTS,

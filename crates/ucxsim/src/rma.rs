@@ -1,5 +1,9 @@
 //! UCP RMA: memory registration, remote keys, and `put_nbx`.
 //!
+//! As in UCX, one call puts bytes on the wire: [`Endpoint::put_nbx`],
+//! whose [`PutOpts`] carry the stripe count, attribution and cause, and
+//! whose completion hook always receives the put's `put_complete` span.
+//!
 //! The put is the workhorse of the paper's Partitioned component
 //! (§IV-A4): `MPI_Pready` issues a `ucp_put_nbx` for the partition's data
 //! and chains a second, small put that raises the receive-side partition
@@ -27,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parcomm_gpu::{Buffer, Location, MemSpace};
-use parcomm_net::{Fabric, NetError, RouteClass};
+use parcomm_net::{Fabric, NetError, RouteClass, WireAttr};
 use parcomm_sim::{Event, Mutex, SimDuration, SimHandle, SimTime, SpanId};
 
 use crate::worker::{Endpoint, UcxError, UcxUniverse, Worker};
@@ -188,24 +192,36 @@ impl Worker {
     }
 }
 
-/// MPI-level attribution of a put, carried through its causal spans so
-/// `obs::critical` resolves cross-rank handoffs exactly: the `put` span
-/// takes the *source* rank, the `wire` and `put_complete` spans take the
-/// *destination* rank (the bytes land there). All fields are
+/// The options of one [`Endpoint::put_nbx`], in the role of UCX's
+/// `ucp_request_param_t`: the stripe count, the MPI-level attribution the
+/// put's causal spans carry (so `obs::critical` resolves cross-rank
+/// handoffs exactly: the `put` span takes the *source* rank, the `wire`
+/// and `put_complete` spans take the *destination* rank, where the bytes
+/// land), and the span that posted the put. Attribution and cause are
 /// digest-neutral — span digests hash only `(category, start, end)`.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct PutAttr {
+/// [`PutOpts::default`] is one stripe with no attribution and no cause.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct PutOpts {
+    /// Stripes the payload splits into, routed concurrently over the
+    /// eligible paths of the fabric (a
+    /// [`MultiPathPlan`](parcomm_net::MultiPathPlan) per attempt). `1` —
+    /// or `0` — takes the single-path transfer. The caller keeps it within
+    /// [`parcomm_net::MAX_STRIPES`].
+    pub stripes: usize,
     /// Rank that issued the put.
     pub src_rank: Option<u32>,
     /// Rank whose memory the put lands in.
     pub dst_rank: Option<u32>,
     /// Transport partition the put serves, when meaningful.
     pub partition: Option<u32>,
+    /// Causal parent of the put (e.g. the PE drain that posted it).
+    pub cause: SpanId,
 }
 
-impl PutAttr {
-    /// No attribution (the pre-existing `put_nbx_caused` behavior).
-    pub const NONE: PutAttr = PutAttr { src_rank: None, dst_rank: None, partition: None };
+impl Default for PutOpts {
+    fn default() -> Self {
+        PutOpts { stripes: 1, src_rank: None, dst_rank: None, partition: None, cause: SpanId::NONE }
+    }
 }
 
 /// Everything one put attempt needs; kept in a struct so the retry chain
@@ -227,15 +243,12 @@ struct PendingPut<F> {
     done: Event,
     failure: Failure,
     first_try_at: SimTime,
-    /// Causal parent of the put (e.g. the PE drain that issued it).
-    cause: SpanId,
-    /// MPI-level attribution for the put's causal spans.
-    attr: PutAttr,
-    /// Requested stripe count. `1` (the overwhelmingly common case) takes
-    /// the classic single-transfer path untouched; `> 1` routes the put
-    /// through a [`MultiPathPlan`](parcomm_net::MultiPathPlan) with
-    /// per-stripe functional copies and completion spans.
-    stripes: usize,
+    /// Stripe count (`>= 1`), attribution and cause. One stripe (the
+    /// overwhelmingly common case) takes the classic single-transfer path
+    /// untouched; more route the put through a
+    /// [`MultiPathPlan`](parcomm_net::MultiPathPlan) with per-stripe
+    /// functional copies and completion spans.
+    opts: PutOpts,
 }
 
 /// Issue (or re-issue) one attempt of a put; schedules the next retry with
@@ -254,20 +267,13 @@ where
     }
     // The put's issue instant, causally chained to whatever posted it; the
     // wire span it produces is in turn chained to the put.
-    let put_span =
-        h.trace().record_causal("put", now, now, p.attr.src_rank, p.attr.partition, p.cause);
-    if p.stripes > 1 {
-        return attempt_put_striped(p, attempt, put_span, h, now);
+    let PutOpts { stripes, src_rank, dst_rank, partition, cause } = p.opts;
+    let put_span = h.trace().record_causal("put", now, now, src_rank, partition, cause);
+    let wire = WireAttr { cause: put_span, dst_rank, partition };
+    if stripes > 1 {
+        return attempt_put_striped(p, attempt, wire, h, now);
     }
-    match p.fabric.try_transfer_attr(
-        now,
-        p.from,
-        p.to,
-        p.len as u64,
-        put_span,
-        p.attr.dst_rank,
-        p.attr.partition,
-    ) {
+    match p.fabric.try_transfer(now, p.from, p.to, p.len as u64, wire) {
         Ok(transfer) => {
             let arrival = transfer.arrival;
             let wire_span = transfer.span;
@@ -281,7 +287,6 @@ where
                 on_complete,
                 done,
                 first_try_at,
-                attr,
                 ..
             } = p;
             h.schedule_at(arrival, move |h| {
@@ -294,8 +299,8 @@ where
                     "put_complete",
                     arrival,
                     arrival,
-                    attr.dst_rank,
-                    attr.partition,
+                    dst_rank,
+                    partition,
                     wire_span,
                 );
                 on_complete(h, complete_span);
@@ -359,7 +364,7 @@ where
 fn attempt_put_striped<F>(
     p: PendingPut<F>,
     attempt: u32,
-    put_span: SpanId,
+    wire: WireAttr,
     h: SimHandle,
     now: SimTime,
 ) -> SimTime
@@ -368,9 +373,10 @@ where
 {
     let plan = p
         .fabric
-        .plan(p.from, p.to, p.len as u64, p.stripes)
+        .plan(p.from, p.to, p.len as u64, p.opts.stripes)
         .expect("stripe count validated when the request was configured");
-    match p.fabric.try_transfer_planned(now, &plan, put_span, p.attr.dst_rank, p.attr.partition) {
+    let WireAttr { dst_rank, partition, .. } = wire;
+    match p.fabric.try_transfer_planned(now, &plan, wire) {
         Ok(st) => {
             let arrival = st.arrival;
             let PendingPut {
@@ -382,7 +388,6 @@ where
                 on_complete,
                 done,
                 first_try_at,
-                attr,
                 ..
             } = p;
             // The last-landing stripe's put_complete span, handed to the
@@ -401,8 +406,8 @@ where
                         "put_complete",
                         stripe_arrival,
                         stripe_arrival,
-                        attr.dst_rank,
-                        attr.partition,
+                        dst_rank,
+                        partition,
                         stripe_span,
                     );
                     *last.lock() = span;
@@ -426,18 +431,26 @@ where
 
 impl Endpoint {
     /// Non-blocking RMA put (`ucp_put_nbx`): move `len` bytes from
-    /// `src[src_off..]` into the remote region `rkey[dst_off..]`.
+    /// `src[src_off..]` into the remote region `rkey[dst_off..]`. `opts`
+    /// carries what UCX's `ucp_request_param_t` would (see [`PutOpts`]).
     ///
     /// The transfer is routed from the *source buffer's* location to the
     /// *target buffer's* location (GPUDirect semantics: device-resident
     /// payload moves GPU→GPU without staging through the host even though
     /// the operation is posted by the host).
     ///
-    /// `on_complete` runs at the arrival instant, after the functional copy
-    /// — the hook where the paper chains the receive-side flag put. If the
+    /// `on_complete` runs at the arrival instant, after the functional
+    /// copy, with the put's `put_complete` span ([`SpanId::NONE`] when
+    /// causal tracing is off) — the hook where the paper chains the
+    /// receive-side flag put, extending the causal chain. A striped put
+    /// (`opts.stripes > 1`) lands each stripe (functional copy +
+    /// `put_complete` span) at its own arrival; `on_complete`, the
+    /// handle's result and `done` fire at the assembly barrier when the
+    /// slowest stripe arrives, with the last-landing stripe's span. If the
     /// put fails (fault-injected NIC outage outlasting the retry window),
     /// `on_complete` never runs; `done` fires with an `Err` in
     /// [`PutHandle::result`] instead.
+    #[allow(clippy::too_many_arguments)]
     pub fn put_nbx(
         &self,
         src: &Buffer,
@@ -445,71 +458,7 @@ impl Endpoint {
         len: usize,
         rkey: &RKey,
         dst_off: usize,
-        on_complete: impl FnOnce(&SimHandle) + Send + 'static,
-    ) -> PutHandle {
-        self.put_nbx_caused(src, src_off, len, rkey, dst_off, SpanId::NONE, move |h, _span| {
-            on_complete(h)
-        })
-    }
-
-    /// Like [`put_nbx`](Endpoint::put_nbx), with causal tracing: `cause` is
-    /// the span that posted this put (e.g. the progression-engine drain),
-    /// and `on_complete` receives the put's `put_complete` span so chained
-    /// operations — the receive-side flag put above all — can extend the
-    /// causal chain. Identical to `put_nbx` when causal tracing is off.
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_nbx_caused(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        len: usize,
-        rkey: &RKey,
-        dst_off: usize,
-        cause: SpanId,
-        on_complete: impl FnOnce(&SimHandle, SpanId) + Send + 'static,
-    ) -> PutHandle {
-        self.put_nbx_attr(src, src_off, len, rkey, dst_off, PutAttr::NONE, cause, on_complete)
-    }
-
-    /// Like [`put_nbx_caused`](Endpoint::put_nbx_caused), additionally
-    /// carrying the MPI ranks (and partition) of the transfer through the
-    /// `put` → `wire` → `put_complete` causal chain — see [`PutAttr`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_nbx_attr(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        len: usize,
-        rkey: &RKey,
-        dst_off: usize,
-        attr: PutAttr,
-        cause: SpanId,
-        on_complete: impl FnOnce(&SimHandle, SpanId) + Send + 'static,
-    ) -> PutHandle {
-        self.put_nbx_striped(src, src_off, len, rkey, dst_off, 1, attr, cause, on_complete)
-    }
-
-    /// Like [`put_nbx_attr`](Endpoint::put_nbx_attr), splitting the payload
-    /// into up to `stripes` stripes routed concurrently over the eligible
-    /// paths of the fabric (a [`MultiPathPlan`](parcomm_net::MultiPathPlan)
-    /// per attempt). `stripes <= 1` is **exactly** `put_nbx_attr` — same
-    /// code path, same events, same spans — so single-path behavior is
-    /// unchanged by construction. Each stripe lands (functional copy +
-    /// `put_complete` span) at its own arrival; `on_complete`, the handle's
-    /// result, and `done` fire at the assembly barrier when the slowest
-    /// stripe arrives. The caller is responsible for `stripes` being within
-    /// [`parcomm_net::MAX_STRIPES`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_nbx_striped(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        len: usize,
-        rkey: &RKey,
-        dst_off: usize,
-        stripes: usize,
-        attr: PutAttr,
-        cause: SpanId,
+        opts: PutOpts,
         on_complete: impl FnOnce(&SimHandle, SpanId) + Send + 'static,
     ) -> PutHandle {
         let fabric = self.universe.fabric().clone();
@@ -529,23 +478,9 @@ impl Endpoint {
             failure: failure.clone(),
             first_try_at: fabric.sim().now(),
             fabric,
-            cause,
-            attr,
-            stripes: stripes.max(1),
+            opts: PutOpts { stripes: opts.stripes.max(1), ..opts },
         };
         let arrival = attempt_put(pending, 0);
         PutHandle { done, arrival, failure }
-    }
-
-    /// Put without a completion callback.
-    pub fn put_nbx_silent(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        len: usize,
-        rkey: &RKey,
-        dst_off: usize,
-    ) -> PutHandle {
-        self.put_nbx(src, src_off, len, rkey, dst_off, |_| {})
     }
 }

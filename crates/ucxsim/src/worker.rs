@@ -17,7 +17,7 @@ use std::sync::Arc;
 use parcomm_sim::Mutex;
 
 use parcomm_gpu::Location;
-use parcomm_net::Fabric;
+use parcomm_net::{Fabric, WireAttr};
 use parcomm_obs::{Counter, Histogram, MetricsRegistry};
 use parcomm_sim::{Ctx, Event, Proc, SimDuration, SimHandle};
 
@@ -250,22 +250,10 @@ impl Worker {
         }
     }
 
-    /// Bounded tagged receive: like [`Worker::am_recv`] but gives up after
-    /// `timeout` of virtual time with no message. The watchdog surface for
-    /// handshake waits — a peer that died mid-protocol must not park this
-    /// process forever.
-    pub fn am_recv_timeout(
-        &self,
-        ctx: &mut Ctx,
-        tag: u64,
-        timeout: SimDuration,
-    ) -> Option<AmMessage> {
-        let (worker, p) = (self.clone(), ctx.proc());
-        ctx.block_on(async move { worker.am_recv_timeout_async(&p, tag, timeout).await })
-    }
-
-    /// Async [`Worker::am_recv_timeout`], for code run under
-    /// `Ctx::block_on`.
+    /// Bounded tagged receive, for code run under `Ctx::block_on`: like
+    /// [`Worker::am_recv_async`] but gives up after `timeout` of virtual
+    /// time with no message. The watchdog surface for handshake waits — a
+    /// peer that died mid-protocol must not park this process forever.
     pub async fn am_recv_timeout_async(
         &self,
         p: &Proc,
@@ -290,13 +278,6 @@ impl Worker {
     pub fn arrival_event(&self, tag: u64) -> Event {
         let mut mb = self.inner.mailbox.lock();
         mb.arrivals.entry(tag).or_default().clone()
-    }
-
-    /// Explicit progression hook (`ucp_worker_progress`). Message delivery
-    /// in the model is event-driven, so this only charges the poll cost —
-    /// it exists so progression-engine loops read like the real thing.
-    pub fn progress(&self, ctx: &mut Ctx, poll_cost: SimDuration) {
-        ctx.advance(poll_cost);
     }
 
     pub(crate) fn deliver(&self, h: &SimHandle, tag: u64, msg: AmMessage) {
@@ -373,7 +354,7 @@ fn am_send_attempt(
             i.am_retries.inc();
         }
     }
-    match universe.fabric().try_transfer_at(now, src, dst.location, wire_bytes) {
+    match universe.fabric().try_transfer(now, src, dst.location, wire_bytes, WireAttr::NONE) {
         Ok(transfer) => {
             // Deliver into the mailbox exactly at arrival.
             h.schedule_at(transfer.arrival, move |h| {

@@ -4,7 +4,7 @@
 use parcomm_gpu::{Buffer, Location, MemSpace, Unit};
 use parcomm_net::{ClusterSpec, Fabric};
 use parcomm_sim::{SimConfig, Simulation};
-use parcomm_ucx::{UcxError, UcxUniverse};
+use parcomm_ucx::{PutOpts, UcxError, UcxUniverse};
 
 fn cpu(node: u16) -> Location {
     Location { node, unit: Unit::Cpu }
@@ -125,7 +125,7 @@ fn put_nbx_moves_data_and_fires_callback() {
         let ep = w0.create_endpoint(w1_addr).unwrap();
         let flag = parcomm_sim::Event::new();
         let flag2 = flag.clone();
-        let put = ep.put_nbx(&src, 0, 1024, &rkey, 0, move |h| {
+        let put = ep.put_nbx(&src, 0, 1024, &rkey, 0, PutOpts::default(), move |h, _| {
             // Functional copy already applied when the callback runs.
             flag2.set(h);
         });
@@ -164,8 +164,9 @@ fn chained_put_from_completion_callback() {
         let rkey_flag2 = rkey_flag.clone();
         // The paper's pattern: data put, whose completion issues the
         // receive-side partition-flag put.
-        let put = ep.put_nbx(&payload_src, 0, 256, &rkey_payload, 0, move |_h| {
-            ep2.put_nbx_silent(&flag_src2, 0, 8, &rkey_flag2, 0);
+        let opts = PutOpts::default();
+        let put = ep.put_nbx(&payload_src, 0, 256, &rkey_payload, 0, opts, move |_h, _| {
+            ep2.put_nbx(&flag_src2, 0, 8, &rkey_flag2, 0, opts, |_, _| {});
         });
         ctx.wait(&put.done);
         // Wait a little for the chained put to land.
@@ -220,25 +221,12 @@ fn cross_node_put_takes_ib_time() {
 
     sim.spawn("sender", move |ctx| {
         let ep = w0.create_endpoint(w1_addr).unwrap();
-        let put = ep.put_nbx_silent(&src, 0, 50_000_000, &rkey, 0);
+        let put = ep.put_nbx(&src, 0, 50_000_000, &rkey, 0, PutOpts::default(), |_, _| {});
         ctx.wait(&put.done);
         // 50 MB striped over 4 NIC rails (12.5 MB each at 50 GB/s,
         // cut-through) = 250 µs + one segment + propagation latency.
         let t = ctx.now().as_micros_f64();
         assert!((250.0..300.0).contains(&t), "IB arrival {t}");
-    });
-    sim.run().unwrap();
-}
-
-#[test]
-fn worker_progress_charges_poll_cost() {
-    let mut sim = Simulation::new(SimConfig::default());
-    let uni = universe(&sim, 1);
-    let w = uni.create_worker(cpu(0));
-    sim.spawn("p", move |ctx| {
-        let t0 = ctx.now();
-        w.progress(ctx, parcomm_sim::SimDuration::from_micros(2));
-        assert_eq!(ctx.now().since(t0).as_micros_f64(), 2.0);
     });
     sim.run().unwrap();
 }
@@ -277,7 +265,7 @@ fn put_handle_arrival_matches_event() {
     let rkey = w1.mem_map(&dst).pack_rkey();
     sim.spawn("p", move |ctx| {
         let ep = w0.create_endpoint(addr).unwrap();
-        let put = ep.put_nbx_silent(&src, 0, 64, &rkey, 0);
+        let put = ep.put_nbx(&src, 0, 64, &rkey, 0, PutOpts::default(), |_, _| {});
         ctx.wait(&put.done);
         assert_eq!(ctx.now(), put.arrival, "done fires exactly at arrival");
     });
