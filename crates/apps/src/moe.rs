@@ -34,9 +34,7 @@
 //! unpacking really run, and [`moe_reference`] computes the identical
 //! result serially for bit-for-bit comparison.
 
-use parcomm_core::{
-    prequest_create_async, CopyMechanism, DevicePrequest, PrequestConfig, PsendRequest,
-};
+use parcomm_core::{prequest_create_async, CopyMechanism, DevicePrequest, PrequestConfig};
 use parcomm_gpu::{AggLevel, Buffer, KernelSpec, Stream};
 use parcomm_mpi::{MpiError, Rank};
 use parcomm_mux::{ChannelSpec, Direction, MuxChannelId, MuxConfig, MuxService};
@@ -161,7 +159,16 @@ struct PeerChannels {
 /// Run the MoE cell on this rank. All ranks must call it with identical
 /// configuration; the mux admission contract (paired ticks) is satisfied
 /// by construction because every rank submits the mirrored channel set.
+///
+/// The whole cell runs as one future: the rank's thread wakes once, when
+/// it completes, not once per admission, barrier, phase or expert charge.
 pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult, MpiError> {
+    let (p, rank, cfg) = (ctx.proc(), rank.clone(), cfg.clone());
+    ctx.block_on(async move { run_moe_async(&p, &rank, &cfg).await })
+}
+
+/// The body of [`run_moe`].
+async fn run_moe_async(p: &Proc, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult, MpiError> {
     assert_eq!(cfg.tenant_weights.len(), cfg.tenants, "one weight per tenant");
     let size = rank.size();
     let me = rank.rank();
@@ -216,16 +223,10 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
         }
         submitted.push(per_peer);
     }
-    // The whole admission loop runs as one future: the rank's thread
-    // wakes once for it, not once per init, handshake and prepare charge.
-    let (p, r) = (ctx.proc(), rank.clone());
-    let (mut mux, admitted) = ctx.block_on(async move {
-        let mut admitted: Vec<MuxChannelId> = Vec::new();
-        while mux.pending() > 0 {
-            admitted.extend(mux.tick_async(&p, &r).await?);
-        }
-        Ok::<_, MpiError>((mux, admitted))
-    })?;
+    let mut admitted: Vec<MuxChannelId> = Vec::new();
+    while mux.pending() > 0 {
+        admitted.extend(mux.tick_async(p, rank).await?);
+    }
     let channels = admitted.len();
 
     // Recover the per-(tenant, peer) bundle from the admitted table.
@@ -262,30 +263,25 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
         bundles.push(row);
     }
 
-    // One device prequest per send channel (dispatch, then combine, per
-    // (tenant, peer)), all created in one future.
-    let sreqs: Vec<PsendRequest> = bundles
-        .iter()
-        .flatten()
-        .flat_map(|pc| [pc.dispatch_send, pc.combine_send])
-        .map(|id| mux.channel(id).and_then(|c| c.chan.send().cloned()).expect("send channel"))
-        .collect();
+    // One device prequest per send channel: dispatch, then combine, per
+    // (tenant, peer).
     let want = PrequestConfig {
         copy: cfg.mechanism,
         agg: AggLevel::Block,
         transport_partitions: 1,
         multi_block_counters: true,
     };
-    let (p, r) = (ctx.proc(), rank.clone());
-    let preqs = ctx.block_on(async move {
-        let mut preqs = Vec::with_capacity(sreqs.len());
-        for sreq in &sreqs {
-            preqs.push(match prequest_create_async(&p, &r, sreq, want).await {
+    for pc in bundles.iter_mut().flatten() {
+        for (id, slot) in
+            [(pc.dispatch_send, &mut pc.dispatch_preq), (pc.combine_send, &mut pc.combine_preq)]
+        {
+            let sreq = mux.channel(id).and_then(|c| c.chan.send().cloned()).expect("send channel");
+            *slot = Some(match prequest_create_async(p, rank, &sreq, want).await {
                 Ok(preq) => preq,
                 // Ineligible route (kernel copy across nodes, shmem on a
                 // classic-negotiated channel): progression-engine
                 // fallback, same as the Jacobi app.
-                Err(_) => prequest_create_async(&p, &r, sreq, PrequestConfig {
+                Err(_) => prequest_create_async(p, rank, &sreq, PrequestConfig {
                     copy: CopyMechanism::ProgressionEngine,
                     ..want
                 })
@@ -293,12 +289,6 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
                 .expect("PE prequest always available"),
             });
         }
-        preqs
-    });
-    let mut preqs = preqs.into_iter();
-    for pc in bundles.iter_mut().flatten() {
-        pc.dispatch_preq = preqs.next();
-        pc.combine_preq = preqs.next();
     }
 
     // ---- Token state (functional runs): per tenant, this rank's tokens.
@@ -340,8 +330,8 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
     let tokens_dropped: u64 =
         dropped_ids.iter().map(|d| d.len() as u64).sum::<u64>() * cfg.layers as u64;
 
-    rank.barrier(ctx);
-    let t0 = ctx.now();
+    rank.barrier_async(p).await;
+    let t0 = p.now();
 
     for _layer in 0..cfg.layers {
         // Dispatch fill: routed token values into their slots, 0 padding.
@@ -358,7 +348,7 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
                 }
             }
         }
-        mux = run_phase(ctx, mux, &bundles, Phase::Dispatch, &stream)?;
+        phase_epoch(p, &mut mux, &bundles, Phase::Dispatch, &stream).await?;
 
         // Expert compute: transform every received token (and this rank's
         // locally-routed tokens), filling the combine send buffers.
@@ -388,12 +378,13 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
         // The expert FFN cost (two GEMMs over the received tokens) — a
         // fixed kernel charge plus a bandwidth term, as in the Jacobi app.
         let expert_tokens = (cfg.tenants * (size - 1) * cap).max(1);
-        ctx.advance(SimDuration::from_micros_f64(
+        p.advance(SimDuration::from_micros_f64(
             gpu.cost().kernel_fixed_us
                 + (expert_tokens * cfg.hidden * 8) as f64 * 4.0 / (800.0 * 1e3),
-        ));
+        ))
+        .await;
 
-        mux = run_phase(ctx, mux, &bundles, Phase::Combine, &stream)?;
+        phase_epoch(p, &mut mux, &bundles, Phase::Combine, &stream).await?;
 
         // Combine unpack: results land back in their home token slots.
         // Dropped tokens keep their residual value. Must complete before
@@ -411,7 +402,7 @@ pub fn run_moe(ctx: &mut Ctx, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResult,
         }
     }
 
-    let elapsed = ctx.now().since(t0);
+    let elapsed = p.now().since(t0);
     let checksum = if cfg.functional {
         tokens.iter().map(|ts| ts.iter().sum::<f64>()).sum()
     } else {
@@ -430,16 +421,13 @@ enum Phase {
 /// from the GPU, then wait sends, then wait receives. Receives are begun
 /// first so no rank's send can stall on a peer that is itself stalled
 /// sending — the same reply-before-block order the mux tick uses.
-///
-/// The epoch runs as one future, which owns the mux for its duration and
-/// hands it back with the result.
-fn run_phase(
-    ctx: &mut Ctx,
-    mux: MuxService,
+async fn phase_epoch(
+    p: &Proc,
+    mux: &mut MuxService,
     bundles: &[Vec<PeerChannels>],
     phase: Phase,
     stream: &Stream,
-) -> Result<MuxService, MpiError> {
+) -> Result<(), MpiError> {
     let chans: Vec<(MuxChannelId, MuxChannelId, DevicePrequest)> = bundles
         .iter()
         .flatten()
@@ -451,22 +439,6 @@ fn run_phase(
             (rid, sid, preq.clone().expect("device prequest"))
         })
         .collect();
-    let (p, stream) = (ctx.proc(), stream.clone());
-    let (mux, outcome) = ctx.block_on(async move {
-        let mut mux = mux;
-        let outcome = phase_epoch(&p, &mut mux, chans, &stream).await;
-        (mux, outcome)
-    });
-    outcome.map(|()| mux)
-}
-
-/// The body of [`run_phase`].
-async fn phase_epoch(
-    p: &Proc,
-    mux: &mut MuxService,
-    chans: Vec<(MuxChannelId, MuxChannelId, DevicePrequest)>,
-    stream: &Stream,
-) -> Result<(), MpiError> {
     let mut recvs = Vec::with_capacity(chans.len());
     for (rid, _, _) in &chans {
         let chan = mux.begin_epoch_async(p, *rid).await?;

@@ -13,7 +13,7 @@ use parcomm_gpu::{CostModel, EmissionFaultConfig, Gpu, GpuId, Location, Unit};
 use parcomm_net::{ClusterSpec, Fabric, NetFaultConfig, Topology};
 use parcomm_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use parcomm_shmem::SymmetricHeap;
-use parcomm_sim::{Ctx, SimBarrier, SimDuration, Simulation};
+use parcomm_sim::{Ctx, Proc, SimBarrier, SimDuration, Simulation};
 use parcomm_ucx::{UcxUniverse, Worker, WorkerAddress};
 
 use crate::mechanism::CopyMechanism;
@@ -529,6 +529,11 @@ impl Rank {
     /// no measured region in the paper contains one).
     pub fn barrier(&self, ctx: &mut Ctx) {
         self.world.inner.start_barrier.wait(ctx);
+    }
+
+    /// Async [`Rank::barrier`].
+    pub async fn barrier_async(&self, p: &Proc) {
+        self.world.inner.start_barrier.wait_async(p).await;
     }
 }
 

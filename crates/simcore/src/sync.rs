@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::lock::Mutex;
 
 use crate::event::Event;
-use crate::process::Ctx;
+use crate::process::{Ctx, Proc};
 use crate::sched::SimHandle;
 
 /// An unbounded multi-producer multi-consumer channel delivering instantly
@@ -169,7 +169,6 @@ pub struct SimBarrier {
 
 struct BarrierState {
     arrived: usize,
-    generation: u64,
     release: Event,
 }
 
@@ -186,7 +185,6 @@ impl SimBarrier {
         SimBarrier {
             inner: Arc::new(Mutex::new(BarrierState {
                 arrived: 0,
-                generation: 0,
                 release: Event::named("barrier"),
             })),
             parties,
@@ -196,26 +194,34 @@ impl SimBarrier {
     /// Arrive and wait for all parties. The last arriver releases everyone
     /// and resets the barrier for the next generation.
     pub fn wait(&self, ctx: &mut Ctx) {
-        let (release, my_gen, last) = {
+        if let Some(release) = self.arrive(&ctx.handle()) {
+            ctx.wait(&release);
+        }
+    }
+
+    /// Async [`SimBarrier::wait`], for code run under `Ctx::block_on` or in
+    /// a thread-free process.
+    pub async fn wait_async(&self, p: &Proc) {
+        if let Some(release) = self.arrive(&p.handle()) {
+            p.wait(&release).await;
+        }
+    }
+
+    /// Count one party in. The last arriver fires the generation's release
+    /// event, installs a fresh one for the next generation and gets `None`;
+    /// every other party gets the event to wait on.
+    fn arrive(&self, h: &SimHandle) -> Option<Event> {
+        let release = {
             let mut st = self.inner.lock();
             st.arrived += 1;
-            let last = st.arrived == self.parties;
-            (st.release.clone(), st.generation, last)
+            if st.arrived < self.parties {
+                return Some(st.release.clone());
+            }
+            st.arrived = 0;
+            std::mem::replace(&mut st.release, Event::named("barrier"))
         };
-        if last {
-            let next = {
-                let mut st = self.inner.lock();
-                st.arrived = 0;
-                st.generation += 1;
-                let old = st.release.clone();
-                st.release = Event::named("barrier");
-                old
-            };
-            next.set(&ctx.handle());
-            let _ = my_gen;
-            return;
-        }
-        ctx.wait(&release);
+        release.set(h);
+        None
     }
 
     /// Number of participating processes.

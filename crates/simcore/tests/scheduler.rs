@@ -584,8 +584,7 @@ const ROUNDS: u64 = 20;
 /// instead of blocking `Ctx` calls. Returns the run and its handoffs.
 fn two_process_program(async_rounds: bool) -> (ProgramRun, u64) {
     let mut sim = Simulation::with_seed(7);
-    let trace = sim.trace();
-    trace.enable();
+    sim.trace().enable();
     let counter = CountEvent::named("produced");
     let marks: Vec<Event> = (0..ROUNDS / 5).map(|_| Event::new()).collect();
 
@@ -678,6 +677,12 @@ fn two_process_program(async_rounds: bool) -> (ProgramRun, u64) {
             }
         }
     });
+    run_program(sim)
+}
+
+/// Run `sim` to the end; return what it leaves behind and its handoffs.
+fn run_program(sim: Simulation) -> (ProgramRun, u64) {
+    let trace = sim.trace();
     let report = sim.run().unwrap();
     let spans = trace
         .spans()
@@ -703,6 +708,75 @@ fn block_on_reproduces_the_blocking_program() {
     // two process starts; the blocking program pays one per cross resume.
     assert!(polled_handoffs <= 2 * ROUNDS + 2, "{polled_handoffs} handoffs");
     assert!(blocking_handoffs > 2 * polled_handoffs, "{blocking_handoffs} vs {polled_handoffs}");
+}
+
+const PARTIES: u64 = 4;
+
+/// `PARTIES` processes meet at one barrier three times, each after jittered
+/// work, and record a span per meeting. With `async_wait`, each process
+/// runs its three rounds as one `block_on` future over
+/// `SimBarrier::wait_async` instead of blocking `Ctx` calls.
+fn barrier_program(async_wait: bool) -> (ProgramRun, u64) {
+    let mut sim = Simulation::with_seed(11);
+    sim.trace().enable();
+    let barrier = SimBarrier::new(PARTIES as usize);
+    for i in 0..PARTIES {
+        let b = barrier.clone();
+        sim.spawn(format!("p{i}"), move |ctx| {
+            if async_wait {
+                let p = ctx.proc();
+                ctx.block_on(async move {
+                    for round in 0..3 {
+                        let t0 = p.now();
+                        let d = p.jitter_us(2.0 + i as f64, 0.5);
+                        p.advance(d).await;
+                        b.wait_async(&p).await;
+                        p.handle().trace().record_attr(
+                            "meet",
+                            t0,
+                            p.now(),
+                            Some(i as u32),
+                            Some(round),
+                            SpanId::NONE,
+                        );
+                    }
+                });
+            } else {
+                for round in 0..3 {
+                    let t0 = ctx.now();
+                    let d = ctx.jitter_us(2.0 + i as f64, 0.5);
+                    ctx.advance(d);
+                    b.wait(ctx);
+                    ctx.handle().trace().record_attr(
+                        "meet",
+                        t0,
+                        ctx.now(),
+                        Some(i as u32),
+                        Some(round),
+                        SpanId::NONE,
+                    );
+                }
+            }
+        });
+    }
+    run_program(sim)
+}
+
+#[test]
+fn barrier_wait_async_reproduces_the_blocking_barrier() {
+    let (blocking, blocking_handoffs) = barrier_program(false);
+    let (polled, polled_handoffs) = barrier_program(true);
+    assert_eq!(polled, blocking, "same end time, event count and span stream");
+    assert_eq!(blocking.spans.len(), 3 * PARTIES as usize);
+    // Each round ends for every party at the last arrival.
+    for round in 0..3 {
+        let ends: Vec<u64> =
+            blocking.spans.iter().filter(|s| s.4 == Some(round)).map(|s| s.2).collect();
+        assert!(ends.windows(2).all(|w| w[0] == w[1]), "round {round}: {ends:?}");
+    }
+    // At most one start and one `block_on` completion per process.
+    assert!(polled_handoffs <= 2 * PARTIES, "{polled_handoffs} handoffs");
+    assert!(polled_handoffs < blocking_handoffs, "{polled_handoffs} vs {blocking_handoffs}");
 }
 
 #[test]
