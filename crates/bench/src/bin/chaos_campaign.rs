@@ -8,50 +8,115 @@
 //! — is **byte-identical at any worker count**: diff the stdout of a
 //! `--threads 1` run against a `--threads 4` run to prove it.
 //!
-//! Flags:
-//! - `--coverage` — plans come from the search instead of the grid: each
-//!   round synthesizes plans toward fault-class × layer points, and a
-//!   contract failure is bisected to a minimal failing plan written as
-//!   JSON under `--min-out`;
-//! - `--quick` — trim the grid to two seeds, cap the search budget at 12;
-//! - `--seeds N` — the grid's fault-seed count (CI widens it for the
-//!   wall-clock speedup check);
-//! - `--budget N` — the search's cell budget (default 36);
-//! - `--recover` / `--no-recover` — arm or disarm the recovery escalation
-//!   ladder (default: armed for the search and `--fault-plan`, off for the
-//!   grid); the contract adapts (e.g. a PE crash is *expected* to be a
-//!   typed failure when recovery is off);
-//! - `--mechanism pe|kc|shmem` (or `PARCOMM_MECHANISM`) — the copy
-//!   mechanism every cell's world negotiates; under `shmem` the search
-//!   additionally targets the shmem-signal fault classes (default `pe`);
-//! - `--channels N` — the multiplexed-load axis (canonical values 1, 64,
-//!   1024): above 1 every cell observes the mux-admitted MoE
-//!   dispatch/combine workload instead of the single collective, and
-//!   covered points gain a `cN:` qualifier (default 1);
-//! - `--shape uniform|ragged|oversub` — the topology-shape axis: the
-//!   classic uniform testbed, a ragged 4/2-GPU 2/1-NIC world, or the same
-//!   ragged world at 2:1 rank oversubscription; non-uniform points gain a
-//!   `ragged:`/`oversub:` qualifier and minimized failures carry the
-//!   `--topology` spec (default `uniform`);
-//! - `--threads N` / `PARCOMM_THREADS=N` — sweep worker count (default:
-//!   available parallelism);
-//! - `--out <path>` — stream completed cells to a resumable JSON-lines
-//!   sink; a re-run against the same file skips the cells already on disk;
-//! - `--min-out <dir>` — where minimized failing plans land (default
-//!   `results`);
-//! - `--fault-plan <file>` — skip the campaign: load one `FaultPlan` from
-//!   JSON (e.g. a minimized plan from `results/`), run it on the one cell
-//!   the campaign's axes give it, and report survival — the
-//!   reproduce-one-cell workflow;
-//! - `PARCOMM_CHAOS_SEED` — shift the grid's fault-seed block.
+//! Run with `--help` for the flags ([`USAGE`]). An unknown argument, a
+//! number that does not parse or an unknown mechanism prints the usage and
+//! exits 2.
 //!
 //! Exits non-zero if any cell violates the fault-injection contract.
 
 use parcomm_bench::{arg_flag, arg_value};
+use parcomm_core::CopyMechanism;
 use parcomm_fault::coverage::TopologyShape;
 use parcomm_fault::{run_campaign, run_campaign_with_sink, CampaignConfig, FaultPlan, PlanSource};
 use parcomm_mpi::RecoveryReport;
 use parcomm_sweep::JsonlSink;
+
+/// The `--help` text: every flag the campaign reads.
+const USAGE: &str = "\
+usage: chaos_campaign [flags]
+
+  --coverage            plans come from the coverage-guided search instead of
+                        the grid: each round synthesizes plans toward fault-class
+                        x layer points, and a contract failure is bisected to a
+                        minimal failing plan written as JSON under --min-out
+  --quick               trim the grid to two seeds, cap the search budget at 12
+  --seeds N             the grid's fault-seed count (default 8, 2 with --quick)
+  --budget N            the search's cell budget (default 36)
+  --recover             arm the recovery escalation ladder (default: armed for
+  --no-recover          the search and --fault-plan, off for the grid); the
+                        contract adapts, e.g. a PE crash is expected to be a
+                        typed failure when recovery is off
+  --mechanism pe|kc|shmem
+                        the copy mechanism every cell's world negotiates (or
+                        PARCOMM_MECHANISM); under shmem the search also targets
+                        the shmem-signal fault classes (default pe)
+  --channels N          the multiplexed-load axis (canonical 1, 64, 1024): above
+                        1 every cell runs the mux-admitted MoE dispatch/combine
+                        workload, and covered points gain a cN: qualifier
+                        (default 1)
+  --shape uniform|ragged|oversub
+                        the topology-shape axis: the uniform testbed, a ragged
+                        4/2-GPU 2/1-NIC world, or that world at 2:1 rank
+                        oversubscription (default uniform)
+  --threads N           sweep worker count (or PARCOMM_THREADS; default:
+                        available parallelism)
+  --out PATH            stream completed cells to a resumable JSON-lines sink; a
+                        re-run against the same file skips the cells on disk
+  --min-out DIR         where minimized failing plans land (default results)
+  --fault-plan FILE     skip the campaign: run one FaultPlan from JSON on the
+                        cell the campaign's axes give it and report survival
+  --help                print this text
+
+Flags that take a value accept --flag VALUE or --flag=VALUE.
+PARCOMM_CHAOS_SEED shifts the grid's fault-seed block.
+";
+
+/// Flags that take no value.
+const SWITCHES: [&str; 4] = ["--coverage", "--quick", "--recover", "--no-recover"];
+
+/// Flags that take a value.
+const VALUED: [&str; 9] = [
+    "--seeds",
+    "--budget",
+    "--channels",
+    "--threads",
+    "--mechanism",
+    "--shape",
+    "--out",
+    "--min-out",
+    "--fault-plan",
+];
+
+/// The valued flags whose value is a count.
+const COUNTS: [&str; 4] = ["--seeds", "--budget", "--channels", "--threads"];
+
+/// Print `msg` and the usage to stderr and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprint!("chaos_campaign: {msg}\n\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Check the command line before anything runs: `--help` prints the usage
+/// and exits 0; an unknown argument, a missing value, a count that does
+/// not parse or an unknown mechanism is a usage error.
+fn check_args() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--help" {
+            print!("{USAGE}");
+            std::process::exit(0);
+        }
+        if SWITCHES.contains(&arg.as_str()) {
+            continue;
+        }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
+            None => (arg.clone(), None),
+        };
+        if !VALUED.contains(&flag.as_str()) {
+            usage_error(&format!("unknown argument {arg}"));
+        }
+        let value = inline
+            .or_else(|| args.next())
+            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")));
+        if COUNTS.contains(&flag.as_str()) && value.parse::<u64>().is_err() {
+            usage_error(&format!("{flag} {value}: not a non-negative integer"));
+        }
+        if flag == "--mechanism" && CopyMechanism::from_short_name(&value).is_none() {
+            usage_error(&format!("--mechanism {value}: expected pe|kc|shmem"));
+        }
+    }
+}
 
 /// The campaign the command line describes.
 fn config() -> CampaignConfig {
@@ -116,6 +181,7 @@ fn run_one_plan(cfg: &CampaignConfig, path: &str) -> ! {
 }
 
 fn main() {
+    check_args();
     let cfg = config();
     if let Some(path) = arg_value("--fault-plan") {
         run_one_plan(&cfg, &path);

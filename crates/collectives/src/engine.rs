@@ -22,14 +22,16 @@
 //! Algorithm 2 is written once, as async code over a [`Proc`] handle:
 //! `sweep`, `stage_and_send`, `issue_step_sends`, `reduce_chunk`,
 //! `wait_any_arrival` and the stall watchdog / recovery ladder of
-//! `run_schedule`. `MPI_Wait` and host `MPI_Pready` run it with
-//! `Ctx::block_on`; the progression-engine hook that drains device readiness
-//! returns it as a future that the engine's own future awaits. Every await
-//! parks the rank (or its engine) exactly as the
-//! blocking call would, so the event stream is that of blocking code; but
-//! while the rank is parked the scheduler polls the future in place, and
-//! the rank's OS thread wakes once per entry point instead of once per
-//! copy, `MPI_Pready`, kernel launch, stream synchronize and poll tick.
+//! `run_schedule`. `MPI_Wait` and host `MPI_Pready` run it with one
+//! `Ctx::block_on` each (`MPI_Wait` awaits the channels' own waits in the
+//! same future, as `MPIX_Pbuf_prepare` awaits their handshakes); the
+//! progression-engine hook that drains device readiness returns it as a
+//! future that the engine's own future awaits. Every await parks the rank
+//! (or its engine) exactly as the blocking call would, so the event stream
+//! is that of blocking code; but while the rank is parked the scheduler
+//! polls the future in place, and the rank's OS thread wakes once per entry
+//! point instead of once per channel, copy, `MPI_Pready`, kernel launch,
+//! stream synchronize and poll tick.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -302,15 +304,18 @@ impl PcollRequest {
     /// with the collective rather than just two ranks" — ring neighbors
     /// transitively synchronize the whole communicator).
     pub fn pbuf_prepare(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
-        // Receive channels reply/RTR first so no sender can block forever
-        // waiting for its peer's receive side.
-        for ch in &self.inner.recv {
-            ch.rreq.pbuf_prepare(ctx)?;
-        }
-        for ch in &self.inner.send {
-            ch.sreq.pbuf_prepare(ctx)?;
-        }
-        Ok(())
+        let (this, p) = (self.clone(), ctx.proc());
+        ctx.block_on(async move {
+            // Receive channels reply/RTR first so no sender can block
+            // forever waiting for its peer's receive side.
+            for ch in &this.inner.recv {
+                ch.rreq.pbuf_prepare_async(&p).await?;
+            }
+            for ch in &this.inner.send {
+                ch.sreq.pbuf_prepare_async(&p).await?;
+            }
+            Ok(())
+        })
     }
 
     /// Host `MPI_Pready`: user partition `u`'s local contribution is
@@ -628,16 +633,17 @@ impl PcollRequest {
     /// generation. Only after `max_replays` fruitless rounds does the typed
     /// [`MpiError::Unrecoverable`] surface.
     pub fn wait(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
-        let this = self.clone();
-        let p = ctx.proc();
-        ctx.block_on(async move { this.run_schedule(&p).await })?;
-        for ch in &self.inner.send {
-            ch.sreq.wait(ctx)?;
-        }
-        for ch in &self.inner.recv {
-            ch.rreq.wait(ctx)?;
-        }
-        Ok(())
+        let (this, p) = (self.clone(), ctx.proc());
+        ctx.block_on(async move {
+            this.run_schedule(&p).await?;
+            for ch in &this.inner.send {
+                ch.sreq.wait_async(&p).await?;
+            }
+            for ch in &this.inner.recv {
+                ch.rreq.wait_async(&p).await?;
+            }
+            Ok(())
+        })
     }
 
     /// The body of `MPI_Wait`: sweep until every partition has finished the

@@ -26,5 +26,7 @@ pub use cost::{AggLevel, CostModel};
 pub use device::{Gpu, GpuId, IpcError, IpcMappedBuffer};
 pub use faults::EmissionFaultConfig;
 pub use kernel::{DeviceCtx, KernelSpec, LaunchHandle};
+#[doc(hidden)]
+pub use mem::pages_allocated;
 pub use mem::{Buffer, BufferId, Location, MemSpace, Unit, WeakBuffer};
 pub use stream::Stream;

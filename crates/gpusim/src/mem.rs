@@ -103,11 +103,63 @@ const PAGE: usize = 16 * 1024;
 /// What a never-written page reads as.
 static ZEROS: [u8; PAGE] = [0; PAGE];
 
+/// Full-page allocations of dropped pages, reused before the allocator is
+/// asked for a new one. Pages are always taken from here first, so it never
+/// holds more than the process's peak of live full pages.
+static FREE_PAGES: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+/// Full pages the allocator had to supply because [`FREE_PAGES`] was empty.
+static PAGES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+/// Full pages obtained from the allocator so far, process-wide: a page
+/// taken from the free list of dropped pages does not count. Test support
+/// for the steady-state contract that a persistent channel's epochs reuse
+/// pages rather than allocate them.
+#[doc(hidden)]
+pub fn pages_allocated() -> u64 {
+    PAGES_ALLOCATED.load(Ordering::Relaxed)
+}
+
+/// The bytes of one written page. A full page's allocation goes back to
+/// [`FREE_PAGES`] when the last buffer sharing it lets go; a shorter last
+/// page is freed.
+struct PageBytes(Vec<u8>);
+
+impl Drop for PageBytes {
+    fn drop(&mut self) {
+        if self.0.len() == PAGE {
+            let bytes = std::mem::take(&mut self.0);
+            FREE_PAGES.lock().push(bytes);
+        }
+    }
+}
+
+impl std::ops::Deref for PageBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 /// One page of a buffer: `None` until first written (it reads as zeros),
 /// then bytes that other buffers may share and that are copied before a
 /// write (copy-on-write). Every page is [`PAGE`] bytes except a shorter
 /// last one, so a buffer of at most one page is one exact-size page.
-type Page = Option<Arc<Vec<u8>>>;
+type Page = Option<Arc<PageBytes>>;
+
+/// A new page of `len` bytes, every one of which `fill` must set: a
+/// recycled full page still holds the bytes of its last use. The one place
+/// page bytes are allocated.
+fn fresh_page(len: usize, fill: impl FnOnce(&mut [u8])) -> Arc<PageBytes> {
+    let full = len == PAGE;
+    let recycled = if full { FREE_PAGES.lock().pop() } else { None };
+    let mut bytes = recycled.unwrap_or_else(|| {
+        PAGES_ALLOCATED.fetch_add(u64::from(full), Ordering::Relaxed);
+        vec![0; len]
+    });
+    fill(&mut bytes);
+    Arc::new(PageBytes(bytes))
+}
 
 /// The pieces of the byte range `off..off + n` that cross no page
 /// boundary, in order: `(page, offset in page, offset in range, length)`.
@@ -151,19 +203,31 @@ impl Store {
         }
     }
 
-    /// Page `i` made writable: a never-written page becomes real zeros and
-    /// a shared one is copied first.
-    fn page_mut(&mut self, i: usize) -> &mut [u8] {
-        let len = self.page_len(i);
-        Arc::make_mut(self.pages[i].get_or_insert_with(|| Arc::new(vec![0; len]))).as_mut_slice()
+    /// Page `i` when this buffer alone holds it, writable in place.
+    fn owned_page(&mut self, i: usize) -> Option<&mut [u8]> {
+        self.pages[i].as_mut().and_then(Arc::get_mut).map(|p| p.0.as_mut_slice())
     }
 
-    /// Before a write covering page `i` whole: drop the page if another
-    /// buffer shares it, so the write starts from a fresh page instead of
-    /// a copy of bytes it replaces.
-    fn unshare_whole(&mut self, i: usize) {
-        if self.pages[i].as_ref().is_some_and(|p| Arc::strong_count(p) > 1) {
-            self.pages[i] = None;
+    /// Page `i` made writable: a never-written page becomes a fresh page of
+    /// zeros and a shared one a fresh copy.
+    fn page_mut(&mut self, i: usize) -> &mut [u8] {
+        if self.owned_page(i).is_none() {
+            let old = self.pages[i].take();
+            self.pages[i] = Some(fresh_page(self.page_len(i), |p| match &old {
+                Some(old) => p.copy_from_slice(old),
+                None => p.fill(0),
+            }));
+        }
+        self.owned_page(i).expect("a page just made unshared")
+    }
+
+    /// Set every byte of page `i` with `fill`: in place when this buffer
+    /// alone holds the page, otherwise in a fresh page that replaces it, so
+    /// the bytes being replaced are never zeroed or copied first.
+    fn overwrite_page(&mut self, i: usize, fill: impl FnOnce(&mut [u8])) {
+        match self.owned_page(i) {
+            Some(page) => fill(page),
+            None => self.pages[i] = Some(fresh_page(self.page_len(i), fill)),
         }
     }
 
@@ -197,14 +261,13 @@ impl Store {
     }
 
     /// Write `n` bytes at `o` in page `i`: `src`, or zeros for `None`. A
-    /// write covering the whole page never copies the bytes it replaces: it
-    /// overwrites an unshared page in place and otherwise swaps in a fresh
-    /// one.
+    /// write covering the whole page never copies the bytes it replaces
+    /// (see [`Store::overwrite_page`]); whole-page zeros drop the page.
     fn write_in_page(&mut self, i: usize, o: usize, src: Option<&[u8]>, n: usize) {
         if o == 0 && n == self.page_len(i) {
-            match (self.pages[i].as_mut().and_then(Arc::get_mut), src) {
-                (Some(page), Some(src)) => page.copy_from_slice(src),
-                (_, src) => self.pages[i] = src.map(|s| Arc::new(s.to_vec())),
+            match src {
+                Some(src) => self.overwrite_page(i, |p| p.copy_from_slice(src)),
+                None => self.pages[i] = None,
             }
             return;
         }
@@ -234,12 +297,16 @@ impl Store {
         }
         self.check(off, n);
         for (i, o, at, take) in spans(off, n) {
-            if o == 0 && take == self.page_len(i) {
-                self.unshare_whole(i);
-            }
             let vals = &src[at / 8..(at + take) / 8];
-            for (d, v) in self.page_mut(i)[o..o + take].chunks_exact_mut(8).zip(vals) {
-                d.copy_from_slice(&v.to_le_bytes());
+            let encode = |d: &mut [u8]| {
+                for (d, v) in d.chunks_exact_mut(8).zip(vals) {
+                    d.copy_from_slice(&v.to_le_bytes());
+                }
+            };
+            if o == 0 && take == self.page_len(i) {
+                self.overwrite_page(i, encode);
+            } else {
+                encode(&mut self.page_mut(i)[o..o + take]);
             }
         }
     }
@@ -276,7 +343,16 @@ impl Store {
             return self.write(off, &sum);
         }
         for (i, o, at, take) in spans(off, n) {
-            add_f64(&mut self.page_mut(i)[o..o + take], &src[at..at + take]);
+            let src = &src[at..at + take];
+            if o == 0 && take == self.page_len(i) && self.owned_page(i).is_none() {
+                // A shared or never-written whole page: write the sums into
+                // a fresh page in one pass instead of copying, then adding.
+                let old = self.pages[i].take();
+                let old = old.as_deref().map_or(&ZEROS[..take], |p| p);
+                self.pages[i] = Some(fresh_page(take, |p| sum_f64(p, old, src)));
+            } else {
+                add_f64(&mut self.page_mut(i)[o..o + take], src);
+            }
         }
     }
 
@@ -442,6 +518,13 @@ fn add_f64(dst: &mut [u8], src: &[u8]) {
     for (d, s) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)) {
         let v = f64_le(d) + f64_le(s);
         d.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// `dst = a + b`, all little-endian `f64` byte slices of equal length.
+fn sum_f64(dst: &mut [u8], a: &[u8], b: &[u8]) {
+    for ((d, a), b) in dst.chunks_exact_mut(8).zip(a.chunks_exact(8)).zip(b.chunks_exact(8)) {
+        d.copy_from_slice(&(f64_le(a) + f64_le(b)).to_le_bytes());
     }
 }
 
@@ -653,7 +736,7 @@ mod tests {
     /// Apply one encoded operation to three buffers and to their flat
     /// `Vec<u8>` models; `Err` when a read disagrees.
     fn apply(
-        bufs: &[Buffer],
+        bufs: &mut [Buffer],
         model: &mut [Vec<u8>],
         (a, b, c, d): Op,
     ) -> Result<(), String> {
@@ -737,9 +820,24 @@ mod tests {
                     return Err(format!("read_f64({off}) of buffer {x}"));
                 }
             }
+            9 => {
+                // Drop the buffer and allocate a new one: its pages go to
+                // the free list, and the new buffer must still read as zeros
+                // wherever it is not written.
+                bufs[x] = host_buf(len);
+                model[x].fill(0);
+            }
             _ => {}
         }
         Ok(())
+    }
+
+    /// Put more full pages of non-zero bytes on the free list than the
+    /// three buffers of a case can hold, so every page a case writes is a
+    /// recycled one whose stale bytes must never show.
+    fn fill_free_list() {
+        let junk = host_buf(16 * PAGE);
+        junk.write_bytes(0, &pattern(16 * PAGE, 5));
     }
 
     #[test]
@@ -758,10 +856,11 @@ mod tests {
                 let lens: Vec<usize> = (0..3)
                     .map(|i| pick(sizes.get(i).copied().unwrap_or(0), 4 * PAGE + 40))
                     .collect();
-                let bufs: Vec<Buffer> = lens.iter().map(|&n| host_buf(n)).collect();
+                fill_free_list();
+                let mut bufs: Vec<Buffer> = lens.iter().map(|&n| host_buf(n)).collect();
                 let mut model: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0; n]).collect();
                 for (k, &op) in ops.iter().enumerate() {
-                    apply(&bufs, &mut model, op).map_err(|e| format!("op {k} {op:?}: {e}"))?;
+                    apply(&mut bufs, &mut model, op).map_err(|e| format!("op {k} {op:?}: {e}"))?;
                 }
                 for (x, buf) in bufs.iter().enumerate() {
                     if buf.len() != lens[x] || buf.read_bytes(0, lens[x]) != model[x] {

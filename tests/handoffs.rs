@@ -74,10 +74,13 @@ fn hierarchical_allreduce(ctx: &mut Ctx, rank: &mut Rank, failures: &Mutex<usize
 const HIER_EVENTS: u64 = 12_777;
 const HIER_PROCESSES: u64 = 16;
 /// Thread handoffs of the same run: 8 rank threads, each started once and
-/// woken at its `block_on` completions. With each PE daemon run under
-/// `spawn_daemon` + `block_on` instead of as a thread-free process, the
-/// count was 207: 2 more per daemon, its start and its final baton pass.
-const HIER_HANDOFFS: u64 = 191;
+/// woken at its `block_on` completions, one per collective entry point.
+/// With `MPIX_Pbuf_prepare` and `MPI_Wait` blocking once per channel
+/// instead of awaiting every channel in one future, the count was 191; with
+/// each PE daemon run under `spawn_daemon` + `block_on` instead of as a
+/// thread-free process as well, 207: 2 more per daemon, its start and its
+/// final baton pass.
+const HIER_HANDOFFS: u64 = 119;
 
 #[test]
 fn hierarchical_allreduce_keeps_event_count_with_few_handoffs() {
