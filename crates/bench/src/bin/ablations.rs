@@ -5,17 +5,31 @@
 //! sweep measures (default: the Progression Engine).
 //! `--trace-out <path>` / `--metrics-out <path>` additionally export the
 //! traced allreduce's Chrome trace, flamegraph stacks, and metrics.
+//! A mechanism or seed that does not parse prints the usage and exits 2.
 use parcomm_bench as b;
 
+const USAGE: &str = "\
+usage: ablations [--quick] [--mechanism pe|kc|shmem] [--faults SEED]
+                 [--trace-out PATH] [--metrics-out PATH]
+";
+
+/// Print `msg` and the usage to stderr and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprint!("ablations: {msg}\n\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
+    let mechanism = b::mechanism().unwrap_or_else(|e| usage_error(&e));
+    let fault_seed = b::fault_seed().unwrap_or_else(|e| usage_error(&e));
     let q = b::quick_mode();
     b::ablations::run_poll_interval(q).emit();
-    match b::mechanism() {
+    match mechanism {
         Some(m) => b::ablations::run_transport_sweep_mech(q, m).emit(),
         None => b::ablations::run_transport_sweep(q).emit(),
     }
     b::ablations::run_counter_aggregation(q).emit();
     b::striping::run(q).emit();
-    b::ablations::run_fault_goodput(q, b::fault_seed().unwrap_or(0xC4A05)).emit();
+    b::ablations::run_fault_goodput(q, fault_seed.unwrap_or(0xC4A05)).emit();
     b::obsrun::emit_requested_outputs(q);
 }

@@ -88,7 +88,8 @@ fn usage_error(msg: &str) -> ! {
 
 /// Check the command line before anything runs: `--help` prints the usage
 /// and exits 0; an unknown argument, a missing value, a count that does
-/// not parse or an unknown mechanism is a usage error.
+/// not parse or an unknown mechanism is a usage error. ([`config`] rejects
+/// an unknown `PARCOMM_MECHANISM` the same way.)
 fn check_args() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -138,7 +139,7 @@ fn config() -> CampaignConfig {
     if arg_flag("--no-recover") {
         cfg.recover = false;
     }
-    if let Some(m) = parcomm_bench::mechanism() {
+    if let Some(m) = parcomm_bench::mechanism().unwrap_or_else(|e| usage_error(&e)) {
         cfg.mechanism = m;
     }
     if let Some(n) = arg_value("--channels").and_then(|s| s.parse().ok()) {
@@ -147,8 +148,7 @@ fn config() -> CampaignConfig {
     }
     if let Some(s) = arg_value("--shape") {
         cfg.shape = TopologyShape::ALL.into_iter().find(|t| t.key() == s).unwrap_or_else(|| {
-            eprintln!("--shape {s}: expected uniform|ragged|oversub");
-            std::process::exit(2);
+            usage_error(&format!("--shape {s}: expected uniform|ragged|oversub"))
         });
     }
     cfg

@@ -6,14 +6,24 @@
 //! available parallelism).
 //! Pass `--faults <seed>` to additionally run the whole suite's fault
 //! ablation: the canonical allreduce under seeded chaos at increasing
-//! fault rates (goodput vs fault rate, deterministic per seed).
+//! fault rates (goodput vs fault rate, deterministic per seed). A seed
+//! that does not parse prints the usage and exits 2 before any figure runs.
 //! Pass `--trace-out <path>` / `--metrics-out <path>` to additionally run
 //! the traced 1K-grid partitioned allreduce and export a Perfetto-loadable
 //! Chrome trace (plus `<path>.folded` flamegraph stacks), a metrics
 //! snapshot, and a critical-path report.
 use parcomm_bench as b;
 
+const USAGE: &str = "\
+usage: reproduce_all [--quick] [--threads N] [--faults SEED]
+                     [--trace-out PATH] [--metrics-out PATH]
+";
+
 fn main() {
+    let fault_seed = b::fault_seed().unwrap_or_else(|msg| {
+        eprint!("reproduce_all: {msg}\n\n{USAGE}");
+        std::process::exit(2);
+    });
     let q = b::quick_mode();
     b::fig02::run(q).emit();
     b::fig03::run(q).emit();
@@ -27,7 +37,7 @@ fn main() {
     b::fig1011::run_fig10(q).emit();
     b::fig1011::run_fig11(q).emit();
     b::striping::run(q).emit();
-    if let Some(seed) = b::fault_seed() {
+    if let Some(seed) = fault_seed {
         b::ablations::run_fault_goodput(q, seed).emit();
     }
     b::obsrun::emit_requested_outputs(q);

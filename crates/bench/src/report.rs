@@ -178,17 +178,22 @@ pub(crate) fn run_sweep<T: Send + 'static>(spec: SweepSpec<T>, what: &str) -> Ve
 }
 
 /// Copy mechanism selected on the command line: `--mechanism pe|kc|shmem`
-/// (or `PARCOMM_MECHANISM=<short name>`). `None` when unset or
-/// unparseable — callers fall back to their own default.
-pub fn mechanism() -> Option<parcomm_core::CopyMechanism> {
+/// (or `PARCOMM_MECHANISM=<short name>`). `Ok(None)` when unset — callers
+/// fall back to their own default; `Err` names a value that does not parse.
+pub fn mechanism() -> Result<Option<parcomm_core::CopyMechanism>, String> {
     arg_or_env("--mechanism", "PARCOMM_MECHANISM")
-        .and_then(|s| parcomm_core::CopyMechanism::from_short_name(&s))
+        .map(|s| {
+            parcomm_core::CopyMechanism::from_short_name(&s)
+                .ok_or_else(|| format!("--mechanism/PARCOMM_MECHANISM {s}: expected pe|kc|shmem"))
+        })
+        .transpose()
 }
 
 /// Chaos seed for the fault-injection ablation: `--faults <seed>` on the
 /// command line (decimal or `0x`-prefixed hex) or `PARCOMM_FAULTS=<seed>`.
-/// `None` means the caller should skip fault runs entirely.
-pub fn fault_seed() -> Option<u64> {
+/// `Ok(None)` means the caller should skip fault runs entirely; `Err`
+/// names a value that does not parse.
+pub fn fault_seed() -> Result<Option<u64>, String> {
     fn parse(s: &str) -> Option<u64> {
         let s = s.trim();
         if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -197,7 +202,11 @@ pub fn fault_seed() -> Option<u64> {
             s.parse().ok()
         }
     }
-    arg_or_env("--faults", "PARCOMM_FAULTS").as_deref().and_then(parse)
+    arg_or_env("--faults", "PARCOMM_FAULTS")
+        .map(|s| {
+            parse(&s).ok_or_else(|| format!("--faults/PARCOMM_FAULTS {s}: not a decimal or 0x-hex seed"))
+        })
+        .transpose()
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The `chaos_campaign` command line: `--help` prints the flag list, and an
-//! unknown argument, a count that does not parse or an unknown mechanism
-//! is a usage error (exit 2) rather than a silently run default campaign.
+//! unknown argument, a count that does not parse, an unknown mechanism or
+//! an unknown shape is a usage error (exit 2) rather than a silently run
+//! default campaign.
 
 use std::process::{Command, Output};
 
@@ -28,6 +29,7 @@ fn help_prints_the_flags_and_bad_arguments_exit_2() {
         &["--coverage", "--channels", "x"],
         &["--threads", "x"],
         &["--mechanism", "bogus"],
+        &["--shape", "bogus"],
         &["--out"],
         &["stray"],
     ] {

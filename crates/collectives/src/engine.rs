@@ -97,6 +97,9 @@ struct EngineInner {
     progression: ProgressionEngine,
     /// This rank's index (typed-error diagnostics).
     rank: usize,
+    /// Progression-engine poll interval (from the world config): the
+    /// cadence of `wait_any_arrival`'s polling sweep.
+    poll_us: f64,
     /// Armed Algorithm-2 watchdog (from the world config); `None` in
     /// fault-free runs keeps the wait loop event-identical to the seed.
     watchdog_us: Option<f64>,
@@ -253,6 +256,7 @@ impl PcollRequest {
                 cost: rank.gpu().cost().clone(),
                 progression: rank.progression().clone(),
                 rank: rank.rank(),
+                poll_us: rank.world().config().progress_poll_us,
                 watchdog_us: rank.world().config().wait_watchdog_us,
                 recover: rank.world().config().recover.clone(),
                 instruments: rank.world().instruments(),
@@ -781,11 +785,11 @@ impl PcollRequest {
                     }
                 }
             } else {
-                p.advance(SimDuration::from_micros_f64(self.inner.cost.progress_poll_us)).await;
+                p.advance(SimDuration::from_micros_f64(self.inner.poll_us)).await;
             }
         } else {
             // Multiple channels: poll at the progression interval.
-            p.advance(SimDuration::from_micros_f64(self.inner.cost.progress_poll_us)).await;
+            p.advance(SimDuration::from_micros_f64(self.inner.poll_us)).await;
         }
     }
 }

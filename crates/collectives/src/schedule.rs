@@ -187,7 +187,7 @@ impl Schedule {
             if l < s_core {
                 // Core ring neighbors: over the first S local ranks of the
                 // node (the full node width on uniform shapes, where this
-                // is exactly `local_next`/`local_prev`).
+                // is the whole node-local ring).
                 let core_prev = base + (l + s_core - 1) % s_core;
                 let core_next = base + (l + 1) % s_core;
                 // Phase A — intra-node ring reduce-scatter over shards,
@@ -457,6 +457,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parcomm_gpu::Unit;
 
     #[test]
     fn ring_allreduce_step_count_and_ops() {
@@ -816,7 +817,7 @@ mod tests {
         // The G inter-node rings run at fixed local index, so with G == K
         // NICs every rail carries exactly one ring.
         let t = Topology::new(4, 4, 4).expect("topo");
-        let rails: Vec<u8> = (0..4).map(|l| t.nic_of_rank(l)).collect();
+        let rails: Vec<u8> = (0..4).map(|l| t.nic_of(0, Unit::Gpu(l))).collect();
         let mut sorted = rails.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);

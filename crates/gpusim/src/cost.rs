@@ -41,6 +41,8 @@ impl AggLevel {
 /// The GPU + NVLink-C2C latency/bandwidth model.
 ///
 /// All `*_us` fields are microseconds; bandwidths are GB/s (1e9 bytes/s).
+/// Host-runtime knobs are not here: the progression engine's poll
+/// interval is the MPI world's `WorldConfig::progress_poll_us`.
 #[derive(Clone, Debug)]
 pub struct CostModel {
     /// Host CPU time consumed by enqueuing a kernel launch (cudaLaunchKernel
@@ -79,8 +81,6 @@ pub struct CostModel {
     /// One atomic add on a counter in GPU global memory (multi-block
     /// aggregation, `MPIX_Prequest_create` counters).
     pub device_atomic_us: f64,
-    /// Host read of a pinned-host flag (progression-engine poll).
-    pub host_flag_read_us: f64,
     /// Device read of a flag in GPU global memory (`MPIX_Parrived` device
     /// binding; paper: much cheaper than host memory).
     pub device_flag_read_us: f64,
@@ -94,9 +94,6 @@ pub struct CostModel {
     /// Memory fence closing a kernel's fire-and-forget NVLink stores
     /// (`__threadfence_system`).
     pub kernel_store_fence_us: f64,
-    /// Progression-engine poll interval (how often the MPI runtime's
-    /// progress thread inspects flags and the UCX worker).
-    pub progress_poll_us: f64,
     /// Device-side cost of issuing one symmetric-heap one-sided put
     /// (`shmem_put`-style): local offset translation plus pushing the
     /// descriptor onto the NVLink store path. Slightly above the launch
@@ -124,12 +121,10 @@ impl Default for CostModel {
             syncwarp_us: 0.05,
             syncthreads_us: 0.15,
             device_atomic_us: 0.02,
-            host_flag_read_us: 0.10,
             device_flag_read_us: 0.02,
             data_put_post_us: 2.6,
             control_put_post_us: 0.5,
             kernel_store_fence_us: 0.3,
-            progress_poll_us: 0.50,
             shmem_put_issue_us: 1.2,
             shmem_signal_us: 0.5,
         }

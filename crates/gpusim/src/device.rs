@@ -1,5 +1,5 @@
-//! The GPU device object: memory allocation, stream creation, and CUDA-IPC
-//! style peer mappings.
+//! The GPU device object: memory allocation and stream creation. Peer
+//! mappings for Kernel Copy live in ucxsim (`RKey::rkey_ptr`).
 
 use std::sync::Arc;
 
@@ -54,38 +54,6 @@ struct GpuInner {
 #[derive(Clone)]
 pub struct Gpu {
     inner: Arc<GpuInner>,
-}
-
-/// Error opening an IPC mapping.
-#[derive(Debug, PartialEq, Eq)]
-pub enum IpcError {
-    /// IPC handles only work between GPUs on the same node.
-    CrossNode,
-    /// The buffer is not in GPU global memory.
-    NotDeviceMemory,
-}
-
-impl std::fmt::Display for IpcError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IpcError::CrossNode => write!(f, "cuIpcOpenMemHandle: peer GPU is on a different node"),
-            IpcError::NotDeviceMemory => write!(f, "cuIpcGetMemHandle: buffer is not device memory"),
-        }
-    }
-}
-
-impl std::error::Error for IpcError {}
-
-/// A peer GPU buffer mapped into this GPU's address space via CUDA IPC
-/// (`cuIpcOpenMemHandle`), as used by the Kernel Copy path (paper §IV-A4).
-/// Kernel bodies can store directly through it; the NVLink transfer time is
-/// modeled by the caller via the fabric.
-#[derive(Clone, Debug)]
-pub struct IpcMappedBuffer {
-    /// The peer buffer this mapping aliases.
-    pub buffer: Buffer,
-    /// The GPU that opened the mapping.
-    pub opened_by: GpuId,
 }
 
 impl Gpu {
@@ -172,19 +140,6 @@ impl Gpu {
             self.inner.shmem_faults.clone(),
             self.inner.obs.clone(),
         )
-    }
-
-    /// Open a CUDA-IPC mapping of a peer GPU's buffer. Only valid for
-    /// device-memory buffers on the *same node* (the NVLink domain); this is
-    /// the substrate for `ucp_rkey_ptr` in the modified IPC transport.
-    pub fn ipc_open(&self, peer: &Buffer) -> Result<IpcMappedBuffer, IpcError> {
-        match peer.space() {
-            MemSpace::Device { node, .. } if node == self.inner.id.node => {
-                Ok(IpcMappedBuffer { buffer: peer.clone(), opened_by: self.inner.id })
-            }
-            MemSpace::Device { .. } => Err(IpcError::CrossNode),
-            _ => Err(IpcError::NotDeviceMemory),
-        }
     }
 }
 

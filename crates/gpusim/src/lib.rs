@@ -2,9 +2,10 @@
 //!
 //! A software model of the CUDA execution environment the paper's system
 //! runs on: devices, global/pinned memory, FIFO streams,
-//! `cudaStreamSynchronize`, kernel launches with a calibrated cost model,
-//! and CUDA-IPC peer mappings. See `DESIGN.md` §2 for the
-//! hardware-substitution rationale and the calibration anchors.
+//! `cudaStreamSynchronize` and kernel launches with a calibrated cost
+//! model. Kernel Copy's CUDA-IPC peer mapping is ucxsim's `rkey_ptr`.
+//! See `DESIGN.md` §2 for the hardware-substitution rationale and the
+//! calibration anchors.
 //!
 //! The model is *functional + timed*: kernel bodies really read and write
 //! simulated buffers (so numerics are exact), while the cost model places
@@ -23,7 +24,7 @@ mod obs;
 mod stream;
 
 pub use cost::{AggLevel, CostModel};
-pub use device::{Gpu, GpuId, IpcError, IpcMappedBuffer};
+pub use device::{Gpu, GpuId};
 pub use faults::EmissionFaultConfig;
 pub use kernel::{DeviceCtx, KernelSpec, LaunchHandle};
 #[doc(hidden)]

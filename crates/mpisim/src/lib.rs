@@ -13,7 +13,6 @@ mod coll;
 mod error;
 mod mechanism;
 mod p2p;
-mod persistent;
 mod progress;
 mod world;
 
@@ -21,7 +20,6 @@ pub use coll::chunk_range;
 pub use error::MpiError;
 pub use mechanism::CopyMechanism;
 pub use p2p::P2pOp;
-pub use persistent::PersistentRequest;
 pub use progress::{HookFuture, HookOutcome, PeFaultConfig, ProgressionEngine};
 pub use world::{
     EscalationLevel, MpiInstruments, MpiWorld, Rank, RecoverConfig, RecoveryReport, WorldConfig,

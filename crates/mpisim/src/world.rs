@@ -176,7 +176,8 @@ pub struct WorldConfig {
     pub cost: CostModel,
     /// Host software overhead charged per MPI send/recv call.
     pub mpi_overhead_us: f64,
-    /// Progression-engine poll interval.
+    /// Progression-engine poll interval: the PE daemon's sweep cadence
+    /// and the collective engine's multi-channel poll.
     pub progress_poll_us: f64,
     /// Watchdog timeout (µs) armed on every blocking MPI wait. `None`
     /// (the default) waits forever — zero extra events in fault-free runs.

@@ -1,5 +1,11 @@
-//! Persistent point-to-point: epoch reuse, correctness, and the
+//! Persistent point-to-point semantics over the send/recv core, and the
 //! partitioned-vs-persistent relationship the literature measures.
+//!
+//! A persistent request (`MPI_Send_init` … `MPI_Start` → `MPI_Wait`)
+//! moves the whole buffer as one host-posted message per epoch, which is
+//! exactly the blocking `send`/`recv` pair: MPI software overhead, then
+//! the message, then completion. `MPI_Test` polls the nonblocking op's
+//! completion event.
 
 use std::sync::Arc;
 
@@ -16,18 +22,14 @@ fn persistent_send_recv_round_trips_across_epochs() {
         let buf = rank.gpu().alloc_global(1024);
         match rank.rank() {
             0 => {
-                let req = rank.send_init(1, 4, &buf, 0, 1024);
                 for epoch in 1..=3u64 {
                     buf.write_f64_slice(0, &[epoch as f64; 128]);
-                    rank.start_persistent(ctx, &req);
-                    rank.wait_persistent(ctx, &req);
+                    rank.send(ctx, 1, 4, &buf, 0, 1024);
                 }
             }
             1 => {
-                let req = rank.recv_init(0, 4, &buf, 0, 1024);
                 for epoch in 1..=3u64 {
-                    rank.start_persistent(ctx, &req);
-                    rank.wait_persistent(ctx, &req);
+                    rank.recv(ctx, 0, 4, &buf, 0, 1024);
                     assert_eq!(buf.read_f64_slice(0, 128), vec![epoch as f64; 128]);
                 }
             }
@@ -39,47 +41,31 @@ fn persistent_send_recv_round_trips_across_epochs() {
 
 #[test]
 fn persistent_test_polls() {
+    // `MPI_Test` on a started send: poll its completion event until the
+    // late-posted receive matches it.
     let mut sim = Simulation::new(SimConfig::default());
     let world = MpiWorld::gh200(&sim, 1);
     world.run_ranks(&mut sim, |ctx, rank| {
         let buf = rank.gpu().alloc_global(64);
         match rank.rank() {
             0 => {
-                let req = rank.send_init(1, 6, &buf, 0, 64);
-                rank.start_persistent(ctx, &req);
-                while !rank.test_persistent(&req) {
+                let op = rank.isend(&ctx.handle(), 1, 6, &buf, 0, 64);
+                let mut polls = 0;
+                while !op.done.is_set() {
                     ctx.advance(SimDuration::from_micros(1));
+                    polls += 1;
                 }
-                rank.wait_persistent(ctx, &req);
+                assert!(polls >= 25, "the send completed before its receive was posted");
             }
             1 => {
                 // Delay posting the receive so the sender actually polls.
                 ctx.advance(SimDuration::from_micros(25));
-                let req = rank.recv_init(0, 6, &buf, 0, 64);
-                rank.start_persistent(ctx, &req);
-                rank.wait_persistent(ctx, &req);
+                rank.recv(ctx, 0, 6, &buf, 0, 64);
             }
             _ => {}
         }
     });
     sim.run().unwrap();
-}
-
-#[test]
-#[should_panic(expected = "already-active persistent request")]
-fn double_start_is_rejected() {
-    let mut sim = Simulation::new(SimConfig::default());
-    let world = MpiWorld::gh200(&sim, 1);
-    world.run_ranks(&mut sim, |ctx, rank| {
-        if rank.rank() == 0 {
-            let buf = rank.gpu().alloc_global(64);
-            let req = rank.send_init(1, 8, &buf, 0, 64);
-            rank.start_persistent(ctx, &req);
-            rank.start_persistent(ctx, &req);
-        }
-    });
-    let err = sim.run().unwrap_err();
-    panic!("{err}");
 }
 
 #[test]
@@ -116,12 +102,10 @@ fn partitioned_beats_persistent_when_kernel_initiates() {
                         sreq.wait(ctx).expect("wait");
                         *o2.lock() = ctx.now().since(t0).as_micros_f64();
                     } else {
-                        let req = rank.send_init(1, 9, &buf, 0, bytes);
                         let t0 = ctx.now();
                         stream.launch(ctx, KernelSpec::vector_add(8, 1024), |_| {});
                         stream.synchronize(ctx);
-                        rank.start_persistent(ctx, &req);
-                        rank.wait_persistent(ctx, &req);
+                        rank.send(ctx, 1, 9, &buf, 0, bytes);
                         *o2.lock() = ctx.now().since(t0).as_micros_f64();
                     }
                 }
@@ -132,9 +116,7 @@ fn partitioned_beats_persistent_when_kernel_initiates() {
                         rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
                         rreq.wait(ctx).expect("wait");
                     } else {
-                        let req = rank.recv_init(0, 9, &buf, 0, bytes);
-                        rank.start_persistent(ctx, &req);
-                        rank.wait_persistent(ctx, &req);
+                        rank.recv(ctx, 0, 9, &buf, 0, bytes);
                     }
                 }
                 _ => {}

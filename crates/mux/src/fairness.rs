@@ -37,11 +37,6 @@ impl WeightedFair {
         self.weights[t]
     }
 
-    /// All clamped weights.
-    pub fn weights(&self) -> &[u64] {
-        &self.weights
-    }
-
     /// Grant the next slot among tenants where `eligible` holds: each
     /// eligible tenant's credit grows by its weight, the richest (tie →
     /// lowest index) wins and pays back the eligible weight total.

@@ -19,12 +19,11 @@
 //!   [`AdmissionError`]s (backpressure at the in-flight cap, symmetric-heap
 //!   quota exhaustion) instead of deadlocks or latent heap errors.
 //! - [`WeightedFair`] — a smooth weighted round-robin apportioning
-//!   admission slots, per-epoch drain grants ([`MuxService::plan_rounds`]),
-//!   cross-node rail stripes, and shmem heap quota across tenants. The
-//!   schedule is a pure function of (weights, structure): every rank
-//!   computes the identical grant order, which is what keeps symmetric
-//!   ticks deadlock-free and trace digests byte-identical under any
-//!   submission shuffle or sweep worker count.
+//!   admission slots, cross-node rail stripes, and shmem heap quota
+//!   across tenants. The schedule is a pure function of (weights,
+//!   structure): every rank computes the identical grant order, which is
+//!   what keeps symmetric ticks deadlock-free and trace digests
+//!   byte-identical under any submission shuffle or sweep worker count.
 //!
 //! Per-tenant goodput/epoch/latency metrics land in the world's
 //! [`parcomm_obs::MetricsRegistry`] under `mux.tenant<k>.*` when metrics

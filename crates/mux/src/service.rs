@@ -21,9 +21,7 @@
 //! 3. Epochs — [`MuxService::run_host_send_epoch`] /
 //!    [`MuxService::run_recv_epoch`] for host-driven channels, or
 //!    [`MuxService::begin_epoch`] + [`MuxService::record_epoch`] for
-//!    device-driven ones. [`MuxService::plan_rounds`] hands out the
-//!    weighted-fair drain order — a pure function of (weights, live
-//!    table), so every rank computes the identical grant sequence.
+//!    device-driven ones.
 //! 4. Teardown — [`MuxService::release`] is the graceful path: it
 //!    refuses (typed) while an epoch is active, charges the
 //!    `MPI_Request_free` host cost, and returns the in-flight slot plus
@@ -479,34 +477,6 @@ impl MuxService {
     /// Live channels in ascending slot order.
     pub fn channels(&self) -> impl Iterator<Item = (MuxChannelId, &AdmittedChannel)> {
         self.table.iter()
-    }
-
-    /// Plan a weighted-fair drain sequence of `budget` epoch grants over
-    /// the live table: tenants interleave by smooth weighted round-robin,
-    /// channels rotate round-robin within each tenant. Pure function of
-    /// (weights, table contents) — every rank with a mirrored table
-    /// computes the identical sequence, so symmetric workloads can drain
-    /// in lockstep without negotiating.
-    pub fn plan_rounds(&self, budget: usize) -> Vec<MuxChannelId> {
-        let tenants = self.arbiter.tenants();
-        let mut per_tenant: Vec<Vec<MuxChannelId>> = vec![Vec::new(); tenants];
-        for (id, ch) in self.table.iter() {
-            per_tenant[ch.spec.tenant].push(id);
-        }
-        let eligible: Vec<bool> = per_tenant.iter().map(|v| !v.is_empty()).collect();
-        if !eligible.iter().any(|&e| e) {
-            return Vec::new();
-        }
-        let mut wf = WeightedFair::new(self.arbiter.weights());
-        let mut cursor = vec![0usize; tenants];
-        let mut out = Vec::with_capacity(budget);
-        for _ in 0..budget {
-            let t = wf.pick(&eligible).expect("at least one tenant eligible");
-            let ids = &per_tenant[t];
-            out.push(ids[cursor[t] % ids.len()]);
-            cursor[t] += 1;
-        }
-        out
     }
 
     /// Open the next epoch on `id` and hand back the request for the

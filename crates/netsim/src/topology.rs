@@ -17,7 +17,7 @@
 //! `node_leader(v)`; within a node, local rank `j` drives GPU
 //! `j % gpus_on(v)` in slot `j / gpus_on(v)`. Uniform one-rank-per-GPU
 //! specs ([`Topology::new`]) reproduce the historical closed-form layout
-//! (`rank = node * gpus_per_node + local_index`) exactly — every query is
+//! (`rank = node * gpus_per_node + gpu_index`) exactly — every query is
 //! observationally identical on them, which the frozen digests pin.
 //!
 //! The tables live behind an `Arc`, so `Topology` is `Clone` (one pointer
@@ -213,7 +213,7 @@ impl Topology {
     /// Build a uniform one-rank-per-GPU topology, validating it. This is
     /// the historical constructor: every node carries `gpus_per_node` GPUs
     /// and `nics_per_node` NICs, and the rank layout is the closed-form
-    /// `rank = node * gpus_per_node + local_index`.
+    /// `rank = node * gpus_per_node + gpu_index`.
     pub fn new(nodes: u16, gpus_per_node: u8, nics_per_node: u8) -> Result<Topology, TopologyError> {
         if nodes == 0 {
             return Err(TopologyError::ZeroNodes);
@@ -375,31 +375,6 @@ impl Topology {
         GpuId { node, index: (local % g) as u8 }
     }
 
-    /// Rank `r`'s oversubscription slot on its GPU
-    /// (`0..ranks_per_gpu`; always 0 without oversubscription).
-    pub fn slot_of(&self, r: usize) -> u8 {
-        let node = self.node_of(r);
-        let local = r - self.shape.rank_base[node as usize];
-        let g = self.shape.node_gpus[node as usize] as usize;
-        (local / g) as u8
-    }
-
-    /// The primary (slot-0) rank driving `gpu`. The exact inverse of
-    /// [`Topology::gpu_of`] without oversubscription.
-    pub fn rank_of(&self, gpu: GpuId) -> usize {
-        assert!(
-            gpu.node < self.nodes() && gpu.index < self.shape.node_gpus[gpu.node as usize],
-            "{}",
-            TopologyError::GpuOutOfRange { node: gpu.node, index: gpu.index }
-        );
-        self.shape.rank_base[gpu.node as usize] + gpu.index as usize
-    }
-
-    /// Rank `r`'s GPU index on its node.
-    pub fn local_index(&self, r: usize) -> u8 {
-        self.gpu_of(r).index
-    }
-
     /// The fabric location of rank `r`'s GPU.
     pub fn location_of(&self, r: usize) -> Location {
         self.gpu_of(r).location()
@@ -408,12 +383,6 @@ impl Topology {
     /// True when two ranks share a node.
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
-    }
-
-    /// Route class between two ranks' GPUs. Oversubscribed co-resident
-    /// ranks classify as [`RouteClass::SameGpu`].
-    pub fn route_class(&self, a: usize, b: usize) -> RouteClass {
-        RouteClass::classify(self.location_of(a), self.location_of(b))
     }
 
     /// The NIC rail serving `unit` on `node` for cross-node traffic:
@@ -425,12 +394,6 @@ impl Topology {
             Unit::Gpu(i) => i % self.nics_on(node),
             Unit::Cpu => 0,
         }
-    }
-
-    /// The NIC rail serving rank `r`'s GPU.
-    pub fn nic_of_rank(&self, r: usize) -> u8 {
-        let gpu = self.gpu_of(r);
-        self.nic_of(gpu.node, Unit::Gpu(gpu.index))
     }
 
     /// The `attempt`-th fallback rail on `node` starting from `preferred`
@@ -445,32 +408,6 @@ impl Topology {
     pub fn node_leader(&self, node: u16) -> usize {
         self.check_node(node);
         self.shape.rank_base[node as usize]
-    }
-
-    /// True when rank `r` is its node's leader.
-    pub fn is_node_leader(&self, r: usize) -> bool {
-        self.local_rank(r) == 0
-    }
-
-    /// The contiguous rank range living on `node`.
-    pub fn ranks_on_node(&self, node: u16) -> std::ops::Range<usize> {
-        self.check_node(node);
-        self.shape.rank_base[node as usize]..self.shape.rank_base[node as usize + 1]
-    }
-
-    /// Next rank on rank `r`'s node-local ring (wraps within the node).
-    pub fn local_next(&self, r: usize) -> usize {
-        let node = self.node_of(r);
-        let base = self.shape.rank_base[node as usize];
-        base + (r - base + 1) % self.local_size(node)
-    }
-
-    /// Previous rank on rank `r`'s node-local ring.
-    pub fn local_prev(&self, r: usize) -> usize {
-        let node = self.node_of(r);
-        let base = self.shape.rank_base[node as usize];
-        let size = self.local_size(node);
-        base + (r - base + size - 1) % size
     }
 
     /// True when `node` hosts a rank at local index `l` — i.e. the node
@@ -626,11 +563,9 @@ mod tests {
         assert_eq!(t.num_ranks(), 12);
         for r in 0..t.num_ranks() {
             let gpu = t.gpu_of(r);
-            assert_eq!(t.rank_of(gpu), r);
+            assert_eq!(t.node_leader(gpu.node) + gpu.index as usize, r);
             assert_eq!(t.node_of(r), gpu.node);
-            assert_eq!(t.local_index(r), gpu.index);
             assert_eq!(t.local_rank(r), gpu.index as usize);
-            assert_eq!(t.slot_of(r), 0);
             assert_eq!(t.location_of(r), gpu.location());
         }
         assert_eq!(t.gpu_of(5), GpuId { node: 1, index: 1 });
@@ -649,17 +584,13 @@ mod tests {
         assert_eq!(t.min_local_size(), 1);
         assert_eq!((t.node_leader(0), t.node_leader(1), t.node_leader(2), t.node_leader(3)),
                    (0, 4, 6, 10));
-        assert_eq!(t.ranks_on_node(1), 4..6);
+        assert_eq!(t.local_size(1), 2);
         assert_eq!(t.node_of(5), 1);
         assert_eq!(t.gpu_of(5), GpuId { node: 1, index: 1 });
         assert_eq!(t.gpu_of(10), GpuId { node: 3, index: 0 });
-        // Node-local rings wrap within each node's own width.
-        assert_eq!(t.local_next(5), 4);
-        assert_eq!(t.local_prev(4), 5);
-        assert_eq!(t.local_next(10), 10); // 1-GPU node: self-ring
         // NIC rails cycle over the node-local NIC count.
-        assert_eq!(t.nic_of_rank(1), 1); // node 0: GPU 1 % 2 NICs
-        assert_eq!(t.nic_of_rank(5), 0); // node 1: GPU 1 % 1 NIC
+        assert_eq!(t.nic_of(0, Unit::Gpu(1)), 1); // node 0: GPU 1 % 2 NICs
+        assert_eq!(t.nic_of(1, Unit::Gpu(1)), 0); // node 1: GPU 1 % 1 NIC
     }
 
     #[test]
@@ -688,16 +619,12 @@ mod tests {
         assert_eq!(t.num_ranks(), 8);
         assert_eq!(t.ranks_per_gpu(), 2);
         assert_eq!(t.local_size(0), 4);
-        // Ranks 0 and 2 co-reside on node 0 GPU 0 (slots 0 and 1).
+        // Ranks 0 and 2 co-reside on node 0 GPU 0.
         assert_eq!(t.gpu_of(0), t.gpu_of(2));
-        assert_eq!((t.slot_of(0), t.slot_of(2)), (0, 1));
-        assert_eq!(t.route_class(0, 2), RouteClass::SameGpu);
-        assert_eq!(t.route_class(0, 1), RouteClass::NvLink);
-        assert_eq!(t.route_class(0, 4), RouteClass::IbCrossNode);
-        // rank_of returns the slot-0 primary.
-        assert_eq!(t.rank_of(t.gpu_of(2)), 0);
-        // The local ring runs over all 4 local ranks.
-        assert_eq!(t.local_next(3), 0);
+        let route = |a, b| RouteClass::classify(t.location_of(a), t.location_of(b));
+        assert_eq!(route(0, 2), RouteClass::SameGpu);
+        assert_eq!(route(0, 1), RouteClass::NvLink);
+        assert_eq!(route(0, 4), RouteClass::IbCrossNode);
         // Rail rings pair equal local ranks across nodes.
         assert_eq!(t.rail_next(2), 6);
         assert_eq!(t.rail_prev(6), 2);
@@ -732,22 +659,14 @@ mod tests {
         assert_eq!(t.nic_of(0, Unit::Gpu(0)), 0);
         assert_eq!(t.nic_of(0, Unit::Gpu(3)), 1);
         assert_eq!(t.nic_of(0, Unit::Cpu), 0);
-        assert_eq!(t.nic_of_rank(7), 1);
         // Failover rail cycling stays node-local.
         assert_eq!(t.cycle_nic(0, 1, 1), 0);
-        // Leaders and node rank ranges.
+        // Leaders are each node's local rank 0.
         assert_eq!(t.node_leader(2), 8);
-        assert!(t.is_node_leader(8));
-        assert!(!t.is_node_leader(9));
-        assert_eq!(t.ranks_on_node(1), 4..8);
-        // Node-local ring wraps within the node.
-        assert_eq!(t.local_next(7), 4);
-        assert_eq!(t.local_prev(4), 7);
+        assert_eq!(t.local_rank(8), 0);
         // Rail ring hops nodes at fixed local index.
         assert_eq!(t.rail_next(13), 1); // node 3, gpu 1 -> node 0, gpu 1
         assert_eq!(t.rail_prev(1), 13);
-        assert_eq!(t.route_class(0, 1), RouteClass::NvLink);
-        assert_eq!(t.route_class(0, 4), RouteClass::IbCrossNode);
         assert!(t.same_node(4, 7));
         assert!(!t.same_node(3, 4));
     }

@@ -11,8 +11,7 @@
 //! - **scheduled callbacks** for fine-grained hardware events (DMA
 //!   completions, flag writes) that run inline on whichever thread drives
 //!   the event loop, without thread-switch cost;
-//! - wake-up primitives: [`Event`], [`CountEvent`], [`SimChannel`],
-//!   [`Semaphore`], [`SimBarrier`];
+//! - wake-up primitives: [`Event`], [`CountEvent`], [`SimBarrier`];
 //! - deterministic seeded randomness ([`SimRng`]) for timing jitter;
 //! - deadlock detection and daemon-process shutdown semantics.
 //!
@@ -58,6 +57,6 @@ pub use rng::SimRng;
 pub use sched::{
     ProcessId, SimConfig, SimHandle, SimReport, Simulation, SpawnHandle, WeakSimHandle,
 };
-pub use sync::{Semaphore, SimBarrier, SimChannel};
+pub use sync::SimBarrier;
 pub use time::{SimDuration, SimTime};
 pub use trace::{EvictSink, SpanId, Trace, TraceSpan};

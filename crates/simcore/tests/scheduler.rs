@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parcomm_sim::Mutex;
 
 use parcomm_sim::{
-    CountEvent, Event, Proc, SimBarrier, SimChannel, SimConfig, SimDuration, SimError, SimTime,
+    CountEvent, Event, Proc, SimBarrier, SimConfig, SimDuration, SimError, SimTime,
     Simulation, SpanId,
 };
 
@@ -326,29 +326,6 @@ fn daemon_blocked_on_event_is_released() {
     });
     sim.spawn("worker", move |ctx| ctx.advance(us(1)));
     sim.run().unwrap();
-}
-
-#[test]
-fn channel_delivers_in_order() {
-    let mut sim = Simulation::with_seed(1);
-    let ch: SimChannel<u64> = SimChannel::new();
-    let ch2 = ch.clone();
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let out2 = out.clone();
-    sim.spawn("rx", move |ctx| {
-        for _ in 0..3 {
-            out2.lock().push((ch2.recv(ctx), ctx.now().as_micros_f64()));
-        }
-    });
-    let ch3 = ch.clone();
-    sim.spawn("tx", move |ctx| {
-        for v in 0..3u64 {
-            ctx.advance(us(10));
-            ch3.send(&ctx.handle(), v);
-        }
-    });
-    sim.run().unwrap();
-    assert_eq!(*out.lock(), vec![(0, 10.0), (1, 20.0), (2, 30.0)]);
 }
 
 #[test]

@@ -1,83 +1,15 @@
-//! Tests for the virtual-time synchronization primitives: semaphores,
-//! channels under contention, event reuse, and scheduling edge cases.
+//! Tests for the virtual-time synchronization primitives: event reuse,
+//! bulk count events and scheduling edge cases.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parcomm_sim::Mutex;
 
-use parcomm_sim::{Event, Semaphore, SimChannel, SimConfig, SimDuration, SimTime, Simulation};
+use parcomm_sim::{Event, SimConfig, SimDuration, SimTime, Simulation};
 
 fn us(n: u64) -> SimDuration {
     SimDuration::from_micros(n)
-}
-
-#[test]
-fn semaphore_limits_concurrency() {
-    let mut sim = Simulation::new(SimConfig::default());
-    let sem = Semaphore::new(2);
-    let active = Arc::new(AtomicU64::new(0));
-    let peak = Arc::new(AtomicU64::new(0));
-    for i in 0..6 {
-        let sem = sem.clone();
-        let active = active.clone();
-        let peak = peak.clone();
-        sim.spawn(format!("w{i}"), move |ctx| {
-            sem.acquire(ctx);
-            let now = active.fetch_add(1, Ordering::Relaxed) + 1;
-            peak.fetch_max(now, Ordering::Relaxed);
-            ctx.advance(us(10));
-            active.fetch_sub(1, Ordering::Relaxed);
-            sem.release(&ctx.handle());
-        });
-    }
-    sim.run().unwrap();
-    assert_eq!(peak.load(Ordering::Relaxed), 2, "at most 2 holders");
-    assert_eq!(sem.permits(), 2, "all permits returned");
-}
-
-#[test]
-fn semaphore_fifo_progress() {
-    // All waiters eventually acquire; total virtual time reflects the
-    // 3 waves of 2 × 10 µs.
-    let mut sim = Simulation::new(SimConfig::default());
-    let sem = Semaphore::new(2);
-    for i in 0..6 {
-        let sem = sem.clone();
-        sim.spawn(format!("w{i}"), move |ctx| {
-            sem.acquire(ctx);
-            ctx.advance(us(10));
-            sem.release(&ctx.handle());
-        });
-    }
-    let report = sim.run().unwrap();
-    assert_eq!(report.end_time, SimTime::from_nanos(30_000));
-}
-
-#[test]
-fn channel_multiple_consumers_each_get_one() {
-    let mut sim = Simulation::new(SimConfig::default());
-    let ch: SimChannel<u64> = SimChannel::new();
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    for i in 0..3 {
-        let ch = ch.clone();
-        let seen = seen.clone();
-        sim.spawn(format!("rx{i}"), move |ctx| {
-            let v = ch.recv(ctx);
-            seen.lock().push(v);
-        });
-    }
-    let ch2 = ch.clone();
-    sim.spawn("tx", move |ctx| {
-        for v in [10u64, 20, 30] {
-            ctx.advance(us(1));
-            ch2.send(&ctx.handle(), v);
-        }
-    });
-    sim.run().unwrap();
-    let mut got = seen.lock().clone();
-    got.sort_unstable();
-    assert_eq!(got, vec![10, 20, 30], "each consumer gets exactly one value");
 }
 
 #[test]

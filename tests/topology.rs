@@ -138,7 +138,10 @@ fn same_gpu_p2p_digest_is_frozen() {
     let topo = world.topology();
     assert_eq!(topo.num_ranks(), 4);
     assert_eq!(topo.gpu_of(0), topo.gpu_of(2), "ranks 0 and 2 must co-reside");
-    assert_eq!(topo.route_class(0, 2), RouteClass::SameGpu);
+    assert_eq!(
+        RouteClass::classify(topo.location_of(0), topo.location_of(2)),
+        RouteClass::SameGpu
+    );
     world.run_ranks(&mut sim, |ctx, rank| {
         let parts = 4usize;
         let buf = rank.gpu().alloc_global(parts * 512);
