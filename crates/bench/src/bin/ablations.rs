@@ -5,23 +5,26 @@
 //! sweep measures (default: the Progression Engine).
 //! `--trace-out <path>` / `--metrics-out <path>` additionally export the
 //! traced allreduce's Chrome trace, flamegraph stacks, and metrics.
-//! A mechanism or seed that does not parse prints the usage and exits 2.
+//! An argument the usage does not list, or a mechanism, seed or stripe
+//! list that does not parse, prints the usage and exits 2.
 use parcomm_bench as b;
 
 const USAGE: &str = "\
-usage: ablations [--quick] [--mechanism pe|kc|shmem] [--faults SEED]
-                 [--trace-out PATH] [--metrics-out PATH]
+usage: ablations [--quick] [--threads N] [--mechanism pe|kc|shmem]
+                 [--faults SEED] [--trace-out PATH] [--metrics-out PATH]
 ";
 
 /// Print `msg` and the usage to stderr and exit 2.
 fn usage_error(msg: &str) -> ! {
-    eprint!("ablations: {msg}\n\n{USAGE}");
-    std::process::exit(2);
+    b::usage_error("ablations", USAGE, msg)
 }
 
 fn main() {
+    let valued = ["--threads", "--mechanism", "--faults", "--trace-out", "--metrics-out"];
+    b::check_args("ablations", USAGE, &["--quick"], &valued);
     let mechanism = b::mechanism().unwrap_or_else(|e| usage_error(&e));
     let fault_seed = b::fault_seed().unwrap_or_else(|e| usage_error(&e));
+    let stripes = b::striping::stripes_arg().unwrap_or_else(|e| usage_error(&e));
     let q = b::quick_mode();
     b::ablations::run_poll_interval(q).emit();
     match mechanism {
@@ -29,7 +32,7 @@ fn main() {
         None => b::ablations::run_transport_sweep(q).emit(),
     }
     b::ablations::run_counter_aggregation(q).emit();
-    b::striping::run(q).emit();
+    b::striping::run(&stripes, q).emit();
     b::ablations::run_fault_goodput(q, fault_seed.unwrap_or(0xC4A05)).emit();
     b::obsrun::emit_requested_outputs(q);
 }

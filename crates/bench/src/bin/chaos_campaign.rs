@@ -62,7 +62,7 @@ PARCOMM_CHAOS_SEED shifts the grid's fault-seed block.
 ";
 
 /// Flags that take no value.
-const SWITCHES: [&str; 4] = ["--coverage", "--quick", "--recover", "--no-recover"];
+const SWITCHES: [&str; 5] = ["--help", "--coverage", "--quick", "--recover", "--no-recover"];
 
 /// Flags that take a value.
 const VALUED: [&str; 9] = [
@@ -82,34 +82,21 @@ const COUNTS: [&str; 4] = ["--seeds", "--budget", "--channels", "--threads"];
 
 /// Print `msg` and the usage to stderr and exit 2.
 fn usage_error(msg: &str) -> ! {
-    eprint!("chaos_campaign: {msg}\n\n{USAGE}");
-    std::process::exit(2);
+    parcomm_bench::usage_error("chaos_campaign", USAGE, msg)
 }
 
-/// Check the command line before anything runs: `--help` prints the usage
-/// and exits 0; an unknown argument, a missing value, a count that does
-/// not parse or an unknown mechanism is a usage error. ([`config`] rejects
-/// an unknown `PARCOMM_MECHANISM` the same way.)
+/// Check the command line before anything runs: an unknown argument or a
+/// missing value is a usage error; then `--help` prints the usage and
+/// exits 0; then a count that does not parse or an unknown mechanism is a
+/// usage error. ([`config`] rejects an unknown `PARCOMM_MECHANISM` the
+/// same way.)
 fn check_args() {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--help" {
-            print!("{USAGE}");
-            std::process::exit(0);
-        }
-        if SWITCHES.contains(&arg.as_str()) {
-            continue;
-        }
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
-            None => (arg.clone(), None),
-        };
-        if !VALUED.contains(&flag.as_str()) {
-            usage_error(&format!("unknown argument {arg}"));
-        }
-        let value = inline
-            .or_else(|| args.next())
-            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")));
+    let valued = parcomm_bench::check_args("chaos_campaign", USAGE, &SWITCHES, &VALUED);
+    if arg_flag("--help") {
+        print!("{USAGE}");
+        std::process::exit(0);
+    }
+    for (flag, value) in valued {
         if COUNTS.contains(&flag.as_str()) && value.parse::<u64>().is_err() {
             usage_error(&format!("{flag} {value}: not a non-negative integer"));
         }

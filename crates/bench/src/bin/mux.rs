@@ -4,7 +4,9 @@
 //! Usage: `mux [--channels 16,256,1024,4096] [--tenants 8] [--quick]
 //! [--threads N] [--trace-out <path>]`
 //! (`PARCOMM_CHANNELS`, `PARCOMM_TENANTS`, `PARCOMM_QUICK`,
-//! `PARCOMM_THREADS`, and `PARCOMM_TRACE_OUT` work too).
+//! `PARCOMM_THREADS`, and `PARCOMM_TRACE_OUT` work too). An argument the
+//! usage does not list, an odd or unparseable channel count or a tenant
+//! count that is not a positive integer prints the usage and exits 2.
 //!
 //! Output is byte-identical at any `--threads` count — the CI `mux` job
 //! diffs a serial run against a 4-worker run and greps the
@@ -15,10 +17,22 @@
 use parcomm_bench as b;
 use parcomm_core::CopyMechanism;
 
+const USAGE: &str = "\
+usage: mux [--channels 16,256,1024,4096] [--tenants N] [--quick] [--threads N]
+           [--trace-out PATH]
+";
+
+/// Print `msg` and the usage to stderr and exit 2.
+fn usage_error(msg: &str) -> ! {
+    b::usage_error("mux", USAGE, msg)
+}
+
 fn main() {
+    let valued = ["--channels", "--tenants", "--threads", "--trace-out"];
+    b::check_args("mux", USAGE, &["--quick"], &valued);
     let quick = b::quick_mode();
-    let channels = b::mux::channels_arg().unwrap_or_else(|| b::mux::default_channels(quick));
-    let tenants = b::mux::tenants_arg();
+    let channels = b::mux::channels_arg(quick).unwrap_or_else(|e| usage_error(&e));
+    let tenants = b::mux::tenants_arg().unwrap_or_else(|e| usage_error(&e));
     b::mux::run(&channels, tenants, quick).emit();
     if let Some(path) = b::trace_out() {
         // A bounded-ring traced run of the largest requested grid: the

@@ -6,8 +6,9 @@
 //! available parallelism).
 //! Pass `--faults <seed>` to additionally run the whole suite's fault
 //! ablation: the canonical allreduce under seeded chaos at increasing
-//! fault rates (goodput vs fault rate, deterministic per seed). A seed
-//! that does not parse prints the usage and exits 2 before any figure runs.
+//! fault rates (goodput vs fault rate, deterministic per seed). An
+//! argument the usage does not list, or a seed or stripe list that does
+//! not parse, prints the usage and exits 2 before any figure runs.
 //! Pass `--trace-out <path>` / `--metrics-out <path>` to additionally run
 //! the traced 1K-grid partitioned allreduce and export a Perfetto-loadable
 //! Chrome trace (plus `<path>.folded` flamegraph stacks), a metrics
@@ -19,11 +20,16 @@ usage: reproduce_all [--quick] [--threads N] [--faults SEED]
                      [--trace-out PATH] [--metrics-out PATH]
 ";
 
+/// Print `msg` and the usage to stderr and exit 2.
+fn usage_error(msg: &str) -> ! {
+    b::usage_error("reproduce_all", USAGE, msg)
+}
+
 fn main() {
-    let fault_seed = b::fault_seed().unwrap_or_else(|msg| {
-        eprint!("reproduce_all: {msg}\n\n{USAGE}");
-        std::process::exit(2);
-    });
+    let valued = ["--threads", "--faults", "--trace-out", "--metrics-out"];
+    b::check_args("reproduce_all", USAGE, &["--quick"], &valued);
+    let fault_seed = b::fault_seed().unwrap_or_else(|e| usage_error(&e));
+    let stripes = b::striping::stripes_arg().unwrap_or_else(|e| usage_error(&e));
     let q = b::quick_mode();
     b::fig02::run(q).emit();
     b::fig03::run(q).emit();
@@ -36,7 +42,7 @@ fn main() {
     b::fig0809::run_fig09(q).emit();
     b::fig1011::run_fig10(q).emit();
     b::fig1011::run_fig11(q).emit();
-    b::striping::run(q).emit();
+    b::striping::run(&stripes, q).emit();
     if let Some(seed) = fault_seed {
         b::ablations::run_fault_goodput(q, seed).emit();
     }

@@ -6,6 +6,7 @@
 //! the CPU spends blocked).
 
 use parcomm_gpu::{CostModel, Gpu, GpuId, KernelSpec};
+use parcomm_obs::MetricsRegistry;
 use parcomm_sim::Simulation;
 use parcomm_sweep::SweepSpec;
 
@@ -75,7 +76,8 @@ pub fn run(quick: bool) -> Experiment {
 fn sample(grid: u32, iters: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut sim = Simulation::with_seed(0xF160_0200 ^ seed);
     let handle = sim.handle();
-    let gpu = Gpu::new(GpuId { node: 0, index: 0 }, CostModel::default(), handle);
+    let registry = MetricsRegistry::new();
+    let gpu = Gpu::new(GpuId { node: 0, index: 0 }, CostModel::default(), handle, &registry);
     let out = std::sync::Arc::new(parcomm_sim::Mutex::new((Vec::new(), Vec::new())));
     let out2 = out.clone();
     sim.spawn("bench", move |ctx| {

@@ -71,15 +71,6 @@ pub struct MuxCellStats {
     pub spilled_spans: u64,
 }
 
-/// Default channel grid: `--quick` keeps the two small points.
-pub fn default_channels(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![16, 256]
-    } else {
-        vec![16, 256, 1024, 4096]
-    }
-}
-
 /// Drain rounds for a channel count: smaller grids run more rounds so
 /// every tenant accumulates enough epochs for a stable p99; the 4096-point
 /// runs one round (2048 weighted grants) to bound wall-clock. The scaling
@@ -93,23 +84,26 @@ pub fn rounds_for(channels: usize, quick: bool) -> usize {
     }
 }
 
-/// Channel counts from `--channels 16,256,...` or `PARCOMM_CHANNELS`.
-pub fn channels_arg() -> Option<Vec<usize>> {
-    fn parse(list: &str) -> Option<Vec<usize>> {
-        let channels: Vec<usize> =
-            list.split(',').map(|s| s.trim().parse().ok()).collect::<Option<_>>()?;
-        (!channels.is_empty() && channels.iter().all(|&c| c >= 2 && c % 2 == 0))
-            .then_some(channels)
-    }
-    crate::arg_or_env("--channels", "PARCOMM_CHANNELS").as_deref().and_then(parse)
+/// Channel counts from `--channels 16,256,...` or `PARCOMM_CHANNELS`; the
+/// default grid is 16, 256, 1024 and 4096, and `quick` keeps the two
+/// small points. `Err` names a list with an odd or unparseable count.
+pub fn channels_arg(quick: bool) -> Result<Vec<usize>, String> {
+    let even = |&c: &usize| c >= 2 && c % 2 == 0;
+    let list = crate::list_arg("--channels", "PARCOMM_CHANNELS", "even counts >= 2", even)?;
+    Ok(list.unwrap_or_else(|| if quick { vec![16, 256] } else { vec![16, 256, 1024, 4096] }))
 }
 
-/// Tenant count from `--tenants N` or `PARCOMM_TENANTS` (default 8).
-pub fn tenants_arg() -> usize {
-    crate::arg_or_env("--tenants", "PARCOMM_TENANTS")
-        .and_then(|s| s.trim().parse().ok())
+/// Tenant count from `--tenants N` or `PARCOMM_TENANTS` (default 8);
+/// `Err` names a count that does not parse or is 0.
+pub fn tenants_arg() -> Result<usize, String> {
+    let Some(s) = crate::arg_or_env("--tenants", "PARCOMM_TENANTS") else {
+        return Ok(8);
+    };
+    s.trim()
+        .parse()
+        .ok()
         .filter(|&t: &usize| t >= 1)
-        .unwrap_or(8)
+        .ok_or_else(|| format!("--tenants/PARCOMM_TENANTS {s}: expected a count >= 1"))
 }
 
 const PARTITIONS: usize = 4;

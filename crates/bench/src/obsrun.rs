@@ -2,7 +2,7 @@
 //!
 //! Runs the paper's §VI-B configuration — a 1K-grid partitioned allreduce
 //! on 4 GH200 ranks with device-side `MPIX_Pready` — with **causal** span
-//! tracing and the metrics registry enabled, then exports:
+//! tracing, then exports:
 //!
 //! - a Chrome `trace_event` JSON trace (Perfetto-loadable, one track per
 //!   rank × layer, causal edges as flow arrows),

@@ -148,7 +148,7 @@ impl Pair {
     }
 
     /// [`Pair::measure`] on a [`Pair::world`] the caller has set up further,
-    /// for example with metrics enabled.
+    /// for example to read its metrics after the run.
     pub(crate) fn measure_in<F>(&self, world: World, body: F) -> f64
     where
         F: Fn(&mut Ctx, &Rank, &Sender) -> f64 + Send + Sync + 'static,

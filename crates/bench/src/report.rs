@@ -121,6 +121,63 @@ pub fn quick_mode() -> bool {
     arg_flag("--quick") || std::env::var("PARCOMM_QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
+/// Print `msg` and `usage` to stderr as a usage error of `bin` and exit 2.
+pub fn usage_error(bin: &str, usage: &str, msg: &str) -> ! {
+    eprint!("{bin}: {msg}\n\n{usage}");
+    std::process::exit(2);
+}
+
+/// Check the command line against a harness's usage before anything runs:
+/// every argument must be one of `switches`, or one of `valued` followed
+/// by its value (`--flag VALUE` or `--flag=VALUE`). Returns the valued
+/// flags as `(flag, value)` pairs in command-line order; an unknown
+/// argument or a missing value is a usage error of `bin`.
+pub fn check_args(
+    bin: &str,
+    usage: &str,
+    switches: &[&str],
+    valued: &[&str],
+) -> Vec<(String, String)> {
+    let mut pairs = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if switches.contains(&arg.as_str()) {
+            continue;
+        }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
+            None => (arg.clone(), None),
+        };
+        if !valued.contains(&flag.as_str()) {
+            usage_error(bin, usage, &format!("unknown argument {arg}"));
+        }
+        let value = inline
+            .or_else(|| args.next())
+            .unwrap_or_else(|| usage_error(bin, usage, &format!("{flag} needs a value")));
+        pairs.push((flag, value));
+    }
+    pairs
+}
+
+/// The comma-separated list in `flag` (or the environment variable `var`),
+/// `Ok(None)` when neither is set. `Err` names a value with an item that
+/// does not parse or fails `ok`, and what was `expected`.
+pub fn list_arg<T: std::str::FromStr>(
+    flag: &str,
+    var: &str,
+    expected: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<Option<Vec<T>>, String> {
+    let Some(list) = arg_or_env(flag, var) else {
+        return Ok(None);
+    };
+    list.split(',')
+        .map(|s| s.trim().parse().ok().filter(|v| ok(v)))
+        .collect::<Option<Vec<T>>>()
+        .map(Some)
+        .ok_or_else(|| format!("{flag}/{var} {list}: expected {expected}"))
+}
+
 /// True when `flag` appears on the command line.
 pub fn arg_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)

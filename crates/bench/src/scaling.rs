@@ -39,24 +39,13 @@ use crate::world::World;
 /// Sim seed for every scaling cell; frozen by `tests/scaling.rs`.
 pub const SCALING_SEED: u64 = 0x5CA1_E0F0;
 
-/// Default node-count grid: the paper's 1- and 2-node points plus the
-/// extrapolation the topology layer exists for.
-pub fn default_nodes(quick: bool) -> Vec<u16> {
-    if quick {
-        vec![1, 2, 4]
-    } else {
-        vec![1, 2, 4, 8, 16]
-    }
-}
-
-/// Node counts from `--nodes 1,2,4,8,16` or `PARCOMM_NODES`, if given.
-pub fn nodes_arg() -> Option<Vec<u16>> {
-    fn parse(list: &str) -> Option<Vec<u16>> {
-        let nodes: Vec<u16> =
-            list.split(',').map(|s| s.trim().parse().ok()).collect::<Option<_>>()?;
-        (!nodes.is_empty()).then_some(nodes)
-    }
-    crate::arg_or_env("--nodes", "PARCOMM_NODES").as_deref().and_then(parse)
+/// Node counts from `--nodes 1,2,4,8,16` or `PARCOMM_NODES`. The default
+/// grid is the paper's 1- and 2-node points plus the extrapolation the
+/// topology layer exists for (up to 4 nodes with `quick`, else 16). `Err`
+/// names a list with an unparseable or zero count.
+pub fn nodes_arg(quick: bool) -> Result<Vec<u16>, String> {
+    let list = crate::list_arg("--nodes", "PARCOMM_NODES", "node counts >= 1", |&n: &u16| n >= 1)?;
+    Ok(list.unwrap_or_else(|| if quick { vec![1, 2, 4] } else { vec![1, 2, 4, 8, 16] }))
 }
 
 /// Cluster shapes from `--topology` or `PARCOMM_TOPOLOGY`, if given:

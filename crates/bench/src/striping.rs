@@ -31,20 +31,14 @@ use crate::report::Experiment;
 /// Sim seed for every striping cell; frozen by `tests/striping.rs`.
 pub const STRIPING_SEED: u64 = 0x0057_12E5;
 
-/// Default stripe-count grid: single-path baseline, half the rails, all
-/// four rails of the GH200 nodes.
-pub fn default_stripes(_quick: bool) -> Vec<usize> {
-    vec![1, 2, 4]
-}
-
-/// Stripe counts from `--stripes 1,2,4` or `PARCOMM_STRIPES`, if given.
-pub fn stripes_arg() -> Option<Vec<usize>> {
-    fn parse(list: &str) -> Option<Vec<usize>> {
-        let stripes: Vec<usize> =
-            list.split(',').map(|s| s.trim().parse().ok()).collect::<Option<_>>()?;
-        (!stripes.is_empty()).then_some(stripes)
-    }
-    crate::arg_or_env("--stripes", "PARCOMM_STRIPES").as_deref().and_then(parse)
+/// Stripe counts from `--stripes 1,2,4` or `PARCOMM_STRIPES`; the
+/// default grid is the single-path baseline, half the rails and all four
+/// rails of the GH200 nodes. `Err` names a list with an unparseable or
+/// zero count.
+pub fn stripes_arg() -> Result<Vec<usize>, String> {
+    let list =
+        crate::list_arg("--stripes", "PARCOMM_STRIPES", "stripe counts >= 1", |&s: &usize| s >= 1)?;
+    Ok(list.unwrap_or_else(|| vec![1, 2, 4]))
 }
 
 /// One timed + digested run: a warm-up epoch, then one measured epoch of
@@ -109,10 +103,9 @@ pub fn striped_p2p_cell(nodes: u16, stripes: usize, partition_bytes: usize) -> (
     (us, d.finish())
 }
 
-/// Run the striping ablation over the `--stripes` grid (default
-/// [`default_stripes`]).
-pub fn run(quick: bool) -> Experiment {
-    let stripes = stripes_arg().unwrap_or_else(|| default_stripes(quick));
+/// Run the striping ablation over the `stripes` grid (see
+/// [`stripes_arg`]).
+pub fn run(stripes: &[usize], quick: bool) -> Experiment {
     let partition_bytes = if quick { 64 * 1024 } else { 256 * 1024 };
     let nodes: u16 = 2;
     let mut exp = Experiment::new(
@@ -121,7 +114,7 @@ pub fn run(quick: bool) -> Experiment {
         &["nodes", "stripes", "epoch_us", "goodput_gbps", "speedup_vs_1stripe"],
     );
     let mut spec = SweepSpec::new();
-    for &s in &stripes {
+    for &s in stripes {
         spec.cell(format!("nodes={nodes},stripes={s}"), move || {
             let (us, digest) = striped_p2p_cell(nodes, s, partition_bytes);
             let bytes = (8 * partition_bytes) as f64;

@@ -107,9 +107,8 @@ struct EngineInner {
     /// escalates through lease check → host drain → channel replay before
     /// the fatal timeout; `None` keeps the pre-recovery wait loop exactly.
     recover: Option<RecoverConfig>,
-    /// MPI-layer instruments (watchdog arm/fire counters), if the world
-    /// has metrics enabled.
-    instruments: Option<MpiInstruments>,
+    /// MPI-layer instruments (watchdog arm/fire and recovery counters).
+    instruments: MpiInstruments,
     /// The channel table: channels dense in ascending-peer order (the
     /// order `start`/`pbuf_prepare` iterate, and multi-peer schedules — the
     /// hierarchical ring has up to four neighbors — need deterministic for
@@ -259,7 +258,7 @@ impl PcollRequest {
                 poll_us: rank.world().config().progress_poll_us,
                 watchdog_us: rank.world().config().wait_watchdog_us,
                 recover: rank.world().config().recover.clone(),
-                instruments: rank.world().instruments(),
+                instruments: rank.world().instruments().clone(),
                 send,
                 recv,
                 send_of_peer,
@@ -658,10 +657,9 @@ impl PcollRequest {
         let mut stall_started: Option<SimTime> = None;
         let mut attempts = 0u32;
         let detect_us = self.stall_bound_us();
+        let ins = &self.inner.instruments;
         if detect_us.is_some() {
-            if let Some(ins) = &self.inner.instruments {
-                ins.watchdog_arms.inc();
-            }
+            ins.watchdog_arms.inc();
         }
         loop {
             let progressed = self.sweep(p).await?;
@@ -680,16 +678,12 @@ impl PcollRequest {
                     if p.now().since(t0).as_micros_f64() >= timeout_us {
                         match &self.inner.recover {
                             None => {
-                                if let Some(ins) = &self.inner.instruments {
-                                    ins.watchdog_fires.inc();
-                                }
+                                ins.watchdog_fires.inc();
                                 return Err(self.stall_error(timeout_us, total));
                             }
                             Some(rc) => {
                                 if attempts >= rc.max_replays {
-                                    if let Some(ins) = &self.inner.instruments {
-                                        ins.watchdog_fires.inc();
-                                    }
+                                    ins.watchdog_fires.inc();
                                     let diag = self.stall_error(timeout_us, total);
                                     return Err(MpiError::Unrecoverable {
                                         rank: self.inner.rank,
@@ -699,10 +693,8 @@ impl PcollRequest {
                                 }
                                 attempts += 1;
                                 if self.inner.progression.lease_expired(p.now(), rc.lease_us) {
-                                    if let Some(ins) = &self.inner.instruments {
-                                        ins.recover_lease_expired.inc();
-                                        ins.recover_host_drains.inc();
-                                    }
+                                    ins.recover_lease_expired.inc();
+                                    ins.recover_host_drains.inc();
                                     // Host takeover of the dead PE's queue:
                                     // activates any partitions whose device
                                     // readiness was never drained.

@@ -285,8 +285,8 @@ impl PrecvRequest {
                 ep.am_send(reply_tag, reply, ShmemReceiverSetup::WIRE_BYTES);
             } else {
                 let shmem_denied = verdict.clone().and_then(Result::err);
-                if let (Some(_), Some(i)) = (&shmem_denied, inner.world.shmem_heap().obs()) {
-                    i.fallbacks.inc();
+                if shmem_denied.is_some() {
+                    inner.world.shmem_heap().instruments().fallbacks.inc();
                 }
                 let data_rkey = inner.worker.mem_map(&inner.buffer).pack_rkey();
                 let flag_rkey = inner.worker.mem_map(&inner.flags).pack_rkey();

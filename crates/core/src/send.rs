@@ -489,11 +489,9 @@ impl PsendRequest {
                     let data = heap.translate(self.inner.dest, srs.data_off, bytes)?;
                     let flag_bytes = (self.inner.user_partitions * 8) as u64;
                     let flags = heap.translate(self.inner.dest, srs.flag_off, flag_bytes)?;
-                    if let Some(i) = heap.obs() {
-                        // One data rkey and one flag rkey that never had to
-                        // be packed, shipped, or unpacked.
-                        i.rkey_exchanges_avoided.add(2);
-                    }
+                    // One data rkey and one flag rkey that never had to be
+                    // packed, shipped, or unpacked.
+                    heap.instruments().rkey_exchanges_avoided.add(2);
                     Route::Shmem { data, flags }
                 }
                 Err(rs) => Route::Rma {
@@ -617,15 +615,11 @@ impl PsendRequest {
                 let dt = SimDuration::from_micros_f64(detect_us);
                 let mut attempts = 0u32;
                 loop {
-                    if let Some(ins) = &instruments {
-                        ins.watchdog_arms.inc();
-                    }
+                    instruments.watchdog_arms.inc();
                     if p.wait_count_timeout(&self.inner.transport_complete, t, dt).await {
                         break;
                     }
-                    if let Some(ins) = &instruments {
-                        ins.watchdog_fires.inc();
-                    }
+                    instruments.watchdog_fires.inc();
                     if attempts >= rc.max_replays {
                         let diag = self.inner.diagnose_stall(detect_us, t);
                         return Err(MpiError::Unrecoverable {
@@ -639,9 +633,7 @@ impl PsendRequest {
                     }
                     attempts += 1;
                     if self.inner.progression.lease_expired(p.now(), rc.lease_us) {
-                        if let Some(ins) = &instruments {
-                            ins.recover_lease_expired.inc();
-                        }
+                        instruments.recover_lease_expired.inc();
                         self.inner.host_drain_device(p).await;
                     }
                     self.inner.recover_epoch(p).await;
@@ -764,9 +756,7 @@ impl PsendShared {
     pub(crate) async fn host_drain_device(&self, p: &Proc) {
         let drain = self.device_drain.lock().as_mut().and_then(|drain| drain(p));
         if let Some(drain) = drain {
-            if let Some(ins) = self.world.instruments() {
-                ins.recover_host_drains.inc();
-            }
+            self.world.instruments().recover_host_drains.inc();
             drain.await;
         }
     }
@@ -797,9 +787,7 @@ impl PsendShared {
         self.gen.fetch_add(1, Ordering::AcqRel);
         self.puts.lock().clear();
         *self.shmem_failure.lock() = None;
-        if let Some(ins) = self.world.instruments() {
-            ins.recover_replays.inc();
-        }
+        self.world.instruments().recover_replays.inc();
         for &k in &todo {
             let t0 = p.now();
             p.advance(SimDuration::from_micros_f64(self.cost.data_put_post_us)).await;
@@ -1008,9 +996,7 @@ impl PsendShared {
         {
             let mut d = self.delivered.lock();
             if self.gen.load(Ordering::Acquire) != issue_gen || d[k] {
-                if let Some(ins) = self.world.instruments() {
-                    ins.recover_stale_puts.inc();
-                }
+                self.world.instruments().recover_stale_puts.inc();
                 return;
             }
             d[k] = true;
@@ -1018,14 +1004,10 @@ impl PsendShared {
         if let Some((arrival, wire_span)) = signal {
             let (dest, k) = (Some(self.dest as u32), Some(k as u32));
             h.trace().record_causal("shmem_signal", arrival, h.now(), dest, k, wire_span);
-            if let Some(i) = self.world.shmem_heap().obs() {
-                i.signals.inc();
-            }
+            self.world.shmem_heap().instruments().signals.inc();
         }
-        if let Some(ins) = self.world.instruments() {
-            let us = h.now().since(pready_at).as_micros_f64();
-            ins.pready_arrival_us.record(us.round() as u64);
-        }
+        let us = h.now().since(pready_at).as_micros_f64();
+        self.world.instruments().pready_arrival_us.record(us.round() as u64);
         let notifier = self.state.lock().notifier.clone().expect("pbuf_prepare not completed");
         notifier.add(h, ulen as u64);
         self.transport_complete.add(h, 1);
@@ -1064,12 +1046,10 @@ impl ShmemPut {
         let (u0, ulen) = self.users;
         let byte_off = u0 * send.partition_bytes;
         let byte_len = ulen * send.partition_bytes;
-        let heap_obs = send.world.shmem_heap().obs();
+        let heap_obs = send.world.shmem_heap().instruments();
         if attempt == 0 {
-            if let Some(i) = &heap_obs {
-                i.puts.inc();
-                i.bytes.add(byte_len as u64);
-            }
+            heap_obs.puts.inc();
+            heap_obs.bytes.add(byte_len as u64);
         }
         let (rank, k) = (Some(send.my_rank as u32), Some(self.k as u32));
         let put_span = h.trace().record_causal("shmem_put", now, now, rank, k, self.cause);
@@ -1099,9 +1079,7 @@ impl ShmemPut {
             }
             Err(net_err) => {
                 if attempt + 1 >= PUT_MAX_ATTEMPTS {
-                    if let Some(i) = &heap_obs {
-                        i.put_failures.inc();
-                    }
+                    heap_obs.put_failures.inc();
                     let waited = now.since(self.first_at).as_micros_f64();
                     *send.shmem_failure.lock() = Some(ShmemError::WireTimeout {
                         attempts: attempt + 1,
@@ -1109,9 +1087,7 @@ impl ShmemPut {
                         cause: net_err.to_string(),
                     });
                 } else {
-                    if let Some(i) = &heap_obs {
-                        i.put_retries.inc();
-                    }
+                    heap_obs.put_retries.inc();
                     let backoff = SimDuration::from_micros_f64(
                         PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32),
                     );

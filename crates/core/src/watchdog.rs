@@ -22,16 +22,11 @@ where
     F: Future<Output = Option<T>> + 'a,
 {
     Box::pin(async move {
-        let instruments = world.instruments();
-        if let Some(ins) = &instruments {
-            ins.watchdog_arms.inc();
-        }
+        world.instruments().watchdog_arms.inc();
         match wait(SimDuration::from_micros_f64(timeout_us)).await {
             Some(v) => Ok(v),
             None => {
-                if let Some(ins) = &instruments {
-                    ins.watchdog_fires.inc();
-                }
+                world.instruments().watchdog_fires.inc();
                 Err(on_fire())
             }
         }

@@ -46,7 +46,7 @@ struct GpuInner {
     /// notification-flag schedule above.
     shmem_faults: Arc<Mutex<Option<EmissionFaults>>>,
     /// Observability state (rank attribution + metrics), shared with every
-    /// stream of this GPU. Inert until armed.
+    /// stream of this GPU.
     obs: Arc<GpuObs>,
 }
 
@@ -57,8 +57,9 @@ pub struct Gpu {
 }
 
 impl Gpu {
-    /// Create a GPU with the given identity and cost model.
-    pub fn new(id: GpuId, cost: CostModel, handle: SimHandle) -> Self {
+    /// Create a GPU with the given identity and cost model, counting its
+    /// `gpu.*` metrics into `registry`.
+    pub fn new(id: GpuId, cost: CostModel, handle: SimHandle, registry: &MetricsRegistry) -> Self {
         Gpu {
             inner: Arc::new(GpuInner {
                 id,
@@ -66,7 +67,7 @@ impl Gpu {
                 handle,
                 emission_faults: Arc::new(Mutex::new(None)),
                 shmem_faults: Arc::new(Mutex::new(None)),
-                obs: Arc::new(GpuObs::default()),
+                obs: Arc::new(GpuObs::new(registry)),
             }),
         }
     }
@@ -76,13 +77,6 @@ impl Gpu {
     /// and future streams; spans recorded earlier stay unattributed.
     pub fn set_rank(&self, rank: u32) {
         self.inner.obs.set_rank(rank);
-    }
-
-    /// Attach metrics instruments (`gpu.kernels`, `gpu.emissions`,
-    /// `gpu.stream_syncs`) to the given registry. Counts from every GPU
-    /// attached to the same registry aggregate into the same instruments.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        self.inner.obs.attach(registry);
     }
 
     /// Arm a deterministic emission fault schedule on this GPU: every N-th

@@ -1,34 +1,45 @@
 //! Per-GPU observability state: rank attribution for span recording plus
-//! optional metrics instruments.
+//! the `gpu.*` metrics instruments.
 //!
 //! One [`GpuObs`] is shared between a [`crate::Gpu`] and every stream it
-//! creates (mirroring how the emission fault schedule is shared). Until
-//! [`crate::Gpu::set_rank`] / [`crate::Gpu::attach_metrics`] are called the
-//! state is inert: spans record unattributed exactly as before, and the
-//! metrics branch is a single `Option` check.
+//! creates (mirroring how the emission fault schedule is shared). Its
+//! instruments count into the registry the GPU was built with from the
+//! first kernel on; spans record unattributed until
+//! [`crate::Gpu::set_rank`] names the rank.
 
 use parcomm_obs::{Counter, MetricsRegistry};
 use parcomm_sim::Mutex;
 
 /// Metrics instruments for one GPU (shared across its streams).
-#[derive(Clone)]
-pub(crate) struct GpuInstruments {
+struct GpuInstruments {
     /// Kernels launched.
-    pub kernels: Counter,
+    kernels: Counter,
     /// Timed device-side emissions scheduled (flag writes, copy notifies).
-    pub emissions: Counter,
+    emissions: Counter,
     /// `cudaStreamSynchronize` calls completed.
-    pub stream_syncs: Counter,
+    stream_syncs: Counter,
 }
 
 /// Shared observability state of one GPU.
-#[derive(Default)]
 pub(crate) struct GpuObs {
     rank: Mutex<Option<u32>>,
-    instruments: Mutex<Option<GpuInstruments>>,
+    instruments: GpuInstruments,
 }
 
 impl GpuObs {
+    /// `gpu.kernels`, `gpu.emissions` and `gpu.stream_syncs` in `registry`;
+    /// every GPU built on one registry counts into the same instruments.
+    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
+        GpuObs {
+            rank: Mutex::new(None),
+            instruments: GpuInstruments {
+                kernels: registry.counter("gpu.kernels"),
+                emissions: registry.counter("gpu.emissions"),
+                stream_syncs: registry.counter("gpu.stream_syncs"),
+            },
+        }
+    }
+
     /// The MPI rank this GPU is attributed to, once known.
     pub(crate) fn rank(&self) -> Option<u32> {
         *self.rank.lock()
@@ -38,24 +49,12 @@ impl GpuObs {
         *self.rank.lock() = Some(rank);
     }
 
-    pub(crate) fn attach(&self, registry: &MetricsRegistry) {
-        *self.instruments.lock() = Some(GpuInstruments {
-            kernels: registry.counter("gpu.kernels"),
-            emissions: registry.counter("gpu.emissions"),
-            stream_syncs: registry.counter("gpu.stream_syncs"),
-        });
-    }
-
     pub(crate) fn count_kernel(&self, emissions: u64) {
-        if let Some(i) = self.instruments.lock().as_ref() {
-            i.kernels.inc();
-            i.emissions.add(emissions);
-        }
+        self.instruments.kernels.inc();
+        self.instruments.emissions.add(emissions);
     }
 
     pub(crate) fn count_stream_sync(&self) {
-        if let Some(i) = self.instruments.lock().as_ref() {
-            i.stream_syncs.inc();
-        }
+        self.instruments.stream_syncs.inc();
     }
 }

@@ -6,10 +6,12 @@ use std::sync::Arc;
 use parcomm_sim::Mutex;
 
 use parcomm_gpu::{AggLevel, CostModel, Gpu, GpuId, KernelSpec};
+use parcomm_obs::MetricsRegistry;
 use parcomm_sim::{Event, SimConfig, SimDuration, Simulation};
 
 fn test_gpu(sim: &Simulation) -> Gpu {
-    Gpu::new(GpuId { node: 0, index: 0 }, CostModel::default(), sim.handle())
+    let registry = MetricsRegistry::new();
+    Gpu::new(GpuId { node: 0, index: 0 }, CostModel::default(), sim.handle(), &registry)
 }
 
 #[test]

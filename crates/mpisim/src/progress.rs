@@ -106,7 +106,7 @@ impl ProgressionEngine {
         rank: usize,
         poll: SimDuration,
         fault: Option<PeFaultConfig>,
-        instruments: Option<crate::world::MpiInstruments>,
+        instruments: crate::world::MpiInstruments,
     ) -> (ProgressionEngine, HookOwner) {
         let inner = Arc::new(Mutex::new(PeState {
             hooks: Vec::new(),
@@ -190,10 +190,8 @@ impl ProgressionEngine {
                 // moved out so they can re-enter the engine (e.g.
                 // register follow-up work) without deadlocking the lock.
                 let mut hooks = std::mem::take(&mut inner.lock().hooks);
-                if let Some(ins) = &instruments {
-                    ins.pe_polls.inc();
-                    ins.pe_hook_runs.add(hooks.len() as u64);
-                }
+                instruments.pe_polls.inc();
+                instruments.pe_hook_runs.add(hooks.len() as u64);
                 let mut kept: Vec<Hook> = Vec::with_capacity(hooks.len());
                 for mut hook in hooks.drain(..) {
                     if hook(&p).await == HookOutcome::Keep {

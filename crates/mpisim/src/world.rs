@@ -20,6 +20,9 @@ use crate::mechanism::CopyMechanism;
 use crate::p2p::MatchTable;
 use crate::progress::{HookOwner, PeFaultConfig, ProgressionEngine};
 
+/// Host software overhead (µs) charged per blocking MPI send/recv call.
+const MPI_CALL_OVERHEAD_US: f64 = 0.5;
+
 /// MPI-layer instruments, shared by every rank's progression engine and the
 /// partitioned send/recv watchdogs. Cheap to clone; clones share counters.
 #[derive(Clone, Debug)]
@@ -174,8 +177,6 @@ pub struct WorldConfig {
     pub cluster: ClusterSpec,
     /// GPU cost model (same on every device).
     pub cost: CostModel,
-    /// Host software overhead charged per MPI send/recv call.
-    pub mpi_overhead_us: f64,
     /// Progression-engine poll interval: the PE daemon's sweep cadence
     /// and the collective engine's multi-channel poll.
     pub progress_poll_us: f64,
@@ -223,7 +224,6 @@ impl WorldConfig {
         WorldConfig {
             cluster: ClusterSpec::gh200(nodes),
             cost: CostModel::default(),
-            mpi_overhead_us: 0.5,
             progress_poll_us: 0.5,
             wait_watchdog_us: None,
             net_faults: None,
@@ -252,9 +252,9 @@ struct WorldInner {
     addresses: Mutex<Vec<Option<WorkerAddress>>>,
     size: usize,
     start_barrier: SimBarrier,
-    /// Set by [`MpiWorld::enable_metrics`]; `None` keeps every layer's
-    /// instrumentation on its zero-cost `Option` fast path.
-    metrics: Mutex<Option<(MetricsRegistry, MpiInstruments)>>,
+    /// The one registry every layer of this world counts into.
+    metrics: MetricsRegistry,
+    instruments: MpiInstruments,
 }
 
 /// The simulated `MPI_COMM_WORLD`. Cheap to clone.
@@ -275,19 +275,21 @@ impl MpiWorld {
     /// returns [`crate::MpiError::InvalidTopology`] instead of panicking on
     /// a degenerate spec (zero nodes, zero GPUs, more NICs than GPUs, …).
     pub fn try_new(sim: &Simulation, config: WorldConfig) -> Result<Self, crate::MpiError> {
-        let fabric = Fabric::try_new(sim.handle(), config.cluster.clone())
+        let metrics = MetricsRegistry::new();
+        let fabric = Fabric::try_new(sim.handle(), config.cluster.clone(), &metrics)
             .map_err(crate::MpiError::InvalidTopology)?;
         let topology = fabric.topology();
         if let Some(nf) = &config.net_faults {
             fabric.arm_faults(nf.clone());
         }
-        let universe = UcxUniverse::new(fabric.clone());
+        let universe = UcxUniverse::new(fabric.clone(), &metrics);
         let size = topology.num_ranks();
         // The symmetric heap registers once here — per-rank base offsets
         // are deterministic from this point and no rkey ever travels for
         // buffers bound into it.
         let shmem_heap =
-            SymmetricHeap::new(size, config.shmem_heap_bytes, &config.shmem_heap_fail);
+            SymmetricHeap::new(size, config.shmem_heap_bytes, &config.shmem_heap_fail, &metrics);
+        let instruments = MpiInstruments::new(&metrics);
         Ok(MpiWorld {
             inner: Arc::new(WorldInner {
                 config,
@@ -299,38 +301,23 @@ impl MpiWorld {
                 addresses: Mutex::new(vec![None; size]),
                 size,
                 start_barrier: SimBarrier::new(size),
-                metrics: Mutex::new(None),
+                metrics,
+                instruments,
             }),
         })
     }
 
-    /// Create a [`MetricsRegistry`] and attach every layer's instruments to
-    /// it: fabric transfer/rail counters, UCX put/AM counters, and the
-    /// MPI-layer PE/watchdog counters. Call before [`MpiWorld::run_ranks`]
-    /// so per-rank GPUs attach as they initialize. Idempotent; returns the
-    /// (possibly pre-existing) registry.
+    /// The world's live [`MetricsRegistry`]: fabric, UCX, symmetric-heap,
+    /// MPI-layer, GPU and mux instruments. Every layer counts into it from
+    /// construction on, so the registry may be fetched at any time, before
+    /// or after the run; nothing is switched on by the call.
     pub fn enable_metrics(&self) -> MetricsRegistry {
-        let mut slot = self.inner.metrics.lock();
-        if let Some((reg, _)) = slot.as_ref() {
-            return reg.clone();
-        }
-        let registry = MetricsRegistry::new();
-        self.inner.fabric.attach_metrics(&registry);
-        self.inner.universe.attach_metrics(&registry);
-        self.inner.shmem_heap.attach_metrics(&registry);
-        let instruments = MpiInstruments::new(&registry);
-        *slot = Some((registry.clone(), instruments));
-        registry
+        self.inner.metrics.clone()
     }
 
-    /// The registry created by [`MpiWorld::enable_metrics`], if any.
-    pub fn metrics_registry(&self) -> Option<MetricsRegistry> {
-        self.inner.metrics.lock().as_ref().map(|(r, _)| r.clone())
-    }
-
-    /// The MPI-layer instruments, if metrics are enabled.
-    pub fn instruments(&self) -> Option<MpiInstruments> {
-        self.inner.metrics.lock().as_ref().map(|(_, i)| i.clone())
+    /// The MPI-layer instruments.
+    pub fn instruments(&self) -> &MpiInstruments {
+        &self.inner.instruments
     }
 
     /// GH200 world with `nodes` nodes.
@@ -432,11 +419,9 @@ pub struct Rank {
 impl Rank {
     fn init(ctx: &mut Ctx, world: MpiWorld, rank: usize) -> Rank {
         let gpu_id = world.gpu_of(rank);
-        let gpu = Gpu::new(gpu_id, world.inner.config.cost.clone(), ctx.handle());
+        let gpu =
+            Gpu::new(gpu_id, world.inner.config.cost.clone(), ctx.handle(), &world.inner.metrics);
         gpu.set_rank(rank as u32);
-        if let Some(reg) = world.metrics_registry() {
-            gpu.attach_metrics(&reg);
-        }
         if let Some((_, ef)) = world
             .inner
             .config
@@ -472,7 +457,7 @@ impl Rank {
             rank,
             SimDuration::from_micros_f64(world.inner.config.progress_poll_us),
             pe_fault,
-            world.instruments(),
+            world.instruments().clone(),
         );
         // MPI_Init barrier: every rank's worker address is published before
         // anyone communicates.
@@ -522,7 +507,7 @@ impl Rank {
 
     /// Host software overhead per MPI call.
     pub fn mpi_overhead(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.world.inner.config.mpi_overhead_us)
+        SimDuration::from_micros_f64(MPI_CALL_OVERHEAD_US)
     }
 
     /// Synchronize all ranks (zero-cost alignment barrier used by the

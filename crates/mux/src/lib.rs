@@ -26,8 +26,8 @@
 //!   byte-identical under any submission shuffle or sweep worker count.
 //!
 //! Per-tenant goodput/epoch/latency metrics land in the world's
-//! [`parcomm_obs::MetricsRegistry`] under `mux.tenant<k>.*` when metrics
-//! are enabled — pure atomics, digest-neutral.
+//! [`parcomm_obs::MetricsRegistry`] under `mux.tenant<k>.*` from each
+//! tenant's first epoch on — pure atomics, digest-neutral.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -555,28 +555,25 @@ impl MuxService {
     }
 
     /// Credit one completed epoch to `tenant`: `bytes` of goodput at
-    /// `latency_us`. Feeds both the raw per-tenant report and — when the
-    /// world has metrics enabled — the `mux.tenant<k>.*` instruments
+    /// `latency_us`. Feeds both the raw per-tenant report and the world's
+    /// `mux.tenant<k>.*` instruments, created at the tenant's first epoch
     /// (pure atomics, digest-neutral).
     pub fn record_epoch(&mut self, tenant: usize, bytes: u64, latency_us: f64) {
         let st = &mut self.stats[tenant];
         st.goodput_bytes += bytes;
         st.epochs += 1;
         st.latencies_us.push(latency_us);
-        if self.metrics[tenant].is_none() {
-            if let Some(reg) = self.world.metrics_registry() {
-                self.metrics[tenant] = Some(TenantMetrics {
-                    goodput: reg.counter(&format!("mux.tenant{tenant}.goodput_bytes")),
-                    epochs: reg.counter(&format!("mux.tenant{tenant}.epochs")),
-                    latency: reg.histogram(&format!("mux.tenant{tenant}.epoch_latency_us")),
-                });
+        let m = self.metrics[tenant].get_or_insert_with(|| {
+            let reg = self.world.enable_metrics();
+            TenantMetrics {
+                goodput: reg.counter(format!("mux.tenant{tenant}.goodput_bytes")),
+                epochs: reg.counter(format!("mux.tenant{tenant}.epochs")),
+                latency: reg.histogram(format!("mux.tenant{tenant}.epoch_latency_us")),
             }
-        }
-        if let Some(m) = &self.metrics[tenant] {
-            m.goodput.add(bytes);
-            m.epochs.inc();
-            m.latency.record(latency_us.round().max(0.0) as u64);
-        }
+        });
+        m.goodput.add(bytes);
+        m.epochs.inc();
+        m.latency.record(latency_us.round().max(0.0) as u64);
     }
 
     /// Gracefully tear down a live channel: `MPI_Request_free` the

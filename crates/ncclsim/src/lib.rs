@@ -201,12 +201,13 @@ impl std::fmt::Debug for NcclComm {
 mod tests {
     use super::*;
     use parcomm_net::ClusterSpec;
+    use parcomm_obs::MetricsRegistry;
     use parcomm_sim::{SimConfig, Simulation};
 
     #[test]
     fn duration_scales_with_bytes_and_ranks() {
         let sim = Simulation::new(SimConfig::default());
-        let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
+        let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1), &MetricsRegistry::new());
         let topo = fabric.topology();
         let ring: Vec<Location> = (0..topo.num_ranks()).map(|r| topo.location_of(r)).collect();
         let comm = NcclComm::new(fabric, ring, NcclConfig::default());
@@ -222,7 +223,7 @@ mod tests {
     #[test]
     fn inter_node_ring_is_ib_bound() {
         let sim = Simulation::new(SimConfig::default());
-        let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2));
+        let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2), &MetricsRegistry::new());
         let topo = fabric.topology();
         let ring: Vec<Location> = (0..topo.num_ranks()).map(|r| topo.location_of(r)).collect();
         let comm = NcclComm::new(fabric, ring, NcclConfig::default());

@@ -210,8 +210,8 @@ pub struct StripedTransfer {
     pub stripes: Vec<StripeArrival>,
 }
 
-/// Metrics instruments for the fabric; attached via
-/// [`Fabric::attach_metrics`], dormant otherwise.
+/// Metrics instruments for the fabric (`net.transfers`, `net.bytes`,
+/// `net.fault_penalties`, `net.bytes_hist`, `net.rail<N>.bytes`).
 struct NetInstruments {
     transfers: Counter,
     bytes: Counter,
@@ -231,9 +231,7 @@ struct FabricInner {
     /// Armed fault schedule; `None` (the default) keeps every fault branch
     /// dormant so fault-free runs draw nothing and schedule nothing extra.
     faults: Mutex<Option<NetFaults>>,
-    /// Attached metrics; `None` (the default) keeps metric updates to a
-    /// single `Option` check per transfer.
-    instruments: Mutex<Option<NetInstruments>>,
+    instruments: NetInstruments,
 }
 
 /// The cluster interconnect. Cheap to clone.
@@ -243,17 +241,21 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Build the fabric for `spec`, scheduling completions on `handle`.
-    /// Panics on a malformed spec; use [`Fabric::try_new`] for the typed
-    /// error.
-    pub fn new(handle: SimHandle, spec: ClusterSpec) -> Fabric {
-        Fabric::try_new(handle, spec)
+    /// Build the fabric for `spec`, scheduling completions on `handle` and
+    /// counting its `net.*` metrics into `registry`. Panics on a malformed
+    /// spec; use [`Fabric::try_new`] for the typed error.
+    pub fn new(handle: SimHandle, spec: ClusterSpec, registry: &MetricsRegistry) -> Fabric {
+        Fabric::try_new(handle, spec, registry)
             .unwrap_or_else(|e| panic!("invalid cluster spec: {e}"))
     }
 
     /// Fallible form of [`Fabric::new`]: validates the spec's shape into a
     /// [`Topology`] and reports the typed defect instead of panicking.
-    pub fn try_new(handle: SimHandle, spec: ClusterSpec) -> Result<Fabric, TopologyError> {
+    pub fn try_new(
+        handle: SimHandle,
+        spec: ClusterSpec,
+        registry: &MetricsRegistry,
+    ) -> Result<Fabric, TopologyError> {
         let topology = spec.topology()?;
         let mut links = Vec::new();
         let mut nodes = Vec::new();
@@ -283,6 +285,15 @@ impl Fabric {
             nodes.push(block);
         }
         debug_assert_eq!(base, links.len());
+        let instruments = NetInstruments {
+            transfers: registry.counter("net.transfers"),
+            bytes: registry.counter("net.bytes"),
+            fault_penalties: registry.counter("net.fault_penalties"),
+            bytes_hist: registry.histogram("net.bytes_hist"),
+            rail_bytes: (0..topology.nics_per_node())
+                .map(|nic| registry.counter(format!("net.rail{nic}.bytes")))
+                .collect(),
+        };
         Ok(Fabric {
             inner: Arc::new(FabricInner {
                 spec,
@@ -291,39 +302,22 @@ impl Fabric {
                 links,
                 nodes,
                 faults: Mutex::new(None),
-                instruments: Mutex::new(None),
+                instruments,
             }),
         })
-    }
-
-    /// Attach metrics instruments (`net.transfers`, `net.bytes`,
-    /// `net.fault_penalties`, `net.bytes_hist`, `net.rail<N>.bytes`) to the
-    /// given registry.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        let rails = (0..self.inner.topology.nics_per_node())
-            .map(|nic| registry.counter(&format!("net.rail{nic}.bytes")))
-            .collect();
-        *self.inner.instruments.lock() = Some(NetInstruments {
-            transfers: registry.counter("net.transfers"),
-            bytes: registry.counter("net.bytes"),
-            fault_penalties: registry.counter("net.fault_penalties"),
-            bytes_hist: registry.histogram("net.bytes_hist"),
-            rail_bytes: rails,
-        });
     }
 
     /// Count one transfer; `rail_shares` yields cross-node `(nic, bytes)`
     /// shares (none for intra-node traffic; a rail may appear more than
     /// once).
     fn count_transfer(&self, bytes: u64, rail_shares: impl IntoIterator<Item = (u8, u64)>) {
-        if let Some(i) = self.inner.instruments.lock().as_ref() {
-            i.transfers.inc();
-            i.bytes.add(bytes);
-            i.bytes_hist.record(bytes);
-            for (nic, share) in rail_shares {
-                if let Some(c) = i.rail_bytes.get(nic as usize) {
-                    c.add(share);
-                }
+        let i = &self.inner.instruments;
+        i.transfers.inc();
+        i.bytes.add(bytes);
+        i.bytes_hist.record(bytes);
+        for (nic, share) in rail_shares {
+            if let Some(c) = i.rail_bytes.get(nic as usize) {
+                c.add(share);
             }
         }
     }
@@ -445,9 +439,7 @@ impl Fabric {
             }
         };
         if !penalty.is_zero() {
-            if let Some(i) = self.inner.instruments.lock().as_ref() {
-                i.fault_penalties.inc();
-            }
+            self.inner.instruments.fault_penalties.inc();
         }
         penalty
     }

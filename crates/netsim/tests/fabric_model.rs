@@ -3,6 +3,7 @@
 
 use parcomm_gpu::{Location, Unit};
 use parcomm_net::{ClusterSpec, Fabric, Transfer, WireAttr};
+use parcomm_obs::MetricsRegistry;
 use parcomm_sim::{Ctx, SimConfig, SimTime, Simulation};
 
 fn gpu(node: u16, idx: u8) -> Location {
@@ -29,7 +30,7 @@ fn wait_until(ctx: &mut Ctx, at: SimTime) {
 #[test]
 fn intra_node_gpu_route_is_nvlink() {
     let sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2), &MetricsRegistry::new());
     assert_eq!(fabric.path_bandwidth_gbps(gpu(0, 0), gpu(0, 1)), 150.0);
     let lat = fabric.path_latency(gpu(0, 0), gpu(0, 1)).as_micros_f64();
     assert!((1.8..2.0).contains(&lat), "nvlink latency {lat}");
@@ -38,7 +39,7 @@ fn intra_node_gpu_route_is_nvlink() {
 #[test]
 fn inter_node_route_is_ib() {
     let sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2), &MetricsRegistry::new());
     assert_eq!(fabric.path_bandwidth_gbps(gpu(0, 0), gpu(1, 0)), 50.0);
     // Two IB hops at 1.75 µs each.
     let lat = fabric.path_latency(gpu(0, 0), gpu(1, 0)).as_micros_f64();
@@ -48,7 +49,7 @@ fn inter_node_route_is_ib() {
 #[test]
 fn gpu_cpu_route_is_c2c() {
     let sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1), &MetricsRegistry::new());
     assert_eq!(fabric.path_bandwidth_gbps(gpu(0, 2), cpu(0)), 450.0);
     assert_eq!(fabric.path_bandwidth_gbps(cpu(0), gpu(0, 2)), 450.0);
 }
@@ -56,7 +57,7 @@ fn gpu_cpu_route_is_c2c() {
 #[test]
 fn transfer_times_match_bandwidth() {
     let mut sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1), &MetricsRegistry::new());
     sim.spawn("p", move |ctx| {
         // 150 MB over 150 GB/s NVLink = 1 ms + 1.9 µs latency.
         let t = transfer(&fabric, gpu(0, 0), gpu(0, 1), 150_000_000);
@@ -70,7 +71,7 @@ fn transfer_times_match_bandwidth() {
 #[test]
 fn same_link_transfers_contend() {
     let mut sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1), &MetricsRegistry::new());
     sim.spawn("p", move |ctx| {
         let a = transfer(&fabric, gpu(0, 0), gpu(0, 1), 150_000_000);
         let b = transfer(&fabric, gpu(0, 0), gpu(0, 1), 150_000_000);
@@ -88,7 +89,7 @@ fn same_link_transfers_contend() {
 #[test]
 fn distinct_links_do_not_contend() {
     let mut sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1), &MetricsRegistry::new());
     sim.spawn("p", move |ctx| {
         let a = transfer(&fabric, gpu(0, 0), gpu(0, 1), 150_000_000);
         let b = transfer(&fabric, gpu(0, 2), gpu(0, 3), 150_000_000);
@@ -104,7 +105,7 @@ fn distinct_links_do_not_contend() {
 #[test]
 fn opposite_directions_do_not_contend() {
     let mut sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1), &MetricsRegistry::new());
     sim.spawn("p", move |ctx| {
         let a = transfer(&fabric, gpu(0, 0), gpu(0, 1), 150_000_000);
         let b = transfer(&fabric, gpu(0, 1), gpu(0, 0), 150_000_000);
@@ -119,7 +120,7 @@ fn opposite_directions_do_not_contend() {
 #[test]
 fn cross_node_nic_mapping_separates_gpu_flows() {
     let mut sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2), &MetricsRegistry::new());
     sim.spawn("p", move |ctx| {
         // Below the multi-rail stripe threshold, GPU 0 and GPU 1 use their
         // own NICs, so cross-node flows overlap.
@@ -136,7 +137,7 @@ fn cross_node_nic_mapping_separates_gpu_flows() {
 #[test]
 fn zero_byte_transfer_is_latency_only() {
     let mut sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1), &MetricsRegistry::new());
     sim.spawn("p", move |ctx| {
         let t = transfer(&fabric, gpu(0, 0), gpu(0, 1), 0);
         wait_until(ctx, t.arrival);
@@ -149,7 +150,7 @@ fn zero_byte_transfer_is_latency_only() {
 #[test]
 fn large_cross_node_transfers_stripe_across_rails() {
     let mut sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2), &MetricsRegistry::new());
     sim.spawn("p", move |ctx| {
         // 200 MB striped over 4 × 50 GB/s rails ≈ 1 ms; single-rail would
         // be 4 ms.
@@ -164,7 +165,7 @@ fn large_cross_node_transfers_stripe_across_rails() {
 #[test]
 fn transfer_at_future_time_respects_start() {
     let mut sim = Simulation::new(SimConfig::default());
-    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1), &MetricsRegistry::new());
     sim.spawn("p", move |ctx| {
         let at = ctx.now() + parcomm_sim::SimDuration::from_micros(100);
         let t = fabric.try_transfer(at, gpu(0, 0), gpu(0, 1), 1500, WireAttr::NONE).unwrap();

@@ -6,6 +6,7 @@ use std::collections::HashMap;
 
 use parcomm_gpu::{Location, Unit};
 use parcomm_net::{ClusterSpec, Fabric, RouteClass};
+use parcomm_obs::MetricsRegistry;
 use parcomm_sim::{SimDuration, SimRng, Simulation};
 
 /// The physical links the fabric instantiates, keyed as a map would be.
@@ -117,7 +118,7 @@ fn check_shape(spec: ClusterSpec) {
         Key::HostMem { .. } => spec.host_mem.latency_us,
     };
     let sim = Simulation::with_seed(1);
-    let fabric = Fabric::new(sim.handle(), spec.clone());
+    let fabric = Fabric::new(sim.handle(), spec.clone(), &MetricsRegistry::new());
     let locations: Vec<Location> = (0..topo.nodes())
         .flat_map(|node| {
             let gpus = (0..gpus[node as usize]).map(move |i| Location {

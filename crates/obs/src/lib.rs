@@ -9,9 +9,9 @@
 //! Components:
 //!
 //! - [`metrics`]: counters, gauges, and log2-bucket histograms behind a
-//!   [`MetricsRegistry`], snapshotable to hand-rolled JSON. Layers attach
-//!   instruments explicitly; an unattached layer pays only an `Option`
-//!   check per event.
+//!   [`MetricsRegistry`], snapshotable to hand-rolled JSON. Every layer
+//!   counts into the registry it was built with; an event costs a few
+//!   relaxed atomic adds.
 //! - [`mod@occupancy`]: windowed per-category span aggregation (the
 //!   `gap_decomposition` table).
 //! - [`chrome`]: Chrome `trace_event` JSON exporter — one track per

@@ -1,17 +1,19 @@
 //! First-party hermetic metrics: counters, gauges, log2-bucket histograms.
 //!
 //! A [`MetricsRegistry`] hands out cheap cloneable instruments backed by
-//! atomics. Layers *attach* instruments explicitly (e.g.
-//! `Fabric::attach_metrics`); a layer with nothing attached pays only an
-//! `Option` check per event, so metrics are zero-cost and digest-neutral
-//! when unused — instrument updates never touch the virtual clock, so even
-//! when attached they cannot perturb timing or event counts.
+//! atomics. Every layer takes a registry when it is built and counts from
+//! then on: an `MpiWorld` creates one and hands it to its fabric, UCX
+//! universe, symmetric heap and GPUs; a layer built on its own gets a fresh
+//! one. A counted event costs one to three relaxed atomic adds and no lock.
+//! Instrument updates never touch the virtual clock, so counting cannot
+//! perturb timing, event counts or trace digests.
 //!
 //! [`MetricsRegistry::snapshot`] freezes every instrument into a
 //! [`MetricsSnapshot`] that renders to the same hand-rolled JSON style the
 //! bench reporter uses (the workspace builds with zero external
 //! dependencies, so no `serde`).
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -127,6 +129,9 @@ impl Histogram {
     }
 }
 
+/// A registry entry: an instrument and its name.
+type Entry = (Cow<'static, str>, Instrument);
+
 #[derive(Clone, Debug)]
 enum Instrument {
     Counter(Counter),
@@ -136,10 +141,11 @@ enum Instrument {
 
 /// Registry of named instruments. Cheap to clone; clones share state.
 /// Instrument lookups are idempotent: asking for the same name and kind
-/// twice returns handles to the same underlying value.
+/// twice returns handles to the same underlying value. A name is a static
+/// string or an owned `String`, kept without a copy.
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
-    entries: Arc<Mutex<Vec<(String, Instrument)>>>,
+    entries: Arc<Mutex<Vec<Entry>>>,
 }
 
 impl MetricsRegistry {
@@ -148,55 +154,69 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Get or create the counter `name`.
-    pub fn counter(&self, name: &str) -> Counter {
+    /// Get the instrument `name` that `pick` accepts, or create it with
+    /// `make`. The search runs newest first: a layer built once per rank
+    /// (a GPU) asks again for the names the first one created last.
+    fn instrument<T: Clone>(
+        &self,
+        name: Cow<'static, str>,
+        pick: fn(&Instrument) -> Option<&T>,
+        make: impl FnOnce() -> T,
+        wrap: fn(T) -> Instrument,
+    ) -> T {
         let mut es = self.entries.lock();
-        for (n, i) in es.iter() {
-            if n == name {
-                if let Instrument::Counter(c) = i {
-                    return c.clone();
-                }
-            }
+        let found = es.iter().rev().find_map(|(n, i)| if *n == name { pick(i) } else { None });
+        if let Some(found) = found {
+            return found.clone();
         }
-        let c = Counter { v: Arc::new(AtomicU64::new(0)) };
-        es.push((name.to_string(), Instrument::Counter(c.clone())));
-        c
+        let made = make();
+        es.push((name, wrap(made.clone())));
+        made
+    }
+
+    /// Get or create the counter `name`.
+    pub fn counter(&self, name: impl Into<Cow<'static, str>>) -> Counter {
+        self.instrument(
+            name.into(),
+            |i| match i {
+                Instrument::Counter(c) => Some(c),
+                _ => None,
+            },
+            || Counter { v: Arc::new(AtomicU64::new(0)) },
+            Instrument::Counter,
+        )
     }
 
     /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut es = self.entries.lock();
-        for (n, i) in es.iter() {
-            if n == name {
-                if let Instrument::Gauge(g) = i {
-                    return g.clone();
-                }
-            }
-        }
-        let g = Gauge { bits: Arc::new(AtomicU64::new(0.0f64.to_bits())) };
-        es.push((name.to_string(), Instrument::Gauge(g.clone())));
-        g
+    pub fn gauge(&self, name: impl Into<Cow<'static, str>>) -> Gauge {
+        self.instrument(
+            name.into(),
+            |i| match i {
+                Instrument::Gauge(g) => Some(g),
+                _ => None,
+            },
+            || Gauge { bits: Arc::new(AtomicU64::new(0.0f64.to_bits())) },
+            Instrument::Gauge,
+        )
     }
 
     /// Get or create the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut es = self.entries.lock();
-        for (n, i) in es.iter() {
-            if n == name {
-                if let Instrument::Histogram(h) = i {
-                    return h.clone();
-                }
-            }
-        }
-        let h = Histogram {
-            state: Arc::new(HistState {
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            }),
-        };
-        es.push((name.to_string(), Instrument::Histogram(h.clone())));
-        h
+    pub fn histogram(&self, name: impl Into<Cow<'static, str>>) -> Histogram {
+        self.instrument(
+            name.into(),
+            |i| match i {
+                Instrument::Histogram(h) => Some(h),
+                _ => None,
+            },
+            || Histogram {
+                state: Arc::new(HistState {
+                    count: AtomicU64::new(0),
+                    sum: AtomicU64::new(0),
+                    buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+                }),
+            },
+            Instrument::Histogram,
+        )
     }
 
     /// Freeze every instrument into a snapshot, sorted by name.
@@ -226,7 +246,7 @@ impl MetricsRegistry {
                         MetricValue::Histogram { count: h.count(), sum: h.sum(), buckets }
                     }
                 };
-                (n.clone(), v)
+                (n.to_string(), v)
             })
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));

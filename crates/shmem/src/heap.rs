@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parcomm_gpu::Buffer;
+use parcomm_obs::MetricsRegistry;
 use parcomm_sim::Mutex;
 
 use crate::error::ShmemError;
@@ -41,7 +42,7 @@ struct Segment {
 struct HeapInner {
     bytes_per_rank: u64,
     segments: Mutex<Vec<Segment>>,
-    instruments: Mutex<Option<ShmemInstruments>>,
+    instruments: ShmemInstruments,
 }
 
 /// The world's symmetric heap. Cheap to clone; clones share state.
@@ -55,8 +56,14 @@ impl SymmetricHeap {
     /// the once-per-world registration: base offsets are deterministic and
     /// no later rkey exchange is needed. Ranks listed in `failed_ranks`
     /// model a fault-injected registration failure — their segments exist
-    /// but refuse every symmetric operation.
-    pub fn new(ranks: usize, bytes_per_rank: u64, failed_ranks: &[usize]) -> Self {
+    /// but refuse every symmetric operation. The `shmem.*` metrics count
+    /// into `registry`.
+    pub fn new(
+        ranks: usize,
+        bytes_per_rank: u64,
+        failed_ranks: &[usize],
+        registry: &MetricsRegistry,
+    ) -> Self {
         let segments = (0..ranks)
             .map(|r| Segment {
                 registered: !failed_ranks.contains(&r),
@@ -68,23 +75,14 @@ impl SymmetricHeap {
             inner: Arc::new(HeapInner {
                 bytes_per_rank,
                 segments: Mutex::new(segments),
-                instruments: Mutex::new(None),
+                instruments: ShmemInstruments::new(registry),
             }),
         }
     }
 
-    /// Attach the `shmem.*` metrics instruments to `registry` (pure
-    /// atomics — digest-neutral). Idempotent.
-    pub fn attach_metrics(&self, registry: &parcomm_obs::MetricsRegistry) {
-        let mut slot = self.inner.instruments.lock();
-        if slot.is_none() {
-            *slot = Some(ShmemInstruments::new(registry));
-        }
-    }
-
-    /// The attached instruments, if metrics are enabled.
-    pub fn obs(&self) -> Option<ShmemInstruments> {
-        self.inner.instruments.lock().clone()
+    /// The heap's `shmem.*` metrics instruments.
+    pub fn instruments(&self) -> &ShmemInstruments {
+        &self.inner.instruments
     }
 
     /// Number of ranks the heap was registered for.
@@ -144,9 +142,7 @@ impl SymmetricHeap {
         }
         seg.cursor = offset + buffer.len() as u64;
         seg.bindings.insert(offset, buffer.clone());
-        if let Some(i) = self.inner.instruments.lock().as_ref() {
-            i.binds.inc();
-        }
+        self.inner.instruments.binds.inc();
         Ok(offset)
     }
 
@@ -196,7 +192,7 @@ mod tests {
 
     #[test]
     fn base_offsets_are_deterministic() {
-        let h = SymmetricHeap::new(8, 1 << 20, &[]);
+        let h = SymmetricHeap::new(8, 1 << 20, &[], &MetricsRegistry::new());
         for r in 0..8 {
             assert_eq!(h.base_offset(r), r as u64 * (1 << 20));
         }
@@ -204,7 +200,7 @@ mod tests {
 
     #[test]
     fn bind_and_translate_round_trip() {
-        let h = SymmetricHeap::new(2, 4096, &[]);
+        let h = SymmetricHeap::new(2, 4096, &[], &MetricsRegistry::new());
         let b = host_buf(128);
         let off = h.bind(1, &b).expect("bind");
         assert_eq!(off, 0);
@@ -221,14 +217,14 @@ mod tests {
 
     #[test]
     fn exhaustion_is_typed() {
-        let h = SymmetricHeap::new(1, 100, &[]);
+        let h = SymmetricHeap::new(1, 100, &[], &MetricsRegistry::new());
         let err = h.bind(0, &host_buf(128)).unwrap_err();
         assert_eq!(err, ShmemError::HeapExhausted { requested: 128, remaining: 100 });
     }
 
     #[test]
     fn misalignment_is_typed() {
-        let h = SymmetricHeap::new(1, 4096, &[]);
+        let h = SymmetricHeap::new(1, 4096, &[], &MetricsRegistry::new());
         h.bind(0, &host_buf(64)).expect("bind");
         let err = h.translate(0, 3, 8).unwrap_err();
         assert_eq!(err, ShmemError::Misaligned { offset: 3, align: SHMEM_ALIGN });
@@ -236,7 +232,7 @@ mod tests {
 
     #[test]
     fn unregistered_access_is_typed() {
-        let h = SymmetricHeap::new(2, 4096, &[]);
+        let h = SymmetricHeap::new(2, 4096, &[], &MetricsRegistry::new());
         // No binding covers the offset.
         let err = h.translate(0, 8, 8).unwrap_err();
         assert_eq!(err, ShmemError::UnregisteredAccess { rank: 0, offset: 8 });
@@ -251,7 +247,7 @@ mod tests {
 
     #[test]
     fn registration_failure_refuses_every_operation() {
-        let h = SymmetricHeap::new(2, 4096, &[1]);
+        let h = SymmetricHeap::new(2, 4096, &[1], &MetricsRegistry::new());
         assert!(h.is_registered(0));
         assert!(!h.is_registered(1));
         assert_eq!(

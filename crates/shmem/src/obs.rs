@@ -3,8 +3,7 @@
 use parcomm_obs::{Counter, MetricsRegistry};
 
 /// Metrics of the symmetric-heap backend. Pure atomics — digest-neutral.
-/// Cheap to clone; clones share counters.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ShmemInstruments {
     /// Buffers adopted into the heap (`shmem.binds`).
     pub binds: Counter,

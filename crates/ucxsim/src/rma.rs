@@ -61,9 +61,7 @@ impl MemHandle {
     /// Counted as `ucx.rkey_exchanges` — the per-channel handshake cost
     /// the symmetric-heap backend exists to avoid.
     pub fn pack_rkey(&self) -> RKey {
-        if let Some(i) = self.universe.obs() {
-            i.rkey_exchanges.inc();
-        }
+        self.universe.instruments().rkey_exchanges.inc();
         RKey { buffer: self.buffer.clone(), ipc_valid: Arc::new(AtomicBool::new(true)) }
     }
 }
@@ -261,9 +259,7 @@ where
     let h = p.fabric.sim().clone();
     let now = h.now();
     if attempt == 0 {
-        if let Some(i) = p.universe.obs() {
-            i.puts.inc();
-        }
+        p.universe.instruments().puts.inc();
     }
     // The put's issue instant, causally chained to whatever posted it; the
     // wire span it produces is in turn chained to the put.
@@ -291,10 +287,8 @@ where
             } = p;
             h.schedule_at(arrival, move |h| {
                 dst.copy_from_buffer(dst_off, &src, src_off, len);
-                if let Some(i) = universe.obs() {
-                    let issue_to_land = arrival.since(first_try_at).as_micros_f64();
-                    i.put_latency.record(issue_to_land.round() as u64);
-                }
+                let issue_to_land = arrival.since(first_try_at).as_micros_f64();
+                universe.instruments().put_latency.record(issue_to_land.round() as u64);
                 let complete_span = h.trace().record_causal(
                     "put_complete",
                     arrival,
@@ -325,12 +319,11 @@ fn retry_or_fail<F>(
 where
     F: FnOnce(&SimHandle, SpanId) + Send + 'static,
 {
-    if let Some(i) = p.universe.obs() {
-        if attempt + 1 >= PUT_MAX_ATTEMPTS {
-            i.put_failures.inc();
-        } else {
-            i.put_retries.inc();
-        }
+    let i = p.universe.instruments();
+    if attempt + 1 >= PUT_MAX_ATTEMPTS {
+        i.put_failures.inc();
+    } else {
+        i.put_retries.inc();
     }
     if attempt + 1 >= PUT_MAX_ATTEMPTS {
         let waited = now.since(p.first_try_at);
@@ -416,10 +409,8 @@ where
             // Scheduled after the stripe landings, so at the barrier
             // instant FIFO ordering guarantees every copy has applied.
             h.schedule_at(arrival, move |h| {
-                if let Some(i) = universe.obs() {
-                    let issue_to_land = arrival.since(first_try_at).as_micros_f64();
-                    i.put_latency.record(issue_to_land.round() as u64);
-                }
+                let issue_to_land = arrival.since(first_try_at).as_micros_f64();
+                universe.instruments().put_latency.record(issue_to_land.round() as u64);
                 on_complete(h, *last_span.lock());
                 done.set(h);
             });

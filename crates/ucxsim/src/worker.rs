@@ -100,9 +100,7 @@ pub struct UcxUniverse {
     inner: Arc<UniverseInner>,
 }
 
-/// Metrics instruments of the UCX layer; attached via
-/// [`UcxUniverse::attach_metrics`], dormant otherwise.
-#[derive(Clone)]
+/// Metrics instruments of the UCX layer.
 pub(crate) struct UcxInstruments {
     pub(crate) puts: Counter,
     pub(crate) put_retries: Counter,
@@ -121,7 +119,7 @@ pub(crate) struct UcxInstruments {
 struct UniverseInner {
     fabric: Fabric,
     workers: Mutex<HashMap<WorkerAddress, Arc<WorkerInner>>>,
-    instruments: Mutex<Option<UcxInstruments>>,
+    instruments: UcxInstruments,
 }
 
 /// Worker addresses are globally unique so an address can never resolve in a
@@ -129,23 +127,12 @@ struct UniverseInner {
 static NEXT_WORKER_ADDR: AtomicU64 = AtomicU64::new(1);
 
 impl UcxUniverse {
-    /// Create a universe over a fabric.
-    pub fn new(fabric: Fabric) -> Self {
-        UcxUniverse {
-            inner: Arc::new(UniverseInner {
-                fabric,
-                workers: Mutex::new(HashMap::new()),
-                instruments: Mutex::new(None),
-            }),
-        }
-    }
-
-    /// Attach metrics instruments (`ucx.puts`, `ucx.put_retries`,
-    /// `ucx.put_failures`, `ucx.am_sends`, `ucx.am_retries`,
-    /// `ucx.rkey_exchanges`, and the `ucx.put_latency_us` issue →
-    /// completion histogram) to the given registry.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        *self.inner.instruments.lock() = Some(UcxInstruments {
+    /// Create a universe over a fabric, counting its metrics (`ucx.puts`,
+    /// `ucx.put_retries`, `ucx.put_failures`, `ucx.am_sends`,
+    /// `ucx.am_retries`, `ucx.rkey_exchanges`, and the `ucx.put_latency_us`
+    /// issue → completion histogram) into `registry`.
+    pub fn new(fabric: Fabric, registry: &MetricsRegistry) -> Self {
+        let instruments = UcxInstruments {
             puts: registry.counter("ucx.puts"),
             put_retries: registry.counter("ucx.put_retries"),
             put_failures: registry.counter("ucx.put_failures"),
@@ -153,11 +140,18 @@ impl UcxUniverse {
             am_retries: registry.counter("ucx.am_retries"),
             rkey_exchanges: registry.counter("ucx.rkey_exchanges"),
             put_latency: registry.histogram("ucx.put_latency_us"),
-        });
+        };
+        UcxUniverse {
+            inner: Arc::new(UniverseInner {
+                fabric,
+                workers: Mutex::new(HashMap::new()),
+                instruments,
+            }),
+        }
     }
 
-    pub(crate) fn obs(&self) -> Option<UcxInstruments> {
-        self.inner.instruments.lock().clone()
+    pub(crate) fn instruments(&self) -> &UcxInstruments {
+        &self.inner.instruments
     }
 
     /// The underlying fabric.
@@ -347,12 +341,11 @@ fn am_send_attempt(
 ) {
     let h = universe.sim().clone();
     let now = h.now();
-    if let Some(i) = universe.obs() {
-        if attempt == 0 {
-            i.am_sends.inc();
-        } else {
-            i.am_retries.inc();
-        }
+    let i = universe.instruments();
+    if attempt == 0 {
+        i.am_sends.inc();
+    } else {
+        i.am_retries.inc();
     }
     match universe.fabric().try_transfer(now, src, dst.location, wire_bytes, WireAttr::NONE) {
         Ok(transfer) => {

@@ -3,6 +3,7 @@
 
 use parcomm_gpu::{Buffer, Location, MemSpace, Unit};
 use parcomm_net::{ClusterSpec, Fabric};
+use parcomm_obs::MetricsRegistry;
 use parcomm_sim::{SimConfig, Simulation};
 use parcomm_ucx::{PutOpts, UcxError, UcxUniverse};
 
@@ -11,7 +12,8 @@ fn cpu(node: u16) -> Location {
 }
 
 fn universe(sim: &Simulation, nodes: u16) -> UcxUniverse {
-    UcxUniverse::new(Fabric::new(sim.handle(), ClusterSpec::gh200(nodes)))
+    let registry = MetricsRegistry::new();
+    UcxUniverse::new(Fabric::new(sim.handle(), ClusterSpec::gh200(nodes), &registry), &registry)
 }
 
 #[test]

@@ -634,30 +634,6 @@ fn tenant_metrics_land_in_snapshot_and_chrome_counters() {
     );
 }
 
-#[test]
-fn tenant_metrics_are_digest_neutral() {
-    let digest_with = |metrics: bool| -> u64 {
-        let mut sim = Simulation::with_seed(0xFEED);
-        let trace = sim.trace();
-        trace.enable();
-        let world = MpiWorld::new(&sim, WorldConfig::gh200(1));
-        if metrics {
-            world.enable_metrics();
-        }
-        world.run_ranks(&mut sim, move |ctx, rank| {
-            let cfg = MoeConfig::functional_test(CopyMechanism::ProgressionEngine);
-            run_moe(ctx, rank, &cfg).expect("run_moe");
-        });
-        let report = sim.run().expect("moe sim");
-        digest::run_digest(&report, &trace)
-    };
-    assert_eq!(
-        digest_with(true),
-        digest_with(false),
-        "mux.tenant* instruments perturbed the trace"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Completion-path cost regressions.
 

@@ -426,3 +426,29 @@ fn causal_edges_point_backward_in_virtual_time() {
         assert!(edges >= 16, "seed {seed}: only {edges} causal edges (vacuous)");
     }
 }
+
+/// Every layer counts from world construction on, so a registry fetched
+/// only after the run already holds the run: its kernels, wire transfers,
+/// UCX puts and progression-engine sweeps.
+#[test]
+fn registry_fetched_after_the_run_holds_its_counts() {
+    let mut sim = Simulation::with_seed(0x0B5);
+    let world = MpiWorld::gh200(&sim, 1);
+    world.run_ranks(&mut sim, |ctx, rank| {
+        let partitions = 4usize;
+        let buf = rank.gpu().alloc_global(partitions * rank.size() * 64 * 8);
+        let stream = rank.gpu().create_stream();
+        let coll = pallreduce_init(ctx, rank, &buf, partitions, &stream, 91).expect("init");
+        coll.start(ctx).expect("start");
+        coll.pbuf_prepare(ctx).expect("pbuf_prepare");
+        let c2 = coll.clone();
+        stream.launch(ctx, KernelSpec::vector_add(4, 256), move |d| c2.pready_device_all(d));
+        coll.wait(ctx).expect("wait");
+    });
+    sim.run().expect("sim run");
+    let snap = world.enable_metrics().snapshot();
+    for name in ["gpu.kernels", "net.transfers", "ucx.puts", "mpi.pe.polls"] {
+        let n = snap.counter(name).unwrap_or(0);
+        assert!(n > 0, "{name} = {n} after the run:\n{}", snap.to_json());
+    }
+}
