@@ -6,8 +6,9 @@
 //! cluster specs in the `--topology` grammar (uniform `NxG[xK][@O]`,
 //! ragged `G1,G2,…[:K1,K2,…][@O]`), each becoming one sweep cell.
 //! (`PARCOMM_NODES`, `PARCOMM_TOPOLOGY`, `PARCOMM_QUICK`, and
-//! `PARCOMM_THREADS` work too.) An argument the usage does not list, or a
-//! node list that does not parse, prints the usage and exits 2.
+//! `PARCOMM_THREADS` work too.) An argument the usage does not list, a
+//! node list that does not parse, or a malformed or invalid topology spec
+//! prints the usage and exits 2.
 
 use parcomm_bench as b;
 
@@ -21,7 +22,9 @@ fn main() {
     let quick = b::quick_mode();
     let nodes =
         b::scaling::nodes_arg(quick).unwrap_or_else(|e| b::usage_error("scaling", USAGE, &e));
-    if let Some(specs) = b::scaling::topology_arg() {
+    let specs =
+        b::scaling::topology_arg().unwrap_or_else(|e| b::usage_error("scaling", USAGE, &e));
+    if let Some(specs) = specs {
         b::scaling::run_scaling_specs(&specs, quick).emit();
         return;
     }

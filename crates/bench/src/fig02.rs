@@ -5,7 +5,7 @@
 //! sync share of the total (%), and the "lost overlap" band (device time
 //! the CPU spends blocked).
 
-use parcomm_gpu::{CostModel, Gpu, GpuId, KernelSpec};
+use parcomm_gpu::{CostModel, Gpu, GpuId, GpuMetrics, KernelSpec};
 use parcomm_obs::MetricsRegistry;
 use parcomm_sim::Simulation;
 use parcomm_sweep::SweepSpec;
@@ -76,8 +76,8 @@ pub fn run(quick: bool) -> Experiment {
 fn sample(grid: u32, iters: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut sim = Simulation::with_seed(0xF160_0200 ^ seed);
     let handle = sim.handle();
-    let registry = MetricsRegistry::new();
-    let gpu = Gpu::new(GpuId { node: 0, index: 0 }, CostModel::default(), handle, &registry);
+    let metrics = GpuMetrics::new(&MetricsRegistry::new());
+    let gpu = Gpu::new(GpuId { node: 0, index: 0 }, CostModel::default(), handle, &metrics);
     let out = std::sync::Arc::new(parcomm_sim::Mutex::new((Vec::new(), Vec::new())));
     let out2 = out.clone();
     sim.spawn("bench", move |ctx| {

@@ -52,24 +52,25 @@ pub fn nodes_arg(quick: bool) -> Result<Vec<u16>, String> {
 /// semicolon-separated `--topology` grammar specs (the ragged grammar
 /// already uses commas), e.g. `--topology "2x4;4,2,4,1:2,1,2,1@2"`.
 /// Each spec becomes one sweep cell, replacing the uniform `--nodes`
-/// grid. Panics with the grammar error on a malformed spec — a bench
-/// invocation problem, not a run outcome.
-pub fn topology_arg() -> Option<Vec<ClusterSpec>> {
-    fn parse(list: &str) -> Option<Vec<ClusterSpec>> {
-        let specs: Vec<ClusterSpec> = list
-            .split(';')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| {
-                let spec = ClusterSpec::parse(s).unwrap_or_else(|e| panic!("--topology: {e}"));
-                // Surface shape validation (typed TopologyError) up front,
-                // before any sweep cell spins up.
-                spec.topology().unwrap_or_else(|e| panic!("--topology {}: {e}", s.trim()));
-                spec
-            })
-            .collect();
-        (!specs.is_empty()).then_some(specs)
+/// grid. `Err` carries the grammar or shape error of the first bad spec,
+/// found before any sweep cell spins up, or names a list with no spec.
+pub fn topology_arg() -> Result<Option<Vec<ClusterSpec>>, String> {
+    let Some(list) = crate::arg_or_env("--topology", "PARCOMM_TOPOLOGY") else {
+        return Ok(None);
+    };
+    let specs = list
+        .split(';')
+        .filter(|s| !s.trim().is_empty())
+        .map(|s| {
+            let spec = ClusterSpec::parse(s).map_err(|e| format!("--topology: {e}"))?;
+            spec.topology().map_err(|e| format!("--topology {}: {e}", s.trim()))?;
+            Ok(spec)
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    if specs.is_empty() {
+        return Err(format!("--topology/PARCOMM_TOPOLOGY {list:?}: expected at least one spec"));
     }
-    crate::arg_or_env("--topology", "PARCOMM_TOPOLOGY").as_deref().and_then(parse)
+    Ok(Some(specs))
 }
 
 /// One timed + digested run: a warm-up epoch, then one measured epoch of

@@ -1,8 +1,9 @@
 //! A `--mechanism`/`PARCOMM_MECHANISM` or `--faults`/`PARCOMM_FAULTS`
 //! value that does not parse is a usage error (exit 2, nothing run) in
 //! every harness that reads it, not a silent fall-back to the default. So
-//! is an argument a harness's usage does not list, and a `--channels`,
-//! `--tenants`, `--nodes` or `--stripes` value that does not parse.
+//! is an argument a harness's usage does not list, a `--channels`,
+//! `--tenants`, `--nodes` or `--stripes` value that does not parse, and a
+//! `--topology` spec that is malformed or names an invalid shape.
 
 use std::process::{Command, Output};
 
@@ -16,6 +17,7 @@ fn run(bin: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
         .env_remove("PARCOMM_CHANNELS")
         .env_remove("PARCOMM_TENANTS")
         .env_remove("PARCOMM_NODES")
+        .env_remove("PARCOMM_TOPOLOGY")
         .env_remove("PARCOMM_STRIPES");
     for (k, v) in env {
         cmd.env(k, v);
@@ -88,5 +90,20 @@ fn unparseable_lists_stop_mux_scaling_and_striping() {
     ] {
         let out = run(bin, args, &[]);
         assert_usage_error(&out, &format!("{name} {}", args.join(" ")));
+    }
+}
+
+#[test]
+fn invalid_topology_specs_stop_scaling() {
+    for (spec, message) in [
+        ("4,0,2", "zero GPUs on node 1"),
+        ("2x2x3", "more NICs (3) than GPUs (2) on node 0"),
+        (";", "expected at least one spec"),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_scaling"), &["--quick", "--topology", spec], &[]);
+        let name = format!("scaling --quick --topology {spec}");
+        assert_usage_error(&out, &name);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{name} did not say {message:?}:\n{err}");
     }
 }

@@ -5,12 +5,10 @@ use std::sync::Arc;
 
 use parcomm_sim::{Mutex, SimHandle};
 
-use parcomm_obs::MetricsRegistry;
-
 use crate::cost::CostModel;
 use crate::faults::{EmissionFaultConfig, EmissionFaults};
 use crate::mem::{Buffer, Location, MemSpace, Unit};
-use crate::obs::GpuObs;
+use crate::obs::{GpuMetrics, GpuObs};
 use crate::stream::Stream;
 
 /// Identity of a GPU in the cluster.
@@ -57,9 +55,9 @@ pub struct Gpu {
 }
 
 impl Gpu {
-    /// Create a GPU with the given identity and cost model, counting its
-    /// `gpu.*` metrics into `registry`.
-    pub fn new(id: GpuId, cost: CostModel, handle: SimHandle, registry: &MetricsRegistry) -> Self {
+    /// Create a GPU with the given identity and cost model, counting into
+    /// the `gpu.*` instruments `metrics`.
+    pub fn new(id: GpuId, cost: CostModel, handle: SimHandle, metrics: &GpuMetrics) -> Self {
         Gpu {
             inner: Arc::new(GpuInner {
                 id,
@@ -67,7 +65,7 @@ impl Gpu {
                 handle,
                 emission_faults: Arc::new(Mutex::new(None)),
                 shmem_faults: Arc::new(Mutex::new(None)),
-                obs: Arc::new(GpuObs::new(registry)),
+                obs: Arc::new(GpuObs::new(metrics)),
             }),
         }
     }

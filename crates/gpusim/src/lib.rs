@@ -30,4 +30,5 @@ pub use kernel::{DeviceCtx, KernelSpec, LaunchHandle};
 #[doc(hidden)]
 pub use mem::pages_allocated;
 pub use mem::{Buffer, BufferId, Location, MemSpace, Unit, WeakBuffer};
+pub use obs::GpuMetrics;
 pub use stream::Stream;

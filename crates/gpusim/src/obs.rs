@@ -3,15 +3,17 @@
 //!
 //! One [`GpuObs`] is shared between a [`crate::Gpu`] and every stream it
 //! creates (mirroring how the emission fault schedule is shared). Its
-//! instruments count into the registry the GPU was built with from the
-//! first kernel on; spans record unattributed until
-//! [`crate::Gpu::set_rank`] names the rank.
+//! instruments count from the first kernel on into the [`GpuMetrics`] the
+//! GPU was built with, which every GPU of a world shares; spans record
+//! unattributed until [`crate::Gpu::set_rank`] names the rank.
 
 use parcomm_obs::{Counter, MetricsRegistry};
 use parcomm_sim::Mutex;
 
-/// Metrics instruments for one GPU (shared across its streams).
-struct GpuInstruments {
+/// The `gpu.*` instruments: resolved once per registry and shared by every
+/// GPU built with them. Cheap to clone; clones share counters.
+#[derive(Clone, Debug)]
+pub struct GpuMetrics {
     /// Kernels launched.
     kernels: Counter,
     /// Timed device-side emissions scheduled (flag writes, copy notifies).
@@ -20,24 +22,27 @@ struct GpuInstruments {
     stream_syncs: Counter,
 }
 
+impl GpuMetrics {
+    /// `gpu.kernels`, `gpu.emissions` and `gpu.stream_syncs` in `registry`.
+    pub fn new(registry: &MetricsRegistry) -> Self {
+        let mut block = registry.block(3, 0);
+        GpuMetrics {
+            kernels: block.counter("gpu.kernels"),
+            emissions: block.counter("gpu.emissions"),
+            stream_syncs: block.counter("gpu.stream_syncs"),
+        }
+    }
+}
+
 /// Shared observability state of one GPU.
 pub(crate) struct GpuObs {
     rank: Mutex<Option<u32>>,
-    instruments: GpuInstruments,
+    instruments: GpuMetrics,
 }
 
 impl GpuObs {
-    /// `gpu.kernels`, `gpu.emissions` and `gpu.stream_syncs` in `registry`;
-    /// every GPU built on one registry counts into the same instruments.
-    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
-        GpuObs {
-            rank: Mutex::new(None),
-            instruments: GpuInstruments {
-                kernels: registry.counter("gpu.kernels"),
-                emissions: registry.counter("gpu.emissions"),
-                stream_syncs: registry.counter("gpu.stream_syncs"),
-            },
-        }
+    pub(crate) fn new(metrics: &GpuMetrics) -> Self {
+        GpuObs { rank: Mutex::new(None), instruments: metrics.clone() }
     }
 
     /// The MPI rank this GPU is attributed to, once known.

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use parcomm_sim::Mutex;
 
-use parcomm_gpu::{CostModel, EmissionFaultConfig, Gpu, GpuId, Location, Unit};
+use parcomm_gpu::{CostModel, EmissionFaultConfig, Gpu, GpuId, GpuMetrics, Location, Unit};
 use parcomm_net::{ClusterSpec, Fabric, NetFaultConfig, Topology};
 use parcomm_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use parcomm_shmem::SymmetricHeap;
@@ -57,16 +57,17 @@ pub struct MpiInstruments {
 
 impl MpiInstruments {
     fn new(registry: &MetricsRegistry) -> Self {
+        let mut block = registry.block(8, 1);
         MpiInstruments {
-            pe_polls: registry.counter("mpi.pe.polls"),
-            pe_hook_runs: registry.counter("mpi.pe.hook_runs"),
-            watchdog_arms: registry.counter("mpi.watchdog.arms"),
-            watchdog_fires: registry.counter("mpi.watchdog.fires"),
-            pready_arrival_us: registry.histogram("mpi.pready_arrival_us"),
-            recover_lease_expired: registry.counter("mpi.recover.lease_expired"),
-            recover_replays: registry.counter("mpi.recover.replays"),
-            recover_stale_puts: registry.counter("mpi.recover.stale_puts"),
-            recover_host_drains: registry.counter("mpi.recover.host_drains"),
+            pe_polls: block.counter("mpi.pe.polls"),
+            pe_hook_runs: block.counter("mpi.pe.hook_runs"),
+            watchdog_arms: block.counter("mpi.watchdog.arms"),
+            watchdog_fires: block.counter("mpi.watchdog.fires"),
+            pready_arrival_us: block.histogram("mpi.pready_arrival_us"),
+            recover_lease_expired: block.counter("mpi.recover.lease_expired"),
+            recover_replays: block.counter("mpi.recover.replays"),
+            recover_stale_puts: block.counter("mpi.recover.stale_puts"),
+            recover_host_drains: block.counter("mpi.recover.host_drains"),
         }
     }
 }
@@ -255,6 +256,8 @@ struct WorldInner {
     /// The one registry every layer of this world counts into.
     metrics: MetricsRegistry,
     instruments: MpiInstruments,
+    /// The `gpu.*` instruments every rank's GPU counts into.
+    gpu_metrics: GpuMetrics,
 }
 
 /// The simulated `MPI_COMM_WORLD`. Cheap to clone.
@@ -290,6 +293,7 @@ impl MpiWorld {
         let shmem_heap =
             SymmetricHeap::new(size, config.shmem_heap_bytes, &config.shmem_heap_fail, &metrics);
         let instruments = MpiInstruments::new(&metrics);
+        let gpu_metrics = GpuMetrics::new(&metrics);
         Ok(MpiWorld {
             inner: Arc::new(WorldInner {
                 config,
@@ -303,6 +307,7 @@ impl MpiWorld {
                 start_barrier: SimBarrier::new(size),
                 metrics,
                 instruments,
+                gpu_metrics,
             }),
         })
     }
@@ -419,8 +424,12 @@ pub struct Rank {
 impl Rank {
     fn init(ctx: &mut Ctx, world: MpiWorld, rank: usize) -> Rank {
         let gpu_id = world.gpu_of(rank);
-        let gpu =
-            Gpu::new(gpu_id, world.inner.config.cost.clone(), ctx.handle(), &world.inner.metrics);
+        let gpu = Gpu::new(
+            gpu_id,
+            world.inner.config.cost.clone(),
+            ctx.handle(),
+            &world.inner.gpu_metrics,
+        );
         gpu.set_rank(rank as u32);
         if let Some((_, ef)) = world
             .inner

@@ -565,10 +565,11 @@ impl MuxService {
         st.latencies_us.push(latency_us);
         let m = self.metrics[tenant].get_or_insert_with(|| {
             let reg = self.world.enable_metrics();
+            let mut block = reg.block(2, 1);
             TenantMetrics {
-                goodput: reg.counter(format!("mux.tenant{tenant}.goodput_bytes")),
-                epochs: reg.counter(format!("mux.tenant{tenant}.epochs")),
-                latency: reg.histogram(format!("mux.tenant{tenant}.epoch_latency_us")),
+                goodput: block.counter(format!("mux.tenant{tenant}.goodput_bytes")),
+                epochs: block.counter(format!("mux.tenant{tenant}.epochs")),
+                latency: block.histogram(format!("mux.tenant{tenant}.epoch_latency_us")),
             }
         });
         m.goodput.add(bytes);

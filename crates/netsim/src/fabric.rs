@@ -285,13 +285,15 @@ impl Fabric {
             nodes.push(block);
         }
         debug_assert_eq!(base, links.len());
+        let rails = topology.nics_per_node();
+        let mut block = registry.block(3 + rails as usize, 1);
         let instruments = NetInstruments {
-            transfers: registry.counter("net.transfers"),
-            bytes: registry.counter("net.bytes"),
-            fault_penalties: registry.counter("net.fault_penalties"),
-            bytes_hist: registry.histogram("net.bytes_hist"),
-            rail_bytes: (0..topology.nics_per_node())
-                .map(|nic| registry.counter(format!("net.rail{nic}.bytes")))
+            transfers: block.counter("net.transfers"),
+            bytes: block.counter("net.bytes"),
+            fault_penalties: block.counter("net.fault_penalties"),
+            bytes_hist: block.histogram("net.bytes_hist"),
+            rail_bytes: (0..rails)
+                .map(|nic| block.counter(format!("net.rail{nic}.bytes")))
                 .collect(),
         };
         Ok(Fabric {

@@ -41,6 +41,8 @@ pub use critical::{CriticalPath, CriticalStep};
 pub use folded::folded_stacks;
 pub use json::JsonValue;
 pub use layers::{is_causal_category, layer_of};
-pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{
+    Counter, Gauge, Histogram, InstrumentBlock, MetricValue, MetricsRegistry, MetricsSnapshot,
+};
 pub use occupancy::{occupancy, CategorySummary};
 pub use spill::{attach_jsonl_spill, SpanSpill};

@@ -4,9 +4,11 @@
 //! atomics. Every layer takes a registry when it is built and counts from
 //! then on: an `MpiWorld` creates one and hands it to its fabric, UCX
 //! universe, symmetric heap and GPUs; a layer built on its own gets a fresh
-//! one. A counted event costs one to three relaxed atomic adds and no lock.
-//! Instrument updates never touch the virtual clock, so counting cannot
-//! perturb timing, event counts or trace digests.
+//! one. A layer builds its instruments from one [`MetricsRegistry::block`],
+//! so they share one allocation of atomic cells. A counted event costs one
+//! to three relaxed atomic adds and no lock. Instrument updates never touch
+//! the virtual clock, so counting cannot perturb timing, event counts or
+//! trace digests.
 //!
 //! [`MetricsRegistry::snapshot`] freezes every instrument into a
 //! [`MetricsSnapshot`] that renders to the same hand-rolled JSON style the
@@ -23,16 +25,28 @@ use parcomm_sim::Mutex;
 /// to `u64::MAX`.
 const HIST_BUCKETS: usize = 65;
 
+/// Cells of one histogram: its count, its sum, then its buckets.
+const HIST_CELLS: usize = 2 + HIST_BUCKETS;
+
+/// The atomic cells behind instruments built together: one allocation,
+/// shared by every instrument in it. An instrument is an index into it.
+type Cells = Arc<[AtomicU64]>;
+
+fn cells(n: usize) -> Cells {
+    (0..n).map(|_| AtomicU64::new(0)).collect()
+}
+
 /// A monotonically increasing counter.
 #[derive(Clone, Debug)]
 pub struct Counter {
-    v: Arc<AtomicU64>,
+    cells: Cells,
+    at: usize,
 }
 
 impl Counter {
     /// Add `n` to the counter.
     pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
+        self.cells[self.at].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increment by one.
@@ -42,33 +56,26 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
+        self.cells[self.at].load(Ordering::Relaxed)
     }
 }
 
 /// A last-write-wins gauge (f64, stored as bits in an atomic).
 #[derive(Clone, Debug)]
 pub struct Gauge {
-    bits: Arc<AtomicU64>,
+    cells: Cells,
 }
 
 impl Gauge {
     /// Set the gauge.
     pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
+        self.cells[0].store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
+        f64::from_bits(self.cells[0].load(Ordering::Relaxed))
     }
-}
-
-#[derive(Debug)]
-struct HistState {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; HIST_BUCKETS],
 }
 
 /// A log2-bucket histogram of `u64` observations (bytes, iterations, µs).
@@ -77,7 +84,8 @@ struct HistState {
 /// `[2^(i-1), 2^i)`.
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    state: Arc<HistState>,
+    cells: Cells,
+    at: usize,
 }
 
 impl Histogram {
@@ -89,21 +97,25 @@ impl Histogram {
         }
     }
 
+    fn buckets(&self) -> &[AtomicU64] {
+        &self.cells[self.at + 2..self.at + HIST_CELLS]
+    }
+
     /// Record one observation.
     pub fn record(&self, v: u64) {
-        self.state.count.fetch_add(1, Ordering::Relaxed);
-        self.state.sum.fetch_add(v, Ordering::Relaxed);
-        self.state.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.cells[self.at].fetch_add(1, Ordering::Relaxed);
+        self.cells[self.at + 1].fetch_add(v, Ordering::Relaxed);
+        self.buckets()[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
-        self.state.count.load(Ordering::Relaxed)
+        self.cells[self.at].load(Ordering::Relaxed)
     }
 
     /// Sum of observations so far.
     pub fn sum(&self) -> u64 {
-        self.state.sum.load(Ordering::Relaxed)
+        self.cells[self.at + 1].load(Ordering::Relaxed)
     }
 
     /// Approximate quantile `q` (in `[0, 1]`) of the recorded observations:
@@ -118,7 +130,7 @@ impl Histogram {
         }
         let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, b) in self.state.buckets.iter().enumerate() {
+        for (i, b) in self.buckets().iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= target {
                 // Bucket 0 is exact zeros; bucket i ≥ 1 covers [2^(i-1), 2^i).
@@ -139,6 +151,20 @@ enum Instrument {
     Histogram(Histogram),
 }
 
+fn pick_counter(i: &Instrument) -> Option<&Counter> {
+    match i {
+        Instrument::Counter(c) => Some(c),
+        _ => None,
+    }
+}
+
+fn pick_histogram(i: &Instrument) -> Option<&Histogram> {
+    match i {
+        Instrument::Histogram(h) => Some(h),
+        _ => None,
+    }
+}
+
 /// Registry of named instruments. Cheap to clone; clones share state.
 /// Instrument lookups are idempotent: asking for the same name and kind
 /// twice returns handles to the same underlying value. A name is a static
@@ -155,8 +181,7 @@ impl MetricsRegistry {
     }
 
     /// Get the instrument `name` that `pick` accepts, or create it with
-    /// `make`. The search runs newest first: a layer built once per rank
-    /// (a GPU) asks again for the names the first one created last.
+    /// `make`.
     fn instrument<T: Clone>(
         &self,
         name: Cow<'static, str>,
@@ -165,7 +190,7 @@ impl MetricsRegistry {
         wrap: fn(T) -> Instrument,
     ) -> T {
         let mut es = self.entries.lock();
-        let found = es.iter().rev().find_map(|(n, i)| if *n == name { pick(i) } else { None });
+        let found = es.iter().find_map(|(n, i)| if *n == name { pick(i) } else { None });
         if let Some(found) = found {
             return found.clone();
         }
@@ -174,17 +199,19 @@ impl MetricsRegistry {
         made
     }
 
+    /// Room for one layer's `counters` counters and `histograms`
+    /// histograms, all in one allocation: build each of them with
+    /// [`InstrumentBlock::counter`] and [`InstrumentBlock::histogram`].
+    pub fn block(&self, counters: usize, histograms: usize) -> InstrumentBlock<'_> {
+        self.entries.lock().reserve(counters + histograms);
+        let cells = cells(counters + histograms * HIST_CELLS);
+        InstrumentBlock { registry: self, cells, next: 0 }
+    }
+
     /// Get or create the counter `name`.
     pub fn counter(&self, name: impl Into<Cow<'static, str>>) -> Counter {
-        self.instrument(
-            name.into(),
-            |i| match i {
-                Instrument::Counter(c) => Some(c),
-                _ => None,
-            },
-            || Counter { v: Arc::new(AtomicU64::new(0)) },
-            Instrument::Counter,
-        )
+        let make = || Counter { cells: cells(1), at: 0 };
+        self.instrument(name.into(), pick_counter, make, Instrument::Counter)
     }
 
     /// Get or create the gauge `name`.
@@ -195,7 +222,7 @@ impl MetricsRegistry {
                 Instrument::Gauge(g) => Some(g),
                 _ => None,
             },
-            || Gauge { bits: Arc::new(AtomicU64::new(0.0f64.to_bits())) },
+            || Gauge { cells: cells(1) },
             Instrument::Gauge,
         )
     }
@@ -204,17 +231,8 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: impl Into<Cow<'static, str>>) -> Histogram {
         self.instrument(
             name.into(),
-            |i| match i {
-                Instrument::Histogram(h) => Some(h),
-                _ => None,
-            },
-            || Histogram {
-                state: Arc::new(HistState {
-                    count: AtomicU64::new(0),
-                    sum: AtomicU64::new(0),
-                    buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                }),
-            },
+            pick_histogram,
+            || Histogram { cells: cells(HIST_CELLS), at: 0 },
             Instrument::Histogram,
         )
     }
@@ -231,8 +249,7 @@ impl MetricsRegistry {
                     Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
                     Instrument::Histogram(h) => {
                         let buckets = h
-                            .state
-                            .buckets
+                            .buckets()
                             .iter()
                             .enumerate()
                             .filter_map(|(i, b)| {
@@ -251,6 +268,39 @@ impl MetricsRegistry {
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot { entries }
+    }
+}
+
+/// One layer's instruments, built over one allocation of atomic cells (see
+/// [`MetricsRegistry::block`]). A name the registry already holds resolves
+/// to the existing instrument, as a plain lookup does.
+pub struct InstrumentBlock<'r> {
+    registry: &'r MetricsRegistry,
+    cells: Cells,
+    next: usize,
+}
+
+impl InstrumentBlock<'_> {
+    /// The index of `n` fresh cells.
+    fn claim(cells: &Cells, next: &mut usize, n: usize) -> usize {
+        let at = *next;
+        *next += n;
+        assert!(*next <= cells.len(), "more instruments built than the block holds");
+        at
+    }
+
+    /// Get the counter `name`, or create it in this block.
+    pub fn counter(&mut self, name: impl Into<Cow<'static, str>>) -> Counter {
+        let (cells, next) = (&self.cells, &mut self.next);
+        let make = || Counter { cells: cells.clone(), at: Self::claim(cells, next, 1) };
+        self.registry.instrument(name.into(), pick_counter, make, Instrument::Counter)
+    }
+
+    /// Get the histogram `name`, or create it in this block.
+    pub fn histogram(&mut self, name: impl Into<Cow<'static, str>>) -> Histogram {
+        let (cells, next) = (&self.cells, &mut self.next);
+        let make = || Histogram { cells: cells.clone(), at: Self::claim(cells, next, HIST_CELLS) };
+        self.registry.instrument(name.into(), pick_histogram, make, Instrument::Histogram)
     }
 }
 
@@ -343,6 +393,23 @@ mod tests {
         assert_eq!(reg.gauge("net.util").get(), 0.5);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("pe.polls"), Some(4));
+    }
+
+    #[test]
+    fn a_block_shares_one_allocation_and_resolves_known_names() {
+        let reg = MetricsRegistry::new();
+        reg.counter("a").add(5);
+        let mut block = reg.block(2, 1);
+        let a = block.counter("a");
+        let b = block.counter("b");
+        let h = block.histogram("h");
+        a.inc();
+        b.add(2);
+        h.record(3);
+        assert_eq!(reg.counter("a").get(), 6, "a known name resolves to its instrument");
+        assert_eq!(reg.counter("b").get(), 2);
+        assert_eq!(reg.histogram("h").count(), 1);
+        assert!(Arc::ptr_eq(&b.cells, &h.cells), "one allocation per block");
     }
 
     #[test]

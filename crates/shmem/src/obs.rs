@@ -31,15 +31,16 @@ pub struct ShmemInstruments {
 
 impl ShmemInstruments {
     pub(crate) fn new(registry: &MetricsRegistry) -> Self {
+        let mut block = registry.block(8, 0);
         ShmemInstruments {
-            binds: registry.counter("shmem.binds"),
-            puts: registry.counter("shmem.puts"),
-            signals: registry.counter("shmem.signals"),
-            bytes: registry.counter("shmem.bytes"),
-            fallbacks: registry.counter("shmem.fallbacks"),
-            rkey_exchanges_avoided: registry.counter("shmem.rkey_exchanges_avoided"),
-            put_retries: registry.counter("shmem.put_retries"),
-            put_failures: registry.counter("shmem.put_failures"),
+            binds: block.counter("shmem.binds"),
+            puts: block.counter("shmem.puts"),
+            signals: block.counter("shmem.signals"),
+            bytes: block.counter("shmem.bytes"),
+            fallbacks: block.counter("shmem.fallbacks"),
+            rkey_exchanges_avoided: block.counter("shmem.rkey_exchanges_avoided"),
+            put_retries: block.counter("shmem.put_retries"),
+            put_failures: block.counter("shmem.put_failures"),
         }
     }
 }

@@ -32,6 +32,9 @@ enum Label {
     /// `"{prefix} {n}"`, formatted only when the label is read, so events
     /// created on a hot path name themselves without allocating.
     Numbered(&'static str, u64),
+    /// `"join '{process}'"`: a process's `done` event, named from the
+    /// process's own name when the label is read.
+    Join(Arc<str>),
 }
 
 impl Label {
@@ -39,6 +42,7 @@ impl Label {
         match self {
             Label::Text(text) => text.to_string(),
             Label::Numbered(prefix, n) => format!("{prefix} {n}"),
+            Label::Join(process) => format!("join '{process}'"),
         }
     }
 }
@@ -66,6 +70,12 @@ impl Event {
     /// for it.
     pub fn numbered(prefix: &'static str, n: u64) -> Self {
         Event::labelled(Label::Numbered(prefix, n))
+    }
+
+    /// Create a new, unset event labelled `"join '{process}'"`, formatted
+    /// only when read: the `done` event of the process named `process`.
+    pub(crate) fn joining(process: Arc<str>) -> Self {
+        Event::labelled(Label::Join(process))
     }
 
     fn labelled(label: Label) -> Self {

@@ -4,16 +4,19 @@
 //! A process whose body blocks (`Ctx::advance`, `Ctx::wait`, ...) needs a
 //! stack of its own, so it runs on an OS thread. Rather than starting a
 //! thread per process and joining it at the end of the run, the scheduler
-//! takes an idle worker from this pool, or starts one if none is idle. Once
-//! the process has finished, its worker parks back in the idle list, ready
-//! for the next process of this or any later simulation.
+//! takes an idle worker from this pool, or starts one if none is idle, at
+//! the process's first resume, and hands it the process's body as its
+//! [`Job`]. The worker runs the job at once: it already holds the baton.
+//! Once the process has finished, its worker parks back in the idle list,
+//! ready for the next process of this or any later simulation.
 //!
 //! One pool serves every simulation of the OS process, including
 //! simulations run concurrently from several threads. Workers are never
 //! stopped, and a worker is started only when the idle list is empty, so
 //! the pool never holds more workers than the peak number of thread-backed
-//! processes live at once (summed over the simulations running at that
-//! moment). A process left parked when its run fails (deadlock, panic)
+//! processes started and not yet finished at once (summed over the
+//! simulations running at that moment). A process that never starts holds
+//! no worker. A process left parked when its run fails (deadlock, panic)
 //! keeps its worker forever: no thread passes it the baton again, so that
 //! worker never returns to the pool.
 
@@ -21,11 +24,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::thread::{self, Thread};
 
 use crate::lock::Mutex;
-use crate::sched::Released;
-
-/// What a worker runs for one process. The [`Released`] it returns is
-/// dropped only once the worker is back in the idle list.
-pub(crate) type Job = Box<dyn FnOnce() -> Released + Send>;
+use crate::sched::Job;
 
 /// An idle (or just taken) worker thread.
 #[derive(Clone)]
@@ -50,7 +49,7 @@ impl Worker {
             .spawn(move || {
                 let me = Worker { thread: thread::current(), jobs: own };
                 while let Ok(job) = queue.recv() {
-                    let released = job();
+                    let released = job.run();
                     IDLE.lock().push(me.clone());
                     drop(released);
                 }
@@ -59,7 +58,7 @@ impl Worker {
         Worker { thread: handle.thread().clone(), jobs }
     }
 
-    /// The worker's OS thread, which its process's resumes unpark.
+    /// The worker's OS thread, which its process's later resumes unpark.
     pub(crate) fn thread(&self) -> &Thread {
         &self.thread
     }

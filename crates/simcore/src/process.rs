@@ -252,7 +252,7 @@ impl Ctx {
     /// A process left parked when its run ends (deadlock, panic) stays
     /// parked, and keeps its pooled worker: no thread passes it the baton
     /// again.
-    pub(crate) fn park(&mut self) {
+    fn park(&mut self) {
         while !self.resume.swap(false, Ordering::Acquire) {
             std::thread::park();
         }

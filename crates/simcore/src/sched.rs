@@ -12,7 +12,8 @@
 //!   is ordinary blocking Rust, so it needs a stack of its own. It runs on a
 //!   worker thread taken from a process-wide pool, which it gives back once
 //!   it has finished; the next simulation reuses the worker instead of
-//!   starting a thread.
+//!   starting a thread. Until its first resume the process holds only its
+//!   body: no worker, and nothing that keeps its simulation alive.
 //! - *Thread-free* ([`Simulation::spawn_future`],
 //!   [`crate::Ctx::spawn_future`], [`crate::Ctx::spawn_daemon_future`]): its
 //!   body is a future, polled in place by the event loop (see below) from
@@ -28,6 +29,10 @@
 //!
 //! - If that resume is for the yielding process itself, the process simply
 //!   keeps running — no OS thread switch at all.
+//! - If it is the first resume of a process that has not started, the
+//!   holder takes a worker from the pool, hands it the process's body as
+//!   its job and parks itself. The worker runs the body at once, holding
+//!   the baton: starting a process costs one OS wake.
 //! - Otherwise the holder sets the target's resume flag, unparks its thread
 //!   and parks itself: one thread handoff per switch.
 //!
@@ -65,8 +70,10 @@
 //! [`Simulation::run`] starts the first dispatch on the caller's thread and
 //! then blocks on a one-shot outcome channel. Whichever holder sees the run
 //! end (completion, deadlock, a process panic, or a panicking callback)
-//! reports it there; after a completed run, `run` also waits until every
-//! thread-backed process's worker is back in the pool. Virtual time only
+//! reports it there. `run` then waits until the worker of every finished
+//! thread-backed process is back in the pool: after a completed run, that
+//! is every one of them. Dropping the [`Simulation`] drops the bodies of
+//! processes that never started. Virtual time only
 //! advances inside `dispatch`, between process steps, which makes the
 //! simulation deterministic: a given program and seed always produce the
 //! identical event trace, whichever thread happens to run each step.
@@ -104,7 +111,7 @@ use crate::lock::Mutex;
 use crate::error::{BlockedProcess, SimError};
 use crate::event::Event;
 use crate::pool::Worker;
-use crate::process::{Proc, WaitTarget};
+use crate::process::{Ctx, Proc, WaitTarget};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
@@ -175,16 +182,23 @@ enum Outcome {
     CallbackPanic(Box<dyn Any + Send>),
 }
 
+/// The body of a thread-backed process.
+type Body = Box<dyn FnOnce(&mut Ctx) + Send>;
+
 /// How the baton reaches a thread-backed process.
-struct Baton {
-    /// The pooled worker thread the process runs on.
-    thread: Thread,
-    /// Set (then `thread` unparked) to pass the process the baton.
-    resume: Arc<AtomicBool>,
+enum Baton {
+    /// Not started yet. Its first resume hands `Body` to a pooled worker,
+    /// which runs it at once. The body does not hold the scheduler core, so
+    /// an unstarted process keeps neither a worker nor its simulation alive.
+    Pending(Body),
+    /// Running on a pooled worker's `thread`; set `resume`, then unpark
+    /// `thread`, to pass it the baton.
+    Started { thread: Thread, resume: Arc<AtomicBool> },
 }
 
 struct ProcRecord {
-    name: String,
+    /// Shared with the label of `done`.
+    name: Arc<str>,
     daemon: bool,
     /// `None` for a thread-free process, whose body is `future`.
     thread: Option<Baton>,
@@ -240,6 +254,29 @@ impl Drop for Released {
     fn drop(&mut self) {
         *self.0.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
         self.0.cv.notify_all();
+    }
+}
+
+/// What a pooled worker runs for one thread-backed process, handed over at
+/// the process's first resume: the body holds the baton from its first
+/// line.
+pub(crate) struct Job {
+    body: Body,
+    ctx: Ctx,
+    released: Released,
+}
+
+impl Job {
+    /// Run the body to its end, retire the process and pass the baton on.
+    /// The [`Released`] it returns is dropped only once the worker is back
+    /// in the idle list.
+    pub(crate) fn run(self) -> Released {
+        let Job { body, mut ctx, released } = self;
+        let pid = ctx.pid();
+        let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
+            .map_err(|payload| payload_to_string(payload.as_ref()));
+        finish(&ctx.handle(), pid, result);
+        released
     }
 }
 
@@ -425,7 +462,7 @@ impl SchedState {
         self.procs
             .iter()
             .filter(|p| p.parked && !p.finished)
-            .map(|p| (p.name.clone(), p.waiting_on.clone()))
+            .map(|p| (p.name.to_string(), p.waiting_on.clone()))
             .collect()
     }
 }
@@ -506,7 +543,7 @@ impl Simulation {
     }
 
     /// Spawn a regular root process starting at t = 0.
-    pub fn spawn(&mut self, name: impl Into<String>, body: impl FnOnce(&mut crate::process::Ctx) + Send + 'static) {
+    pub fn spawn(&mut self, name: impl Into<String>, body: impl FnOnce(&mut Ctx) + Send + 'static) {
         spawn_process(&self.core, name.into(), false, body);
     }
 
@@ -514,7 +551,7 @@ impl Simulation {
     pub fn spawn_daemon(
         &mut self,
         name: impl Into<String>,
-        body: impl FnOnce(&mut crate::process::Ctx) + Send + 'static,
+        body: impl FnOnce(&mut Ctx) + Send + 'static,
     ) {
         spawn_process(&self.core, name.into(), true, body);
     }
@@ -543,20 +580,28 @@ impl Simulation {
         self.core.state.lock().outcome_tx = Some(outcome_tx);
         dispatch(&self.handle(), None, false);
         let outcome = outcome_rx.recv().expect("simulation ended without an outcome");
+
+        // No process runs any more. Wait until the worker of each finished
+        // thread-backed process is back in the pool, done with the
+        // process's state. After a completed run that is every one of
+        // them; a process a failed run left parked keeps its worker.
+        let finished = self
+            .core
+            .state
+            .lock()
+            .procs
+            .iter()
+            .filter(|p| p.finished && matches!(p.thread, Some(Baton::Started { .. })))
+            .count();
+        let released = &self.core.released;
+        let count = released.count.lock().unwrap_or_else(PoisonError::into_inner);
+        let count = released.cv.wait_while(count, |n| *n < finished);
+        drop(count.unwrap_or_else(PoisonError::into_inner));
         match outcome {
             Outcome::Done => {}
             Outcome::Failed(err) => return Err(err),
             Outcome::CallbackPanic(payload) => panic::resume_unwind(payload),
         }
-
-        // Every process has finished; wait until each thread-backed one's
-        // worker is back in the pool, done with the process's state.
-        let threads = self.core.state.lock().procs.iter().filter(|p| p.thread.is_some()).count();
-        let released = &self.core.released;
-        let count = released.count.lock().unwrap_or_else(PoisonError::into_inner);
-        drop(
-            released.cv.wait_while(count, |n| *n < threads).unwrap_or_else(PoisonError::into_inner),
-        );
 
         let st = self.core.state.lock();
         Ok(SimReport {
@@ -565,6 +610,23 @@ impl Simulation {
             processes: st.procs.len() as u64,
             handoffs: st.handoffs,
         })
+    }
+}
+
+impl Drop for Simulation {
+    /// Drop the bodies of processes that never started and the futures of
+    /// parked ones. Either may hold a handle onto this simulation, which
+    /// would otherwise keep it alive through its own process table.
+    fn drop(&mut self) {
+        let mut st = self.core.state.lock();
+        let held: Vec<(Option<Baton>, Option<ParkedFuture>)> = st
+            .procs
+            .iter_mut()
+            .filter(|p| matches!(p.thread, Some(Baton::Pending(_))) || p.future.is_some())
+            .map(|p| (p.thread.take_if(|b| matches!(b, Baton::Pending(_))), p.future.take()))
+            .collect();
+        drop(st);
+        drop(held); // outside the lock: a body's destructor may use the simulation
     }
 }
 
@@ -648,16 +710,34 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                 if me == Some(pid) {
                     return true;
                 }
+                st.handoffs += 1;
                 let baton = st
                     .proc_mut(pid)
                     .thread
-                    .as_ref()
+                    .as_mut()
                     .expect("a thread-free process is parked in its future");
-                baton.resume.store(true, Ordering::Release);
-                let thread = baton.thread.clone();
-                st.handoffs += 1;
-                drop(st);
-                thread.unpark();
+                match baton {
+                    Baton::Started { thread, resume } => {
+                        resume.store(true, Ordering::Release);
+                        let thread = thread.clone();
+                        drop(st);
+                        thread.unpark();
+                    }
+                    Baton::Pending(_) => {
+                        // The first resume: the one place a worker is handed
+                        // a job. The channel send is the only OS wake.
+                        let worker = Worker::take();
+                        let resume = Arc::new(AtomicBool::new(false));
+                        let thread = worker.thread().clone();
+                        let started = Baton::Started { thread, resume: resume.clone() };
+                        let Baton::Pending(body) = std::mem::replace(baton, started) else {
+                            unreachable!("matched as pending")
+                        };
+                        drop(st);
+                        let ctx = Ctx::new(pid, core.clone(), resume);
+                        worker.run(Job { body, ctx, released: Released(core.released.clone()) });
+                    }
+                }
                 return false;
             }
             None => {
@@ -735,6 +815,7 @@ fn retire(h: &SimHandle, pid: ProcessId, result: Result<(), String>) -> bool {
     match result {
         Ok(()) => true,
         Err(message) => {
+            let name = name.to_string();
             end_run(&h.core, Outcome::Failed(SimError::ProcessPanic { name, message }));
             false
         }
@@ -771,7 +852,8 @@ fn register(
     daemon: bool,
     thread: Option<Baton>,
 ) -> SpawnHandle {
-    let done = Event::named(format!("join '{name}'"));
+    let name: Arc<str> = name.into();
+    let done = Event::joining(name.clone());
     let mut st = core.state.lock();
     let pid = ProcessId(st.procs.len() as u64);
     if daemon {
@@ -796,29 +878,15 @@ fn register(
     SpawnHandle { pid, done }
 }
 
-/// Internal: register a thread-backed process and hand its body to a
-/// pooled worker, which parks until the event loop passes it the baton.
+/// Internal: register a thread-backed process. It takes a pooled worker
+/// at its first resume, which hands the worker its body (see [`dispatch`]).
 pub(crate) fn spawn_process(
     core: &Arc<SchedCore>,
     name: String,
     daemon: bool,
-    body: impl FnOnce(&mut crate::process::Ctx) + Send + 'static,
+    body: impl FnOnce(&mut Ctx) + Send + 'static,
 ) -> SpawnHandle {
-    let resume = Arc::new(AtomicBool::new(false));
-    let worker = Worker::take();
-    let baton = Baton { thread: worker.thread().clone(), resume: resume.clone() };
-    let handle = register(core, name, daemon, Some(baton));
-    let (core, pid) = (core.clone(), handle.pid);
-    worker.run(Box::new(move || {
-        let released = Released(core.released.clone());
-        let mut ctx = crate::process::Ctx::new(pid, core, resume);
-        ctx.park(); // wait for the baton
-        let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)))
-            .map_err(|payload| payload_to_string(payload.as_ref()));
-        finish(&ctx.handle(), pid, result);
-        released
-    }));
-    handle
+    register(core, name, daemon, Some(Baton::Pending(Box::new(body))))
 }
 
 /// Internal: register a thread-free process. `body` runs, and its future

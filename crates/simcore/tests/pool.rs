@@ -115,3 +115,54 @@ fn concurrent_simulations_match_serial_ones() {
         }
     }
 }
+
+/// The distinct OS threads `threads` has recorded.
+fn distinct(threads: &Mutex<Vec<ThreadId>>) -> usize {
+    threads.lock().iter().collect::<HashSet<_>>().len()
+}
+
+#[test]
+fn a_simulation_dropped_before_it_runs_is_freed() {
+    let _serial = SERIAL.lock();
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    four_process_run(3, &threads);
+
+    // Each body holds a handle onto its own simulation.
+    let mut sim = Simulation::with_seed(4);
+    let handle = sim.handle();
+    let weak = handle.downgrade();
+    sim.spawn("never-runs", move |ctx| {
+        let _handle = handle;
+        ctx.advance(us(1));
+    });
+    sim.spawn_future("never-polled", |proc| async move { proc.advance(us(1)).await });
+    drop(sim);
+    assert!(!weak.is_live(), "an unstarted process keeps its simulation alive");
+
+    four_process_run(3, &threads);
+    assert!(distinct(&threads) <= 4, "{} distinct worker threads", distinct(&threads));
+}
+
+#[test]
+fn a_run_that_fails_before_a_process_starts_frees_it() {
+    let _serial = SERIAL.lock();
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    four_process_run(5, &threads);
+
+    let mut sim = Simulation::with_seed(6);
+    let handle = sim.handle();
+    let weak = handle.downgrade();
+    sim.spawn("faulty", |_| panic!("fails on its first resume"));
+    sim.spawn("later", move |ctx| {
+        let _handle = handle;
+        ctx.advance(us(1));
+    });
+    match sim.run() {
+        Err(SimError::ProcessPanic { name, .. }) => assert_eq!(name, "faulty"),
+        other => panic!("expected process panic, got {other:?}"),
+    }
+    assert!(!weak.is_live(), "a failed run keeps its simulation alive");
+
+    four_process_run(5, &threads);
+    assert!(distinct(&threads) <= 4, "{} distinct worker threads", distinct(&threads));
+}

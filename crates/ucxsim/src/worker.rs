@@ -132,14 +132,15 @@ impl UcxUniverse {
     /// `ucx.am_retries`, `ucx.rkey_exchanges`, and the `ucx.put_latency_us`
     /// issue → completion histogram) into `registry`.
     pub fn new(fabric: Fabric, registry: &MetricsRegistry) -> Self {
+        let mut block = registry.block(6, 1);
         let instruments = UcxInstruments {
-            puts: registry.counter("ucx.puts"),
-            put_retries: registry.counter("ucx.put_retries"),
-            put_failures: registry.counter("ucx.put_failures"),
-            am_sends: registry.counter("ucx.am_sends"),
-            am_retries: registry.counter("ucx.am_retries"),
-            rkey_exchanges: registry.counter("ucx.rkey_exchanges"),
-            put_latency: registry.histogram("ucx.put_latency_us"),
+            puts: block.counter("ucx.puts"),
+            put_retries: block.counter("ucx.put_retries"),
+            put_failures: block.counter("ucx.put_failures"),
+            am_sends: block.counter("ucx.am_sends"),
+            am_retries: block.counter("ucx.am_retries"),
+            rkey_exchanges: block.counter("ucx.rkey_exchanges"),
+            put_latency: block.histogram("ucx.put_latency_us"),
         };
         UcxUniverse {
             inner: Arc::new(UniverseInner {
