@@ -6,7 +6,7 @@
 //! collective schedules. Here it is a daemon simulation process per rank
 //! that runs registered **hooks** every poll interval.
 //!
-//! The daemon is a thread-free process (`Ctx::spawn_daemon_future`): its
+//! The daemon is a thread-free process (`Proc::spawn_daemon_future`): its
 //! whole loop is one future that the scheduler polls in place at each of
 //! its resumes (idle wake-ups, poll ticks, waits inside a hook), so the
 //! engine has no OS thread of its own. Hooks are async: a hook is called
@@ -26,7 +26,7 @@ use std::sync::{Arc, Weak};
 
 use parcomm_sim::Mutex;
 
-use parcomm_sim::{Ctx, Event, Proc, SimDuration, SimTime};
+use parcomm_sim::{Event, Proc, SimDuration, SimTime};
 
 /// What a hook wants after an invocation.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -102,7 +102,7 @@ impl ProgressionEngine {
     /// Spawn the engine daemon for `rank` with the given poll interval and
     /// optional fault schedule (`None` in every fault-free run).
     pub(crate) fn start(
-        ctx: &mut Ctx,
+        p: &Proc,
         rank: usize,
         poll: SimDuration,
         fault: Option<PeFaultConfig>,
@@ -121,7 +121,7 @@ impl ProgressionEngine {
             heartbeat: heartbeat.clone(),
         };
         let mut stall_pending = fault.as_ref().is_some_and(|f| f.stall_us > 0.0);
-        ctx.spawn_daemon_future(format!("progress{rank}"), move |p| async move {
+        p.spawn_daemon_future(format!("progress{rank}"), move |p| async move {
             loop {
                 if p.is_shutdown() {
                     break;

@@ -382,6 +382,11 @@ impl MpiWorld {
     /// Spawn one simulation process per rank running `body`. All ranks pass
     /// an internal start barrier after initializing (MPI_Init semantics:
     /// no rank proceeds until every worker address is published).
+    ///
+    /// Each rank's `MPI_Init` is its init future
+    /// ([`Simulation::spawn_init`]): it runs on the thread driving the
+    /// event loop, and the rank takes its worker thread only when the
+    /// barrier releases it and `body` starts.
     pub fn run_ranks<F>(&self, sim: &mut Simulation, body: F)
     where
         F: Fn(&mut Ctx, &mut Rank) + Send + Sync + 'static,
@@ -390,10 +395,11 @@ impl MpiWorld {
         for r in 0..self.inner.size {
             let world = self.clone();
             let body = body.clone();
-            sim.spawn(format!("rank{r}"), move |ctx| {
-                let mut rank = Rank::init(ctx, world, r);
-                body(ctx, &mut rank);
-            });
+            sim.spawn_init(
+                format!("rank{r}"),
+                move |p| async move { Rank::init(&p, world, r).await },
+                move |ctx, mut rank| body(ctx, &mut rank),
+            );
         }
     }
 }
@@ -422,12 +428,14 @@ pub struct Rank {
 }
 
 impl Rank {
-    fn init(ctx: &mut Ctx, world: MpiWorld, rank: usize) -> Rank {
+    /// `MPI_Init` for rank `rank`, run by its process `p`: build its GPU,
+    /// UCX worker and progression engine, then wait at the start barrier.
+    async fn init(p: &Proc, world: MpiWorld, rank: usize) -> Rank {
         let gpu_id = world.gpu_of(rank);
         let gpu = Gpu::new(
             gpu_id,
             world.inner.config.cost.clone(),
-            ctx.handle(),
+            p.handle(),
             &world.inner.gpu_metrics,
         );
         gpu.set_rank(rank as u32);
@@ -462,7 +470,7 @@ impl Rank {
             .find(|(r, _)| *r == rank)
             .map(|(_, f)| f.clone());
         let (progression, hooks) = ProgressionEngine::start(
-            ctx,
+            p,
             rank,
             SimDuration::from_micros_f64(world.inner.config.progress_poll_us),
             pe_fault,
@@ -470,7 +478,7 @@ impl Rank {
         );
         // MPI_Init barrier: every rank's worker address is published before
         // anyone communicates.
-        world.inner.start_barrier.wait(ctx);
+        world.inner.start_barrier.wait_async(p).await;
         Rank { world, rank, gpu, worker, progression, _hooks: hooks }
     }
 

@@ -4,9 +4,10 @@
 //! A process whose body blocks (`Ctx::advance`, `Ctx::wait`, ...) needs a
 //! stack of its own, so it runs on an OS thread. Rather than starting a
 //! thread per process and joining it at the end of the run, the scheduler
-//! takes an idle worker from this pool, or starts one if none is idle, at
-//! the process's first resume, and hands it the process's body as its
-//! [`Job`]. The worker runs the job at once: it already holds the baton.
+//! takes an idle worker from this pool, or starts one if none is idle, when
+//! the process starts (its first resume, or the one where its init future
+//! completes), and hands it the process's body as its [`Job`]. The worker
+//! runs the job at once: it already holds the baton.
 //! Once the process has finished, its worker parks back in the idle list,
 //! ready for the next process of this or any later simulation.
 //!

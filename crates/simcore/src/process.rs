@@ -221,7 +221,7 @@ impl Ctx {
     where
         Fut: Future<Output = ()> + Send + 'static,
     {
-        sched::spawn_future(self.core(), name.into(), true, body)
+        self.proc.spawn_daemon_future(name, body)
     }
 
     /// Block until the given spawned process finishes.
@@ -304,6 +304,19 @@ impl Proc {
     /// microseconds.
     pub fn jitter_us(&self, mean: f64, sd: f64) -> SimDuration {
         self.handle.jitter_us(mean, sd)
+    }
+
+    /// Spawn a thread-free daemon child process; see
+    /// [`Ctx::spawn_daemon_future`].
+    pub fn spawn_daemon_future<Fut>(
+        &self,
+        name: impl Into<String>,
+        body: impl FnOnce(Proc) -> Fut + Send + 'static,
+    ) -> SpawnHandle
+    where
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        sched::spawn_future(&self.handle.core, name.into(), true, body)
     }
 
     /// Async [`Ctx::advance`].

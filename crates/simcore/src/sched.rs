@@ -12,8 +12,12 @@
 //!   is ordinary blocking Rust, so it needs a stack of its own. It runs on a
 //!   worker thread taken from a process-wide pool, which it gives back once
 //!   it has finished; the next simulation reuses the worker instead of
-//!   starting a thread. Until its first resume the process holds only its
-//!   body: no worker, and nothing that keeps its simulation alive.
+//!   starting a thread. Until it starts the process holds only its body:
+//!   no worker, and nothing that keeps its simulation alive. It may begin
+//!   with an *init future* ([`Simulation::spawn_init`]): the event loop
+//!   polls that future in place, like a thread-free body, and the process
+//!   takes its worker only at the resume where the future completes, which
+//!   hands the future's output to the body.
 //! - *Thread-free* ([`Simulation::spawn_future`],
 //!   [`crate::Ctx::spawn_future`], [`crate::Ctx::spawn_daemon_future`]): its
 //!   body is a future, polled in place by the event loop (see below) from
@@ -29,10 +33,10 @@
 //!
 //! - If that resume is for the yielding process itself, the process simply
 //!   keeps running — no OS thread switch at all.
-//! - If it is the first resume of a process that has not started, the
-//!   holder takes a worker from the pool, hands it the process's body as
-//!   its job and parks itself. The worker runs the body at once, holding
-//!   the baton: starting a process costs one OS wake.
+//! - If it starts a process (its first resume, or the one where its init
+//!   future completes), the holder takes a worker from the pool, hands it
+//!   the process's body as its job and parks itself. The worker runs the
+//!   body at once, holding the baton: starting a process costs one OS wake.
 //! - Otherwise the holder sets the target's resume flag, unparks its thread
 //!   and parks itself: one thread handoff per switch.
 //!
@@ -59,10 +63,19 @@
 //! right there (finished, `done` fired) and goes on with the loop; a panic
 //! ends the run as that process's [`SimError::ProcessPanic`].
 //!
+//! The init future of a thread-backed process is polled the same way, from
+//! its first resume on. When it completes, the process starts: the holder
+//! hands a pooled worker its body at that same pop. A panic in it retires
+//! the process right there, as that process's [`SimError::ProcessPanic`],
+//! and no worker is taken. `MPI_Init` runs this way: every rank's
+//! initialisation runs on the baton holder's thread, and a rank's worker is
+//! woken once, when its body starts after the init barrier.
+//!
 //! The queue sees the same items in the same order either way, so event
 //! counts, RNG draws and spans are those of the blocking code; only the
-//! number of thread handoffs drops, to one per `block_on` completion and
-//! none at all for a thread-free process. A future runs on whichever thread
+//! number of thread handoffs drops, to one per `block_on` completion, one
+//! per process start however long its init future waited, and none at all
+//! for a thread-free process. A future runs on whichever thread
 //! holds the baton, so it must be `Send`, and it must not hold a lock guard
 //! across an `.await` (the compiler enforces this: a `std` `MutexGuard` is
 //! `!Send`).
@@ -187,9 +200,10 @@ type Body = Box<dyn FnOnce(&mut Ctx) + Send>;
 
 /// How the baton reaches a thread-backed process.
 enum Baton {
-    /// Not started yet. Its first resume hands `Body` to a pooled worker,
-    /// which runs it at once. The body does not hold the scheduler core, so
-    /// an unstarted process keeps neither a worker nor its simulation alive.
+    /// Not started yet. Its first resume, or the one where its init future
+    /// completes, hands `Body` to a pooled worker, which runs it at once.
+    /// The body does not hold the scheduler core, so an unstarted process
+    /// keeps neither a worker nor its simulation alive.
     Pending(Body),
     /// Running on a pooled worker's `thread`; set `resume`, then unpark
     /// `thread`, to pass it the baton.
@@ -210,9 +224,10 @@ struct ProcRecord {
     /// The primitive the process is parked on (set by `Ctx` wait methods),
     /// formatted into deadlock diagnostics only when one is reported.
     waiting_on: Option<WaitTarget>,
-    /// Set while the process is parked inside `Ctx::block_on`, and for a
-    /// thread-free process from its spawn until it completes: its resumes
-    /// poll this future in place.
+    /// Set while the process is parked inside `Ctx::block_on`, for a
+    /// thread-free process from its spawn until it completes, and for a
+    /// thread-backed one with an init future until that completes: its
+    /// resumes poll this future in place.
     future: Option<ParkedFuture>,
     /// A panic raised while polling `future` in place; re-raised on the
     /// process's own thread when it gets the baton back.
@@ -257,9 +272,8 @@ impl Drop for Released {
     }
 }
 
-/// What a pooled worker runs for one thread-backed process, handed over at
-/// the process's first resume: the body holds the baton from its first
-/// line.
+/// What a pooled worker runs for one thread-backed process, handed over
+/// when the process starts: the body holds the baton from its first line.
 pub(crate) struct Job {
     body: Body,
     ctx: Ctx,
@@ -477,9 +491,10 @@ pub struct SimReport {
     /// Number of processes that ran (regular + daemon).
     pub processes: u64,
     /// OS thread handoffs: resumes that passed the baton to another
-    /// thread-backed process's thread, including the first resume that
-    /// starts it. Thread-free processes and futures polled in place cost
-    /// none. A host-cost statistic, kept out of the behaviour digests.
+    /// thread-backed process's thread, including the resume that starts
+    /// it. Thread-free processes and futures polled in place, init futures
+    /// included, cost none. A host-cost statistic, kept out of the
+    /// behaviour digests.
     pub handoffs: u64,
 }
 
@@ -566,6 +581,35 @@ impl Simulation {
         Fut: Future<Output = ()> + Send + 'static,
     {
         spawn_future(&self.core, name.into(), false, body);
+    }
+
+    /// Spawn a regular, thread-backed root process that begins with the
+    /// future `init` returns, given the new process's [`Proc`]. The event
+    /// loop polls that future in place, so while it runs the process holds
+    /// no worker thread; the process takes one at the resume where the
+    /// future completes, and `body` runs there with the future's output.
+    /// A panic in the future ends the run as this process's
+    /// [`SimError::ProcessPanic`] without `body` ever running.
+    pub fn spawn_init<T, Fut>(
+        &mut self,
+        name: impl Into<String>,
+        init: impl FnOnce(Proc) -> Fut + Send + 'static,
+        body: impl FnOnce(&mut Ctx, T) + Send + 'static,
+    ) where
+        T: Send + 'static,
+        Fut: Future<Output = T> + Send + 'static,
+    {
+        let slot = Arc::new(Mutex::new(None));
+        let out = slot.clone();
+        let body = move |ctx: &mut Ctx| {
+            let value = out.lock().take().expect("a process starts once its init future is done");
+            body(ctx, value)
+        };
+        let core = &self.core;
+        let handle = register(core, name.into(), false, Some(Baton::Pending(Box::new(body))));
+        let proc = Proc::new(handle.pid, core.clone());
+        let init = async move { *slot.lock() = Some(init(proc).await) };
+        park_future(core, handle.pid, Box::pin(init));
     }
 
     /// Run the event loop to completion.
@@ -694,9 +738,12 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                         Poll::Pending => Err(Box::new(UNPARKED_PENDING.to_string()) as _),
                         Poll::Ready(result) => result,
                     };
-                    if p.thread.is_none() {
-                        // A thread-free process's body is done: retire it
-                        // here, as its thread would have.
+                    let unstarted = matches!(p.thread, Some(Baton::Pending(_)));
+                    if p.thread.is_none() || (unstarted && result.is_err()) {
+                        // A thread-free process's body is done, or an init
+                        // future panicked before its process took a worker:
+                        // retire it here, as its thread would have. An
+                        // unrun body is dropped with the simulation.
                         drop(st);
                         let result = result.map_err(|payload| payload_to_string(payload.as_ref()));
                         if !retire(h, pid, result) {
@@ -724,8 +771,9 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                         thread.unpark();
                     }
                     Baton::Pending(_) => {
-                        // The first resume: the one place a worker is handed
-                        // a job. The channel send is the only OS wake.
+                        // The process starts: the one place a worker is
+                        // handed a job. The channel send is the only OS
+                        // wake.
                         let worker = Worker::take();
                         let resume = Arc::new(AtomicBool::new(false));
                         let thread = worker.thread().clone();
@@ -903,7 +951,7 @@ where
 {
     let handle = register(core, name, daemon, None);
     let proc = Proc::new(handle.pid, core.clone());
-    core.state.lock().proc_mut(handle.pid).future = Some(Box::pin(async move { body(proc).await }));
+    park_future(core, handle.pid, Box::pin(async move { body(proc).await }));
     handle
 }
 
@@ -957,8 +1005,9 @@ pub(crate) fn cancel_backstop(core: &Arc<SchedCore>, id: u64) {
     core.state.lock().live_backstops.remove(&id);
 }
 
-/// Internal API used by `Ctx::block_on`: store the future `pid` has just
-/// parked inside, for the scheduler to poll at its next resume.
+/// Internal API used by `Ctx::block_on` and the future-taking spawns: store
+/// the future `pid` has just parked inside (or, for a new process, starts
+/// with), for the scheduler to poll at its next resume.
 pub(crate) fn park_future(core: &Arc<SchedCore>, pid: ProcessId, fut: ParkedFuture) {
     let mut st = core.state.lock();
     let p = st.proc_mut(pid);

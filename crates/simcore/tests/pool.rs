@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::thread::{self, ThreadId};
 
-use parcomm_sim::{Event, Mutex, SimDuration, SimError, SimReport, Simulation};
+use parcomm_sim::{Event, Mutex, SimBarrier, SimDuration, SimError, SimReport, Simulation};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -164,5 +164,97 @@ fn a_run_that_fails_before_a_process_starts_frees_it() {
     assert!(!weak.is_live(), "a failed run keeps its simulation alive");
 
     four_process_run(5, &threads);
+    assert!(distinct(&threads) <= 4, "{} distinct worker threads", distinct(&threads));
+}
+
+/// Records the OS thread that drops it: a process body holding one is
+/// dropped on a pooled worker if it was handed to one, and otherwise with
+/// its simulation, on the thread that drops that.
+struct DropThread(Arc<Mutex<Vec<ThreadId>>>);
+
+impl Drop for DropThread {
+    fn drop(&mut self) {
+        self.0.lock().push(thread::current().id());
+    }
+}
+
+#[test]
+fn an_init_future_that_panics_takes_no_worker() {
+    let _serial = SERIAL.lock();
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    four_process_run(8, &threads);
+
+    let mut sim = Simulation::with_seed(9);
+    let handle = sim.handle();
+    let weak = handle.downgrade();
+    let dropped = Arc::new(Mutex::new(Vec::new()));
+    let guard = DropThread(dropped.clone());
+    let ran = Arc::new(Mutex::new(false));
+    let ran2 = ran.clone();
+    sim.spawn_init(
+        "faulty-init",
+        |proc| async move {
+            proc.advance(us(1)).await;
+            panic!("fails inside its init future");
+        },
+        move |_, ()| {
+            let (_handle, _guard) = (handle, guard);
+            *ran2.lock() = true;
+        },
+    );
+    match sim.run() {
+        Err(SimError::ProcessPanic { name, message }) => {
+            assert_eq!(name, "faulty-init");
+            assert!(message.contains("fails inside its init future"), "{message}");
+        }
+        other => panic!("expected process panic, got {other:?}"),
+    }
+    assert!(!*ran.lock(), "the body of a process whose init future panicked ran");
+    assert_eq!(*dropped.lock(), [thread::current().id()], "the unrun body went to a worker");
+    assert!(!weak.is_live(), "a failed run keeps its simulation alive");
+
+    four_process_run(8, &threads);
+    assert!(distinct(&threads) <= 4, "{} distinct worker threads", distinct(&threads));
+}
+
+#[test]
+fn processes_parked_in_their_init_futures_deadlock_without_workers() {
+    let _serial = SERIAL.lock();
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    four_process_run(10, &threads);
+
+    // A barrier one arrival short: both processes stay inside their init
+    // futures for good.
+    let mut sim = Simulation::with_seed(11);
+    let weak = sim.handle().downgrade();
+    let barrier = SimBarrier::new(3);
+    let dropped = Arc::new(Mutex::new(Vec::new()));
+    for i in 0..2 {
+        let (barrier, handle) = (barrier.clone(), sim.handle());
+        let guard = DropThread(dropped.clone());
+        sim.spawn_init(
+            format!("init{i}"),
+            move |proc| async move { barrier.wait_async(&proc).await },
+            move |ctx, ()| {
+                let (_handle, _guard) = (handle, guard);
+                ctx.advance(us(1));
+            },
+        );
+    }
+    match sim.run() {
+        Err(SimError::Deadlock { blocked }) => {
+            let names: Vec<&str> = blocked.iter().map(|b| b.process.as_str()).collect();
+            assert_eq!(names, ["init0", "init1"]);
+            for b in &blocked {
+                assert_eq!(b.waiting_on.as_deref(), Some("event 'barrier'"));
+            }
+        }
+        other => panic!("expected deadlock, got {other:?}"),
+    }
+    let here = thread::current().id();
+    assert_eq!(*dropped.lock(), [here, here], "an unstarted body went to a worker");
+    assert!(!weak.is_live(), "a deadlocked run keeps its simulation alive");
+
+    four_process_run(10, &threads);
     assert!(distinct(&threads) <= 4, "{} distinct worker threads", distinct(&threads));
 }

@@ -1,5 +1,7 @@
 //! Host-cost regression tests for code that runs as futures.
 //!
+//! Each rank's `MPI_Init` is the init future of its process: it runs in
+//! place, and the rank takes its worker thread only when its body starts.
 //! `MPI_Wait`, host `MPI_Pready` and the progression-engine drain run
 //! Algorithm 2 as a future under `Ctx::block_on`, and so do the partitioned
 //! p2p calls and each rank's progression-engine daemon. The MoE app's whole
@@ -73,14 +75,16 @@ fn hierarchical_allreduce(ctx: &mut Ctx, rank: &mut Rank, failures: &Mutex<usize
 /// Algorithm 2.
 const HIER_EVENTS: u64 = 12_777;
 const HIER_PROCESSES: u64 = 16;
-/// Thread handoffs of the same run: 8 rank threads, each started once and
-/// woken at its `block_on` completions, one per collective entry point.
-/// With `MPIX_Pbuf_prepare` and `MPI_Wait` blocking once per channel
-/// instead of awaiting every channel in one future, the count was 191; with
-/// each PE daemon run under `spawn_daemon` + `block_on` instead of as a
-/// thread-free process as well, 207: 2 more per daemon, its start and its
-/// final baton pass.
-const HIER_HANDOFFS: u64 = 119;
+/// Thread handoffs of the same run: 8 rank threads, each started once, when
+/// the `MPI_Init` barrier has released it, and woken at its `block_on`
+/// completions, one per collective entry point. With a blocking `MPI_Init`
+/// the count was 119: 7 more, the wakes from its barrier (its last arriver
+/// does not park). With `MPIX_Pbuf_prepare` and `MPI_Wait` blocking once
+/// per channel instead of awaiting every channel in one future as well, it
+/// was 191; with each PE daemon run under `spawn_daemon` + `block_on`
+/// instead of as a thread-free process as well, 207: 2 more per daemon, its
+/// start and its final baton pass.
+const HIER_HANDOFFS: u64 = 112;
 
 #[test]
 fn hierarchical_allreduce_keeps_event_count_with_few_handoffs() {
@@ -153,13 +157,14 @@ fn recover_armed_allreduce_survives_pe_crash_under_block_on() {
 /// and the dispatch/combine phases (5,101 thread handoffs there).
 const MOE_EVENTS: u64 = 13_415;
 const MOE_PROCESSES: u64 = 16;
-/// Thread handoffs of the same run: 8 rank starts, 7 wakes from the
-/// `MPI_Init` barrier (its last arriver does not park) and 8 completions of
-/// the one `block_on` that runs each rank's MoE body. With admission,
-/// prequest creation and each phase as separate futures, and a blocking
-/// barrier and expert charge between them, the count was 104; 120 with
-/// thread-backed PE daemons as well (see [`HIER_HANDOFFS`]).
-const MOE_HANDOFFS: u64 = 23;
+/// Thread handoffs of the same run: 8 rank starts, each once the `MPI_Init`
+/// barrier has released it, and 8 completions of the one `block_on` that
+/// runs each rank's MoE body. With a blocking `MPI_Init` the count was 23:
+/// 7 more, the wakes from its barrier (its last arriver does not park).
+/// With admission, prequest creation and each phase as separate futures,
+/// and a blocking barrier and expert charge between them, it was 104; 120
+/// with thread-backed PE daemons as well (see [`HIER_HANDOFFS`]).
+const MOE_HANDOFFS: u64 = 16;
 
 /// The benchmark's `moe` cell at seed 501: 2 GH200 nodes (8 ranks),
 /// 3 tenants with the weights that seed draws, Progression Engine copies,
@@ -196,6 +201,20 @@ fn moe_cell_keeps_event_count_with_few_handoffs() {
         report.handoffs, MOE_HANDOFFS,
         "the MoE rank body and the PE daemons must be polled in place"
     );
+}
+
+/// Thread handoffs of bringing up a world whose rank bodies return at once:
+/// one per rank, its start after the `MPI_Init` barrier. `MPI_Init` runs in
+/// place, so none of it costs a handoff; a blocking `MPI_Init` cost 2N − 1
+/// (7 for one node, 15 for two): each rank's start plus a wake from the
+/// barrier for all but its last arriver.
+#[test]
+fn bring_up_costs_one_handoff_per_rank() {
+    for (nodes, ranks) in [(1, 4), (2, 8)] {
+        let (report, _) = run_world(7, WorldConfig::gh200(nodes), |_, _| {});
+        assert_eq!(report.processes, 2 * ranks, "a rank and its PE daemon per GPU");
+        assert_eq!(report.handoffs, ranks, "{nodes}-node bring-up");
+    }
 }
 
 /// Rank 0 streams three host-driven epochs to rank 4 (the other node) with
