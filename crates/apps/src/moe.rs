@@ -34,6 +34,8 @@
 //! unpacking really run, and [`moe_reference`] computes the identical
 //! result serially for bit-for-bit comparison.
 
+use std::collections::HashMap;
+
 use parcomm_core::{prequest_create_async, CopyMechanism, DevicePrequest, PrequestConfig};
 use parcomm_gpu::{AggLevel, Buffer, KernelSpec, Stream};
 use parcomm_mpi::{MpiError, Rank};
@@ -229,22 +231,20 @@ async fn run_moe_async(p: &Proc, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResu
     }
     let channels = admitted.len();
 
-    // Recover the per-(tenant, peer) bundle from the admitted table.
+    // Recover the per-(tenant, peer) bundle from the admitted table,
+    // indexed once by (tenant, peer, tag, direction).
+    let index: HashMap<(usize, usize, u64, Direction), MuxChannelId> = admitted
+        .iter()
+        .map(|&id| {
+            let spec = &mux.channel(id).expect("admitted id is live").spec;
+            ((spec.tenant, spec.peer, spec.tag, spec.direction), id)
+        })
+        .collect();
     for (t, per_peer) in submitted.into_iter().enumerate() {
         let mut row = Vec::with_capacity(per_peer.len());
         for (peer, bufs) in per_peer {
             let find = |tag: u64, dir: Direction| -> MuxChannelId {
-                admitted
-                    .iter()
-                    .copied()
-                    .find(|&id| {
-                        let ch = mux.channel(id).expect("admitted id is live");
-                        ch.spec.tenant == t
-                            && ch.spec.peer == peer
-                            && ch.spec.tag == tag
-                            && ch.spec.direction == dir
-                    })
-                    .expect("every submitted channel was admitted")
+                *index.get(&(t, peer, tag, dir)).expect("every submitted channel was admitted")
             };
             row.push(PeerChannels {
                 peer,

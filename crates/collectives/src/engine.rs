@@ -76,9 +76,10 @@ struct RecvChannel {
 struct PartState {
     step: usize,
     parrived_complete: usize,
-    /// Arrivals already reduced/copied this step (the paper: "ensure the
-    /// reduce operation is only executed once for each incoming neighbor").
-    processed: Vec<bool>,
+    /// Arrivals already reduced/copied this step, one bit per incoming
+    /// neighbor of the step (the paper: "ensure the reduce operation is
+    /// only executed once for each incoming neighbor").
+    processed: u64,
     pready_complete: usize,
     active: bool,
     /// Activation sends of a schedule with `early_stage` steps still in
@@ -126,6 +127,12 @@ struct EngineInner {
     /// asserts it stays linear in arrivals — no O(channels) rescans.
     completion_lookups: AtomicU64,
     states: Mutex<Vec<PartState>>,
+    /// Bumped by every write to `states` made outside a sweep: partition
+    /// activation, a step's sends recorded, the end of staging. Together
+    /// with the receive channels' flag-write counts it is the progress
+    /// signature `run_schedule` compares to skip sweeps that cannot find
+    /// anything.
+    state_writes: AtomicU64,
     /// Device-initiated readiness queue (collective device binding).
     pending_device: Mutex<std::collections::VecDeque<usize>>,
     hook_active: Mutex<bool>,
@@ -234,11 +241,15 @@ impl PcollRequest {
             recv.push(RecvChannel { rreq, stage, steps, slot_of_step });
         }
 
+        assert!(
+            schedule.steps.iter().all(|st| st.incoming.len() <= u64::BITS as usize),
+            "a schedule step has at most 64 incoming neighbors"
+        );
         let states = (0..user_partitions)
             .map(|_| PartState {
                 step: 0,
                 parrived_complete: 0,
-                processed: Vec::new(),
+                processed: 0,
                 pready_complete: 0,
                 active: false,
                 staging: false,
@@ -265,6 +276,7 @@ impl PcollRequest {
                 recv_of_peer,
                 completion_lookups: AtomicU64::new(0),
                 states: Mutex::new(states),
+                state_writes: AtomicU64::new(0),
                 pending_device: Mutex::new(std::collections::VecDeque::new()),
                 hook_active: Mutex::new(false),
             }),
@@ -293,7 +305,7 @@ impl PcollRequest {
         for st in states.iter_mut() {
             st.step = 0;
             st.parrived_complete = 0;
-            st.processed.clear();
+            st.processed = 0;
             st.pready_complete = 0;
             st.active = false;
             st.staging = false;
@@ -427,6 +439,8 @@ impl PcollRequest {
         let steps = &self.inner.schedule.steps;
         let early = steps.iter().any(|st| st.early_stage);
         self.inner.states.lock()[u].staging = early;
+        // The caller has just set the partition active.
+        self.inner.state_writes.fetch_add(1, Ordering::Release);
         self.issue_step_sends(p, u, 0).await?;
         for (s, step) in steps.iter().enumerate().skip(1) {
             if step.early_stage {
@@ -434,6 +448,7 @@ impl PcollRequest {
             }
         }
         self.inner.states.lock()[u].staging = false;
+        self.inner.state_writes.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
@@ -467,8 +482,8 @@ impl PcollRequest {
         if !(s != 0 && step.early_stage) {
             self.stage_and_send(p, u, s).await?;
         }
-        let mut states = self.inner.states.lock();
-        states[u].pready_complete = step.outgoing.len();
+        self.inner.states.lock()[u].pready_complete = step.outgoing.len();
+        self.inner.state_writes.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
@@ -513,37 +528,33 @@ impl PcollRequest {
                 }
                 let step = &self.inner.schedule.steps[s];
                 let step_t0 = p.now();
-                // Lines 5–13: check/ingest arrivals for this step.
-                let mut arrived_now: Vec<(usize, usize)> = Vec::new();
+                // Lines 5–13: check/ingest arrivals for this step, one bit
+                // per incoming neighbor.
+                let mut arrived_now = 0u64;
                 {
                     let mut states = self.inner.states.lock();
                     let st = &mut states[u];
-                    if st.processed.len() != step.incoming.len() {
-                        st.processed.clear();
-                        st.processed.resize(step.incoming.len(), false);
-                    }
                     for (xi, &inc) in step.incoming.iter().enumerate() {
-                        if st.processed[xi] {
+                        if st.processed & (1 << xi) != 0 {
                             continue;
                         }
                         self.inner.completion_lookups.fetch_add(1, Ordering::Relaxed);
-                        let ci = self.inner.recv_of_peer[inc];
-                        debug_assert_ne!(ci, NO_ENTRY, "recv channel exists");
-                        let ch = &self.inner.recv[ci as usize];
-                        let j = ch.slot_of_step[s] as usize;
-                        let slot = u * ch.steps.len() + j;
+                        let (ch, slot) = self.recv_slot(inc, u, s);
                         if ch.rreq.parrived(slot) {
-                            st.processed[xi] = true;
+                            st.processed |= 1 << xi;
                             st.parrived_complete += 1;
-                            arrived_now.push((inc, slot));
+                            arrived_now |= 1 << xi;
                         }
                     }
                 }
                 // Apply the op outside the state lock (reductions launch
                 // kernels and synchronize the stream).
-                for &(inc, slot) in &arrived_now {
+                for (xi, &inc) in step.incoming.iter().enumerate() {
+                    if arrived_now & (1 << xi) == 0 {
+                        continue;
+                    }
                     progressed = true;
-                    let ch = &self.inner.recv[self.inner.recv_of_peer[inc] as usize];
+                    let (ch, slot) = self.recv_slot(inc, u, s);
                     let dst_off = self.chunk_off(u, step.arrived_offset);
                     let stage_off = slot * self.inner.chunk_bytes;
                     match step.op {
@@ -569,7 +580,7 @@ impl PcollRequest {
                         st.step += 1;
                         st.parrived_complete = 0;
                         st.pready_complete = 0;
-                        st.processed.clear();
+                        st.processed = 0;
                         true
                     } else {
                         false
@@ -597,6 +608,25 @@ impl PcollRequest {
             }
         }
         Ok(progressed)
+    }
+
+    /// The receive channel from `inc` and its slot for `(partition u, step
+    /// s)`.
+    fn recv_slot(&self, inc: usize, u: usize, s: usize) -> (&RecvChannel, usize) {
+        let ci = self.inner.recv_of_peer[inc];
+        debug_assert_ne!(ci, NO_ENTRY, "recv channel exists");
+        let ch = &self.inner.recv[ci as usize];
+        (ch, u * ch.steps.len() + ch.slot_of_step[s] as usize)
+    }
+
+    /// The progress signature: it changes whenever anything a sweep reads
+    /// may have changed — a partition's state written outside a sweep, or
+    /// any receive flag written (counted arrival or stale replayed
+    /// landing). A sweep that found nothing finds nothing again while it
+    /// is unchanged.
+    fn progress_signature(&self) -> u64 {
+        let flags: u64 = self.inner.recv.iter().map(|ch| ch.rreq.flag_writes()).sum();
+        flags.wrapping_add(self.inner.state_writes.load(Ordering::Acquire))
     }
 
     /// Device reduction of one staged chunk into the main buffer: a kernel
@@ -661,8 +691,12 @@ impl PcollRequest {
         if detect_us.is_some() {
             ins.watchdog_arms.inc();
         }
+        // The signature at the last sweep, if that sweep found nothing.
+        let mut idle_at: Option<u64> = None;
         loop {
-            let progressed = self.sweep(p).await?;
+            let sig = self.progress_signature();
+            let progressed = idle_at != Some(sig) && self.sweep(p).await?;
+            idle_at = (!progressed).then_some(sig);
             let all_done = {
                 let states = self.inner.states.lock();
                 states.iter().all(|st| st.step >= total)

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parcomm_sim::Mutex;
 
-use parcomm_coll::{pallreduce_init, pbcast_init, Schedule, StepOp};
+use parcomm_coll::{pallreduce_init, pallreduce_init_hierarchical, pbcast_init, Schedule, StepOp};
 use parcomm_gpu::KernelSpec;
 use parcomm_mpi::MpiWorld;
 use parcomm_sim::{SimConfig, SimDuration, Simulation};
@@ -241,4 +241,51 @@ fn timed(partitioned: bool) -> f64 {
     sim.run().unwrap();
     let v = *elapsed.lock();
     v
+}
+
+/// An idle poll wake performs no channel lookup. Rank 0 holds its
+/// contribution back while the other ranks sit in `MPI_Wait`; the
+/// hierarchical schedule has several receive channels per rank, so they
+/// poll every `progress_poll_us`, thousands of times over the window. Their
+/// completion-path lookup counts must not move across it.
+#[test]
+fn idle_poll_wakes_perform_no_channel_lookup() {
+    const HOLD_US: u64 = 2_000;
+    let mut sim = Simulation::new(SimConfig::default());
+    let world = MpiWorld::gh200(&sim, 2);
+    let size = world.size();
+    let colls = Arc::new(Mutex::new(vec![None; size]));
+    let window = Arc::new(Mutex::new((Vec::new(), Vec::new())));
+    let (c2, w2) = (colls.clone(), window.clone());
+    world.run_ranks(&mut sim, move |ctx, rank| {
+        let n = 4 * rank.size() * 64;
+        let buf = rank.gpu().alloc_global(n * 8);
+        buf.write_f64_slice(0, &vec![1.0; n]);
+        let stream = rank.gpu().create_stream();
+        let coll = pallreduce_init_hierarchical(ctx, rank, &buf, 4, &stream, 9).expect("init");
+        c2.lock()[rank.rank()] = Some(coll.clone());
+        coll.start(ctx).expect("start");
+        coll.pbuf_prepare(ctx).expect("pbuf_prepare");
+        if rank.rank() == 0 {
+            let lookups = || -> Vec<u64> {
+                let colls = c2.lock();
+                let others = colls[1..].iter().map(|c| c.as_ref().expect("built"));
+                others.map(|c| c.completion_lookup_ops()).collect()
+            };
+            // The others have swept everything they can within ~400 µs.
+            ctx.advance(SimDuration::from_micros(HOLD_US / 2));
+            let before = lookups();
+            ctx.advance(SimDuration::from_micros(HOLD_US / 2));
+            *w2.lock() = (before, lookups());
+        }
+        for u in 0..4 {
+            coll.pready(ctx, u).expect("pready");
+        }
+        coll.wait(ctx).expect("wait");
+        assert_eq!(buf.read_f64_slice(0, n), vec![rank.size() as f64; n]);
+    });
+    sim.run().unwrap();
+    let (before, after) = window.lock().clone();
+    assert!(before.iter().all(|&l| l > 0), "the waiting ranks swept before going idle: {before:?}");
+    assert_eq!(before, after, "idle poll wakes looked channels up");
 }

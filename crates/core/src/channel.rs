@@ -2,8 +2,11 @@
 //! bootstrap objects exchanged between sender and receiver (paper §IV-A1,
 //! §IV-A2).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use parcomm_shmem::ShmemError;
-use parcomm_sim::CountEvent;
+use parcomm_sim::{CountEvent, SimHandle};
 use parcomm_ucx::{RKey, WorkerAddress};
 
 /// Control-message channels multiplexed over the UCX active-message tags.
@@ -51,6 +54,30 @@ impl SenderSetup {
     pub const WIRE_BYTES: u64 = 64;
 }
 
+/// Simulation stand-in for the receiver polling its flag memory, shipped to
+/// the sender in the setup reply: every delivery that writes the
+/// receiver's partition flags reports here, at the instant it lands.
+#[derive(Clone)]
+pub(crate) struct Notifier {
+    /// Partitions arrived this epoch: bumped by each counted landing.
+    pub arrived: CountEvent,
+    /// Every write to the flag words, counted or stale. A stale replayed
+    /// landing restamps its flags without counting an arrival, so only this
+    /// counter changes whenever an `MPI_Parrived` read could.
+    pub flag_writes: Arc<AtomicU64>,
+}
+
+impl Notifier {
+    /// A delivery just wrote its flags; `arrivals` of them count toward
+    /// the epoch (zero for a stale landing).
+    pub fn flags_written(&self, h: &SimHandle, arrivals: u64) {
+        self.flag_writes.fetch_add(1, Ordering::Release);
+        if arrivals > 0 {
+            self.arrived.add(h, arrivals);
+        }
+    }
+}
+
 /// The receiver's `setup_t` response: everything the sender needs for RMA.
 #[derive(Clone)]
 pub(crate) struct ReceiverSetup {
@@ -59,9 +86,9 @@ pub(crate) struct ReceiverSetup {
     /// Remote key of the partition status flags (one u64 per user
     /// partition).
     pub flag_rkey: RKey,
-    /// Simulation stand-in for the receiver polling its flag memory: the
-    /// chained flag put bumps this counter at flag-arrival time.
-    pub notifier: CountEvent,
+    /// The receiver's arrival observers: the chained flag put reports to
+    /// them at flag-arrival time.
+    pub notifier: Notifier,
     /// Receiver-side user partition count (must match the sender's).
     pub user_partitions: usize,
     /// When the receiver demoted a requested shmem channel to the
@@ -93,7 +120,7 @@ pub(crate) struct ShmemReceiverSetup {
     pub flag_off: u64,
     /// Same notifier contract as [`ReceiverSetup::notifier`], bumped by the
     /// device-initiated `shmem_signal` at its arrival instant.
-    pub notifier: CountEvent,
+    pub notifier: Notifier,
     /// Receiver-side user partition count (must match the sender's).
     pub user_partitions: usize,
 }

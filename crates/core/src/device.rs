@@ -23,10 +23,11 @@
 //! Both `pready` forms ([`DevicePrequest::pready_all_progressive`] and
 //! [`DevicePrequest::pready_users`]) account the device time of their
 //! aggregation level with the `a + n·b` flag-write model calibrated on
-//! Fig. 3, compute one in-kernel offset per completed transport, and hand
-//! them to one shared tail that schedules the emissions. Every delivery
-//! then goes through `PsendShared::issue_data_put` (or, for Kernel Copy,
-//! the flag put alone) and lands in `PsendShared::land`.
+//! Fig. 3, compute one in-kernel offset per completed transport (the
+//! contiguous range `PsendShared::mark_ready` returns), and schedule its
+//! emission as soon as it is computed. Every delivery then goes through
+//! `PsendShared::issue_data_put` (or, for Kernel Copy, the flag put alone)
+//! and lands in `PsendShared::land`.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -265,9 +266,8 @@ impl DevicePrequest {
         // `(u0 + ulen) / users` point of the compute phase plus the block
         // sync; the `i`-th emission then queues behind `i` earlier flag
         // writes (or shmem put issues) of this call.
-        let mut at = Vec::with_capacity(completed.len());
         let mut end = SimDuration::ZERO;
-        for (i, &k) in completed.iter().enumerate() {
+        for (i, k) in completed.enumerate() {
             let (u0, ulen) = send.transport_users(k);
             let frac = (u0 + ulen) as f64 / users as f64;
             let wave_us = compute.as_micros_f64() * frac + cost.syncthreads_us;
@@ -277,7 +277,7 @@ impl DevicePrequest {
                 }
                 Emit::KernelCopy(peer) => {
                     let copy_start = d.start_time() + SimDuration::from_micros_f64(wave_us);
-                    let stored = self.kernel_copy(peer, &[k], copy_start, d.start_time());
+                    let stored = self.kernel_copy(peer, k..k + 1, copy_start, d.start_time());
                     stored
                         + SimDuration::from_micros_f64(
                             cost.kernel_store_fence_us + (i + 1) as f64 * per_write_us,
@@ -292,9 +292,9 @@ impl DevicePrequest {
                 }
             };
             end = end.max(ready);
-            at.push(ready);
+            self.emit_transport(d, &emit, k, ready);
         }
-        self.emit_completed(d, &emit, &completed, at, end);
+        self.close_pready(d, end);
     }
 
     /// This request's [`Emit`] mode for the `pready` being made: Kernel
@@ -320,13 +320,13 @@ impl DevicePrequest {
     fn kernel_copy(
         &self,
         peer: &IpcMapping,
-        ks: &[usize],
+        ks: Range<usize>,
         copy_start: SimTime,
         origin: SimTime,
     ) -> SimDuration {
         let send = &self.inner.send;
         let mut bytes = 0usize;
-        for &k in ks {
+        for k in ks {
             let (u0, ulen) = send.transport_users(k);
             let (off, len) = (u0 * send.partition_bytes, ulen * send.partition_bytes);
             peer.buffer().copy_from_buffer(off, &send.buffer, off, len);
@@ -365,52 +365,53 @@ impl DevicePrequest {
                     + n.div_ceil(block_dim).max(1) as f64 * cost.device_atomic_us,
             )
         };
-        // The `i`-th notification lands with the `(i+1)/m`-th share of the
-        // call's serialized flag-write train.
-        let train = |base: SimDuration, lead_us: f64, train_us: f64| -> Vec<SimDuration> {
-            let share = |i: usize| (i + 1) as f64 / m as f64;
-            (0..m)
-                .map(|i| base + SimDuration::from_micros_f64(lead_us + share(i) * train_us))
-                .collect()
-        };
+        // The `i`-th emission lands at `base + lead_us + (i + 1) / div ·
+        // step_us`: with the `(i+1)/m`-th share of the call's serialized
+        // flag-write train (`div = m`, `step_us` the train), or after the
+        // `(i+1)`-th serialized shmem put issue (`div = 1`).
         let emit = self.emit();
-        let (at, end) = match &emit {
+        let (base, lead_us, div, step_us) = match &emit {
             Emit::ProgressionEngine => {
                 let sync_us = cost.aggregation_sync_us(self.inner.config.agg, block_dim.min(n));
                 let (writes, atomics_us) = self.notification_writes(n, block_dim, &completed);
                 let base = d.current_end_offset();
                 let train_us = d.flag_write_train_us(writes);
-                let end = d.extend(SimDuration::from_micros_f64(sync_us + atomics_us + train_us));
-                (train(base, sync_us + atomics_us, train_us), end)
+                d.extend(SimDuration::from_micros_f64(sync_us + atomics_us + train_us));
+                (base, sync_us + atomics_us, m as f64, train_us)
             }
             Emit::KernelCopy(peer) => {
                 // Block sync + counters, then the NVLink stores, a closing
                 // `__threadfence_system`, and the flag-write train.
                 let copy_start = d.start_time() + d.extend(leader_sync());
-                let stored = self.kernel_copy(peer, &completed, copy_start, copy_start);
+                let stored = self.kernel_copy(peer, completed.clone(), copy_start, copy_start);
                 let fence = SimDuration::from_micros_f64(cost.kernel_store_fence_us);
                 let after_copy = d.extend(stored + fence);
                 let train_us = d.flag_write_train_us(m as u32);
-                let end = d.extend(SimDuration::from_micros_f64(train_us));
-                (train(after_copy, 0.0, train_us), end)
+                d.extend(SimDuration::from_micros_f64(train_us));
+                (after_copy, 0.0, m as f64, train_us)
             }
-            Emit::Shmem => {
-                // Block sync + counters, then one serialized put issue per
-                // completed transport, closed by a system fence.
-                let base = d.extend(leader_sync());
-                let issue = |i: usize| i as f64 * cost.shmem_put_issue_us;
-                let at: Vec<_> =
-                    (1..=m).map(|i| base + SimDuration::from_micros_f64(issue(i))).collect();
-                let last = at.iter().fold(base, |a, &b| a.max(b));
-                (at, last + SimDuration::from_micros_f64(cost.kernel_store_fence_us))
-            }
+            // Block sync + counters, then one serialized put issue per
+            // completed transport, closed by a system fence (below).
+            Emit::Shmem => (d.extend(leader_sync()), 0.0, 1.0, cost.shmem_put_issue_us),
         };
-        self.emit_completed(d, &emit, &completed, at, end);
+        let at = |i: usize| {
+            base + SimDuration::from_micros_f64(lead_us + (i + 1) as f64 / div * step_us)
+        };
+        let mut last = base;
+        for (i, k) in completed.enumerate() {
+            last = last.max(at(i));
+            self.emit_transport(d, &emit, k, at(i));
+        }
+        let end = match emit {
+            Emit::Shmem => last + SimDuration::from_micros_f64(cost.kernel_store_fence_us),
+            _ => d.current_end_offset(),
+        };
+        self.close_pready(d, end);
     }
 
     /// Number of pinned-host notification writes this call performs, plus
     /// the GPU-global atomic cost for multi-block aggregation.
-    fn notification_writes(&self, n: u32, block_dim: u32, completed: &[usize]) -> (u32, f64) {
+    fn notification_writes(&self, n: u32, block_dim: u32, completed: &Range<usize>) -> (u32, f64) {
         let cost = &self.inner.send.cost;
         match self.inner.config.agg {
             AggLevel::Thread => (n, 0.0),
@@ -428,32 +429,26 @@ impl DevicePrequest {
         }
     }
 
-    /// The shared tail of both `pready` forms: emit completed transport
-    /// `completed[i]` at kernel offset `at[i]` along `emit`, stretch the
-    /// kernel window to cover `end`, and reset the per-epoch notification
-    /// bookkeeping on this epoch's first `pready`.
-    fn emit_completed(
-        &self,
-        d: &mut DeviceCtx<'_>,
-        emit: &Emit,
-        completed: &[usize],
-        at: Vec<SimDuration>,
-        end: SimDuration,
-    ) {
-        for (&k, at) in completed.iter().zip(at) {
-            if let Emit::Shmem = emit {
-                let send = self.inner.send.clone();
-                d.at_offset_shmem_traced(at, move |h, kernel_span| {
-                    send.issue_data_put(h, k, kernel_span, h.now())
-                });
-            } else {
-                let this = self.clone();
-                let data_put = matches!(emit, Emit::ProgressionEngine);
-                d.at_offset_traced(at, move |h, kernel_span| {
-                    this.on_device_notification(h, k, data_put, kernel_span)
-                });
-            }
+    /// Emit completed transport `k` at kernel offset `at` along `emit`.
+    fn emit_transport(&self, d: &mut DeviceCtx<'_>, emit: &Emit, k: usize, at: SimDuration) {
+        if let Emit::Shmem = emit {
+            let send = self.inner.send.clone();
+            d.at_offset_shmem_traced(at, move |h, kernel_span| {
+                send.issue_data_put(h, k, kernel_span, h.now())
+            });
+        } else {
+            let this = self.clone();
+            let data_put = matches!(emit, Emit::ProgressionEngine);
+            d.at_offset_traced(at, move |h, kernel_span| {
+                this.on_device_notification(h, k, data_put, kernel_span)
+            });
         }
+    }
+
+    /// The shared tail of both `pready` forms: stretch the kernel window to
+    /// cover `end`, and reset the per-epoch notification bookkeeping on
+    /// this epoch's first `pready`.
+    fn close_pready(&self, d: &mut DeviceCtx<'_>, end: SimDuration) {
         let cur = d.current_end_offset();
         if end > cur {
             d.extend(end - cur);

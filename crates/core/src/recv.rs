@@ -8,6 +8,7 @@
 //! raise; `MPI_Parrived` reads them and `MPI_Wait` blocks until all user
 //! partitions of the epoch have landed.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parcomm_sim::Mutex;
@@ -20,7 +21,7 @@ use parcomm_sim::{CountEvent, Ctx, Proc, SimDuration};
 use parcomm_ucx::{AmMessage, Endpoint, Worker};
 
 use crate::channel::{
-    am_tag, Channel, ReadyToReceive, ReceiverSetup, SenderSetup, ShmemReceiverSetup,
+    am_tag, Channel, Notifier, ReadyToReceive, ReceiverSetup, SenderSetup, ShmemReceiverSetup,
 };
 use crate::overheads::ApiOverheads;
 use crate::watchdog;
@@ -61,6 +62,9 @@ pub(crate) struct PrecvShared {
     /// Arrival counter for the current epoch (bumped by the sender's
     /// chained flag put at its arrival instant).
     pub arrived: CountEvent,
+    /// Writes to `flags` since the channel was created, counted or stale
+    /// (see [`Notifier::flag_writes`]).
+    pub flag_writes: Arc<AtomicU64>,
     pub state: Mutex<RecvState>,
 }
 
@@ -128,6 +132,7 @@ pub async fn precv_init_async(
             partition_bytes: buffer.len() / partitions,
             flags,
             arrived: CountEvent::named("precv arrivals"),
+            flag_writes: Arc::default(),
             state: Mutex::new(RecvState {
                 epoch: 0,
                 started: false,
@@ -279,7 +284,11 @@ impl PrecvRequest {
             let verdict = (requested == CopyMechanism::Shmem).then(|| inner.try_shmem_bind());
             let ep = inner.worker.create_endpoint(ss.sender_addr)?;
             let reply_tag = am_tag(Channel::SetupReply, inner.tag, inner.src, inner.my_rank);
-            let (notifier, user_partitions) = (inner.arrived.clone(), inner.user_partitions);
+            let notifier = Notifier {
+                arrived: inner.arrived.clone(),
+                flag_writes: inner.flag_writes.clone(),
+            };
+            let user_partitions = inner.user_partitions;
             if let Some(Ok((data_off, flag_off))) = verdict {
                 let reply = ShmemReceiverSetup { data_off, flag_off, notifier, user_partitions };
                 ep.am_send(reply_tag, reply, ShmemReceiverSetup::WIRE_BYTES);
@@ -325,6 +334,14 @@ impl PrecvRequest {
     /// The arrival counter event (used by collective progression).
     pub fn arrived_event(&self) -> &CountEvent {
         &self.inner.arrived
+    }
+
+    /// Writes to this channel's partition flags so far, over all epochs:
+    /// counted arrivals and stale replayed landings alike. While it is
+    /// unchanged, no [`PrecvRequest::parrived`] answer has changed either
+    /// (within one epoch).
+    pub fn flag_writes(&self) -> u64 {
+        self.inner.flag_writes.load(Ordering::Acquire)
     }
 
     /// Block until at least `n` user partitions of the current epoch have

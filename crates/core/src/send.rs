@@ -52,7 +52,7 @@ use parcomm_ucx::{
 };
 
 use crate::channel::{
-    am_tag, Channel, ReadyToReceive, ReceiverSetup, SenderSetup, ShmemReceiverSetup,
+    am_tag, Channel, Notifier, ReadyToReceive, ReceiverSetup, SenderSetup, ShmemReceiverSetup,
 };
 use crate::overheads::ApiOverheads;
 use crate::watchdog;
@@ -97,9 +97,9 @@ pub(crate) struct SendState {
     pub epoch: u64,
     pub started: bool,
     pub transport_partitions: usize,
-    /// Receiver's arrival counter (the sim stand-in for the receiver
-    /// polling its flag memory); set with the route, bumped by each landing.
-    pub notifier: Option<CountEvent>,
+    /// The receiver's arrival observers (the sim stand-in for the receiver
+    /// polling its flag memory); set with the route, told of each landing.
+    pub notifier: Option<Notifier>,
     /// Per-transport count of user partitions marked ready this epoch.
     pub ready: Vec<u64>,
     /// Per-user-partition ready bit (double-`MPI_Pready` detection).
@@ -135,10 +135,12 @@ pub(crate) struct PsendShared {
     pub state: Mutex<SendState>,
     /// Bumped once per transport partition delivered this epoch.
     pub transport_complete: CountEvent,
-    /// Handles of the puts issued this epoch (data and chained flag puts),
-    /// scanned by the `MPI_Wait` watchdog to surface transport failures.
-    /// Cleared at `MPI_Start` and by epoch replay (a replay supersedes the
-    /// old attempt's handles — their failures are no longer diagnostic).
+    /// Handles of the puts issued this epoch (data and chained flag puts)
+    /// that can fail, scanned by the `MPI_Wait` watchdog to surface
+    /// transport failures. Only a fabric with faults armed fails a put, so
+    /// fault-free runs keep none. Cleared at `MPI_Start` and by epoch
+    /// replay (a replay supersedes the old attempt's handles — their
+    /// failures are no longer diagnostic).
     pub puts: Mutex<Vec<PutHandle>>,
     /// Replay generation: bumped by [`PsendShared::recover_epoch`]. Every
     /// delivery carries the generation it was issued under, and
@@ -806,8 +808,11 @@ impl PsendShared {
     }
 
     /// Mark a user range ready; returns the transport partitions that just
-    /// became complete (and latches them as sent).
-    pub(crate) fn mark_ready(&self, users: Range<usize>) -> Result<Vec<usize>, MpiError> {
+    /// became complete (and latches them as sent). They are contiguous:
+    /// every transport strictly inside the range is newly complete, and
+    /// only the two it straddles at its ends may still wait for users
+    /// outside it.
+    pub(crate) fn mark_ready(&self, users: Range<usize>) -> Result<Range<usize>, MpiError> {
         if users.end > self.user_partitions {
             return Err(MpiError::InvalidArgument {
                 context: format!(
@@ -837,7 +842,7 @@ impl PsendShared {
             }
             st.user_ready[u] = true;
         }
-        let mut completed = Vec::new();
+        let mut completed = 0..0;
         let k_first = transport_of_user(self.user_partitions, t, users.start);
         let k_last = transport_of_user(self.user_partitions, t, users.end - 1);
         for k in k_first..=k_last {
@@ -851,7 +856,11 @@ impl PsendShared {
             st.ready[k] += overlap;
             if st.ready[k] == k_len as u64 && !st.sent[k] {
                 st.sent[k] = true;
-                completed.push(k);
+                if completed.is_empty() {
+                    completed = k..k;
+                }
+                debug_assert_eq!(completed.end, k, "completed transports are contiguous");
+                completed.end = k + 1;
             }
         }
         Ok(completed)
@@ -938,7 +947,7 @@ impl PsendShared {
                     self.put_opts(k, stripes, cause),
                     move |_h, span| this.issue_flag_put(k, users, span, issue_gen, pready_at),
                 );
-                self.puts.lock().push(put);
+                self.track(put);
             }
         }
     }
@@ -973,17 +982,26 @@ impl PsendShared {
             self.put_opts(k, 1, cause),
             move |h, _span| this.land(h, k, ulen, issue_gen, pready_at, None),
         );
-        self.puts.lock().push(put);
+        self.track(put);
+    }
+
+    /// Keep `put`'s handle for the stall diagnosis if the put can fail.
+    fn track(&self, put: PutHandle) {
+        if self.world.fabric().faults_armed() {
+            self.puts.lock().push(put);
+        }
     }
 
     /// Transport `k` (`ulen` user partitions) arrived: the one place a
-    /// delivery takes effect, whichever mechanism carried it. A landing
-    /// issued under a superseded generation, or after the transport's
-    /// delivered latch is set, only counts as a stale put. Otherwise it
-    /// latches the transport, records the shmem `signal` span (`arrival`
-    /// instant and causing wire span) when a symmetric put carried it,
-    /// closes the pready→arrival interval, and bumps the receiver's arrival
-    /// counter and this epoch's transport-complete count.
+    /// delivery takes effect, whichever mechanism carried it. Every landing
+    /// has just written the receiver's flags and reports that to its
+    /// notifier. A landing issued under a superseded generation, or after
+    /// the transport's delivered latch is set, otherwise only counts as a
+    /// stale put. A current one latches the transport, records the shmem
+    /// `signal` span (`arrival` instant and causing wire span) when a
+    /// symmetric put carried it, closes the pready→arrival interval, and
+    /// bumps the receiver's arrival counter and this epoch's
+    /// transport-complete count.
     fn land(
         &self,
         h: &SimHandle,
@@ -993,10 +1011,12 @@ impl PsendShared {
         pready_at: SimTime,
         signal: Option<(SimTime, SpanId)>,
     ) {
+        let notifier = self.state.lock().notifier.clone().expect("pbuf_prepare not completed");
         {
             let mut d = self.delivered.lock();
             if self.gen.load(Ordering::Acquire) != issue_gen || d[k] {
                 self.world.instruments().recover_stale_puts.inc();
+                notifier.flags_written(h, 0);
                 return;
             }
             d[k] = true;
@@ -1008,8 +1028,7 @@ impl PsendShared {
         }
         let us = h.now().since(pready_at).as_micros_f64();
         self.world.instruments().pready_arrival_us.record(us.round() as u64);
-        let notifier = self.state.lock().notifier.clone().expect("pbuf_prepare not completed");
-        notifier.add(h, ulen as u64);
+        notifier.flags_written(h, ulen as u64);
         self.transport_complete.add(h, 1);
     }
 }

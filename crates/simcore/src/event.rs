@@ -20,7 +20,7 @@ use crate::time::SimTime;
 struct EventState {
     set: bool,
     set_at: Option<SimTime>,
-    waiters: Vec<(ProcessId, u64)>,
+    waiters: Waiters<(ProcessId, u64)>,
     /// Optional label surfaced in deadlock diagnostics ("what was this
     /// process waiting on?"). Never affects scheduling.
     label: Option<Label>,
@@ -44,6 +44,78 @@ impl Label {
             Label::Numbered(prefix, n) => format!("{prefix} {n}"),
             Label::Join(process) => format!("join '{process}'"),
         }
+    }
+}
+
+/// The processes parked on an event, in registration order. The first
+/// waiter is kept inline and only later ones go to the heap: most events
+/// (a partition's arrival counter, a kernel's completion) have at most one
+/// waiter at a time, so parking on them allocates nothing.
+struct Waiters<W> {
+    /// The earliest registered waiter; `None` only while `rest` is empty
+    /// too, so registration order is `first`, then `rest` in order.
+    first: Option<W>,
+    rest: Vec<W>,
+}
+
+impl<W> Default for Waiters<W> {
+    fn default() -> Self {
+        Waiters { first: None, rest: Vec::new() }
+    }
+}
+
+impl<W: Copy> Waiters<W> {
+    fn push(&mut self, w: W) {
+        if self.first.is_none() {
+            self.first = Some(w);
+        } else {
+            self.rest.push(w);
+        }
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    fn clear(&mut self) {
+        self.first = None;
+        self.rest.clear();
+    }
+
+    /// Remove every waiter; registration order is the inline one, then the
+    /// `Vec`.
+    fn take(&mut self) -> (Option<W>, Vec<W>) {
+        (self.first.take(), std::mem::take(&mut self.rest))
+    }
+
+    /// Remove the waiters `met` accepts, keeping the others in order.
+    /// Returns the removed ones in registration order: the earliest inline,
+    /// the later ones in a `Vec` that allocates only when two or more are
+    /// removed.
+    fn remove_where(&mut self, mut met: impl FnMut(&W) -> bool) -> (Option<W>, Vec<W>) {
+        let mut head = self.first.filter(&mut met);
+        if head.is_some() {
+            self.first = None;
+        }
+        let mut more = Vec::new();
+        self.rest.retain(|w| {
+            if !met(w) {
+                return true;
+            }
+            match head {
+                None => head = Some(*w),
+                Some(_) => more.push(*w),
+            }
+            false
+        });
+        if self.first.is_none() && !self.rest.is_empty() {
+            self.first = Some(self.rest.remove(0));
+        }
+        (head, more)
     }
 }
 
@@ -106,16 +178,16 @@ impl Event {
     /// Fire the event at the current virtual time, waking all waiters.
     /// Idempotent.
     pub fn set(&self, h: &SimHandle) {
-        let waiters = {
+        let (head, more) = {
             let mut st = self.inner.lock();
             if st.set {
                 return;
             }
             st.set = true;
             st.set_at = Some(h.now());
-            std::mem::take(&mut st.waiters)
+            st.waiters.take()
         };
-        for (pid, epoch) in waiters {
+        for (pid, epoch) in head.into_iter().chain(more) {
             h.wake(pid, epoch);
         }
     }
@@ -167,7 +239,7 @@ pub struct CountEvent {
 struct CountState {
     count: u64,
     /// (threshold, pid, epoch)
-    waiters: Vec<(u64, ProcessId, u64)>,
+    waiters: Waiters<(u64, ProcessId, u64)>,
     /// Optional label surfaced in deadlock diagnostics.
     label: Option<Cow<'static, str>>,
 }
@@ -203,22 +275,13 @@ impl CountEvent {
 
     /// Increment by `n`, waking any waiter whose threshold is now met.
     pub fn add(&self, h: &SimHandle, n: u64) {
-        let woken = {
+        let (head, more) = {
             let mut st = self.inner.lock();
             st.count += n;
             let count = st.count;
-            // `Vec::new` allocates only once a waiter is actually woken.
-            let mut ready = Vec::new();
-            st.waiters.retain(|&(t, pid, epoch)| {
-                let met = t <= count;
-                if met {
-                    ready.push((pid, epoch));
-                }
-                !met
-            });
-            ready
+            st.waiters.remove_where(|&(t, _, _)| t <= count)
         };
-        for (pid, epoch) in woken {
+        for (_, pid, epoch) in head.into_iter().chain(more) {
             h.wake(pid, epoch);
         }
     }
@@ -251,3 +314,33 @@ impl std::fmt::Debug for CountEvent {
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::Waiters;
+
+    #[test]
+    fn clear_empties_the_inline_slot() {
+        let mut w = Waiters::default();
+        w.push(1u32);
+        w.push(2);
+        w.clear();
+        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
+        // The next waiter is held inline again, ahead of later ones.
+        w.push(3);
+        w.push(4);
+        assert_eq!(w.take(), (Some(3), vec![4]));
+    }
+
+    #[test]
+    fn removing_the_inline_waiter_promotes_the_next() {
+        let mut w = Waiters::default();
+        for i in 0..4u32 {
+            w.push(i);
+        }
+        assert_eq!(w.remove_where(|&i| i % 2 == 0), (Some(0), vec![2]));
+        assert_eq!(w.len(), 2);
+        w.push(9);
+        assert_eq!(w.take(), (Some(1), vec![3, 9]));
+    }
+}

@@ -22,17 +22,18 @@
 //! With a fault schedule armed on the fabric, a put whose route has no
 //! usable NIC retries with exponential backoff ([`PUT_RETRY_BACKOFF_US`],
 //! doubling, up to [`PUT_MAX_ATTEMPTS`] attempts). Exhausting the retries
-//! records [`UcxError::PutTimeout`] in the put's [`PutHandle::result`] and
-//! fires `done` anyway, so waiters observe a typed failure instead of
-//! blocking forever. With no faults armed, the retry machinery is never
-//! entered and behavior is byte-identical to the fault-free model.
+//! records [`UcxError::PutTimeout`] in the put's [`PutHandle::result`]
+//! (the completion hook never runs), so a stalled waiter can diagnose a
+//! typed failure instead of blocking forever. With no faults armed, the
+//! retry machinery is never entered and behavior is byte-identical to the
+//! fault-free model.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parcomm_gpu::{Buffer, Location, MemSpace};
 use parcomm_net::{Fabric, NetError, RouteClass, WireAttr};
-use parcomm_sim::{Event, Mutex, SimDuration, SimHandle, SimTime, SpanId};
+use parcomm_sim::{Mutex, SimDuration, SimHandle, SimTime, SpanId};
 
 use crate::worker::{Endpoint, UcxError, UcxUniverse, Worker};
 
@@ -150,34 +151,34 @@ impl IpcMapping {
     }
 }
 
-/// Completion handle of a `put_nbx`.
+/// Handle of a `put_nbx`: its arrival instant and, for a put that can
+/// fail, its outcome. Completion itself is observed through the put's
+/// `on_complete` hook, which runs at arrival.
 #[derive(Clone, Debug)]
 pub struct PutHandle {
-    /// Fires when the put has settled: the last byte (and the completion
-    /// callback) landed, **or** the put failed after exhausting retries.
-    /// Check [`PutHandle::result`] to distinguish.
-    pub done: Event,
     /// Arrival instant at the target, as computed at issue time. For a put
     /// that entered fault-retry this is provisional; the authoritative
     /// arrival is in [`PutHandle::result`].
     pub arrival: SimTime,
-    failure: Failure,
+    outcome: Outcome,
 }
 
-/// Where a failed put records its error. Only a fabric with faults armed
-/// can fail a put, and a put's first attempt runs at issue, so the slot
-/// is allocated only for puts issued while faults are armed.
-type Failure = Option<Arc<Mutex<Option<UcxError>>>>;
+/// Where a put that can fail records how it settled. Only a fabric with
+/// faults armed can fail a put, and a put's first attempt runs at issue,
+/// so the slot is allocated only for puts issued while faults are armed.
+type Outcome = Option<Arc<Mutex<Option<Result<SimTime, UcxError>>>>>;
 
 impl PutHandle {
-    /// The put's outcome: `None` until `done` fires, then `Ok(arrival)` or
-    /// the typed error that ended the retry sequence. A put's `done` fires
-    /// at its arrival, so `Ok` carries the instant `done` was set.
+    /// The put's outcome. A put issued while faults are armed reads `None`
+    /// until it settles, then `Ok(arrival)` (the instant its completion
+    /// hook ran) or the typed error that ended the retry sequence. A put
+    /// issued on a fault-free fabric has no retry path: its outcome is
+    /// fixed at issue, `Ok(arrival)`.
     pub fn result(&self) -> Option<Result<SimTime, UcxError>> {
-        if let Some(err) = self.failure.as_ref().and_then(|f| f.lock().clone()) {
-            return Some(Err(err));
+        match &self.outcome {
+            Some(slot) => slot.lock().clone(),
+            None => Some(Ok(self.arrival)),
         }
-        self.done.set_at().map(Ok)
     }
 }
 
@@ -238,8 +239,7 @@ struct PendingPut<F> {
     dst: Buffer,
     dst_off: usize,
     on_complete: F,
-    done: Event,
-    failure: Failure,
+    outcome: Outcome,
     first_try_at: SimTime,
     /// Stripe count (`>= 1`), attribution and cause. One stripe (the
     /// overwhelmingly common case) takes the classic single-transfer path
@@ -281,7 +281,7 @@ where
                 dst,
                 dst_off,
                 on_complete,
-                done,
+                outcome,
                 first_try_at,
                 ..
             } = p;
@@ -298,7 +298,7 @@ where
                     wire_span,
                 );
                 on_complete(h, complete_span);
-                done.set(h);
+                settle(&outcome, Ok(arrival));
             });
             arrival
         }
@@ -327,13 +327,15 @@ where
     }
     if attempt + 1 >= PUT_MAX_ATTEMPTS {
         let waited = now.since(p.first_try_at);
-        let failure = p.failure.as_ref().expect("only a fabric with faults armed fails a put");
-        *failure.lock() = Some(UcxError::PutTimeout {
-            attempts: attempt + 1,
-            waited_us: waited.as_micros_f64() as u64,
-            cause: net_err.to_string(),
-        });
-        p.done.set(h);
+        assert!(p.outcome.is_some(), "only a fabric with faults armed fails a put");
+        settle(
+            &p.outcome,
+            Err(UcxError::PutTimeout {
+                attempts: attempt + 1,
+                waited_us: waited.as_micros_f64() as u64,
+                cause: net_err.to_string(),
+            }),
+        );
     } else {
         let backoff =
             SimDuration::from_micros_f64(PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32));
@@ -344,11 +346,19 @@ where
     now
 }
 
+/// Record how a put that can fail settled; a no-op for a put issued on a
+/// fault-free fabric, which keeps no outcome slot.
+fn settle(outcome: &Outcome, result: Result<SimTime, UcxError>) {
+    if let Some(slot) = outcome {
+        *slot.lock() = Some(result);
+    }
+}
+
 /// The multi-path arm of [`attempt_put`]: execute the put through a
 /// [`MultiPathPlan`](parcomm_net::MultiPathPlan). Each stripe applies its
 /// partial functional copy and records its own `put_complete` span (caused
 /// by that stripe's `wire` span) the instant it lands; the put's
-/// completion hook, latency metric, and `done` event fire only at the
+/// completion hook, latency metric, and outcome settle only at the
 /// **assembly barrier** — the slowest stripe's arrival — so chained
 /// operations (the receive-side flag put above all) never observe a
 /// partially reassembled payload. Retries and [`UcxError::PutTimeout`]
@@ -379,7 +389,7 @@ where
                 dst,
                 dst_off,
                 on_complete,
-                done,
+                outcome,
                 first_try_at,
                 ..
             } = p;
@@ -412,7 +422,7 @@ where
                 let issue_to_land = arrival.since(first_try_at).as_micros_f64();
                 universe.instruments().put_latency.record(issue_to_land.round() as u64);
                 on_complete(h, *last_span.lock());
-                done.set(h);
+                settle(&outcome, Ok(arrival));
             });
             arrival
         }
@@ -435,12 +445,11 @@ impl Endpoint {
     /// causal tracing is off) — the hook where the paper chains the
     /// receive-side flag put, extending the causal chain. A striped put
     /// (`opts.stripes > 1`) lands each stripe (functional copy +
-    /// `put_complete` span) at its own arrival; `on_complete`, the
-    /// handle's result and `done` fire at the assembly barrier when the
-    /// slowest stripe arrives, with the last-landing stripe's span. If the
-    /// put fails (fault-injected NIC outage outlasting the retry window),
-    /// `on_complete` never runs; `done` fires with an `Err` in
-    /// [`PutHandle::result`] instead.
+    /// `put_complete` span) at its own arrival; `on_complete` runs and the
+    /// handle's result settles at the assembly barrier when the slowest
+    /// stripe arrives, with the last-landing stripe's span. If the put
+    /// fails (fault-injected NIC outage outlasting the retry window),
+    /// `on_complete` never runs and [`PutHandle::result`] reads the `Err`.
     #[allow(clippy::too_many_arguments)]
     pub fn put_nbx(
         &self,
@@ -453,8 +462,7 @@ impl Endpoint {
         on_complete: impl FnOnce(&SimHandle, SpanId) + Send + 'static,
     ) -> PutHandle {
         let fabric = self.universe.fabric().clone();
-        let done = Event::named("put_nbx");
-        let failure = fabric.faults_armed().then(Arc::default);
+        let outcome = fabric.faults_armed().then(Arc::default);
         let pending = PendingPut {
             universe: self.universe.clone(),
             from: src.space().location(),
@@ -465,13 +473,12 @@ impl Endpoint {
             dst: rkey.target_buffer().clone(),
             dst_off,
             on_complete,
-            done: done.clone(),
-            failure: failure.clone(),
+            outcome: outcome.clone(),
             first_try_at: fabric.sim().now(),
             fabric,
             opts: PutOpts { stripes: opts.stripes.max(1), ..opts },
         };
         let arrival = attempt_put(pending, 0);
-        PutHandle { done, arrival, failure }
+        PutHandle { arrival, outcome }
     }
 }

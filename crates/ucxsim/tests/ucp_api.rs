@@ -125,14 +125,16 @@ fn put_nbx_moves_data_and_fires_callback() {
     let dst2 = dst.clone();
     sim.spawn("sender", move |ctx| {
         let ep = w0.create_endpoint(w1_addr).unwrap();
-        let flag = parcomm_sim::Event::new();
-        let flag2 = flag.clone();
+        let done = parcomm_sim::Event::new();
+        let done2 = done.clone();
+        let dst3 = dst2.clone();
         let put = ep.put_nbx(&src, 0, 1024, &rkey, 0, PutOpts::default(), move |h, _| {
             // Functional copy already applied when the callback runs.
-            flag2.set(h);
+            assert_eq!(dst3.read_f64_slice(0, 128), vec![3.0; 128]);
+            done2.set(h);
         });
-        ctx.wait(&put.done);
-        assert!(flag.is_set());
+        ctx.wait(&done);
+        assert_eq!(ctx.now(), put.arrival);
         assert_eq!(dst2.read_f64_slice(0, 128), vec![3.0; 128]);
         // NVLink path: ~1.9 µs latency + tiny serialization.
         let t = ctx.now().as_micros_f64();
@@ -167,10 +169,13 @@ fn chained_put_from_completion_callback() {
         // The paper's pattern: data put, whose completion issues the
         // receive-side partition-flag put.
         let opts = PutOpts::default();
-        let put = ep.put_nbx(&payload_src, 0, 256, &rkey_payload, 0, opts, move |_h, _| {
+        let done = parcomm_sim::Event::new();
+        let done2 = done.clone();
+        ep.put_nbx(&payload_src, 0, 256, &rkey_payload, 0, opts, move |h, _| {
             ep2.put_nbx(&flag_src2, 0, 8, &rkey_flag2, 0, opts, |_, _| {});
+            done2.set(h);
         });
-        ctx.wait(&put.done);
+        ctx.wait(&done);
         // Wait a little for the chained put to land.
         ctx.advance(parcomm_sim::SimDuration::from_micros(10));
         assert_eq!(flag_dst2.read_flag(0), 1, "chained flag put must land");
@@ -223,8 +228,10 @@ fn cross_node_put_takes_ib_time() {
 
     sim.spawn("sender", move |ctx| {
         let ep = w0.create_endpoint(w1_addr).unwrap();
-        let put = ep.put_nbx(&src, 0, 50_000_000, &rkey, 0, PutOpts::default(), |_, _| {});
-        ctx.wait(&put.done);
+        let done = parcomm_sim::Event::new();
+        let done2 = done.clone();
+        ep.put_nbx(&src, 0, 50_000_000, &rkey, 0, PutOpts::default(), move |h, _| done2.set(h));
+        ctx.wait(&done);
         // 50 MB striped over 4 NIC rails (12.5 MB each at 50 GB/s,
         // cut-through) = 250 µs + one segment + propagation latency.
         let t = ctx.now().as_micros_f64();
@@ -267,9 +274,12 @@ fn put_handle_arrival_matches_event() {
     let rkey = w1.mem_map(&dst).pack_rkey();
     sim.spawn("p", move |ctx| {
         let ep = w0.create_endpoint(addr).unwrap();
-        let put = ep.put_nbx(&src, 0, 64, &rkey, 0, PutOpts::default(), |_, _| {});
-        ctx.wait(&put.done);
-        assert_eq!(ctx.now(), put.arrival, "done fires exactly at arrival");
+        let done = parcomm_sim::Event::new();
+        let done2 = done.clone();
+        let put = ep.put_nbx(&src, 0, 64, &rkey, 0, PutOpts::default(), move |h, _| done2.set(h));
+        ctx.wait(&done);
+        assert_eq!(ctx.now(), put.arrival, "completion runs exactly at arrival");
+        assert_eq!(put.result(), Some(Ok(put.arrival)));
     });
     sim.run().unwrap();
 }

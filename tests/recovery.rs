@@ -20,11 +20,14 @@
 
 use std::sync::Arc;
 
+use parcomm::coll::pallreduce_init_hierarchical;
 use parcomm::fault::chaos::{self, Cell, ChaosRun, Workload};
 use parcomm::fault::{run_campaign, CampaignConfig, FaultPlan};
 use parcomm::prelude::*;
 use parcomm::mpi::EscalationLevel;
+use parcomm::net::NetFaultConfig;
 use parcomm::sim::Mutex;
+use parcomm_testkit::digest;
 use parcomm_testkit::prop::{check, PropConfig, TestResult};
 
 /// The frozen whole-stack digests of `crates/faultsim/tests/chaos.rs`,
@@ -212,6 +215,77 @@ fn spurious_epoch_replay_is_idempotent() {
     assert_eq!(got.len(), 4 * 512);
     assert_eq!(replay_count, 2, "each spurious recover_epoch is one counted replay");
     assert!(stale > 0, "old-generation completions must be discarded as stale");
+}
+
+/// One epoch of the 2-node hierarchical allreduce (4 partitions, 64 f64
+/// per chunk, device `MPIX_Pready`) with recovery armed at a 30 µs stall
+/// bound and 5% of transfers spiking by 80 µs, so replays race the puts
+/// they supersede. Returns the run digest (trace, report and rank-0
+/// numerics), rank 0's reduced buffer, and the stale-landing and replay
+/// counts.
+fn hierarchical_allreduce_with_replays(seed: u64) -> (u64, Vec<f64>, u64, u64) {
+    let mut sim = Simulation::with_seed(seed);
+    let trace = sim.trace();
+    trace.enable();
+    let cfg = WorldConfig {
+        recover: Some(RecoverConfig {
+            detect_us: 30.0,
+            max_replays: 100,
+            ..RecoverConfig::default()
+        }),
+        wait_watchdog_us: Some(5_000_000.0),
+        net_faults: Some(NetFaultConfig {
+            seed,
+            spike_prob: 0.05,
+            spike_us: 80.0,
+            ..NetFaultConfig::default()
+        }),
+        ..WorldConfig::gh200(2)
+    };
+    let world = MpiWorld::new(&sim, cfg);
+    let registry = world.enable_metrics();
+    let numeric = Arc::new(Mutex::new(Vec::new()));
+    let n2 = numeric.clone();
+    world.run_ranks(&mut sim, move |ctx, rank| {
+        let n = 4 * rank.size() * 64;
+        let buf = rank.gpu().alloc_global(n * 8);
+        let vals: Vec<f64> = (0..n).map(|i| (rank.rank() * 31 + i) as f64).collect();
+        buf.write_f64_slice(0, &vals);
+        let stream = rank.gpu().create_stream();
+        let coll = pallreduce_init_hierarchical(ctx, rank, &buf, 4, &stream, 5).expect("init");
+        coll.start(ctx).expect("start");
+        coll.pbuf_prepare(ctx).expect("pbuf_prepare");
+        let c2 = coll.clone();
+        stream.launch(ctx, KernelSpec::vector_add(4, 256), move |d| c2.pready_device_all(d));
+        coll.wait(ctx).expect("replays recover the epoch");
+        if rank.rank() == 0 {
+            *n2.lock() = buf.read_f64_slice(0, n);
+        }
+    });
+    let report = sim.run().expect("recovering sim");
+    let numeric = Arc::try_unwrap(numeric).expect("ranks done").into_inner();
+    let mut d = digest::Digest::new();
+    d.write_u64(digest::run_digest(&report, &trace));
+    d.write_f64_slice(&numeric);
+    let snap = registry.snapshot();
+    let c = |name: &str| snap.counter(name).unwrap_or(0);
+    (d.finish(), numeric, c("mpi.recover.stale_puts"), c("mpi.recover.replays"))
+}
+
+/// A stale replayed landing restamps a receive flag without counting an
+/// arrival, and `MPI_Wait`'s sweep must see that flag exactly when it
+/// always did: the sum is exact and the whole span stream matches the
+/// digest frozen before idle sweeps were skipped. (Skipping on an
+/// unchanged arrival count alone reorders this run's ingests.)
+#[test]
+fn stale_replayed_landings_leave_the_collective_unchanged() {
+    let (digest, numeric, stale, replays) = hierarchical_allreduce_with_replays(0);
+    let ranks = 8;
+    let want: Vec<f64> =
+        (0..numeric.len()).map(|i| (31 * ranks * (ranks - 1) / 2 + ranks * i) as f64).collect();
+    assert_eq!(numeric, want, "replayed allreduce must stay exact");
+    assert_eq!((stale, replays), (13, 10), "stale landings and replays of the frozen run");
+    assert_eq!(digest, 0xdb6c_beee_370d_b2e3, "span stream drifted");
 }
 
 /// Satellite 1 — property: `FaultPlan` JSON round-trips exactly, for
