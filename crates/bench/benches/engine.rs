@@ -3,8 +3,8 @@
 //! event fan-outs (host performance of the simulator, not virtual time).
 //!
 //! Plain harness binary (`harness = false`) on the `parcomm-testkit` timer;
-//! run with `cargo bench -p parcomm-bench --bench engine` (pass `--quick`
-//! or set `PARCOMM_QUICK=1` for a reduced smoke run).
+//! run with `cargo bench -p parcomm-bench --bench engine` (pass
+//! `-- --quick` for a reduced smoke run).
 
 use std::hint::black_box;
 

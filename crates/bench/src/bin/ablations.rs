@@ -5,8 +5,8 @@
 //! sweep measures (default: the Progression Engine).
 //! `--trace-out <path>` / `--metrics-out <path>` additionally export the
 //! traced allreduce's Chrome trace, flamegraph stacks, and metrics.
-//! An argument the usage does not list, or a mechanism, seed or stripe
-//! list that does not parse, prints the usage and exits 2.
+//! An argument the usage does not list, or a mechanism or seed that does
+//! not parse, prints the usage and exits 2.
 use parcomm_bench as b;
 
 const USAGE: &str = "\
@@ -24,7 +24,6 @@ fn main() {
     b::check_args("ablations", USAGE, &["--quick"], &valued);
     let mechanism = b::mechanism().unwrap_or_else(|e| usage_error(&e));
     let fault_seed = b::fault_seed().unwrap_or_else(|e| usage_error(&e));
-    let stripes = b::striping::stripes_arg().unwrap_or_else(|e| usage_error(&e));
     let q = b::quick_mode();
     b::ablations::run_poll_interval(q).emit();
     match mechanism {
@@ -32,7 +31,7 @@ fn main() {
         None => b::ablations::run_transport_sweep(q).emit(),
     }
     b::ablations::run_counter_aggregation(q).emit();
-    b::striping::run(&stripes, q).emit();
+    b::striping::run(&b::striping::DEFAULT_STRIPES, q).emit();
     b::ablations::run_fault_goodput(q, fault_seed.unwrap_or(0xC4A05)).emit();
     b::obsrun::emit_requested_outputs(q);
 }

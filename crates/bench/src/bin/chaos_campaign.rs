@@ -37,9 +37,9 @@ usage: chaos_campaign [flags]
                         contract adapts, e.g. a PE crash is expected to be a
                         typed failure when recovery is off
   --mechanism pe|kc|shmem
-                        the copy mechanism every cell's world negotiates (or
-                        PARCOMM_MECHANISM); under shmem the search also targets
-                        the shmem-signal fault classes (default pe)
+                        the copy mechanism every cell's world negotiates; under
+                        shmem the search also targets the shmem-signal fault
+                        classes (default pe)
   --channels N          the multiplexed-load axis (canonical 1, 64, 1024): above
                         1 every cell runs the mux-admitted MoE dispatch/combine
                         workload, and covered points gain a cN: qualifier
@@ -48,8 +48,7 @@ usage: chaos_campaign [flags]
                         the topology-shape axis: the uniform testbed, a ragged
                         4/2-GPU 2/1-NIC world, or that world at 2:1 rank
                         oversubscription (default uniform)
-  --threads N           sweep worker count (or PARCOMM_THREADS; default:
-                        available parallelism)
+  --threads N           sweep worker count (default: available parallelism)
   --out PATH            stream completed cells to a resumable JSON-lines sink; a
                         re-run against the same file skips the cells on disk
   --min-out DIR         where minimized failing plans land (default results)
@@ -88,8 +87,7 @@ fn usage_error(msg: &str) -> ! {
 /// Check the command line before anything runs: an unknown argument or a
 /// missing value is a usage error; then `--help` prints the usage and
 /// exits 0; then a count that does not parse or an unknown mechanism is a
-/// usage error. ([`config`] rejects an unknown `PARCOMM_MECHANISM` the
-/// same way.)
+/// usage error.
 fn check_args() {
     let valued = parcomm_bench::check_args("chaos_campaign", USAGE, &SWITCHES, &VALUED);
     if arg_flag("--help") {

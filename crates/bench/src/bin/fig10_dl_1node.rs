@@ -1,4 +1,5 @@
-//! Regenerate Fig. 10. Pass `--quick` for a reduced sweep.
+//! Regenerate Fig. 10. Pass `--quick` for a reduced sweep and `--threads N`
+//! to set sweep workers; any other argument prints the usage and exits 2.
 fn main() {
-    parcomm_bench::fig1011::run_fig10(parcomm_bench::quick_mode()).emit();
+    parcomm_bench::fig1011::run_fig10(parcomm_bench::sweep_args("fig10_dl_1node")).emit();
 }

@@ -4,10 +4,10 @@
 //! harness traces the measured interval and prints the occupancy of each
 //! category for the partitioned allreduce vs NCCL (1K-grid, 4 GH200).
 //!
-//! Pass `--trace-out <path>` (or set `PARCOMM_TRACE_OUT`) to also export
-//! the partitioned run's measured region as Chrome `trace_event` JSON with
-//! causal handoff spans — the printed table filters those out, so it stays
-//! byte-identical with or without the export.
+//! Pass `--trace-out <path>` to also export the partitioned run's measured
+//! region as Chrome `trace_event` JSON with causal handoff spans — the
+//! printed table filters those out, so it stays byte-identical with or
+//! without the export. Any other argument prints the usage and exits 2.
 
 use parcomm_apps::nccl_for_world;
 use parcomm_bench as b;
@@ -18,6 +18,8 @@ use parcomm_gpu::KernelSpec;
 use parcomm_mpi::{MpiError, Rank, WorldConfig};
 use parcomm_obs::{chrome_trace_json, is_causal_category, occupancy, CriticalPath};
 use parcomm_sim::{Ctx, SimTime, Trace};
+
+const USAGE: &str = "usage: gap_decomposition [--trace-out PATH]\n";
 
 /// Run `body` on every rank of `world` and return rank 0's measured
 /// window. A failed simulation or rank ends the process.
@@ -47,6 +49,7 @@ where
 }
 
 fn main() {
+    b::check_args("gap_decomposition", USAGE, &[], &["--trace-out"]);
     let n = 1024usize * 1024; // 1K grids × 1024 threads × 8 B = 8 MB
     let trace_out = b::trace_out();
     for partitioned in [true, false] {

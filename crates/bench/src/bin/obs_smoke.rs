@@ -4,10 +4,13 @@
 //! non-empty, and require the critical path to explain at least 90% of
 //! the measured interval (the acceptance bar). Exits non-zero on any
 //! failure. Honors `--trace-out` / `--metrics-out` to also keep the
-//! artifacts.
+//! artifacts. Any other argument but `--quick` prints the usage and
+//! exits 2.
 
 use parcomm_bench as b;
 use parcomm_obs::json;
+
+const USAGE: &str = "usage: obs_smoke [--quick] [--trace-out PATH] [--metrics-out PATH]\n";
 
 fn fail(msg: &str) -> ! {
     eprintln!("obs_smoke: FAIL: {msg}");
@@ -15,6 +18,7 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
+    b::check_args("obs_smoke", USAGE, &["--quick"], &["--trace-out", "--metrics-out"]);
     let run = match b::obsrun::run_traced_allreduce(b::quick_mode()) {
         Ok(run) => run,
         Err(e) => fail(&e),

@@ -1,14 +1,13 @@
 //! Run every table/figure harness in paper order. Pass `--quick` for a
 //! smoke run; set `PARCOMM_RESULTS_DIR` to save JSON next to the text.
-//! Pass `--threads N` (or `PARCOMM_THREADS=N`) to bound the sweep-engine
-//! worker count — each harness fans its parameter grid out in parallel,
-//! and the output is byte-identical at any thread count (default:
-//! available parallelism).
+//! Pass `--threads N` to bound the sweep-engine worker count — each
+//! harness fans its parameter grid out in parallel, and the output is
+//! byte-identical at any thread count (default: available parallelism).
 //! Pass `--faults <seed>` to additionally run the whole suite's fault
 //! ablation: the canonical allreduce under seeded chaos at increasing
 //! fault rates (goodput vs fault rate, deterministic per seed). An
-//! argument the usage does not list, or a seed or stripe list that does
-//! not parse, prints the usage and exits 2 before any figure runs.
+//! argument the usage does not list, or a seed that does not parse,
+//! prints the usage and exits 2 before any figure runs.
 //! Pass `--trace-out <path>` / `--metrics-out <path>` to additionally run
 //! the traced 1K-grid partitioned allreduce and export a Perfetto-loadable
 //! Chrome trace (plus `<path>.folded` flamegraph stacks), a metrics
@@ -29,7 +28,6 @@ fn main() {
     let valued = ["--threads", "--faults", "--trace-out", "--metrics-out"];
     b::check_args("reproduce_all", USAGE, &["--quick"], &valued);
     let fault_seed = b::fault_seed().unwrap_or_else(|e| usage_error(&e));
-    let stripes = b::striping::stripes_arg().unwrap_or_else(|e| usage_error(&e));
     let q = b::quick_mode();
     b::fig02::run(q).emit();
     b::fig03::run(q).emit();
@@ -42,7 +40,7 @@ fn main() {
     b::fig0809::run_fig09(q).emit();
     b::fig1011::run_fig10(q).emit();
     b::fig1011::run_fig11(q).emit();
-    b::striping::run(&stripes, q).emit();
+    b::striping::run(&b::striping::DEFAULT_STRIPES, q).emit();
     if let Some(seed) = fault_seed {
         b::ablations::run_fault_goodput(q, seed).emit();
     }

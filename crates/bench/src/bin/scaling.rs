@@ -4,11 +4,9 @@
 //! Usage: `scaling [--nodes 1,2,4,8,16] [--quick] [--threads N]`
 //! or `scaling --topology "2x4;4,2,4,1:2,1,2,1@2"` — semicolon-separated
 //! cluster specs in the `--topology` grammar (uniform `NxG[xK][@O]`,
-//! ragged `G1,G2,…[:K1,K2,…][@O]`), each becoming one sweep cell.
-//! (`PARCOMM_NODES`, `PARCOMM_TOPOLOGY`, `PARCOMM_QUICK`, and
-//! `PARCOMM_THREADS` work too.) An argument the usage does not list, a
-//! node list that does not parse, or a malformed or invalid topology spec
-//! prints the usage and exits 2.
+//! ragged `G1,G2,…[:K1,K2,…][@O]`), each becoming one sweep cell. An
+//! argument the usage does not list, a node list that does not parse, or
+//! a malformed or invalid topology spec prints the usage and exits 2.
 
 use parcomm_bench as b;
 

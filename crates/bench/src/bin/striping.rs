@@ -1,10 +1,9 @@
 //! Striping ablation: cross-node partitioned p2p goodput vs the channel's
 //! multi-path stripe count.
 //!
-//! Usage: `striping [--stripes 1,2,4] [--quick] [--threads N]`
-//! (`PARCOMM_STRIPES`, `PARCOMM_QUICK`, and `PARCOMM_THREADS` work too).
-//! An argument the usage does not list, or a stripe list that does not
-//! parse, prints the usage and exits 2.
+//! Usage: `striping [--stripes 1,2,4] [--quick] [--threads N]`. An
+//! argument the usage does not list, or a stripe list that does not parse,
+//! prints the usage and exits 2.
 //!
 //! Output is byte-identical at any `--threads` count — the CI `scale` job
 //! diffs a serial run against a 4-worker run and greps the

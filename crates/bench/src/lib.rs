@@ -28,6 +28,6 @@ pub mod table1;
 pub mod world;
 
 pub use report::{
-    arg_flag, arg_or_env, arg_value, check_args, fault_seed, list_arg, mechanism, metrics_out,
-    quick_mode, threads, trace_out, usage_error, Experiment,
+    arg_flag, arg_value, check_args, fault_seed, list_arg, mechanism, metrics_out, quick_mode,
+    sweep_args, threads, trace_out, usage_error, Experiment,
 };

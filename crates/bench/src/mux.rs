@@ -24,7 +24,6 @@ use parcomm_mpi::WorldConfig;
 use parcomm_mux::{
     ChannelSpec, Direction, MuxChannelId, MuxConfig, MuxService, TenantReport, WeightedFair,
 };
-use parcomm_obs::attach_jsonl_spill;
 use parcomm_sweep::SweepSpec;
 use parcomm_testkit::digest;
 
@@ -36,46 +35,42 @@ pub const MUX_SEED: u64 = 0x00B0_55ED;
 
 /// One cell of the sweep grid.
 #[derive(Clone, Debug)]
-pub struct MuxCellCfg {
+struct MuxCellCfg {
     /// Live channels per rank (half sends, half receives). Must be even.
-    pub channels: usize,
+    channels: usize,
     /// Tenants sharing the mux; tenant 0 gets weight 8, the rest 1.
-    pub tenants: usize,
+    tenants: usize,
     /// Copy mechanism for the world's channels (kc adds a device-driven
     /// `pready_all` sweep per sub-round).
-    pub mechanism: CopyMechanism,
+    mechanism: CopyMechanism,
     /// Steady-state drain rounds after admission (each grants
     /// `channels/2` weighted-fair epoch slots).
-    pub rounds: usize,
+    rounds: usize,
 }
 
 impl MuxCellCfg {
     /// The 8:1 weight vector the fairness verdict is stated against.
-    pub fn weights(&self) -> Vec<u64> {
+    fn weights(&self) -> Vec<u64> {
         (0..self.tenants).map(|t| if t == 0 { 8 } else { 1 }).collect()
     }
 }
 
 /// What one cell run produces: rank 0's per-tenant reports, the end-to-end
 /// run digest, and the virtual time spent in the drain loop.
-pub struct MuxCellStats {
+struct MuxCellStats {
     /// Rank 0's per-tenant goodput/epoch/latency totals.
-    pub reports: Vec<TenantReport>,
+    reports: Vec<TenantReport>,
     /// Digest over the full event trace plus per-tenant goodput.
-    pub digest: u64,
+    digest: u64,
     /// Virtual µs from the post-admission barrier to the last drain.
-    pub elapsed_us: f64,
-    /// Channels admitted per rank (sanity: equals `cfg.channels`).
-    pub admitted: usize,
-    /// Spans spilled to the JSONL sink, when one was attached.
-    pub spilled_spans: u64,
+    elapsed_us: f64,
 }
 
 /// Drain rounds for a channel count: smaller grids run more rounds so
 /// every tenant accumulates enough epochs for a stable p99; the 4096-point
 /// runs one round (2048 weighted grants) to bound wall-clock. The scaling
 /// is logged as an experiment note — never a silent cap.
-pub fn rounds_for(channels: usize, quick: bool) -> usize {
+fn rounds_for(channels: usize, quick: bool) -> usize {
     let r = (4096 / channels.max(1)).clamp(1, 6);
     if quick {
         r.min(2)
@@ -84,35 +79,33 @@ pub fn rounds_for(channels: usize, quick: bool) -> usize {
     }
 }
 
-/// Channel counts from `--channels 16,256,...` or `PARCOMM_CHANNELS`; the
-/// default grid is 16, 256, 1024 and 4096, and `quick` keeps the two
-/// small points. `Err` names a list with an odd or unparseable count.
+/// Channel counts from `--channels 16,256,...`; the default grid is 16,
+/// 256, 1024 and 4096, and `quick` keeps the two small points. `Err` names
+/// a list with an odd or unparseable count.
 pub fn channels_arg(quick: bool) -> Result<Vec<usize>, String> {
     let even = |&c: &usize| c >= 2 && c % 2 == 0;
-    let list = crate::list_arg("--channels", "PARCOMM_CHANNELS", "even counts >= 2", even)?;
+    let list = crate::list_arg("--channels", "even counts >= 2", even)?;
     Ok(list.unwrap_or_else(|| if quick { vec![16, 256] } else { vec![16, 256, 1024, 4096] }))
 }
 
-/// Tenant count from `--tenants N` or `PARCOMM_TENANTS` (default 8);
-/// `Err` names a count that does not parse or is 0.
+/// Tenant count from `--tenants N` (default 8); `Err` names a count that
+/// does not parse or is 0.
 pub fn tenants_arg() -> Result<usize, String> {
-    let Some(s) = crate::arg_or_env("--tenants", "PARCOMM_TENANTS") else {
+    let Some(s) = crate::arg_value("--tenants") else {
         return Ok(8);
     };
     s.trim()
         .parse()
         .ok()
         .filter(|&t: &usize| t >= 1)
-        .ok_or_else(|| format!("--tenants/PARCOMM_TENANTS {s}: expected a count >= 1"))
+        .ok_or_else(|| format!("--tenants {s}: expected a count >= 1"))
 }
 
 const PARTITIONS: usize = 4;
 const PARTITION_BYTES: usize = 256;
 
-/// Run one mux cell. With `spill` set, the trace ring is bounded at 8192
-/// spans and evictions stream to that JSONL path (the memory-flat tracing
-/// mode for 4096-channel runs).
-pub fn mux_cell(cfg: &MuxCellCfg, spill: Option<&str>) -> MuxCellStats {
+/// Run one mux cell.
+fn mux_cell(cfg: &MuxCellCfg) -> MuxCellStats {
     assert!(cfg.channels >= 2 && cfg.channels.is_multiple_of(2), "channels must be even");
     let world = World::new(MUX_SEED, WorldConfig {
         mechanism: cfg.mechanism,
@@ -121,10 +114,6 @@ pub fn mux_cell(cfg: &MuxCellCfg, spill: Option<&str>) -> MuxCellStats {
     });
     let trace = world.sim.trace();
     trace.enable();
-    let spill_handle = spill.map(|path| {
-        trace.set_capacity(Some(8192));
-        attach_jsonl_spill(&trace, path).expect("create trace spill")
-    });
     let weights = cfg.weights();
     let pairs = cfg.channels / 2;
     let cell = cfg.clone();
@@ -272,20 +261,17 @@ pub fn mux_cell(cfg: &MuxCellCfg, spill: Option<&str>) -> MuxCellStats {
                 }
             }
         }
-        (me == 0).then(|| {
-            (mux.tenant_stats(), ctx.now().since(t0).as_micros_f64(), admitted.len())
-        })
+        (me == 0).then(|| (mux.tenant_stats(), ctx.now().since(t0).as_micros_f64()))
     });
     let (mut reported, report) = run.expect("mux cell sim");
-    let (reports, elapsed_us, admitted) = reported.pop().expect("rank 0 reports");
+    let (reports, elapsed_us) = reported.pop().expect("rank 0 reports");
     let mut d = digest::Digest::new();
     d.write_u64(digest::run_digest(&report, &trace));
     for r in &reports {
         d.write_u64(r.goodput_bytes);
         d.write_u64(r.epochs);
     }
-    let spilled_spans = spill_handle.map(|s| s.written()).unwrap_or(0);
-    MuxCellStats { reports, digest: d.finish(), elapsed_us, admitted, spilled_spans }
+    MuxCellStats { reports, digest: d.finish(), elapsed_us }
 }
 
 /// Numeric mechanism code for the result rows (pe=0, kc=1, shmem=2).
@@ -319,7 +305,7 @@ pub fn run(channels: &[usize], tenants: usize, quick: bool) -> Experiment {
             let rounds = rounds_for(c, quick);
             spec.cell(format!("channels={c},mech={}", m.short_name()), move || {
                 let cfg = MuxCellCfg { channels: c, tenants, mechanism: m, rounds };
-                let stats = mux_cell(&cfg, None);
+                let stats = mux_cell(&cfg);
                 let mut rows = Vec::new();
                 for r in &stats.reports {
                     rows.push(vec![

@@ -116,9 +116,9 @@ impl Experiment {
 }
 
 /// True when the harness should run a reduced sweep (CI / smoke runs):
-/// either `--quick` on the command line or `PARCOMM_QUICK=1`.
+/// `--quick` on the command line.
 pub fn quick_mode() -> bool {
-    arg_flag("--quick") || std::env::var("PARCOMM_QUICK").map(|v| v == "1").unwrap_or(false)
+    arg_flag("--quick")
 }
 
 /// Print `msg` and `usage` to stderr as a usage error of `bin` and exit 2.
@@ -159,23 +159,31 @@ pub fn check_args(
     pairs
 }
 
-/// The comma-separated list in `flag` (or the environment variable `var`),
-/// `Ok(None)` when neither is set. `Err` names a value with an item that
-/// does not parse or fails `ok`, and what was `expected`.
+/// Check the command line of a sweep harness whose only flags are
+/// `--quick` and `--threads N` (any other argument is a usage error of
+/// `bin`) and return [`quick_mode`].
+pub fn sweep_args(bin: &str) -> bool {
+    let usage = format!("usage: {bin} [--quick] [--threads N]\n");
+    check_args(bin, &usage, &["--quick"], &["--threads"]);
+    quick_mode()
+}
+
+/// The comma-separated list in `flag`, `Ok(None)` when it is not given.
+/// `Err` names a value with an item that does not parse or fails `ok`, and
+/// what was `expected`.
 pub fn list_arg<T: std::str::FromStr>(
     flag: &str,
-    var: &str,
     expected: &str,
     ok: impl Fn(&T) -> bool,
 ) -> Result<Option<Vec<T>>, String> {
-    let Some(list) = arg_or_env(flag, var) else {
+    let Some(list) = arg_value(flag) else {
         return Ok(None);
     };
     list.split(',')
         .map(|s| s.trim().parse().ok().filter(|v| ok(v)))
         .collect::<Option<Vec<T>>>()
         .map(Some)
-        .ok_or_else(|| format!("{flag}/{var} {list}: expected {expected}"))
+        .ok_or_else(|| format!("{flag} {list}: expected {expected}"))
 }
 
 /// True when `flag` appears on the command line.
@@ -198,31 +206,25 @@ pub fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
-/// [`arg_value`], falling back to the environment variable `var`.
-pub fn arg_or_env(flag: &str, var: &str) -> Option<String> {
-    arg_value(flag).or_else(|| std::env::var(var).ok())
-}
-
 /// Output path for the Chrome `trace_event` export: `--trace-out <path>`
-/// on the command line or `PARCOMM_TRACE_OUT=<path>`. When set, harnesses
-/// that support tracing enable causal span recording and write a
-/// Perfetto-loadable JSON trace there (plus folded flamegraph stacks at
-/// `<path>.folded`).
+/// on the command line. When set, harnesses that support tracing enable
+/// causal span recording and write a Perfetto-loadable JSON trace there
+/// (plus folded flamegraph stacks at `<path>.folded`).
 pub fn trace_out() -> Option<String> {
-    arg_or_env("--trace-out", "PARCOMM_TRACE_OUT")
+    arg_value("--trace-out")
 }
 
 /// Output path for the end-of-run metrics snapshot JSON:
-/// `--metrics-out <path>` or `PARCOMM_METRICS_OUT=<path>`.
+/// `--metrics-out <path>` on the command line.
 pub fn metrics_out() -> Option<String> {
-    arg_or_env("--metrics-out", "PARCOMM_METRICS_OUT")
+    arg_value("--metrics-out")
 }
 
 /// Worker-thread count for the sweep engine: `--threads N` (or
-/// `--threads=N`) on the command line, then `PARCOMM_THREADS`, then
-/// available parallelism. Every harness fans its parameter grid out over
-/// this many workers via `parcomm_sweep::SweepSpec`; output is
-/// byte-identical at any thread count.
+/// `--threads=N`) on the command line, else available parallelism. Every
+/// harness fans its parameter grid out over this many workers via
+/// `parcomm_sweep::SweepSpec`; output is byte-identical at any thread
+/// count.
 pub fn threads() -> usize {
     parcomm_sweep::threads()
 }
@@ -234,22 +236,22 @@ pub(crate) fn run_sweep<T: Send + 'static>(spec: SweepSpec<T>, what: &str) -> Ve
     spec.run(threads()).into_values().expect(what)
 }
 
-/// Copy mechanism selected on the command line: `--mechanism pe|kc|shmem`
-/// (or `PARCOMM_MECHANISM=<short name>`). `Ok(None)` when unset — callers
-/// fall back to their own default; `Err` names a value that does not parse.
+/// Copy mechanism selected on the command line: `--mechanism pe|kc|shmem`.
+/// `Ok(None)` when unset — callers fall back to their own default; `Err`
+/// names a value that does not parse.
 pub fn mechanism() -> Result<Option<parcomm_core::CopyMechanism>, String> {
-    arg_or_env("--mechanism", "PARCOMM_MECHANISM")
+    arg_value("--mechanism")
         .map(|s| {
             parcomm_core::CopyMechanism::from_short_name(&s)
-                .ok_or_else(|| format!("--mechanism/PARCOMM_MECHANISM {s}: expected pe|kc|shmem"))
+                .ok_or_else(|| format!("--mechanism {s}: expected pe|kc|shmem"))
         })
         .transpose()
 }
 
 /// Chaos seed for the fault-injection ablation: `--faults <seed>` on the
-/// command line (decimal or `0x`-prefixed hex) or `PARCOMM_FAULTS=<seed>`.
-/// `Ok(None)` means the caller should skip fault runs entirely; `Err`
-/// names a value that does not parse.
+/// command line (decimal or `0x`-prefixed hex). `Ok(None)` means the
+/// caller should skip fault runs entirely; `Err` names a value that does
+/// not parse.
 pub fn fault_seed() -> Result<Option<u64>, String> {
     fn parse(s: &str) -> Option<u64> {
         let s = s.trim();
@@ -259,10 +261,8 @@ pub fn fault_seed() -> Result<Option<u64>, String> {
             s.parse().ok()
         }
     }
-    arg_or_env("--faults", "PARCOMM_FAULTS")
-        .map(|s| {
-            parse(&s).ok_or_else(|| format!("--faults/PARCOMM_FAULTS {s}: not a decimal or 0x-hex seed"))
-        })
+    arg_value("--faults")
+        .map(|s| parse(&s).ok_or_else(|| format!("--faults {s}: not a decimal or 0x-hex seed")))
         .transpose()
 }
 

@@ -39,23 +39,23 @@ use crate::world::World;
 /// Sim seed for every scaling cell; frozen by `tests/scaling.rs`.
 pub const SCALING_SEED: u64 = 0x5CA1_E0F0;
 
-/// Node counts from `--nodes 1,2,4,8,16` or `PARCOMM_NODES`. The default
-/// grid is the paper's 1- and 2-node points plus the extrapolation the
-/// topology layer exists for (up to 4 nodes with `quick`, else 16). `Err`
-/// names a list with an unparseable or zero count.
+/// Node counts from `--nodes 1,2,4,8,16`. The default grid is the paper's
+/// 1- and 2-node points plus the extrapolation the topology layer exists
+/// for (up to 4 nodes with `quick`, else 16). `Err` names a list with an
+/// unparseable or zero count.
 pub fn nodes_arg(quick: bool) -> Result<Vec<u16>, String> {
-    let list = crate::list_arg("--nodes", "PARCOMM_NODES", "node counts >= 1", |&n: &u16| n >= 1)?;
+    let list = crate::list_arg("--nodes", "node counts >= 1", |&n: &u16| n >= 1)?;
     Ok(list.unwrap_or_else(|| if quick { vec![1, 2, 4] } else { vec![1, 2, 4, 8, 16] }))
 }
 
-/// Cluster shapes from `--topology` or `PARCOMM_TOPOLOGY`, if given:
-/// semicolon-separated `--topology` grammar specs (the ragged grammar
-/// already uses commas), e.g. `--topology "2x4;4,2,4,1:2,1,2,1@2"`.
+/// Cluster shapes from `--topology`, if given: semicolon-separated
+/// `--topology` grammar specs (the ragged grammar already uses commas),
+/// e.g. `--topology "2x4;4,2,4,1:2,1,2,1@2"`.
 /// Each spec becomes one sweep cell, replacing the uniform `--nodes`
 /// grid. `Err` carries the grammar or shape error of the first bad spec,
 /// found before any sweep cell spins up, or names a list with no spec.
 pub fn topology_arg() -> Result<Option<Vec<ClusterSpec>>, String> {
-    let Some(list) = crate::arg_or_env("--topology", "PARCOMM_TOPOLOGY") else {
+    let Some(list) = crate::arg_value("--topology") else {
         return Ok(None);
     };
     let specs = list
@@ -68,7 +68,7 @@ pub fn topology_arg() -> Result<Option<Vec<ClusterSpec>>, String> {
         })
         .collect::<Result<Vec<_>, String>>()?;
     if specs.is_empty() {
-        return Err(format!("--topology/PARCOMM_TOPOLOGY {list:?}: expected at least one spec"));
+        return Err(format!("--topology {list:?}: expected at least one spec"));
     }
     Ok(Some(specs))
 }

@@ -31,14 +31,15 @@ use crate::report::Experiment;
 /// Sim seed for every striping cell; frozen by `tests/striping.rs`.
 pub const STRIPING_SEED: u64 = 0x0057_12E5;
 
-/// Stripe counts from `--stripes 1,2,4` or `PARCOMM_STRIPES`; the
-/// default grid is the single-path baseline, half the rails and all four
-/// rails of the GH200 nodes. `Err` names a list with an unparseable or
-/// zero count.
+/// The default stripe grid: the single-path baseline, half the rails and
+/// all four rails of the GH200 nodes.
+pub const DEFAULT_STRIPES: [usize; 3] = [1, 2, 4];
+
+/// Stripe counts from `--stripes 1,2,4`, else [`DEFAULT_STRIPES`]. `Err`
+/// names a list with an unparseable or zero count.
 pub fn stripes_arg() -> Result<Vec<usize>, String> {
-    let list =
-        crate::list_arg("--stripes", "PARCOMM_STRIPES", "stripe counts >= 1", |&s: &usize| s >= 1)?;
-    Ok(list.unwrap_or_else(|| vec![1, 2, 4]))
+    let list = crate::list_arg("--stripes", "stripe counts >= 1", |&s: &usize| s >= 1)?;
+    Ok(list.unwrap_or_else(|| DEFAULT_STRIPES.to_vec()))
 }
 
 /// One timed + digested run: a warm-up epoch, then one measured epoch of

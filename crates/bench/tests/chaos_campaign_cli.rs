@@ -8,7 +8,6 @@ use std::process::{Command, Output};
 fn campaign(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_chaos_campaign"))
         .args(args)
-        .env_remove("PARCOMM_THREADS")
         .output()
         .expect("run chaos_campaign")
 }

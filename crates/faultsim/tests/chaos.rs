@@ -236,7 +236,7 @@ fn chaos_mix_is_deterministic_and_seed_sensitive() {
 /// × two-rate × two-stripe-count grid (each cell replayed twice) fans out
 /// over the `parcomm-sweep` work-stealing pool. `PARCOMM_CHAOS_SEED`
 /// shifts the whole seed block to explore fresh schedules without editing
-/// the test; `--threads N` / `PARCOMM_THREADS` bounds the workers.
+/// the test; `--threads N` bounds the workers.
 #[test]
 fn chaos_sweep_eight_seeds() {
     let report = run_campaign(&CampaignConfig::grid(false), parcomm_sweep::threads());

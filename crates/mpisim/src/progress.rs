@@ -110,7 +110,7 @@ impl ProgressionEngine {
     ) -> (ProgressionEngine, HookOwner) {
         let inner = Arc::new(Mutex::new(PeState {
             hooks: Vec::new(),
-            work_available: Event::new(),
+            work_available: Event::numbered("work_available rank", rank as u64),
         }));
         let crashed = Arc::new(AtomicBool::new(false));
         let heartbeat = Arc::new(Mutex::new(SimTime::ZERO));

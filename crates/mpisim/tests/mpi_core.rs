@@ -235,6 +235,26 @@ fn progression_engine_idles_without_hooks() {
 }
 
 #[test]
+fn deadlock_report_names_the_am_tag_and_the_idle_engine() {
+    // Rank 0 parks in an active-message receive nobody sends to while its
+    // progression engine idles: the report names both wait targets.
+    let mut sim = Simulation::new(SimConfig::default());
+    let world = MpiWorld::gh200(&sim, 1);
+    world.run_ranks(&mut sim, |ctx, rank| {
+        if rank.rank() == 0 {
+            rank.worker().am_recv(ctx, 0xBEEF);
+        }
+    });
+    let err = sim.run().expect_err("rank 0 never receives");
+    assert!(matches!(err, parcomm_sim::SimError::Deadlock { .. }), "{err:?}");
+    let msg = err.to_string();
+    for target in ["event 'am arrival tag 48879'", "event 'work_available rank 0'"] {
+        assert!(msg.contains(target), "{target} missing from: {msg}");
+    }
+    assert!(!msg.contains("waiting on event <unnamed>"), "{msg}");
+}
+
+#[test]
 fn barrier_aligns_ranks() {
     let mut sim = Simulation::new(SimConfig::default());
     let world = MpiWorld::gh200(&sim, 1);

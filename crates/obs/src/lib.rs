@@ -34,7 +34,6 @@ pub mod json;
 pub mod layers;
 pub mod metrics;
 pub mod occupancy;
-pub mod spill;
 
 pub use chrome::{chrome_trace_json, chrome_trace_json_with_counters};
 pub use critical::{CriticalPath, CriticalStep};
@@ -45,4 +44,3 @@ pub use metrics::{
     Counter, Gauge, Histogram, InstrumentBlock, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use occupancy::{occupancy, CategorySummary};
-pub use spill::{attach_jsonl_spill, SpanSpill};

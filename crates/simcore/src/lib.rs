@@ -59,4 +59,4 @@ pub use sched::{
 };
 pub use sync::SimBarrier;
 pub use time::{SimDuration, SimTime};
-pub use trace::{EvictSink, SpanId, Trace, TraceSpan};
+pub use trace::{SpanId, Trace, TraceSpan};

@@ -24,21 +24,12 @@
 //! populated. Recording never touches the virtual clock or the scheduler,
 //! so enabling any level changes neither end times nor event counts.
 //!
-//! ## Bounding trace memory
-//!
-//! A **bounded ring-buffer sink** ([`Trace::set_capacity`]) keeps a
-//! long run's memory flat: once full, the oldest spans are evicted, and
-//! [`Trace::spans`] remaps surviving causal edges and drops edges into
-//! the evicted prefix. An optional **eviction sink**
-//! ([`Trace::set_evict_sink`]) streams evicted spans out at eviction time
-//! instead of discarding them, so bounded memory no longer means lost
-//! history. Both only decide what is *retained*, never what the model
-//! does, so they are digest-neutral toward the simulation itself.
+//! A trace keeps every span it records until [`Trace::reset`]: the
+//! critical path walks the whole causal graph, so no span and no edge
+//! into one is ever dropped.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-
-use std::collections::VecDeque;
 
 use crate::lock::Mutex;
 
@@ -48,11 +39,9 @@ use crate::time::{SimDuration, SimTime};
 /// causal edges. `SpanId::NONE` means "no cause recorded".
 ///
 /// Ids are allocated densely in recording order: the `i`-th recorded span
-/// (0-based) has id `i + 1`, so — until the ring-buffer sink evicts — the
-/// id indexes straight into [`Trace::spans`]. After evictions,
-/// [`Trace::spans`] re-bases surviving edges onto the returned slice. A
-/// cause is always recorded before its effect, hence every causal edge
-/// points to a strictly smaller id.
+/// (0-based) has id `i + 1`, so the id indexes straight into
+/// [`Trace::spans`]. A cause is always recorded before its effect, hence
+/// every causal edge points to a strictly smaller id.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SpanId(u64);
 
@@ -110,27 +99,10 @@ const LEVEL_OFF: u8 = 0;
 const LEVEL_SPANS: u8 = 1;
 const LEVEL_CAUSAL: u8 = 2;
 
-/// Retained spans plus ring-buffer accounting. Ids handed to recorders are
-/// *global* (index into the full recording order); the `evicted` prefix
-/// length re-bases them onto the retained window.
-#[derive(Default)]
-struct SpanStore {
-    spans: VecDeque<TraceSpan>,
-    /// Spans evicted from the front of the ring so far.
-    evicted: u64,
-    /// Retained-span cap; 0 = unbounded.
-    capacity: usize,
-}
-
-/// Callback invoked with each span the ring buffer evicts, in eviction
-/// order. See [`Trace::set_evict_sink`].
-pub type EvictSink = Arc<dyn Fn(&TraceSpan) + Send + Sync>;
-
 #[derive(Default)]
 pub(crate) struct TraceState {
     level: AtomicU8,
-    store: Mutex<SpanStore>,
-    evict_sink: Mutex<Option<EvictSink>>,
+    spans: Mutex<Vec<TraceSpan>>,
 }
 
 /// Shared handle to a simulation's trace buffer.
@@ -162,67 +134,6 @@ impl Trace {
         self.state.level.load(Ordering::Acquire) >= LEVEL_CAUSAL
     }
 
-    /// Bound the retained span window to `cap` spans (`None` = unbounded,
-    /// the default). Once full, recording evicts the oldest span; see
-    /// [`Trace::spans`] for how causal edges are re-based.
-    pub fn set_capacity(&self, cap: Option<usize>) {
-        let mut dropped: Vec<TraceSpan> = Vec::new();
-        {
-            let mut store = self.state.store.lock();
-            store.capacity = cap.unwrap_or(0);
-            if store.capacity > 0 {
-                while store.spans.len() > store.capacity {
-                    if let Some(s) = store.spans.pop_front() {
-                        dropped.push(s);
-                    }
-                    store.evicted += 1;
-                }
-            }
-        }
-        self.drain_to_sink(&dropped);
-    }
-
-    /// Stream spans the ring buffer evicts into `sink`, in eviction order,
-    /// instead of discarding them — long chaos campaigns keep a bounded
-    /// in-memory window while spilling the full history (e.g. to a JSONL
-    /// file via `parcomm-obs`). The sink runs *after* the span store's
-    /// lock is released, so it may call back into this trace; it is a pure
-    /// retention decision and never perturbs the simulation or its digest.
-    /// [`Trace::reset`] discards deliberately and does not sink. `None`
-    /// detaches.
-    pub fn set_evict_sink(&self, sink: Option<EvictSink>) {
-        *self.state.evict_sink.lock() = sink;
-    }
-
-    fn drain_to_sink(&self, dropped: &[TraceSpan]) {
-        if dropped.is_empty() {
-            return;
-        }
-        let sink = self.state.evict_sink.lock().clone();
-        if let Some(sink) = sink {
-            for span in dropped {
-                sink(span);
-            }
-        }
-    }
-
-    /// The retained-span cap, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        let cap = self.state.store.lock().capacity;
-        (cap > 0).then_some(cap)
-    }
-
-    /// Spans evicted by the ring buffer so far.
-    pub fn evicted(&self) -> u64 {
-        self.state.store.lock().evicted
-    }
-
-    /// Total spans ever recorded (retained + evicted).
-    pub fn recorded(&self) -> u64 {
-        let store = self.state.store.lock();
-        store.evicted + store.spans.len() as u64
-    }
-
     fn push(
         &self,
         category: &'static str,
@@ -232,19 +143,9 @@ impl Trace {
         partition: Option<u32>,
         caused_by: SpanId,
     ) -> SpanId {
-        let mut evicted_span: Option<TraceSpan> = None;
-        let mut store = self.state.store.lock();
-        let id = SpanId::from_index(store.evicted as usize + store.spans.len());
-        store.spans.push_back(TraceSpan { category, start, end, rank, partition, caused_by });
-        if store.capacity > 0 && store.spans.len() > store.capacity {
-            evicted_span = store.spans.pop_front();
-            store.evicted += 1;
-        }
-        drop(store);
-        if let Some(s) = evicted_span {
-            self.drain_to_sink(std::slice::from_ref(&s));
-        }
-        id
+        let mut spans = self.state.spans.lock();
+        spans.push(TraceSpan { category, start, end, rank, partition, caused_by });
+        SpanId::from_index(spans.len() - 1)
     }
 
     /// Record an unattributed span (no-op unless enabled). Returns the new
@@ -294,40 +195,21 @@ impl Trace {
         }
     }
 
-    /// All retained spans (clone), with causal edges re-based onto the
-    /// returned slice: an edge to an evicted span becomes
-    /// [`SpanId::NONE`]; surviving edges satisfy
-    /// `spans[e.index()]` being the cause. Without evictions this is the
-    /// identity mapping, byte-identical to the pre-ring behavior.
+    /// Every recorded span (clone), in recording order: a causal edge
+    /// `e` names `spans[e.index()]`.
     pub fn spans(&self) -> Vec<TraceSpan> {
-        let store = self.state.store.lock();
-        let evicted = store.evicted as usize;
-        store
-            .spans
-            .iter()
-            .map(|s| {
-                let mut s = s.clone();
-                s.caused_by = match s.caused_by.index() {
-                    Some(i) if i >= evicted => SpanId::from_index(i - evicted),
-                    _ => SpanId::NONE,
-                };
-                s
-            })
-            .collect()
+        self.state.spans.lock().clone()
     }
 
-    /// Number of spans currently retained.
+    /// Number of spans recorded.
     pub fn span_count(&self) -> usize {
-        self.state.store.lock().spans.len()
+        self.state.spans.lock().len()
     }
 
     /// Clear recorded spans (between measurement phases). Causal edges in
-    /// later spans never reference cleared ones: ids restart from 1, and
-    /// eviction accounting restarts with them.
+    /// later spans never reference cleared ones: ids restart from 1.
     pub fn reset(&self) {
-        let mut store = self.state.store.lock();
-        store.spans.clear();
-        store.evicted = 0;
+        self.state.spans.lock().clear();
     }
 }
 
@@ -387,69 +269,5 @@ mod tests {
         assert_eq!(b.index(), Some(1));
         assert!(SpanId::NONE.is_none());
         assert_eq!(SpanId::NONE.index(), None);
-    }
-
-    #[test]
-    fn ring_buffer_evicts_oldest_and_rebases_edges() {
-        let tr = Trace::default();
-        tr.enable();
-        tr.set_capacity(Some(3));
-        let a = tr.record("a", t(0), t(1));
-        let b = tr.record_attr("b", t(1), t(2), None, None, a);
-        let _c = tr.record_attr("c", t(2), t(3), None, None, b);
-        assert_eq!(tr.span_count(), 3);
-        assert_eq!(tr.evicted(), 0);
-        // Fourth span evicts "a".
-        let _d = tr.record_attr("d", t(3), t(4), None, None, b);
-        assert_eq!(tr.span_count(), 3);
-        assert_eq!(tr.evicted(), 1);
-        assert_eq!(tr.recorded(), 4);
-        let spans = tr.spans();
-        assert_eq!(spans[0].category, "b");
-        // b's edge pointed at evicted "a": dropped.
-        assert_eq!(spans[0].caused_by, SpanId::NONE);
-        // c and d pointed at "b", now slice index 0.
-        assert_eq!(spans[1].caused_by, SpanId::from_index(0));
-        assert_eq!(spans[2].caused_by, SpanId::from_index(0));
-        // Shrinking the cap evicts immediately.
-        tr.set_capacity(Some(1));
-        assert_eq!(tr.span_count(), 1);
-        assert_eq!(tr.spans()[0].category, "d");
-        tr.reset();
-        assert_eq!(tr.evicted(), 0);
-        assert_eq!(tr.recorded(), 0);
-    }
-
-    #[test]
-    fn evict_sink_receives_exactly_the_evicted_prefix_in_order() {
-        let tr = Trace::default();
-        tr.enable();
-        tr.set_capacity(Some(2));
-        let sunk = Arc::new(Mutex::new(Vec::new()));
-        let tap = Arc::clone(&sunk);
-        tr.set_evict_sink(Some(Arc::new(move |s: &TraceSpan| {
-            tap.lock().push(s.category);
-        })));
-        for name in ["a", "b", "c", "d", "e"] {
-            // Leak is fine in tests; categories are &'static str.
-            tr.record(Box::leak(name.to_string().into_boxed_str()), t(0), t(1));
-        }
-        // Retained window is the last 2; everything before streamed out.
-        assert_eq!(tr.span_count(), 2);
-        assert_eq!(*sunk.lock(), vec!["a", "b", "c"]);
-        // Shrinking the cap sinks the extra evictions too.
-        tr.set_capacity(Some(1));
-        assert_eq!(*sunk.lock(), vec!["a", "b", "c", "d"]);
-        // Retained + sunk == recorded: no span is lost.
-        assert_eq!(sunk.lock().len() as u64 + tr.span_count() as u64, tr.recorded());
-        // reset() discards deliberately: nothing new is sunk.
-        tr.reset();
-        assert_eq!(sunk.lock().len(), 4);
-        // Detaching stops the stream.
-        tr.set_capacity(Some(1));
-        tr.set_evict_sink(None);
-        tr.record("x", t(0), t(1));
-        tr.record("y", t(0), t(1));
-        assert_eq!(sunk.lock().len(), 4);
     }
 }

@@ -20,8 +20,7 @@
 //!   killed campaign had not yet completed.
 //!
 //! Thread count selection is shared by every binary via [`threads`]:
-//! `--threads N` flag, then `PARCOMM_THREADS`, then available
-//! parallelism.
+//! the `--threads N` flag, else available parallelism.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,8 +33,7 @@ pub use sink::{CellValue, JsonlSink};
 pub use spec::{CellError, SweepResults, SweepSpec};
 
 /// Worker-thread count for a sweep-running binary: the `--threads N` (or
-/// `--threads=N`) command-line flag if present, else the
-/// `PARCOMM_THREADS` environment variable, else
+/// `--threads=N`) command-line flag if present, else
 /// [`std::thread::available_parallelism`]. Always at least 1.
 pub fn threads() -> usize {
     let args: Vec<String> = std::env::args().collect();
@@ -48,11 +46,6 @@ pub fn threads() -> usize {
         if let Some(n) = explicit.and_then(|v| v.parse::<usize>().ok()) {
             return n.max(1);
         }
-    }
-    if let Some(n) =
-        std::env::var("PARCOMM_THREADS").ok().and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

@@ -14,8 +14,8 @@
 //!   to the same values).
 //!
 //! The per-seed runners fan out over `parcomm_sweep::SweepSpec`: each seed
-//! is one sweep cell, executed on `--threads N` / `PARCOMM_THREADS`
-//! workers (default: available parallelism). Results are reassembled in
+//! is one sweep cell, executed on `--threads N` workers (default:
+//! available parallelism). Results are reassembled in
 //! seed order, so the returned digests — and any assertion failure — are
 //! independent of the worker count.
 

@@ -55,8 +55,8 @@ impl Default for BenchConfig {
 }
 
 impl BenchConfig {
-    /// Reduced configuration for CI smoke runs (honours `--quick` /
-    /// `PARCOMM_QUICK=1` conventions at the call site).
+    /// Reduced configuration for CI smoke runs (the caller picks it on
+    /// `--quick`).
     pub fn quick() -> Self {
         BenchConfig { warmup: 1, samples: 3 }
     }

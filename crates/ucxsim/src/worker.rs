@@ -80,6 +80,14 @@ struct Mailbox {
     arrivals: HashMap<u64, Event>,
 }
 
+impl Mailbox {
+    /// The arrival event of `tag`, labelled `am arrival tag {tag}` so a
+    /// deadlock report names the tag a parked receiver waits for.
+    fn arrival(&mut self, tag: u64) -> Event {
+        self.arrivals.entry(tag).or_insert_with(|| Event::numbered("am arrival tag", tag)).clone()
+    }
+}
+
 pub(crate) struct WorkerInner {
     address: WorkerAddress,
     location: Location,
@@ -271,15 +279,14 @@ impl Worker {
     /// The event that fires when a message with `tag` is queued. Used by
     /// progression engines to poll without busy-waiting.
     pub fn arrival_event(&self, tag: u64) -> Event {
-        let mut mb = self.inner.mailbox.lock();
-        mb.arrivals.entry(tag).or_default().clone()
+        self.inner.mailbox.lock().arrival(tag)
     }
 
     pub(crate) fn deliver(&self, h: &SimHandle, tag: u64, msg: AmMessage) {
         let ev = {
             let mut mb = self.inner.mailbox.lock();
             mb.queues.entry(tag).or_default().push_back(msg);
-            mb.arrivals.entry(tag).or_default().clone()
+            mb.arrival(tag)
         };
         ev.set(h);
     }
