@@ -316,6 +316,14 @@ fn multi_tick_admission_pairs_across_batches() {
     assert_eq!(*ticks.lock(), 5, "18 channels at tick_batch 4 is 5 ticks");
 }
 
+/// [`admitted_digest`] of the unshuffled submission order.
+const ADMITTED_DIGEST: u64 = 0x66d4161c595112b6;
+
+#[test]
+fn admitted_digest_is_frozen() {
+    assert_eq!(admitted_digest(0), ADMITTED_DIGEST, "mux admission or epoch drain moved");
+}
+
 #[test]
 fn admission_order_is_invariant_under_submission_shuffle() {
     check(
