@@ -9,8 +9,8 @@
 //! `--threads 1` run against a `--threads 4` run to prove it.
 //!
 //! Run with `--help` for the flags ([`USAGE`]). An unknown argument, a
-//! number that does not parse or an unknown mechanism prints the usage and
-//! exits 2.
+//! number that does not parse, `--channels 0` or an unknown mechanism
+//! prints the usage and exits 2.
 //!
 //! Exits non-zero if any cell violates the fault-injection contract.
 
@@ -86,8 +86,8 @@ fn usage_error(msg: &str) -> ! {
 
 /// Check the command line before anything runs: an unknown argument or a
 /// missing value is a usage error; then `--help` prints the usage and
-/// exits 0; then a count that does not parse or an unknown mechanism is a
-/// usage error.
+/// exits 0; then a count that does not parse, a `--channels` of 0 or an
+/// unknown mechanism is a usage error.
 fn check_args() {
     let valued = parcomm_bench::check_args("chaos_campaign", USAGE, &SWITCHES, &VALUED);
     if arg_flag("--help") {
@@ -95,8 +95,12 @@ fn check_args() {
         std::process::exit(0);
     }
     for (flag, value) in valued {
-        if COUNTS.contains(&flag.as_str()) && value.parse::<u64>().is_err() {
+        let count = value.parse::<u64>();
+        if COUNTS.contains(&flag.as_str()) && count.is_err() {
             usage_error(&format!("{flag} {value}: not a non-negative integer"));
+        }
+        if flag == "--channels" && count == Ok(0) {
+            usage_error("--channels 0: expected a count >= 1");
         }
         if flag == "--mechanism" && CopyMechanism::from_short_name(&value).is_none() {
             usage_error(&format!("--mechanism {value}: expected pe|kc|shmem"));
@@ -128,7 +132,6 @@ fn config() -> CampaignConfig {
         cfg.mechanism = m;
     }
     if let Some(n) = arg_value("--channels").and_then(|s| s.parse().ok()) {
-        assert!(n >= 1, "--channels must be at least 1");
         cfg.channels = n;
     }
     if let Some(s) = arg_value("--shape") {

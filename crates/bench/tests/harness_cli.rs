@@ -2,8 +2,9 @@
 //! error (exit 2, nothing run) in every harness that reads it, not a
 //! silent fall-back to the default. So is an argument a harness's usage
 //! does not list, in every harness binary, a `--channels`, `--tenants`,
-//! `--nodes` or `--stripes` value that does not parse, and a `--topology`
-//! spec that is malformed or names an invalid shape.
+//! `--nodes` or `--stripes` value that does not parse, a `--topology`
+//! spec that is malformed or names an invalid shape, and a
+//! `chaos_campaign --channels` of 0.
 
 use std::process::{Command, Output};
 
@@ -33,6 +34,12 @@ fn assert_usage_error(out: &Output, name: &str) {
 fn unknown_mechanism_stops_chaos_campaign() {
     let out = run(env!("CARGO_BIN_EXE_chaos_campaign"), &["--mechanism", "bogus"]);
     assert_usage_error(&out, "chaos_campaign --mechanism bogus");
+}
+
+#[test]
+fn zero_channels_stops_chaos_campaign() {
+    let out = run(env!("CARGO_BIN_EXE_chaos_campaign"), &["--channels", "0", "--seeds", "1"]);
+    assert_usage_error(&out, "chaos_campaign --channels 0 --seeds 1");
 }
 
 #[test]
