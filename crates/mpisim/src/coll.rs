@@ -46,79 +46,32 @@ impl Rank {
         if p == 1 || n == 0 {
             return;
         }
-        let r = self.rank();
-        let right = (r + 1) % p;
-        let left = (r + p - 1) % p;
-
         let (_, max_chunk) = chunk_range(n, p, 0);
         let scratch = self.gpu().alloc_global(max_chunk * 8);
-
-        // Reduce-scatter: after step s, chunk (r - s - 1) mod p holds the
-        // partial sum of s+2 ranks' contributions.
-        for s in 0..p - 1 {
-            let send_chunk = (r + p - s) % p;
-            let recv_chunk = (r + 2 * p - s - 1) % p;
-            let (s_start, s_len) = chunk_range(n, p, send_chunk);
-            let (r_start, r_len) = chunk_range(n, p, recv_chunk);
-            self.sendrecv(
-                ctx,
-                right,
-                ALLREDUCE_TAG,
-                buf,
-                byte_off + s_start * 8,
-                s_len * 8,
-                left,
-                ALLREDUCE_TAG,
-                &scratch,
-                0,
-                r_len * 8,
-            );
+        self.ring_allreduce_walk(ctx, buf, byte_off, n, &scratch, |ctx, dst_off, len| {
             // Device reduction of the received chunk, then the mandatory
             // stream synchronize before the next ring step.
             let buf2 = buf.clone();
             let scratch2 = scratch.clone();
-            let dst_off = byte_off + r_start * 8;
-            let spec = KernelSpec::new("allreduce_reduce", (r_len as u32).div_ceil(1024).max(1), 1024)
+            let spec = KernelSpec::new("allreduce_reduce", (len as u32).div_ceil(1024).max(1), 1024)
                 .with_memory_traffic(16, 8)
                 .with_flops(1.0);
             stream.launch(ctx, spec, move |_d| {
-                buf2.accumulate_f64(dst_off, &scratch2, 0, r_len);
+                buf2.accumulate_f64(dst_off, &scratch2, 0, len);
             });
             stream.synchronize(ctx);
-        }
-
-        // Allgather: circulate the fully reduced chunks.
-        for s in 0..p - 1 {
-            let send_chunk = (r + p + 1 - s) % p;
-            let recv_chunk = (r + p - s) % p;
-            let (s_start, s_len) = chunk_range(n, p, send_chunk);
-            let (r_start, r_len) = chunk_range(n, p, recv_chunk);
-            self.sendrecv(
-                ctx,
-                right,
-                ALLREDUCE_TAG,
-                buf,
-                byte_off + s_start * 8,
-                s_len * 8,
-                left,
-                ALLREDUCE_TAG,
-                buf,
-                byte_off + r_start * 8,
-                r_len * 8,
-            );
-        }
+        });
     }
-}
 
-impl Rank {
     /// The production `MPI_Allreduce` baseline the paper measures against
     /// (Open MPI v5.0.1rc1 on device buffers): the reduction `MPI_Op` runs
     /// on the *CPU*, so the library stages the payload device→host, runs a
     /// host ring reduce-scatter/allgather with CPU reductions, and copies
-    /// the result back — each staging copy paying a stream synchronize.
-    /// This host-staged path is what makes the traditional collective
-    /// "multiple orders of magnitude" slower than the partitioned one in
-    /// the paper's Figs. 6/7 (see EXPERIMENTS.md).
+    /// the result back — each staging copy paying a stream synchronize
+    /// and moving over the cluster's NVLink-C2C link. This host-staged
+    /// path is what makes the traditional collective "multiple orders of
+    /// magnitude" slower than the partitioned one in the paper's Figs. 6/7
+    /// (see EXPERIMENTS.md).
     pub fn allreduce_hoststaged_f64(
         &self,
         ctx: &mut Ctx,
@@ -133,7 +86,7 @@ impl Rank {
         }
         let node = self.gpu().id().node;
         let host = Buffer::alloc(MemSpace::Host { node }, n * 8);
-        let c2c_gbps = 450.0;
+        let c2c_gbps = self.world().config().cluster.c2c.bandwidth_gbps;
         // CPU-side single-threaded reduce throughput (sum of two streams).
         let cpu_reduce_gbps = 8.0;
 
@@ -145,35 +98,12 @@ impl Rank {
         host.copy_from_buffer(0, buf, byte_off, n * 8);
 
         // Host ring reduce-scatter + allgather with CPU reductions.
-        let r = self.rank();
-        let right = (r + 1) % p;
-        let left = (r + p - 1) % p;
         let (_, max_chunk) = chunk_range(n, p, 0);
         let scratch = Buffer::alloc(MemSpace::Host { node }, max_chunk * 8);
-        for s in 0..p - 1 {
-            let send_chunk = (r + p - s) % p;
-            let recv_chunk = (r + 2 * p - s - 1) % p;
-            let (s_start, s_len) = chunk_range(n, p, send_chunk);
-            let (r_start, r_len) = chunk_range(n, p, recv_chunk);
-            self.sendrecv(
-                ctx, right, ALLREDUCE_TAG, &host, s_start * 8, s_len * 8,
-                left, ALLREDUCE_TAG, &scratch, 0, r_len * 8,
-            );
-            host.accumulate_f64(r_start * 8, &scratch, 0, r_len);
-            ctx.advance(SimDuration::from_micros_f64(
-                r_len as f64 * 8.0 / (cpu_reduce_gbps * 1e3),
-            ));
-        }
-        for s in 0..p - 1 {
-            let send_chunk = (r + p + 1 - s) % p;
-            let recv_chunk = (r + p - s) % p;
-            let (s_start, s_len) = chunk_range(n, p, send_chunk);
-            let (r_start, r_len) = chunk_range(n, p, recv_chunk);
-            self.sendrecv(
-                ctx, right, ALLREDUCE_TAG, &host, s_start * 8, s_len * 8,
-                left, ALLREDUCE_TAG, &host, r_start * 8, r_len * 8,
-            );
-        }
+        self.ring_allreduce_walk(ctx, &host, 0, n, &scratch, |ctx, dst_off, len| {
+            host.accumulate_f64(dst_off, &scratch, 0, len);
+            ctx.advance(SimDuration::from_micros_f64(len as f64 * 8.0 / (cpu_reduce_gbps * 1e3)));
+        });
 
         // Unstage back to the device.
         buf.copy_from_buffer(byte_off, &host, 0, n * 8);
@@ -181,6 +111,45 @@ impl Rank {
         let op = stream.enqueue_busy(&ctx.handle(), "h2d", h2d);
         ctx.wait(&op.done);
         stream.synchronize(ctx);
+    }
+
+    /// The ring both allreduces walk over `n` `f64` elements of `data` from
+    /// byte `off`, with `P > 1` ranks. Each of the `P-1` reduce-scatter
+    /// steps `sendrecv`s a chunk to the right neighbour, receives the left
+    /// neighbour's into `scratch`, and calls `reduce(ctx, dst, len)` to add
+    /// those `len` elements into `data` at byte `dst`; after step s, chunk
+    /// (r - s - 1) mod P holds the partial sum of s+2 ranks. The `P-1`
+    /// allgather steps then circulate the reduced chunks in place.
+    fn ring_allreduce_walk(
+        &self,
+        ctx: &mut Ctx,
+        data: &Buffer,
+        off: usize,
+        n: usize,
+        scratch: &Buffer,
+        mut reduce: impl FnMut(&mut Ctx, usize, usize),
+    ) {
+        let p = self.size();
+        let r = self.rank();
+        let right = (r + 1) % p;
+        let left = (r + p - 1) % p;
+        for s in 0..p - 1 {
+            let (s_start, s_len) = chunk_range(n, p, (r + p - s) % p);
+            let (r_start, r_len) = chunk_range(n, p, (r + 2 * p - s - 1) % p);
+            self.sendrecv(
+                ctx, right, ALLREDUCE_TAG, data, off + s_start * 8, s_len * 8,
+                left, ALLREDUCE_TAG, scratch, 0, r_len * 8,
+            );
+            reduce(ctx, off + r_start * 8, r_len);
+        }
+        for s in 0..p - 1 {
+            let (s_start, s_len) = chunk_range(n, p, (r + p + 1 - s) % p);
+            let (r_start, r_len) = chunk_range(n, p, (r + p - s) % p);
+            self.sendrecv(
+                ctx, right, ALLREDUCE_TAG, data, off + s_start * 8, s_len * 8,
+                left, ALLREDUCE_TAG, data, off + r_start * 8, r_len * 8,
+            );
+        }
     }
 }
 
