@@ -18,12 +18,13 @@
 //! order the mux tick uses. Each cell is a deterministic simulation
 //! digested end to end; output is byte-identical at any `--threads` count.
 
-use parcomm_core::{prequest_create, CopyMechanism, PrequestConfig};
+use parcomm_core::{prequest_create_async, CopyMechanism, DevicePrequest, PrequestConfig};
 use parcomm_gpu::{AggLevel, KernelSpec};
-use parcomm_mpi::WorldConfig;
+use parcomm_mpi::{Rank, WorldConfig};
 use parcomm_mux::{
     ChannelSpec, Direction, MuxChannelId, MuxConfig, MuxService, TenantReport, WeightedFair,
 };
+use parcomm_sim::Proc;
 use parcomm_sweep::SweepSpec;
 use parcomm_testkit::digest;
 
@@ -114,154 +115,10 @@ fn mux_cell(cfg: &MuxCellCfg) -> MuxCellStats {
     });
     let trace = world.sim.trace();
     trace.enable();
-    let weights = cfg.weights();
-    let pairs = cfg.channels / 2;
     let cell = cfg.clone();
     let run = world.try_run(move |ctx, rank| {
-        let size = rank.size();
-        let me = rank.rank();
-        let gpu = rank.gpu();
-        let device_driven = cell.mechanism == CopyMechanism::KernelCopy;
-        let stream = device_driven.then(|| gpu.create_stream());
-
-        // ---- Admission: `pairs` ring-paired channel pairs per rank.
-        // Pair i: this rank sends to (me + o) and receives the mirrored
-        // channel from (me - o), both under tag 0x7000 + i — the same
-        // global grid on every rank, so ticks pair up by construction.
-        let mut mux = MuxService::new(rank.world(), MuxConfig {
-            tenant_weights: weights.clone(),
-            tick_batch: 256,
-            max_in_flight: cell.channels + 8,
-        });
-        let tenant_of = |pair: usize| pair % cell.tenants;
-        for i in 0..pairs {
-            let o = 1 + (i % (size - 1));
-            let spec = |peer: usize, direction: Direction| ChannelSpec {
-                tenant: tenant_of(i),
-                peer,
-                tag: 0x7000 + i as u64,
-                partitions: PARTITIONS,
-                partition_bytes: PARTITION_BYTES,
-                direction,
-            };
-            let buf = || gpu.alloc_global(PARTITIONS * PARTITION_BYTES);
-            mux.submit(spec((me + o) % size, Direction::Send), buf()).expect("submit send");
-            mux.submit(spec((me + size - o) % size, Direction::Recv), buf())
-                .expect("submit recv");
-        }
-        let mut admitted: Vec<MuxChannelId> = Vec::new();
-        while mux.pending() > 0 {
-            admitted.extend(mux.tick(ctx, rank).expect("mux tick"));
-        }
-        assert_eq!(admitted.len(), cell.channels, "every submission admitted");
-
-        // Per-pair channel ids (admitted order is deterministic but
-        // tenant-sorted, so recover by tag + direction).
-        let mut send_of = vec![None; pairs];
-        let mut recv_of = vec![None; pairs];
-        for &id in &admitted {
-            let s = &mux.channel(id).expect("live").spec;
-            let pair = (s.tag - 0x7000) as usize;
-            match s.direction {
-                Direction::Send => send_of[pair] = Some(id),
-                Direction::Recv => recv_of[pair] = Some(id),
-            }
-        }
-        let send_of: Vec<MuxChannelId> = send_of.into_iter().map(|s| s.expect("send")).collect();
-        let recv_of: Vec<MuxChannelId> = recv_of.into_iter().map(|r| r.expect("recv")).collect();
-        let preq_of: Vec<Option<parcomm_core::DevicePrequest>> = send_of
-            .iter()
-            .map(|&sid| {
-                stream.is_some().then(|| {
-                    let sreq = mux
-                        .channel(sid)
-                        .and_then(|c| c.chan.send().cloned())
-                        .expect("send channel");
-                    let want = PrequestConfig {
-                        copy: CopyMechanism::KernelCopy,
-                        agg: AggLevel::Block,
-                        transport_partitions: 1,
-                        multi_block_counters: true,
-                    };
-                    // One node: every Kernel Copy channel maps its peer.
-                    prequest_create(ctx, rank, &sreq, want).expect("Kernel Copy prequest")
-                })
-            })
-            .collect();
-
-        // ---- Drain rounds: every round grants `pairs` epoch slots by
-        // smooth weighted round-robin over tenants (cursor rotating each
-        // tenant's own pairs), so grant counts track the 8:1 weights. The
-        // schedule is a pure function of (weights, grid) — identical on
-        // every rank. A pair granted k times runs k epochs, one per
-        // sub-round; sub-round ordering keeps receives ahead of sends.
-        let pairs_of_tenant: Vec<Vec<usize>> = (0..cell.tenants)
-            .map(|t| (0..pairs).filter(|&i| tenant_of(i) == t).collect())
-            .collect();
-        let eligible: Vec<bool> = pairs_of_tenant.iter().map(|p| !p.is_empty()).collect();
-        let mut wf = WeightedFair::new(&weights);
-        let mut cursor = vec![0usize; cell.tenants];
-        rank.barrier(ctx);
-        let t0 = ctx.now();
-        for _round in 0..cell.rounds {
-            let mut grants = vec![0u32; pairs];
-            for _slot in 0..pairs {
-                let t = wf.pick(&eligible).expect("some tenant has pairs");
-                let list = &pairs_of_tenant[t];
-                grants[list[cursor[t] % list.len()]] += 1;
-                cursor[t] += 1;
-            }
-            let max_mult = grants.iter().copied().max().unwrap_or(0);
-            for sub in 0..max_mult {
-                let active: Vec<usize> =
-                    (0..pairs).filter(|&i| grants[i] > sub).collect();
-                // Receives first: non-blocking RTR for every active pair.
-                let mut recv_waits = Vec::with_capacity(active.len());
-                for &i in &active {
-                    let chan = mux.begin_epoch(ctx, recv_of[i]).expect("recv epoch");
-                    recv_waits.push(chan.recv().expect("recv channel").clone());
-                }
-                match &stream {
-                    Some(stream) => {
-                        // One kernel sweeps MPIX_Pready over every active
-                        // channel's device prequest.
-                        let mut waits = Vec::with_capacity(active.len());
-                        let mut preqs = Vec::with_capacity(active.len());
-                        for &i in &active {
-                            let chan = mux.begin_epoch(ctx, send_of[i]).expect("send epoch");
-                            waits.push((send_of[i], chan.send().expect("send").clone()));
-                            preqs.push(preq_of[i].clone().expect("device prequest"));
-                        }
-                        let t0 = ctx.now().as_micros_f64();
-                        let spec =
-                            KernelSpec::new("mux-pready", preqs.len().max(1) as u32, 256);
-                        let _ = stream.launch(ctx, spec, move |d| {
-                            for preq in &preqs {
-                                preq.pready_all(d);
-                            }
-                        });
-                        for (sid, s) in waits {
-                            s.wait(ctx).expect("send wait");
-                            let dt = ctx.now().as_micros_f64() - t0;
-                            let (tenant, bytes) = {
-                                let ch = mux.channel(sid).expect("live");
-                                (ch.spec.tenant, ch.spec.bytes())
-                            };
-                            mux.record_epoch(tenant, bytes, dt);
-                        }
-                    }
-                    None => {
-                        for &i in &active {
-                            mux.run_host_send_epoch(ctx, send_of[i]).expect("send epoch");
-                        }
-                    }
-                }
-                for r in recv_waits {
-                    r.wait(ctx).expect("recv wait");
-                }
-            }
-        }
-        (me == 0).then(|| (mux.tenant_stats(), ctx.now().since(t0).as_micros_f64()))
+        let (p, rank, cell) = (ctx.proc(), rank.clone(), cell.clone());
+        ctx.block_on(async move { mux_rank(&p, &rank, &cell).await })
     });
     let (mut reported, report) = run.expect("mux cell sim");
     let (reports, elapsed_us) = reported.pop().expect("rank 0 reports");
@@ -272,6 +129,161 @@ fn mux_cell(cfg: &MuxCellCfg) -> MuxCellStats {
         d.write_u64(r.epochs);
     }
     MuxCellStats { reports, digest: d.finish(), elapsed_us }
+}
+
+/// One rank's body of a mux cell, run as one future: admission, then the
+/// weighted-fair drain rounds. Rank 0 returns its per-tenant reports and
+/// the virtual µs from the post-admission barrier to the last drain.
+async fn mux_rank(p: &Proc, rank: &Rank, cell: &MuxCellCfg) -> Option<(Vec<TenantReport>, f64)> {
+    let size = rank.size();
+    let me = rank.rank();
+    let gpu = rank.gpu();
+    let device_driven = cell.mechanism == CopyMechanism::KernelCopy;
+    let stream = device_driven.then(|| gpu.create_stream());
+    let pairs = cell.channels / 2;
+    let weights = cell.weights();
+
+    // ---- Admission: `pairs` ring-paired channel pairs per rank.
+    // Pair i: this rank sends to (me + o) and receives the mirrored
+    // channel from (me - o), both under tag 0x7000 + i — the same
+    // global grid on every rank, so ticks pair up by construction.
+    let mut mux = MuxService::new(rank.world(), MuxConfig {
+        tenant_weights: weights.clone(),
+        tick_batch: 256,
+        max_in_flight: cell.channels + 8,
+    });
+    let tenant_of = |pair: usize| pair % cell.tenants;
+    for i in 0..pairs {
+        let o = 1 + (i % (size - 1));
+        let spec = |peer: usize, direction: Direction| ChannelSpec {
+            tenant: tenant_of(i),
+            peer,
+            tag: 0x7000 + i as u64,
+            partitions: PARTITIONS,
+            partition_bytes: PARTITION_BYTES,
+            direction,
+        };
+        let buf = || gpu.alloc_global(PARTITIONS * PARTITION_BYTES);
+        mux.submit(spec((me + o) % size, Direction::Send), buf()).expect("submit send");
+        mux.submit(spec((me + size - o) % size, Direction::Recv), buf()).expect("submit recv");
+    }
+    let mut admitted: Vec<MuxChannelId> = Vec::new();
+    while mux.pending() > 0 {
+        admitted.extend(mux.tick_async(p, rank).await.expect("mux tick"));
+    }
+    assert_eq!(admitted.len(), cell.channels, "every submission admitted");
+
+    // Per-pair channel ids (admitted order is deterministic but
+    // tenant-sorted, so recover by tag + direction).
+    let mut send_of = vec![None; pairs];
+    let mut recv_of = vec![None; pairs];
+    for &id in &admitted {
+        let s = &mux.channel(id).expect("live").spec;
+        let pair = (s.tag - 0x7000) as usize;
+        match s.direction {
+            Direction::Send => send_of[pair] = Some(id),
+            Direction::Recv => recv_of[pair] = Some(id),
+        }
+    }
+    let send_of: Vec<MuxChannelId> = send_of.into_iter().map(|s| s.expect("send")).collect();
+    let recv_of: Vec<MuxChannelId> = recv_of.into_iter().map(|r| r.expect("recv")).collect();
+    let mut preq_of: Vec<Option<DevicePrequest>> = Vec::with_capacity(pairs);
+    for &sid in &send_of {
+        preq_of.push(match stream {
+            Some(_) => {
+                let sreq =
+                    mux.channel(sid).and_then(|c| c.chan.send().cloned()).expect("send channel");
+                let want = PrequestConfig {
+                    copy: CopyMechanism::KernelCopy,
+                    agg: AggLevel::Block,
+                    transport_partitions: 1,
+                    multi_block_counters: true,
+                };
+                // One node: every Kernel Copy channel maps its peer.
+                Some(
+                    prequest_create_async(p, rank, &sreq, want)
+                        .await
+                        .expect("Kernel Copy prequest"),
+                )
+            }
+            None => None,
+        });
+    }
+
+    // ---- Drain rounds: every round grants `pairs` epoch slots by
+    // smooth weighted round-robin over tenants (cursor rotating each
+    // tenant's own pairs), so grant counts track the 8:1 weights. The
+    // schedule is a pure function of (weights, grid) — identical on
+    // every rank. A pair granted k times runs k epochs, one per
+    // sub-round; sub-round ordering keeps receives ahead of sends.
+    let pairs_of_tenant: Vec<Vec<usize>> = (0..cell.tenants)
+        .map(|t| (0..pairs).filter(|&i| tenant_of(i) == t).collect())
+        .collect();
+    let eligible: Vec<bool> = pairs_of_tenant.iter().map(|p| !p.is_empty()).collect();
+    let mut wf = WeightedFair::new(&weights);
+    let mut cursor = vec![0usize; cell.tenants];
+    rank.barrier_async(p).await;
+    let t0 = p.now();
+    for _round in 0..cell.rounds {
+        let mut grants = vec![0u32; pairs];
+        for _slot in 0..pairs {
+            let t = wf.pick(&eligible).expect("some tenant has pairs");
+            let list = &pairs_of_tenant[t];
+            grants[list[cursor[t] % list.len()]] += 1;
+            cursor[t] += 1;
+        }
+        let max_mult = grants.iter().copied().max().unwrap_or(0);
+        for sub in 0..max_mult {
+            let active: Vec<usize> = (0..pairs).filter(|&i| grants[i] > sub).collect();
+            // Receives first: non-blocking RTR for every active pair.
+            let mut recv_waits = Vec::with_capacity(active.len());
+            for &i in &active {
+                let chan = mux.begin_epoch_async(p, recv_of[i]).await.expect("recv epoch");
+                recv_waits.push(chan.recv().expect("recv channel").clone());
+            }
+            match &stream {
+                Some(stream) => {
+                    // One kernel sweeps MPIX_Pready over every active
+                    // channel's device prequest.
+                    let mut waits = Vec::with_capacity(active.len());
+                    let mut preqs = Vec::with_capacity(active.len());
+                    for &i in &active {
+                        let chan =
+                            mux.begin_epoch_async(p, send_of[i]).await.expect("send epoch");
+                        waits.push((send_of[i], chan.send().expect("send").clone()));
+                        preqs.push(preq_of[i].clone().expect("device prequest"));
+                    }
+                    let t0 = p.now().as_micros_f64();
+                    let spec = KernelSpec::new("mux-pready", preqs.len().max(1) as u32, 256);
+                    let _ = stream
+                        .launch_async(p, spec, move |d| {
+                            for preq in &preqs {
+                                preq.pready_all(d);
+                            }
+                        })
+                        .await;
+                    for (sid, s) in waits {
+                        s.wait_async(p).await.expect("send wait");
+                        let dt = p.now().as_micros_f64() - t0;
+                        let (tenant, bytes) = {
+                            let ch = mux.channel(sid).expect("live");
+                            (ch.spec.tenant, ch.spec.bytes())
+                        };
+                        mux.record_epoch(tenant, bytes, dt);
+                    }
+                }
+                None => {
+                    for &i in &active {
+                        mux.run_host_send_epoch_async(p, send_of[i]).await.expect("send epoch");
+                    }
+                }
+            }
+            for r in recv_waits {
+                r.wait_async(p).await.expect("recv wait");
+            }
+        }
+    }
+    (me == 0).then(|| (mux.tenant_stats(), p.now().since(t0).as_micros_f64()))
 }
 
 /// Numeric mechanism code for the result rows (pe=0, kc=1, shmem=2).

@@ -19,7 +19,7 @@
 //! validation, epoch sync) byte-for-byte the same.
 
 use parcomm_mpi::MpiError;
-use parcomm_sim::{Ctx, Proc};
+use parcomm_sim::Proc;
 
 use crate::recv::PrecvRequest;
 use crate::send::PsendRequest;
@@ -36,16 +36,6 @@ use crate::send::PsendRequest;
 /// cannot deadlock. Within each side, channels are processed in slice
 /// order; callers that need cross-rank agreement (the mux admission tick)
 /// pass both sides the same canonical order.
-pub fn pbuf_prepare_batch(
-    ctx: &mut Ctx,
-    recvs: &[PrecvRequest],
-    sends: &[PsendRequest],
-) -> Result<(), MpiError> {
-    let (p, recvs, sends) = (ctx.proc(), recvs.to_vec(), sends.to_vec());
-    ctx.block_on(async move { pbuf_prepare_batch_async(&p, &recvs, &sends).await })
-}
-
-/// Async [`pbuf_prepare_batch`], for code run under `Ctx::block_on`.
 pub async fn pbuf_prepare_batch_async(
     p: &Proc,
     recvs: &[PrecvRequest],

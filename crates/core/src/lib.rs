@@ -27,7 +27,7 @@ mod recv;
 mod send;
 mod watchdog;
 
-pub use batch::{pbuf_prepare_batch, pbuf_prepare_batch_async};
+pub use batch::pbuf_prepare_batch_async;
 pub use device::{prequest_create, prequest_create_async, DevicePrequest, PrequestConfig};
 pub use overheads::{ApiOverheads, Overhead};
 pub use parcomm_mpi::{CopyMechanism, MpiError};

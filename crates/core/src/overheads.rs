@@ -32,7 +32,7 @@ pub struct ApiOverheads {
     /// average is dominated by the RTR signal's wire latency).
     pub pbuf_prepare_steady: Overhead,
     /// Per-channel increment for channels *after the first* in one batched
-    /// `MPIX_Pbuf_prepare` tick ([`crate::pbuf_prepare_batch`]): the
+    /// `MPIX_Pbuf_prepare` tick ([`crate::pbuf_prepare_batch_async`]): the
     /// once-per-process setup (deferred MCA init, endpoint warm-up) is
     /// charged by the batch's first channel; every further channel pays
     /// only its own registration bookkeeping. This is the admission-

@@ -227,7 +227,7 @@ impl PrecvRequest {
     }
 
     /// [`PrecvRequest::pbuf_prepare_async`] with the overhead charge gated:
-    /// a batched tick ([`crate::pbuf_prepare_batch`]) charges the deferred
+    /// a batched tick ([`crate::pbuf_prepare_batch_async`]) charges the deferred
     /// MCA-init portion of the first-call cost once for the whole batch and
     /// bills every further channel only its own registration increment.
     pub(crate) async fn pbuf_prepare_charged(&self, p: &Proc, charge: bool) -> Result<(), MpiError> {
@@ -506,16 +506,18 @@ impl PrecvRequest {
     /// `MPI_Request_free` for the persistent receive channel (no active
     /// epoch allowed). Consumes the handle.
     pub fn free(self, ctx: &mut Ctx) -> Result<(), MpiError> {
-        {
-            let st = self.inner.state.lock();
-            if st.started {
-                return Err(MpiError::InvalidArgument {
-                    context: "MPI_Request_free while a communication epoch is active".into(),
-                });
-            }
+        let p = ctx.proc();
+        ctx.block_on(async move { self.free_async(&p).await })
+    }
+
+    /// Async [`PrecvRequest::free`], for code run under `Ctx::block_on`.
+    pub async fn free_async(self, p: &Proc) -> Result<(), MpiError> {
+        if self.inner.state.lock().started {
+            return Err(MpiError::InvalidArgument {
+                context: "MPI_Request_free while a communication epoch is active".into(),
+            });
         }
-        ctx.advance(SimDuration::from_micros_f64(2.0));
-        drop(self);
+        p.advance(SimDuration::from_micros_f64(2.0)).await;
         Ok(())
     }
 }

@@ -442,7 +442,7 @@ impl PsendRequest {
     }
 
     /// [`PsendRequest::pbuf_prepare_async`] with the overhead charge gated:
-    /// a batched tick ([`crate::pbuf_prepare_batch`]) charges the full
+    /// a batched tick ([`crate::pbuf_prepare_batch_async`]) charges the full
     /// first-call overhead once and bills every further channel the
     /// per-channel batch increment instead. The handshake protocol itself
     /// (reply / RTR consumption) is identical either way.
@@ -679,16 +679,18 @@ impl PsendRequest {
     /// simulation; this charges the host bookkeeping cost and consumes the
     /// handle so further API calls are impossible.
     pub fn free(self, ctx: &mut Ctx) -> Result<(), MpiError> {
-        {
-            let st = self.inner.state.lock();
-            if st.started {
-                return Err(MpiError::InvalidArgument {
-                    context: "MPI_Request_free while a communication epoch is active".into(),
-                });
-            }
+        let p = ctx.proc();
+        ctx.block_on(async move { self.free_async(&p).await })
+    }
+
+    /// Async [`PsendRequest::free`], for code run under `Ctx::block_on`.
+    pub async fn free_async(self, p: &Proc) -> Result<(), MpiError> {
+        if self.inner.state.lock().started {
+            return Err(MpiError::InvalidArgument {
+                context: "MPI_Request_free while a communication epoch is active".into(),
+            });
         }
-        ctx.advance(SimDuration::from_micros_f64(2.0));
-        drop(self);
+        p.advance(SimDuration::from_micros_f64(2.0)).await;
         Ok(())
     }
 }

@@ -10,11 +10,11 @@
 //! - [`ChannelTable`] — a generational slab mapping dense [`MuxChannelId`]s
 //!   to live channels in O(1), with an observable probe counter so tests
 //!   can *prove* no operation degenerates into a scan.
-//! - **Admission control** ([`MuxService::submit`] / [`MuxService::tick`])
-//!   — submissions queue per tenant and are admitted in deterministic
-//!   batches; every channel admitted in the same tick shares one
-//!   first-call `pbuf_prepare` charge via
-//!   [`parcomm_core::pbuf_prepare_batch`], the rest paying only the
+//! - **Admission control** ([`MuxService::submit`] /
+//!   [`MuxService::tick_async`]) — submissions queue per tenant and are
+//!   admitted in deterministic batches; every channel admitted in the
+//!   same tick shares one first-call `pbuf_prepare` charge via
+//!   [`parcomm_core::pbuf_prepare_batch_async`], the rest paying only the
 //!   per-channel batch increment. Over-subscription surfaces as typed
 //!   [`AdmissionError`]s (backpressure at the in-flight cap, symmetric-heap
 //!   quota exhaustion) instead of deadlocks or latent heap errors.
@@ -24,6 +24,11 @@
 //!   structure): every rank computes the identical grant order, which is
 //!   what keeps symmetric ticks deadlock-free and trace digests
 //!   byte-identical under any submission shuffle or sweep worker count.
+//!
+//! The service is async-only: admission, epochs and teardown are
+//! `async fn`s over the rank's `Proc`, awaited inside the rank body's
+//! one `Ctx::block_on`, so a rank that drives thousands of channels
+//! wakes its thread once, when its body completes.
 //!
 //! Per-tenant goodput/epoch/latency metrics land in the world's
 //! [`parcomm_obs::MetricsRegistry`] under `mux.tenant<k>.*` from each

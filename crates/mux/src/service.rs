@@ -1,28 +1,34 @@
 //! The multiplexing service: admission, batched setup, fair drain.
 //!
+//! Every call that lets virtual time pass is an `async fn` taking the
+//! rank's [`Proc`], to be awaited inside the rank body's one
+//! `Ctx::block_on` (the `moe` app and the `mux` harness run each rank as
+//! one such future). The bookkeeping calls (`submit`, `record_epoch`,
+//! `retire`, the lookups) are plain methods.
+//!
 //! Lifecycle of a channel through the service:
 //!
 //! 1. [`MuxService::submit`] — the spec queues under its tenant. Typed
 //!    refusals happen *here*: backpressure at the in-flight cap, shmem
 //!    heap quota exhaustion. Reservation at submit (not at tick) keeps
 //!    the answer independent of tick scheduling.
-//! 2. [`MuxService::tick`] — *every* still-uninitialized pending channel
-//!    is `init`-ed + `MPI_Start`-ed first (inits only send setup
+//! 2. [`MuxService::tick_async`] — *every* still-uninitialized pending
+//!    channel is `init`-ed + `MPI_Start`-ed first (inits only send setup
 //!    messages — cheap and non-blocking, so the whole backlog's
 //!    handshakes go into flight at the first tick). Then pending
 //!    submissions are canonically sorted per tenant (receives before
 //!    sends), interleaved across tenants by smooth weighted round-robin,
 //!    and the selected batch runs one
-//!    [`parcomm_core::pbuf_prepare_batch`] — the expensive part
+//!    [`parcomm_core::pbuf_prepare_batch_async`] — the expensive part
 //!    (first-call registration) is what the batch coalesces: the first
 //!    channel pays the full first-call charge, the rest pay only the
 //!    per-channel batch increment. Each admitted channel comes out with
 //!    **epoch 1 already active** (started + prepared).
-//! 3. Epochs — [`MuxService::run_host_send_epoch`] /
-//!    [`MuxService::run_recv_epoch`] for host-driven channels, or
-//!    [`MuxService::begin_epoch`] + [`MuxService::record_epoch`] for
-//!    device-driven ones.
-//! 4. Teardown — [`MuxService::release`] is the graceful path: it
+//! 3. Epochs — [`MuxService::run_host_send_epoch_async`] /
+//!    [`MuxService::run_recv_epoch_async`] for host-driven channels, or
+//!    [`MuxService::begin_epoch_async`] + [`MuxService::record_epoch`]
+//!    for device-driven ones.
+//! 4. Teardown — [`MuxService::release_async`] is the graceful path: it
 //!    refuses (typed) while an epoch is active, charges the
 //!    `MPI_Request_free` host cost, and returns the in-flight slot plus
 //!    any heap reservation to the tenant's quota, so the freed tag and
@@ -35,7 +41,7 @@
 //! **Cross-rank contract and deadlock-freedom**: all ranks of a
 //! symmetric workload must submit mirrored channel sets (every send has
 //! a matching receive on its peer, with equal per-tenant endpoint counts
-//! on every rank) and drive `tick` until their pending queues drain.
+//! on every rank) and drive `tick_async` until their pending queues drain.
 //! Under that contract, admission may span any number of `tick_batch`
 //! rounds without deadlock:
 //!
@@ -62,7 +68,7 @@ use parcomm_mpi::{CopyMechanism, MpiWorld, Rank};
 use parcomm_net::MultiPathPlan;
 use parcomm_obs::{Counter, Histogram};
 use parcomm_shmem::SHMEM_ALIGN;
-use parcomm_sim::{Ctx, Proc};
+use parcomm_sim::Proc;
 
 use crate::admission::{AdmissionError, ChannelSpec, Direction};
 use crate::fairness::WeightedFair;
@@ -74,7 +80,7 @@ pub struct MuxConfig {
     /// One weight per tenant (zero clamps to 1). Weights govern admission
     /// interleave, drain grants, rail stripes, and heap quota.
     pub tenant_weights: Vec<u64>,
-    /// Maximum channels admitted per [`MuxService::tick`].
+    /// Maximum channels admitted per [`MuxService::tick_async`].
     pub tick_batch: usize,
     /// Cap on live channels plus queued submissions; beyond it,
     /// [`MuxService::submit`] answers [`AdmissionError::Backpressure`].
@@ -143,97 +149,6 @@ struct Pending {
     /// (request created, `MPI_Start`-ed, stripes assigned). The grant
     /// tick then only pays the prepare.
     inited: Option<(MuxChannel, usize)>,
-}
-
-/// The admission state a tick works on. A tick moves it out of the
-/// service so that its parking part runs over owned data: the blocking
-/// [`MuxService::tick`] polls it as a `'static` future, and
-/// [`MuxService::tick_async`] awaits the same code.
-struct Backlog {
-    world: MpiWorld,
-    tick_batch: usize,
-    arbiter: WeightedFair,
-    pending: Vec<Vec<Pending>>,
-}
-
-impl Backlog {
-    /// Phases 0–2 of a tick (module docs); returns the backlog and the
-    /// granted channels, prepared, in admission order.
-    async fn tick(mut self, p: &Proc, rank: &Rank) -> (Backlog, Result<Vec<Pending>, MpiError>) {
-        let granted = self.grant(p, rank).await;
-        (self, granted)
-    }
-
-    async fn grant(&mut self, p: &Proc, rank: &Rank) -> Result<Vec<Pending>, MpiError> {
-        // Canonical within-tenant order first (receives before sends;
-        // descending so pop() drains the smallest key): both the init
-        // pass below and the grant selection walk this order, keeping
-        // the whole tick — inits included — invariant under any
-        // submission shuffle.
-        for q in &mut self.pending {
-            q.sort_by_key(|e| std::cmp::Reverse(e.spec.canonical_key()));
-        }
-
-        // Phase 0 — init + start the *entire* backlog, granted this tick
-        // or not. Inits only send setup messages, so nothing here blocks;
-        // after the first tick every handshake any peer's receive could
-        // wait on is already in flight. The expensive coalesced work
-        // (first-call prepare registration) stays per-grant below.
-        let topo = self.world.topology();
-        let my_loc = self.world.gpu_of(rank.rank()).location();
-        for q in &mut self.pending {
-            for e in q.iter_mut().rev().filter(|e| e.inited.is_none()) {
-                let (chan, stripes) = match e.spec.direction {
-                    Direction::Recv => {
-                        let r = precv_init_async(
-                            p, rank, e.spec.peer, e.spec.tag, &e.buffer, e.spec.partitions,
-                        )
-                        .await?;
-                        r.start_epoch()?;
-                        (MuxChannel::Recv(r), 1)
-                    }
-                    Direction::Send => {
-                        let s = psend_init_async(
-                            p, rank, e.spec.peer, e.spec.tag, &e.buffer, e.spec.partitions,
-                        )
-                        .await?;
-                        s.start_epoch()?;
-                        let peer_loc = self.world.gpu_of(e.spec.peer).location();
-                        let budget = MultiPathPlan::path_budget(&topo, my_loc, peer_loc);
-                        let stripes = if budget > 1 {
-                            let share = self.arbiter.share(budget as u64)[e.spec.tenant];
-                            let stripes = (share.max(1) as usize).min(budget);
-                            s.set_stripes(stripes)?;
-                            stripes
-                        } else {
-                            1
-                        };
-                        (MuxChannel::Send(s), stripes)
-                    }
-                };
-                e.inited = Some((chan, stripes));
-            }
-        }
-
-        // Phase 1 — weighted-fair grant selection over the sorted queues.
-        // The recv-first canonical order keeps multi-tick admission
-        // deadlock-free (module docs).
-        let mut grants: Vec<Pending> = Vec::new();
-        while grants.len() < self.tick_batch {
-            let eligible: Vec<bool> = self.pending.iter().map(|q| !q.is_empty()).collect();
-            let Some(t) = self.arbiter.pick(&eligible) else { break };
-            grants.push(self.pending[t].pop().expect("eligible tenant has pending"));
-        }
-
-        // Phase 2 — one batched prepare for the whole tick, receives
-        // before sends: the first channel pays the full first-call
-        // charge, every other channel only the batch increment.
-        let chans = grants.iter().map(|g| &g.inited.as_ref().expect("inited in phase 0").0);
-        let recvs: Vec<PrecvRequest> = chans.clone().filter_map(|c| c.recv().cloned()).collect();
-        let sends: Vec<PsendRequest> = chans.filter_map(|c| c.send().cloned()).collect();
-        pbuf_prepare_batch_async(p, &recvs, &sends).await?;
-        Ok(grants)
-    }
 }
 
 /// `MPI_Start` plus the steady `MPIX_Pbuf_prepare` on an admitted channel.
@@ -415,45 +330,18 @@ impl MuxService {
 
     /// Admit up to `tick_batch` pending channels in one batched sweep and
     /// return their ids in admission order. See the module docs for the
-    /// ordering and pairing contract.
-    pub fn tick(&mut self, ctx: &mut Ctx, rank: &Rank) -> Result<Vec<MuxChannelId>, MpiError> {
-        let backlog = self.take_backlog();
-        let (p, rank) = (ctx.proc(), rank.clone());
-        let ticked = ctx.block_on(async move { backlog.tick(&p, &rank).await });
-        self.commit_tick(ticked)
-    }
-
-    /// Async [`MuxService::tick`], for code run under `Ctx::block_on`.
+    /// ordering and pairing contract. Admitted channels enter the table in
+    /// admission order, so id assignment is deterministic, and epoch 1 is
+    /// live on each. On an error, the channels granted this tick are
+    /// dropped; the rest stay queued.
     pub async fn tick_async(
         &mut self,
         p: &Proc,
         rank: &Rank,
     ) -> Result<Vec<MuxChannelId>, MpiError> {
-        let ticked = self.take_backlog().tick(p, rank).await;
-        self.commit_tick(ticked)
-    }
-
-    /// Move the admission queues and the arbiter out for a tick's future.
-    fn take_backlog(&mut self) -> Backlog {
-        Backlog {
-            world: self.world.clone(),
-            tick_batch: self.tick_batch,
-            arbiter: self.arbiter.clone(),
-            pending: std::mem::take(&mut self.pending),
-        }
-    }
-
-    /// Put a tick's backlog back and insert its admitted channels into the
-    /// table in admission order: id assignment is deterministic, epoch 1
-    /// is live on every admitted channel.
-    fn commit_tick(
-        &mut self,
-        (backlog, admitted): (Backlog, Result<Vec<Pending>, MpiError>),
-    ) -> Result<Vec<MuxChannelId>, MpiError> {
-        self.arbiter = backlog.arbiter;
-        self.pending = backlog.pending;
+        let granted = self.grant(p, rank).await;
         self.pending_total = self.pending.iter().map(Vec::len).sum();
-        let ids = admitted?
+        let ids = granted?
             .into_iter()
             .map(|p| {
                 let (chan, stripes) = p.inited.expect("phase 0 inited the whole backlog");
@@ -467,6 +355,80 @@ impl MuxService {
             })
             .collect();
         Ok(ids)
+    }
+
+    /// Phases 0–2 of a tick (module docs): init the whole backlog, pick
+    /// this tick's grants, prepare them in one batch. Returns the granted
+    /// channels, prepared, in admission order.
+    async fn grant(&mut self, p: &Proc, rank: &Rank) -> Result<Vec<Pending>, MpiError> {
+        // Canonical within-tenant order first (receives before sends;
+        // descending so pop() drains the smallest key): both the init
+        // pass below and the grant selection walk this order, keeping
+        // the whole tick — inits included — invariant under any
+        // submission shuffle.
+        for q in &mut self.pending {
+            q.sort_by_key(|e| std::cmp::Reverse(e.spec.canonical_key()));
+        }
+
+        // Phase 0 — init + start the *entire* backlog, granted this tick
+        // or not. Inits only send setup messages, so nothing here blocks;
+        // after the first tick every handshake any peer's receive could
+        // wait on is already in flight. The expensive coalesced work
+        // (first-call prepare registration) stays per-grant below.
+        let topo = self.world.topology();
+        let my_loc = self.world.gpu_of(rank.rank()).location();
+        for q in &mut self.pending {
+            for e in q.iter_mut().rev().filter(|e| e.inited.is_none()) {
+                let (chan, stripes) = match e.spec.direction {
+                    Direction::Recv => {
+                        let r = precv_init_async(
+                            p, rank, e.spec.peer, e.spec.tag, &e.buffer, e.spec.partitions,
+                        )
+                        .await?;
+                        r.start_epoch()?;
+                        (MuxChannel::Recv(r), 1)
+                    }
+                    Direction::Send => {
+                        let s = psend_init_async(
+                            p, rank, e.spec.peer, e.spec.tag, &e.buffer, e.spec.partitions,
+                        )
+                        .await?;
+                        s.start_epoch()?;
+                        let peer_loc = self.world.gpu_of(e.spec.peer).location();
+                        let budget = MultiPathPlan::path_budget(&topo, my_loc, peer_loc);
+                        let stripes = if budget > 1 {
+                            let share = self.arbiter.share(budget as u64)[e.spec.tenant];
+                            let stripes = (share.max(1) as usize).min(budget);
+                            s.set_stripes(stripes)?;
+                            stripes
+                        } else {
+                            1
+                        };
+                        (MuxChannel::Send(s), stripes)
+                    }
+                };
+                e.inited = Some((chan, stripes));
+            }
+        }
+
+        // Phase 1 — weighted-fair grant selection over the sorted queues.
+        // The recv-first canonical order keeps multi-tick admission
+        // deadlock-free (module docs).
+        let mut grants: Vec<Pending> = Vec::new();
+        while grants.len() < self.tick_batch {
+            let eligible: Vec<bool> = self.pending.iter().map(|q| !q.is_empty()).collect();
+            let Some(t) = self.arbiter.pick(&eligible) else { break };
+            grants.push(self.pending[t].pop().expect("eligible tenant has pending"));
+        }
+
+        // Phase 2 — one batched prepare for the whole tick, receives
+        // before sends: the first channel pays the full first-call
+        // charge, every other channel only the batch increment.
+        let chans = grants.iter().map(|g| &g.inited.as_ref().expect("inited in phase 0").0);
+        let recvs: Vec<PrecvRequest> = chans.clone().filter_map(|c| c.recv().cloned()).collect();
+        let sends: Vec<PsendRequest> = chans.filter_map(|c| c.send().cloned()).collect();
+        pbuf_prepare_batch_async(p, &recvs, &sends).await?;
+        Ok(grants)
     }
 
     /// The admitted channel behind `id` (stale ids miss).
@@ -485,58 +447,45 @@ impl MuxService {
     /// first call after admission is a no-op beyond bookkeeping — the
     /// tick left epoch 1 started and prepared; later calls run
     /// `MPI_Start` plus the steady (cheap) `MPIX_Pbuf_prepare`.
-    pub fn begin_epoch(&mut self, ctx: &mut Ctx, id: MuxChannelId) -> Result<MuxChannel, MpiError> {
-        let (chan, first) = self.next_epoch(id)?;
-        if !first {
-            let (c, p) = (chan.clone(), ctx.proc());
-            ctx.block_on(async move { restart_epoch(&p, &c).await })?;
-        }
-        Ok(chan)
-    }
-
-    /// Async [`MuxService::begin_epoch`], for code run under
-    /// `Ctx::block_on`.
     pub async fn begin_epoch_async(
         &mut self,
         p: &Proc,
         id: MuxChannelId,
     ) -> Result<MuxChannel, MpiError> {
-        let (chan, first) = self.next_epoch(id)?;
+        let ch = self.table.get_mut(id).ok_or_else(|| MpiError::InvalidArgument {
+            context: format!("begin_epoch: stale or unknown channel id {id}"),
+        })?;
+        let first = ch.epochs_run == 0;
+        ch.epochs_run += 1;
+        let chan = ch.chan.clone();
         if !first {
             restart_epoch(p, &chan).await?;
         }
         Ok(chan)
     }
 
-    /// Epoch bookkeeping of [`MuxService::begin_epoch`]: the channel, and
-    /// whether this is its first epoch (already opened by the tick).
-    fn next_epoch(&mut self, id: MuxChannelId) -> Result<(MuxChannel, bool), MpiError> {
-        let ch = self.table.get_mut(id).ok_or_else(|| MpiError::InvalidArgument {
-            context: format!("begin_epoch: stale or unknown channel id {id}"),
-        })?;
-        let first = ch.epochs_run == 0;
-        ch.epochs_run += 1;
-        Ok((ch.chan.clone(), first))
-    }
-
     /// Run one full host-driven epoch on a sender-side channel: begin,
     /// `MPI_Pready` every partition, `MPI_Wait`. Returns the epoch
     /// latency in µs and records it against the owning tenant.
-    pub fn run_host_send_epoch(&mut self, ctx: &mut Ctx, id: MuxChannelId) -> Result<f64, MpiError> {
+    pub async fn run_host_send_epoch_async(
+        &mut self,
+        p: &Proc,
+        id: MuxChannelId,
+    ) -> Result<f64, MpiError> {
         let (tenant, bytes, parts) = {
             let ch = self.table.get(id).ok_or_else(|| MpiError::InvalidArgument {
                 context: format!("run_host_send_epoch: stale or unknown channel id {id}"),
             })?;
             (ch.spec.tenant, ch.spec.bytes(), ch.spec.partitions)
         };
-        let t0 = ctx.now().as_micros_f64();
-        let chan = self.begin_epoch(ctx, id)?;
+        let t0 = p.now().as_micros_f64();
+        let chan = self.begin_epoch_async(p, id).await?;
         let s = chan.send().ok_or_else(|| MpiError::InvalidArgument {
             context: format!("run_host_send_epoch: channel {id} is a receiver"),
         })?;
-        s.pready_range(ctx, 0..parts)?;
-        s.wait(ctx)?;
-        let dt = ctx.now().as_micros_f64() - t0;
+        s.pready_range_async(p, 0..parts).await?;
+        s.wait_async(p).await?;
+        let dt = p.now().as_micros_f64() - t0;
         self.record_epoch(tenant, bytes, dt);
         Ok(dt)
     }
@@ -544,14 +493,18 @@ impl MuxService {
     /// Run one full epoch on a receiver-side channel: begin, `MPI_Wait`.
     /// Returns the epoch latency in µs. Goodput is recorded on the send
     /// side only, so the receive path records nothing.
-    pub fn run_recv_epoch(&mut self, ctx: &mut Ctx, id: MuxChannelId) -> Result<f64, MpiError> {
-        let t0 = ctx.now().as_micros_f64();
-        let chan = self.begin_epoch(ctx, id)?;
+    pub async fn run_recv_epoch_async(
+        &mut self,
+        p: &Proc,
+        id: MuxChannelId,
+    ) -> Result<f64, MpiError> {
+        let t0 = p.now().as_micros_f64();
+        let chan = self.begin_epoch_async(p, id).await?;
         let r = chan.recv().ok_or_else(|| MpiError::InvalidArgument {
             context: format!("run_recv_epoch: channel {id} is a sender"),
         })?;
-        r.wait(ctx)?;
-        Ok(ctx.now().as_micros_f64() - t0)
+        r.wait_async(p).await?;
+        Ok(p.now().as_micros_f64() - t0)
     }
 
     /// Credit one completed epoch to `tenant`: `bytes` of goodput at
@@ -583,20 +536,25 @@ impl MuxService {
     /// (its id goes stale), and return the in-flight slot plus any
     /// symmetric-heap reservation to the tenant's quota. The freed tag
     /// and heap bytes are immediately re-admissible: a subsequent
-    /// [`MuxService::submit`] + [`MuxService::tick`] opens a fresh
+    /// [`MuxService::submit`] + [`MuxService::tick_async`] opens a fresh
     /// channel on the same (peer, tag, direction) while the rest of the
     /// table keeps draining. Returns the spec the channel was admitted
     /// under. Both sides of a pair must release symmetrically before
     /// either re-admits, per the mirrored-submission contract.
-    pub fn release(&mut self, ctx: &mut Ctx, id: MuxChannelId) -> Result<ChannelSpec, MpiError> {
+    pub async fn release_async(
+        &mut self,
+        p: &Proc,
+        id: MuxChannelId,
+    ) -> Result<ChannelSpec, MpiError> {
         let ch = self.table.get(id).ok_or_else(|| MpiError::InvalidArgument {
             context: format!("release: stale or unknown channel id {id}"),
         })?;
-        // free() consumes a handle clone and owns the no-active-epoch
-        // check; on its typed error the table entry is untouched.
-        match &ch.chan {
-            MuxChannel::Send(s) => s.clone().free(ctx)?,
-            MuxChannel::Recv(r) => r.clone().free(ctx)?,
+        // free_async() consumes a handle clone and owns the
+        // no-active-epoch check; on its typed error the table entry is
+        // untouched.
+        match ch.chan.clone() {
+            MuxChannel::Send(s) => s.free_async(p).await?,
+            MuxChannel::Recv(r) => r.free_async(p).await?,
         }
         Ok(self.retire(id).expect("entry was live above"))
     }
@@ -605,7 +563,7 @@ impl MuxService {
     /// its in-flight slot frees, and any heap reservation returns to the
     /// tenant's quota. Returns the spec it was admitted under. This is
     /// the abandonment path (dead peer, recovery gave up); live channels
-    /// should go through [`MuxService::release`].
+    /// should go through [`MuxService::release_async`].
     pub fn retire(&mut self, id: MuxChannelId) -> Option<ChannelSpec> {
         let ch = self.table.remove(id)?;
         self.shmem_reserved[ch.spec.tenant] =

@@ -9,10 +9,10 @@ use std::sync::Arc;
 use parcomm::apps::{moe_reference, run_moe, MoeConfig};
 use parcomm::coll::pallreduce_init;
 use parcomm::gpu::MemSpace;
-use parcomm::mux::{AdmissionError, ChannelTable, WeightedFair};
+use parcomm::mux::{AdmissionError, ChannelTable, MuxChannelId, WeightedFair};
 use parcomm::obs::chrome_trace_json_with_counters;
 use parcomm::prelude::*;
-use parcomm::sim::{Mutex, SimRng};
+use parcomm::sim::{Mutex, Proc, SimReport, SimRng};
 use parcomm_testkit::prop::{check, PropConfig, TestResult};
 use parcomm_testkit::digest;
 use parcomm_sweep::SweepSpec;
@@ -174,11 +174,28 @@ fn moe_capacity_overflow_drops_are_deterministic() {
 // are invariant under seeded submission shuffle within a tick, and
 // byte-identical at 1/2/8 sweep workers.
 
+/// Run epoch 1 (already active from the tick) on every admitted channel
+/// so real traffic lands in the trace: sends first, then receive waits.
+async fn drain_first_epoch(p: &Proc, mux: &mut MuxService, ids: &[MuxChannelId]) {
+    let is_send = |mux: &MuxService, id: MuxChannelId| {
+        mux.channel(id).expect("live").spec.direction == Direction::Send
+    };
+    let (sends, recvs): (Vec<MuxChannelId>, Vec<MuxChannelId>) =
+        ids.iter().partition(|&&id| is_send(mux, id));
+    for id in sends {
+        mux.run_host_send_epoch_async(p, id).await.expect("send epoch");
+    }
+    for id in recvs {
+        mux.run_recv_epoch_async(p, id).await.expect("recv epoch");
+    }
+}
+
 /// A symmetric all-pairs channel set (3 tenants, send+recv per peer per
 /// tenant), submitted in an order shuffled by `shuffle`, admitted through
-/// batched ticks, then drained for one epoch. Digest covers the run trace
-/// plus the admitted spec order.
-fn admitted_digest(shuffle: u64) -> u64 {
+/// batched ticks, then drained for one epoch, each rank's body one future.
+/// Returns the digest over the run trace plus the admitted spec order, and
+/// the simulation report.
+fn admitted_run(shuffle: u64) -> (u64, SimReport) {
     let mut sim = Simulation::with_seed(0xBEEF);
     let trace = sim.trace();
     trace.enable();
@@ -186,61 +203,49 @@ fn admitted_digest(shuffle: u64) -> u64 {
     let order = Arc::new(Mutex::new(Vec::new()));
     let o2 = order.clone();
     world.run_ranks(&mut sim, move |ctx, rank| {
-        use parcomm::mux::{ChannelSpec, Direction, MuxConfig, MuxService};
-        let mut mux = MuxService::new(rank.world(), MuxConfig::with_weights(&[3, 1, 2]));
-        let me = rank.rank();
-        let mut subs = Vec::new();
-        for t in 0..3usize {
-            for peer in (0..rank.size()).filter(|&p| p != me) {
-                for direction in [Direction::Send, Direction::Recv] {
-                    subs.push(ChannelSpec {
-                        tenant: t,
-                        peer,
-                        tag: 0x900 + t as u64,
-                        partitions: 2,
-                        partition_bytes: 256,
-                        direction,
-                    });
+        let (p, rank, o2) = (ctx.proc(), rank.clone(), o2.clone());
+        ctx.block_on(async move {
+            let mut mux = MuxService::new(rank.world(), MuxConfig::with_weights(&[3, 1, 2]));
+            let me = rank.rank();
+            let mut subs = Vec::new();
+            for t in 0..3usize {
+                for peer in (0..rank.size()).filter(|&p| p != me) {
+                    for direction in [Direction::Send, Direction::Recv] {
+                        subs.push(ChannelSpec {
+                            tenant: t,
+                            peer,
+                            tag: 0x900 + t as u64,
+                            partitions: 2,
+                            partition_bytes: 256,
+                            direction,
+                        });
+                    }
                 }
             }
-        }
-        // Seeded Fisher-Yates, different per rank: the wire protocol and
-        // the admitted order must not care.
-        let mut rng = SimRng::seeded(shuffle ^ (me as u64).wrapping_mul(0x9E37));
-        for i in (1..subs.len()).rev() {
-            let j = rng.uniform_range(0, i as u64 + 1) as usize;
-            subs.swap(i, j);
-        }
-        for spec in subs {
-            let buf = rank.gpu().alloc_global(spec.partitions * spec.partition_bytes);
-            mux.submit(spec, buf).expect("submit");
-        }
-        let mut ids = Vec::new();
-        while mux.pending() > 0 {
-            ids.extend(mux.tick(ctx, rank).expect("tick"));
-        }
-        if me == 0 {
-            let mut log = o2.lock();
-            for &id in &ids {
-                let s = &mux.channel(id).expect("live").spec;
-                log.push((s.tenant, s.peer, s.tag, matches!(s.direction, Direction::Send)));
+            // Seeded Fisher-Yates, different per rank: the wire protocol
+            // and the admitted order must not care.
+            let mut rng = SimRng::seeded(shuffle ^ (me as u64).wrapping_mul(0x9E37));
+            for i in (1..subs.len()).rev() {
+                let j = rng.uniform_range(0, i as u64 + 1) as usize;
+                subs.swap(i, j);
             }
-        }
-        // Drain epoch 1 (already active from the tick) so real traffic
-        // lands in the trace: sends first, then receive waits.
-        let (mut sends, mut recvs) = (Vec::new(), Vec::new());
-        for &id in &ids {
-            match mux.channel(id).expect("live").spec.direction {
-                Direction::Send => sends.push(id),
-                Direction::Recv => recvs.push(id),
+            for spec in subs {
+                let buf = rank.gpu().alloc_global(spec.partitions * spec.partition_bytes);
+                mux.submit(spec, buf).expect("submit");
             }
-        }
-        for id in sends {
-            mux.run_host_send_epoch(ctx, id).expect("send epoch");
-        }
-        for id in recvs {
-            mux.run_recv_epoch(ctx, id).expect("recv epoch");
-        }
+            let mut ids = Vec::new();
+            while mux.pending() > 0 {
+                ids.extend(mux.tick_async(&p, &rank).await.expect("tick"));
+            }
+            if me == 0 {
+                let mut log = o2.lock();
+                for &id in &ids {
+                    let s = &mux.channel(id).expect("live").spec;
+                    log.push((s.tenant, s.peer, s.tag, matches!(s.direction, Direction::Send)));
+                }
+            }
+            drain_first_epoch(&p, &mut mux, &ids).await;
+        });
     });
     let report = sim.run().expect("mux sim");
     let mut d = digest::Digest::new();
@@ -251,7 +256,11 @@ fn admitted_digest(shuffle: u64) -> u64 {
         d.write_u64(*tag);
         d.write_u64(*is_send as u64);
     }
-    d.finish()
+    (d.finish(), report)
+}
+
+fn admitted_digest(shuffle: u64) -> u64 {
+    admitted_run(shuffle).0
 }
 
 /// Admission spanning many tick batches must not deadlock: with
@@ -260,57 +269,47 @@ fn admitted_digest(shuffle: u64) -> u64 {
 /// later tick (the backlog-wide init pass plus recv-first grant order).
 #[test]
 fn multi_tick_admission_pairs_across_batches() {
-    use parcomm::mux::{ChannelSpec, Direction, MuxConfig, MuxService};
     let mut sim = Simulation::with_seed(0x71C5);
     let world = MpiWorld::new(&sim, WorldConfig::gh200(1));
     let ticks = Arc::new(Mutex::new(0usize));
     let t2 = ticks.clone();
     world.run_ranks(&mut sim, move |ctx, rank| {
-        let mut mux = MuxService::new(
-            rank.world(),
-            MuxConfig { tenant_weights: vec![3, 1, 2], tick_batch: 4, ..MuxConfig::default() },
-        );
-        let me = rank.rank();
-        for t in 0..3usize {
-            for peer in (0..rank.size()).filter(|&p| p != me) {
-                for direction in [Direction::Send, Direction::Recv] {
-                    let spec = ChannelSpec {
-                        tenant: t,
-                        peer,
-                        tag: 0xA00 + t as u64,
-                        partitions: 2,
-                        partition_bytes: 128,
-                        direction,
-                    };
-                    let buf = rank.gpu().alloc_global(spec.partitions * spec.partition_bytes);
-                    mux.submit(spec, buf).expect("submit");
+        let (p, rank, t2) = (ctx.proc(), rank.clone(), t2.clone());
+        ctx.block_on(async move {
+            let mut mux = MuxService::new(
+                rank.world(),
+                MuxConfig { tenant_weights: vec![3, 1, 2], tick_batch: 4, ..MuxConfig::default() },
+            );
+            let me = rank.rank();
+            for t in 0..3usize {
+                for peer in (0..rank.size()).filter(|&p| p != me) {
+                    for direction in [Direction::Send, Direction::Recv] {
+                        let spec = ChannelSpec {
+                            tenant: t,
+                            peer,
+                            tag: 0xA00 + t as u64,
+                            partitions: 2,
+                            partition_bytes: 128,
+                            direction,
+                        };
+                        let buf = rank.gpu().alloc_global(spec.partitions * spec.partition_bytes);
+                        mux.submit(spec, buf).expect("submit");
+                    }
                 }
             }
-        }
-        let mut ids = Vec::new();
-        let mut tick_count = 0;
-        while mux.pending() > 0 {
-            ids.extend(mux.tick(ctx, rank).expect("tick"));
-            tick_count += 1;
-        }
-        assert_eq!(ids.len(), 18);
-        if me == 0 {
-            *t2.lock() = tick_count;
-        }
-        // Drain epoch 1 so the channels actually move data.
-        let (mut sends, mut recvs) = (Vec::new(), Vec::new());
-        for &id in &ids {
-            match mux.channel(id).expect("live").spec.direction {
-                Direction::Send => sends.push(id),
-                Direction::Recv => recvs.push(id),
+            let mut ids = Vec::new();
+            let mut tick_count = 0;
+            while mux.pending() > 0 {
+                ids.extend(mux.tick_async(&p, &rank).await.expect("tick"));
+                tick_count += 1;
             }
-        }
-        for id in sends {
-            mux.run_host_send_epoch(ctx, id).expect("send epoch");
-        }
-        for id in recvs {
-            mux.run_recv_epoch(ctx, id).expect("recv epoch");
-        }
+            assert_eq!(ids.len(), 18);
+            if me == 0 {
+                *t2.lock() = tick_count;
+            }
+            // Drain epoch 1 so the channels actually move data.
+            drain_first_epoch(&p, &mut mux, &ids).await;
+        });
     });
     sim.run().expect("multi-tick admission must not deadlock");
     assert_eq!(*ticks.lock(), 5, "18 channels at tick_batch 4 is 5 ticks");
@@ -322,6 +321,17 @@ const ADMITTED_DIGEST: u64 = 0x66d4161c595112b6;
 #[test]
 fn admitted_digest_is_frozen() {
     assert_eq!(admitted_digest(0), ADMITTED_DIGEST, "mux admission or epoch drain moved");
+}
+
+/// A mux world whose rank bodies are each one future costs two thread
+/// handoffs per rank: its start once `MPI_Init` has passed, and the
+/// completion of its one `block_on`. Driving the same world through
+/// blocking `tick`, `run_host_send_epoch` and `run_recv_epoch` calls, one
+/// `block_on` each, cost 80.
+#[test]
+fn async_mux_world_costs_two_handoffs_per_rank() {
+    let (_, report) = admitted_run(0);
+    assert_eq!(report.handoffs, 2 * 4, "4 ranks, each one future");
 }
 
 #[test]
@@ -368,7 +378,6 @@ fn admission_digest_is_byte_identical_across_sweep_workers() {
 
 #[test]
 fn backpressure_at_the_in_flight_cap_is_typed() {
-    use parcomm::mux::{ChannelSpec, Direction, MuxConfig, MuxService};
     let sim = Simulation::with_seed(1);
     let world = MpiWorld::new(&sim, WorldConfig::gh200(1));
     let mut mux = MuxService::new(
@@ -402,7 +411,6 @@ fn backpressure_at_the_in_flight_cap_is_typed() {
 
 #[test]
 fn shmem_quota_exhaustion_is_typed_per_tenant() {
-    use parcomm::mux::{ChannelSpec, Direction, MuxConfig, MuxService};
     let sim = Simulation::with_seed(1);
     let config = WorldConfig { mechanism: CopyMechanism::Shmem, ..WorldConfig::gh200(1) };
     let world = MpiWorld::new(&sim, config);
@@ -453,90 +461,98 @@ fn shmem_quota_exhaustion_is_typed_per_tenant() {
 /// with an active epoch, and release of a stale id.
 #[test]
 fn release_returns_slots_and_readmits_under_live_traffic() {
-    use parcomm::mux::{ChannelSpec, Direction, MuxConfig, MuxService};
     let mut sim = Simulation::with_seed(0x7EA2);
     let world = MpiWorld::new(&sim, WorldConfig::gh200(1));
     world.run_ranks(&mut sim, move |ctx, rank| {
-        let mut mux = MuxService::new(
-            rank.world(),
-            MuxConfig { tenant_weights: vec![1, 1], max_in_flight: 4, ..MuxConfig::default() },
-        );
-        let me = rank.rank();
-        let next = (me + 1) % rank.size();
-        let prev = (me + rank.size() - 1) % rank.size();
-        let parts = 2usize;
-        let spec = |tenant: usize, peer: usize, direction: Direction| ChannelSpec {
-            tenant,
-            peer,
-            tag: 0xC00 + tenant as u64,
-            partitions: parts,
-            partition_bytes: 256,
-            direction,
-        };
-        let alloc = |rank: &Rank| rank.gpu().alloc_global(parts * 256);
-        for t in 0..2usize {
-            mux.submit(spec(t, next, Direction::Send), alloc(rank)).expect("submit send");
-            mux.submit(spec(t, prev, Direction::Recv), alloc(rank)).expect("submit recv");
-        }
-        let ids = mux.tick(ctx, rank).expect("tick");
-        assert_eq!(ids.len(), 4);
-        // Classify the admitted ids by (tenant, direction).
-        let find = |mux: &MuxService, t: usize, d: Direction| {
-            mux.channels()
-                .find(|(_, c)| c.spec.tenant == t && c.spec.direction == d)
-                .map(|(id, _)| id)
-                .expect("admitted")
-        };
-        let (t0_send, t0_recv) = (find(&mux, 0, Direction::Send), find(&mux, 0, Direction::Recv));
-        let (t1_send, t1_recv) = (find(&mux, 1, Direction::Send), find(&mux, 1, Direction::Recv));
-        // Epoch 1 (live from the tick) on everything: sends, then recvs.
-        for id in [t0_send, t1_send] {
-            mux.run_host_send_epoch(ctx, id).expect("send epoch 1");
-        }
-        for id in [t0_recv, t1_recv] {
-            mux.run_recv_epoch(ctx, id).expect("recv epoch 1");
-        }
-        // Open tenant 1's epoch 2 (recv first: the steady send prepare
-        // blocks on the receiver's RTR) and leave it in flight.
-        let t1r = mux.begin_epoch(ctx, t1_recv).expect("t1 recv epoch 2");
-        let t1s = mux.begin_epoch(ctx, t1_send).expect("t1 send epoch 2");
-        // A channel mid-epoch refuses release, typed, and stays live.
-        let busy = mux.release(ctx, t1_send).expect_err("active epoch must refuse release");
-        assert!(format!("{busy}").contains("active"), "wrong refusal: {busy}");
-        assert!(mux.channel(t1_send).is_some(), "failed release must leave the channel live");
-        // At the cap, one more submission backpressures...
-        assert!(matches!(
-            mux.submit(spec(0, next, Direction::Send), alloc(rank)),
-            Err(AdmissionError::Backpressure { in_flight: 4, pending: 0, cap: 4 })
-        ));
-        // ...until release returns tenant 0's two slots, mid-t1-traffic.
-        let spec_s = mux.release(ctx, t0_send).expect("t0 send is idle");
-        let spec_r = mux.release(ctx, t0_recv).expect("t0 recv is idle");
-        assert_eq!(mux.in_flight(), 2);
-        assert!(mux.channel(t0_send).is_none(), "released id must go stale");
-        let stale = mux.release(ctx, t0_send).expect_err("stale id");
-        assert!(format!("{stale}").contains("stale"), "wrong refusal: {stale}");
-        // Re-admit the released specs — same tags — while t1's epoch 2 is
-        // still in flight.
-        mux.submit(spec_s, alloc(rank)).expect("re-submit freed send slot");
-        mux.submit(spec_r, alloc(rank)).expect("re-submit freed recv slot");
-        let new_ids = mux.tick(ctx, rank).expect("re-admission tick");
-        assert_eq!(new_ids.len(), 2);
-        assert!(
-            !new_ids.contains(&t0_send) && !new_ids.contains(&t0_recv),
-            "re-admitted channels must get fresh ids"
-        );
-        // Drive tenant 1's in-flight epoch 2 to completion.
-        let s = t1s.send().expect("sender");
-        s.pready_range(ctx, 0..parts).expect("pready");
-        s.wait(ctx).expect("t1 send epoch 2 wait");
-        t1r.recv().expect("receiver").wait(ctx).expect("t1 recv epoch 2 wait");
-        // Epoch 1 on the re-admitted tenant-0 pair proves the reused tags
-        // carry traffic end to end.
-        let ns = find(&mux, 0, Direction::Send);
-        let nr = find(&mux, 0, Direction::Recv);
-        mux.run_host_send_epoch(ctx, ns).expect("re-admitted send epoch");
-        mux.run_recv_epoch(ctx, nr).expect("re-admitted recv epoch");
+        let (p, rank) = (ctx.proc(), rank.clone());
+        ctx.block_on(async move {
+            let p = &p;
+            let mut mux = MuxService::new(
+                rank.world(),
+                MuxConfig { tenant_weights: vec![1, 1], max_in_flight: 4, ..MuxConfig::default() },
+            );
+            let me = rank.rank();
+            let next = (me + 1) % rank.size();
+            let prev = (me + rank.size() - 1) % rank.size();
+            let parts = 2usize;
+            let spec = |tenant: usize, peer: usize, direction: Direction| ChannelSpec {
+                tenant,
+                peer,
+                tag: 0xC00 + tenant as u64,
+                partitions: parts,
+                partition_bytes: 256,
+                direction,
+            };
+            let alloc = |rank: &Rank| rank.gpu().alloc_global(parts * 256);
+            for t in 0..2usize {
+                mux.submit(spec(t, next, Direction::Send), alloc(&rank)).expect("submit send");
+                mux.submit(spec(t, prev, Direction::Recv), alloc(&rank)).expect("submit recv");
+            }
+            let ids = mux.tick_async(p, &rank).await.expect("tick");
+            assert_eq!(ids.len(), 4);
+            // Classify the admitted ids by (tenant, direction).
+            let find = |mux: &MuxService, t: usize, d: Direction| {
+                mux.channels()
+                    .find(|(_, c)| c.spec.tenant == t && c.spec.direction == d)
+                    .map(|(id, _)| id)
+                    .expect("admitted")
+            };
+            let (t0_send, t0_recv) =
+                (find(&mux, 0, Direction::Send), find(&mux, 0, Direction::Recv));
+            let (t1_send, t1_recv) =
+                (find(&mux, 1, Direction::Send), find(&mux, 1, Direction::Recv));
+            // Epoch 1 (live from the tick) on everything: sends, then recvs.
+            for id in [t0_send, t1_send] {
+                mux.run_host_send_epoch_async(p, id).await.expect("send epoch 1");
+            }
+            for id in [t0_recv, t1_recv] {
+                mux.run_recv_epoch_async(p, id).await.expect("recv epoch 1");
+            }
+            // Open tenant 1's epoch 2 (recv first: the steady send prepare
+            // blocks on the receiver's RTR) and leave it in flight.
+            let t1r = mux.begin_epoch_async(p, t1_recv).await.expect("t1 recv epoch 2");
+            let t1s = mux.begin_epoch_async(p, t1_send).await.expect("t1 send epoch 2");
+            // A channel mid-epoch refuses release, typed, and stays live.
+            let busy = mux
+                .release_async(p, t1_send)
+                .await
+                .expect_err("active epoch must refuse release");
+            assert!(format!("{busy}").contains("active"), "wrong refusal: {busy}");
+            assert!(mux.channel(t1_send).is_some(), "failed release must leave the channel live");
+            // At the cap, one more submission backpressures...
+            assert!(matches!(
+                mux.submit(spec(0, next, Direction::Send), alloc(&rank)),
+                Err(AdmissionError::Backpressure { in_flight: 4, pending: 0, cap: 4 })
+            ));
+            // ...until release returns tenant 0's two slots, mid-t1-traffic.
+            let spec_s = mux.release_async(p, t0_send).await.expect("t0 send is idle");
+            let spec_r = mux.release_async(p, t0_recv).await.expect("t0 recv is idle");
+            assert_eq!(mux.in_flight(), 2);
+            assert!(mux.channel(t0_send).is_none(), "released id must go stale");
+            let stale = mux.release_async(p, t0_send).await.expect_err("stale id");
+            assert!(format!("{stale}").contains("stale"), "wrong refusal: {stale}");
+            // Re-admit the released specs — same tags — while t1's epoch 2
+            // is still in flight.
+            mux.submit(spec_s, alloc(&rank)).expect("re-submit freed send slot");
+            mux.submit(spec_r, alloc(&rank)).expect("re-submit freed recv slot");
+            let new_ids = mux.tick_async(p, &rank).await.expect("re-admission tick");
+            assert_eq!(new_ids.len(), 2);
+            assert!(
+                !new_ids.contains(&t0_send) && !new_ids.contains(&t0_recv),
+                "re-admitted channels must get fresh ids"
+            );
+            // Drive tenant 1's in-flight epoch 2 to completion.
+            let s = t1s.send().expect("sender");
+            s.pready_range_async(p, 0..parts).await.expect("pready");
+            s.wait_async(p).await.expect("t1 send epoch 2 wait");
+            t1r.recv().expect("receiver").wait_async(p).await.expect("t1 recv epoch 2 wait");
+            // Epoch 1 on the re-admitted tenant-0 pair proves the reused
+            // tags carry traffic end to end.
+            let ns = find(&mux, 0, Direction::Send);
+            let nr = find(&mux, 0, Direction::Recv);
+            mux.run_host_send_epoch_async(p, ns).await.expect("re-admitted send epoch");
+            mux.run_recv_epoch_async(p, nr).await.expect("re-admitted recv epoch");
+        });
     });
     sim.run().expect("teardown/re-admission must not deadlock");
 }
@@ -546,7 +562,6 @@ fn release_returns_slots_and_readmits_under_live_traffic() {
 /// shmem fast path) once the first is released.
 #[test]
 fn release_returns_shmem_quota_for_readmission() {
-    use parcomm::mux::{ChannelSpec, Direction, MuxConfig, MuxService};
     let mut sim = Simulation::with_seed(0x7EA3);
     let config = WorldConfig { mechanism: CopyMechanism::Shmem, ..WorldConfig::gh200(1) };
     let world = MpiWorld::new(&sim, config);
@@ -554,60 +569,65 @@ fn release_returns_shmem_quota_for_readmission() {
         if rank.rank() > 1 {
             return;
         }
-        let mut mux = MuxService::new(rank.world(), MuxConfig::with_weights(&[1, 1]));
-        let quota = mux.shmem_quota(0);
-        // ~60% of quota per channel: two concurrent reservations overrun
-        // the tenant's share, two *sequential* heap binds still fit the
-        // rank's physical segment (quota is half of it), so the re-admitted
-        // channel negotiates shmem rather than demoting to rkey.
-        let parts = 4usize;
-        let per_part = (quota as usize * 6 / 10) / parts;
-        let spec = |tag: u64, direction: Direction, peer: usize| ChannelSpec {
-            tenant: 0,
-            peer,
-            tag,
-            partitions: parts,
-            partition_bytes: per_part,
-            direction,
-        };
-        let alloc = |rank: &Rank| rank.gpu().alloc_global(parts * per_part);
-        if rank.rank() == 0 {
-            // Sender side: no heap charge, mirrors the receiver's lifecycle.
-            mux.submit(spec(21, Direction::Send, 1), alloc(rank)).expect("send 21");
-            assert_eq!(mux.shmem_reserved(0), 0, "sends never charge the heap");
-            let id = mux.tick(ctx, rank).expect("tick")[0];
-            mux.run_host_send_epoch(ctx, id).expect("epoch on 21");
-            mux.release(ctx, id).expect("release 21");
-            mux.submit(spec(22, Direction::Send, 1), alloc(rank)).expect("send 22");
-            let id = mux.tick(ctx, rank).expect("tick")[0];
-            mux.run_host_send_epoch(ctx, id).expect("epoch on 22");
-        } else {
-            mux.submit(spec(21, Direction::Recv, 0), alloc(rank)).expect("recv 21 fits");
-            let reserved = mux.shmem_reserved(0);
-            assert!(reserved > quota / 2, "one channel must hold over half the quota");
-            // The second channel is refused while the first holds its bytes.
-            match mux.submit(spec(22, Direction::Recv, 0), alloc(rank)) {
-                Err(AdmissionError::ShmemQuotaExceeded { tenant: 0, used, .. }) => {
-                    assert_eq!(used, reserved, "refusal must cite the live reservation");
+        let (p, rank) = (ctx.proc(), rank.clone());
+        ctx.block_on(async move {
+            let p = &p;
+            let mut mux = MuxService::new(rank.world(), MuxConfig::with_weights(&[1, 1]));
+            let quota = mux.shmem_quota(0);
+            // ~60% of quota per channel: two concurrent reservations overrun
+            // the tenant's share, two *sequential* heap binds still fit the
+            // rank's physical segment (quota is half of it), so the
+            // re-admitted channel negotiates shmem rather than demoting to
+            // rkey.
+            let parts = 4usize;
+            let per_part = (quota as usize * 6 / 10) / parts;
+            let spec = |tag: u64, direction: Direction, peer: usize| ChannelSpec {
+                tenant: 0,
+                peer,
+                tag,
+                partitions: parts,
+                partition_bytes: per_part,
+                direction,
+            };
+            let alloc = || rank.gpu().alloc_global(parts * per_part);
+            if rank.rank() == 0 {
+                // Sender side: no heap charge, mirrors the receiver's lifecycle.
+                mux.submit(spec(21, Direction::Send, 1), alloc()).expect("send 21");
+                assert_eq!(mux.shmem_reserved(0), 0, "sends never charge the heap");
+                let id = mux.tick_async(p, &rank).await.expect("tick")[0];
+                mux.run_host_send_epoch_async(p, id).await.expect("epoch on 21");
+                mux.release_async(p, id).await.expect("release 21");
+                mux.submit(spec(22, Direction::Send, 1), alloc()).expect("send 22");
+                let id = mux.tick_async(p, &rank).await.expect("tick")[0];
+                mux.run_host_send_epoch_async(p, id).await.expect("epoch on 22");
+            } else {
+                mux.submit(spec(21, Direction::Recv, 0), alloc()).expect("recv 21 fits");
+                let reserved = mux.shmem_reserved(0);
+                assert!(reserved > quota / 2, "one channel must hold over half the quota");
+                // The second channel is refused while the first holds its bytes.
+                match mux.submit(spec(22, Direction::Recv, 0), alloc()) {
+                    Err(AdmissionError::ShmemQuotaExceeded { tenant: 0, used, .. }) => {
+                        assert_eq!(used, reserved, "refusal must cite the live reservation");
+                    }
+                    other => panic!("expected quota refusal, got {other:?}"),
                 }
-                other => panic!("expected quota refusal, got {other:?}"),
+                let id = mux.tick_async(p, &rank).await.expect("tick")[0];
+                mux.run_recv_epoch_async(p, id).await.expect("epoch on 21");
+                assert!(
+                    mux.channel(id).expect("live").chan.recv().expect("recv").shmem_active(),
+                    "first channel must be on the shmem fast path"
+                );
+                mux.release_async(p, id).await.expect("release 21");
+                assert_eq!(mux.shmem_reserved(0), 0, "release must return the heap bytes");
+                mux.submit(spec(22, Direction::Recv, 0), alloc()).expect("freed quota re-admits");
+                let id = mux.tick_async(p, &rank).await.expect("tick")[0];
+                mux.run_recv_epoch_async(p, id).await.expect("epoch on 22");
+                assert!(
+                    mux.channel(id).expect("live").chan.recv().expect("recv").shmem_active(),
+                    "re-admitted channel must still negotiate shmem"
+                );
             }
-            let id = mux.tick(ctx, rank).expect("tick")[0];
-            mux.run_recv_epoch(ctx, id).expect("epoch on 21");
-            assert!(
-                mux.channel(id).expect("live").chan.recv().expect("recv").shmem_active(),
-                "first channel must be on the shmem fast path"
-            );
-            mux.release(ctx, id).expect("release 21");
-            assert_eq!(mux.shmem_reserved(0), 0, "release must return the heap bytes");
-            mux.submit(spec(22, Direction::Recv, 0), alloc(rank)).expect("freed quota re-admits");
-            let id = mux.tick(ctx, rank).expect("tick")[0];
-            mux.run_recv_epoch(ctx, id).expect("epoch on 22");
-            assert!(
-                mux.channel(id).expect("live").chan.recv().expect("recv").shmem_active(),
-                "re-admitted channel must still negotiate shmem"
-            );
-        }
+        });
     });
     sim.run().expect("quota re-admission sim");
 }
