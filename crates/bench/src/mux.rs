@@ -187,27 +187,19 @@ async fn mux_rank(p: &Proc, rank: &Rank, cell: &MuxCellCfg) -> Option<(Vec<Tenan
     }
     let send_of: Vec<MuxChannelId> = send_of.into_iter().map(|s| s.expect("send")).collect();
     let recv_of: Vec<MuxChannelId> = recv_of.into_iter().map(|r| r.expect("recv")).collect();
-    let mut preq_of: Vec<Option<DevicePrequest>> = Vec::with_capacity(pairs);
-    for &sid in &send_of {
-        preq_of.push(match stream {
-            Some(_) => {
-                let sreq =
-                    mux.channel(sid).and_then(|c| c.chan.send().cloned()).expect("send channel");
-                let want = PrequestConfig {
-                    copy: CopyMechanism::KernelCopy,
-                    agg: AggLevel::Block,
-                    transport_partitions: 1,
-                    multi_block_counters: true,
-                };
-                // One node: every Kernel Copy channel maps its peer.
-                Some(
-                    prequest_create_async(p, rank, &sreq, want)
-                        .await
-                        .expect("Kernel Copy prequest"),
-                )
-            }
-            None => None,
-        });
+    // Device-driven cells: one Kernel Copy prequest per send channel.
+    let mut preq_of: Vec<DevicePrequest> = Vec::new();
+    for &sid in send_of.iter().filter(|_| device_driven) {
+        let sreq = mux.channel(sid).and_then(|c| c.chan.send().cloned()).expect("send channel");
+        let want = PrequestConfig {
+            copy: CopyMechanism::KernelCopy,
+            agg: AggLevel::Block,
+            transport_partitions: 1,
+            multi_block_counters: true,
+        };
+        // One node: every Kernel Copy channel maps its peer.
+        let preq = prequest_create_async(p, rank, &sreq, want).await;
+        preq_of.push(preq.expect("Kernel Copy prequest"));
     }
 
     // ---- Drain rounds: every round grants `pairs` epoch slots by
@@ -251,7 +243,7 @@ async fn mux_rank(p: &Proc, rank: &Rank, cell: &MuxCellCfg) -> Option<(Vec<Tenan
                         let chan =
                             mux.begin_epoch_async(p, send_of[i]).await.expect("send epoch");
                         waits.push((send_of[i], chan.send().expect("send").clone()));
-                        preqs.push(preq_of[i].clone().expect("device prequest"));
+                        preqs.push(preq_of[i].clone());
                     }
                     let t0 = p.now().as_micros_f64();
                     let spec = KernelSpec::new("mux-pready", preqs.len().max(1) as u32, 256);

@@ -301,12 +301,14 @@ fn hoststaged_allreduce_matches_ring_numerically() {
     }
 }
 
-#[test]
-fn hoststaged_allreduce_is_slower_than_gpudirect_ring() {
-    // The whole point of the baseline: host staging + CPU reductions cost
-    // far more than the CUDA-aware ring at large sizes.
+/// Rank 0's times, in µs, for one GPU-direct ring allreduce and then one
+/// host-staged allreduce of 8 MB on one node whose NVLink-C2C link runs at
+/// `c2c_gbps`.
+fn ring_and_hoststaged_allreduce_us(c2c_gbps: f64) -> (f64, f64) {
     let mut sim = Simulation::new(SimConfig::default());
-    let world = MpiWorld::gh200(&sim, 1);
+    let mut cfg = WorldConfig::gh200(1);
+    cfg.cluster.c2c.bandwidth_gbps = c2c_gbps;
+    let world = MpiWorld::new(&sim, cfg);
     let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
     let o2 = out.clone();
     world.run_ranks(&mut sim, move |ctx, rank| {
@@ -326,43 +328,27 @@ fn hoststaged_allreduce_is_slower_than_gpudirect_ring() {
         }
     });
     sim.run().unwrap();
-    let (ring, staged) = *out.lock();
+    let times = *out.lock();
+    times
+}
+
+#[test]
+fn hoststaged_allreduce_is_slower_than_gpudirect_ring() {
+    // The whole point of the baseline: host staging + CPU reductions cost
+    // far more than the CUDA-aware ring at large sizes.
+    let c2c = WorldConfig::gh200(1).cluster.c2c.bandwidth_gbps;
+    let (ring, staged) = ring_and_hoststaged_allreduce_us(c2c);
     assert!(
         staged > ring * 1.5,
         "host-staged ({staged} µs) must be much slower than GPU-direct ring ({ring} µs)"
     );
 }
 
-/// Rank 0's time for one host-staged allreduce of 8 MB on one node whose
-/// NVLink-C2C link runs at `c2c_gbps`.
-fn hoststaged_allreduce_us(c2c_gbps: f64) -> f64 {
-    let mut sim = Simulation::new(SimConfig::default());
-    let mut cfg = WorldConfig::gh200(1);
-    cfg.cluster.c2c.bandwidth_gbps = c2c_gbps;
-    let world = MpiWorld::new(&sim, cfg);
-    let out = Arc::new(Mutex::new(0.0f64));
-    let o2 = out.clone();
-    world.run_ranks(&mut sim, move |ctx, rank| {
-        let n = 1 << 20;
-        let buf = rank.gpu().alloc_global(n * 8);
-        let stream = rank.gpu().create_stream();
-        rank.barrier(ctx);
-        let t0 = ctx.now();
-        rank.allreduce_hoststaged_f64(ctx, &buf, 0, n, &stream);
-        if rank.rank() == 0 {
-            *o2.lock() = ctx.now().since(t0).as_micros_f64();
-        }
-    });
-    sim.run().unwrap();
-    let us = *out.lock();
-    us
-}
-
 #[test]
 fn hoststaged_allreduce_stages_over_the_cluster_c2c_link() {
     let c2c = WorldConfig::gh200(1).cluster.c2c.bandwidth_gbps;
-    let full = hoststaged_allreduce_us(c2c);
-    let half = hoststaged_allreduce_us(c2c / 2.0);
+    let (_, full) = ring_and_hoststaged_allreduce_us(c2c);
+    let (_, half) = ring_and_hoststaged_allreduce_us(c2c / 2.0);
     assert!(
         half > full,
         "halving C2C bandwidth must slow the staging copies: {half} µs vs {full} µs"

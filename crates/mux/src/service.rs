@@ -151,20 +151,6 @@ struct Pending {
     inited: Option<(MuxChannel, usize)>,
 }
 
-/// `MPI_Start` plus the steady `MPIX_Pbuf_prepare` on an admitted channel.
-async fn restart_epoch(p: &Proc, chan: &MuxChannel) -> Result<(), MpiError> {
-    match chan {
-        MuxChannel::Send(s) => {
-            s.start_epoch()?;
-            s.pbuf_prepare_async(p).await
-        }
-        MuxChannel::Recv(r) => {
-            r.start_epoch()?;
-            r.pbuf_prepare_async(p).await
-        }
-    }
-}
-
 struct TenantMetrics {
     goodput: Counter,
     epochs: Counter,
@@ -455,11 +441,19 @@ impl MuxService {
         let ch = self.table.get_mut(id).ok_or_else(|| MpiError::InvalidArgument {
             context: format!("begin_epoch: stale or unknown channel id {id}"),
         })?;
-        let first = ch.epochs_run == 0;
         ch.epochs_run += 1;
         let chan = ch.chan.clone();
-        if !first {
-            restart_epoch(p, &chan).await?;
+        if ch.epochs_run > 1 {
+            match &chan {
+                MuxChannel::Send(s) => {
+                    s.start_epoch()?;
+                    s.pbuf_prepare_async(p).await?;
+                }
+                MuxChannel::Recv(r) => {
+                    r.start_epoch()?;
+                    r.pbuf_prepare_async(p).await?;
+                }
+            }
         }
         Ok(chan)
     }
