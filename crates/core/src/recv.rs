@@ -505,12 +505,6 @@ impl PrecvShared {
 impl PrecvRequest {
     /// `MPI_Request_free` for the persistent receive channel (no active
     /// epoch allowed). Consumes the handle.
-    pub fn free(self, ctx: &mut Ctx) -> Result<(), MpiError> {
-        let p = ctx.proc();
-        ctx.block_on(async move { self.free_async(&p).await })
-    }
-
-    /// Async [`PrecvRequest::free`], for code run under `Ctx::block_on`.
     pub async fn free_async(self, p: &Proc) -> Result<(), MpiError> {
         if self.inner.state.lock().started {
             return Err(MpiError::InvalidArgument {

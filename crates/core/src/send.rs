@@ -409,11 +409,8 @@ impl PsendRequest {
         *self.inner.shmem_failure.lock() = None;
         self.inner.transport_complete.reset();
         // Flag puts carry the epoch number so MPI_Parrived can distinguish
-        // epochs without a reset race.
-        let epoch = st.epoch;
-        for u in 0..self.inner.user_partitions {
-            self.inner.flag_stage.write_flag(u, epoch);
-        }
+        // epochs without a reset race. One fill stamps every flag.
+        self.inner.flag_stage.fill_flags(0..self.inner.user_partitions, st.epoch);
         Ok(())
     }
 
@@ -678,12 +675,6 @@ impl PsendRequest {
     /// have an active epoch. Resources are reference-counted in the
     /// simulation; this charges the host bookkeeping cost and consumes the
     /// handle so further API calls are impossible.
-    pub fn free(self, ctx: &mut Ctx) -> Result<(), MpiError> {
-        let p = ctx.proc();
-        ctx.block_on(async move { self.free_async(&p).await })
-    }
-
-    /// Async [`PsendRequest::free`], for code run under `Ctx::block_on`.
     pub async fn free_async(self, p: &Proc) -> Result<(), MpiError> {
         if self.inner.state.lock().started {
             return Err(MpiError::InvalidArgument {
@@ -1091,9 +1082,7 @@ impl ShmemPut {
                     // side effects are gated on the generation/delivered
                     // latch.
                     self.data.copy_from_buffer(byte_off, &self.send.buffer, byte_off, byte_len);
-                    for u in u0..u0 + ulen {
-                        self.flags.write_flag(u, self.epoch);
-                    }
+                    self.flags.fill_flags(u0..u0 + ulen, self.epoch);
                     let signal = Some((arrival, transfer.span));
                     self.send.land(h, self.k, ulen, self.issue_gen, self.pready_at, signal);
                 });
@@ -1141,7 +1130,55 @@ impl std::fmt::Debug for PsendRequest {
 #[cfg(test)]
 mod tests {
     use super::transport_of_user;
-    use parcomm_mpi::chunk_range;
+    use crate::{precv_init, psend_init};
+    use parcomm_gpu::Buffer;
+    use parcomm_mpi::{chunk_range, MpiWorld};
+    use parcomm_sim::Simulation;
+
+    /// `MPI_Start` stamps every flag with one fill: byte for byte what a
+    /// `write_flag` per user partition wrote, on a flag buffer of a full
+    /// page and a short one, over epochs whose flag puts read it.
+    #[test]
+    fn start_epoch_stamps_what_a_flag_write_per_partition_wrote() {
+        // 16,400 flag bytes: one full 16 KiB page and a 16-byte one.
+        const PARTS: usize = 2_050;
+        let mut sim = Simulation::with_seed(3);
+        let world = MpiWorld::gh200(&sim, 1);
+        world.run_ranks(&mut sim, |ctx, rank| {
+            let buf = rank.gpu().alloc_global(PARTS * 8);
+            match rank.rank() {
+                0 => {
+                    let sreq = psend_init(ctx, rank, 1, 5, &buf, PARTS).expect("psend_init");
+                    for epoch in 1..=3 {
+                        sreq.start(ctx).expect("start");
+                        let stage = &sreq.shared().flag_stage;
+                        let looped = Buffer::alloc(stage.space(), stage.len());
+                        for u in 0..PARTS {
+                            looped.write_flag(u, epoch);
+                        }
+                        let (got, want) =
+                            (stage.read_bytes(0, PARTS * 8), looped.read_bytes(0, PARTS * 8));
+                        let first_diff = got.iter().zip(&want).position(|(a, b)| a != b);
+                        assert_eq!(first_diff, None, "epoch {epoch}: first byte that differs");
+                        sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
+                        sreq.pready_range(ctx, 0..PARTS).expect("pready");
+                        sreq.wait(ctx).expect("send wait");
+                    }
+                }
+                1 => {
+                    let rreq = precv_init(ctx, rank, 0, 5, &buf, PARTS).expect("precv_init");
+                    for epoch in 1..=3 {
+                        rreq.start(ctx).expect("start");
+                        rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
+                        rreq.wait(ctx).expect("recv wait");
+                        assert!((0..PARTS).all(|u| rreq.parrived(u)), "epoch {epoch}");
+                    }
+                }
+                _ => {}
+            }
+        });
+        sim.run().expect("simulation");
+    }
 
     #[test]
     fn transport_of_user_inverts_chunk_range() {
