@@ -14,7 +14,7 @@
 //! it both moves data and costs time — without simulating 10⁸ CUDA threads
 //! individually.
 
-use parcomm_sim::{Event, SimDuration, SimHandle, SimTime, SpanId};
+use parcomm_sim::{Event, SimDuration, SimHandle, SimTime, SpanCallback, SpanId};
 
 use crate::cost::CostModel;
 
@@ -37,7 +37,7 @@ pub(crate) enum EmissionKind {
 /// trace span ([`SpanId::NONE`] when tracing is off) so the actions a
 /// kernel emits — notification-flag writes above all — can be causally
 /// chained to the kernel that produced them.
-type Emission = (SimDuration, EmissionKind, Box<dyn FnOnce(&SimHandle, SpanId) + Send + 'static>);
+type Emission = (SimDuration, EmissionKind, SpanCallback);
 
 /// Geometry and resource description of a kernel launch.
 #[derive(Clone, Debug)]

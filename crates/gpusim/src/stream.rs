@@ -149,12 +149,11 @@ impl Stream {
                 None => EmissionFate::Normal,
             };
             match fate {
-                EmissionFate::Normal => {
-                    h.schedule_at(start + offset, move |h| cb(h, span));
-                }
-                EmissionFate::Delayed(extra_us) => h.schedule_at(
+                EmissionFate::Normal => h.schedule_spanned_at(start + offset, span, cb),
+                EmissionFate::Delayed(extra_us) => h.schedule_spanned_at(
                     start + offset + SimDuration::from_micros_f64(extra_us),
-                    move |h| cb(h, span),
+                    span,
+                    cb,
                 ),
                 EmissionFate::Lost => {
                     // The flag write never becomes visible; downstream

@@ -192,19 +192,23 @@ impl ProgressionEngine {
                 let mut hooks = std::mem::take(&mut inner.lock().hooks);
                 instruments.pe_polls.inc();
                 instruments.pe_hook_runs.add(hooks.len() as u64);
-                let mut kept: Vec<Hook> = Vec::with_capacity(hooks.len());
-                for mut hook in hooks.drain(..) {
-                    if hook(&p).await == HookOutcome::Keep {
-                        kept.push(hook);
+                // Kept hooks move to the front, in order; the rest are
+                // dropped after the sweep.
+                let mut kept = 0;
+                for i in 0..hooks.len() {
+                    if hooks[i](&p).await == HookOutcome::Keep {
+                        hooks.swap(kept, i);
+                        kept += 1;
                     }
                 }
+                hooks.truncate(kept);
                 {
                     let mut st = inner.lock();
                     // New hooks registered during the sweep go behind
                     // kept ones.
                     let newly = std::mem::take(&mut st.hooks);
-                    kept.extend(newly);
-                    st.hooks = kept;
+                    hooks.extend(newly);
+                    st.hooks = hooks;
                     if st.hooks.is_empty() && st.work_available.is_set() {
                         st.work_available.reset();
                     }

@@ -363,6 +363,9 @@ impl MuxService {
         // (first-call prepare registration) stays per-grant below.
         let topo = self.world.topology();
         let my_loc = self.world.gpu_of(rank.rank()).location();
+        // Tenant shares of each path budget met so far: one split per
+        // budget, not one per channel.
+        let mut shares: Vec<(usize, Vec<u64>)> = Vec::new();
         for q in &mut self.pending {
             for e in q.iter_mut().rev().filter(|e| e.inited.is_none()) {
                 let (chan, stripes) = match e.spec.direction {
@@ -383,7 +386,14 @@ impl MuxService {
                         let peer_loc = self.world.gpu_of(e.spec.peer).location();
                         let budget = MultiPathPlan::path_budget(&topo, my_loc, peer_loc);
                         let stripes = if budget > 1 {
-                            let share = self.arbiter.share(budget as u64)[e.spec.tenant];
+                            let at = match shares.iter().position(|(b, _)| *b == budget) {
+                                Some(at) => at,
+                                None => {
+                                    shares.push((budget, self.arbiter.share(budget as u64)));
+                                    shares.len() - 1
+                                }
+                            };
+                            let share = shares[at].1[e.spec.tenant];
                             let stripes = (share.max(1) as usize).min(budget);
                             s.set_stripes(stripes)?;
                             stripes
@@ -401,10 +411,11 @@ impl MuxService {
         // The recv-first canonical order keeps multi-tick admission
         // deadlock-free (module docs).
         let mut grants: Vec<Pending> = Vec::new();
+        let mut eligible: Vec<bool> = self.pending.iter().map(|q| !q.is_empty()).collect();
         while grants.len() < self.tick_batch {
-            let eligible: Vec<bool> = self.pending.iter().map(|q| !q.is_empty()).collect();
             let Some(t) = self.arbiter.pick(&eligible) else { break };
             grants.push(self.pending[t].pop().expect("eligible tenant has pending"));
+            eligible[t] = !self.pending[t].is_empty();
         }
 
         // Phase 2 — one batched prepare for the whole tick, receives
