@@ -331,8 +331,10 @@ async fn run_moe_async(p: &Proc, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResu
     rank.barrier_async(p).await;
     let t0 = p.now();
 
-    // One send staging area, refilled for every channel.
+    // One send staging area, refilled for every channel, and one receive
+    // area every channel's inbound slots are read into.
     let mut payload = vec![0.0f64; cap * cfg.hidden];
+    let mut inbound = vec![0.0f64; cap * cfg.hidden];
     for _layer in 0..cfg.layers {
         // Dispatch fill: routed token values into their slots, 0 padding.
         if cfg.functional {
@@ -355,7 +357,7 @@ async fn run_moe_async(p: &Proc, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResu
         if cfg.functional {
             for t in 0..cfg.tenants {
                 for pc in &bundles[t] {
-                    let inbound = pc.dispatch_buf_recv.read_f64_slice(0, cap * cfg.hidden);
+                    pc.dispatch_buf_recv.read_f64_into(0, &mut inbound);
                     payload.fill(0.0);
                     for s in 0..cap {
                         let x = inbound[s * cfg.hidden];
@@ -393,7 +395,7 @@ async fn run_moe_async(p: &Proc, rank: &Rank, cfg: &MoeConfig) -> Result<MoeResu
         if cfg.functional {
             for t in 0..cfg.tenants {
                 for (pi, pc) in bundles[t].iter().enumerate() {
-                    let inbound = pc.combine_buf_recv.read_f64_slice(0, cap * cfg.hidden);
+                    pc.combine_buf_recv.read_f64_into(0, &mut inbound);
                     for (s, &tok) in slot_tokens[t][pi].iter().enumerate() {
                         tokens[t][tok] = inbound[s * cfg.hidden];
                     }

@@ -327,9 +327,9 @@ pub(crate) fn pready_extension_us(
         let preq = tx.prequest();
         let stream = rank.gpu().create_stream();
         let plain = stream.launch(ctx, kernel.clone(), |_| {});
-        ctx.wait(&plain.done);
+        plain.wait(ctx);
         let with = stream.launch(ctx, kernel.clone(), move |d| preq.pready_all(d));
-        ctx.wait(&with.done);
+        with.wait(ctx);
         tx.req.wait(ctx).expect("wait");
         with.duration().as_micros_f64() - plain.duration().as_micros_f64()
     })

@@ -382,7 +382,13 @@ impl PrecvRequest {
             }
         }
         self.inner.wait_arrived(p, self.inner.user_partitions as u64, "partition arrival").await?;
-        let mirror = self.inner.state.lock().device_mirror.clone();
+        let mirror = {
+            let mut st = self.inner.state.lock();
+            let mirror = st.device_mirror.clone();
+            // Without a device mirror the epoch closes here.
+            st.started &= mirror.is_some();
+            mirror
+        };
         if let Some(m) = mirror {
             // Host→device copy of the flag words over C2C.
             m.copy_from_buffer(0, &self.inner.flags, 0, self.inner.user_partitions * 8);
@@ -391,8 +397,8 @@ impl PrecvRequest {
                     + 0.6,
             ))
             .await;
+            self.inner.state.lock().started = false;
         }
-        self.inner.state.lock().started = false;
         Ok(())
     }
 

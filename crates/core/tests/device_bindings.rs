@@ -206,7 +206,7 @@ fn device_arrival_mirror_reflects_wait() {
                         seen2.lock().push(rreq2.parrived_device(d, u));
                     }
                 });
-                ctx.wait(&launch.done);
+                launch.wait(ctx);
                 assert_eq!(*seen.lock(), vec![true; parts]);
             }
             _ => {}

@@ -3,10 +3,10 @@
 
 use std::sync::Arc;
 
-use parcomm_sim::{Mutex, SimHandle};
+use parcomm_sim::SimHandle;
 
 use crate::cost::CostModel;
-use crate::faults::{EmissionFaultConfig, EmissionFaults};
+use crate::faults::{EmissionFaultConfig, EmissionSchedule};
 use crate::mem::{Buffer, Location, MemSpace, Unit};
 use crate::obs::{GpuMetrics, GpuObs};
 use crate::stream::Stream;
@@ -39,10 +39,10 @@ struct GpuInner {
     handle: SimHandle,
     /// Armed emission fault schedule, shared with every stream of this GPU.
     /// `None` (default) keeps the fault branch dormant.
-    emission_faults: Arc<Mutex<Option<EmissionFaults>>>,
+    emission_faults: Arc<EmissionSchedule>,
     /// Armed symmetric-heap signal fault schedule, independent of the
     /// notification-flag schedule above.
-    shmem_faults: Arc<Mutex<Option<EmissionFaults>>>,
+    shmem_faults: Arc<EmissionSchedule>,
     /// Observability state (rank attribution + metrics), shared with every
     /// stream of this GPU.
     obs: Arc<GpuObs>,
@@ -63,8 +63,8 @@ impl Gpu {
                 id,
                 cost,
                 handle,
-                emission_faults: Arc::new(Mutex::new(None)),
-                shmem_faults: Arc::new(Mutex::new(None)),
+                emission_faults: Arc::default(),
+                shmem_faults: Arc::default(),
                 obs: Arc::new(GpuObs::new(metrics)),
             }),
         }
@@ -81,7 +81,7 @@ impl Gpu {
     /// kernel emission (device flag write) is delayed or lost across all of
     /// the device's streams (existing and future). See [`EmissionFaultConfig`].
     pub fn arm_emission_faults(&self, cfg: EmissionFaultConfig) {
-        *self.inner.emission_faults.lock() = Some(EmissionFaults::new(cfg));
+        self.inner.emission_faults.arm(cfg);
     }
 
     /// Arm a deterministic fault schedule for this GPU's *symmetric-heap*
@@ -90,7 +90,7 @@ impl Gpu {
     /// [`arm_emission_faults`](Self::arm_emission_faults), so chaos
     /// campaigns can target one copy mechanism without perturbing the other.
     pub fn arm_shmem_signal_faults(&self, cfg: EmissionFaultConfig) {
-        *self.inner.shmem_faults.lock() = Some(EmissionFaults::new(cfg));
+        self.inner.shmem_faults.arm(cfg);
     }
 
     /// This GPU's identity.
@@ -126,7 +126,6 @@ impl Gpu {
     pub fn create_stream(&self) -> Stream {
         Stream::new(
             self.inner.cost.clone(),
-            self.inner.handle.clone(),
             self.inner.id.to_string(),
             self.inner.emission_faults.clone(),
             self.inner.shmem_faults.clone(),

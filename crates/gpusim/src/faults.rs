@@ -18,6 +18,10 @@
 //! by design: the corresponding partition never arrives and the receive-side
 //! watchdog surfaces a typed timeout.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use parcomm_sim::Mutex;
+
 /// Counter-based emission fault schedule. `0` disables a class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmissionFaultConfig {
@@ -70,6 +74,31 @@ impl EmissionFaults {
             return EmissionFate::Delayed(self.cfg.delay_us);
         }
         EmissionFate::Normal
+    }
+}
+
+/// One of a GPU's emission fault schedules, shared by all its streams.
+/// Until one is armed it classifies every emission [`EmissionFate::Normal`]
+/// on one flag read, without taking the lock.
+#[derive(Debug, Default)]
+pub(crate) struct EmissionSchedule {
+    armed: AtomicBool,
+    faults: Mutex<Option<EmissionFaults>>,
+}
+
+impl EmissionSchedule {
+    /// Arm (or re-arm) the schedule.
+    pub(crate) fn arm(&self, cfg: EmissionFaultConfig) {
+        *self.faults.lock() = Some(EmissionFaults::new(cfg));
+        self.armed.store(true, Ordering::Release);
+    }
+
+    /// Classify the next emission.
+    pub(crate) fn classify(&self) -> EmissionFate {
+        if !self.armed.load(Ordering::Acquire) {
+            return EmissionFate::Normal;
+        }
+        self.faults.lock().as_mut().map_or(EmissionFate::Normal, EmissionFaults::classify)
     }
 }
 

@@ -304,6 +304,26 @@ impl Store {
         out
     }
 
+    /// Fill `out` with the `f64`s at `off..off + 8 * out.len()`.
+    fn f64s_into(&self, off: usize, out: &mut [f64]) {
+        let n = out.len() * 8;
+        if !off.is_multiple_of(8) {
+            for (c, d) in self.slice(off, n).chunks_exact(8).zip(out.iter_mut()) {
+                *d = f64_le(c);
+            }
+            return;
+        }
+        self.check(off, n);
+        let mut out = out.iter_mut();
+        for (i, o, _, take) in spans(off, n) {
+            // The page's elements first, so the zip stops without taking
+            // an `out` slot past them.
+            for (c, d) in self.page(i)[o..o + take].chunks_exact(8).zip(out.by_ref()) {
+                *d = f64_le(c);
+            }
+        }
+    }
+
     /// Write `n` bytes at `o` in page `i`: `src`, or zeros for `None`. A
     /// write covering the whole page never copies the bytes it replaces
     /// (see [`Store::overwrite_page`]); whole-page zeros drop the page.
@@ -505,6 +525,12 @@ impl Buffer {
     /// Read `n` `f64` values from a byte offset.
     pub fn read_f64_slice(&self, byte_offset: usize, n: usize) -> Vec<f64> {
         self.inner.store.lock().f64s(byte_offset, n * 8)
+    }
+
+    /// Read `out.len()` `f64` values from a byte offset into `out`: the
+    /// allocation-free form of [`Buffer::read_f64_slice`].
+    pub fn read_f64_into(&self, byte_offset: usize, out: &mut [f64]) {
+        self.inner.store.lock().f64s_into(byte_offset, out);
     }
 
     /// Read a single `f64`.
@@ -827,6 +853,11 @@ mod tests {
                 let got = bits(bufs[x].read_f64_slice(off, n));
                 if got != bits(f64s(&model[x][off..off + 8 * n])) {
                     return Err(format!("read_f64_slice({off}, {n}) of buffer {x}"));
+                }
+                let mut into = vec![f64::NAN; n];
+                bufs[x].read_f64_into(off, &mut into);
+                if bits(into) != got {
+                    return Err(format!("read_f64_into({off}, {n}) of buffer {x}"));
                 }
                 let sum = bufs[x].reduce_sum_f64(off, n).to_bits();
                 if sum != f64s(&model[x][off..off + 8 * n]).into_iter().sum::<f64>().to_bits() {

@@ -93,7 +93,7 @@ impl Rank {
         // Stage the whole device buffer to the host.
         let d2h = SimDuration::from_micros_f64(n as f64 * 8.0 / (c2c_gbps * 1e3));
         let op = stream.enqueue_busy(&ctx.handle(), "d2h", d2h);
-        ctx.wait(&op.done);
+        op.wait(ctx);
         stream.synchronize(ctx);
         host.copy_from_buffer(0, buf, byte_off, n * 8);
 
@@ -109,7 +109,7 @@ impl Rank {
         buf.copy_from_buffer(byte_off, &host, 0, n * 8);
         let h2d = SimDuration::from_micros_f64(n as f64 * 8.0 / (c2c_gbps * 1e3));
         let op = stream.enqueue_busy(&ctx.handle(), "h2d", h2d);
-        ctx.wait(&op.done);
+        op.wait(ctx);
         stream.synchronize(ctx);
     }
 

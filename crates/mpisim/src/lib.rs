@@ -20,7 +20,7 @@ pub use coll::chunk_range;
 pub use error::MpiError;
 pub use mechanism::CopyMechanism;
 pub use p2p::P2pOp;
-pub use progress::{HookFuture, HookOutcome, PeFaultConfig, ProgressionEngine};
+pub use progress::{HookFuture, HookOutcome, HookStep, PeFaultConfig, PeHook, ProgressionEngine};
 pub use world::{
     EscalationLevel, MpiInstruments, MpiWorld, Rank, RecoverConfig, RecoveryReport, WorldConfig,
 };

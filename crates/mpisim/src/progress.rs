@@ -9,15 +9,19 @@
 //! The daemon is a thread-free process (`Proc::spawn_daemon_future`): its
 //! whole loop is one future that the scheduler polls in place at each of
 //! its resumes (idle wake-ups, poll ticks, waits inside a hook), so the
-//! engine has no OS thread of its own. Hooks are async: a hook is called
-//! with the engine's [`Proc`] and returns a [`HookFuture`] that the sweep
-//! awaits, so a hook can charge host time (e.g. the put-post cost) by
-//! awaiting `Proc::advance`. That future runs inside the engine's future,
-//! on whichever thread holds the baton: it must
-//! not hold a lock guard across an `.await` (the `Send` bound rejects the
-//! `std` guards). A hook resolving to [`HookOutcome::Remove`] unregisters
-//! itself. The engine parks on an event while no hooks are registered, so
-//! idle ranks cost no simulation events.
+//! engine has no OS thread of its own.
+//!
+//! A hook is a long-lived [`PeHook`], registered as an `Arc` (registering
+//! one allocates nothing). The sweep runs it in [`HookStep`]s: a step may
+//! ask the engine to charge host time (e.g. the put-post cost) and step it
+//! again afterwards, which is how a hook posts a queue of puts without a
+//! future per run. A hook whose run needs more than host-time charges
+//! hands the engine a [`HookFuture`] to await instead; that future runs
+//! inside the engine's future, on whichever thread holds the baton, so it
+//! must not hold a lock guard across an `.await` (the `Send` bound rejects
+//! the `std` guards). A run ending in [`HookOutcome::Remove`] unregisters
+//! the hook. The engine parks on an event while no hooks are registered,
+//! so idle ranks cost no simulation events.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -60,15 +64,36 @@ impl Default for PeFaultConfig {
     }
 }
 
-/// What a hook returns: the future the engine awaits for one invocation.
-/// It runs inside the engine's own future, so it suspends only through the
-/// [`Proc`] it was given and must not hold a lock guard across an `.await`.
+/// The rest of a hook run as a future for the engine to await (see
+/// [`HookStep::Await`]). It runs inside the engine's own future, so it
+/// suspends only through the [`Proc`] it was given and must not hold a
+/// lock guard across an `.await`.
 pub type HookFuture = Pin<Box<dyn Future<Output = HookOutcome> + Send>>;
 
-type Hook = Box<dyn FnMut(&Proc) -> HookFuture + Send>;
+/// What one step of a hook run asks of the engine.
+pub enum HookStep {
+    /// Charge this much host time, then step the hook again.
+    Advance(SimDuration),
+    /// Await this future; its output ends the run.
+    Await(HookFuture),
+    /// The run is over.
+    Done(HookOutcome),
+}
+
+/// Work the progression engine runs on every poll while it is registered
+/// (see the module docs).
+pub trait PeHook: Send + Sync + 'static {
+    /// The next step of the current run, at the engine's current instant.
+    /// A run's first step is taken at the sweep; each step after an
+    /// [`HookStep::Advance`] is taken once that time has been charged.
+    fn step(&self, p: &Proc) -> HookStep;
+}
 
 struct PeState {
-    hooks: Vec<Hook>,
+    hooks: Vec<Arc<dyn PeHook>>,
+    /// An empty list with room, swapped in for `hooks` while a sweep runs
+    /// them, so registering during a sweep does not allocate.
+    spare: Vec<Arc<dyn PeHook>>,
     /// Set whenever a hook is registered while the engine is idle.
     work_available: Event,
 }
@@ -110,6 +135,7 @@ impl ProgressionEngine {
     ) -> (ProgressionEngine, HookOwner) {
         let inner = Arc::new(Mutex::new(PeState {
             hooks: Vec::new(),
+            spare: Vec::new(),
             work_available: Event::numbered("work_available rank", rank as u64),
         }));
         let crashed = Arc::new(AtomicBool::new(false));
@@ -189,26 +215,28 @@ impl ProgressionEngine {
                 // Run every registered hook once. Hooks are temporarily
                 // moved out so they can re-enter the engine (e.g.
                 // register follow-up work) without deadlocking the lock.
-                let mut hooks = std::mem::take(&mut inner.lock().hooks);
+                let mut hooks = {
+                    let st = &mut *inner.lock();
+                    std::mem::replace(&mut st.hooks, std::mem::take(&mut st.spare))
+                };
                 instruments.pe_polls.inc();
                 instruments.pe_hook_runs.add(hooks.len() as u64);
                 // Kept hooks move to the front, in order; the rest are
                 // dropped after the sweep.
                 let mut kept = 0;
                 for i in 0..hooks.len() {
-                    if hooks[i](&p).await == HookOutcome::Keep {
+                    if run_hook(&hooks[i], &p).await == HookOutcome::Keep {
                         hooks.swap(kept, i);
                         kept += 1;
                     }
                 }
                 hooks.truncate(kept);
                 {
-                    let mut st = inner.lock();
+                    let st = &mut *inner.lock();
                     // New hooks registered during the sweep go behind
                     // kept ones.
-                    let newly = std::mem::take(&mut st.hooks);
-                    hooks.extend(newly);
-                    st.hooks = hooks;
+                    hooks.append(&mut st.hooks);
+                    st.spare = std::mem::replace(&mut st.hooks, hooks);
                     if st.hooks.is_empty() && st.work_available.is_set() {
                         st.work_available.reset();
                     }
@@ -224,15 +252,11 @@ impl ProgressionEngine {
     /// device-side `MPIX_Pready` notification path registers from the
     /// latter. Once the daemon has stopped and its rank is gone, no hook
     /// can run again and the hook is dropped.
-    pub fn register(
-        &self,
-        h: &parcomm_sim::SimHandle,
-        hook: impl FnMut(&Proc) -> HookFuture + Send + 'static,
-    ) {
+    pub fn register(&self, h: &parcomm_sim::SimHandle, hook: Arc<dyn PeHook>) {
         let Some(inner) = self.inner.upgrade() else { return };
         let ev = {
             let mut st = inner.lock();
-            st.hooks.push(Box::new(hook));
+            st.hooks.push(hook);
             st.work_available.clone()
         };
         ev.set(h);
@@ -267,5 +291,16 @@ impl ProgressionEngine {
     /// Number of registered hooks (diagnostics/tests).
     pub fn hook_count(&self) -> usize {
         self.inner.upgrade().map_or(0, |inner| inner.lock().hooks.len())
+    }
+}
+
+/// Run `hook` once: step it, charging the host time its steps ask for.
+async fn run_hook(hook: &Arc<dyn PeHook>, p: &Proc) -> HookOutcome {
+    loop {
+        match hook.step(p) {
+            HookStep::Advance(dt) => p.advance(dt).await,
+            HookStep::Await(run) => return run.await,
+            HookStep::Done(outcome) => return outcome,
+        }
     }
 }

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use parcomm_sim::Mutex;
 
-use parcomm_mpi::{HookOutcome, MpiWorld, WorldConfig};
-use parcomm_sim::{SimConfig, SimDuration, Simulation};
+use parcomm_mpi::{HookOutcome, HookStep, MpiWorld, PeHook, WorldConfig};
+use parcomm_sim::{Proc, SimConfig, SimDuration, Simulation};
 
 #[test]
 fn topology_maps_ranks_to_gpus() {
@@ -194,6 +194,20 @@ fn allreduce_single_element_chunks() {
     sim.run().unwrap();
 }
 
+/// A hook that counts its runs and unregisters on the fifth; each run
+/// charges 1 µs of host time before it ends.
+struct CountRuns(Arc<AtomicU64>);
+
+impl PeHook for CountRuns {
+    fn step(&self, _p: &Proc) -> HookStep {
+        let n = self.0.fetch_add(1, Ordering::Relaxed) + 1;
+        if n % 2 == 1 {
+            return HookStep::Advance(SimDuration::from_micros(1));
+        }
+        HookStep::Done(if n >= 10 { HookOutcome::Remove } else { HookOutcome::Keep })
+    }
+}
+
 #[test]
 fn progression_engine_runs_hooks_until_removed() {
     let mut sim = Simulation::new(SimConfig::default());
@@ -202,22 +216,15 @@ fn progression_engine_runs_hooks_until_removed() {
     let c2 = counter.clone();
     world.run_ranks(&mut sim, move |ctx, rank| {
         if rank.rank() == 0 {
-            let c3 = c2.clone();
-            rank.progression().register(&ctx.handle(), move |_p| {
-                let n = c3.fetch_add(1, Ordering::Relaxed) + 1;
-                Box::pin(std::future::ready(if n >= 5 {
-                    HookOutcome::Remove
-                } else {
-                    HookOutcome::Keep
-                }))
-            });
+            rank.progression().register(&ctx.handle(), Arc::new(CountRuns(c2.clone())));
             // Give the engine time to run the hook to completion.
             ctx.advance(SimDuration::from_micros(100));
             assert_eq!(rank.progression().hook_count(), 0);
         }
     });
     sim.run().unwrap();
-    assert_eq!(counter.load(Ordering::Relaxed), 5);
+    // Five runs of two steps each.
+    assert_eq!(counter.load(Ordering::Relaxed), 10);
 }
 
 #[test]

@@ -14,6 +14,7 @@
 //! panicking when an armed outage leaves no route; a caller with no
 //! recovery path unwraps at its own call site.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parcomm_sim::Mutex;
@@ -231,6 +232,9 @@ struct FabricInner {
     /// Armed fault schedule; `None` (the default) keeps every fault branch
     /// dormant so fault-free runs draw nothing and schedule nothing extra.
     faults: Mutex<Option<NetFaults>>,
+    /// Set once `faults` holds a schedule, so every transfer of a
+    /// fault-free run checks one flag instead of taking the lock.
+    armed: AtomicBool,
     instruments: NetInstruments,
 }
 
@@ -304,6 +308,7 @@ impl Fabric {
                 links,
                 nodes,
                 faults: Mutex::new(None),
+                armed: AtomicBool::new(false),
                 instruments,
             }),
         })
@@ -329,11 +334,12 @@ impl Fabric {
     /// main RNG stream is untouched. Call before traffic starts.
     pub fn arm_faults(&self, cfg: NetFaultConfig) {
         *self.inner.faults.lock() = Some(NetFaults::new(cfg));
+        self.inner.armed.store(true, Ordering::Release);
     }
 
     /// True if a fault schedule is armed.
     pub fn faults_armed(&self) -> bool {
-        self.inner.faults.lock().is_some()
+        self.inner.armed.load(Ordering::Acquire)
     }
 
     /// The cluster specification this fabric was built from.
@@ -400,6 +406,9 @@ impl Fabric {
     /// preferring `preferred` and steering around armed outages. With no
     /// faults armed this is `preferred` unconditionally.
     fn pick_nic(&self, node: u16, preferred: u8, at: SimTime) -> Result<u8, NetError> {
+        if !self.faults_armed() {
+            return Ok(preferred);
+        }
         let guard = self.inner.faults.lock();
         let Some(f) = guard.as_ref() else { return Ok(preferred) };
         for i in 0..self.inner.topology.nics_on(node) {
@@ -416,6 +425,9 @@ impl Fabric {
     /// the pairing on ragged shapes. Errors only when no rail survives.
     fn up_rails(&self, src_node: u16, dst_node: u16, at: SimTime) -> Result<Vec<u8>, NetError> {
         let n = self.inner.topology.nics_on(src_node).min(self.inner.topology.nics_on(dst_node));
+        if !self.faults_armed() {
+            return Ok((0..n).collect());
+        }
         let guard = self.inner.faults.lock();
         let Some(f) = guard.as_ref() else { return Ok((0..n).collect()) };
         let rails: Vec<u8> = (0..n)
@@ -433,6 +445,9 @@ impl Fabric {
     /// Latency penalty for one transfer from the armed fault schedule
     /// (retransmits + spikes); zero — with no RNG draw — when unarmed.
     fn fault_penalty(&self) -> SimDuration {
+        if !self.faults_armed() {
+            return SimDuration::ZERO;
+        }
         let penalty = {
             let mut guard = self.inner.faults.lock();
             match guard.as_mut() {

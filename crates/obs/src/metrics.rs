@@ -6,7 +6,7 @@
 //! universe, symmetric heap and GPUs; a layer built on its own gets a fresh
 //! one. A layer builds its instruments from one [`MetricsRegistry::block`],
 //! so they share one allocation of atomic cells. A counted event costs one
-//! to three relaxed atomic adds and no lock. Instrument updates never touch
+//! or two relaxed atomic adds and no lock. Instrument updates never touch
 //! the virtual clock, so counting cannot perturb timing, event counts or
 //! trace digests.
 //!
@@ -25,8 +25,10 @@ use parcomm_sim::Mutex;
 /// to `u64::MAX`.
 const HIST_BUCKETS: usize = 65;
 
-/// Cells of one histogram: its count, its sum, then its buckets.
-const HIST_CELLS: usize = 2 + HIST_BUCKETS;
+/// Cells of one histogram: its sum, then its buckets. The observation
+/// count is the sum of the buckets, so recording one value costs two
+/// atomic adds, not three.
+const HIST_CELLS: usize = 1 + HIST_BUCKETS;
 
 /// The atomic cells behind instruments built together: one allocation,
 /// shared by every instrument in it. An instrument is an index into it.
@@ -98,24 +100,23 @@ impl Histogram {
     }
 
     fn buckets(&self) -> &[AtomicU64] {
-        &self.cells[self.at + 2..self.at + HIST_CELLS]
+        &self.cells[self.at + 1..self.at + HIST_CELLS]
     }
 
     /// Record one observation.
     pub fn record(&self, v: u64) {
-        self.cells[self.at].fetch_add(1, Ordering::Relaxed);
-        self.cells[self.at + 1].fetch_add(v, Ordering::Relaxed);
+        self.cells[self.at].fetch_add(v, Ordering::Relaxed);
         self.buckets()[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of observations so far.
+    /// Number of observations so far: the sum of the bucket counts.
     pub fn count(&self) -> u64 {
-        self.cells[self.at].load(Ordering::Relaxed)
+        self.buckets().iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of observations so far.
     pub fn sum(&self) -> u64 {
-        self.cells[self.at + 1].load(Ordering::Relaxed)
+        self.cells[self.at].load(Ordering::Relaxed)
     }
 
     /// Approximate quantile `q` (in `[0, 1]`) of the recorded observations:

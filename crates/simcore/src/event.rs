@@ -253,9 +253,8 @@ impl CountEvent {
     /// New counter carrying a diagnostic label (shown in
     /// [`crate::SimError::Deadlock`] wait-for reports).
     pub fn named(label: impl Into<Cow<'static, str>>) -> Self {
-        let ev = CountEvent::default();
-        ev.inner.lock().label = Some(label.into());
-        ev
+        let state = CountState { label: Some(label.into()), ..CountState::default() };
+        CountEvent { inner: Arc::new(Mutex::new(state)) }
     }
 
     /// Attach or replace the diagnostic label.

@@ -10,7 +10,9 @@
 //!   blocking call — or a future polled in place, with no thread at all;
 //! - **scheduled callbacks** for fine-grained hardware events (DMA
 //!   completions, flag writes) that run inline on whichever thread drives
-//!   the event loop, without thread-switch cost;
+//!   the event loop, without thread-switch cost; a long-lived model object
+//!   schedules itself as an [`Action`] with a token (often a [`Slab`] key)
+//!   instead of boxing a closure per occurrence;
 //! - wake-up primitives: [`Event`], [`CountEvent`], [`SimBarrier`];
 //! - deterministic seeded randomness ([`SimRng`]) for timing jitter;
 //! - [`FxHashMap`]/[`FxHashSet`], maps keyed by small integers that hash
@@ -48,6 +50,7 @@ mod pool;
 mod process;
 mod rng;
 mod sched;
+mod slab;
 mod sync;
 mod time;
 mod trace;
@@ -59,9 +62,9 @@ pub use lock::Mutex;
 pub use process::{Ctx, Proc};
 pub use rng::SimRng;
 pub use sched::{
-    ProcessId, SimConfig, SimHandle, SimReport, Simulation, SpanCallback, SpawnHandle,
-    WeakSimHandle,
+    Action, ProcessId, SimConfig, SimHandle, SimReport, Simulation, SpawnHandle, WeakSimHandle,
 };
+pub use slab::Slab;
 pub use sync::SimBarrier;
 pub use time::{SimDuration, SimTime};
 pub use trace::{SpanId, Trace, TraceSpan};

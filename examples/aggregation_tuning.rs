@@ -37,12 +37,12 @@ fn pready_cost(threads: u32, agg: AggLevel, multi_block: bool, grid: u32) -> f64
                 )
                 .expect("prequest");
                 let plain = stream.launch(ctx, KernelSpec::vector_add(grid, threads), |_| {});
-                ctx.wait(&plain.done);
+                plain.wait(ctx);
                 let preq2 = preq.clone();
                 let with = stream.launch(ctx, KernelSpec::vector_add(grid, threads), move |d| {
                     preq2.pready_all(d)
                 });
-                ctx.wait(&with.done);
+                with.wait(ctx);
                 sreq.wait(ctx).expect("wait");
                 *out2.lock() =
                     with.duration().as_micros_f64() - plain.duration().as_micros_f64();
