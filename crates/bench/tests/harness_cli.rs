@@ -124,6 +124,9 @@ fn bad_arguments_stop_bench_record() {
     for (extra, name) in [
         (&["--bogus"][..], "an unknown argument"),
         (&["--seeds", "3..3"], "an empty seed range"),
+        (&["--baseline", "/nonexistent"], "a baseline without its commit"),
+        (&["--baseline-commit", "p"], "a baseline commit without its perfbench"),
+        (&["--check", "/nonexistent/BENCH.json"], "--check beside --out"),
     ] {
         let out = run(bin, &[&base[..], extra].concat());
         assert_usage_error(&out, &format!("bench_record with {name}"));

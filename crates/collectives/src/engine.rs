@@ -49,7 +49,7 @@ use parcomm_mpi::{
 };
 use parcomm_sim::{Action, Ctx, Proc, SimDuration, SimHandle, SimTime, SpanId};
 
-use crate::schedule::{Schedule, StepOp};
+use crate::schedule::{Schedule, Step, StepOp};
 
 /// Sentinel for "this peer has no channel" / "this step is not served" in
 /// the O(1) index arrays of the channel table.
@@ -89,6 +89,20 @@ struct PartState {
     /// Activation sends of a schedule with `early_stage` steps still in
     /// flight: the sweep leaves the partition alone until they are issued.
     staging: bool,
+}
+
+/// Lines 14–20 of Algorithm 2: if every incoming chunk of `step` has
+/// arrived and every outgoing one is sent, move `st` to the next step.
+/// Returns whether it did.
+fn complete_step(st: &mut PartState, step: &Step) -> bool {
+    if st.parrived_complete != step.incoming.len() || st.pready_complete != step.outgoing.len() {
+        return false;
+    }
+    st.step += 1;
+    st.parrived_complete = 0;
+    st.pready_complete = 0;
+    st.processed = 0;
+    true
 }
 
 struct EngineInner {
@@ -533,73 +547,19 @@ impl PcollRequest {
         let total_steps = self.inner.schedule.len();
         for u in 0..self.inner.user_partitions {
             loop {
-                let (s, sweepable) = {
-                    let states = self.inner.states.lock();
-                    (states[u].step, states[u].active && !states[u].staging)
-                };
-                if !sweepable || s >= total_steps {
-                    break; // line 4: continue past finished partitions
-                }
-                let step = &self.inner.schedule.steps[s];
                 let step_t0 = p.now();
-                // Lines 5–13: check/ingest arrivals for this step, one bit
-                // per incoming neighbor.
-                let mut arrived_now = 0u64;
-                {
-                    let mut states = self.inner.states.lock();
-                    let st = &mut states[u];
-                    for (xi, &inc) in step.incoming.iter().enumerate() {
-                        if st.processed & (1 << xi) != 0 {
-                            continue;
-                        }
-                        self.inner.completion_lookups.fetch_add(1, Ordering::Relaxed);
-                        let (ch, slot) = self.recv_slot(inc, u, s);
-                        if ch.rreq.parrived(slot) {
-                            st.processed |= 1 << xi;
-                            st.parrived_complete += 1;
-                            arrived_now |= 1 << xi;
-                        }
-                    }
-                }
-                // Apply the op outside the state lock (reductions launch
-                // kernels and synchronize the stream).
-                for (xi, &inc) in step.incoming.iter().enumerate() {
-                    if arrived_now & (1 << xi) == 0 {
-                        continue;
-                    }
-                    progressed = true;
-                    let (ch, slot) = self.recv_slot(inc, u, s);
-                    let dst_off = self.chunk_off(u, step.arrived_offset);
-                    let stage_off = slot * self.inner.chunk_bytes;
-                    match step.op {
-                        StepOp::Sum => self.reduce_chunk(p, &ch.stage, stage_off, dst_off).await,
-                        StepOp::Nop => {
-                            self.inner.buffer.copy_from_buffer(
-                                dst_off,
-                                &ch.stage,
-                                stage_off,
-                                self.inner.chunk_bytes,
-                            );
-                            p.advance(self.copy_cost()).await;
-                        }
-                    }
-                }
-                // Lines 14–20: step completion check.
-                let advance = {
-                    let mut states = self.inner.states.lock();
-                    let st = &mut states[u];
-                    if st.parrived_complete == step.incoming.len()
-                        && st.pready_complete == step.outgoing.len()
-                    {
-                        st.step += 1;
-                        st.parrived_complete = 0;
-                        st.pready_complete = 0;
-                        st.processed = 0;
-                        true
-                    } else {
-                        false
-                    }
+                let Some((s, arrived_now, mut advance)) = self.visit(u) else {
+                    break; // line 4: continue past finished partitions
                 };
+                let step = &self.inner.schedule.steps[s];
+                if arrived_now != 0 {
+                    // Apply the ops outside the state lock (reductions
+                    // launch kernels and synchronize the stream), then
+                    // lock again for the completion check.
+                    self.apply_arrivals(p, u, s, arrived_now).await;
+                    progressed = true;
+                    advance = complete_step(&mut self.inner.states.lock()[u], step);
+                }
                 if !advance {
                     break;
                 }
@@ -622,6 +582,61 @@ impl PcollRequest {
             }
         }
         Ok(progressed)
+    }
+
+    /// One sweep visit of partition `u`, under one lock of the partition
+    /// states: `None` unless it is active, not staging and short of the
+    /// last step; else its step `s`, the incoming chunks of `s` found
+    /// arrived just now (lines 5–13, one bit per incoming neighbor), and,
+    /// when none were, whether step `s` completed (lines 14–20).
+    fn visit(&self, u: usize) -> Option<(usize, u64, bool)> {
+        let mut states = self.inner.states.lock();
+        let st = &mut states[u];
+        let s = st.step;
+        if !st.active || st.staging || s >= self.inner.schedule.len() {
+            return None;
+        }
+        let step = &self.inner.schedule.steps[s];
+        let mut arrived = 0u64;
+        for (xi, &inc) in step.incoming.iter().enumerate() {
+            if st.processed & (1 << xi) != 0 {
+                continue;
+            }
+            self.inner.completion_lookups.fetch_add(1, Ordering::Relaxed);
+            let (ch, slot) = self.recv_slot(inc, u, s);
+            if ch.rreq.parrived(slot) {
+                st.processed |= 1 << xi;
+                st.parrived_complete += 1;
+                arrived |= 1 << xi;
+            }
+        }
+        Some((s, arrived, arrived == 0 && complete_step(st, step)))
+    }
+
+    /// Apply the op of step `s` to each chunk of partition `u` that the
+    /// sweep has just found arrived (one bit per incoming neighbor).
+    async fn apply_arrivals(&self, p: &Proc, u: usize, s: usize, arrived: u64) {
+        let step = &self.inner.schedule.steps[s];
+        for (xi, &inc) in step.incoming.iter().enumerate() {
+            if arrived & (1 << xi) == 0 {
+                continue;
+            }
+            let (ch, slot) = self.recv_slot(inc, u, s);
+            let dst_off = self.chunk_off(u, step.arrived_offset);
+            let stage_off = slot * self.inner.chunk_bytes;
+            match step.op {
+                StepOp::Sum => self.reduce_chunk(p, &ch.stage, stage_off, dst_off).await,
+                StepOp::Nop => {
+                    self.inner.buffer.copy_from_buffer(
+                        dst_off,
+                        &ch.stage,
+                        stage_off,
+                        self.inner.chunk_bytes,
+                    );
+                    p.advance(self.copy_cost()).await;
+                }
+            }
+        }
     }
 
     /// The receive channel from `inc` and its slot for `(partition u, step

@@ -362,6 +362,8 @@ impl DevicePrequest {
             .unwrap_or_else(|e| {
                 panic!("fabric transfer {src_loc:?} -> {dst_loc:?} failed with no recovery path: {e}")
             });
+        // Fire-and-forget stores: nothing lands at the arrival.
+        fabric.sim().tick_at(transfer.arrival);
         let latency = fabric.path_latency(src_loc, dst_loc);
         transfer.arrival.saturating_since(origin).saturating_sub(latency)
     }

@@ -27,7 +27,6 @@ use crate::overheads::ApiOverheads;
 use crate::watchdog;
 
 pub(crate) struct RecvState {
-    pub epoch: u64,
     pub started: bool,
     /// Reply endpoint; set by the first `MPIX_Pbuf_prepare`, which
     /// negotiates the channel.
@@ -65,6 +64,9 @@ pub(crate) struct PrecvShared {
     /// Writes to `flags` since the channel was created, counted or stale
     /// (see [`Notifier::flag_writes`]).
     pub flag_writes: Arc<AtomicU64>,
+    /// The current epoch number, bumped by `MPI_Start` under `state`'s
+    /// lock; read without it, so `MPI_Parrived` is a lock-free flag read.
+    pub epoch: AtomicU64,
     pub state: Mutex<RecvState>,
 }
 
@@ -133,8 +135,8 @@ pub async fn precv_init_async(
             flags,
             arrived: CountEvent::named("precv arrivals"),
             flag_writes: Arc::default(),
+            epoch: AtomicU64::new(0),
             state: Mutex::new(RecvState {
-                epoch: 0,
                 started: false,
                 ep_to_sender: None,
                 device_mirror: None,
@@ -204,7 +206,8 @@ impl PrecvRequest {
                 context: "MPI_Start while the previous epoch is still active".into(),
             });
         }
-        st.epoch += 1;
+        let epoch = self.inner.epoch.load(Ordering::Acquire) + 1;
+        self.inner.epoch.store(epoch, Ordering::Release);
         st.started = true;
         self.inner.arrived.reset();
         // Flags are epoch-stamped, so no zeroing is needed: a flag is "set"
@@ -238,7 +241,7 @@ impl PrecvRequest {
                     context: "MPIX_Pbuf_prepare before MPI_Start".into(),
                 });
             }
-            (st.ep_to_sender.is_none(), st.epoch)
+            (st.ep_to_sender.is_none(), self.inner.epoch.load(Ordering::Acquire))
         };
         let inner = &self.inner;
         if first {
@@ -322,7 +325,7 @@ impl PrecvRequest {
     /// epoch? A pure flag read.
     pub fn parrived(&self, u: usize) -> bool {
         assert!(u < self.inner.user_partitions, "parrived: partition out of range");
-        let epoch = self.inner.state.lock().epoch;
+        let epoch = self.inner.epoch.load(Ordering::Acquire);
         self.inner.flags.read_flag(u) == epoch
     }
 
@@ -428,7 +431,7 @@ impl PrecvRequest {
         d.extend(read_cost);
         let st = self.inner.state.lock();
         match &st.device_mirror {
-            Some(m) => m.read_flag(u) == st.epoch,
+            Some(m) => m.read_flag(u) == self.inner.epoch.load(Ordering::Acquire),
             None => false,
         }
     }
@@ -524,13 +527,12 @@ impl PrecvRequest {
 
 impl std::fmt::Debug for PrecvRequest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.state.lock();
         f.debug_struct("PrecvRequest")
             .field("src", &self.inner.src)
             .field("dst", &self.inner.my_rank)
             .field("tag", &self.inner.tag)
             .field("partitions", &self.inner.user_partitions)
-            .field("epoch", &st.epoch)
+            .field("epoch", &self.inner.epoch.load(Ordering::Acquire))
             .finish()
     }
 }

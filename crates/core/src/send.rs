@@ -24,10 +24,11 @@
 //! [`PsendShared::land`]: the generation/delivered latch, the
 //! `mpi.pready_arrival_us` sample and the arrival counters.
 //!
-//! The channel is the completion of its own puts: it keeps what each put
-//! in flight is for in a slab and issues the put with the key, as the
-//! [`Action`] its RMA puts complete to and its symmetric-heap landings
-//! are queued as, so a delivery allocates nothing.
+//! The channel is the sink of its own puts: it keeps each put in flight,
+//! with what it is for, in a slab under its state lock, and issues the put
+//! with the key, as the [`Action`] its RMA put steps and its
+//! symmetric-heap landings are queued as, so a delivery allocates nothing
+//! and takes no lock beyond the channel's own.
 //!
 //! Device bindings (`MPIX_Pready` from inside a kernel) live in
 //! `crate::device` and drive the same state machine through the crate-
@@ -52,7 +53,7 @@ use parcomm_net::WireAttr;
 use parcomm_shmem::ShmemError;
 use parcomm_sim::{Action, CountEvent, Ctx, Proc, SimDuration, SimHandle, SimTime, Slab, SpanId};
 use parcomm_ucx::{
-    AmMessage, Endpoint, PutHandle, PutOpts, RKey, Worker, MAX_STRIPES, PUT_FAILED,
+    AmMessage, Endpoint, Put, PutHandle, PutOpts, PutStatus, RKey, Worker, MAX_STRIPES,
     PUT_MAX_ATTEMPTS, PUT_RETRY_BACKOFF_US,
 };
 
@@ -116,9 +117,9 @@ pub(crate) struct SendState {
     /// undelivered transports; a racing duplicate that lands after the
     /// latch is discarded.
     pub delivered: Vec<bool>,
-    /// What each of this channel's puts in flight delivers, keyed by the
-    /// token it was issued with. Kept under this lock, which issuing and
-    /// landing a put take anyway.
+    /// Each of this channel's puts in flight and what it delivers, keyed by
+    /// the token it was issued with. Kept under this lock, which issuing
+    /// and landing a put take anyway.
     pub(crate) in_flight: Slab<InFlightPut>,
     /// Stripe count for the data puts: each transport partition's payload
     /// splits into up to this many stripes routed concurrently over the
@@ -191,9 +192,9 @@ pub(crate) struct Delivery {
 /// One of a channel's puts in flight, and what its landing does.
 pub(crate) enum InFlightPut {
     /// An RMA data put: its completion chains the flag put.
-    Data(Delivery),
+    Data(Delivery, Put),
     /// An RMA flag put: its completion lands the transport.
-    Flag(Delivery),
+    Flag(Delivery, Put),
     /// A symmetric-heap put landing at `arrival` (plus the signal store),
     /// over the wire span `wire_span`.
     Shmem { put: ShmemPut, arrival: SimTime, wire_span: SpanId },
@@ -942,17 +943,13 @@ impl PsendShared {
         // older generation (or after this transport's delivered latch is
         // set) discards its side effects — replay is idempotent.
         let issue_gen = self.gen.load(Ordering::Acquire);
-        let (delivery, stripes, epoch, token) = {
-            let mut st = self.state.lock();
-            let users = chunk_range(self.user_partitions, st.transport_partitions, k);
-            let delivery = Delivery { k, users, issue_gen, pready_at };
-            // An RMA put's record goes in under the lock taken anyway.
-            let token = matches!(route, Route::Rma { .. })
-                .then(|| st.in_flight.insert(InFlightPut::Data(delivery)));
-            (delivery, st.stripes, st.epoch, token)
-        };
-        match (route, token) {
-            (Route::Shmem { data, flags }, _) => {
+        let mut st = self.state.lock();
+        let users = chunk_range(self.user_partitions, st.transport_partitions, k);
+        let delivery = Delivery { k, users, issue_gen, pready_at };
+        match route {
+            Route::Shmem { data, flags } => {
+                let epoch = st.epoch;
+                drop(st);
                 let put = ShmemPut {
                     delivery,
                     data: data.clone(),
@@ -963,7 +960,7 @@ impl PsendShared {
                 };
                 self.attempt_shmem(h, put, 0);
             }
-            (Route::Rma { data_rkey, .. }, Some(token)) => {
+            Route::Rma { data_rkey, .. } => {
                 let (u0, ulen) = delivery.users;
                 let byte_off = u0 * self.partition_bytes;
                 let byte_len = ulen * self.partition_bytes;
@@ -972,20 +969,22 @@ impl PsendShared {
                 // never striped — it is 8 bytes per user partition of
                 // control traffic, and it must observe the *assembled*
                 // payload, which the striped put's completion (firing at
-                // the assembly barrier) guarantees.
+                // the assembly barrier) guarantees. The put and its record
+                // go in under the lock taken anyway.
+                let token = st.in_flight.next_key();
                 let put = self.endpoint.put_nbx(
                     &self.buffer,
                     byte_off,
                     byte_len,
                     data_rkey,
                     byte_off,
-                    self.put_opts(k, stripes, cause),
+                    self.put_opts(k, st.stripes, cause),
                     self.clone(),
                     token,
                 );
-                self.track(put);
+                self.track(&put);
+                st.in_flight.insert(InFlightPut::Data(delivery, put));
             }
-            (Route::Rma { .. }, None) => unreachable!("an RMA put's record was inserted"),
         }
     }
 
@@ -1004,41 +1003,39 @@ impl PsendShared {
         issue_gen: u64,
         pready_at: SimTime,
     ) {
-        let (token, users) = {
-            let mut st = self.state.lock();
-            let users = chunk_range(self.user_partitions, st.transport_partitions, k);
-            let delivery = Delivery { k, users, issue_gen, pready_at };
-            (st.in_flight.insert(InFlightPut::Flag(delivery)), users)
-        };
-        self.put_flags(token, k, users, cause);
+        let mut st = self.state.lock();
+        let users = chunk_range(self.user_partitions, st.transport_partitions, k);
+        self.put_flags(&mut st, Delivery { k, users, issue_gen, pready_at }, cause);
     }
 
-    /// Put the staged flags of transport `k` (user partitions `users`)
-    /// to the receiver, completing as `token`, whose record is a
-    /// [`InFlightPut::Flag`]. Chained by the RMA data put's completion
+    /// Put the staged flags of `delivery`'s user partitions to the
+    /// receiver, and keep the put as an [`InFlightPut::Flag`] record under
+    /// the state lock `st`. Chained by the RMA data put's completion
     /// (caused by the completion span), or posted by
     /// [`PsendShared::issue_flag_put`].
-    fn put_flags(self: &Arc<Self>, token: u64, k: usize, (u0, ulen): (usize, usize), cause: SpanId) {
+    fn put_flags(self: &Arc<Self>, st: &mut SendState, delivery: Delivery, cause: SpanId) {
         let Some(Route::Rma { flag_rkey, .. }) = self.route.get() else {
             unreachable!("flag puts travel only on RMA routes")
         };
+        let (u0, ulen) = delivery.users;
         let put = self.endpoint.put_nbx(
             &self.flag_stage,
             u0 * 8,
             ulen * 8,
             flag_rkey,
             u0 * 8,
-            self.put_opts(k, 1, cause),
+            self.put_opts(delivery.k, 1, cause),
             self.clone(),
-            token,
+            st.in_flight.next_key(),
         );
-        self.track(put);
+        self.track(&put);
+        st.in_flight.insert(InFlightPut::Flag(delivery, put));
     }
 
     /// Keep `put`'s handle for the stall diagnosis if the put can fail.
-    fn track(&self, put: PutHandle) {
+    fn track(&self, put: &Put) {
         if self.world.fabric().faults_armed() {
-            self.puts.lock().push(put);
+            self.puts.lock().push(put.handle());
         }
     }
 
@@ -1081,26 +1078,31 @@ impl PsendShared {
 }
 
 impl Action for PsendShared {
-    /// A put of this channel lands or fails, or a symmetric-heap put makes
-    /// its next attempt. A landed RMA data put chains its flag put (caused
-    /// by the data put's completion `span`); a landed RMA flag put or
-    /// symmetric-heap put lands the transport. A failed RMA put (`token |
-    /// PUT_FAILED`) only drops its record: its transport stays
-    /// undelivered, for the stall diagnosis and the replay to find.
-    fn run(self: Arc<Self>, h: &SimHandle, token: u64, span: SpanId) {
+    /// A step of one of this channel's puts runs, or a symmetric-heap put
+    /// makes its next attempt. An RMA put runs its step: once it has
+    /// landed, a data put chains its flag put (caused by the data put's
+    /// completion span) and a flag put lands the transport; a failed one
+    /// only drops its record, so its transport stays undelivered for the
+    /// stall diagnosis and the replay to find. A symmetric-heap put lands
+    /// the transport.
+    fn run(self: Arc<Self>, h: &SimHandle, token: u64, _span: SpanId) {
         let mut st = self.state.lock();
-        if token & PUT_FAILED != 0 {
-            st.in_flight.remove(token & !PUT_FAILED);
-            return;
-        }
-        match st.in_flight.remove(token) {
-            InFlightPut::Data(delivery) => {
-                // The removal just freed a slot for the flag put's record.
-                let flag = st.in_flight.insert(InFlightPut::Flag(delivery));
-                drop(st);
-                self.put_flags(flag, delivery.k, delivery.users, span);
+        let landed = match st.in_flight.get_mut(token) {
+            Some(InFlightPut::Data(_, put) | InFlightPut::Flag(_, put)) => Some(put.land(h)),
+            _ => None,
+        };
+        let span = match landed {
+            Some(PutStatus::InFlight) => return,
+            Some(PutStatus::Failed) => {
+                st.in_flight.remove(token);
+                return;
             }
-            InFlightPut::Flag(delivery) => self.land(h, &mut st, delivery, None),
+            Some(PutStatus::Landed(span)) => span,
+            None => SpanId::NONE,
+        };
+        match st.in_flight.remove(token) {
+            InFlightPut::Data(delivery, _) => self.put_flags(&mut st, delivery, span),
+            InFlightPut::Flag(delivery, _) => self.land(h, &mut st, delivery, None),
             InFlightPut::Shmem { put, arrival, wire_span } => {
                 // Bytes land and flags are (re)stamped regardless of
                 // staleness — both are idempotent, exactly like a classic
@@ -1149,6 +1151,9 @@ impl PsendShared {
         ) {
             Ok(transfer) => {
                 let arrival = transfer.arrival;
+                // The landing waits for the signal store: nothing lands at
+                // the arrival itself.
+                h.tick_at(arrival);
                 let signal = SimDuration::from_micros_f64(self.cost.shmem_signal_us);
                 let landing = InFlightPut::Shmem { put, arrival, wire_span: transfer.span };
                 let token = self.state.lock().in_flight.insert(landing);

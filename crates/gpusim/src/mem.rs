@@ -24,7 +24,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, MutexGuard, Weak};
 
 use parcomm_sim::Mutex;
 
@@ -118,7 +118,24 @@ static ZEROS: [u8; PAGE] = [0; PAGE];
 /// the `Arc` around them, reused before the allocator is asked for a new
 /// page. Pages are always taken from here first, so a length's list never
 /// holds more than the process's peak of live pages of that length.
-static FREE_PAGES: Mutex<BTreeMap<usize, Vec<Arc<PageBytes>>>> = Mutex::new(BTreeMap::new());
+static FREE_PAGES: Mutex<FreeLists> = Mutex::new(BTreeMap::new());
+
+/// Free pages by length.
+type FreeLists = BTreeMap<usize, Vec<Arc<PageBytes>>>;
+
+/// [`FREE_PAGES`] as one buffer operation sees it: locked at the
+/// operation's first page fetch or release and held until the operation
+/// ends, so one operation takes the pool's lock at most once, however
+/// many pages it touches. Every store lock an operation takes is taken
+/// before this one.
+#[derive(Default)]
+struct Pool(Option<MutexGuard<'static, FreeLists>>);
+
+impl Pool {
+    fn lists(&mut self) -> &mut FreeLists {
+        self.0.get_or_insert_with(|| FREE_PAGES.lock())
+    }
+}
 
 /// Pages the allocator had to supply because [`FREE_PAGES`] had none of
 /// the length asked for.
@@ -152,8 +169,8 @@ type Page = Option<Arc<PageBytes>>;
 /// A new page of `len` bytes, every one of which `fill` must set: a
 /// recycled page still holds the bytes of its last use. The one place
 /// page bytes are allocated.
-fn fresh_page(len: usize, fill: impl FnOnce(&mut [u8])) -> Arc<PageBytes> {
-    let recycled = FREE_PAGES.lock().get_mut(&len).and_then(Vec::pop);
+fn fresh_page(pool: &mut Pool, len: usize, fill: impl FnOnce(&mut [u8])) -> Arc<PageBytes> {
+    let recycled = pool.lists().get_mut(&len).and_then(Vec::pop);
     let mut page = recycled.unwrap_or_else(|| {
         PAGES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
         let bytes = vec![0; len];
@@ -165,12 +182,10 @@ fn fresh_page(len: usize, fill: impl FnOnce(&mut [u8])) -> Arc<PageBytes> {
 
 /// Let go of `pages`: each one that no other buffer holds goes back to
 /// [`FREE_PAGES`], `Arc` and all; a shared one just loses this holder.
-fn release(pages: impl IntoIterator<Item = Page>) {
-    let mut free = None;
+fn release(pool: &mut Pool, pages: impl IntoIterator<Item = Page>) {
     for mut page in pages.into_iter().flatten() {
         if Arc::get_mut(&mut page).is_some() {
-            let free = free.get_or_insert_with(|| FREE_PAGES.lock());
-            free.entry(page.len()).or_default().push(page);
+            pool.lists().entry(page.len()).or_default().push(page);
         }
     }
 }
@@ -198,7 +213,7 @@ struct Store {
 
 impl Drop for Store {
     fn drop(&mut self) {
-        release(self.pages.drain(..));
+        release(&mut Pool::default(), self.pages.drain(..));
     }
 }
 
@@ -225,8 +240,8 @@ impl Store {
     }
 
     /// Make `page` page `i`, releasing the one it replaces.
-    fn replace(&mut self, i: usize, page: Page) {
-        release([std::mem::replace(&mut self.pages[i], page)]);
+    fn replace(&mut self, pool: &mut Pool, i: usize, page: Page) {
+        release(pool, [std::mem::replace(&mut self.pages[i], page)]);
     }
 
     /// Page `i` when this buffer alone holds it, writable in place.
@@ -236,13 +251,13 @@ impl Store {
 
     /// Page `i` made writable: a never-written page becomes a fresh page of
     /// zeros and a shared one a fresh copy.
-    fn page_mut(&mut self, i: usize) -> &mut [u8] {
+    fn page_mut(&mut self, pool: &mut Pool, i: usize) -> &mut [u8] {
         if self.owned_page(i).is_none() {
-            let copy = fresh_page(self.page_len(i), |p| match &self.pages[i] {
+            let copy = fresh_page(pool, self.page_len(i), |p| match &self.pages[i] {
                 Some(old) => p.copy_from_slice(old),
                 None => p.fill(0),
             });
-            self.replace(i, Some(copy));
+            self.replace(pool, i, Some(copy));
         }
         self.owned_page(i).expect("a page just made unshared")
     }
@@ -250,12 +265,12 @@ impl Store {
     /// Set every byte of page `i` with `fill`: in place when this buffer
     /// alone holds the page, otherwise in a fresh page that replaces it, so
     /// the bytes being replaced are never zeroed or copied first.
-    fn overwrite_page(&mut self, i: usize, fill: impl FnOnce(&mut [u8])) {
+    fn overwrite_page(&mut self, pool: &mut Pool, i: usize, fill: impl FnOnce(&mut [u8])) {
         match self.owned_page(i) {
             Some(page) => fill(page),
             None => {
-                let page = fresh_page(self.page_len(i), fill);
-                self.replace(i, Some(page));
+                let page = fresh_page(pool, self.page_len(i), fill);
+                self.replace(pool, i, Some(page));
             }
         }
     }
@@ -264,13 +279,19 @@ impl Store {
     /// every byte of `bytes`, the piece of the range that starts `at` bytes
     /// into it. A piece covering a whole page never copies the bytes it
     /// replaces (see [`Store::overwrite_page`]).
-    fn set_bytes(&mut self, off: usize, n: usize, mut set: impl FnMut(usize, &mut [u8])) {
+    fn set_bytes(
+        &mut self,
+        pool: &mut Pool,
+        off: usize,
+        n: usize,
+        mut set: impl FnMut(usize, &mut [u8]),
+    ) {
         self.check(off, n);
         for (i, o, at, take) in spans(off, n) {
             if o == 0 && take == self.page_len(i) {
-                self.overwrite_page(i, |p| set(at, p));
+                self.overwrite_page(pool, i, |p| set(at, p));
             } else {
-                set(at, &mut self.page_mut(i)[o..o + take]);
+                set(at, &mut self.page_mut(pool, i)[o..o + take]);
             }
         }
     }
@@ -327,37 +348,37 @@ impl Store {
     /// Write `n` bytes at `o` in page `i`: `src`, or zeros for `None`. A
     /// write covering the whole page never copies the bytes it replaces
     /// (see [`Store::overwrite_page`]); whole-page zeros drop the page.
-    fn write_in_page(&mut self, i: usize, o: usize, src: Option<&[u8]>, n: usize) {
+    fn write_in_page(&mut self, pool: &mut Pool, i: usize, o: usize, src: Option<&[u8]>, n: usize) {
         if o == 0 && n == self.page_len(i) {
             match src {
-                Some(src) => self.overwrite_page(i, |p| p.copy_from_slice(src)),
-                None => self.replace(i, None),
+                Some(src) => self.overwrite_page(pool, i, |p| p.copy_from_slice(src)),
+                None => self.replace(pool, i, None),
             }
             return;
         }
         match src {
-            Some(src) => self.page_mut(i)[o..o + n].copy_from_slice(src),
-            None if self.pages[i].is_some() => self.page_mut(i)[o..o + n].fill(0),
+            Some(src) => self.page_mut(pool, i)[o..o + n].copy_from_slice(src),
+            None if self.pages[i].is_some() => self.page_mut(pool, i)[o..o + n].fill(0),
             None => {}
         }
     }
 
-    fn write(&mut self, off: usize, src: &[u8]) {
-        self.set_bytes(off, src.len(), |at, d| d.copy_from_slice(&src[at..at + d.len()]));
+    fn write(&mut self, pool: &mut Pool, off: usize, src: &[u8]) {
+        self.set_bytes(pool, off, src.len(), |at, d| d.copy_from_slice(&src[at..at + d.len()]));
     }
 
     /// Write `src` as little-endian `f64`s at `off`.
-    fn write_f64s(&mut self, off: usize, src: &[f64]) {
+    fn write_f64s(&mut self, pool: &mut Pool, off: usize, src: &[f64]) {
         let n = src.len() * 8;
         if !off.is_multiple_of(8) {
             let mut bytes = Vec::with_capacity(n);
             for v in src {
                 bytes.extend_from_slice(&v.to_le_bytes());
             }
-            return self.write(off, &bytes);
+            return self.write(pool, off, &bytes);
         }
         // Aligned: no element straddles a page boundary.
-        self.set_bytes(off, n, |at, d| {
+        self.set_bytes(pool, off, n, |at, d| {
             for (d, v) in d.chunks_exact_mut(8).zip(&src[at / 8..]) {
                 d.copy_from_slice(&v.to_le_bytes());
             }
@@ -367,15 +388,16 @@ impl Store {
     /// Write `v` as a little-endian `u64` to each of the `n / 8` words at
     /// `off`, a multiple of 8: one pass, and no page copied or allocated
     /// when this buffer alone holds the pages or the whole of each is set.
-    fn fill_u64(&mut self, off: usize, n: usize, v: u64) {
+    fn fill_u64(&mut self, pool: &mut Pool, off: usize, n: usize, v: u64) {
         let word = v.to_le_bytes();
-        self.set_bytes(off, n, |_, d| d.chunks_exact_mut(8).for_each(|w| w.copy_from_slice(&word)));
+        let fill = |_, d: &mut [u8]| d.chunks_exact_mut(8).for_each(|w| w.copy_from_slice(&word));
+        self.set_bytes(pool, off, n, fill);
     }
 
     /// Copy `n` bytes of `src` at `src_off` to `off`. A page that both
     /// ranges cover whole, at the same offset into each, is shared rather
     /// than copied.
-    fn copy_from(&mut self, off: usize, src: &Store, src_off: usize, n: usize) {
+    fn copy_from(&mut self, pool: &mut Pool, off: usize, src: &Store, src_off: usize, n: usize) {
         self.check(off, n);
         src.check(src_off, n);
         let mut done = 0;
@@ -384,24 +406,31 @@ impl Store {
             let (di, o) = ((off + done) / PAGE, (off + done) % PAGE);
             let take = (n - done).min(PAGE - so).min(PAGE - o);
             if so == 0 && o == 0 && take == src.page_len(si) && take == self.page_len(di) {
-                self.replace(di, src.pages[si].clone());
+                self.replace(pool, di, src.pages[si].clone());
             } else {
                 let bytes = src.pages[si].as_ref().map(|p| &p[so..so + take]);
-                self.write_in_page(di, o, bytes, take);
+                self.write_in_page(pool, di, o, bytes, take);
             }
             done += take;
         }
     }
 
     /// `self[off..] += src[src_off..]` over `n` bytes of `f64`s.
-    fn accumulate_f64(&mut self, off: usize, src: &Store, src_off: usize, n: usize) {
+    fn accumulate_f64(
+        &mut self,
+        pool: &mut Pool,
+        off: usize,
+        src: &Store,
+        src_off: usize,
+        n: usize,
+    ) {
         self.check(off, n);
         let src = src.slice(src_off, n);
         if !off.is_multiple_of(8) {
             // Elements straddle page boundaries: add in a gathered copy.
             let mut sum = self.slice(off, n).into_owned();
             add_f64(&mut sum, &src);
-            return self.write(off, &sum);
+            return self.write(pool, off, &sum);
         }
         for (i, o, at, take) in spans(off, n) {
             let src = &src[at..at + take];
@@ -409,10 +438,10 @@ impl Store {
                 // A shared or never-written whole page: write the sums into
                 // a fresh page in one pass instead of copying, then adding.
                 let old = self.page(i);
-                let sum = fresh_page(take, |p| sum_f64(p, old, src));
-                self.replace(i, Some(sum));
+                let sum = fresh_page(pool, take, |p| sum_f64(p, old, src));
+                self.replace(pool, i, Some(sum));
             } else {
-                add_f64(&mut self.page_mut(i)[o..o + take], src);
+                add_f64(&mut self.page_mut(pool, i)[o..o + take], src);
             }
         }
     }
@@ -489,7 +518,7 @@ impl Buffer {
 
     /// Copy `src` into the buffer at `offset`.
     pub fn write_bytes(&self, offset: usize, src: &[u8]) {
-        self.inner.store.lock().write(offset, src);
+        self.inner.store.lock().write(&mut Pool::default(), offset, src);
     }
 
     /// Read `len` bytes starting at `offset`.
@@ -499,7 +528,8 @@ impl Buffer {
 
     /// Zero-fill the whole buffer.
     pub fn zero(&self) {
-        release(self.inner.store.lock().pages.iter_mut().map(Option::take));
+        let mut store = self.inner.store.lock();
+        release(&mut Pool::default(), store.pages.iter_mut().map(Option::take));
     }
 
     /// Functional copy between buffers (the data plane of an RMA put or a
@@ -507,19 +537,22 @@ impl Buffer {
     pub fn copy_from_buffer(&self, dst_offset: usize, src: &Buffer, src_offset: usize, len: usize) {
         if self.same_allocation(src) {
             let mut store = self.inner.store.lock();
-            let snapshot = store.snapshot();
-            store.copy_from(dst_offset, &snapshot, src_offset, len);
+            let mut snapshot = store.snapshot();
+            let mut pool = Pool::default();
+            store.copy_from(&mut pool, dst_offset, &snapshot, src_offset, len);
+            release(&mut pool, snapshot.pages.drain(..));
             return;
         }
         let src_guard = src.inner.store.lock();
-        self.inner.store.lock().copy_from(dst_offset, &src_guard, src_offset, len);
+        let mut store = self.inner.store.lock();
+        store.copy_from(&mut Pool::default(), dst_offset, &src_guard, src_offset, len);
     }
 
     // ---- f64 views -------------------------------------------------------
 
     /// Write a slice of `f64` at a byte offset.
     pub fn write_f64_slice(&self, byte_offset: usize, src: &[f64]) {
-        self.inner.store.lock().write_f64s(byte_offset, src);
+        self.inner.store.lock().write_f64s(&mut Pool::default(), byte_offset, src);
     }
 
     /// Read `n` `f64` values from a byte offset.
@@ -549,12 +582,15 @@ impl Buffer {
     pub fn accumulate_f64(&self, dst_offset: usize, other: &Buffer, src_offset: usize, n: usize) {
         if self.same_allocation(other) {
             let mut store = self.inner.store.lock();
-            let snapshot = store.snapshot();
-            store.accumulate_f64(dst_offset, &snapshot, src_offset, n * 8);
+            let mut snapshot = store.snapshot();
+            let mut pool = Pool::default();
+            store.accumulate_f64(&mut pool, dst_offset, &snapshot, src_offset, n * 8);
+            release(&mut pool, snapshot.pages.drain(..));
             return;
         }
         let src = other.inner.store.lock();
-        self.inner.store.lock().accumulate_f64(dst_offset, &src, src_offset, n * 8);
+        let mut store = self.inner.store.lock();
+        store.accumulate_f64(&mut Pool::default(), dst_offset, &src, src_offset, n * 8);
     }
 
     /// Sum of `n` `f64` elements.
@@ -582,7 +618,7 @@ impl Buffer {
     /// nothing.
     pub fn fill_flags(&self, words: Range<usize>, v: u64) {
         let n = words.end.checked_sub(words.start).expect("flag range runs backwards");
-        self.inner.store.lock().fill_u64(words.start * 8, n * 8, v);
+        self.inner.store.lock().fill_u64(&mut Pool::default(), words.start * 8, n * 8, v);
     }
 }
 

@@ -7,8 +7,9 @@
 //! GPU was built with, which every GPU of a world shares; spans record
 //! unattributed until [`crate::Gpu::set_rank`] names the rank.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use parcomm_obs::{Counter, MetricsRegistry};
-use parcomm_sim::Mutex;
 
 /// The `gpu.*` instruments: resolved once per registry and shared by every
 /// GPU built with them. Cheap to clone; clones share counters.
@@ -36,22 +37,28 @@ impl GpuMetrics {
 
 /// Shared observability state of one GPU.
 pub(crate) struct GpuObs {
-    rank: Mutex<Option<u32>>,
+    /// The attributed MPI rank, or [`UNATTRIBUTED`]. Every kernel span
+    /// reads it, so it is an atomic, not a lock.
+    rank: AtomicU64,
     instruments: GpuMetrics,
 }
 
+/// [`GpuObs::rank`] before [`crate::Gpu::set_rank`].
+const UNATTRIBUTED: u64 = u64::MAX;
+
 impl GpuObs {
     pub(crate) fn new(metrics: &GpuMetrics) -> Self {
-        GpuObs { rank: Mutex::new(None), instruments: metrics.clone() }
+        GpuObs { rank: AtomicU64::new(UNATTRIBUTED), instruments: metrics.clone() }
     }
 
     /// The MPI rank this GPU is attributed to, once known.
     pub(crate) fn rank(&self) -> Option<u32> {
-        *self.rank.lock()
+        let rank = self.rank.load(Ordering::Acquire);
+        (rank != UNATTRIBUTED).then_some(rank as u32)
     }
 
     pub(crate) fn set_rank(&self, rank: u32) {
-        *self.rank.lock() = Some(rank);
+        self.rank.store(u64::from(rank), Ordering::Release);
     }
 
     pub(crate) fn count_kernel(&self, emissions: u64) {

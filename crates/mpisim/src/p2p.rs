@@ -96,6 +96,9 @@ fn fire_transfer(
     let (sbuf, rbuf) = (send.buf, recv.buf);
     let (soff, roff, len) = (send.off, recv.off, send.len);
     let (sdone, rdone) = (send.done, recv.done);
+    // The arrival's own entry, then the boxed landing (not a hot path, so
+    // it is not folded into one `land_at` entry).
+    h.tick_at(t.arrival);
     h.schedule_at(t.arrival, move |h| {
         rbuf.copy_from_buffer(roff, &sbuf, soff, len);
         sdone.set(h);

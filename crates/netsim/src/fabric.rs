@@ -14,7 +14,7 @@
 //! panicking when an armed outage leaves no route; a caller with no
 //! recovery path unwraps at its own call site.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parcomm_sim::Mutex;
@@ -57,17 +57,20 @@ enum LinkKey {
 
 struct Link {
     spec: LinkSpec,
-    busy_until: Mutex<SimTime>,
+    /// The instant, in nanoseconds, until which the link is reserved. Only
+    /// the simulation's baton holder reserves links, so a plain load and
+    /// store suffice: no lock, no read-modify-write instruction.
+    busy_until: AtomicU64,
 }
 
 impl Link {
     /// Reserve the link for `bytes` starting no earlier than `at`;
     /// returns (start, end-of-serialization).
     fn reserve(&self, at: SimTime, bytes: u64) -> (SimTime, SimTime) {
-        let mut busy = self.busy_until.lock();
-        let start = at.max(*busy);
+        let busy = SimTime::from_nanos(self.busy_until.load(Ordering::Acquire));
+        let start = at.max(busy);
         let end = start + SimDuration::from_micros_f64(self.spec.serialize_us(bytes));
-        *busy = end;
+        self.busy_until.store(end.as_nanos(), Ordering::Release);
         (start, end)
     }
 }
@@ -144,8 +147,12 @@ impl Route {
     }
 }
 
-/// An in-flight or completed transfer. The fabric moves time only: the
-/// caller acts at `arrival` (typically in a callback scheduled there).
+/// An in-flight or completed transfer. The fabric moves time only and
+/// queues nothing: the caller queues the arrival itself, as its landing
+/// ([`SimHandle::land_at`]) when it acts at `arrival`, or as a bare
+/// [`SimHandle::tick_at`] when nothing of its own lands at that instant.
+/// Either way the arrival counts as one processed event and takes the
+/// queue slot it took when transfers fired their own completion event.
 #[derive(Clone, Copy, Debug)]
 pub struct Transfer {
     /// When the first hop started serializing.
@@ -199,7 +206,9 @@ pub struct StripeArrival {
 
 /// An in-flight or completed multi-path transfer executed from a
 /// [`MultiPathPlan`]: per-stripe arrivals for partial reassembly plus the
-/// overall arrival of the slowest stripe.
+/// overall arrival of the slowest stripe. As with a [`Transfer`], the
+/// caller queues the overall `arrival`: the first entry it queues at that
+/// instant is the landing, or it queues a tick there.
 #[derive(Clone, Debug)]
 pub struct StripedTransfer {
     /// When the first stripe's first hop started serializing.
@@ -264,7 +273,7 @@ impl Fabric {
         let mut links = Vec::new();
         let mut nodes = Vec::new();
         let mut add = |ls: &LinkSpec| {
-            links.push(Link { spec: ls.clone(), busy_until: Mutex::new(SimTime::ZERO) });
+            links.push(Link { spec: ls.clone(), busy_until: AtomicU64::new(0) });
         };
         // Instantiate each node's own GPU/NIC complement (ragged shapes
         // carry per-node counts; uniform specs reproduce the historical
@@ -532,8 +541,9 @@ impl Fabric {
     /// across every NIC rail.
     ///
     /// The fabric moves *time*, not data: the caller applies the functional
-    /// copy no later than `arrival` (typically in a completion callback).
-    /// `wire` is recorded on the transfer's `wire` span.
+    /// copy no later than `arrival` (typically in a completion callback)
+    /// and queues the arrival (see [`Transfer`]). `wire` is recorded on
+    /// the transfer's `wire` span.
     ///
     /// Returns [`NetError`] when an armed fault schedule has taken down
     /// every usable NIC on a required node; a caller with no recovery path
@@ -559,7 +569,6 @@ impl Fabric {
         let (route, src_nic) = self.route_at(at, src, dst)?;
         let (start, tail) = self.reserve(&route, at, bytes);
         let arrival = tail + self.fault_penalty();
-        self.mark_arrival(arrival);
         let span = self.record_wire(start, arrival, wire);
         self.count_transfer(bytes, src_nic.map(|nic| (nic, bytes)));
         Ok(Transfer { start, arrival, span })
@@ -575,15 +584,6 @@ impl Fabric {
             wire.partition,
             wire.cause,
         )
-    }
-
-    /// Keep a transfer's arrival instant in the event queue as a
-    /// payload-free entry. Transfers once fired a completion event there,
-    /// and the behaviour digests hash the run's event count; the entry
-    /// keeps that count, and its place before the caller's own callback at
-    /// the same instant, until the digest no longer hashes it.
-    fn mark_arrival(&self, arrival: SimTime) {
-        self.inner.handle.tick_at(arrival);
     }
 
     /// Like [`route`](Fabric::route), but steers cross-node hops around NIC
@@ -632,7 +632,6 @@ impl Fabric {
             arrival = arrival.max(a);
         }
         let arrival = arrival + self.fault_penalty();
-        self.mark_arrival(arrival);
         let start = first_start.unwrap_or(at);
         let span = self.record_wire(start, arrival, wire);
         self.count_transfer(bytes, rails.iter().map(|&nic| (nic, share)));
@@ -761,7 +760,6 @@ impl Fabric {
             });
         }
         let arrival = overall + self.fault_penalty();
-        self.mark_arrival(arrival);
         // Rail accounting uses the exact stripe lengths, so the per-rail
         // counters sum to the payload precisely.
         let rail_shares = stripes.iter().filter_map(|s| Some((s.rail?, s.len)));

@@ -4,7 +4,9 @@
 use parcomm_gpu::{Location, Unit};
 use parcomm_net::{ClusterSpec, Fabric, Transfer, WireAttr};
 use parcomm_obs::MetricsRegistry;
-use parcomm_sim::{Ctx, SimConfig, SimTime, Simulation};
+use std::sync::Arc;
+
+use parcomm_sim::{Action, Ctx, SimConfig, SimHandle, SimTime, Simulation, SpanId};
 
 fn gpu(node: u16, idx: u8) -> Location {
     Location { node, unit: Unit::Gpu(idx) }
@@ -174,4 +176,40 @@ fn transfer_at_future_time_respects_start() {
         assert!(ctx.now().as_micros_f64() >= 100.0);
     });
     sim.run().unwrap();
+}
+
+/// A landing that does nothing.
+struct Lands;
+
+impl Action for Lands {
+    fn run(self: Arc<Self>, _h: &SimHandle, _token: u64, _span: SpanId) {}
+}
+
+/// Run one process that issues a 4 KiB cross-node transfer and queues its
+/// arrival, folded into a landing (`land`) or as a bare tick: the run's
+/// end time and event count.
+fn one_transfer_run(land: bool) -> (SimTime, u64) {
+    let mut sim = Simulation::new(SimConfig::default());
+    let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(2), &MetricsRegistry::new());
+    sim.spawn("p", move |ctx| {
+        let t = transfer(&fabric, gpu(0, 0), gpu(1, 0), 4096);
+        if land {
+            ctx.handle().land_at(t.arrival, Arc::new(Lands), 0);
+        } else {
+            ctx.handle().tick_at(t.arrival);
+        }
+    });
+    let r = sim.run().unwrap();
+    (r.end_time, r.events_processed)
+}
+
+#[test]
+fn a_transfer_with_nothing_landing_at_its_arrival_still_ends_the_run_there() {
+    // Queued as a bare tick, the arrival ends the run at the instant, and
+    // with the event count (the start and the arrival), that transfers
+    // queuing their own arrival entry gave.
+    let ticked = one_transfer_run(false);
+    assert_eq!(ticked, (SimTime::from_nanos(3_664), 2));
+    // Folded into a landing, it counts once more: the landing's own event.
+    assert_eq!(one_transfer_run(true), (ticked.0, 3));
 }

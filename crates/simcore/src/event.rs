@@ -9,6 +9,7 @@
 //! quiescing in `MPI_Wait` first.
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::lock::Mutex;
@@ -232,7 +233,15 @@ impl std::fmt::Debug for Event {
 /// accounting ("wake me when `n` partitions have arrived").
 #[derive(Clone, Default)]
 pub struct CountEvent {
-    inner: Arc<Mutex<CountState>>,
+    inner: Arc<CountInner>,
+}
+
+#[derive(Default)]
+struct CountInner {
+    /// A copy of `state.count`, stored under the lock by every write, so
+    /// reading the count takes no lock.
+    count: AtomicU64,
+    state: Mutex<CountState>,
 }
 
 #[derive(Default)]
@@ -254,30 +263,32 @@ impl CountEvent {
     /// [`crate::SimError::Deadlock`] wait-for reports).
     pub fn named(label: impl Into<Cow<'static, str>>) -> Self {
         let state = CountState { label: Some(label.into()), ..CountState::default() };
-        CountEvent { inner: Arc::new(Mutex::new(state)) }
+        let inner = CountInner { count: AtomicU64::new(0), state: Mutex::new(state) };
+        CountEvent { inner: Arc::new(inner) }
     }
 
     /// Attach or replace the diagnostic label.
     pub fn set_label(&self, label: impl Into<Cow<'static, str>>) {
-        self.inner.lock().label = Some(label.into());
+        self.inner.state.lock().label = Some(label.into());
     }
 
     /// The diagnostic label, if any.
     pub fn label(&self) -> Option<String> {
-        self.inner.lock().label.as_deref().map(str::to_owned)
+        self.inner.state.lock().label.as_deref().map(str::to_owned)
     }
 
-    /// Current count.
+    /// Current count. Takes no lock.
     pub fn count(&self) -> u64 {
-        self.inner.lock().count
+        self.inner.count.load(Ordering::Acquire)
     }
 
     /// Increment by `n`, waking any waiter whose threshold is now met.
     pub fn add(&self, h: &SimHandle, n: u64) {
         let (head, more) = {
-            let mut st = self.inner.lock();
+            let mut st = self.inner.state.lock();
             st.count += n;
             let count = st.count;
+            self.inner.count.store(count, Ordering::Release);
             st.waiters.remove_where(|&(t, _, _)| t <= count)
         };
         for (_, pid, epoch) in head.into_iter().chain(more) {
@@ -287,14 +298,15 @@ impl CountEvent {
 
     /// Reset the count to zero (between communication epochs).
     pub fn reset(&self) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.state.lock();
         debug_assert!(st.waiters.is_empty(), "CountEvent::reset with waiters");
         st.count = 0;
+        self.inner.count.store(0, Ordering::Release);
     }
 
     /// Returns `false` if the threshold is already met (caller self-wakes).
     pub(crate) fn register_waiter(&self, threshold: u64, pid: ProcessId, epoch: u64) -> bool {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.state.lock();
         if st.count >= threshold {
             return false;
         }
@@ -305,7 +317,7 @@ impl CountEvent {
 
 impl std::fmt::Debug for CountEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.lock();
+        let st = self.inner.state.lock();
         f.debug_struct("CountEvent")
             .field("count", &st.count)
             .field("waiters", &st.waiters.len())

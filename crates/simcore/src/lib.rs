@@ -59,6 +59,8 @@ pub use error::{BlockedProcess, SimError};
 pub use event::{CountEvent, Event};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use lock::Mutex;
+#[cfg(feature = "lock-census")]
+pub use lock::locks_taken;
 pub use process::{Ctx, Proc};
 pub use rng::SimRng;
 pub use sched::{

@@ -11,8 +11,23 @@
 //! the scheduler, so a poisoned lock only means "some process panicked while
 //! holding the guard" — the scheduler still needs to read the shared state
 //! to report the failure instead of cascading `PoisonError` panics.
+//!
+//! With the `lock-census` feature, every [`Mutex::lock`] also counts itself
+//! into one process-wide total, read by [`locks_taken`]: the host ledger
+//! test pins lock acquisitions per benchmark instance with it. Without the
+//! feature (every non-test build) a lock costs nothing extra.
 
 use std::sync::MutexGuard;
+
+#[cfg(feature = "lock-census")]
+static LOCKS_TAKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// [`Mutex::lock`] calls so far in this process, on every thread (the
+/// `lock-census` feature).
+#[cfg(feature = "lock-census")]
+pub fn locks_taken() -> u64 {
+    LOCKS_TAKEN.load(std::sync::atomic::Ordering::Relaxed)
+}
 
 /// A mutual-exclusion lock with a `parking_lot`-flavoured API on top of
 /// [`std::sync::Mutex`]: `lock()` returns the guard directly, recovering
@@ -40,6 +55,8 @@ impl<T: ?Sized> Mutex<T> {
     /// Unlike `std`, a poisoned lock is recovered rather than propagated —
     /// see the module docs for why that is sound in this codebase.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        #[cfg(feature = "lock-census")]
+        LOCKS_TAKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 

@@ -21,7 +21,8 @@
 //! keeps its worker forever: no thread passes it the baton again, so that
 //! worker never returns to the pool.
 
-use std::sync::mpsc::{channel, Sender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::{self, Thread};
 
 use crate::lock::Mutex;
@@ -31,7 +32,16 @@ use crate::sched::Job;
 #[derive(Clone)]
 pub(crate) struct Worker {
     thread: Thread,
-    jobs: Sender<Job>,
+    next: Arc<NextJob>,
+}
+
+/// Where a worker's next job waits for it. A parked worker allocates
+/// nothing and takes no lock until `ready` is set, so what an idle worker
+/// costs does not depend on when its thread gets to wait.
+#[derive(Default)]
+struct NextJob {
+    ready: AtomicBool,
+    job: Mutex<Option<Job>>,
 }
 
 /// Workers waiting for a job, most recently idle last.
@@ -43,20 +53,24 @@ impl Worker {
         if let Some(worker) = IDLE.lock().pop() {
             return worker;
         }
-        let (jobs, queue) = channel::<Job>();
-        let own = jobs.clone();
+        let next = Arc::new(NextJob::default());
+        let own = next.clone();
         let handle = thread::Builder::new()
             .name("sim-worker".to_string())
             .spawn(move || {
-                let me = Worker { thread: thread::current(), jobs: own };
-                while let Ok(job) = queue.recv() {
+                let me = Worker { thread: thread::current(), next: own };
+                loop {
+                    while !me.next.ready.swap(false, Ordering::Acquire) {
+                        thread::park();
+                    }
+                    let job = me.next.job.lock().take().expect("a ready worker has a job");
                     let released = job.run();
                     IDLE.lock().push(me.clone());
                     drop(released);
                 }
             })
             .expect("failed to spawn simulation worker thread");
-        Worker { thread: handle.thread().clone(), jobs }
+        Worker { thread: handle.thread().clone(), next }
     }
 
     /// The worker's OS thread, which its process's later resumes unpark.
@@ -64,9 +78,10 @@ impl Worker {
         &self.thread
     }
 
-    /// Hand the worker its job. The worker holds a sender to its own queue,
-    /// so it is always there to receive it.
+    /// Hand the worker its job and wake it.
     pub(crate) fn run(self, job: Job) {
-        self.jobs.send(job).expect("simulation worker threads never exit");
+        *self.next.job.lock() = Some(job);
+        self.next.ready.store(true, Ordering::Release);
+        self.thread.unpark();
     }
 }

@@ -45,6 +45,17 @@ impl SimRng {
         }
     }
 
+    /// The generator whose state is `s` (as [`SimRng::state`] returned it).
+    pub(crate) fn from_state(s: [u64; 4]) -> Self {
+        SimRng { s }
+    }
+
+    /// The generator's state: drawing from [`SimRng::from_state`] of it
+    /// continues this generator's stream.
+    pub(crate) fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
     /// Next raw 64-bit output (the primitive every other sampler builds on).
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1]

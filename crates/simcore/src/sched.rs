@@ -174,6 +174,12 @@ enum QueueItem {
     /// A payload-free entry: it only counts as one processed event and runs
     /// the shutdown check a callback runs (see [`SimHandle::tick_at`]).
     Tick,
+    /// A transfer's arrival with the action that lands it, folded into one
+    /// entry: a [`QueueItem::Tick`] followed at once by an
+    /// [`QueueItem::Action`] (see [`SimHandle::land_at`]). It counts as two
+    /// processed events and runs the tick's shutdown check before the
+    /// action.
+    Landing(Arc<dyn Action>, u64),
 }
 
 /// One event-queue entry. The heap pops the earliest `(at, seq)` first;
@@ -263,6 +269,10 @@ pub(crate) struct SchedCore {
     /// holder's `Release` store pairs with `now_of`'s `Acquire` load; the
     /// baton pass between threads orders them too.
     clock: AtomicU64,
+    /// The state of the simulation's RNG. Only the baton holder draws, so
+    /// a draw loads and stores these words and takes no lock; the baton
+    /// pass orders one holder's draws before the next's.
+    rng: [AtomicU64; 4],
     /// Global shutdown flag: set once all regular processes have finished.
     shutdown: AtomicBool,
     /// Span tracing (disabled by default).
@@ -326,7 +336,6 @@ pub(crate) struct SchedState {
     procs: Vec<ProcRecord>,
     live_regular: usize,
     live_daemons: usize,
-    pub(crate) rng: SimRng,
     events_processed: u64,
     handoffs: u64,
     /// Where the holder that sees the run end reports it; taken once.
@@ -407,18 +416,41 @@ impl SimHandle {
     /// Queue a payload-free entry at the absolute virtual instant `at`
     /// (must not be in the past). It runs nothing: it counts as one
     /// processed event and, like a callback, lets a run whose regular
-    /// processes have all finished begin shutdown. The fabric queues one
-    /// at each transfer's arrival, which keeps `events_processed` equal to
-    /// that of a transfer carrying its own completion event.
+    /// processes have all finished begin shutdown. A fabric transfer's
+    /// caller that queues nothing at the transfer's arrival queues one
+    /// there, which keeps `events_processed` equal to that of a transfer
+    /// carrying its own completion event.
     pub fn tick_at(&self, at: SimTime) {
         let mut st = self.core.state.lock();
         assert!(at >= st.now, "tick_at: {at:?} is in the past (now {:?})", st.now);
         st.push(at, QueueItem::Tick);
     }
 
-    /// Draw from the simulation's deterministic RNG.
+    /// Queue `action` with `token` at a transfer's arrival instant `at`
+    /// (must not be in the past), as the arrival's own entry: the same as
+    /// [`SimHandle::tick_at`] followed at once by
+    /// [`SimHandle::schedule_action_at`] at `at`, in one entry and one
+    /// lock. It takes the tick's place in the queue's `(at, seq)` order,
+    /// counts as two processed events and runs the tick's shutdown check
+    /// before the action.
+    pub fn land_at(&self, at: SimTime, action: Arc<dyn Action>, token: u64) {
+        let mut st = self.core.state.lock();
+        assert!(at >= st.now, "land_at: {at:?} is in the past (now {:?})", st.now);
+        st.push(at, QueueItem::Landing(action, token));
+    }
+
+    /// Draw from the simulation's deterministic RNG. It takes no lock, as
+    /// only the baton holder draws; `f` must not draw through `with_rng`
+    /// itself, whose draws it would overwrite.
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut SimRng) -> T) -> T {
-        f(&mut self.core.state.lock().rng)
+        let words = &self.core.rng;
+        let state = std::array::from_fn(|i| words[i].load(Ordering::Relaxed));
+        let mut rng = SimRng::from_state(state);
+        let out = f(&mut rng);
+        for (word, v) in words.iter().zip(rng.state()) {
+            word.store(v, Ordering::Relaxed);
+        }
+        out
     }
 
     /// Sample a normally distributed duration (clamped at zero) around
@@ -484,6 +516,14 @@ impl SchedState {
         p.parked = true;
         p.waiting_on = waiting_on;
         p.park_epoch
+    }
+
+    /// The check each processed callback, action, set or tick runs after
+    /// itself: once only daemons are left, begin shutdown.
+    fn check_shutdown(&mut self, shutdown: &AtomicBool) {
+        if self.live_regular == 0 && self.live_daemons > 0 && !shutdown.load(Ordering::Acquire) {
+            self.begin_shutdown(shutdown);
+        }
     }
 
     /// Set the shutdown flag and wake every parked process (in pid order) so
@@ -561,12 +601,12 @@ impl Simulation {
                 procs: Vec::new(),
                 live_regular: 0,
                 live_daemons: 0,
-                rng: SimRng::seeded(cfg.seed),
                 events_processed: 0,
                 handoffs: 0,
                 outcome_tx: None,
             }),
             clock: AtomicU64::new(0),
+            rng: SimRng::seeded(cfg.seed).state().map(AtomicU64::new),
             shutdown: AtomicBool::new(false),
             trace: Trace::default(),
             released: Arc::default(),
@@ -718,14 +758,13 @@ impl Drop for Simulation {
 pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) -> bool {
     let core = &h.core;
     let mut check_shutdown = after_yield;
+    // The state guard an iteration that ran nothing outside the lock hands
+    // to the next one, which then pops without locking again.
+    let mut held = None;
     loop {
-        let mut st = core.state.lock();
-        if check_shutdown
-            && st.live_regular == 0
-            && st.live_daemons > 0
-            && !core.shutdown.load(Ordering::Acquire)
-        {
-            st.begin_shutdown(&core.shutdown);
+        let mut st = held.take().unwrap_or_else(|| core.state.lock());
+        if check_shutdown {
+            st.check_shutdown(&core.shutdown);
         }
         check_shutdown = false;
 
@@ -750,15 +789,32 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                 }
                 check_shutdown = true;
             }
+            Some(QueueItem::Landing(action, token)) => {
+                // The arrival's tick, then its landing.
+                st.events_processed += 1;
+                st.check_shutdown(&core.shutdown);
+                drop(st);
+                if let Err(payload) =
+                    panic::catch_unwind(AssertUnwindSafe(|| action.run(h, token, SpanId::NONE)))
+                {
+                    end_run(core, Outcome::CallbackPanic(payload));
+                    return false;
+                }
+                check_shutdown = true;
+            }
             Some(QueueItem::Set(event)) => {
                 drop(st);
                 event.set(h);
                 check_shutdown = true;
             }
-            Some(QueueItem::Tick) => check_shutdown = true,
+            Some(QueueItem::Tick) => {
+                check_shutdown = true;
+                held = Some(st);
+            }
             Some(QueueItem::Resume { pid, epoch } | QueueItem::Backstop { pid, epoch }) => {
                 let p = st.proc_mut(pid);
                 if !p.parked || p.finished || p.park_epoch != epoch {
+                    held = Some(st);
                     continue; // stale wake
                 }
                 p.parked = false;
@@ -775,6 +831,7 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                             // The future re-parked the process.
                             p.future = Some(fut);
                             check_shutdown = true;
+                            held = Some(st);
                             continue;
                         }
                         Poll::Pending => Err(Box::new(UNPARKED_PENDING.to_string()) as _),
@@ -814,7 +871,7 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                     }
                     Baton::Pending(_) => {
                         // The process starts: the one place a worker is
-                        // handed a job. The channel send is the only OS
+                        // handed a job. Waking the worker is the only OS
                         // wake.
                         let worker = Worker::take();
                         let resume = Arc::new(AtomicBool::new(false));
@@ -840,6 +897,7 @@ pub(crate) fn dispatch(h: &SimHandle, me: Option<ProcessId>, after_yield: bool) 
                 if st.live_regular == 0 {
                     // Only daemons remain: initiate shutdown, wake them all.
                     st.begin_shutdown(&core.shutdown);
+                    held = Some(st);
                     continue;
                 }
                 let blocked = st.blocked();

@@ -54,6 +54,16 @@ impl<T> Slab<T> {
         i as u64 + 1
     }
 
+    /// The key the next [`Slab::insert`] returns: a handler can queue an
+    /// occurrence under it before it has built the value to store.
+    pub fn next_key(&self) -> u64 {
+        match (&self.inline, self.free) {
+            (None, _) => 0,
+            (Some(_), NONE) => self.slots.len() as u64 + 1,
+            (Some(_), i) => i as u64 + 1,
+        }
+    }
+
     /// Take the value stored under `key` out, freeing the key.
     ///
     /// # Panics
@@ -120,6 +130,23 @@ mod tests {
         }
         assert!(slab.is_empty());
         assert!(slab.get_mut(c).is_none());
+    }
+
+    #[test]
+    fn next_key_is_the_key_insert_returns() {
+        let mut slab = Slab::default();
+        let mut keys = Vec::new();
+        for i in 0..4 {
+            let next = slab.next_key();
+            keys.push(slab.insert(i));
+            assert_eq!(keys[i], next);
+        }
+        slab.remove(keys[2]);
+        slab.remove(keys[0]);
+        for _ in 0..3 {
+            let next = slab.next_key();
+            assert_eq!(slab.insert(9), next, "inline slot, then freed slots, then a new one");
+        }
     }
 
     #[test]

@@ -1380,3 +1380,108 @@ fn tick_ends_a_daemon_only_tail_like_a_callback() {
     // Without an entry the daemon's first wake does not see shutdown.
     assert_eq!(daemon_tail(|_| {}).0[0], (SimTime::ZERO, false));
 }
+
+/// Records whether the run was shutting down each time it runs.
+#[derive(Default)]
+struct SeesShutdown(Mutex<Vec<bool>>);
+
+impl Action for SeesShutdown {
+    fn run(self: Arc<Self>, h: &SimHandle, _token: u64, _span: SpanId) {
+        self.0.lock().push(h.is_shutdown());
+    }
+}
+
+#[test]
+fn landing_counts_as_its_tick_and_its_action() {
+    // A transfer's arrival queued with its landing as one entry runs the
+    // landing at the same place, end time and event count as a tick
+    // followed by the action at that instant.
+    let run = |folded: bool| {
+        let mut sim = Simulation::with_seed(1);
+        let logger = Arc::new(Logger(Mutex::new(Vec::new())));
+        let l2 = logger.clone();
+        sim.spawn("p", move |ctx| {
+            let h = ctx.handle();
+            let at = SimTime::from_nanos(5_000);
+            h.schedule_action_at(at, l2.clone(), 1);
+            if folded {
+                h.land_at(at, l2.clone(), 2);
+            } else {
+                h.tick_at(at);
+                h.schedule_action_at(at, l2.clone(), 2);
+            }
+            h.schedule_action_at(at, l2.clone(), 3);
+            ctx.advance(us(10));
+        });
+        let r = sim.run().unwrap();
+        let log = logger.0.lock().clone();
+        (log, r.end_time, r.events_processed, r.handoffs)
+    };
+    let folded = run(true);
+    assert_eq!(folded.0, vec!["action 1", "action 2", "action 3"]);
+    // Start, three actions, the tick, and the wake after 10 µs.
+    assert_eq!(folded.1, SimTime::from_nanos(10_000));
+    assert_eq!(folded.2, 6);
+    assert_eq!(folded, run(false));
+}
+
+/// Whether an action landed at t = 0, with only a daemon left to run, sees
+/// the run shutting down, queued as one landing entry (`folded`) or as a
+/// tick followed by the action.
+fn landing_sees_shutdown(folded: bool) -> bool {
+    let mut sim = Simulation::with_seed(1);
+    let h = sim.handle();
+    let seen = Arc::new(SeesShutdown::default());
+    if folded {
+        h.land_at(SimTime::ZERO, seen.clone(), 0);
+    } else {
+        h.tick_at(SimTime::ZERO);
+        h.schedule_action_at(SimTime::ZERO, seen.clone(), 0);
+    }
+    sim.spawn_daemon("poller", |ctx| {
+        while !ctx.is_shutdown() {
+            ctx.advance(us(1));
+        }
+    });
+    sim.run().unwrap();
+    let seen = seen.0.lock().clone();
+    assert_eq!(seen.len(), 1, "the landing runs once");
+    seen[0]
+}
+
+#[test]
+fn landing_keeps_the_ticks_push_order_slot() {
+    // The folded entry runs its tick's shutdown check before its action,
+    // exactly as a tick popped first does.
+    assert!(landing_sees_shutdown(true));
+    assert_eq!(landing_sees_shutdown(true), landing_sees_shutdown(false));
+}
+
+/// A landing action that does nothing.
+struct Lands;
+
+impl Action for Lands {
+    fn run(self: Arc<Self>, _h: &SimHandle, _token: u64, _span: SpanId) {}
+}
+
+#[test]
+fn landing_ends_a_daemon_only_tail_like_a_tick_and_its_action() {
+    let folded = daemon_tail(|h| {
+        h.land_at(SimTime::ZERO, Arc::new(Lands), 0);
+        h.land_at(SimTime::from_nanos(3_000), Arc::new(Lands), 0);
+    });
+    let unfolded = daemon_tail(|h| {
+        h.tick_at(SimTime::ZERO);
+        h.schedule_action_at(SimTime::ZERO, Arc::new(Lands), 0);
+        h.tick_at(SimTime::from_nanos(3_000));
+        h.schedule_action_at(SimTime::from_nanos(3_000), Arc::new(Lands), 0);
+    });
+    assert_eq!(folded, unfolded);
+    // The landing at t = 0 begins shutdown before the daemon's first wake;
+    // the one at 3 µs still runs, and ends the run.
+    assert_eq!(folded.0, vec![(SimTime::ZERO, true)]);
+    assert_eq!(folded.1, SimTime::from_nanos(3_000));
+    // Two landings of two events each, the daemon's first resume, and
+    // the one shutdown queues for it (stale by then).
+    assert_eq!(folded.2, 6);
+}

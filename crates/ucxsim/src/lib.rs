@@ -3,7 +3,7 @@
 //! Reproduces the API boundary the paper's Partitioned component is written
 //! against (§II-C, §IV-A): workers and endpoints, tagged active messages for
 //! the `setup_t` bootstrap exchange, registered memory with packable remote
-//! keys, non-blocking RMA puts whose completion a long-lived sink chains, and the
+//! keys, non-blocking RMA puts whose caller's long-lived sink lands them and chains, and the
 //! modified CUDA-IPC `rkey_ptr` that underpins the Kernel Copy path.
 
 #![warn(missing_docs)]
@@ -14,7 +14,7 @@ mod worker;
 
 pub use parcomm_net::MAX_STRIPES;
 pub use rma::{
-    IpcMapping, MemHandle, PutHandle, PutOpts, RKey, PUT_FAILED, PUT_MAX_ATTEMPTS,
+    IpcMapping, MemHandle, Put, PutHandle, PutOpts, PutStatus, RKey, PUT_MAX_ATTEMPTS,
     PUT_RETRY_BACKOFF_US,
 };
 pub use worker::{

@@ -1,14 +1,14 @@
 //! UCP RMA: memory registration, remote keys, and `put_nbx`.
 //!
 //! As in UCX, one call puts bytes on the wire: [`Endpoint::put_nbx`],
-//! whose [`PutOpts`] carry the stripe count, attribution and cause, and
-//! whose completion — a long-lived [`Action`], its sink, run with the
-//! token the put was issued with — always receives the put's
-//! `put_complete` span.
-//!
-//! A put in flight is an entry in its universe's slab, and the universe
-//! is the [`Action`] its landing, stripes and retries are queued as: a put
-//! allocates no closure.
+//! whose [`PutOpts`] carry the stripe count, attribution and cause. It
+//! hands the put in flight, a [`Put`], to its caller, and queues the
+//! caller's sink — a long-lived [`Action`] — with the caller's token for
+//! every step of the put: its landing, each stripe's landing and assembly
+//! barrier, each retry. The caller keeps the [`Put`] under the lock its
+//! sink takes anyway, and the sink runs each step with [`Put::land`],
+//! which reports when the put has landed whole, with its `put_complete`
+//! span. A put allocates no closure and takes no lock of its own.
 //!
 //! The put is the workhorse of the paper's Partitioned component
 //! (§IV-A4): `MPI_Pready` issues a `ucp_put_nbx` for the partition's data
@@ -39,10 +39,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parcomm_gpu::{Buffer, Location, MemSpace};
-use parcomm_net::{NetError, RouteClass, WireAttr};
+use parcomm_net::{NetError, RouteClass, StripeArrival, StripedTransfer, WireAttr};
 use parcomm_sim::{Action, Mutex, SimDuration, SimHandle, SimTime, SpanId};
 
-use crate::worker::{Endpoint, UcxError, UcxUniverse, UniverseInner, Worker};
+use crate::worker::{Endpoint, UcxError, UcxUniverse, Worker};
 
 /// Maximum attempts (first try + retries) for one `put_nbx` before it fails
 /// with [`UcxError::PutTimeout`].
@@ -50,11 +50,6 @@ pub const PUT_MAX_ATTEMPTS: u32 = 6;
 
 /// Backoff before the first retry (µs); doubles per attempt (exponential).
 pub const PUT_RETRY_BACKOFF_US: f64 = 20.0;
-
-/// The token bit that marks a failed put: a put that exhausts its retries
-/// never lands, and its sink is told `token | PUT_FAILED` (with
-/// [`SpanId::NONE`]) instead. A put's own token must leave it clear.
-pub const PUT_FAILED: u64 = 1 << 63;
 
 /// A registered memory region (`ucp_mem_map`).
 #[derive(Clone)]
@@ -165,7 +160,7 @@ impl IpcMapping {
 
 /// Handle of a `put_nbx`: its arrival instant and, for a put that can
 /// fail, its outcome. Completion itself is observed through the put's
-/// sink, which is told at arrival.
+/// sink, which lands the [`Put`] at arrival.
 #[derive(Clone, Debug)]
 pub struct PutHandle {
     /// Arrival instant at the target, as computed at issue time. For a put
@@ -182,10 +177,10 @@ type Outcome = Option<Arc<Mutex<Option<Result<SimTime, UcxError>>>>>;
 
 impl PutHandle {
     /// The put's outcome. A put issued while faults are armed reads `None`
-    /// until it settles, then `Ok(arrival)` (the instant its sink was
-    /// told) or the typed error that ended the retry sequence. A put
-    /// issued on a fault-free fabric has no retry path: its outcome is
-    /// fixed at issue, `Ok(arrival)`.
+    /// until it settles, then `Ok(arrival)` (the instant it landed) or the
+    /// typed error that ended the retry sequence. A put issued on a
+    /// fault-free fabric has no retry path: its outcome is fixed at issue,
+    /// `Ok(arrival)`.
     pub fn result(&self) -> Option<Result<SimTime, UcxError>> {
         match &self.outcome {
             Some(slot) => slot.lock().clone(),
@@ -235,9 +230,11 @@ impl Default for PutOpts {
     }
 }
 
-/// Everything one put attempt needs; kept in a struct so the retry chain
-/// can re-issue it. The completion is `sink` with `token`.
-pub(crate) struct PendingPut {
+/// A `put_nbx` in flight, held by its caller until its sink is told it
+/// landed or failed: everything an attempt needs, so the retry chain can
+/// re-issue it, and the step its next queued entry runs.
+pub struct Put {
+    universe: UcxUniverse,
     from: Location,
     to: Location,
     src: Buffer,
@@ -245,6 +242,7 @@ pub(crate) struct PendingPut {
     len: usize,
     dst: Buffer,
     dst_off: usize,
+    /// Queued with `token` for every step.
     sink: Arc<dyn Action>,
     token: u64,
     outcome: Outcome,
@@ -255,42 +253,59 @@ pub(crate) struct PendingPut {
     /// [`MultiPathPlan`](parcomm_net::MultiPathPlan) with per-stripe
     /// functional copies and completion spans.
     opts: PutOpts,
+    /// Provisional arrival of the latest attempt.
+    arrival: SimTime,
+    next: Step,
 }
 
-/// A put in flight: what one of its queued actions does when it runs. The
-/// universe keeps these in a slab and queues itself with the key.
-pub(crate) enum InFlight {
+/// What the next queued entry of a put does.
+enum Step {
     /// A single-path put lands at `arrival`: its copy, latency sample,
     /// `put_complete` span (caused by `wire_span`) and completion.
-    Whole { put: PendingPut, arrival: SimTime, wire_span: SpanId },
-    /// One stripe of a striped put lands: its partial copy and its own
-    /// `put_complete` span, which it leaves with the put's barrier.
-    Stripe {
-        dst: Buffer,
-        dst_off: usize,
-        src: Buffer,
-        src_off: usize,
-        len: usize,
-        attr: WireAttr,
-        /// The key of the put's [`InFlight::Barrier`].
-        barrier: u64,
-    },
-    /// A striped put's assembly barrier, queued behind every stripe: its
-    /// latency sample and completion, with the last-landing stripe's span.
-    Barrier { put: PendingPut, arrival: SimTime, last_span: SpanId },
+    Whole { wire_span: SpanId },
+    /// A striped put: `stripes` land one entry each, in the order their
+    /// entries pop (by arrival, then stripe index), each with its partial
+    /// copy and its own `put_complete` span; then the assembly barrier,
+    /// queued behind every stripe, takes the latency sample and completes
+    /// with the last-landing stripe's span.
+    Striped { stripes: Vec<StripeArrival>, landed: usize, last_span: SpanId },
     /// The put's next attempt, after a routing failure's backoff.
-    Retry { put: PendingPut, attempt: u32 },
+    Retry { attempt: u32 },
+    /// Landed or failed: nothing of the put is queued any more.
+    Settled,
 }
 
-impl Action for UniverseInner {
-    /// Run the in-flight put step keyed `key`.
-    fn run(self: Arc<Self>, h: &SimHandle, key: u64, _span: SpanId) {
-        let step = self.in_flight.lock().remove(key);
-        let universe = UcxUniverse { inner: self };
-        match step {
-            InFlight::Whole { put, arrival, wire_span } => {
-                put.dst.copy_from_buffer(put.dst_off, &put.src, put.src_off, put.len);
-                let PutOpts { dst_rank, partition, .. } = put.opts;
+/// What running one step of a [`Put`] did (see [`Put::land`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum PutStatus {
+    /// The put has landed whole: the functional copy is applied, and this
+    /// is its `put_complete` span ([`SpanId::NONE`] when causal tracing is
+    /// off). Nothing of it is queued any more.
+    Landed(SpanId),
+    /// A stripe landed or an attempt was (re)issued: the sink is run again
+    /// with the same token.
+    InFlight,
+    /// The put exhausted its retries and never lands;
+    /// [`PutHandle::result`] reads the [`UcxError::PutTimeout`]. Nothing of
+    /// it is queued any more.
+    Failed,
+}
+
+impl Put {
+    /// The put's handle: its arrival and, if it can fail, its outcome.
+    pub fn handle(&self) -> PutHandle {
+        PutHandle { arrival: self.arrival, outcome: self.outcome.clone() }
+    }
+
+    /// Run the step the sink was just run for; the sink calls it each time
+    /// it is run with this put's token, at the instant that step was
+    /// queued for.
+    pub fn land(&mut self, h: &SimHandle) -> PutStatus {
+        match std::mem::replace(&mut self.next, Step::Settled) {
+            Step::Whole { wire_span } => {
+                self.dst.copy_from_buffer(self.dst_off, &self.src, self.src_off, self.len);
+                let PutOpts { dst_rank, partition, .. } = self.opts;
+                let arrival = self.arrival;
                 let span = h.trace().record_causal(
                     "put_complete",
                     arrival,
@@ -299,108 +314,132 @@ impl Action for UniverseInner {
                     partition,
                     wire_span,
                 );
-                complete(&universe, h, put, arrival, span);
+                self.complete(span)
             }
-            InFlight::Stripe { dst, dst_off, src, src_off, len, attr, barrier } => {
-                dst.copy_from_buffer(dst_off, &src, src_off, len);
+            Step::Striped { stripes, landed, .. } if landed < stripes.len() => {
+                let s = &stripes[landed];
+                let (off, len) = (s.offset as usize, s.len as usize);
+                self.dst.copy_from_buffer(self.dst_off + off, &self.src, self.src_off + off, len);
                 let now = h.now();
-                let WireAttr { cause, dst_rank, partition } = attr;
+                let PutOpts { dst_rank, partition, .. } = self.opts;
                 let span =
-                    h.trace().record_causal("put_complete", now, now, dst_rank, partition, cause);
-                if let Some(InFlight::Barrier { last_span, .. }) =
-                    universe.inner.in_flight.lock().get_mut(barrier)
-                {
-                    *last_span = span;
+                    h.trace().record_causal("put_complete", now, now, dst_rank, partition, s.span);
+                self.next = Step::Striped { stripes, landed: landed + 1, last_span: span };
+                PutStatus::InFlight
+            }
+            Step::Striped { last_span, .. } => self.complete(last_span),
+            Step::Retry { attempt } => self.attempt(h, attempt),
+            Step::Settled => unreachable!("a settled put has nothing queued"),
+        }
+    }
+
+    /// The put has landed whole: sample its issue → land latency and
+    /// settle its outcome.
+    fn complete(&mut self, span: SpanId) -> PutStatus {
+        let issue_to_land = self.arrival.since(self.first_try_at).as_micros_f64();
+        self.universe.instruments().put_latency.record(issue_to_land.round() as u64);
+        settle(&self.outcome, Ok(self.arrival));
+        PutStatus::Landed(span)
+    }
+
+    /// Issue (or re-issue) one attempt of the put; queues the next retry
+    /// with exponential backoff on a routing failure, or settles the
+    /// handle with [`UcxError::PutTimeout`] once attempts are exhausted.
+    fn attempt(&mut self, h: &SimHandle, attempt: u32) -> PutStatus {
+        let now = h.now();
+        if attempt == 0 {
+            self.universe.instruments().puts.inc();
+        }
+        // The put's issue instant, causally chained to whatever posted it;
+        // the wire span it produces is in turn chained to the put.
+        let PutOpts { stripes, src_rank, dst_rank, partition, cause } = self.opts;
+        let put_span = h.trace().record_causal("put", now, now, src_rank, partition, cause);
+        let wire = WireAttr { cause: put_span, dst_rank, partition };
+        let fabric = self.universe.fabric();
+        if stripes > 1 {
+            let plan = fabric
+                .plan(self.from, self.to, self.len as u64, stripes)
+                .expect("stripe count validated when the request was configured");
+            match fabric.try_transfer_planned(now, &plan, wire) {
+                Ok(st) => self.queue_striped(h, st),
+                Err(net_err) => return self.retry_or_fail(h, attempt, net_err, now),
+            }
+        } else {
+            match fabric.try_transfer(now, self.from, self.to, self.len as u64, wire) {
+                Ok(t) => {
+                    self.arrival = t.arrival;
+                    self.next = Step::Whole { wire_span: t.span };
+                    h.land_at(t.arrival, self.sink.clone(), self.token);
                 }
-            }
-            InFlight::Barrier { put, arrival, last_span } => {
-                complete(&universe, h, put, arrival, last_span);
-            }
-            InFlight::Retry { put, attempt } => {
-                attempt_put(&universe, put, attempt);
+                Err(net_err) => return self.retry_or_fail(h, attempt, net_err, now),
             }
         }
+        PutStatus::InFlight
     }
-}
 
-/// The put has landed whole at `arrival`: sample its issue → land latency,
-/// tell its sink, and settle its outcome.
-fn complete(universe: &UcxUniverse, h: &SimHandle, put: PendingPut, arrival: SimTime, span: SpanId) {
-    let issue_to_land = arrival.since(put.first_try_at).as_micros_f64();
-    universe.instruments().put_latency.record(issue_to_land.round() as u64);
-    put.sink.run(h, put.token, span);
-    settle(&put.outcome, Ok(arrival));
-}
-
-/// Queue `step` of a put in flight at `at`.
-fn queue(universe: &UcxUniverse, h: &SimHandle, at: SimTime, step: InFlight) {
-    let key = universe.inner.in_flight.lock().insert(step);
-    h.schedule_action_at(at, universe.inner.clone(), key);
-}
-
-/// Issue (or re-issue) one attempt of a put; schedules the next retry with
-/// exponential backoff on a routing failure, or settles the handle with
-/// [`UcxError::PutTimeout`] once attempts are exhausted.
-fn attempt_put(universe: &UcxUniverse, p: PendingPut, attempt: u32) -> SimTime {
-    let h = universe.sim();
-    let now = h.now();
-    if attempt == 0 {
-        universe.instruments().puts.inc();
-    }
-    // The put's issue instant, causally chained to whatever posted it; the
-    // wire span it produces is in turn chained to the put.
-    let PutOpts { stripes, src_rank, dst_rank, partition, cause } = p.opts;
-    let put_span = h.trace().record_causal("put", now, now, src_rank, partition, cause);
-    let wire = WireAttr { cause: put_span, dst_rank, partition };
-    if stripes > 1 {
-        return attempt_put_striped(universe, p, attempt, wire, h, now);
-    }
-    match universe.fabric().try_transfer(now, p.from, p.to, p.len as u64, wire) {
-        Ok(transfer) => {
-            let arrival = transfer.arrival;
-            let step = InFlight::Whole { put: p, arrival, wire_span: transfer.span };
-            queue(universe, h, arrival, step);
-            arrival
+    /// The multi-path arm of an attempt: queue a landing per stripe, then
+    /// the assembly barrier at the slowest stripe's arrival, so chained
+    /// operations (the receive-side flag put above all) never observe a
+    /// partially reassembled payload. The first entry queued at the
+    /// transfer's arrival is its landing: a stripe landing then, or else
+    /// the barrier.
+    fn queue_striped(&mut self, h: &SimHandle, st: StripedTransfer) {
+        let StripedTransfer { arrival, mut stripes, .. } = st;
+        let mut landed_at_arrival = false;
+        for s in &stripes {
+            if s.arrival == arrival && !landed_at_arrival {
+                landed_at_arrival = true;
+                h.land_at(s.arrival, self.sink.clone(), self.token);
+            } else {
+                h.schedule_action_at(s.arrival, self.sink.clone(), self.token);
+            }
         }
-        Err(net_err) => retry_or_fail(universe, p, attempt, net_err, h, now),
+        if landed_at_arrival {
+            h.schedule_action_at(arrival, self.sink.clone(), self.token);
+        } else {
+            h.land_at(arrival, self.sink.clone(), self.token);
+        }
+        // Entries pop by `(at, seq)`, and the stripes were queued in index
+        // order: a stable sort by arrival is the order they land in.
+        stripes.sort_by_key(|s| s.arrival);
+        self.arrival = arrival;
+        self.next = Step::Striped { stripes, landed: 0, last_span: SpanId::NONE };
     }
-}
 
-/// Shared failure arm of the put retry chain: schedule the next attempt
-/// with exponential backoff, or settle the handle with
-/// [`UcxError::PutTimeout`] once attempts are exhausted.
-fn retry_or_fail(
-    universe: &UcxUniverse,
-    p: PendingPut,
-    attempt: u32,
-    net_err: NetError,
-    h: &SimHandle,
-    now: SimTime,
-) -> SimTime {
-    let i = universe.instruments();
-    if attempt + 1 >= PUT_MAX_ATTEMPTS {
-        i.put_failures.inc();
-    } else {
-        i.put_retries.inc();
+    /// The failure arm of an attempt: queue the next one with exponential
+    /// backoff, or settle the handle with [`UcxError::PutTimeout`] once
+    /// attempts are exhausted.
+    fn retry_or_fail(
+        &mut self,
+        h: &SimHandle,
+        attempt: u32,
+        net_err: NetError,
+        now: SimTime,
+    ) -> PutStatus {
+        let i = self.universe.instruments();
+        self.arrival = now;
+        if attempt + 1 >= PUT_MAX_ATTEMPTS {
+            i.put_failures.inc();
+            let waited = now.since(self.first_try_at);
+            assert!(self.outcome.is_some(), "only a fabric with faults armed fails a put");
+            settle(
+                &self.outcome,
+                Err(UcxError::PutTimeout {
+                    attempts: attempt + 1,
+                    waited_us: waited.as_micros_f64() as u64,
+                    cause: net_err.to_string(),
+                }),
+            );
+            PutStatus::Failed
+        } else {
+            i.put_retries.inc();
+            let backoff =
+                SimDuration::from_micros_f64(PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32));
+            self.next = Step::Retry { attempt: attempt + 1 };
+            h.schedule_action_at(now + backoff, self.sink.clone(), self.token);
+            PutStatus::InFlight
+        }
     }
-    if attempt + 1 >= PUT_MAX_ATTEMPTS {
-        let waited = now.since(p.first_try_at);
-        assert!(p.outcome.is_some(), "only a fabric with faults armed fails a put");
-        settle(
-            &p.outcome,
-            Err(UcxError::PutTimeout {
-                attempts: attempt + 1,
-                waited_us: waited.as_micros_f64() as u64,
-                cause: net_err.to_string(),
-            }),
-        );
-        p.sink.run(h, p.token | PUT_FAILED, SpanId::NONE);
-    } else {
-        let backoff =
-            SimDuration::from_micros_f64(PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32));
-        queue(universe, h, now + backoff, InFlight::Retry { put: p, attempt: attempt + 1 });
-    }
-    now
 }
 
 /// Record how a put that can fail settled; a no-op for a put issued on a
@@ -408,59 +447,6 @@ fn retry_or_fail(
 fn settle(outcome: &Outcome, result: Result<SimTime, UcxError>) {
     if let Some(slot) = outcome {
         *slot.lock() = Some(result);
-    }
-}
-
-/// The multi-path arm of [`attempt_put`]: execute the put through a
-/// [`MultiPathPlan`](parcomm_net::MultiPathPlan). Each stripe applies its
-/// partial functional copy and records its own `put_complete` span (caused
-/// by that stripe's `wire` span) the instant it lands; the put's
-/// completion, latency metric, and outcome settle only at the **assembly
-/// barrier** — the slowest stripe's arrival — so chained operations (the
-/// receive-side flag put above all) never observe a partially reassembled
-/// payload. Retries and [`UcxError::PutTimeout`] behave exactly as on the
-/// single-path arm; each retry re-plans against the rails surviving at
-/// that instant.
-fn attempt_put_striped(
-    universe: &UcxUniverse,
-    p: PendingPut,
-    attempt: u32,
-    wire: WireAttr,
-    h: &SimHandle,
-    now: SimTime,
-) -> SimTime {
-    let fabric = universe.fabric();
-    let plan = fabric
-        .plan(p.from, p.to, p.len as u64, p.opts.stripes)
-        .expect("stripe count validated when the request was configured");
-    let WireAttr { dst_rank, partition, .. } = wire;
-    match fabric.try_transfer_planned(now, &plan, wire) {
-        Ok(st) => {
-            let arrival = st.arrival;
-            let (src, src_off, dst, dst_off) = (p.src.clone(), p.src_off, p.dst.clone(), p.dst_off);
-            // The barrier's entry goes in first, so each stripe can leave
-            // its span there; it is queued after the stripe landings, so at
-            // the barrier instant FIFO ordering guarantees every copy has
-            // applied.
-            let barrier = InFlight::Barrier { put: p, arrival, last_span: SpanId::NONE };
-            let barrier = universe.inner.in_flight.lock().insert(barrier);
-            for s in &st.stripes {
-                let (off, len) = (s.offset as usize, s.len as usize);
-                let stripe = InFlight::Stripe {
-                    dst: dst.clone(),
-                    dst_off: dst_off + off,
-                    src: src.clone(),
-                    src_off: src_off + off,
-                    len,
-                    attr: WireAttr { cause: s.span, dst_rank, partition },
-                    barrier,
-                };
-                queue(universe, h, s.arrival, stripe);
-            }
-            h.schedule_action_at(arrival, universe.inner.clone(), barrier);
-            arrival
-        }
-        Err(net_err) => retry_or_fail(universe, p, attempt, net_err, h, now),
     }
 }
 
@@ -474,18 +460,21 @@ impl Endpoint {
     /// payload moves GPU→GPU without staging through the host even though
     /// the operation is posted by the host).
     ///
-    /// `sink` is run with `token` at the arrival instant, after the
-    /// functional copy, with the put's `put_complete` span
-    /// ([`SpanId::NONE`] when causal tracing is off) — the hook where the
-    /// paper chains the receive-side flag put, extending the causal chain.
-    /// A striped put (`opts.stripes > 1`) lands each stripe (functional
-    /// copy + `put_complete` span) at its own arrival; the sink is told and
-    /// the handle's result settles at the assembly barrier when the slowest
-    /// stripe arrives, with the last-landing stripe's span. If the put
-    /// fails (fault-injected NIC outage outlasting the retry window), the
-    /// sink is run with `token | `[`PUT_FAILED`] instead, once the
-    /// [`PutHandle::result`] reads the `Err`. `token` must leave
-    /// [`PUT_FAILED`] clear.
+    /// The put is handed back to the caller, who keeps it until it lands.
+    /// `sink` is run with `token` for each of its steps, the first at its
+    /// arrival instant (or its first retry's), and runs the step with
+    /// [`Put::land`]. That reports [`PutStatus::Landed`] once the
+    /// functional copy is applied, with the put's `put_complete` span —
+    /// the hook where the paper chains the receive-side flag put,
+    /// extending the causal chain. A striped put (`opts.stripes > 1`)
+    /// lands each stripe (functional copy + `put_complete` span) at its
+    /// own arrival; it reports `Landed` and the handle's result settles at
+    /// the assembly barrier when the slowest stripe arrives, with the
+    /// last-landing stripe's span. If the put fails (fault-injected NIC
+    /// outage outlasting the retry window), it reports
+    /// [`PutStatus::Failed`] instead, once the [`PutHandle::result`] reads
+    /// the `Err`. Attempt 0 runs here and never fails, so the sink is
+    /// never run from inside this call.
     #[allow(clippy::too_many_arguments)]
     pub fn put_nbx(
         &self,
@@ -497,11 +486,12 @@ impl Endpoint {
         opts: PutOpts,
         sink: Arc<dyn Action>,
         token: u64,
-    ) -> PutHandle {
-        debug_assert_eq!(token & PUT_FAILED, 0, "a put's token leaves PUT_FAILED clear");
+    ) -> Put {
         let fabric = self.universe.fabric();
-        let outcome = fabric.faults_armed().then(Arc::default);
-        let pending = PendingPut {
+        let h = fabric.sim();
+        let now = h.now();
+        let mut put = Put {
+            universe: self.universe.clone(),
             from: src.space().location(),
             to: rkey.space().location(),
             src: src.clone(),
@@ -511,11 +501,13 @@ impl Endpoint {
             dst_off,
             sink,
             token,
-            outcome: outcome.clone(),
-            first_try_at: fabric.sim().now(),
+            outcome: fabric.faults_armed().then(Arc::default),
+            first_try_at: now,
             opts: PutOpts { stripes: opts.stripes.max(1), ..opts },
+            arrival: now,
+            next: Step::Settled,
         };
-        let arrival = attempt_put(&self.universe, pending, 0);
-        PutHandle { arrival, outcome }
+        put.attempt(h, 0);
+        put
     }
 }

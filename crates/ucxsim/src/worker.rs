@@ -21,8 +21,6 @@ use parcomm_net::{Fabric, WireAttr};
 use parcomm_obs::{Counter, Histogram, MetricsRegistry};
 use parcomm_sim::{Action, Ctx, Event, FxHashMap, Proc, SimDuration, SimHandle, Slab, SpanId};
 
-use crate::rma::InFlight;
-
 /// Address of a worker, obtainable via [`Worker::address`] and exchangeable
 /// out of band (the simulation's universe registry plays that role).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -186,10 +184,6 @@ pub(crate) struct UniverseInner {
     fabric: Fabric,
     workers: Mutex<FxHashMap<WorkerAddress, Arc<WorkerInner>>>,
     instruments: UcxInstruments,
-    /// Puts in flight: each queued landing, stripe, assembly barrier and
-    /// retry of a `put_nbx`, keyed by the token the universe queued itself
-    /// with (see [`crate::rma`]).
-    pub(crate) in_flight: Mutex<Slab<InFlight>>,
 }
 
 /// Worker addresses are globally unique so an address can never resolve in a
@@ -217,19 +211,12 @@ impl UcxUniverse {
                 fabric,
                 workers: Mutex::new(FxHashMap::default()),
                 instruments,
-                in_flight: Mutex::new(Slab::default()),
             }),
         }
     }
 
     pub(crate) fn instruments(&self) -> &UcxInstruments {
         &self.inner.instruments
-    }
-
-    /// Steps of `put_nbx` calls still queued: landings, stripes, assembly
-    /// barriers and retries. Zero once every put has landed or failed.
-    pub fn puts_in_flight(&self) -> usize {
-        self.inner.in_flight.lock().len()
     }
 
     /// The underlying fabric.
@@ -425,7 +412,7 @@ fn am_send_attempt(
         Ok(transfer) => {
             // Deliver into the mailbox exactly at arrival.
             let key = dst.mailbox.lock().arriving.insert((tag, AmMessage { payload, wire_bytes }));
-            h.schedule_action_at(transfer.arrival, dst, key);
+            h.land_at(transfer.arrival, dst, key);
         }
         Err(_) if attempt + 1 < AM_MAX_ATTEMPTS => {
             h.schedule_in(

@@ -7,15 +7,16 @@ use parcomm_gpu::{Buffer, Location, MemSpace, Unit};
 use parcomm_net::{ClusterSpec, Fabric, NetFaultConfig, NicOutage};
 use parcomm_obs::MetricsRegistry;
 use parcomm_sim::{Action, Event, Mutex, SimConfig, SimHandle, Simulation, SpanId};
-use parcomm_ucx::{PutOpts, UcxError, UcxUniverse, PUT_FAILED};
+use parcomm_ucx::{Put, PutHandle, PutOpts, PutStatus, UcxError, UcxUniverse};
 
 fn cpu(node: u16) -> Location {
     Location { node, unit: Unit::Cpu }
 }
 
-/// A put completion that fires an event, after checking what the put's
-/// landing must already show.
+/// A put's sink that keeps the put, lands it, and once it has landed
+/// fires an event, after checking what the landing must already show.
 struct SetOnLand {
+    put: Mutex<Option<Put>>,
     done: Event,
     check: Box<dyn Fn() + Send + Sync>,
 }
@@ -26,14 +27,24 @@ impl SetOnLand {
     }
 
     fn checking(done: &Event, check: impl Fn() + Send + Sync + 'static) -> Arc<SetOnLand> {
-        Arc::new(SetOnLand { done: done.clone(), check: Box::new(check) })
+        Arc::new(SetOnLand { put: Mutex::new(None), done: done.clone(), check: Box::new(check) })
+    }
+
+    /// Keep `put` until it lands; returns its handle.
+    fn keep(&self, put: Put) -> PutHandle {
+        let handle = put.handle();
+        *self.put.lock() = Some(put);
+        handle
     }
 }
 
 impl Action for SetOnLand {
     fn run(self: Arc<Self>, h: &SimHandle, _token: u64, _span: SpanId) {
-        (self.check)();
-        self.done.set(h);
+        let status = self.put.lock().as_mut().expect("the put is kept").land(h);
+        if let PutStatus::Landed(_) = status {
+            (self.check)();
+            self.done.set(h);
+        }
     }
 }
 
@@ -209,7 +220,7 @@ fn put_nbx_moves_data_and_fires_callback() {
         let sink = SetOnLand::checking(&done, move || {
             assert_eq!(dst3.read_f64_slice(0, 128), vec![3.0; 128]);
         });
-        let put = ep.put_nbx(&src, 0, 1024, &rkey, 0, PutOpts::default(), sink, 0);
+        let put = sink.keep(ep.put_nbx(&src, 0, 1024, &rkey, 0, PutOpts::default(), sink.clone(), 0));
         ctx.wait(&done);
         assert_eq!(ctx.now(), put.arrival);
         assert_eq!(dst2.read_f64_slice(0, 128), vec![3.0; 128]);
@@ -220,20 +231,28 @@ fn put_nbx_moves_data_and_fires_callback() {
     sim.run().unwrap();
 }
 
-/// A data put's completion that chains the flag put: token 0 is the data
-/// put, token 1 the flag put it issues.
+/// A data put's sink that chains the flag put once the data put has
+/// landed: token 0 is the data put, token 1 the flag put it issues; each
+/// is kept under its token until it lands.
 struct Chain {
     ep: parcomm_ucx::Endpoint,
     flag_src: Buffer,
     rkey_flag: parcomm_ucx::RKey,
     done: Event,
+    puts: Mutex<[Option<Put>; 2]>,
 }
 
 impl Action for Chain {
     fn run(self: Arc<Self>, h: &SimHandle, token: u64, _span: SpanId) {
+        let mut puts = self.puts.lock();
+        let put = puts[token as usize].as_mut().expect("the put is kept");
+        if !matches!(put.land(h), PutStatus::Landed(_)) {
+            return;
+        }
+        puts[token as usize] = None;
         if token == 0 {
-            let (ep, src, rkey) = (self.ep.clone(), self.flag_src.clone(), self.rkey_flag.clone());
-            ep.put_nbx(&src, 0, 8, &rkey, 0, PutOpts::default(), self.clone(), 1);
+            let (ep, src, rkey) = (&self.ep, &self.flag_src, &self.rkey_flag);
+            puts[1] = Some(ep.put_nbx(src, 0, 8, rkey, 0, PutOpts::default(), self.clone(), 1));
             self.done.set(h);
         }
     }
@@ -262,8 +281,16 @@ fn chained_put_from_completion_callback() {
         // The paper's pattern: data put, whose completion issues the
         // receive-side partition-flag put.
         let done = Event::new();
-        let chain = Arc::new(Chain { ep: ep.clone(), flag_src, rkey_flag, done: done.clone() });
-        ep.put_nbx(&payload_src, 0, 256, &rkey_payload, 0, PutOpts::default(), chain, 0);
+        let chain = Arc::new(Chain {
+            ep: ep.clone(),
+            flag_src,
+            rkey_flag,
+            done: done.clone(),
+            puts: Mutex::new([None, None]),
+        });
+        let opts = PutOpts::default();
+        let data = ep.put_nbx(&payload_src, 0, 256, &rkey_payload, 0, opts, chain.clone(), 0);
+        chain.puts.lock()[0] = Some(data);
         ctx.wait(&done);
         // Wait a little for the chained put to land.
         ctx.advance(parcomm_sim::SimDuration::from_micros(10));
@@ -318,7 +345,8 @@ fn cross_node_put_takes_ib_time() {
     sim.spawn("sender", move |ctx| {
         let ep = w0.create_endpoint(w1_addr).unwrap();
         let done = Event::new();
-        ep.put_nbx(&src, 0, 50_000_000, &rkey, 0, PutOpts::default(), SetOnLand::new(&done), 0);
+        let sink = SetOnLand::new(&done);
+        sink.keep(ep.put_nbx(&src, 0, 50_000_000, &rkey, 0, PutOpts::default(), sink.clone(), 0));
         ctx.wait(&done);
         // 50 MB striped over 4 NIC rails (12.5 MB each at 50 GB/s,
         // cut-through) = 250 µs + one segment + propagation latency.
@@ -363,7 +391,8 @@ fn put_handle_arrival_matches_event() {
     sim.spawn("p", move |ctx| {
         let ep = w0.create_endpoint(addr).unwrap();
         let done = Event::new();
-        let put = ep.put_nbx(&src, 0, 64, &rkey, 0, PutOpts::default(), SetOnLand::new(&done), 0);
+        let sink = SetOnLand::new(&done);
+        let put = sink.keep(ep.put_nbx(&src, 0, 64, &rkey, 0, PutOpts::default(), sink.clone(), 0));
         ctx.wait(&done);
         assert_eq!(ctx.now(), put.arrival, "completion runs exactly at arrival");
         assert_eq!(put.result(), Some(Ok(put.arrival)));
@@ -371,13 +400,18 @@ fn put_handle_arrival_matches_event() {
     sim.run().unwrap();
 }
 
-/// A put sink that records every token it is told.
+/// A put's sink that keeps the put and records the token and status of
+/// every step it runs.
 #[derive(Default)]
-struct Told(Mutex<Vec<u64>>);
+struct Told {
+    put: Mutex<Option<Put>>,
+    told: Mutex<Vec<(u64, PutStatus)>>,
+}
 
 impl Action for Told {
-    fn run(self: Arc<Self>, _h: &SimHandle, token: u64, _span: SpanId) {
-        self.0.lock().push(token);
+    fn run(self: Arc<Self>, h: &SimHandle, token: u64, _span: SpanId) {
+        let status = self.put.lock().as_mut().expect("the put is kept").land(h);
+        self.told.lock().push((token, status));
     }
 }
 
@@ -397,15 +431,15 @@ fn put_that_exhausts_its_retries_settles_a_timeout_and_never_completes() {
     let dst = Buffer::alloc(MemSpace::Device { node: 1, gpu: 0 }, 4096);
     let rkey = w1.mem_map(&dst).pack_rkey();
     let told = Arc::new(Told::default());
-    let (told2, uni2) = (told.clone(), uni.clone());
+    let told2 = told.clone();
     let handle = Arc::new(Mutex::new(None));
     let h2 = handle.clone();
     sim.spawn("p", move |_ctx| {
         let ep = w0.create_endpoint(addr).unwrap();
-        let put = ep.put_nbx(&src, 0, 4096, &rkey, 0, PutOpts::default(), told2, 5);
-        assert_eq!(put.result(), None, "a put issued with faults armed settles later");
-        assert_eq!(uni2.puts_in_flight(), 1, "its retry is queued");
-        *h2.lock() = Some(put);
+        let put = ep.put_nbx(&src, 0, 4096, &rkey, 0, PutOpts::default(), told2.clone(), 5);
+        assert_eq!(put.handle().result(), None, "a put issued with faults armed settles later");
+        *h2.lock() = Some(put.handle());
+        *told2.put.lock() = Some(put);
     });
     sim.run().unwrap();
     let put = handle.lock().take().expect("the put was issued");
@@ -415,10 +449,13 @@ fn put_that_exhausts_its_retries_settles_a_timeout_and_never_completes() {
         }
         other => panic!("want a settled PutTimeout, got {other:?}"),
     }
+    // Each retry runs as one step of the sink; the last reports the
+    // failure, and the run ends with nothing of the put left queued.
+    let mut want = vec![(5, PutStatus::InFlight); parcomm_ucx::PUT_MAX_ATTEMPTS as usize - 2];
+    want.push((5, PutStatus::Failed));
     assert_eq!(
-        *told.0.lock(),
-        vec![5 | PUT_FAILED],
-        "a failed put never completes: its sink hears once, of the failure"
+        *told.told.lock(),
+        want,
+        "a failed put never lands: its sink hears of each retry, then once of the failure"
     );
-    assert_eq!(uni.puts_in_flight(), 0, "nothing of the put is left in flight");
 }

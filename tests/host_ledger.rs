@@ -11,15 +11,19 @@
 //! - heap allocations, counted by this binary's own global allocator (the
 //!   `alloc_budget.rs` pattern);
 //! - events processed and thread handoffs (`SimReport`);
-//! - buffer pages the allocator supplied (`parcomm_gpu::pages_allocated`).
+//! - buffer pages the allocator supplied (`parcomm_gpu::pages_allocated`);
+//! - lock acquisitions (`parcomm_sim::locks_taken`, which the root
+//!   package's dev-dependency turns on with the `lock-census` feature).
+//!   An uncontended lock costs this host about as much as an allocation,
+//!   so the hot paths are judged by both.
 //!
 //! Each is a budget (≤), set at the measured value. A change that lowers a
 //! count tightens its budget and quotes the delta beside its clock pairs.
 //! Events and handoffs are pinned at a second seed too, where the shapes
 //! draw other jitter. Run with `--nocapture` to print the ledger.
 //!
-//! It holds one test, so no other test's allocations or pages land in a
-//! count.
+//! It holds one test, so no other test's allocations, pages or locks land
+//! in a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +33,7 @@ use parcomm::apps::{moe_reference, run_moe, MoeConfig};
 use parcomm::coll::pallreduce_init_hierarchical;
 use parcomm::gpu::pages_allocated;
 use parcomm::prelude::*;
-use parcomm::sim::{Mutex, SimReport};
+use parcomm::sim::{locks_taken, Mutex, SimReport};
 
 /// Counts allocations (and reallocations) and forwards everything to the
 /// system allocator.
@@ -77,6 +81,7 @@ struct Ledger {
     events: u64,
     handoffs: u64,
     pages: u64,
+    locks: u64,
 }
 
 /// A workload shape: its world and the rank body of one instance, which
@@ -89,7 +94,8 @@ trait Shape: Send + Sync + 'static {
 /// Run one instance of `shape` under simulation seed `seed` and count what
 /// it cost.
 fn instance(shape: &Arc<dyn Shape>, seed: u64) -> Ledger {
-    let (allocations, pages) = (ALLOCATIONS.load(Ordering::Relaxed), pages_allocated());
+    let (allocations, pages, locks) =
+        (ALLOCATIONS.load(Ordering::Relaxed), pages_allocated(), locks_taken());
     let mut sim = Simulation::with_seed(seed);
     let world = MpiWorld::new(&sim, WorldConfig::gh200(shape.nodes()));
     let wrong = Arc::new(Mutex::new(0));
@@ -102,6 +108,7 @@ fn instance(shape: &Arc<dyn Shape>, seed: u64) -> Ledger {
         events: events_processed,
         handoffs,
         pages: pages_allocated() - pages,
+        locks: locks_taken() - locks,
     }
 }
 
@@ -310,7 +317,7 @@ impl Shape for Moe {
 }
 
 /// Per-instance budgets at [`SEED`]: `(shape, allocations, events,
-/// handoffs, pages)`. Before pooled pages of every length, one-op flag
+/// handoffs, pages, locks)`. Before pooled pages of every length, one-op flag
 /// stamping, the event-free `am_send`, inline single-message AM queues,
 /// arrival events only for waiting receivers, single-box kernel emissions
 /// and the allocation-lean mux grant, PE sweep and MoE layer loop, the same
@@ -319,12 +326,18 @@ impl Shape for Moe {
 /// messages, device emissions, kernel completions and progression-engine
 /// hooks were queued as allocation-free actions (and the MoE steps read
 /// into one slice), 535, 735, 8,574 and 21,302; each with the same events,
-/// handoffs and pages.
-const BUDGETS: [(&str, u64, u64, u64, u64); 4] = [
-    ("p2p_intra", 392, 353, 74, 0),
-    ("p2p_inter", 531, 457, 81, 0),
-    ("allreduce", 1_612, 25_953, 175, 0),
-    ("moe", 12_123, 13_470, 16, 0),
+/// handoffs and pages. Before arrival ticks were folded into their
+/// landings, puts were kept by their callers, dispatch kept its guard
+/// across a re-park, the collective sweep locked once per visit and the
+/// page pool once per buffer operation (among smaller sites), and before
+/// an idle worker thread waited for its next job without a channel, the same
+/// instances took 3,738, 5,435, 174,201 and 97,091 locks, and made 392,
+/// 531, 1,612 and 12,123 allocations.
+const BUDGETS: [(&str, u64, u64, u64, u64, u64); 4] = [
+    ("p2p_intra", 391, 353, 74, 0, 2_407),
+    ("p2p_inter", 529, 457, 81, 0, 2_752),
+    ("allreduce", 1_608, 25_953, 175, 0, 111_396),
+    ("moe", 12_118, 13_470, 16, 0, 68_119),
 ];
 
 /// Events and handoffs per instance at [`SEED_2`]: `(shape, events,
@@ -364,8 +377,8 @@ fn benchmark_shapes_stay_within_their_host_budgets() {
         ("moe", Arc::new(Moe::new())),
     ];
     let mut over = Vec::new();
-    println!("shape      allocations  events  handoffs  pages");
-    for ((name, shape), (budget_name, allocations, events, handoffs, pages)) in
+    println!("shape      allocations  events  handoffs  pages    locks");
+    for ((name, shape), (budget_name, allocations, events, handoffs, pages, locks)) in
         shapes.iter().zip(BUDGETS)
     {
         assert_eq!(*name, budget_name);
@@ -373,14 +386,15 @@ fn benchmark_shapes_stay_within_their_host_budgets() {
         instance(shape, SEED);
         let got = instance(shape, SEED);
         println!(
-            "{name:<10} {:>11}  {:>6}  {:>8}  {:>5}",
-            got.allocations, got.events, got.handoffs, got.pages
+            "{name:<10} {:>11}  {:>6}  {:>8}  {:>5}  {:>7}",
+            got.allocations, got.events, got.handoffs, got.pages, got.locks
         );
-        let budget = Ledger { allocations, events, handoffs, pages };
+        let budget = Ledger { allocations, events, handoffs, pages, locks };
         if got.allocations > allocations
             || got.events > events
             || got.handoffs > handoffs
             || got.pages > pages
+            || got.locks > locks
         {
             over.push(format!("{name}: {got:?} over its budget {budget:?}"));
         }
