@@ -14,8 +14,8 @@
 //! (§IV-A4): `MPI_Pready` issues a `ucp_put_nbx` for the partition's data
 //! and chains a second, small put that raises the receive-side partition
 //! flag (UCX has no put-with-receive-completion, cf.
-//! `IBV_WR_RDMA_WRITE_WITH_IMM`). Callbacks attached to a put run exactly
-//! at its arrival instant, which is where the chained put is issued.
+//! `IBV_WR_RDMA_WRITE_WITH_IMM`). A put lands exactly at its arrival
+//! instant, which is where its sink issues the chained put.
 //!
 //! `rkey_ptr` models the paper's modified `uct_cuda_ipc_rkey_ptr`: for
 //! device memory on the same node it exposes a directly-storable
@@ -28,12 +28,12 @@
 //! With a fault schedule armed on the fabric, a put whose route has no
 //! usable NIC retries with exponential backoff ([`PUT_RETRY_BACKOFF_US`],
 //! doubling, up to [`PUT_MAX_ATTEMPTS`] attempts). Exhausting the retries
-//! records [`UcxError::PutTimeout`] in the put's [`PutHandle::result`]
-//! and tells the sink `token | `[`PUT_FAILED`] instead of completing, so
+//! records [`UcxError::PutTimeout`] in the put's [`PutHandle::result`],
+//! and [`Put::land`] reports [`PutStatus::Failed`] instead of landing, so
 //! a stalled waiter can diagnose a typed failure instead of blocking
-//! forever, and the sink can drop what it kept for the put. With no faults armed, the
-//! retry machinery is never entered and behavior is byte-identical to the
-//! fault-free model.
+//! forever, and the sink can drop what it kept for the put. With no
+//! faults armed, the retry machinery is never entered and behavior is
+//! byte-identical to the fault-free model.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -385,16 +385,15 @@ impl Put {
     /// the barrier.
     fn queue_striped(&mut self, h: &SimHandle, st: StripedTransfer) {
         let StripedTransfer { arrival, mut stripes, .. } = st;
-        let mut landed_at_arrival = false;
-        for s in &stripes {
-            if s.arrival == arrival && !landed_at_arrival {
-                landed_at_arrival = true;
+        let landing = stripes.iter().position(|s| s.arrival == arrival);
+        for (i, s) in stripes.iter().enumerate() {
+            if Some(i) == landing {
                 h.land_at(s.arrival, self.sink.clone(), self.token);
             } else {
                 h.schedule_action_at(s.arrival, self.sink.clone(), self.token);
             }
         }
-        if landed_at_arrival {
+        if landing.is_some() {
             h.schedule_action_at(arrival, self.sink.clone(), self.token);
         } else {
             h.land_at(arrival, self.sink.clone(), self.token);
