@@ -9,12 +9,13 @@
 //! stream-synchronizes before sending and measures until delivery.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use parcomm_sim::Mutex;
 
 use parcomm_gpu::Buffer;
 use parcomm_net::{Fabric, WireAttr};
-use parcomm_sim::{Ctx, Event, SimHandle};
+use parcomm_sim::{Action, Ctx, Event, SimHandle, SpanId};
 
 use crate::world::Rank;
 
@@ -93,17 +94,23 @@ fn fire_transfer(
         .unwrap_or_else(|e| {
             panic!("fabric transfer {src_loc:?} -> {dst_loc:?} failed with no recovery path: {e}")
         });
-    let (sbuf, rbuf) = (send.buf, recv.buf);
-    let (soff, roff, len) = (send.off, recv.off, send.len);
-    let (sdone, rdone) = (send.done, recv.done);
-    // The arrival's own entry, then the boxed landing (not a hot path, so
-    // it is not folded into one `land_at` entry).
-    h.tick_at(t.arrival);
-    h.schedule_at(t.arrival, move |h| {
-        rbuf.copy_from_buffer(roff, &sbuf, soff, len);
-        sdone.set(h);
-        rdone.set(h);
-    });
+    h.land_at(t.arrival, Arc::new(Landing { send, recv }), 0);
+}
+
+/// A matched transfer's landing at its arrival: the copy, then both
+/// completions.
+struct Landing {
+    send: SendEntry,
+    recv: RecvEntry,
+}
+
+impl Action for Landing {
+    fn run(self: Arc<Self>, h: &SimHandle, _token: u64, _span: SpanId) {
+        let (send, recv) = (&self.send, &self.recv);
+        recv.buf.copy_from_buffer(recv.off, &send.buf, send.off, send.len);
+        send.done.set(h);
+        recv.done.set(h);
+    }
 }
 
 impl Rank {

@@ -1134,8 +1134,8 @@ mod tests {
 
     #[test]
     fn a_queue_entry_stays_48_bytes() {
-        // `(at, seq)`, then the largest item, `Action` (the handler's `Arc`
-        // and its token: 24 bytes), and the item's tag. The heap moves
+        // `(at, seq)`, then the largest items, `Action` and `Landing` (the
+        // handler's `Arc` and its token: 24 bytes), and the item's tag. The heap moves
         // entries on every push and pop, so a larger item costs every one.
         assert_eq!(std::mem::size_of::<Entry>(), 48);
     }
